@@ -4,6 +4,7 @@
 
 #include <algorithm>
 #include <cassert>
+#include <utility>
 
 using namespace mao;
 
@@ -133,7 +134,7 @@ CFG CFG::build(MaoFunction &Fn) {
       StartNewBlock();
     BlockOpen = true;
     G.Blocks.back().Insns.push_back(F.It);
-    const Instruction &Insn = F.It->instruction();
+    const Instruction &Insn = std::as_const(*F.It).instruction();
     if (Insn.isBranch() || Insn.isReturn())
       BlockOpen = false;
   }
@@ -177,7 +178,7 @@ CFG CFG::build(MaoFunction &Fn) {
            ++RIt) {
         if (*RIt == BB.Insns.back())
           continue; // The jump itself.
-        const Instruction &Cand = (*RIt)->instruction();
+        const Instruction &Cand = std::as_const(**RIt).instruction();
         std::string Table = matchTableLoad(Cand, JumpReg);
         if (!Table.empty()) {
           Resolved = G.connectJumpTable(I, Table);

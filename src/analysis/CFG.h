@@ -24,6 +24,7 @@
 
 #include <string>
 #include <unordered_map>
+#include <utility>
 #include <vector>
 
 namespace mao {
@@ -41,7 +42,7 @@ struct BasicBlock {
   bool empty() const { return Insns.empty(); }
   Instruction &lastInstruction() { return Insns.back()->instruction(); }
   const Instruction &lastInstruction() const {
-    return Insns.back()->instruction();
+    return std::as_const(*Insns.back()).instruction();
   }
 };
 

@@ -3,6 +3,7 @@
 #include "analysis/CallGraph.h"
 
 #include <algorithm>
+#include <utility>
 
 using namespace mao;
 
@@ -59,7 +60,7 @@ CallGraph CallGraph::build(MaoUnit &Unit) {
       for (EntryIter It = R.Begin; It != R.End; ++It) {
         if (!It->isInstruction())
           continue;
-        const Instruction &Insn = It->instruction();
+        const Instruction &Insn = std::as_const(*It).instruction();
         if (Insn.isCall()) {
           CallSite Site;
           Site.Insn = It;

@@ -4,6 +4,7 @@
 
 #include <algorithm>
 #include <cassert>
+#include <utility>
 
 using namespace mao;
 
@@ -43,7 +44,7 @@ LivenessResult mao::computeLiveness(const CFG &G) {
     RegMask LiveUse = 0, Defined = 0;
     uint8_t FlagUse = 0, FlagDef = 0;
     for (EntryIter It : Blocks[B].Insns) {
-      const InstructionEffects Fx = It->instruction().effects();
+      const InstructionEffects Fx = std::as_const(*It).instruction().effects();
       LiveUse |= Fx.RegUses & ~Defined;
       FlagUse |= Fx.FlagsUse & ~FlagDef;
       Defined |= Fx.RegDefs;
@@ -100,7 +101,8 @@ InsnLiveness mao::perInstructionLiveness(const CFG &G, unsigned Block,
   for (size_t I = N; I-- > 0;) {
     R.RegLiveAfter[I] = Cur;
     R.FlagsLiveAfter[I] = FCur;
-    const InstructionEffects Fx = BB.Insns[I]->instruction().effects();
+    const InstructionEffects Fx =
+        std::as_const(*BB.Insns[I]).instruction().effects();
     Cur = (Cur & ~Fx.RegDefs) | Fx.RegUses;
     FCur = static_cast<uint8_t>((FCur & ~Fx.FlagsDef) | Fx.FlagsUse);
   }
@@ -118,7 +120,7 @@ ReachingDefs ReachingDefs::compute(const CFG &G) {
     for (unsigned I = 0, E = static_cast<unsigned>(Blocks[B].Insns.size());
          I != E; ++I) {
       const InstructionEffects Fx =
-          Blocks[B].Insns[I]->instruction().effects();
+          std::as_const(*Blocks[B].Insns[I]).instruction().effects();
       if (!Fx.RegDefs)
         continue;
       DefsInBlock[B].push_back(static_cast<unsigned>(R.AllDefs.size()));
@@ -199,7 +201,8 @@ ReachingDefs::reachingInstruction(const CFG &G, unsigned Block,
   std::vector<const Def *> Reaching = reachingBlockEntry(Block, Mask);
   const BasicBlock &BB = G.blocks()[Block];
   for (unsigned I = 0; I < InsnIdx && I < BB.Insns.size(); ++I) {
-    const InstructionEffects Fx = BB.Insns[I]->instruction().effects();
+    const InstructionEffects Fx =
+        std::as_const(*BB.Insns[I]).instruction().effects();
     if (!(Fx.RegDefs & Mask))
       continue;
     // This def kills earlier defs of the same registers.
@@ -227,7 +230,7 @@ unsigned mao::resolveIndirectJumps(CFG &G) {
   unsigned Resolved = 0;
   auto &Pending = G.unresolvedJumps();
   for (auto It = Pending.begin(); It != Pending.end();) {
-    const Instruction &Jump = It->Jump->instruction();
+    const Instruction &Jump = std::as_const(*It->Jump).instruction();
     const Operand *Target = Jump.branchTarget();
     if (!Target || !Target->isReg()) {
       ++It;
@@ -241,7 +244,8 @@ unsigned mao::resolveIndirectJumps(CFG &G) {
         RD.reachingInstruction(G, Block, JumpIdx, regMaskBit(JumpReg));
     if (Defs.size() == 1) {
       std::string Table =
-          CFG::matchTableLoad(Defs[0]->Insn->instruction(), JumpReg);
+          CFG::matchTableLoad(std::as_const(*Defs[0]->Insn).instruction(),
+                              JumpReg);
       if (!Table.empty() && G.connectJumpTable(Block, Table)) {
         ++Resolved;
         ++G.stats().ResolvedReachingDefs;

@@ -3,9 +3,11 @@
 #include "analysis/Relaxer.h"
 
 #include "support/Diag.h"
+#include "support/Stats.h"
 
 #include <cassert>
 #include <cstdlib>
+#include <utility>
 
 using namespace mao;
 
@@ -75,12 +77,34 @@ unsigned alignmentPad(const Directive &Dir, int64_t Address) {
 
 } // namespace
 
-unsigned mao::entryLayoutSize(const MaoEntry &Entry, int64_t Address) {
-  if (Entry.isLabel())
+void LengthMemoTally::flush() {
+  static StatCounter &HitCounter =
+      StatsRegistry::instance().counter("encode.memo_hits");
+  static StatCounter &MissCounter =
+      StatsRegistry::instance().counter("encode.memo_misses");
+  if (Hits)
+    HitCounter.add(Hits);
+  if (Misses)
+    MissCounter.add(Misses);
+  Hits = Misses = 0;
+}
+
+unsigned mao::entryLayoutSize(MaoEntry &Entry, int64_t Address,
+                              LengthMemoTally &Tally) {
+  const MaoEntry &View = Entry; // Reading must not drop the memo.
+  if (View.isLabel())
     return 0;
-  if (Entry.isInstruction())
-    return instructionLength(Entry.instruction());
-  const Directive &Dir = Entry.directive();
+  if (View.isInstruction()) {
+    if (unsigned Memo = View.lengthMemo()) {
+      ++Tally.Hits;
+      return Memo;
+    }
+    const unsigned Length = instructionLength(View.instruction());
+    Entry.setLengthMemo(Length);
+    ++Tally.Misses;
+    return Length;
+  }
+  const Directive &Dir = View.directive();
   switch (Dir.Kind) {
   case DirKind::P2Align:
   case DirKind::Balign:
@@ -137,51 +161,67 @@ RelaxationResult mao::relaxUnit(MaoUnit &Unit, DiagEngine *Diags) {
   RelaxationResult Result;
 
   // Reset branch sizes optimistically: every direct jump starts rel8 and
-  // grows as needed. (Calls are rel32 by construction.)
+  // grows as needed. (Calls are rel32 by construction.) Only direct
+  // branches are opened for writing; everything else is read through a
+  // const view so its length memo survives.
   for (MaoEntry &E : Unit.entries()) {
     if (!E.isInstruction())
       continue;
-    Instruction &Insn = E.instruction();
+    const Instruction &Insn = std::as_const(E).instruction();
     if (Insn.isBranch() && !Insn.hasIndirectTarget())
-      Insn.BranchSize = 1;
+      E.instruction().BranchSize = 1;
   }
 
   // Pre-compute the layout walk. Only two kinds of entry have an
   // address- or iteration-dependent size — alignment pads and direct
-  // branches — so everything else is measured once here instead of being
-  // re-encoded on every relaxation round (instruction lengths dominate the
-  // cost of a round). Label and branch-target names are captured as
-  // string_view keys once, so the per-round map operations allocate no
-  // strings at all.
+  // branches — so everything else is sized once here (from its length
+  // memo when it has one) instead of on every relaxation round. A direct
+  // branch is encoded once at each width, so rounds and the optimal-mode
+  // audit just pick one of the two. Label and branch-target names are
+  // captured as string_view keys once, so the per-round map operations
+  // allocate no strings at all.
   struct Slot {
     MaoEntry *E;
     unsigned StaticSize; ///< Valid when !Dynamic.
     bool Dynamic;
     bool IsLabel;
+    bool IsBranch;              ///< Dynamic direct branch (else a pad).
+    uint8_t Rel8Size;           ///< Encoded length at BranchSize 1.
+    uint8_t Rel32Size;          ///< Encoded length at BranchSize 4.
     std::string_view LabelKey;  ///< Label name; valid when IsLabel.
-    const Operand *Target;      ///< Branch target; valid for dynamic insns.
-    std::string_view TargetSym; ///< Target symbol; valid for dynamic insns.
+    const Operand *Target;      ///< Branch target; valid when IsBranch.
+    std::string_view TargetSym; ///< Target symbol; valid when IsBranch.
   };
+  LengthMemoTally Tally;
   std::vector<std::pair<SectionInfo *, std::vector<Slot>>> Walk;
   for (SectionInfo &Sec : Unit.sections()) {
     std::vector<Slot> Slots;
     for (const MaoFunction::Range &R : Sec.Ranges)
       for (EntryIter It = R.Begin; It != R.End; ++It) {
+        const MaoEntry &View = *It;
         Slot S;
         S.E = &*It;
         S.Dynamic = false;
+        S.IsBranch = false;
         S.Target = nullptr;
-        if (It->isInstruction()) {
-          const Instruction &Insn = It->instruction();
-          S.Dynamic = Insn.isBranch() && !Insn.hasIndirectTarget();
-          if (S.Dynamic) {
+        if (View.isInstruction()) {
+          const Instruction &Insn = View.instruction();
+          S.IsBranch = S.Dynamic = Insn.isBranch() && !Insn.hasIndirectTarget();
+          if (S.IsBranch) {
             S.Target = Insn.branchTarget();
             assert(S.Target && S.Target->isSymbol() &&
                    "direct branch without target");
             S.TargetSym = S.Target->Sym;
+            // Ends at rel8, the width the reset above left it at.
+            Instruction &Branch = It->instruction();
+            Branch.BranchSize = 4;
+            S.Rel32Size = static_cast<uint8_t>(instructionLength(Branch));
+            Branch.BranchSize = 1;
+            S.Rel8Size = static_cast<uint8_t>(instructionLength(Branch));
+            Tally.Misses += 2;
           }
-        } else if (It->isDirective()) {
-          DirKind K = It->directive().Kind;
+        } else if (View.isDirective()) {
+          DirKind K = View.directive().Kind;
           S.Dynamic = K == DirKind::P2Align || K == DirKind::Balign;
         }
         // Every defined label participates in displacement resolution,
@@ -189,14 +229,19 @@ RelaxationResult mao::relaxUnit(MaoUnit &Unit, DiagEngine *Diags) {
         // has a known distance, so pessimizing it to rel32 just because
         // it is exported would leave relaxation over-conservative. Truly
         // external symbols are simply absent from the maps.
-        S.IsLabel = It->isLabel();
+        S.IsLabel = View.isLabel();
         if (S.IsLabel)
-          S.LabelKey = It->labelName();
-        S.StaticSize = S.Dynamic ? 0 : entryLayoutSize(*It, 0);
+          S.LabelKey = View.labelName();
+        S.StaticSize = S.Dynamic ? 0 : entryLayoutSize(*It, 0, Tally);
         Slots.push_back(S);
       }
     Walk.emplace_back(&Sec, std::move(Slots));
   }
+  Tally.flush();
+
+  auto BranchSizeOf = [](const Slot &S) {
+    return std::as_const(*S.E).instruction().BranchSize;
+  };
 
   std::string LastGrowthSection;
 
@@ -215,7 +260,12 @@ RelaxationResult mao::relaxUnit(MaoUnit &Unit, DiagEngine *Diags) {
       for (const Slot &S : Slots) {
         MaoEntry &E = *S.E;
         E.Address = Address;
-        E.Size = S.Dynamic ? entryLayoutSize(E, Address) : S.StaticSize;
+        if (S.IsBranch)
+          E.Size = BranchSizeOf(S) == 1 ? S.Rel8Size : S.Rel32Size;
+        else if (S.Dynamic)
+          E.Size = entryLayoutSize(E, Address, Tally);
+        else
+          E.Size = S.StaticSize;
         if (S.IsLabel) {
           SecLabels.try_emplace(S.LabelKey, Address);
           Result.Labels.try_emplace(S.LabelKey, Address);
@@ -236,16 +286,13 @@ RelaxationResult mao::relaxUnit(MaoUnit &Unit, DiagEngine *Diags) {
     for (auto &[Sec, Slots] : Walk) {
       const LabelAddressMap &SecLabels = Result.SectionLabels[Sec->Name];
       for (const Slot &S : Slots) {
-        if (!S.Dynamic || !S.E->isInstruction())
+        if (!S.IsBranch || BranchSizeOf(S) != 1)
           continue;
         MaoEntry &E = *S.E;
-        Instruction &Insn = E.instruction();
-        if (Insn.BranchSize != 1)
-          continue;
         auto LabelIt = SecLabels.find(S.TargetSym);
         if (LabelIt == SecLabels.end()) {
           // External or cross-section target: must use rel32.
-          Insn.BranchSize = 4;
+          E.instruction().BranchSize = 4;
           Changed = true;
           LastGrowthSection = Sec->Name;
           continue;
@@ -253,7 +300,7 @@ RelaxationResult mao::relaxUnit(MaoUnit &Unit, DiagEngine *Diags) {
         int64_t Disp =
             LabelIt->second + S.Target->Imm - (E.Address + E.Size);
         if (Disp < -128 || Disp > 127) {
-          Insn.BranchSize = 4;
+          E.instruction().BranchSize = 4;
           Changed = true;
           LastGrowthSection = Sec->Name;
         }
@@ -287,8 +334,7 @@ RelaxationResult mao::relaxUnit(MaoUnit &Unit, DiagEngine *Diags) {
       unsigned N = 0;
       for (auto &[Sec, Slots] : Walk)
         for (const Slot &S : Slots)
-          if (S.Dynamic && S.E->isInstruction() &&
-              S.E->instruction().BranchSize == 1)
+          if (S.IsBranch && BranchSizeOf(S) == 1)
             ++N;
       return N;
     };
@@ -299,19 +345,16 @@ RelaxationResult mao::relaxUnit(MaoUnit &Unit, DiagEngine *Diags) {
       for (auto &[Sec, Slots] : Walk) {
         const LabelAddressMap &SecLabels = Result.SectionLabels[Sec->Name];
         for (const Slot &S : Slots) {
-          if (!S.Dynamic || !S.E->isInstruction())
+          if (!S.IsBranch || BranchSizeOf(S) != 4)
             continue;
           MaoEntry &E = *S.E;
-          Instruction &Insn = E.instruction();
-          if (Insn.BranchSize != 4)
-            continue;
           auto LabelIt = SecLabels.find(S.TargetSym);
           if (LabelIt == SecLabels.end())
             continue; // External/cross-section: rel32 is mandatory.
+          Instruction &Insn = E.instruction();
           const unsigned Rel32Size = E.Size;
           Insn.BranchSize = 1;
-          const unsigned Rel8Size = instructionLength(Insn);
-          const unsigned Delta = Rel32Size - Rel8Size;
+          const unsigned Delta = Rel32Size - S.Rel8Size;
           const int64_t Target = LabelIt->second + S.Target->Imm;
           // Exact single-demotion displacement: a forward target moves
           // down by Delta together with the branch end, a backward target

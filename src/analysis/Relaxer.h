@@ -99,9 +99,22 @@ struct RelaxationResult {
 /// (the verifier turns it into a layout error).
 RelaxationResult relaxUnit(MaoUnit &Unit, DiagEngine *Diags = nullptr);
 
-/// Returns the layout size in bytes of a non-instruction entry at
-/// \p Address (alignment padding, data directive sizes; labels are 0).
-unsigned entryLayoutSize(const MaoEntry &Entry, int64_t Address);
+/// Per-walk count of instruction lengths served from MaoEntry's length
+/// memo (Hits) and learned by encoding (Misses). Walks count locally and
+/// flush() once into the "encode.memo_hits" / "encode.memo_misses"
+/// registry counters, which the run report publishes under caches.encode.
+struct LengthMemoTally {
+  uint64_t Hits = 0;
+  uint64_t Misses = 0;
+  /// Adds the tally to the registry counters and zeroes it.
+  void flush();
+};
+
+/// Returns the layout size in bytes of \p Entry at \p Address: the encoded
+/// length of an instruction (from its length memo, filling the memo on a
+/// miss), alignment padding, data directive sizes; labels are 0.
+unsigned entryLayoutSize(MaoEntry &Entry, int64_t Address,
+                         LengthMemoTally &Tally);
 
 } // namespace mao
 

@@ -5,6 +5,7 @@
 #include <algorithm>
 #include <optional>
 #include <unordered_map>
+#include <utility>
 
 using namespace mao;
 
@@ -201,7 +202,7 @@ FunctionSummary computeOne(const CallGraph &CG, unsigned FnIdx, CFG &G,
   auto insnClobbers = [&](EntryIter It) -> RegMask {
     if (const CallSite *Site = siteAt(It))
       return siteClobbers(*Site);
-    return It->instruction().effects().RegDefs;
+    return std::as_const(*It).instruction().effects().RegDefs;
   };
 
   //===--------------------------------------------------------------------===//
@@ -212,7 +213,7 @@ FunctionSummary computeOne(const CallGraph &CG, unsigned FnIdx, CFG &G,
   std::unordered_map<unsigned, std::string> FirstWriteDesc; // gpr index -> text
   for (const BasicBlock &B : Blocks) {
     for (EntryIter It : B.Insns) {
-      const Instruction &Insn = It->instruction();
+      const Instruction &Insn = std::as_const(*It).instruction();
       RegMask W = insnClobbers(It);
       RegMask NewCalleeSaved = W & CalleeSavedMask & ~RawClobbers;
       if (NewCalleeSaved) {
@@ -266,7 +267,7 @@ FunctionSummary computeOne(const CallGraph &CG, unsigned FnIdx, CFG &G,
                         std::vector<std::string> *Violations) -> uint8_t {
       bool Dirty = State & 1, Saved = (State & 2) != 0;
       for (EntryIter It : B.Insns) {
-        const Instruction &Insn = It->instruction();
+        const Instruction &Insn = std::as_const(*It).instruction();
         const CallSite *Site = siteAt(It);
         if (!Dirty && savesReg(Insn, Super)) {
           Saved = true;
@@ -340,7 +341,7 @@ FunctionSummary computeOne(const CallGraph &CG, unsigned FnIdx, CFG &G,
       Work.pop_back();
       int64_t D = Depth[BI], A = Anchor[BI];
       for (EntryIter It : Blocks[BI].Insns) {
-        const Instruction &Insn = It->instruction();
+        const Instruction &Insn = std::as_const(*It).instruction();
         const CallSite *Site = siteAt(It);
         if (D != Unknown) {
           if (D > S.MaxFrameBytes)
@@ -426,7 +427,7 @@ FunctionSummary computeOne(const CallGraph &CG, unsigned FnIdx, CFG &G,
     auto Transfer = [&](const BasicBlock &B, RegMask Defined,
                         RegMask *Reads) -> RegMask {
       for (EntryIter It : B.Insns) {
-        const Instruction &Insn = It->instruction();
+        const Instruction &Insn = std::as_const(*It).instruction();
         const CallSite *Site = siteAt(It);
         RegMask Uses =
             Site ? siteReads(*Site) : Insn.effects().RegUses;

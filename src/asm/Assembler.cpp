@@ -5,6 +5,7 @@
 #include <cassert>
 #include <cstdlib>
 #include <unordered_set>
+#include <utility>
 
 using namespace mao;
 
@@ -191,7 +192,7 @@ ErrorOr<SectionBytes> mao::assembleUnit(MaoUnit &Unit,
       for (EntryIter It = R.Begin; It != R.End; ++It) {
         const int64_t Expected = It->Address + It->Size;
         if (It->isInstruction()) {
-          const Instruction &Insn = It->instruction();
+          const Instruction &Insn = std::as_const(*It).instruction();
           if (Insn.isOpaque()) {
             // Placeholder bytes, matching the size estimate.
             Bytes.insert(Bytes.end(), It->Size, 0xcc);

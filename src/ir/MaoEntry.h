@@ -95,11 +95,13 @@ public:
   }
 
   MaoEntry(const MaoEntry &O)
-      : Address(O.Address), Size(O.Size), Id(O.Id), EntryKind(O.EntryKind) {
+      : Address(O.Address), Size(O.Size), Id(O.Id), EntryKind(O.EntryKind),
+        LengthMemo(O.LengthMemo) {
     constructFrom(O);
   }
   MaoEntry(MaoEntry &&O) noexcept
-      : Address(O.Address), Size(O.Size), Id(O.Id), EntryKind(O.EntryKind) {
+      : Address(O.Address), Size(O.Size), Id(O.Id), EntryKind(O.EntryKind),
+        LengthMemo(O.LengthMemo) {
     constructFrom(std::move(O));
   }
   MaoEntry &operator=(const MaoEntry &O) {
@@ -110,6 +112,7 @@ public:
     Size = O.Size;
     Id = O.Id;
     EntryKind = O.EntryKind;
+    LengthMemo = O.LengthMemo;
     constructFrom(O);
     return *this;
   }
@@ -121,6 +124,7 @@ public:
     Size = O.Size;
     Id = O.Id;
     EntryKind = O.EntryKind;
+    LengthMemo = O.LengthMemo;
     constructFrom(std::move(O));
     return *this;
   }
@@ -132,8 +136,15 @@ public:
   bool isDirective() const { return EntryKind == Kind::Directive; }
   bool isDirective(DirKind K) const { return isDirective() && Dir.Kind == K; }
 
+  /// Mutable access: the only way to obtain a writable Instruction, so it
+  /// drops the length memo. Read-only callers holding a non-const entry
+  /// should go through std::as_const(Entry).instruction() to keep it.
   Instruction &instruction() {
     assert(isInstruction() && "entry is not an instruction");
+    // Conditional so that read-mostly walks never write to entries they
+    // do not own (sharded passes read across function boundaries).
+    if (LengthMemo)
+      LengthMemo = 0;
     return Insn;
   }
   const Instruction &instruction() const {
@@ -164,6 +175,20 @@ public:
   /// Dense id assigned at parse time; stable across layout changes, used
   /// for deterministic ordering and profile annotation.
   uint32_t Id = 0;
+
+  /// The instruction's memoized encoded length in bytes, 0 when unknown.
+  /// Lengths are position-independent, so once measured they stay valid
+  /// until the instruction changes, and every change goes through the
+  /// non-const instruction() accessor, which clears the memo. A memo is
+  /// therefore stale only if a caller writes through an Instruction&
+  /// obtained before the memo was set; the full verifier re-encodes every
+  /// memoized instruction to catch exactly that. Filled by relaxUnit, the
+  /// verifier and the pass runner's footprint walk; lengths that do not
+  /// fit a byte are simply not memoized.
+  unsigned lengthMemo() const { return LengthMemo; }
+  void setLengthMemo(unsigned Length) {
+    LengthMemo = Length <= UINT8_MAX ? static_cast<uint8_t>(Length) : 0;
+  }
 
 private:
   /// Placement-constructs the active member from \p O's. EntryKind must
@@ -210,6 +235,8 @@ private:
   }
 
   Kind EntryKind;
+  /// Sits in the padding after EntryKind, so it costs no space.
+  uint8_t LengthMemo = 0;
   union {
     Instruction Insn;
     std::string LabelName;

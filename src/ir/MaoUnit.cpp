@@ -3,6 +3,7 @@
 #include "ir/MaoUnit.h"
 
 #include <cassert>
+#include <utility>
 
 using namespace mao;
 
@@ -88,6 +89,7 @@ EntryIter MaoUnit::append(MaoEntry Entry) {
 EntryIter MaoUnit::insertBefore(EntryIter Pos, MaoEntry Entry) {
   std::lock_guard<std::mutex> Lock(StructuralM);
   Entry.Id = nextId();
+  StructureEdited = true;
   return Entries.insert(Pos, std::move(Entry));
 }
 
@@ -95,16 +97,19 @@ EntryIter MaoUnit::insertAfter(EntryIter Pos, MaoEntry Entry) {
   assert(Pos != Entries.end() && "cannot insert after end()");
   std::lock_guard<std::mutex> Lock(StructuralM);
   Entry.Id = nextId();
+  StructureEdited = true;
   return Entries.insert(std::next(Pos), std::move(Entry));
 }
 
 EntryIter MaoUnit::erase(EntryIter Pos) {
   std::lock_guard<std::mutex> Lock(StructuralM);
+  StructureEdited = true;
   return Entries.erase(Pos);
 }
 
 void MaoUnit::moveRange(EntryIter First, EntryIter Last, EntryIter Before) {
   std::lock_guard<std::mutex> Lock(StructuralM);
+  StructureEdited = true;
   Entries.splice(Before, Entries, First, Last);
 }
 
@@ -167,6 +172,7 @@ std::string trimmed(const std::string &S) {
 
 void MaoUnit::rebuildStructure() {
   StructureDirty = false;
+  StructureEdited = false;
   Labels.clear();
   Sections.clear();
   Functions.clear();
@@ -268,7 +274,8 @@ void MaoUnit::rebuildStructure() {
   // Mark functions containing opaque instructions.
   for (MaoFunction &Fn : Functions)
     for (auto It = Fn.begin(), E2 = Fn.end(); It != E2; ++It)
-      if (It->isInstruction() && It->instruction().isOpaque()) {
+      if (It->isInstruction() &&
+          std::as_const(*It).instruction().isOpaque()) {
         Fn.HasOpaqueInstructions = true;
         break;
       }

@@ -173,6 +173,7 @@ public:
     Other.Sections.clear();
     Other.Labels.clear();
     Other.StructureDirty = false;
+    Other.StructureEdited = false;
     // The derived views are rebuilt lazily on first access, not here: a
     // unit is moved three times on its way out of the parser (into the
     // status wrapper, then to the caller), and eager rebuilding made that
@@ -181,6 +182,7 @@ public:
     Sections.clear();
     Labels.clear();
     StructureDirty = true;
+    StructureEdited = false;
     return *this;
   }
 
@@ -249,13 +251,23 @@ public:
 
   /// (Re)computes sections and functions from the entry list. Passes that
   /// restructure function boundaries re-invoke it. Structural edits
-  /// (append/insert/erase) deliberately do NOT schedule a rebuild — the
-  /// views go stale until the caller rebuilds, which sharded passes rely
-  /// on. Moving or cloning a unit marks the views dirty instead, and the
-  /// accessors below rebuild on first use; a dirty unit must not be read
-  /// from several threads until one caller has rebuilt it (the pipeline
-  /// rebuilds before every parallel region already).
+  /// (insert/erase/moveRange) deliberately do NOT schedule a lazy rebuild
+  /// — the views go stale until the caller rebuilds, which sharded passes
+  /// rely on (a shard calling an accessor must never rebuild under its
+  /// siblings). They only record that they happened (structureEdited()),
+  /// and the pass runner rebuilds between passes. Moving or cloning a unit
+  /// marks the views dirty instead, and the accessors below rebuild on
+  /// first use; a dirty unit must not be read from several threads until
+  /// one caller has rebuilt it (the pipeline rebuilds before every
+  /// parallel region already).
   void rebuildStructure();
+
+  /// True when insertBefore/insertAfter/erase/moveRange ran since the last
+  /// rebuildStructure(). An erased entry can be the Begin of a function or
+  /// section range, so views read after such an edit may point at a freed
+  /// node. Read only from the orchestrating thread, outside parallel
+  /// regions.
+  bool structureEdited() const { return StructureEdited; }
 
   std::vector<MaoFunction> &functions() {
     ensureStructure();
@@ -329,6 +341,9 @@ private:
   /// its (empty) entry list, and callers that append entries read empty
   /// views until they rebuild, exactly as before views went lazy.
   bool StructureDirty = false;
+  /// Set (under StructuralM) by insertBefore/insertAfter/erase/moveRange;
+  /// cleared by rebuildStructure(). See structureEdited().
+  bool StructureEdited = false;
   /// Serializes structural edits (insert/erase/append). Deliberately not
   /// moved by the move operations — a unit is never moved while shards
   /// are running (whole-unit passes are pipeline barriers).

@@ -4,7 +4,6 @@
 
 #include "analysis/Relaxer.h"
 #include "support/FaultInjection.h"
-#include "x86/EncodeCache.h"
 #include "x86/Encoder.h"
 
 #include <algorithm>
@@ -254,26 +253,36 @@ void Checker::checkLabels() {
 
 void Checker::checkEncodings() {
   std::vector<uint8_t> Bytes; // Reused across entries; cleared per encode.
-  EncodeCache &Cache = EncodeCache::instance();
-  for (const MaoEntry &E : Unit.entries()) {
+  // The full verifier (the mode that also checks layout) does not trust
+  // length memos: it re-encodes every memoized instruction and compares,
+  // which catches an instruction mutated through a reference obtained
+  // before its memo was filled. The cheap modes take a memo as proof that
+  // the instruction was encodable when it was measured.
+  const bool CrossCheck = Options.CheckLayout;
+  LengthMemoTally Tally;
+  for (MaoEntry &Entry : Unit.entries()) {
     if (full())
-      return;
+      break;
+    const MaoEntry &E = Entry; // Reading must not drop the memo.
     if (!E.isInstruction() || E.instruction().isOpaque())
       continue;
     const Instruction &Insn = E.instruction();
     // The injection decision is drawn here, exactly once per instruction,
-    // regardless of the cache state — if the cache were allowed to swallow
-    // encodeInstruction()'s internal draw on a hit, a warm cache would
-    // shift the draw sequence of everything after it and in-process runs
-    // with the same seed would stop being deterministic.
+    // regardless of the memo state — if a memo were allowed to swallow
+    // encodeInstruction()'s internal draw, an earlier walk would shift the
+    // draw sequence of everything after it and in-process runs with the
+    // same seed would stop being deterministic.
     if (FaultInjector::instance().shouldFail(FaultSite::Encoder)) {
       issue(DiagCode::VerifyEncodingFailed,
             "instruction '" + Insn.toString() +
                 "' no longer encodes: injected encoder fault");
       continue;
     }
-    if (Cache.cachedLength(Insn))
-      continue; // Proved encodable when the length was first memoized.
+    const unsigned Memo = E.lengthMemo();
+    if (Memo && !CrossCheck) {
+      ++Tally.Hits;
+      continue;
+    }
     Bytes.clear();
     if (MaoStatus S = encodeInstructionNoInject(Insn, 0, nullptr, Bytes)) {
       issue(DiagCode::VerifyEncodingFailed,
@@ -281,8 +290,20 @@ void Checker::checkEncodings() {
                 "' no longer encodes: " + S.message());
       continue;
     }
-    Cache.noteLength(Insn, static_cast<unsigned>(Bytes.size()));
+    if (Memo && Memo != Bytes.size()) {
+      issue(DiagCode::VerifyEncodingFailed,
+            "instruction '" + Insn.toString() + "' encodes to " +
+                std::to_string(Bytes.size()) +
+                " bytes but its length memo says " + std::to_string(Memo) +
+                " (mutated after it was measured)");
+      continue;
+    }
+    if (!Memo) {
+      ++Tally.Misses;
+      Entry.setLengthMemo(static_cast<unsigned>(Bytes.size()));
+    }
   }
+  Tally.flush();
 }
 
 void Checker::checkLayout() {

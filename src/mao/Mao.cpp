@@ -31,7 +31,6 @@
 #include "tune/Tuner.h"
 #include "uarch/ProcessorConfig.h"
 #include "uarch/Runner.h"
-#include "x86/EncodeCache.h"
 
 #include <algorithm>
 #include <chrono>
@@ -129,7 +128,8 @@ struct Session::Impl {
   bool TraceActive = false;
   bool TraceFlushed = false;
   RunReport Report;
-  std::unique_ptr<serve::ArtifactCache> Cache;
+  /// Shared: sessions attached through cacheAttach() use one handle.
+  std::shared_ptr<serve::ArtifactCache> Cache;
 
   explicit Impl(Config C) : Cfg(std::move(C)) {
     if (Cfg.StderrDiagnostics)
@@ -196,12 +196,16 @@ void Session::armFaultInjectionFromEnv() {
 //===----------------------------------------------------------------------===//
 
 Status Session::cacheOpen(const std::string &Dir, uint64_t BudgetBytes) {
-  auto Cache = std::make_unique<serve::ArtifactCache>();
+  auto Cache = std::make_shared<serve::ArtifactCache>();
   Cache->setByteBudget(BudgetBytes);
   if (MaoStatus S = Cache->open(Dir))
     return Status::error(S.message());
   I->Cache = std::move(Cache);
   return Status::success();
+}
+
+void Session::cacheAttach(const Session &Owner) {
+  I->Cache = Owner.cacheIsOpen() ? Owner.I->Cache : nullptr;
 }
 
 void Session::cacheClose() { I->Cache.reset(); }
@@ -828,8 +832,9 @@ void appendKeyMs(std::string &Out, const char *Key, double V,
 
 RunReport Session::lastReport() const {
   RunReport R = I->Report;
-  const EncodeCache::Stats CS = EncodeCache::instance().stats();
-  R.EncodeCache = {CS.Hits, CS.Misses, CS.Evictions, CS.Entries};
+  StatsRegistry &Stats = StatsRegistry::instance();
+  R.EncodeCache = {Stats.counter("encode.memo_hits").value(),
+                   Stats.counter("encode.memo_misses").value()};
   if (cacheIsOpen()) {
     R.HasArtifactCache = true;
     R.Artifact = cacheStats();
@@ -838,7 +843,7 @@ RunReport Session::lastReport() const {
   R.TimeCounters.clear();
   R.Gauges.clear();
   R.Histograms.clear();
-  const StatsSnapshot Snap = StatsRegistry::instance().snapshot();
+  const StatsSnapshot Snap = Stats.snapshot();
   for (const auto &[Name, V] : Snap.Counters) {
     if (Name.rfind("time.", 0) == 0)
       R.TimeCounters.emplace_back(Name, V);
@@ -885,9 +890,7 @@ std::string Session::reportJson(const RunReport &R, bool IncludeTimings) {
 
   Out += "\"caches\":{\"encode\":{";
   appendKeyU64(Out, "hits", R.EncodeCache.Hits);
-  appendKeyU64(Out, "misses", R.EncodeCache.Misses);
-  appendKeyU64(Out, "evictions", R.EncodeCache.Evictions);
-  appendKeyU64(Out, "entries", R.EncodeCache.Entries, /*Comma=*/false);
+  appendKeyU64(Out, "misses", R.EncodeCache.Misses, /*Comma=*/false);
   Out += "}";
   if (R.HasArtifactCache) {
     Out += ",\"artifact\":{";
@@ -1017,12 +1020,9 @@ std::string Session::statsTable() const {
     }
   }
   std::snprintf(Buf, sizeof(Buf),
-                "  encode cache: %llu hits, %llu misses, %llu evictions, "
-                "%llu entries\n",
+                "  encode memo: %llu hits, %llu misses\n",
                 (unsigned long long)R.EncodeCache.Hits,
-                (unsigned long long)R.EncodeCache.Misses,
-                (unsigned long long)R.EncodeCache.Evictions,
-                (unsigned long long)R.EncodeCache.Entries);
+                (unsigned long long)R.EncodeCache.Misses);
   Out += Buf;
   if (R.HasArtifactCache) {
     std::snprintf(Buf, sizeof(Buf),
@@ -1051,14 +1051,7 @@ void Session::setTraceLevel(int Level) {
   TraceContext::global().setLevel(Level);
 }
 
-void Session::resetGlobalStats() {
-  StatsRegistry::instance().reset();
-  EncodeCache::instance().clear();
-}
-
-void Session::setEncodeCacheBudget(uint64_t Bytes) {
-  EncodeCache::instance().setByteBudget(Bytes);
-}
+void Session::resetGlobalStats() { StatsRegistry::instance().reset(); }
 
 Status Session::setRelaxMode(const std::string &Mode) {
   RelaxMode Parsed;

@@ -238,8 +238,6 @@ struct SynthSummary {
 struct CacheCounters {
   uint64_t Hits = 0;
   uint64_t Misses = 0;
-  uint64_t Evictions = 0;
-  uint64_t Entries = 0;
 };
 
 /// Persistent artifact-cache totals (Session::cacheOpen; see DESIGN.md,
@@ -295,10 +293,11 @@ struct HistogramInfo {
 ///
 /// Determinism contract: every field above the "timing section" marker is
 /// identical for every OptimizeOptions::Jobs / --mao-jobs value (counters
-/// are commutative reductions, cache accounting is insert-exact, snapshot
-/// ordering is sorted), so reportJson(R, /*IncludeTimings=*/false) is
-/// byte-identical across worker counts. The timing section is wall-clock
-/// and scheduling dependent by nature.
+/// are commutative reductions, length memos live on the IR and so do not
+/// depend on which shard measured them, snapshot ordering is sorted), so
+/// reportJson(R, /*IncludeTimings=*/false) is byte-identical across
+/// worker counts. The timing section is wall-clock and scheduling
+/// dependent by nature.
 struct RunReport {
   std::string Input; ///< Input path or parseText name.
   ParseInfo Parse;
@@ -307,7 +306,10 @@ struct RunReport {
   unsigned Rollbacks = 0;
   unsigned Skips = 0;
   unsigned TotalTransformations = 0;
-  CacheCounters EncodeCache; ///< Process-wide encoding-length cache.
+  /// Instruction lengths served from the IR's per-entry length memo
+  /// (Hits) and learned by encoding (Misses) — the "encode.memo_hits" /
+  /// "encode.memo_misses" registry counters.
+  CacheCounters EncodeCache;
   bool HasArtifactCache = false; ///< True once cacheOpen() succeeded.
   ArtifactCounters Artifact; ///< Valid when HasArtifactCache.
   /// Registry counters, "time."-prefixed ones excluded (sorted by name).
@@ -396,16 +398,10 @@ public:
   /// Sets the global trace level (--mao-trace-level): infrastructure
   /// tracing and every pass without an explicit trace[N] option.
   static void setTraceLevel(int Level);
-  /// Zeroes process-global observability state (metrics registry and the
-  /// encoding-length cache) so sequential runs in one process can be
-  /// compared in isolation. Does not touch per-session reports.
+  /// Zeroes process-global observability state (the metrics registry) so
+  /// sequential runs in one process can be compared in isolation. Does
+  /// not touch per-session reports.
   static void resetGlobalStats();
-  /// Caps the process-wide encoding-length cache at \p Bytes of keyed
-  /// content, evicting oldest-first beyond it (0 = unlimited, the
-  /// default — eviction order is scheduling-dependent under parallel
-  /// shards, so capping trades the cross-jobs cache-stats determinism
-  /// for bounded memory; output bytes are unaffected either way).
-  static void setEncodeCacheBudget(uint64_t Bytes);
   /// Sets the process-global branch-displacement selection mode
   /// (--mao-relax): "grow" (default) or "optimal". Affects every
   /// subsequent relaxation in the process — passes, emission, and the
@@ -427,6 +423,12 @@ public:
   /// A non-zero \p BudgetBytes caps the total size of visible entries;
   /// stores beyond the budget evict oldest entries first (--cache-budget).
   Status cacheOpen(const std::string &Dir, uint64_t BudgetBytes = 0);
+  /// Shares \p Owner's open cache handle (and its counters) instead of
+  /// opening the directory again: no scan, no stale-temp sweep, and one
+  /// temp-name sequence for every session that attaches. maod opens the
+  /// cache once and attaches each connection's session. Leaves this
+  /// session uncached when \p Owner has no open cache.
+  void cacheAttach(const Session &Owner);
   void cacheClose();
   bool cacheIsOpen() const;
   ArtifactCounters cacheStats() const;

@@ -2,13 +2,13 @@
 
 #include "pass/MaoPass.h"
 
+#include "analysis/Relaxer.h"
 #include "ir/Verifier.h"
 #include "support/FaultInjection.h"
 #include "support/OptionRegistry.h"
 #include "support/Stats.h"
 #include "support/ThreadPool.h"
 #include "support/Timeline.h"
-#include "x86/EncodeCache.h"
 #include "x86/Encoder.h"
 
 #include <algorithm>
@@ -194,16 +194,17 @@ struct UnitFootprint {
   long Bytes = 0;
 };
 
-/// Prices every instruction entry via the encode cache. Like the
-/// verifier's encoding check, misses are measured with
+/// Prices every instruction entry from its length memo. Like the
+/// verifier's encoding check, unmemoized instructions are measured with
 /// encodeInstructionNoInject so the fault injector's per-site draw
 /// sequence is identical whether or not stats collection is on —
 /// observability must never change what a fault-injected run does.
-UnitFootprint measureFootprint(const MaoUnit &Unit) {
+UnitFootprint measureFootprint(MaoUnit &Unit) {
   UnitFootprint F;
-  EncodeCache &Cache = EncodeCache::instance();
+  LengthMemoTally Tally;
   std::vector<uint8_t> Bytes;
-  for (const MaoEntry &E : Unit.entries()) {
+  for (MaoEntry &Entry : Unit.entries()) {
+    const MaoEntry &E = Entry; // Reading must not drop the memo.
     if (!E.isInstruction())
       continue;
     ++F.Instructions;
@@ -212,14 +213,16 @@ UnitFootprint measureFootprint(const MaoUnit &Unit) {
       F.Bytes += OpaqueInstructionSizeEstimate;
       continue;
     }
-    if (std::optional<unsigned> Cached = Cache.cachedLength(Insn)) {
-      F.Bytes += *Cached;
+    if (unsigned Memo = E.lengthMemo()) {
+      ++Tally.Hits;
+      F.Bytes += Memo;
       continue;
     }
     Bytes.clear();
     MaoStatus Encoded = encodeInstructionNoInject(Insn, 0, nullptr, Bytes);
     if (Encoded.ok()) {
-      Cache.noteLength(Insn, static_cast<unsigned>(Bytes.size()));
+      ++Tally.Misses;
+      Entry.setLengthMemo(static_cast<unsigned>(Bytes.size()));
       F.Bytes += static_cast<long>(Bytes.size());
     } else {
       // Unencodable content (mid-pipeline scratch state): keep the walk
@@ -227,7 +230,18 @@ UnitFootprint measureFootprint(const MaoUnit &Unit) {
       F.Bytes += OpaqueInstructionSizeEstimate;
     }
   }
+  Tally.flush();
   return F;
+}
+
+/// Re-derives the unit's sections and functions when the previous pass
+/// inserted, erased or moved entries: an erase can free the entry a
+/// function or section range begins at, and the next pass must not walk
+/// from it. Called by both executors before a pass reads the views, so the
+/// main loop, rollback replays and partial re-runs all see fresh views.
+void refreshStructure(MaoUnit &Unit) {
+  if (Unit.structureEdited())
+    Unit.rebuildStructure();
 }
 
 /// Runs one pass request over the unit; returns the transformation count.
@@ -239,6 +253,7 @@ ErrorOr<unsigned> executeRequest(MaoUnit &Unit, const PassRequest &Req,
   PassRegistry &Registry = PassRegistry::instance();
   MaoOptionMap PassOptions = Req.Options; // Mutable copy for the pass.
   Clock::time_point Start = Clock::now();
+  refreshStructure(Unit);
 
   if (FaultInjector::instance().shouldFail(FaultSite::PassRunner))
     throw std::runtime_error("injected pass-runner fault");
@@ -315,6 +330,7 @@ unsigned executeSharded(MaoUnit &Unit, const PassRequest &Req,
            elapsedMs(Start) > static_cast<double>(Options.PassTimeoutMs);
   };
 
+  refreshStructure(Unit);
   std::vector<MaoFunction> &Fns = Unit.functions();
   const size_t N = Fns.size();
   const uint32_t IdBase = Unit.reserveIdBlocks(N, MaoUnit::ShardIdBlockSize);

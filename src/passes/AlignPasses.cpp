@@ -29,6 +29,7 @@
 
 #include <algorithm>
 #include <map>
+#include <utility>
 
 using namespace mao;
 
@@ -75,7 +76,7 @@ bool loopBranchesAreSimple(const CFG &G, const LoopStructureGraph &LSG,
                            unsigned LoopIdx) {
   for (unsigned B : LSG.blocksIncludingNested(LoopIdx)) {
     for (EntryIter It : G.blocks()[B].Insns) {
-      const Instruction &Insn = It->instruction();
+      const Instruction &Insn = std::as_const(*It).instruction();
       if (Insn.isCall() || Insn.isReturn() || Insn.hasIndirectTarget() ||
           Insn.isOpaque())
         return false;

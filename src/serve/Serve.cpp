@@ -7,12 +7,11 @@
 #include <cerrno>
 #include <chrono>
 #include <cstring>
-#include <mutex>
+#include <list>
 #include <sys/socket.h>
 #include <sys/un.h>
 #include <thread>
 #include <unistd.h>
-#include <vector>
 
 using namespace mao;
 using namespace mao::api;
@@ -22,20 +21,35 @@ using namespace mao::serve;
 // Engine
 //===----------------------------------------------------------------------===//
 
-Engine::Engine(const EngineOptions &EO) : Options(EO) {
+namespace {
+
+std::unique_ptr<api::Session> makeEngineSession() {
   api::Session::Config C;
   // Diagnostics belong in the response, not on the daemon's stderr.
   C.StderrDiagnostics = false;
-  S = std::make_unique<api::Session>(C);
+  return std::make_unique<api::Session>(C);
+}
+
+} // namespace
+
+Engine::Engine(const EngineOptions &EO)
+    : Options(EO), S(makeEngineSession()) {
   if (!Options.CacheDir.empty())
     // A cache that fails to open degrades to uncached service; the maod
     // main warns once at startup (cacheIsOpen() is false).
     (void)S->cacheOpen(Options.CacheDir, Options.CacheBudgetBytes);
 }
 
+Engine::Engine(const EngineOptions &EO, const Engine &CacheOwner)
+    : Options(EO), S(makeEngineSession()) {
+  S->cacheAttach(CacheOwner.session());
+}
+
 Engine::~Engine() = default;
 
 api::Session &Engine::session() { return *S; }
+
+const api::Session &Engine::session() const { return *S; }
 
 ServeResponse Engine::handle(const ServeRequest &Request) {
   StatsRegistry::instance().counter("serve.requests").add(1);
@@ -126,7 +140,8 @@ ServeResponse Engine::handle(const ServeRequest &Request) {
 // Server
 //===----------------------------------------------------------------------===//
 
-Server::Server(const ServerOptions &SO) : Options(SO) {}
+Server::Server(const ServerOptions &SO)
+    : Options(SO), CacheOwner(Options.Engine) {}
 
 bool Server::serveStream(Engine &E, int InFd, int OutFd) {
   while (true) {
@@ -165,7 +180,7 @@ bool Server::serveStream(Engine &E, int InFd, int OutFd) {
 }
 
 MaoStatus Server::runOnFds(int InFd, int OutFd) {
-  Engine E(Options.Engine);
+  Engine E(Options.Engine, CacheOwner);
   (void)serveStream(E, InFd, OutFd);
   return MaoStatus::success();
 }
@@ -197,38 +212,48 @@ MaoStatus Server::run() {
   }
   ListenFd.store(Fd, std::memory_order_release);
 
-  std::mutex WorkersM;
-  std::vector<std::thread> Workers;
+  // Connection threads, owned by this (the accept) thread alone. A worker
+  // flags Done as its last action; finished ones are joined before the
+  // next accept, so a long-lived daemon does not keep one dead thread
+  // (and its stack) per connection it ever served.
+  struct Worker {
+    std::thread Thread;
+    std::atomic<bool> Done{false};
+  };
+  std::list<Worker> Workers; // Node-stable: threads hold a Worker&.
+  auto Reap = [&Workers](bool All) {
+    for (auto It = Workers.begin(); It != Workers.end();) {
+      if (!All && !It->Done.load(std::memory_order_acquire)) {
+        ++It;
+        continue;
+      }
+      It->Thread.join();
+      It = Workers.erase(It);
+    }
+  };
   while (!Stop.load(std::memory_order_acquire)) {
+    Reap(/*All=*/false);
     int Conn = ::accept(Fd, nullptr, nullptr);
     if (Conn < 0) {
       if (errno == EINTR)
         continue;
       break; // requestStop() shut the listener down.
     }
-    std::lock_guard<std::mutex> Lock(WorkersM);
-    Workers.emplace_back([this, Conn] {
-      // Each connection gets its own Engine: its own Session and its own
-      // handle on the shared cache directory (safe — entries only become
-      // visible through atomic renames).
-      Engine E(Options.Engine);
+    Worker &W = Workers.emplace_back();
+    W.Thread = std::thread([this, Conn, &W] {
+      // Each connection gets its own Engine (its own Session) attached to
+      // the server's one cache handle.
+      Engine E(Options.Engine, CacheOwner);
       const bool KeepGoing = serveStream(E, Conn, Conn);
       ::close(Conn);
       if (!KeepGoing)
         requestStop();
+      W.Done.store(true, std::memory_order_release);
     });
   }
 
   requestStop();
-  // Snapshot under the lock; no new workers can start once the listener
-  // is down.
-  std::vector<std::thread> ToJoin;
-  {
-    std::lock_guard<std::mutex> Lock(WorkersM);
-    ToJoin.swap(Workers);
-  }
-  for (std::thread &T : ToJoin)
-    T.join();
+  Reap(/*All=*/true); // No new workers can start once the listener is down.
   ::unlink(Path.c_str());
   return MaoStatus::success();
 }

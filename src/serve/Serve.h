@@ -18,6 +18,8 @@
 ///     dies and never returns wrong bytes.
 ///   * Server — the accept/dispatch loop over a unix socket (or a plain
 ///     fd pair for --stdio and tests), one Engine per connection thread.
+///     The artifact cache is opened once, when the server is built, and
+///     every connection's Engine shares that handle.
 ///   * Client — connect, send, receive, with bounded retry and
 ///     exponential backoff; the caller (the mao driver) falls back to a
 ///     local run when the daemon stays unreachable.
@@ -56,7 +58,11 @@ struct EngineOptions {
 /// the server gives each connection its own Engine.
 class Engine {
 public:
+  /// Opens Options.CacheDir (when set) for this engine alone.
   explicit Engine(const EngineOptions &Options);
+  /// Shares \p CacheOwner's open artifact cache instead of opening
+  /// Options.CacheDir again (see api::Session::cacheAttach).
+  Engine(const EngineOptions &Options, const Engine &CacheOwner);
   ~Engine();
   Engine(const Engine &) = delete;
   Engine &operator=(const Engine &) = delete;
@@ -67,6 +73,7 @@ public:
 
   /// The engine's session (tests inspect cache stats through it).
   api::Session &session();
+  const api::Session &session() const;
 
 private:
   EngineOptions Options;
@@ -82,10 +89,19 @@ struct ServerOptions {
 /// The maod accept loop. Socket mode (run()) listens on SocketPath and
 /// serves each connection on its own thread with its own Engine; stdio
 /// mode (runOnFds) serves one framed stream on an fd pair, which is also
-/// how tests drive a full server over a socketpair.
+/// how tests drive a full server over a socketpair. Finished connection
+/// threads are joined before each accept, so the daemon's thread count
+/// follows its concurrent connections, not the ones it has served.
 class Server {
 public:
+  /// Opens the artifact cache (Options.Engine.CacheDir) once for every
+  /// connection; cacheEngine().session().cacheIsOpen() reports whether it
+  /// could.
   explicit Server(const ServerOptions &Options);
+
+  /// The engine that owns the shared artifact cache. It serves no
+  /// requests itself; maod and tests read cache state through it.
+  const Engine &cacheEngine() const { return CacheOwner; }
 
   /// Binds, listens and serves until requestStop(), a Shutdown frame, or
   /// MaxRequests. Returns an error only for setup failures (bind/listen);
@@ -110,6 +126,7 @@ private:
   bool serveStream(Engine &E, int InFd, int OutFd);
 
   ServerOptions Options;
+  Engine CacheOwner;
   std::atomic<int> ListenFd{-1};
   std::atomic<bool> Stop{false};
   std::atomic<uint64_t> Requests{0};

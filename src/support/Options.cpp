@@ -295,9 +295,6 @@ OptionRegistry buildDriverOptions(MaoCommandLine &Cmd) {
         },
         Help);
   };
-  AddBudget("--mao-encode-cache-budget", &Cmd.EncodeCacheBudget,
-            "cap the encode-length cache at BYTES of keyed content, "
-            "evicting oldest-first (0 = unlimited)");
   AddBudget("--mao-score-cache-budget", &Cmd.ScoreCacheBudget,
             "cap the tuner's score cache at BYTES, evicting oldest-first "
             "(0 = unlimited)");

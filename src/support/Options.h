@@ -196,9 +196,6 @@ struct MaoCommandLine {
   /// --cache-verify: on a cache hit, recompute anyway and fail on any
   /// divergence (acceptance tests and paranoid builds).
   bool CacheVerify = false;
-  /// --mao-encode-cache-budget=BYTES: cap the process-wide encode-length
-  /// cache (0 = unlimited, the default).
-  uint64_t EncodeCacheBudget = 0;
   /// --mao-score-cache-budget=BYTES: cap the tuner's score cache
   /// (0 = unlimited, the default).
   uint64_t ScoreCacheBudget = 0;

@@ -79,8 +79,7 @@ void printUsage() {
                "           [--mao-report=FILE] [--stats]\n"
                "           [--mao-trace-out=FILE] [--mao-trace-level=N]\n"
                "           [--cache-dir=DIR] [--connect=SOCKET]\n"
-               "           [--cache-verify] [--mao-encode-cache-budget=B]\n"
-               "           input.s\n"
+               "           [--cache-verify] input.s\n"
                "\n"
                "example: mao --mao=LFIND=trace[0]:ASM=o[/dev/null] in.s\n"
                "run `mao --mao-help` for the full flag reference\n"
@@ -161,8 +160,6 @@ int main(int Argc, char **Argv) {
 
   if (Cmd.TraceLevel > 0)
     mao::api::Session::setTraceLevel(static_cast<int>(Cmd.TraceLevel));
-  if (Cmd.EncodeCacheBudget != 0)
-    mao::api::Session::setEncodeCacheBudget(Cmd.EncodeCacheBudget);
   if (mao::api::Status S = mao::api::Session::setRelaxMode(Cmd.RelaxMode);
       !S.Ok) {
     std::fprintf(stderr, "mao: error: %s\n", S.Message.c_str());

@@ -217,16 +217,12 @@ int main(int Argc, char **Argv) {
   Options.Engine.MaxJobs = Jobs;
   Options.Engine.MaxRequestBytes = static_cast<size_t>(MaxRequestKb) * 1024;
 
-  if (!CacheDir.empty()) {
-    // Engines degrade to uncached service when the directory is unusable;
-    // probe it once here so the operator finds out at startup.
-    mao::serve::ArtifactCache Probe;
-    if (mao::MaoStatus S = Probe.open(CacheDir))
-      std::fprintf(stderr, "maod: warning: cache disabled: %s\n",
-                   S.message().c_str());
-  }
-
+  // The server opens the cache once for every connection; an unusable
+  // directory degrades to uncached service, so say so at startup.
   mao::serve::Server Server(Options);
+  if (!CacheDir.empty() && !Server.cacheEngine().session().cacheIsOpen())
+    std::fprintf(stderr, "maod: warning: cache disabled: cannot open %s\n",
+                 CacheDir.c_str());
   ActiveServer = &Server;
   std::signal(SIGINT, onSignal);
   std::signal(SIGTERM, onSignal);

@@ -3,7 +3,6 @@
 #include "x86/Encoder.h"
 
 #include "support/FaultInjection.h"
-#include "x86/EncodeCache.h"
 
 #include <cassert>
 #include <cstring>
@@ -978,10 +977,8 @@ MaoStatus mao::encodeInstructionNoInject(const Instruction &Insn,
 }
 
 unsigned mao::instructionLength(const Instruction &Insn) {
-  return EncodeCache::instance().length(Insn);
-}
-
-unsigned mao::instructionLengthUncached(const Instruction &Insn) {
+  if (Insn.isOpaque())
+    return OpaqueInstructionSizeEstimate;
   std::vector<uint8_t> Bytes;
   EncodingBuilder Builder(Insn, 0, nullptr);
   MaoStatus S = Builder.run(Bytes);

@@ -49,22 +49,18 @@ MaoStatus encodeInstruction(const Instruction &Insn, int64_t Address,
 
 /// Like encodeInstruction but without the fault-injection draw. For
 /// callers that draw the injection decision themselves (the verifier's
-/// cache-assisted encoding check) so the per-site draw sequence stays
-/// one-per-instruction regardless of cache state.
+/// memo-assisted encoding check) so the per-site draw sequence stays
+/// one-per-instruction regardless of which lengths are memoized.
 MaoStatus encodeInstructionNoInject(const Instruction &Insn, int64_t Address,
                                     const LabelAddressMap *Labels,
                                     std::vector<uint8_t> &Out);
 
-/// Returns the encoded length in bytes (branches honour BranchSize).
-/// Asserts that the instruction is encodable; use encodeInstruction for
-/// fallible validation of parsed input. Memoized through EncodeCache —
-/// lengths are position-independent, so repeated relaxation rounds hit
-/// the cache instead of re-encoding.
+/// Returns the encoded length in bytes (branches honour BranchSize; opaque
+/// instructions report OpaqueInstructionSizeEstimate). Asserts that the
+/// instruction is encodable; use encodeInstruction for fallible validation
+/// of parsed input. Not memoized here: the IR keeps lengths on the entry
+/// (MaoEntry::lengthMemo), which is where relaxation looks first.
 unsigned instructionLength(const Instruction &Insn);
-
-/// The uncached measurement instructionLength is built on; EncodeCache
-/// calls this on a miss.
-unsigned instructionLengthUncached(const Instruction &Insn);
 
 } // namespace mao
 

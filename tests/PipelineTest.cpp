@@ -366,3 +366,50 @@ TEST(Pipeline, InjectedFaultsAreContained) {
   ASSERT_TRUE(Result.Ok) << Result.Error;
   EXPECT_TRUE(verifyUnit(Unit).clean());
 }
+
+// ADDADD folds the two adds after the .text re-entry, erasing the entry
+// that begins the function's second range. Every later pass must read
+// views rebuilt after that erase, not walk from the freed node.
+TEST(Pipeline, PassAfterEraseAtRangeStartSeesRebuiltViews) {
+  const char *const Asm = R"(	.text
+	.globl	f
+	.type	f, @function
+f:
+	movl	$1, %eax
+	jmp	.L2
+	.section	.rodata
+.LC0:
+	.long	5
+	.text
+	addl	$3, %eax
+	addl	$4, %eax
+.L2:
+	ret
+	.size	f, .-f
+)";
+  for (const char *Pipeline :
+       {"ADDADD,SCHED", "ADDADD,LOOP16",
+        "ZEE,REDTEST,REDMOV,ADDADD,LOOP16,SCHED"}) {
+    std::string Reference;
+    for (unsigned Jobs : {1u, 4u}) {
+      MaoUnit Unit = parseOk(Asm);
+      std::vector<PassRequest> Requests;
+      ASSERT_TRUE(
+          PassRegistry::instance().parsePipeline(Pipeline, Requests).ok());
+      PipelineOptions Options;
+      Options.Jobs = Jobs;
+      PipelineResult Result = runPasses(Unit, Requests, Options);
+      ASSERT_TRUE(Result.Ok) << Pipeline << ": " << Result.Error;
+      for (const auto &[Name, Count] : Result.Counts)
+        EXPECT_TRUE(Name != "ADDADD" || Count == 1u)
+            << Pipeline << ": ADDADD must fold the pair";
+      VerifierReport Report = verifyUnit(Unit);
+      EXPECT_TRUE(Report.clean()) << Pipeline << ": " << Report.firstMessage();
+      const std::string Out = emitAssembly(Unit);
+      if (Jobs == 1)
+        Reference = Out;
+      else
+        EXPECT_EQ(Out, Reference) << Pipeline << " at jobs=" << Jobs;
+    }
+  }
+}

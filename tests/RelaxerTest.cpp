@@ -9,7 +9,9 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <string>
+#include <utility>
 
 using namespace mao;
 
@@ -363,6 +365,95 @@ TEST(Relaxer, ParseRelaxModeSpellings) {
 }
 
 // --- Assembler integration --------------------------------------------------
+
+// The length memo lives in the padding after the entry's kind tag: the
+// three layout fields, then the largest payload.
+static_assert(sizeof(MaoEntry) ==
+                  3 * sizeof(uint64_t) + std::max({sizeof(Instruction),
+                                                   sizeof(std::string),
+                                                   sizeof(Directive)}),
+              "the length memo must not grow MaoEntry");
+
+/// The first instruction entry with mnemonic \p Mn, mutable.
+MaoEntry *findInsnEntry(MaoUnit &Unit, Mnemonic Mn) {
+  for (MaoEntry &E : Unit.entries())
+    if (E.isInstruction() && std::as_const(E).instruction().Mn == Mn)
+      return &E;
+  return nullptr;
+}
+
+TEST(LengthMemo, FilledByRelaxationAndKeptAcrossRelaxations) {
+  MaoUnit Unit = parseOk(paperExample(4, /*WithNop=*/false));
+  MaoEntry *Cmp = findInsnEntry(Unit, Mnemonic::CMP);
+  ASSERT_NE(Cmp, nullptr);
+  EXPECT_EQ(Cmp->lengthMemo(), 0u); // Parsing measures nothing.
+  ASSERT_TRUE(relaxUnit(Unit).Converged);
+  const unsigned Length = Cmp->lengthMemo();
+  EXPECT_EQ(Length, instructionLength(std::as_const(*Cmp).instruction()));
+  EXPECT_EQ(Length, Cmp->Size);
+  // A second relaxation reads the memo back instead of re-encoding.
+  ASSERT_TRUE(relaxUnit(Unit).Converged);
+  EXPECT_EQ(Cmp->lengthMemo(), Length);
+  // Direct branches are sized per relaxation, never from a memo.
+  const MaoEntry *Jmp = findInsn(Unit, Mnemonic::JMP);
+  ASSERT_NE(Jmp, nullptr);
+  EXPECT_EQ(Jmp->lengthMemo(), 0u);
+}
+
+TEST(LengthMemo, CarriedByCloneAndCopies) {
+  MaoUnit Unit = parseOk(paperExample(4, /*WithNop=*/false));
+  ASSERT_TRUE(relaxUnit(Unit).Converged);
+  const MaoEntry *Cmp = findInsn(Unit, Mnemonic::CMP);
+  ASSERT_NE(Cmp, nullptr);
+  ASSERT_NE(Cmp->lengthMemo(), 0u);
+  MaoUnit Copy = Unit.clone();
+  const MaoEntry *CopiedCmp = findInsn(Copy, Mnemonic::CMP);
+  ASSERT_NE(CopiedCmp, nullptr);
+  EXPECT_EQ(CopiedCmp->lengthMemo(), Cmp->lengthMemo());
+  MaoEntry Copied = *CopiedCmp;
+  EXPECT_EQ(Copied.lengthMemo(), Cmp->lengthMemo());
+  MaoEntry Moved = std::move(Copied);
+  EXPECT_EQ(Moved.lengthMemo(), Cmp->lengthMemo());
+}
+
+TEST(LengthMemo, ClearedByMutableAccessOnly) {
+  MaoUnit Unit = parseOk(paperExample(4, /*WithNop=*/false));
+  ASSERT_TRUE(relaxUnit(Unit).Converged);
+  MaoEntry *Cmp = findInsnEntry(Unit, Mnemonic::CMP);
+  ASSERT_NE(Cmp, nullptr);
+  const unsigned Length = Cmp->lengthMemo();
+  ASSERT_NE(Length, 0u);
+  (void)std::as_const(*Cmp).instruction();
+  EXPECT_EQ(Cmp->lengthMemo(), Length);
+  (void)Cmp->instruction();
+  EXPECT_EQ(Cmp->lengthMemo(), 0u);
+}
+
+TEST(LengthMemo, FullVerifierReportsAStaleMemo) {
+  MaoUnit Unit = parseOk(paperExample(4, /*WithNop=*/false));
+  MaoEntry *Cmp = findInsnEntry(Unit, Mnemonic::CMP);
+  ASSERT_NE(Cmp, nullptr);
+  // Holding the reference across a relaxation is the one way to bypass
+  // the memo's invalidation.
+  Instruction &Held = Cmp->instruction();
+  ASSERT_TRUE(relaxUnit(Unit).Converged);
+  ASSERT_NE(Cmp->lengthMemo(), 0u);
+  ASSERT_TRUE(verifyUnit(Unit).clean());
+  // cmpl $0 -> cmpl $1000 trades the imm8 form for imm32.
+  ASSERT_EQ(Held.Ops.size(), 2u);
+  Held.Ops[0].Imm = 1000;
+  ASSERT_NE(instructionLength(Held), Cmp->lengthMemo());
+
+  // The cheap configuration trusts the memo ...
+  VerifierOptions Cheap = VerifierOptions::fast();
+  Cheap.CheckEncodings = true;
+  EXPECT_TRUE(verifyUnit(Unit, Cheap).clean());
+  // ... the full one re-encodes and catches it.
+  VerifierReport Report = verifyUnit(Unit);
+  ASSERT_FALSE(Report.clean());
+  EXPECT_EQ(Report.Issues.front().Code, DiagCode::VerifyEncodingFailed);
+  EXPECT_NE(Report.firstMessage().find("length memo"), std::string::npos);
+}
 
 TEST(Assembler, BytesMatchLayout) {
   MaoUnit Unit = parseOk(paperExample(16, true));

@@ -21,6 +21,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <chrono>
 #include <cstdio>
 #include <cstdlib>
@@ -786,6 +787,116 @@ TEST(ServerClient, RequestShutdownRoundTrip) {
   EXPECT_EQ(Server.requestsServed(), 2u);
   EXPECT_FALSE(fileExists(Options.SocketPath))
       << "socket file left behind after a clean stop";
+}
+
+/// Starts \p Server's accept loop and waits until it answers \p Client.
+std::thread startServer(mao::serve::Server &Server,
+                        const mao::serve::ClientOptions &Client) {
+  std::thread T([&Server] {
+    MaoStatus S = Server.run();
+    EXPECT_FALSE(S) << S.message();
+  });
+  ServeResponse Ignored;
+  for (int Try = 0; Try < 100; ++Try) {
+    if (!mao::serve::clientRun(Client, engineRequest(), Ignored))
+      break;
+    std::this_thread::sleep_for(std::chrono::milliseconds(10));
+  }
+  return T;
+}
+
+/// A numeric field ("Threads", "VmSize") of /proc/self/status; -1 when
+/// absent.
+long procStatus(const std::string &Field) {
+  std::ifstream In("/proc/self/status");
+  std::string Line;
+  while (std::getline(In, Line))
+    if (Line.rfind(Field + ":", 0) == 0)
+      return std::strtol(Line.c_str() + Field.size() + 1, nullptr, 10);
+  return -1;
+}
+
+TEST(ServerClient, FinishedConnectionThreadsAreJoined) {
+  TempDir Tmp;
+  mao::serve::ServerOptions Options;
+  Options.SocketPath = Tmp.path() + "/maod.sock";
+  mao::serve::Server Server(Options);
+  mao::serve::ClientOptions Client;
+  Client.SocketPath = Options.SocketPath;
+  Client.Deterministic = true;
+  std::thread ServerThread = startServer(Server, Client);
+  if (procStatus("Threads") < 0)
+    GTEST_SKIP() << "no /proc/self/status";
+
+  const long Threads0 = procStatus("Threads");
+  const long VmKb0 = procStatus("VmSize");
+  long MaxThreads = Threads0, MaxVmKb = VmKb0;
+  for (unsigned I = 0; I < 300; ++I) {
+    ServeResponse Out;
+    ASSERT_FALSE(mao::serve::clientRun(Client, engineRequest(), Out));
+    ASSERT_EQ(Out.Status, ServeStatus::Ok) << Out.Diagnostic;
+    MaxThreads = std::max(MaxThreads, procStatus("Threads"));
+    MaxVmKb = std::max(MaxVmKb, procStatus("VmSize"));
+  }
+  // Sequential clients: the live connection plus the few that are still
+  // winding down on a loaded host. An exited but unjoined thread is gone
+  // from Threads but keeps its 8 MiB stack mapped, so 300 of them would
+  // add over 2 GiB of VmSize; the bound leaves room for a few malloc
+  // arenas (64 MiB each).
+  EXPECT_LE(MaxThreads, Threads0 + 4);
+  EXPECT_LT(MaxVmKb - VmKb0, 512L * 1024)
+      << "VmSize grew by " << (MaxVmKb - VmKb0) << " kB";
+
+  ASSERT_FALSE(mao::serve::clientShutdown(Client));
+  ServerThread.join();
+  EXPECT_EQ(Server.requestsServed(), 301u);
+}
+
+TEST(ServerClient, ConcurrentConnectionsShareOneCacheHandle) {
+  TempDir Tmp;
+  mao::serve::ServerOptions Options;
+  Options.SocketPath = Tmp.path() + "/maod.sock";
+  Options.Engine.CacheDir = Tmp.path() + "/cache";
+  mao::serve::Server Server(Options);
+  ASSERT_TRUE(Server.cacheEngine().session().cacheIsOpen());
+  mao::serve::ClientOptions Client;
+  Client.SocketPath = Options.SocketPath;
+  Client.Deterministic = true;
+  std::thread ServerThread = startServer(Server, Client);
+
+  // Every request is a new source, so every one is computed and stored,
+  // from four connections at a time. Per-connection cache handles would
+  // rescan the directory and sweep each other's in-flight temp files.
+  constexpr unsigned Clients = 4, PerClient = 12;
+  std::vector<std::thread> Workers;
+  std::vector<unsigned> Stored(Clients, 0);
+  for (unsigned C = 0; C < Clients; ++C)
+    Workers.emplace_back([&, C] {
+      for (unsigned I = 0; I < PerClient; ++I) {
+        ServeRequest R = engineRequest();
+        R.Source += "# variant " + std::to_string(C) + "." +
+                    std::to_string(I) + "\n";
+        ServeResponse Out;
+        if (mao::serve::clientRun(Client, R, Out) ||
+            Out.Status != ServeStatus::Ok || Out.CacheHit ||
+            !Out.Diagnostic.empty())
+          continue;
+        ++Stored[C];
+      }
+    });
+  for (std::thread &W : Workers)
+    W.join();
+  for (unsigned C = 0; C < Clients; ++C)
+    EXPECT_EQ(Stored[C], PerClient) << "client " << C;
+
+  const mao::api::ArtifactCounters Stats =
+      Server.cacheEngine().session().cacheStats();
+  EXPECT_EQ(Stats.StoreFailures, 0u);
+  EXPECT_EQ(Stats.StaleTmpRemoved, 0u);
+  EXPECT_EQ(Stats.Stores, 1u + Clients * PerClient); // + startServer's.
+
+  ASSERT_FALSE(mao::serve::clientShutdown(Client));
+  ServerThread.join();
 }
 
 TEST(ServerClient, UnreachableDaemonFailsFastForFallback) {
