@@ -46,19 +46,9 @@ std::vector<std::string> CFG::readJumpTable(MaoUnit &Unit,
     return Targets;
 
   // Walk forward from the label entry collecting .quad/.long label args.
-  // The label map stores MaoEntry*, so locate its list position by scanning
-  // from the front is O(n); instead walk the entry list once and compare
-  // pointers. Table reading is rare (per indirect jump), so a linear find
-  // is acceptable.
-  EntryList &Entries = Unit.entries();
-  EntryIter It = Entries.begin();
-  for (EntryIter E = Entries.end(); It != E; ++It)
-    if (&*It == LabelIt->second)
-      break;
-  if (It == Entries.end())
-    return Targets;
-  ++It;
-  for (EntryIter E = Entries.end(); It != E; ++It) {
+  const EntryList &Entries = Unit.entries();
+  ConstEntryIter It = LabelIt->second;
+  for (++It; It != Entries.end(); ++It) {
     if (It->isLabel())
       break; // Next object begins.
     if (!It->isDirective())

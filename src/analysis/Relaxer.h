@@ -15,6 +15,10 @@
 /// grow), so convergence is guaranteed; `.p2align` padding is recomputed
 /// every round and settles once branch sizes do.
 ///
+/// UnitLayout keeps one flat walk of the unit current across those
+/// queries, so an alignment pass relaxes once per edit rather than once
+/// per question; relaxUnit() is the one-shot form of the same algorithm.
+///
 /// On success every entry's Address (offset within its section) and Size
 /// are filled in, and a label-address map is produced for binary encoding.
 ///
@@ -28,6 +32,8 @@
 
 #include <string>
 #include <unordered_map>
+#include <utility>
+#include <vector>
 
 namespace mao {
 
@@ -92,13 +98,6 @@ struct RelaxationResult {
   const LabelAddressMap &sectionLabels(const std::string &SectionName) const;
 };
 
-/// Relaxes every section of \p Unit. Requires rebuildStructure() to have
-/// run since the last structural change. When the iteration limit is hit,
-/// a structured warning naming the offending section is emitted through
-/// \p Diags (when non-null) and Converged stays false — callers gate on it
-/// (the verifier turns it into a layout error).
-RelaxationResult relaxUnit(MaoUnit &Unit, DiagEngine *Diags = nullptr);
-
 /// Per-walk count of instruction lengths served from MaoEntry's length
 /// memo (Hits) and learned by encoding (Misses). Walks count locally and
 /// flush() once into the "encode.memo_hits" / "encode.memo_misses"
@@ -109,6 +108,111 @@ struct LengthMemoTally {
   /// Adds the tally to the registry counters and zeroes it.
   void flush();
 };
+
+/// A maintained relaxation layout over one unit (DESIGN.md, "Maintained
+/// layout"). The constructor walks every section once into a flat slot
+/// array: one slot per entry, holding its static size, an alignment
+/// directive's parsed boundary and max, or a direct branch's rel8/rel32
+/// lengths and the slot index of its target label. relax() then runs the
+/// grow iteration (and the --mao-relax=optimal audit) over those arrays
+/// alone, with no list walk and no string hashing, and writes Address,
+/// Size and BranchSize back to the entries whose slots changed.
+///
+/// The layout stays current while its owner edits the unit through
+/// insertBefore()/erase(); relax() re-runs only when an edit happened
+/// since the last call. Editing the unit any other way while the layout
+/// is alive is a bug (caught by an entry-count assert).
+class UnitLayout {
+public:
+  /// Builds the walk of \p Unit. Requires rebuildStructure() to have run
+  /// since the last structural change. \p Diags (when non-null) receives
+  /// the iteration-limit warning.
+  explicit UnitLayout(MaoUnit &Unit, DiagEngine *Diags = nullptr);
+
+  UnitLayout(const UnitLayout &) = delete;
+  UnitLayout &operator=(const UnitLayout &) = delete;
+
+  /// Relaxes every section: every direct branch starts at rel8 and grows
+  /// until the layout settles. When the iteration limit is hit, a
+  /// structured warning naming the offending section goes to the Diags
+  /// engine and Converged stays false — callers gate on it (the verifier
+  /// turns it into a layout error). Returns at once, with the previous
+  /// result, when nothing was edited since the last call. The label maps
+  /// of the result are left empty; takeResult() fills them.
+  const RelaxationResult &relax();
+
+  /// Hands over the last relax() result with Labels and SectionLabels
+  /// filled in.
+  RelaxationResult takeResult();
+
+  /// Inserts \p Entry before \p Pos in the unit and in the walk. When
+  /// \p Pos begins a section run, or a function range other than at the
+  /// function's own label, the run or range now begins at the new entry,
+  /// as rebuildStructure() would place it. Returns the new entry.
+  EntryIter insertBefore(EntryIter Pos, MaoEntry Entry);
+
+  /// Erases \p Pos from the unit and the walk; section runs and function
+  /// ranges bounded by it move to the next entry. Returns that entry.
+  EntryIter erase(EntryIter Pos);
+
+private:
+  enum class SlotKind : uint8_t { Fixed, Label, Branch, Align };
+
+  struct Slot {
+    MaoEntry *E = nullptr;
+    int64_t Address = 0;
+    /// Fixed and label slots: the static size. Branch and alignment slots:
+    /// the size from the last address round.
+    uint32_t Size = 0;
+    SlotKind Kind = SlotKind::Fixed;
+    bool Wide = false;     ///< Branch: currently rel32.
+    /// Address, Size or Wide changed since the entry last received them.
+    bool Stale = true;
+    uint8_t Rel8Size = 0;  ///< Branch: encoded length at rel8.
+    uint8_t Rel32Size = 0; ///< Branch: encoded length at rel32.
+    /// Branch: slot index of the first definition of the target label in
+    /// this section, or -1 for an external or cross-section target.
+    int32_t Target = -1;
+    int64_t TargetOffset = 0; ///< Branch: the constant in `sym+N`.
+    int64_t Boundary = 0;     ///< Align: power of two; 0 never pads.
+    int64_t MaxPad = -1;      ///< Align: padding limit; -1 for none.
+  };
+
+  struct Section {
+    std::string Name;
+    std::vector<Slot> Slots;
+    int64_t Size = 0;
+  };
+
+  Slot makeSlot(MaoEntry &E, LengthMemoTally &Tally);
+  /// Re-resolves every branch target of \p Sec by label name.
+  static void resolveTargets(Section &Sec);
+  /// The section and slot index of \p Pos, or {nullptr, 0} when \p Pos
+  /// is outside every section run.
+  std::pair<Section *, size_t> locate(EntryIter Pos);
+  void addressRound();
+  bool growthRound();
+  bool converge();
+  void shrinkAudit();
+  void writeBack();
+
+  MaoUnit &Unit;
+  DiagEngine *Diags;
+  std::vector<Section> Sections;
+  RelaxationResult Result;
+  /// The entry count the unit has when every edit went through the layout.
+  size_t ExpectedEntries;
+  bool Dirty = true;
+  /// Index of the section that grew a branch last (for the limit warning).
+  size_t LastGrowth = 0;
+  uint64_t SlotsWalked = 0;
+};
+
+/// Relaxes every section of \p Unit once: builds a UnitLayout, relaxes it
+/// and returns the result with its label maps. Requires rebuildStructure()
+/// to have run since the last structural change. See UnitLayout::relax()
+/// for the iteration-limit contract.
+RelaxationResult relaxUnit(MaoUnit &Unit, DiagEngine *Diags = nullptr);
 
 /// Returns the layout size in bytes of \p Entry at \p Address: the encoded
 /// length of an instruction (from its length memo, filling the memo on a

@@ -179,12 +179,13 @@ void MaoUnit::rebuildStructure() {
 
   // Pass 1: label map and the set of symbols declared @function.
   std::unordered_map<std::string, bool> IsFunctionSym;
-  for (MaoEntry &E : Entries) {
+  for (EntryIter It = Entries.begin(), End = Entries.end(); It != End; ++It) {
+    const MaoEntry &E = *It;
     // First definition wins on duplicates: fall-through execution reaches
     // the first one, and the emulator binds the same way. The parser warns
     // (MAO-parse-duplicate-label) and the full verifier rejects.
     if (E.isLabel())
-      Labels.try_emplace(E.labelName(), &E);
+      Labels.try_emplace(E.labelName(), It);
     if (E.isDirective(DirKind::Type)) {
       const Directive &Dir = E.directive();
       const std::string &TypeArg = Dir.arg(1);

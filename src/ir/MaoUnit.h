@@ -285,14 +285,15 @@ public:
   /// Finds a function by name; null when absent.
   MaoFunction *findFunction(const std::string &Name);
 
-  /// Label name -> defining entry. Rebuilt by rebuildStructure(); passes
-  /// inserting labels must re-run it or register labels explicitly.
+  /// Label name -> the defining entry's position in the entry list, so a
+  /// caller can walk on from the label. Rebuilt by rebuildStructure();
+  /// passes inserting labels must re-run it or register labels explicitly.
   /// Keys are views into entry-owned storage (stable: list nodes never
   /// move) and must not outlive the unit. Duplicate definitions bind to
   /// the FIRST occurrence — the one branch fall-through reaches — matching
   /// the emulator; the parser diagnoses redefinitions (MAO-parse-
   /// duplicate-label) and the verifier rejects them outright.
-  const std::unordered_map<std::string_view, MaoEntry *> &labelMap() const {
+  const std::unordered_map<std::string_view, EntryIter> &labelMap() const {
     ensureStructure();
     return Labels;
   }
@@ -333,7 +334,7 @@ private:
   EntryList Entries;
   std::vector<MaoFunction> Functions;
   std::vector<SectionInfo> Sections;
-  std::unordered_map<std::string_view, MaoEntry *> Labels;
+  std::unordered_map<std::string_view, EntryIter> Labels;
   uint32_t NextEntryId = 1;
   uint32_t NextLabelId = 0;
   /// True when a move or clone invalidated the derived views; cleared by

@@ -174,7 +174,7 @@ void Checker::checkStructure() {
   for (const auto &[Name, Entry] : Unit.labelMap()) {
     if (full())
       return;
-    auto Found = Index.find(Entry);
+    auto Found = Index.find(&*Entry);
     if (Found == Index.end() || !Entry->isLabel() ||
         Entry->labelName() != Name)
       issue(DiagCode::VerifyBadStructure,

@@ -34,6 +34,25 @@ void MaoPass::trace(int Level, const char *Fmt, ...) const {
   va_end(Args);
 }
 
+UnitLayout &MaoFunctionPass::layout() {
+  if (!*LayoutSlot)
+    *LayoutSlot = std::make_unique<UnitLayout>(unit());
+  return **LayoutSlot;
+}
+
+void MaoFunctionPass::reportRoundCap(unsigned Rounds) {
+  static StatCounter &Hits =
+      StatsRegistry::instance().counter("pipeline.round_cap_hits");
+  Hits.add();
+  const std::string Message = "function " + function().name() +
+                              ": stopped after " + std::to_string(Rounds) +
+                              " rounds with work left";
+  if (RequestDiags)
+    RequestDiags->warning(DiagCode::PassRoundCap, Message, {}, name());
+  else
+    trace(0, "%s", Message.c_str());
+}
+
 PassRegistry &PassRegistry::instance() {
   static PassRegistry Registry;
   return Registry;
@@ -275,9 +294,13 @@ ErrorOr<unsigned> executeRequest(MaoUnit &Unit, const PassRequest &Req,
       return MaoStatus::error("pass " + Req.PassName + " failed");
     Count = Pass->transformationCount();
   } else if (Registry.isFunctionPass(Req.PassName)) {
+    // One maintained layout per request, built by the first function that
+    // asks for it and kept current by the edits of every later one.
+    std::unique_ptr<UnitLayout> Layout;
     for (MaoFunction &Fn : Unit.functions()) {
       auto Pass =
           Registry.makeFunctionPass(Req.PassName, &PassOptions, &Unit, &Fn);
+      Pass->shareRequestState(Layout, Options.Diags);
       bool Ok = Pass->go();
       Count += Pass->transformationCount();
       CheckBudget();

@@ -15,6 +15,7 @@
 #ifndef MAO_PASS_MAOPASS_H
 #define MAO_PASS_MAOPASS_H
 
+#include "analysis/Relaxer.h"
 #include "ir/MaoUnit.h"
 #include "ir/Verifier.h"
 #include "support/Diag.h"
@@ -79,8 +80,34 @@ public:
 
   MaoFunction &function() { return *Fn; }
 
+  /// The maintained relaxation layout of the unit, built on first use. A
+  /// pass that relaxes through it must make every edit of the request
+  /// through it too (UnitLayout::insertBefore/erase). The pass runner lends
+  /// every function of a request the same layout (shareRequestState), so
+  /// the walk is built once per request; a pass constructed and run on its
+  /// own builds its own.
+  UnitLayout &layout();
+
+  /// Called by the pass runner before go(): \p Layout is the request's
+  /// lazily built layout, \p Diags its diagnostics engine (may be null).
+  void shareRequestState(std::unique_ptr<UnitLayout> &Layout,
+                         DiagEngine *Diags) {
+    LayoutSlot = &Layout;
+    RequestDiags = Diags;
+  }
+
+protected:
+  /// Reports that a fixpoint loop stopped after \p Rounds rounds with
+  /// work left: a warning naming the pass and function (trace level 0
+  /// when no diagnostics engine is attached) and one
+  /// "pipeline.round_cap_hits" count.
+  void reportRoundCap(unsigned Rounds);
+
 private:
   MaoFunction *Fn;
+  std::unique_ptr<UnitLayout> OwnLayout;
+  std::unique_ptr<UnitLayout> *LayoutSlot = &OwnLayout;
+  DiagEngine *RequestDiags = nullptr;
 };
 
 /// A pass invoked once for the whole IR.

@@ -29,6 +29,8 @@
 
 #include <algorithm>
 #include <map>
+#include <optional>
+#include <string>
 #include <utility>
 
 using namespace mao;
@@ -86,10 +88,10 @@ bool loopBranchesAreSimple(const CFG &G, const LoopStructureGraph &LSG,
 }
 
 /// Inserts \p Pad bytes of NOPs before \p Pos.
-void insertNopPad(MaoUnit &Unit, EntryIter Pos, unsigned Pad) {
+void insertNopPad(UnitLayout &Layout, EntryIter Pos, unsigned Pad) {
   while (Pad > 0) {
     unsigned Chunk = Pad > 15 ? 15 : Pad;
-    Unit.insertBefore(Pos, MaoEntry::makeInstruction(makeNop(Chunk)));
+    Layout.insertBefore(Pos, MaoEntry::makeInstruction(makeNop(Chunk)));
     Pad -= Chunk;
   }
 }
@@ -107,53 +109,88 @@ EntryIter beforeLeadingLabels(MaoUnit &Unit, EntryIter Pos) {
   return Pos;
 }
 
+/// One pad an alignment pass asks for: \p Bytes of NOPs before \p Pos.
+/// \p Note says why, for the trace.
+struct PadRequest {
+  EntryIter Pos;
+  unsigned Bytes = 0;
+  std::string Note;
+};
+
+/// The layout fixpoint shared by LOOP16, LSDOPT and BRALIGN. Every round
+/// relaxes the layout (a no-op when the last round inserted nothing),
+/// rebuilds the function's CFG and loops, and asks the pass for at most one
+/// pad, because a pad moves everything after it. The loop ends when the
+/// pass asks for nothing, or after RoundCap pads: a pass that still wants
+/// one then reports the cap instead of inserting it.
+class AlignFixpointPass : public MaoFunctionPass {
+public:
+  using MaoFunctionPass::MaoFunctionPass;
+
+  bool go() final {
+    for (unsigned Round = 0;; ++Round) {
+      layout().relax();
+      CFG Graph = CFG::build(function());
+      resolveIndirectJumps(Graph);
+      LoopStructureGraph LSG = LoopStructureGraph::build(Graph);
+      std::optional<PadRequest> Pad = nextPad(Graph, LSG);
+      if (!Pad)
+        return true;
+      if (Round == RoundCap) {
+        reportRoundCap(RoundCap);
+        return true;
+      }
+      trace(1, "func %s: %s", function().name().c_str(), Pad->Note.c_str());
+      insertNopPad(layout(), Pad->Pos, Pad->Bytes);
+      countTransformation();
+    }
+  }
+
+protected:
+  static constexpr unsigned RoundCap = 8;
+
+  /// The pad this round needs, if any, decided on the relaxed layout.
+  virtual std::optional<PadRequest>
+  nextPad(const CFG &Graph, const LoopStructureGraph &LSG) = 0;
+};
+
 //===----------------------------------------------------------------------===//
 // LOOP16: short loop alignment.
 //===----------------------------------------------------------------------===//
 
-class ShortLoopAlignPass : public MaoFunctionPass {
+class ShortLoopAlignPass : public AlignFixpointPass {
 public:
   ShortLoopAlignPass(MaoOptionMap *Options, MaoUnit *Unit, MaoFunction *Fn)
-      : MaoFunctionPass("LOOP16", Options, Unit, Fn) {}
+      : AlignFixpointPass("LOOP16", Options, Unit, Fn),
+        MaxSize(options().getInt("maxsize", 16)) {}
 
-  bool go() override {
-    const long MaxSize = options().getInt("maxsize", 16);
-    // Iterate: aligning one loop moves later ones.
-    for (unsigned Round = 0; Round < 8; ++Round) {
-      relaxUnit(unit());
-      CFG Graph = CFG::build(function());
-      resolveIndirectJumps(Graph);
-      LoopStructureGraph LSG = LoopStructureGraph::build(Graph);
-      bool Changed = false;
-      for (size_t L = 1; L < LSG.loops().size(); ++L) {
-        if (!LSG.loops()[L].Children.empty())
-          continue; // Innermost loops only.
-        LoopExtent Extent = loopExtent(Graph, LSG, static_cast<unsigned>(L));
-        if (!Extent.Valid)
-          continue;
-        const int64_t Size = Extent.End - Extent.Begin + 1;
-        if (Size > MaxSize)
-          continue;
-        if (decodeLinesSpanned(Extent.Begin, Extent.End) <= 1)
-          continue; // Already decodes as a single line.
-        const unsigned Pad =
-            static_cast<unsigned>((16 - (Extent.Begin % 16)) % 16);
-        if (Pad == 0)
-          continue;
-        trace(1, "func %s: aligning %lld-byte loop at %lld (pad %u)",
-              function().name().c_str(), static_cast<long long>(Size),
-              static_cast<long long>(Extent.Begin), Pad);
-        insertNopPad(unit(), beforeLeadingLabels(unit(), Extent.FirstEntry),
-                     Pad);
-        countTransformation();
-        Changed = true;
-        break; // Re-relax before touching the next loop.
-      }
-      if (!Changed)
-        return true;
+private:
+  std::optional<PadRequest> nextPad(const CFG &Graph,
+                                    const LoopStructureGraph &LSG) override {
+    for (size_t L = 1; L < LSG.loops().size(); ++L) {
+      if (!LSG.loops()[L].Children.empty())
+        continue; // Innermost loops only.
+      LoopExtent Extent = loopExtent(Graph, LSG, static_cast<unsigned>(L));
+      if (!Extent.Valid)
+        continue;
+      const int64_t Size = Extent.End - Extent.Begin + 1;
+      if (Size > MaxSize)
+        continue;
+      if (decodeLinesSpanned(Extent.Begin, Extent.End) <= 1)
+        continue; // Already decodes as a single line.
+      const unsigned Pad =
+          static_cast<unsigned>((16 - (Extent.Begin % 16)) % 16);
+      if (Pad == 0)
+        continue;
+      return PadRequest{beforeLeadingLabels(unit(), Extent.FirstEntry), Pad,
+                        "aligning " + std::to_string(Size) +
+                            "-byte loop at " + std::to_string(Extent.Begin) +
+                            " (pad " + std::to_string(Pad) + ")"};
     }
-    return true;
+    return std::nullopt;
   }
+
+  const long MaxSize;
 };
 
 REGISTER_FUNC_PASS("LOOP16", ShortLoopAlignPass)
@@ -162,57 +199,46 @@ REGISTER_FUNC_PASS("LOOP16", ShortLoopAlignPass)
 // LSDOPT: fit loops into the Loop Stream Detector.
 //===----------------------------------------------------------------------===//
 
-class LsdFitPass : public MaoFunctionPass {
+class LsdFitPass : public AlignFixpointPass {
 public:
   LsdFitPass(MaoOptionMap *Options, MaoUnit *Unit, MaoFunction *Fn)
-      : MaoFunctionPass("LSDOPT", Options, Unit, Fn) {}
+      : AlignFixpointPass("LSDOPT", Options, Unit, Fn),
+        MaxLines(options().getInt("maxlines", 4)) {}
 
-  bool go() override {
-    const long MaxLines = options().getInt("maxlines", 4);
+private:
+  std::optional<PadRequest> nextPad(const CFG &Graph,
+                                    const LoopStructureGraph &LSG) override {
     const long LineBytes = 16;
-    for (unsigned Round = 0; Round < 8; ++Round) {
-      relaxUnit(unit());
-      CFG Graph = CFG::build(function());
-      resolveIndirectJumps(Graph);
-      LoopStructureGraph LSG = LoopStructureGraph::build(Graph);
-      bool Changed = false;
-      for (size_t L = 1; L < LSG.loops().size(); ++L) {
-        LoopExtent Extent = loopExtent(Graph, LSG, static_cast<unsigned>(L));
-        if (!Extent.Valid)
-          continue;
-        const int64_t Size = Extent.End - Extent.Begin + 1;
-        if (Size > MaxLines * LineBytes)
-          continue; // Cannot fit regardless of placement.
-        if (!loopBranchesAreSimple(Graph, LSG, static_cast<unsigned>(L)))
-          continue; // LSD only streams certain branch kinds.
-        const unsigned Spanned = decodeLinesSpanned(Extent.Begin, Extent.End);
-        const unsigned Minimal = static_cast<unsigned>(
-            (Size + LineBytes - 1) / LineBytes);
-        if (Spanned <= static_cast<unsigned>(MaxLines) || Spanned == Minimal)
-          continue;
-        // Align the loop start to a decode line: afterwards it spans the
-        // minimal number of lines.
-        const unsigned Pad =
-            static_cast<unsigned>((LineBytes - (Extent.Begin % LineBytes)) %
-                                  LineBytes);
-        if (Pad == 0)
-          continue;
-        trace(1,
-              "func %s: loop at %lld spans %u lines (needs <= %ld); "
-              "padding %u bytes",
-              function().name().c_str(),
-              static_cast<long long>(Extent.Begin), Spanned, MaxLines, Pad);
-        insertNopPad(unit(), beforeLeadingLabels(unit(), Extent.FirstEntry),
-                     Pad);
-        countTransformation();
-        Changed = true;
-        break;
-      }
-      if (!Changed)
-        return true;
+    for (size_t L = 1; L < LSG.loops().size(); ++L) {
+      LoopExtent Extent = loopExtent(Graph, LSG, static_cast<unsigned>(L));
+      if (!Extent.Valid)
+        continue;
+      const int64_t Size = Extent.End - Extent.Begin + 1;
+      if (Size > MaxLines * LineBytes)
+        continue; // Cannot fit regardless of placement.
+      if (!loopBranchesAreSimple(Graph, LSG, static_cast<unsigned>(L)))
+        continue; // LSD only streams certain branch kinds.
+      const unsigned Spanned = decodeLinesSpanned(Extent.Begin, Extent.End);
+      const unsigned Minimal =
+          static_cast<unsigned>((Size + LineBytes - 1) / LineBytes);
+      if (Spanned <= static_cast<unsigned>(MaxLines) || Spanned == Minimal)
+        continue;
+      // Align the loop start to a decode line: afterwards it spans the
+      // minimal number of lines.
+      const unsigned Pad = static_cast<unsigned>(
+          (LineBytes - (Extent.Begin % LineBytes)) % LineBytes);
+      if (Pad == 0)
+        continue;
+      return PadRequest{beforeLeadingLabels(unit(), Extent.FirstEntry), Pad,
+                        "loop at " + std::to_string(Extent.Begin) +
+                            " spans " + std::to_string(Spanned) +
+                            " lines (needs <= " + std::to_string(MaxLines) +
+                            "); padding " + std::to_string(Pad) + " bytes"};
     }
-    return true;
+    return std::nullopt;
   }
+
+  const long MaxLines;
 };
 
 REGISTER_FUNC_PASS("LSDOPT", LsdFitPass)
@@ -221,69 +247,58 @@ REGISTER_FUNC_PASS("LSDOPT", LsdFitPass)
 // BRALIGN: separate aliasing back branches.
 //===----------------------------------------------------------------------===//
 
-class BranchAlignPass : public MaoFunctionPass {
+class BranchAlignPass : public AlignFixpointPass {
 public:
   BranchAlignPass(MaoOptionMap *Options, MaoUnit *Unit, MaoFunction *Fn)
-      : MaoFunctionPass("BRALIGN", Options, Unit, Fn) {}
+      : AlignFixpointPass("BRALIGN", Options, Unit, Fn),
+        BucketShift(options().getInt("shift", 5)) {} // PC >> 5
 
-  bool go() override {
-    const long BucketShift = options().getInt("shift", 5); // PC >> 5
-    for (unsigned Round = 0; Round < 8; ++Round) {
-      relaxUnit(unit());
-      CFG Graph = CFG::build(function());
-      resolveIndirectJumps(Graph);
-      LoopStructureGraph LSG = LoopStructureGraph::build(Graph);
-
-      // Collect loop back branches: conditional jumps whose target is the
-      // header of the loop containing them.
-      std::vector<EntryIter> BackBranches;
-      for (const BasicBlock &BB : Graph.blocks()) {
-        if (BB.empty())
-          continue;
-        const Instruction &Last = BB.lastInstruction();
-        if (!Last.isCondJump() || Last.hasIndirectTarget())
-          continue;
-        unsigned TargetBlock = Graph.blockOfLabel(Last.branchTarget()->Sym);
-        if (TargetBlock == ~0u)
-          continue;
-        unsigned L = LSG.loopOfBlock(BB.Index);
-        if (L == 0 || LSG.loops()[L].Header != TargetBlock)
-          continue;
-        BackBranches.push_back(BB.Insns.back());
-      }
-
-      // Bucket by PC >> shift and split the first collision found.
-      std::map<int64_t, EntryIter> Buckets;
-      bool Changed = false;
-      std::sort(BackBranches.begin(), BackBranches.end(),
-                [](EntryIter A, EntryIter B) { return A->Address < B->Address; });
-      for (EntryIter Branch : BackBranches) {
-        const int64_t Bucket = Branch->Address >> BucketShift;
-        auto [It, Inserted] = Buckets.emplace(Bucket, Branch);
-        if (Inserted)
-          continue;
-        // Collision: push this branch into the next bucket by padding in
-        // front of it.
-        const int64_t BucketSize = int64_t(1) << BucketShift;
-        const unsigned Pad = static_cast<unsigned>(
-            BucketSize - (Branch->Address % BucketSize));
-        trace(1,
-              "func %s: back branches at %lld and %lld share bucket %lld; "
-              "padding %u bytes",
-              function().name().c_str(),
-              static_cast<long long>(It->second->Address),
-              static_cast<long long>(Branch->Address),
-              static_cast<long long>(Bucket), Pad);
-        insertNopPad(unit(), Branch, Pad);
-        countTransformation();
-        Changed = true;
-        break;
-      }
-      if (!Changed)
-        return true;
+private:
+  std::optional<PadRequest> nextPad(const CFG &Graph,
+                                    const LoopStructureGraph &LSG) override {
+    // Collect loop back branches: conditional jumps whose target is the
+    // header of the loop containing them.
+    std::vector<EntryIter> BackBranches;
+    for (const BasicBlock &BB : Graph.blocks()) {
+      if (BB.empty())
+        continue;
+      const Instruction &Last = BB.lastInstruction();
+      if (!Last.isCondJump() || Last.hasIndirectTarget())
+        continue;
+      unsigned TargetBlock = Graph.blockOfLabel(Last.branchTarget()->Sym);
+      if (TargetBlock == ~0u)
+        continue;
+      unsigned L = LSG.loopOfBlock(BB.Index);
+      if (L == 0 || LSG.loops()[L].Header != TargetBlock)
+        continue;
+      BackBranches.push_back(BB.Insns.back());
     }
-    return true;
+
+    // Bucket by PC >> shift and split the first collision found.
+    std::map<int64_t, EntryIter> Buckets;
+    std::sort(BackBranches.begin(), BackBranches.end(),
+              [](EntryIter A, EntryIter B) { return A->Address < B->Address; });
+    for (EntryIter Branch : BackBranches) {
+      const int64_t Bucket = Branch->Address >> BucketShift;
+      auto [It, Inserted] = Buckets.emplace(Bucket, Branch);
+      if (Inserted)
+        continue;
+      // Collision: push this branch into the next bucket by padding in
+      // front of it.
+      const int64_t BucketSize = int64_t(1) << BucketShift;
+      const unsigned Pad = static_cast<unsigned>(
+          BucketSize - (Branch->Address % BucketSize));
+      return PadRequest{Branch, Pad,
+                        "back branches at " +
+                            std::to_string(It->second->Address) + " and " +
+                            std::to_string(Branch->Address) +
+                            " share bucket " + std::to_string(Bucket) +
+                            "; padding " + std::to_string(Pad) + " bytes"};
+    }
+    return std::nullopt;
   }
+
+  const long BucketShift;
 };
 
 REGISTER_FUNC_PASS("BRALIGN", BranchAlignPass)
@@ -321,7 +336,7 @@ public:
         if (!Prev->isDirective(DirKind::P2Align) &&
             !Prev->isDirective(DirKind::Balign))
           break;
-        unit().erase(Prev);
+        layout().erase(Prev);
         countTransformation();
       }
       if (EntryPow > 0) {
@@ -331,7 +346,7 @@ public:
     }
 
     if (LoopPow > 0) {
-      relaxUnit(unit());
+      layout().relax();
       CFG Graph = CFG::build(function());
       resolveIndirectJumps(Graph);
       LoopStructureGraph LSG = LoopStructureGraph::build(Graph);
@@ -361,7 +376,7 @@ private:
     Dir.Kind = DirKind::P2Align;
     Dir.Name = ".p2align";
     Dir.Args = {std::to_string(Pow)};
-    unit().insertBefore(Pos, MaoEntry::makeDirective(std::move(Dir)));
+    layout().insertBefore(Pos, MaoEntry::makeDirective(std::move(Dir)));
   }
 };
 

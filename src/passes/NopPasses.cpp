@@ -25,6 +25,9 @@
 #include "passes/PassUtil.h"
 #include "support/Random.h"
 
+#include <algorithm>
+#include <utility>
+
 using namespace mao;
 
 namespace {
@@ -155,17 +158,17 @@ public:
       if (!It->isInstruction())
         continue;
       if (!EntryDone) {
-        Inserted.push_back(unit().insertBefore(
+        Inserted.push_back(layout().insertBefore(
             It.underlying(), MaoEntry::makeInstruction(makeNop(5))));
         EntryDone = true;
         countTransformation();
       }
-      if (It->instruction().isReturn())
+      if (std::as_const(*It).instruction().isReturn())
         Rets.push_back(It.underlying());
     }
     for (EntryIter Ret : Rets) {
       Inserted.push_back(
-          unit().insertBefore(Ret, MaoEntry::makeInstruction(makeNop(5))));
+          layout().insertBefore(Ret, MaoEntry::makeInstruction(makeNop(5))));
       countTransformation();
     }
     if (Inserted.empty())
@@ -174,15 +177,23 @@ public:
     // Iterate with relaxation until no instrumentation NOP crosses a cache
     // line. Padding in front of a site can move other sites, hence the
     // loop (a small instance of the paper's phase-ordering observation).
-    for (unsigned Round = 0; Round < 16; ++Round) {
-      relaxUnit(unit());
-      bool AnyCrossing = false;
+    constexpr unsigned RoundCap = 16;
+    auto Crosses = [&](EntryIter Site) {
+      const int64_t Start = Site->Address;
+      return Start / CacheLine != (Start + 4) / CacheLine; // 5-byte NOP.
+    };
+    for (unsigned Round = 0;; ++Round) {
+      layout().relax();
+      if (std::none_of(Inserted.begin(), Inserted.end(), Crosses))
+        return true;
+      if (Round == RoundCap) {
+        reportRoundCap(RoundCap);
+        return true;
+      }
       for (EntryIter Site : Inserted) {
-        const int64_t Start = Site->Address;
-        const int64_t End = Start + 4; // Last byte of the 5-byte NOP.
-        if (Start / CacheLine == End / CacheLine)
+        if (!Crosses(Site))
           continue;
-        AnyCrossing = true;
+        const int64_t Start = Site->Address;
         const unsigned Pad = static_cast<unsigned>(
             CacheLine - (Start % CacheLine));
         trace(1, "site at %lld crosses a cache line; padding %u bytes",
@@ -190,17 +201,12 @@ public:
         unsigned Remaining = Pad;
         while (Remaining > 0) {
           unsigned Chunk = Remaining > 15 ? 15 : Remaining;
-          unit().insertBefore(Site, MaoEntry::makeInstruction(makeNop(Chunk)));
+          layout().insertBefore(Site,
+                                MaoEntry::makeInstruction(makeNop(Chunk)));
           Remaining -= Chunk;
         }
       }
-      if (!AnyCrossing)
-        return true;
     }
-    trace(0, "func %s: instrumentation sites still cross cache lines after "
-             "16 rounds",
-          function().name().c_str());
-    return true;
   }
 };
 

@@ -35,6 +35,8 @@ const char *mao::diagCodeName(DiagCode Code) {
     return "pass-exception";
   case DiagCode::PassTimeout:
     return "pass-timeout";
+  case DiagCode::PassRoundCap:
+    return "pass-round-cap";
   case DiagCode::RelaxIterationLimit:
     return "relax-iteration-limit";
   case DiagCode::VerifyUnresolvedLabel:

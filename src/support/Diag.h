@@ -44,6 +44,7 @@ enum class DiagCode : uint16_t {
   PassFailed,
   PassException,
   PassTimeout,
+  PassRoundCap,
   // Analysis.
   RelaxIterationLimit,
   // Verifier.

@@ -5,6 +5,10 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <string>
+#include <vector>
+
 using namespace mao;
 
 namespace {
@@ -138,6 +142,41 @@ TEST(CFG, JumpTableResolvedSameBlock) {
     }
   EXPECT_TRUE(FoundC0);
   EXPECT_TRUE(FoundC3);
+}
+
+/// Which case labels the block ending in the function's indirect jump
+/// has edges to, in label order.
+std::vector<std::string> dispatchTargets(const CFG &G) {
+  std::vector<std::string> Targets;
+  for (const BasicBlock &BB : G.blocks()) {
+    if (BB.empty() || !BB.lastInstruction().hasIndirectTarget())
+      continue;
+    for (const char *L : {".LC0", ".LC1", ".LC2", ".LC3", ".LDEF"}) {
+      const unsigned To = G.blockOfLabel(L);
+      if (std::find(BB.Succs.begin(), BB.Succs.end(), To) != BB.Succs.end())
+        Targets.push_back(L);
+    }
+  }
+  return Targets;
+}
+
+TEST(CFG, JumpTableAfterTextReentryResolvesSameEdges) {
+  // The same function, split by a .rodata excursion and re-entered with
+  // .text before its table is emitted: the table is read from its own
+  // label's position, not found by scanning the unit.
+  std::string Split = JumpTableFn;
+  const std::string Cut = "\tja .LDEF\n";
+  Split.replace(Split.find(Cut), Cut.size(),
+                Cut + "\t.section .rodata\n.LSTR:\n\t.long 7\n\t.text\n");
+  MaoUnit Plain = parseOk(JumpTableFn);
+  MaoUnit Reentered = parseOk(Split);
+  ASSERT_EQ(Reentered.functions()[0].ranges().size(), 2u);
+  CFG PlainG = CFG::build(Plain.functions()[0]);
+  CFG ReenteredG = CFG::build(Reentered.functions()[0]);
+  EXPECT_FALSE(Reentered.functions()[0].HasUnresolvedIndirect);
+  EXPECT_EQ(dispatchTargets(PlainG),
+            (std::vector<std::string>{".LC0", ".LC1", ".LC2", ".LC3"}));
+  EXPECT_EQ(dispatchTargets(ReenteredG), dispatchTargets(PlainG));
 }
 
 TEST(CFG, IndirectMemoryJumpTable) {

@@ -324,7 +324,7 @@ TEST(Parser, DuplicateLabelFirstDefinitionWins) {
   // reaches it first, and the emulator binds the same way.
   auto It = UnitOr->labelMap().find("dup");
   ASSERT_NE(It, UnitOr->labelMap().end());
-  EXPECT_EQ(It->second, &UnitOr->entries().front());
+  EXPECT_EQ(&*It->second, &UnitOr->entries().front());
 }
 
 TEST(Parser, LocalLabelsResolveBackwardAndForward) {
@@ -429,7 +429,7 @@ TEST(Parser, StructureViewsSurviveMoveAndClone) {
   ASSERT_EQ(Clone.functions().size(), 2u);
   EXPECT_EQ(Clone.functions()[1].name(), "g");
   // The clone's views point into the clone's own entry list.
-  const MaoEntry *CloneLabel = Clone.labelMap().find(".L1")->second;
+  const MaoEntry *CloneLabel = &*Clone.labelMap().find(".L1")->second;
   bool InClone = false;
   for (const MaoEntry &E : Clone.entries())
     InClone |= (&E == CloneLabel);

@@ -14,8 +14,13 @@
 #include "asm/Parser.h"
 #include "pass/MaoPass.h"
 #include "sim/Emulator.h"
+#include "support/Diag.h"
+#include "support/Stats.h"
 
 #include <gtest/gtest.h>
+
+#include <string>
+#include <vector>
 
 using namespace mao;
 
@@ -527,6 +532,103 @@ TEST(LOOP16, AlignsSplitShortLoop) {
   EXPECT_EQ(runPass(Unit, "LOOP16"), 1u);
   RelaxationResult R = relaxUnit(Unit);
   EXPECT_EQ(R.Labels.at(".LLOOP") % 16, 0);
+}
+
+TEST(LOOP16, PadAtSectionReentryIsSeenByRelaxation) {
+  // The loop header is the first entry after a `.text` re-entry, so the
+  // pad lands at the start of a section run. Relaxation must see it: one
+  // 5-byte pad aligns the 11-byte loop, and the next round finds nothing
+  // left to do.
+  MaoUnit Unit = parseOk(R"(	.text
+	.globl	f
+	.type	f, @function
+f:
+	movl	$100, %ecx
+	movl	$0, %eax
+	addl	$1, %eax
+	addl	$1, %eax
+	addl	$1, %eax
+	addl	$1, %eax
+	addl	$1, %eax
+	jmp	.L3
+	.section	.rodata
+.LC0:
+	.long	5
+	.text
+.L3:
+	addl	$1, %eax
+	addl	$2, %eax
+	subl	$1, %ecx
+	jne	.L3
+	ret
+	.size	f, .-f
+)");
+  EXPECT_EQ(runPass(Unit, "LOOP16"), 1u);
+  std::vector<unsigned> Nops;
+  for (const MaoEntry &E : Unit.entries())
+    if (E.isInstruction() && E.instruction().isNop())
+      Nops.push_back(E.instruction().NopLength);
+  EXPECT_EQ(Nops, std::vector<unsigned>{5});
+  Unit.rebuildStructure();
+  RelaxationResult R = relaxUnit(Unit);
+  const int64_t Loop = R.sectionLabels(".text").at(".L3");
+  EXPECT_EQ(Loop >> 4, (Loop + 10) >> 4) << "loop at " << Loop;
+}
+
+TEST(LOOP16, RoundCapWithWorkLeftIsReported) {
+  // Nine straddling short loops in one function: each round pads one, so
+  // at least one is still split when the eight-round cap is reached. The
+  // pass stops there as before, and says so.
+  std::string Body;
+  for (int I = 0; I < 9; ++I) {
+    const std::string L = ".LL" + std::to_string(I);
+    Body += "\tmovl $100, %ecx\n" + L + ":\n";
+    Body += "\taddl $1, %eax\n\taddl $1, %edx\n\taddl $1, %esi\n";
+    Body += "\tsubl $1, %ecx\n\tjne " + L + "\n";
+  }
+  Body += "\tret\n";
+  MaoUnit Unit = parseOk(wrapFunction(Body));
+  StatsRegistry::instance().reset();
+  DiagEngine Diags;
+  CollectingDiagSink Sink;
+  Diags.addSink(&Sink);
+  linkAllPasses();
+  PassRequest Req;
+  Req.PassName = "LOOP16";
+  PipelineOptions Options;
+  Options.Diags = &Diags;
+  PipelineResult R = runPasses(Unit, {Req}, Options);
+  ASSERT_TRUE(R.Ok) << R.Error;
+  EXPECT_EQ(R.Counts[0].second, 8u);
+  EXPECT_EQ(
+      StatsRegistry::instance().counter("pipeline.round_cap_hits").value(),
+      1u);
+  ASSERT_EQ(Sink.diagnostics().size(), 1u);
+  const Diagnostic &D = Sink.diagnostics()[0];
+  EXPECT_EQ(D.Severity, DiagSeverity::Warning);
+  EXPECT_EQ(D.Code, DiagCode::PassRoundCap);
+  EXPECT_EQ(D.PassName, "LOOP16");
+  EXPECT_NE(D.Message.find("function f"), std::string::npos);
+}
+
+TEST(LOOP16, RoundCapNotReportedWhenWorkFits) {
+  // Two straddling loops settle well within the cap.
+  std::string Body;
+  for (int I = 0; I < 2; ++I) {
+    const std::string L = ".LL" + std::to_string(I);
+    Body += "\tmovl $100, %ecx\n" + L + ":\n";
+    Body += "\taddl $1, %eax\n\taddl $1, %edx\n\taddl $1, %esi\n";
+    Body += "\tsubl $1, %ecx\n\tjne " + L + "\n";
+  }
+  Body += "\tret\n";
+  MaoUnit Unit = parseOk(wrapFunction(Body));
+  StatsRegistry::instance().reset();
+  const unsigned Pads = runPass(Unit, "LOOP16");
+  EXPECT_GE(Pads, 2u);
+  EXPECT_LT(Pads, 8u);
+  EXPECT_EQ(
+      StatsRegistry::instance().counter("pipeline.round_cap_hits").value(),
+      0u);
 }
 
 TEST(LOOP16, LeavesAlignedLoopAlone) {

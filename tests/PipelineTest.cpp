@@ -14,6 +14,7 @@
 #include "pass/MaoPass.h"
 #include "support/FaultInjection.h"
 #include "support/Options.h"
+#include "support/Stats.h"
 
 #include <gtest/gtest.h>
 
@@ -116,6 +117,40 @@ PipelineOptions rollbackOptions() {
   Options.OnError = OnErrorPolicy::Rollback;
   Options.VerifyAfterEachPass = true;
   return Options;
+}
+
+TEST(Pipeline, Loop16BuildsOneLayoutAndRelaxesOncePerPad) {
+  // F functions, P of which hold one straddling short loop: one layout
+  // per request, one relaxation up front and one after each pad (P + 1).
+  // A function that inserted nothing leaves the layout clean, so its first
+  // round reuses the previous relaxation instead of walking the unit
+  // again (the whole-unit relaxer paid F + P walks here).
+  const unsigned F = 5, P = 3;
+  std::string Text = "\t.text\n";
+  for (unsigned I = 0; I < F; ++I) {
+    const std::string Fn = "f" + std::to_string(I);
+    const std::string L = ".LL" + std::to_string(I);
+    Text += "\t.type " + Fn + ", @function\n" + Fn + ":\n";
+    // The 8-byte loop sits at 5 (one decode line) or at 14 (two).
+    Text += "\tmovl $100, %ecx\n";
+    if (I < P)
+      Text += "\tnop9\n";
+    Text += L + ":\n\taddl $1, %eax\n\tsubl $1, %ecx\n\tjne " + L + "\n";
+    Text += "\tret\n\t.size " + Fn + ", .-" + Fn + "\n";
+    Text += "\t.p2align 4\n";
+  }
+  MaoUnit Unit = parseOk(Text);
+  StatsRegistry &Stats = StatsRegistry::instance();
+  Stats.reset();
+  PassRequest Req;
+  Req.PassName = "LOOP16";
+  PipelineResult R = runPasses(Unit, {Req});
+  ASSERT_TRUE(R.Ok) << R.Error;
+  EXPECT_EQ(R.Counts[0].second, P);
+  EXPECT_EQ(Stats.counter("relax.layouts_built").value(), 1u);
+  EXPECT_EQ(Stats.counter("relax.relaxations").value(), P + 1);
+  EXPECT_GE(Stats.counter("relax.iterations").value(), P + 1);
+  EXPECT_GT(Stats.counter("relax.slots_walked").value(), 0u);
 }
 
 } // namespace

@@ -6,12 +6,18 @@
 #include "asm/Parser.h"
 #include "ir/Verifier.h"
 #include "support/Diag.h"
+#include "support/Random.h"
+#include "workload/Workload.h"
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <filesystem>
+#include <fstream>
+#include <sstream>
 #include <string>
 #include <utility>
+#include <vector>
 
 using namespace mao;
 
@@ -481,6 +487,402 @@ TEST(Assembler, IdentityTransformPreservesBytes) {
   ASSERT_TRUE(BytesA.ok());
   ASSERT_TRUE(BytesB.ok());
   EXPECT_EQ(*BytesA, *BytesB);
+}
+
+// --- Differential check of the maintained layout -----------------------------
+
+/// The whole-unit relaxer UnitLayout replaced, frozen verbatim as the
+/// reference: it rebuilds its walk and hashes label names on every call.
+/// UnitLayout must agree with it on every unit and after every edit.
+RelaxationResult referenceRelaxUnit(MaoUnit &Unit, DiagEngine *Diags = nullptr) {
+  RelaxationResult Result;
+
+  // Reset branch sizes optimistically: every direct jump starts rel8 and
+  // grows as needed. (Calls are rel32 by construction.) Only direct
+  // branches are opened for writing; everything else is read through a
+  // const view so its length memo survives.
+  for (MaoEntry &E : Unit.entries()) {
+    if (!E.isInstruction())
+      continue;
+    const Instruction &Insn = std::as_const(E).instruction();
+    if (Insn.isBranch() && !Insn.hasIndirectTarget())
+      E.instruction().BranchSize = 1;
+  }
+
+  // Pre-compute the layout walk. Only two kinds of entry have an
+  // address- or iteration-dependent size — alignment pads and direct
+  // branches — so everything else is sized once here (from its length
+  // memo when it has one) instead of on every relaxation round. A direct
+  // branch is encoded once at each width, so rounds and the optimal-mode
+  // audit just pick one of the two. Label and branch-target names are
+  // captured as string_view keys once, so the per-round map operations
+  // allocate no strings at all.
+  struct Slot {
+    MaoEntry *E;
+    unsigned StaticSize; ///< Valid when !Dynamic.
+    bool Dynamic;
+    bool IsLabel;
+    bool IsBranch;              ///< Dynamic direct branch (else a pad).
+    uint8_t Rel8Size;           ///< Encoded length at BranchSize 1.
+    uint8_t Rel32Size;          ///< Encoded length at BranchSize 4.
+    std::string_view LabelKey;  ///< Label name; valid when IsLabel.
+    const Operand *Target;      ///< Branch target; valid when IsBranch.
+    std::string_view TargetSym; ///< Target symbol; valid when IsBranch.
+  };
+  LengthMemoTally Tally;
+  std::vector<std::pair<SectionInfo *, std::vector<Slot>>> Walk;
+  for (SectionInfo &Sec : Unit.sections()) {
+    std::vector<Slot> Slots;
+    for (const MaoFunction::Range &R : Sec.Ranges)
+      for (EntryIter It = R.Begin; It != R.End; ++It) {
+        const MaoEntry &View = *It;
+        Slot S;
+        S.E = &*It;
+        S.Dynamic = false;
+        S.IsBranch = false;
+        S.Target = nullptr;
+        if (View.isInstruction()) {
+          const Instruction &Insn = View.instruction();
+          S.IsBranch = S.Dynamic = Insn.isBranch() && !Insn.hasIndirectTarget();
+          if (S.IsBranch) {
+            S.Target = Insn.branchTarget();
+            assert(S.Target && S.Target->isSymbol() &&
+                   "direct branch without target");
+            S.TargetSym = S.Target->Sym;
+            // Ends at rel8, the width the reset above left it at.
+            Instruction &Branch = It->instruction();
+            Branch.BranchSize = 4;
+            S.Rel32Size = static_cast<uint8_t>(instructionLength(Branch));
+            Branch.BranchSize = 1;
+            S.Rel8Size = static_cast<uint8_t>(instructionLength(Branch));
+            Tally.Misses += 2;
+          }
+        } else if (View.isDirective()) {
+          DirKind K = View.directive().Kind;
+          S.Dynamic = K == DirKind::P2Align || K == DirKind::Balign;
+        }
+        // Every defined label participates in displacement resolution,
+        // global or not: a branch to a symbol defined in this very unit
+        // has a known distance, so pessimizing it to rel32 just because
+        // it is exported would leave relaxation over-conservative. Truly
+        // external symbols are simply absent from the maps.
+        S.IsLabel = View.isLabel();
+        if (S.IsLabel)
+          S.LabelKey = View.labelName();
+        S.StaticSize = S.Dynamic ? 0 : entryLayoutSize(*It, 0, Tally);
+        Slots.push_back(S);
+      }
+    Walk.emplace_back(&Sec, std::move(Slots));
+  }
+  Tally.flush();
+
+  auto BranchSizeOf = [](const Slot &S) {
+    return std::as_const(*S.E).instruction().BranchSize;
+  };
+
+  std::string LastGrowthSection;
+
+  // One address-assignment round over every section. Addresses restart at
+  // 0 per section, so each section gets its own label map; the flat view
+  // is kept for same-section-aware callers. Duplicate label definitions
+  // bind to the FIRST occurrence (try_emplace), matching MaoUnit::labelMap
+  // and the emulator.
+  auto AddressRound = [&] {
+    Result.Labels.clear();
+    Result.SectionLabels.clear();
+    Result.SectionSizes.clear();
+    for (auto &[Sec, Slots] : Walk) {
+      LabelAddressMap &SecLabels = Result.SectionLabels[Sec->Name];
+      int64_t Address = 0;
+      for (const Slot &S : Slots) {
+        MaoEntry &E = *S.E;
+        E.Address = Address;
+        if (S.IsBranch)
+          E.Size = BranchSizeOf(S) == 1 ? S.Rel8Size : S.Rel32Size;
+        else if (S.Dynamic)
+          E.Size = entryLayoutSize(E, Address, Tally);
+        else
+          E.Size = S.StaticSize;
+        if (S.IsLabel) {
+          SecLabels.try_emplace(S.LabelKey, Address);
+          Result.Labels.try_emplace(S.LabelKey, Address);
+        }
+        Address += E.Size;
+      }
+      Result.SectionSizes[Sec->Name] = Address;
+    }
+  };
+
+  // One growth round: widen branches whose rel8 displacement no longer
+  // fits. Resolution is per section: a displacement between two sections
+  // would span unrelated address spaces, so cross-section targets — like
+  // truly external ones — are absent from the branch's map and force rel32
+  // (resolved by relocation, where the distance is actually known).
+  auto GrowthRound = [&]() -> bool {
+    bool Changed = false;
+    for (auto &[Sec, Slots] : Walk) {
+      const LabelAddressMap &SecLabels = Result.SectionLabels[Sec->Name];
+      for (const Slot &S : Slots) {
+        if (!S.IsBranch || BranchSizeOf(S) != 1)
+          continue;
+        MaoEntry &E = *S.E;
+        auto LabelIt = SecLabels.find(S.TargetSym);
+        if (LabelIt == SecLabels.end()) {
+          // External or cross-section target: must use rel32.
+          E.instruction().BranchSize = 4;
+          Changed = true;
+          LastGrowthSection = Sec->Name;
+          continue;
+        }
+        int64_t Disp =
+            LabelIt->second + S.Target->Imm - (E.Address + E.Size);
+        if (Disp < -128 || Disp > 127) {
+          E.instruction().BranchSize = 4;
+          Changed = true;
+          LastGrowthSection = Sec->Name;
+        }
+      }
+    }
+    return Changed;
+  };
+
+  // Converge from the current branch-size state. Monotone (branches only
+  // grow), so it terminates; the shared iteration budget bounds the
+  // pathological case.
+  auto Converge = [&]() -> bool {
+    while (Result.Iterations < RelaxationIterationLimit) {
+      ++Result.Iterations;
+      AddressRound();
+      if (!GrowthRound())
+        return true;
+    }
+    return false;
+  };
+
+  Result.Converged = Converge();
+
+  if (Result.Converged && relaxMode() == RelaxMode::Optimal) {
+    // Minimality audit: the grow fixpoint can be conservatively large when
+    // alignment padding decouples displacement from branch sizes. Demote
+    // every rel32 branch whose displacement fits rel8 under the settled
+    // layout, then re-converge (which re-promotes any overreach); repeat
+    // until a round demotes nothing. Bounded to keep the worst case tame.
+    auto CountRel8 = [&] {
+      unsigned N = 0;
+      for (auto &[Sec, Slots] : Walk)
+        for (const Slot &S : Slots)
+          if (S.IsBranch && BranchSizeOf(S) == 1)
+            ++N;
+      return N;
+    };
+    const unsigned InitialRel8 = CountRel8();
+    constexpr unsigned AuditRoundLimit = 4;
+    for (unsigned Round = 0; Round < AuditRoundLimit; ++Round) {
+      bool Shrunk = false;
+      for (auto &[Sec, Slots] : Walk) {
+        const LabelAddressMap &SecLabels = Result.SectionLabels[Sec->Name];
+        for (const Slot &S : Slots) {
+          if (!S.IsBranch || BranchSizeOf(S) != 4)
+            continue;
+          MaoEntry &E = *S.E;
+          auto LabelIt = SecLabels.find(S.TargetSym);
+          if (LabelIt == SecLabels.end())
+            continue; // External/cross-section: rel32 is mandatory.
+          Instruction &Insn = E.instruction();
+          const unsigned Rel32Size = E.Size;
+          Insn.BranchSize = 1;
+          const unsigned Delta = Rel32Size - S.Rel8Size;
+          const int64_t Target = LabelIt->second + S.Target->Imm;
+          // Exact single-demotion displacement: a forward target moves
+          // down by Delta together with the branch end, a backward target
+          // gains Delta of slack from the shorter branch.
+          int64_t NewDisp = Target - (E.Address + Rel32Size);
+          if (Target <= E.Address)
+            NewDisp += Delta;
+          if (NewDisp >= -128 && NewDisp <= 127) {
+            Shrunk = true;
+          } else {
+            Insn.BranchSize = 4;
+          }
+        }
+      }
+      if (!Shrunk)
+        break;
+      if (!Converge()) {
+        Result.Converged = false;
+        break;
+      }
+    }
+    if (Result.Converged) {
+      const unsigned FinalRel8 = CountRel8();
+      Result.ShrunkBranches =
+          FinalRel8 > InitialRel8 ? FinalRel8 - InitialRel8 : 0;
+    }
+  }
+
+  if (Result.Converged)
+    return Result;
+
+  // Hit the iteration limit; addresses are best-effort and must not be
+  // trusted silently — report which section was still growing, and let the
+  // verifier's layout check turn !Converged into a hard error.
+  if (Diags)
+    Diags->warning(DiagCode::RelaxIterationLimit,
+                   "relaxation of section " + LastGrowthSection +
+                       " did not converge within " +
+                       std::to_string(RelaxationIterationLimit) +
+                       " iterations; branch sizes are best-effort");
+  return Result;
+}
+
+/// What one relaxation leaves on an entry.
+struct EntryLayout {
+  int64_t Address;
+  uint32_t Size;
+  uint8_t BranchSize;
+  bool operator==(const EntryLayout &) const = default;
+};
+
+std::vector<EntryLayout> entryLayouts(const MaoUnit &Unit) {
+  std::vector<EntryLayout> Out;
+  for (const MaoEntry &E : Unit.entries())
+    Out.push_back({E.Address, E.Size,
+                   E.isInstruction() ? E.instruction().BranchSize
+                                     : uint8_t(0)});
+  return Out;
+}
+
+/// Relaxes \p Unit through \p Layout, then through the reference, and
+/// expects identical results and entry layouts.
+void expectMatchesReference(MaoUnit &Unit, UnitLayout &Layout,
+                            const std::string &What) {
+  Layout.relax();
+  const RelaxationResult Got = Layout.takeResult();
+  const std::vector<EntryLayout> GotEntries = entryLayouts(Unit);
+  const RelaxationResult Want = referenceRelaxUnit(Unit);
+  EXPECT_EQ(Got.Converged, Want.Converged) << What;
+  EXPECT_EQ(Got.Iterations, Want.Iterations) << What;
+  EXPECT_EQ(Got.ShrunkBranches, Want.ShrunkBranches) << What;
+  EXPECT_EQ(Got.Labels, Want.Labels) << What;
+  EXPECT_EQ(Got.SectionLabels, Want.SectionLabels) << What;
+  EXPECT_EQ(Got.SectionSizes, Want.SectionSizes) << What;
+  EXPECT_TRUE(GotEntries == entryLayouts(Unit)) << What;
+}
+
+/// Every unit of the differential corpus: examples/*.s, the SPEC workload
+/// profiles and a few units built around the rel8 cliff.
+std::vector<std::pair<std::string, std::string>> differentialCorpus() {
+  std::vector<std::pair<std::string, std::string>> Corpus;
+  std::vector<std::filesystem::path> Files;
+  for (const auto &Entry :
+       std::filesystem::directory_iterator(MAO_EXAMPLES_DIR))
+    if (Entry.path().extension() == ".s")
+      Files.push_back(Entry.path());
+  std::sort(Files.begin(), Files.end());
+  for (const std::filesystem::path &Path : Files) {
+    std::ifstream In(Path);
+    std::stringstream Text;
+    Text << In.rdbuf();
+    Corpus.emplace_back(Path.filename().string(), Text.str());
+  }
+  std::vector<WorkloadSpec> Specs = spec2000IntProfiles();
+  for (WorkloadSpec &S : spec2006Profiles())
+    Specs.push_back(S);
+  for (const WorkloadSpec &S : Specs)
+    Corpus.emplace_back(S.Name, generateWorkloadAssembly(S));
+  // Branches at the rel8 cliff, where one byte moved flips a size.
+  Corpus.emplace_back("forward-cliff",
+                      "\t.text\n\tjmp .LT\n\t.zero 127\n.LT:\n\tret\n");
+  Corpus.emplace_back("backward-cliff",
+                      "\t.text\n.LT:\n\t.zero 126\n\tjmp .LT\n");
+  Corpus.emplace_back("paper-example", paperExample(15, /*WithNop=*/false));
+  Corpus.emplace_back("growth-cascade", growthCascade(12));
+  Corpus.emplace_back("non-converging",
+                      growthCascade(RelaxationIterationLimit + 1));
+  return Corpus;
+}
+
+TEST(UnitLayout, MatchesReferenceOnCorpus) {
+  const auto Corpus = differentialCorpus();
+  ASSERT_GT(Corpus.size(), 19u);
+  for (RelaxMode Mode : {RelaxMode::Grow, RelaxMode::Optimal}) {
+    ScopedRelaxMode M(Mode);
+    for (const auto &[Name, Text] : Corpus) {
+      MaoUnit Unit = parseOk(Text);
+      UnitLayout Layout(Unit);
+      expectMatchesReference(Unit, Layout, Name);
+      // The wrapper is the same algorithm.
+      const RelaxationResult Wrapped = relaxUnit(Unit);
+      const RelaxationResult Want = referenceRelaxUnit(Unit);
+      EXPECT_EQ(Wrapped.Labels, Want.Labels) << Name;
+      EXPECT_EQ(Wrapped.Iterations, Want.Iterations) << Name;
+    }
+  }
+}
+
+TEST(UnitLayout, MatchesReferenceAfterEveryEdit) {
+  // Seeded random NOP, .p2align and erase edits through the layout, each
+  // checked against a fresh reference relaxation of the same unit.
+  const auto Corpus = differentialCorpus();
+  for (RelaxMode Mode : {RelaxMode::Grow, RelaxMode::Optimal}) {
+    ScopedRelaxMode M(Mode);
+    uint64_t Seed = 1;
+    for (const auto &[Name, Text] : Corpus) {
+      MaoUnit Unit = parseOk(Text);
+      UnitLayout Layout(Unit);
+      RandomSource Rng(Seed++);
+      const unsigned Edits = Unit.entries().size() > 10000 ? 8 : 30;
+      for (unsigned I = 0; I < Edits; ++I) {
+        // Half the edits land on a label, where they move a branch target.
+        std::vector<EntryIter> Labels;
+        for (EntryIter It = Unit.entries().begin(); It != Unit.entries().end();
+             ++It)
+          if (It->isLabel())
+            Labels.push_back(It);
+        EntryIter Pos =
+            !Labels.empty() && Rng.nextChance(1, 2)
+                ? Labels[Rng.nextBelow(Labels.size())]
+                : std::next(Unit.entries().begin(),
+                            static_cast<long>(
+                                Rng.nextBelow(Unit.entries().size() + 1)));
+        std::string What = Name + " edit " + std::to_string(I);
+        switch (Rng.nextBelow(3)) {
+        case 0: {
+          const unsigned Length = 1 + static_cast<unsigned>(Rng.nextBelow(15));
+          Layout.insertBefore(Pos, MaoEntry::makeInstruction(makeNop(Length)));
+          What += ": nop" + std::to_string(Length);
+          break;
+        }
+        case 1: {
+          Directive Dir;
+          Dir.Kind = DirKind::P2Align;
+          Dir.Name = ".p2align";
+          Dir.Args = {std::to_string(1 + Rng.nextBelow(5))};
+          if (Rng.nextChance(1, 2))
+            Dir.Args.insert(Dir.Args.end(),
+                            {"", std::to_string(Rng.nextBelow(16))});
+          Layout.insertBefore(Pos, MaoEntry::makeDirective(std::move(Dir)));
+          What += ": .p2align";
+          break;
+        }
+        default: {
+          // Section directives bound the runs; every other entry may go.
+          if (Pos == Unit.entries().end() || Pos->isDirective(DirKind::Text) ||
+              Pos->isDirective(DirKind::Data) ||
+              Pos->isDirective(DirKind::Bss) ||
+              Pos->isDirective(DirKind::Section))
+            continue;
+          What += ": erase " + Pos->toString();
+          Layout.erase(Pos);
+          break;
+        }
+        }
+        expectMatchesReference(Unit, Layout, What);
+        if (HasFailure())
+          return;
+      }
+    }
+  }
 }
 
 } // namespace
