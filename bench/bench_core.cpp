@@ -3,10 +3,9 @@
 // The throughput trajectory for the arena-IR + zero-copy-parse work, in one
 // binary and four headline metrics (all in BENCH_core.json):
 //
-//  - parse MB/s, new single-pass string_view lexer vs. the frozen pre-PR
-//    parser (bench/LegacyParser.cpp), on the repo's examples corpus and on
-//    a larger synthetic corpus. The acceptance bar for the parser rewrite
-//    is examples_parse_speedup_x >= 2.
+//  - parse MB/s of the single-pass string_view lexer, on the repo's
+//    examples corpus and on a larger synthetic corpus. The committed
+//    BENCH_core.json is the reference to compare against.
 //  - pipeline instructions/s/core: the standard peephole+sched pass line
 //    at --mao-jobs=1 over the synthetic corpus.
 //  - relaxation convergence wall-clock, grow vs. optimal mode, plus the
@@ -20,7 +19,6 @@
 
 #include "BenchJson.h"
 #include "BenchUtil.h"
-#include "LegacyParser.h"
 
 #include "analysis/Relaxer.h"
 #include "asm/AsmEmitter.h"
@@ -84,19 +82,18 @@ loadExamples(int argc, char **argv) {
   return Files;
 }
 
-/// Parses every corpus file \p Loops times through \p Parse and returns
-/// MB/s of input text consumed.
-template <typename F>
+/// Parses every corpus file \p Loops times and returns MB/s of input text
+/// consumed.
 double parseThroughputMbs(
     const std::vector<std::pair<std::string, std::string>> &Corpus,
-    unsigned Loops, F &&Parse) {
+    unsigned Loops) {
   double Bytes = 0;
   for (const auto &[Name, Text] : Corpus)
     Bytes += static_cast<double>(Text.size());
   const double Seconds = bestSeconds(3, [&] {
     for (unsigned I = 0; I < Loops; ++I)
       for (const auto &[Name, Text] : Corpus) {
-        auto Unit = Parse(Text);
+        auto Unit = parseAssembly(Text);
         if (!Unit.ok()) {
           std::fprintf(stderr, "bench: parse of %s failed: %s\n",
                        Name.c_str(), Unit.message().c_str());
@@ -114,12 +111,12 @@ int main(int argc, char **argv) {
   BenchReport Report("core");
   printHeader("Throughput core: parse / pipeline / relaxation trajectory");
 
-  // --- Parse throughput: new lexer vs. the frozen pre-PR parser. -------
+  // --- Parse throughput. -----------------------------------------------
   auto Examples = loadExamples(argc, argv);
   const bool HaveExamples = !Examples.empty();
   if (!HaveExamples)
     std::printf("examples/ not found; using the synthetic corpus for the "
-                "headline ratio\n");
+                "headline\n");
 
   WorkloadSpec Spec = googleCorpusProfile(0.05);
   std::vector<std::pair<std::string, std::string>> Synthetic;
@@ -128,36 +125,13 @@ int main(int argc, char **argv) {
   // Small corpus => many loops; the big one gets few.
   const unsigned HeadlineLoops = HaveExamples ? 400 : 4;
 
-  const double NewMbs = parseThroughputMbs(
-      Headline, HeadlineLoops,
-      [](const std::string &Text) { return parseAssembly(Text); });
-  const double LegacyMbs = parseThroughputMbs(
-      Headline, HeadlineLoops, [](const std::string &Text) {
-        return legacyParseAssembly(Text, nullptr);
-      });
-  const double Speedup = LegacyMbs > 0 ? NewMbs / LegacyMbs : 0.0;
-  std::printf("examples parse:   new %8.1f MB/s   legacy %8.1f MB/s   "
-              "speedup %.2fx (bar: >= 2x)\n",
-              NewMbs, LegacyMbs, Speedup);
-  Report.set("examples_parse_mb_s", NewMbs);
-  Report.set("examples_parse_mb_s_legacy", LegacyMbs);
-  Report.set("examples_parse_speedup_x", Speedup);
+  const double ExamplesMbs = parseThroughputMbs(Headline, HeadlineLoops);
+  std::printf("examples parse:   %8.1f MB/s\n", ExamplesMbs);
+  Report.set("examples_parse_mb_s", ExamplesMbs);
 
-  const double SynNewMbs = parseThroughputMbs(
-      Synthetic, 4,
-      [](const std::string &Text) { return parseAssembly(Text); });
-  const double SynLegacyMbs =
-      parseThroughputMbs(Synthetic, 4, [](const std::string &Text) {
-        return legacyParseAssembly(Text, nullptr);
-      });
-  std::printf("synthetic parse:  new %8.1f MB/s   legacy %8.1f MB/s   "
-              "speedup %.2fx\n",
-              SynNewMbs, SynLegacyMbs,
-              SynLegacyMbs > 0 ? SynNewMbs / SynLegacyMbs : 0.0);
-  Report.set("synthetic_parse_mb_s", SynNewMbs);
-  Report.set("synthetic_parse_mb_s_legacy", SynLegacyMbs);
-  Report.set("synthetic_parse_speedup_x",
-             SynLegacyMbs > 0 ? SynNewMbs / SynLegacyMbs : 0.0);
+  const double SyntheticMbs = parseThroughputMbs(Synthetic, 4);
+  std::printf("synthetic parse:  %8.1f MB/s\n", SyntheticMbs);
+  Report.set("synthetic_parse_mb_s", SyntheticMbs);
 
   // --- Pipeline throughput at one core. --------------------------------
   linkAllPasses();
@@ -189,11 +163,10 @@ int main(int argc, char **argv) {
   Report.set("pipeline_insts_per_s_per_core", InstsPerSecCore);
 
   // --- Relaxation convergence, grow vs. optimal. ------------------------
-  const RelaxMode SavedMode = relaxMode();
   for (RelaxMode Mode : {RelaxMode::Grow, RelaxMode::Optimal}) {
-    setRelaxMode(Mode);
     MaoUnit Unit = CorpusUnit->clone();
     Unit.rebuildStructure();
+    Unit.setRelaxMode(Mode);
     RelaxationResult Last;
     const double Seconds = bestSeconds(3, [&] { Last = relaxUnit(Unit); });
     const char *Name = Mode == RelaxMode::Grow ? "grow" : "optimal";
@@ -211,7 +184,6 @@ int main(int argc, char **argv) {
     if (Mode == RelaxMode::Optimal)
       Report.set("relax_optimal_shrunk_branches", Last.ShrunkBranches);
   }
-  setRelaxMode(SavedMode);
 
   // --- Cross-jobs byte-identity. ----------------------------------------
   std::string Reference;

@@ -100,7 +100,7 @@ if [ "$RAN" -eq 0 ]; then
 fi
 
 # The throughput-core headline: bench_core must publish the parse
-# trajectory (new and legacy MB/s plus their ratio) and the cross-jobs
+# trajectory (examples and synthetic MB/s) and the cross-jobs
 # determinism bit. Thresholds here are sanity floors, not the performance
 # bar — quick mode underestimates steady-state MB/s.
 if [ -s "$WORK/BENCH_core.json" ]; then
@@ -108,10 +108,7 @@ if [ -s "$WORK/BENCH_core.json" ]; then
 import json, sys
 m = json.load(open(sys.argv[1]))["metrics"]
 required = [
-    "examples_parse_mb_s", "examples_parse_mb_s_legacy",
-    "examples_parse_speedup_x", "synthetic_parse_mb_s",
-    "synthetic_parse_mb_s_legacy", "synthetic_parse_speedup_x",
-    "jobs_byte_identical",
+    "examples_parse_mb_s", "synthetic_parse_mb_s", "jobs_byte_identical",
 ]
 missing = [k for k in required if k not in m]
 if missing:

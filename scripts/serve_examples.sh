@@ -13,7 +13,12 @@
 #   - a maod daemon serves `mao --connect` requests with the same bytes,
 #     stops cleanly on SIGTERM, and removes its socket file,
 #   - with no daemon listening, `mao --connect` falls back to a local run
-#     and still produces the same bytes.
+#     and still produces the same bytes,
+#   - --mao-relax and --synth-rules reach the result: on an input where
+#     grow and optimal relaxation differ, --cache-dir (warmed by a grow
+#     run) and --connect reproduce the direct optimal bytes; with a rule
+#     table that has no synth rules, both reproduce the direct bytes on
+#     synth_copy.s after a built-in-table run was stored.
 #
 # Registered as the ctest entry `serve_examples`; run standalone as
 #
@@ -113,6 +118,55 @@ else
 fi
 [ "$FAILED" -eq 0 ] && echo "serve_examples: ok: injected faults contained"
 
+# An input where the relax modes differ: LOOP16 pads the .L3 loop by 8
+# bytes under grow and by 12 under optimal, which shrinks `jne .L0`.
+nops() {
+  i=0
+  while [ "$i" -lt "$1" ]; do printf '\tnop\n'; i=$((i + 1)); done
+}
+relaxsrc="$WORK/relax.s"
+{
+  printf '\t.text\n\t.globl\tf\n\t.type\tf, @function\nf:\n'
+  printf '\ttestl\t%%edi, %%edi\n\tjne\t.LFAR\n'
+  nops 10; printf '.L0:\n'; nops 94; printf '\t.p2align 4\n'; nops 29
+  printf '\tjne\t.L0\n\tmovl\t$100, %%ecx\n.L3:\n'
+  printf '\taddl\t$1, %%eax\n\taddl\t$1, %%eax\n\taddl\t$1, %%eax\n'
+  printf '\tsubl\t$1, %%ecx\n\tjne\t.L3\n'
+  nops 300; printf '.LFAR:\n\tret\n\t.size\tf, .-f\n'
+} >"$relaxsrc"
+"$MAO" --mao=LOOP16 "$relaxsrc" >"$WORK/relax.grow.s" 2>/dev/null || \
+  fail "relax: direct grow run failed"
+"$MAO" --mao=LOOP16 --mao-relax=optimal "$relaxsrc" \
+  >"$WORK/relax.optimal.s" 2>/dev/null || fail "relax: direct optimal run failed"
+cmp -s "$WORK/relax.grow.s" "$WORK/relax.optimal.s" && \
+  fail "relax: grow and optimal agree on the relax input"
+cache="$WORK/cache_relax"
+"$MAO" --mao=LOOP16 "--cache-dir=$cache" "$relaxsrc" >/dev/null 2>&1 || \
+  fail "relax: grow cache run failed"
+"$MAO" --mao=LOOP16 --mao-relax=optimal "--cache-dir=$cache" "$relaxsrc" \
+  >"$WORK/relax.cached.s" 2>/dev/null || fail "relax: optimal cache run failed"
+cmp -s "$WORK/relax.optimal.s" "$WORK/relax.cached.s" || \
+  fail "relax: --cache-dir did not reproduce the direct optimal bytes"
+
+# A rule table with no synth rules drops the built-in synth rules.
+rules="$WORK/no-synth-rules.def"
+: >"$rules"
+synthsrc="$EXAMPLES/synth_copy.s"
+"$MAO" --mao=SYNTH "$synthsrc" >"$WORK/synth.builtin.s" 2>/dev/null || \
+  fail "synth-rules: direct built-in run failed"
+"$MAO" --mao=SYNTH "--synth-rules=$rules" "$synthsrc" \
+  >"$WORK/synth.direct.s" 2>/dev/null || fail "synth-rules: direct run failed"
+cmp -s "$WORK/synth.builtin.s" "$WORK/synth.direct.s" && \
+  fail "synth-rules: the empty table did not change the output"
+cache="$WORK/cache_synth"
+"$MAO" --mao=SYNTH "--cache-dir=$cache" "$synthsrc" >/dev/null 2>&1 || \
+  fail "synth-rules: built-in cache run failed"
+"$MAO" --mao=SYNTH "--synth-rules=$rules" "--cache-dir=$cache" "$synthsrc" \
+  >"$WORK/synth.cached.s" 2>/dev/null || fail "synth-rules: cache run failed"
+cmp -s "$WORK/synth.direct.s" "$WORK/synth.cached.s" || \
+  fail "synth-rules: --cache-dir did not reproduce the direct bytes"
+[ "$FAILED" -eq 0 ] && echo "serve_examples: ok: --cache-dir keys relax mode and rule table"
+
 # Daemon round trip: cold and warm through maod are byte-identical to the
 # plain run; SIGTERM stops the daemon cleanly and removes the socket.
 SOCK="$WORK/maod.sock"
@@ -138,6 +192,21 @@ cmp -s "$direct" "$WORK/daemon.cold.s" || \
   fail "daemon: cold output differs from the plain run"
 cmp -s "$direct" "$WORK/daemon.warm.s" || \
   fail "daemon: warm output differs from the plain run"
+
+# The daemon first stores the grow and built-in-table results; the
+# optimal and --synth-rules requests must not be served them.
+"$MAO" --mao=LOOP16 "--connect=$SOCK" "$relaxsrc" >/dev/null 2>&1 || \
+  fail "daemon: grow --connect run failed"
+"$MAO" --mao=LOOP16 --mao-relax=optimal "--connect=$SOCK" "$relaxsrc" \
+  >"$WORK/relax.daemon.s" 2>/dev/null || fail "daemon: optimal --connect run failed"
+cmp -s "$WORK/relax.optimal.s" "$WORK/relax.daemon.s" || \
+  fail "daemon: --connect did not reproduce the direct optimal bytes"
+"$MAO" --mao=SYNTH "--connect=$SOCK" "$synthsrc" >/dev/null 2>&1 || \
+  fail "daemon: built-in-table --connect run failed"
+"$MAO" --mao=SYNTH "--synth-rules=$rules" "--connect=$SOCK" "$synthsrc" \
+  >"$WORK/synth.daemon.s" 2>/dev/null || fail "daemon: --synth-rules --connect run failed"
+cmp -s "$WORK/synth.direct.s" "$WORK/synth.daemon.s" || \
+  fail "daemon: --connect did not reproduce the direct --synth-rules bytes"
 
 kill -TERM "$MAOD_PID" 2>/dev/null
 wait "$MAOD_PID"

@@ -163,15 +163,6 @@ RelaxationResult::sectionLabels(const std::string &SectionName) const {
   return It == SectionLabels.end() ? Empty : It->second;
 }
 
-namespace {
-/// Process-global mode; set once at startup from --mao-relax, before any
-/// pipeline runs, so there is no synchronization concern.
-RelaxMode GlobalRelaxMode = RelaxMode::Grow;
-} // namespace
-
-RelaxMode mao::relaxMode() { return GlobalRelaxMode; }
-void mao::setRelaxMode(RelaxMode Mode) { GlobalRelaxMode = Mode; }
-
 bool mao::parseRelaxMode(const std::string &Text, RelaxMode &Mode) {
   if (Text == "grow") {
     Mode = RelaxMode::Grow;
@@ -486,7 +477,7 @@ const RelaxationResult &UnitLayout::relax() {
       }
 
   Result.Converged = converge();
-  if (Result.Converged && relaxMode() == RelaxMode::Optimal)
+  if (Result.Converged && Unit.relaxMode() == RelaxMode::Optimal)
     shrinkAudit();
   writeBack();
   for (const Section &Sec : Sections)

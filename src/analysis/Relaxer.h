@@ -42,31 +42,6 @@ class DiagEngine;
 /// Built-in iteration bound from the paper.
 constexpr unsigned RelaxationIterationLimit = 100;
 
-/// Branch-displacement selection mode (driver flag --mao-relax).
-enum class RelaxMode : uint8_t {
-  /// Monotone grow-from-rel8, the paper's algorithm: branches only widen,
-  /// so convergence is guaranteed and the result is the least fixpoint of
-  /// the grow iteration.
-  Grow,
-  /// Minimal-size selection after Boender & Sacerdoti Coen's provably
-  /// correct branch-displacement algorithm: converge the monotone
-  /// iteration, then audit every rel32 branch under the settled layout and
-  /// shrink the ones whose displacement fits rel8, re-converging after
-  /// each shrink round. On alignment-free layouts the grow fixpoint is
-  /// already minimal and both modes agree byte-for-byte; alignment padding
-  /// can make the grow solution conservatively large, and the audit
-  /// recovers those bytes. Either way the result passes the verifier's
-  /// rel8-fixpoint layout check.
-  Optimal,
-};
-
-/// Process-global relaxation mode. Every relaxUnit caller (passes, the
-/// assembler, the layout verifier) sees the same mode, which keeps
-/// verification consistent with emission; set once at startup from the
-/// driver flag, before any pipeline runs. Defaults to Grow.
-RelaxMode relaxMode();
-void setRelaxMode(RelaxMode Mode);
-
 /// Parses "grow"/"optimal"; returns false on anything else.
 bool parseRelaxMode(const std::string &Text, RelaxMode &Mode);
 
@@ -114,9 +89,10 @@ struct LengthMemoTally {
 /// array: one slot per entry, holding its static size, an alignment
 /// directive's parsed boundary and max, or a direct branch's rel8/rel32
 /// lengths and the slot index of its target label. relax() then runs the
-/// grow iteration (and the --mao-relax=optimal audit) over those arrays
-/// alone, with no list walk and no string hashing, and writes Address,
-/// Size and BranchSize back to the entries whose slots changed.
+/// grow iteration (and, when the unit's relaxMode() is Optimal, the
+/// minimality audit) over those arrays alone, with no list walk and no
+/// string hashing, and writes Address, Size and BranchSize back to the
+/// entries whose slots changed.
 ///
 /// The layout stays current while its owner edits the unit through
 /// insertBefore()/erase(); relax() re-runs only when an edit happened

@@ -52,6 +52,7 @@ MaoUnit MaoUnit::clone() const {
   Copy.Entries = Entries;
   Copy.NextEntryId = NextEntryId;
   Copy.NextLabelId = NextLabelId;
+  Copy.Mode = Mode;
   // The copy's views are lazily rebuilt on first access (they cannot be
   // copied: they hold iterators into *our* entry list).
   Copy.StructureDirty = true;

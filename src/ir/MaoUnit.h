@@ -39,6 +39,26 @@ using ConstEntryIter = EntryList::const_iterator;
 
 class MaoUnit;
 
+/// Branch-displacement selection mode (driver flag --mao-relax), a
+/// property of the unit it lays out: passes, the verifier, the assembler
+/// and the uarch runner all relax the same unit, so they agree on it.
+enum class RelaxMode : uint8_t {
+  /// Monotone grow-from-rel8, the paper's algorithm: branches only widen,
+  /// so convergence is guaranteed and the result is the least fixpoint of
+  /// the grow iteration.
+  Grow,
+  /// Minimal-size selection after Boender & Sacerdoti Coen's provably
+  /// correct branch-displacement algorithm: converge the monotone
+  /// iteration, then audit every rel32 branch under the settled layout and
+  /// shrink the ones whose displacement fits rel8, re-converging after
+  /// each shrink round. On alignment-free layouts the grow fixpoint is
+  /// already minimal and both modes agree byte-for-byte; alignment padding
+  /// can make the grow solution conservatively large, and the audit
+  /// recovers those bytes. Either way the result passes the verifier's
+  /// rel8-fixpoint layout check.
+  Optimal,
+};
+
 /// One function recognized in the entry list.
 class MaoFunction {
 public:
@@ -166,6 +186,7 @@ public:
     Interner = std::move(Other.Interner);
     NextEntryId = Other.NextEntryId;
     NextLabelId = Other.NextLabelId;
+    Mode = Other.Mode;
     Other.IrArena = std::make_shared<Arena>();
     Other.Interner = std::make_unique<StringInterner>(Other.IrArena.get());
     Other.Entries = EntryList(ArenaAllocator<MaoEntry>(Other.IrArena.get()));
@@ -186,7 +207,7 @@ public:
     return *this;
   }
 
-  /// Deep-copies the unit (entry list and label counters) WITHOUT
+  /// Deep-copies the unit (entry list, label counters, relax mode) WITHOUT
   /// rebuilding the derived structure on the copy. Used by the
   /// transactional pass runner to snapshot the IR before a pass so a
   /// failing pass can be rolled back: restoring through move-assignment
@@ -196,6 +217,10 @@ public:
 
   EntryList &entries() { return Entries; }
   const EntryList &entries() const { return Entries; }
+
+  /// How relaxation lays this unit out; Grow on a fresh unit.
+  RelaxMode relaxMode() const { return Mode; }
+  void setRelaxMode(RelaxMode M) { Mode = M; }
 
   /// Appends an entry (used by the parser and the workload generator) and
   /// returns an iterator to it.
@@ -337,6 +362,7 @@ private:
   std::unordered_map<std::string_view, EntryIter> Labels;
   uint32_t NextEntryId = 1;
   uint32_t NextLabelId = 0;
+  RelaxMode Mode = RelaxMode::Grow;
   /// True when a move or clone invalidated the derived views; cleared by
   /// rebuildStructure(). False on a fresh unit: its (empty) views match
   /// its (empty) entry list, and callers that append entries read empty

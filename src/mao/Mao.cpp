@@ -90,7 +90,9 @@ ErrorOr<ProcessorConfig> configByName(const std::string &Name) {
 
 struct Program::Impl {
   MaoUnit Unit;
-  std::string Source; ///< Verbatim input text (lazy-checkpoint source).
+  /// Verbatim input text while the unit still matches it (the rollback
+  /// checkpoint source); cleared once optimize or tune edits the unit.
+  std::string Source;
   std::string Name = "<input>";
   bool Valid = false;
 };
@@ -112,6 +114,15 @@ Program Program::clone() const {
   Copy.I->Name = I->Name;
   Copy.I->Valid = I->Valid;
   return Copy;
+}
+
+Status Program::setRelaxMode(const std::string &Mode) {
+  RelaxMode Parsed;
+  if (!parseRelaxMode(Mode, Parsed))
+    return Status::error("invalid relax mode '" + Mode +
+                         "' (expected grow or optimal)");
+  I->Unit.setRelaxMode(Parsed);
+  return Status::success();
 }
 
 //===----------------------------------------------------------------------===//
@@ -291,6 +302,10 @@ uint64_t Session::cacheKey(const CachedRunRequest &Request) {
   // A pass timeout changes which passes commit, so it separates keys
   // (0, the default, is the only fully deterministic setting).
   Hash = mixKeyPart(Hash, std::to_string(Request.Options.PassTimeoutMs));
+  Hash = mixKeyPart(Hash, Request.Relax);
+  // The rule table is an input too: --synth-rules changes what the
+  // peephole passes rewrite.
+  Hash = mixKeyPart(Hash, std::to_string(peepholeRuleDigest()));
   // Jobs deliberately excluded: output is byte-identical for every value.
   return Hash;
 }
@@ -307,6 +322,8 @@ Status computeArtifact(Session &S, const CachedRunRequest &Request,
   ParseInfo Info;
   if (Status St = S.parseText(Request.Source, Request.Name, P, &Info);
       !St.Ok)
+    return St;
+  if (Status St = P.setRelaxMode(Request.Relax); !St.Ok)
     return St;
   // CollectStats is forced on so the stored report's per-pass deltas do
   // not depend on which caller happened to compute the entry first — the
@@ -468,7 +485,9 @@ OptimizeResult Session::optimize(Program &P,
   Pipe.Jobs = Options.Jobs == 0 ? hardwareJobs() : Options.Jobs;
   Pipe.Diags = &I->Diags;
   Pipe.CollectStats = Options.CollectStats;
-  if (Options.LazyCheckpoint && !P.I->Source.empty()) {
+  // Rollback re-parses the source instead of cloning eagerly; Source is
+  // cleared once the unit no longer matches it.
+  if (!P.I->Source.empty()) {
     const std::string Source = P.I->Source;
     const std::string Name = P.I->Name;
     Pipe.CheckpointProvider = [Source, Name] {
@@ -478,6 +497,7 @@ OptimizeResult Session::optimize(Program &P,
 
   const auto Start = std::chrono::steady_clock::now();
   PipelineResult Run = runPasses(P.I->Unit, toRequests(Pipeline), Pipe);
+  P.I->Source.clear();
   const double ElapsedMs =
       std::chrono::duration<double, std::milli>(
           std::chrono::steady_clock::now() - Start)
@@ -641,6 +661,7 @@ Status Session::tune(Program &P, const TuneRequest &Request,
                                                : Request.Entry));
     return tuneUnit(P.I->Unit, Opts);
   }();
+  P.I->Source.clear();
   I->Report.TotalMs += std::chrono::duration<double, std::milli>(
                            std::chrono::steady_clock::now() - Start)
                            .count();
@@ -1052,15 +1073,6 @@ void Session::setTraceLevel(int Level) {
 }
 
 void Session::resetGlobalStats() { StatsRegistry::instance().reset(); }
-
-Status Session::setRelaxMode(const std::string &Mode) {
-  RelaxMode Parsed;
-  if (!parseRelaxMode(Mode, Parsed))
-    return Status::error("invalid relax mode '" + Mode +
-                         "' (expected grow or optimal)");
-  mao::setRelaxMode(Parsed);
-  return Status::success();
-}
 
 std::vector<PassCatalogEntry> Session::listPasses() {
   linkAllPasses();

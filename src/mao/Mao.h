@@ -70,9 +70,6 @@ struct OptimizeOptions {
   bool VerifyAfterEachPass = false; ///< Thorough verification per pass.
   long PassTimeoutMs = 0;
   unsigned Jobs = 1; ///< 0 = all hardware threads.
-  /// Reconstruct the pre-pipeline unit by re-parsing the program's source
-  /// on first rollback instead of cloning eagerly.
-  bool LazyCheckpoint = true;
   /// Collect per-pass instruction/byte deltas and pipeline counters for
   /// lastReport() / --mao-report. Off by default: the footprint walk costs
   /// one entry-list scan per pass boundary.
@@ -254,14 +251,15 @@ struct ArtifactCounters {
 };
 
 /// One cached optimization request: the whole parse → optimize → emit
-/// round as a pure function of (Source, Pipeline, Options), which is what
-/// makes it content-addressable. Name is diagnostic-only and excluded
-/// from the key.
+/// round as a pure function of (Source, Pipeline, Options, Relax), which
+/// is what makes it content-addressable. Name is diagnostic-only and
+/// excluded from the key.
 struct CachedRunRequest {
   std::string Source;
   std::string Name = "<input>";
   std::vector<PassSpec> Pipeline;
   OptimizeOptions Options;
+  std::string Relax = "grow"; ///< Program::setRelaxMode spelling.
   /// Paranoia mode: on a cache hit, recompute anyway and fail the request
   /// if the stored bytes differ (fuzzing and the serve acceptance tests).
   bool VerifyHit = false;
@@ -344,6 +342,12 @@ public:
   size_t functionCount() const;
   /// Deep copy (for before/after comparisons).
   Program clone() const;
+  /// Sets the branch-displacement selection mode (--mao-relax): "grow"
+  /// (the default) or "optimal". Every later optimize, tune, verify,
+  /// emit, assemble and measure call on this program lays it out in that
+  /// mode; a later parse into the program resets it to grow. Returns an
+  /// error for any other spelling.
+  Status setRelaxMode(const std::string &Mode);
 
 private:
   friend class Session;
@@ -402,12 +406,6 @@ public:
   /// sequential runs in one process can be compared in isolation. Does
   /// not touch per-session reports.
   static void resetGlobalStats();
-  /// Sets the process-global branch-displacement selection mode
-  /// (--mao-relax): "grow" (default) or "optimal". Affects every
-  /// subsequent relaxation in the process — passes, emission, and the
-  /// layout verifier all see the same mode. Returns an error for any
-  /// other spelling.
-  static Status setRelaxMode(const std::string &Mode);
 
   /// Arms the deterministic fault injector ("site:permille[,...]").
   Status armFaultInjection(const std::string &Spec, uint64_t Seed);
@@ -434,9 +432,9 @@ public:
   ArtifactCounters cacheStats() const;
   /// The content-addressed key cacheRun uses for \p Request: FNV-1a over
   /// the input bytes, the canonical pipeline spelling, the key-relevant
-  /// execution options, and the pass/option version fingerprint of this
-  /// binary. Jobs is deliberately excluded — output is identical for
-  /// every worker count.
+  /// execution options, the relax mode, the active peephole-rule digest,
+  /// and the pass/option version fingerprint of this binary. Jobs is
+  /// deliberately excluded — output is identical for every worker count.
   static uint64_t cacheKey(const CachedRunRequest &Request);
   /// Runs \p Request through the cache: a verified hit returns the stored
   /// artifact; a miss computes parse → optimize → emit through this

@@ -461,6 +461,9 @@ MaoStatus rollbackToCheckpoint(MaoUnit &Unit, MaoUnit &Checkpoint,
       return MaoStatus::error("rollback checkpoint provider failed: " +
                               CheckpointOr.message());
     Checkpoint = std::move(*CheckpointOr);
+    // A re-parse comes back in the default mode; the replay must lay out
+    // the way the live unit does.
+    Checkpoint.setRelaxMode(Unit.relaxMode());
     HaveCheckpoint = true;
   }
   Unit = Checkpoint.clone();

@@ -321,8 +321,9 @@ struct PipelineOptions {
   /// drivers reconstruct it by re-parsing the source text, so the common
   /// no-failure path pays no snapshot cost at all. The callback must
   /// reproduce the exact unit runPasses was handed (re-parsing the same
-  /// text does: parsing is deterministic). When unset, the runner clones
-  /// the unit eagerly before the first pass.
+  /// text does: parsing is deterministic), except for its relax mode,
+  /// which the runner copies over from the live unit. When unset, the
+  /// runner clones the unit eagerly before the first pass.
   std::function<ErrorOr<MaoUnit>()> CheckpointProvider;
   /// Optional per-pass semantic validation hook (--mao-validate=semantic,
   /// implemented by check/SemanticValidator). When set, the runner snapshots

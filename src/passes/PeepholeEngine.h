@@ -24,9 +24,9 @@
 ///
 /// The active table is the compiled-in PeepholeRules.def by default;
 /// `--synth-rules=FILE` swaps the synth group at runtime (the parser below
-/// reads the same .def shape back). The tuner's ScoreCache folds
-/// peepholeRuleDigest() into its key so a changed table can never serve
-/// stale scores.
+/// reads the same .def shape back). The tuner's ScoreCache and the
+/// artifact cache key (api::Session::cacheKey) fold peepholeRuleDigest()
+/// in, so a changed table can never serve stale scores or bytes.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -129,7 +129,11 @@ const std::vector<PeepholeRule> &activePeepholeRules();
 
 /// Replaces the active table's "synth" group with the synth-group rules of
 /// the given .def text (hand-rule rows in the text are ignored — the
-/// strategy rules always come from the compiled-in table). Not
+/// strategy rules always come from the compiled-in table). The table is
+/// process-level: the driver loads it once at start-up (--synth-rules),
+/// before anything parses, and every session in the process then uses it.
+/// A maod daemon therefore cannot compute with a client's table, which is
+/// why `mao --connect` runs --synth-rules requests locally. Not
 /// thread-safe; call before running pipelines.
 MaoStatus loadSynthPeepholeRules(const std::string &DefText);
 
@@ -137,7 +141,8 @@ MaoStatus loadSynthPeepholeRules(const std::string &DefText);
 void resetPeepholeRules();
 
 /// FNV-1a digest of every active rule row (name, group, strategy, pattern,
-/// guards, replacement). Folded into the tuner's ScoreCache key.
+/// guards, replacement). Folded into the tuner's ScoreCache key and the
+/// artifact cache key.
 uint64_t peepholeRuleDigest();
 
 /// Parses .def text (the same shape renderPeepholeRulesDef writes) into

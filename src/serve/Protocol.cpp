@@ -17,7 +17,7 @@ namespace {
 constexpr char FrameMagic0 = 'M';
 constexpr char FrameMagic1 = 'F';
 constexpr size_t FrameHeaderSize = 2 + 1 + 1 + 4 + 8;
-constexpr uint32_t RequestSchema = 1;
+constexpr uint32_t RequestSchema = 2;
 constexpr uint32_t ResponseSchema = 1;
 
 void appendU32(std::string &Out, uint32_t V) {
@@ -161,6 +161,8 @@ std::string mao::serve::encodeRequest(const ServeRequest &R) {
   appendString(Out, R.Validate);
   appendU32(Out, R.Jobs);
   appendU32(Out, R.DeadlineMs);
+  appendString(Out, R.Relax);
+  appendU32(Out, R.Verify);
   return Out;
 }
 
@@ -179,7 +181,9 @@ MaoStatus mao::serve::decodeRequest(const std::string &Payload,
       !readString(Payload, Pos, Out.OnError) ||
       !readString(Payload, Pos, Out.Validate) ||
       !readU32(Payload, Pos, Out.Jobs) ||
-      !readU32(Payload, Pos, Out.DeadlineMs))
+      !readU32(Payload, Pos, Out.DeadlineMs) ||
+      !readString(Payload, Pos, Out.Relax) ||
+      !readU32(Payload, Pos, Out.Verify))
     return MaoStatus::error("malformed request payload");
   if (Pos != Payload.size())
     return MaoStatus::error("trailing bytes in request payload");

@@ -2,6 +2,7 @@
 
 #include "serve/Serve.h"
 
+#include "analysis/Relaxer.h"
 #include "support/Stats.h"
 
 #include <cerrno>
@@ -54,29 +55,31 @@ const api::Session &Engine::session() const { return *S; }
 ServeResponse Engine::handle(const ServeRequest &Request) {
   StatsRegistry::instance().counter("serve.requests").add(1);
   ServeResponse Resp;
+  auto Error = [&Resp](std::string Diagnostic) {
+    Resp.Status = ServeStatus::Error;
+    Resp.Diagnostic = std::move(Diagnostic);
+    StatsRegistry::instance().counter("serve.errors").add(1);
+    return Resp;
+  };
 
   // Rung 0: request budget. Refuse before anything allocates
   // proportionally to the payload.
-  if (Request.Source.size() > Options.MaxRequestBytes) {
-    Resp.Status = ServeStatus::Error;
-    Resp.Diagnostic = "request too large: " +
-                      std::to_string(Request.Source.size()) + " bytes (cap " +
-                      std::to_string(Options.MaxRequestBytes) + ")";
-    StatsRegistry::instance().counter("serve.errors").add(1);
-    return Resp;
-  }
+  if (Request.Source.size() > Options.MaxRequestBytes)
+    return Error("request too large: " +
+                 std::to_string(Request.Source.size()) + " bytes (cap " +
+                 std::to_string(Options.MaxRequestBytes) + ")");
 
-  // Rung 1: a bad pipeline spelling is a structured client error.
+  // Rung 1: a bad pipeline or relax-mode spelling is a structured client
+  // error.
   CachedRunRequest Run;
-  if (!Request.Pipeline.empty()) {
+  if (!Request.Pipeline.empty())
     if (Status St = api::Session::parsePipelineSpec(Request.Pipeline, Run.Pipeline);
-        !St.Ok) {
-      Resp.Status = ServeStatus::Error;
-      Resp.Diagnostic = St.Message;
-      StatsRegistry::instance().counter("serve.errors").add(1);
-      return Resp;
-    }
-  }
+        !St.Ok)
+      return Error(St.Message);
+  if (RelaxMode Mode; !parseRelaxMode(Request.Relax, Mode))
+    return Error("invalid relax mode '" + Request.Relax +
+                 "' (expected grow or optimal)");
+  Run.Relax = Request.Relax;
   Run.Source = Request.Source;
   if (!Request.Name.empty())
     Run.Name = Request.Name;
@@ -84,6 +87,7 @@ ServeResponse Engine::handle(const ServeRequest &Request) {
       Request.OnError.empty() ? std::string("rollback") : Request.OnError;
   Run.Options.Validate =
       Request.Validate.empty() ? std::string("off") : Request.Validate;
+  Run.Options.VerifyAfterEachPass = Request.Verify != 0;
   Run.Options.CollectStats = true;
   unsigned Jobs = Request.Jobs == 0 ? 1u : Request.Jobs;
   if (Options.MaxJobs != 0 && Jobs > Options.MaxJobs)
@@ -119,12 +123,8 @@ ServeResponse Engine::handle(const ServeRequest &Request) {
   // bytes of ours could be "correct" for it) ...
   Program Probe;
   if (Status ParseSt = S->parseText(Request.Source, Run.Name, Probe);
-      !ParseSt.Ok) {
-    Resp.Status = ServeStatus::Error;
-    Resp.Diagnostic = St.Message;
-    StatsRegistry::instance().counter("serve.errors").add(1);
-    return Resp;
-  }
+      !ParseSt.Ok)
+    return Error(St.Message);
 
   // ... while a failed optimization of valid input bottoms out at identity
   // passthrough: the input is a correct (if unoptimized) answer, and the

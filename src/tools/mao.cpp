@@ -160,11 +160,6 @@ int main(int Argc, char **Argv) {
 
   if (Cmd.TraceLevel > 0)
     mao::api::Session::setTraceLevel(static_cast<int>(Cmd.TraceLevel));
-  if (mao::api::Status S = mao::api::Session::setRelaxMode(Cmd.RelaxMode);
-      !S.Ok) {
-    std::fprintf(stderr, "mao: error: %s\n", S.Message.c_str());
-    return ExitUsage;
-  }
 
   mao::api::Session::Config Config;
   Config.SarifPath = Cmd.SarifPath;
@@ -208,13 +203,16 @@ int main(int Argc, char **Argv) {
   // Service mode: --connect routes the run through a maod daemon (with
   // transparent local fallback), --cache-dir through the local persistent
   // artifact cache. Both cover the plain parse → optimize → emit round;
-  // lint, tune, and ASM file-output passes keep the direct path.
+  // lint, tune, and ASM file-output passes keep the direct path. maod
+  // computes with its own rule table, so --synth-rules runs stay local.
   const bool WantService = !Cmd.ConnectPath.empty() || !Cmd.CacheDir.empty();
   const bool ServiceRun = WantService && !LintMode && !Cmd.Tune && !HasAsmPass;
-  if (WantService && !ServiceRun)
+  const bool Connect = !Cmd.ConnectPath.empty() && Cmd.SynthRules.empty();
+  if ((WantService && !ServiceRun) || (!Cmd.ConnectPath.empty() && !Connect))
     std::fprintf(stderr,
                  "mao: warning: --connect/--cache-dir do not cover --lint, "
-                 "--tune, or ASM passes; running directly\n");
+                 "--tune, or ASM passes, and --connect does not cover "
+                 "--synth-rules; running locally\n");
   if (ServiceRun) {
     // The cache key is over the exact input bytes: read them verbatim.
     std::ifstream In(Cmd.Inputs[0], std::ios::binary);
@@ -252,7 +250,7 @@ int main(int Argc, char **Argv) {
         (void)Session.writeTrace();
     };
 
-    if (!Cmd.ConnectPath.empty()) {
+    if (Connect) {
       mao::serve::ServeRequest Req;
       Req.Name = Cmd.Inputs[0];
       Req.Source = Source;
@@ -261,6 +259,8 @@ int main(int Argc, char **Argv) {
       Req.Validate = Cmd.Validate;
       Req.Jobs = Cmd.Jobs;
       Req.DeadlineMs = static_cast<uint32_t>(Cmd.PassTimeoutMs);
+      Req.Relax = Cmd.RelaxMode;
+      Req.Verify = Cmd.Verify;
       mao::serve::ClientOptions Client;
       Client.SocketPath = Cmd.ConnectPath;
       mao::serve::ServeResponse Resp;
@@ -300,6 +300,7 @@ int main(int Argc, char **Argv) {
     Run.Options.VerifyAfterEachPass = Cmd.Verify;
     Run.Options.PassTimeoutMs = Cmd.PassTimeoutMs;
     Run.Options.Jobs = Cmd.Jobs;
+    Run.Relax = Cmd.RelaxMode;
     Run.VerifyHit = Cmd.CacheVerify;
     mao::api::CachedRunResult Result;
     if (mao::api::Status S = Session.cacheRun(Run, Result); !S.Ok) {
@@ -318,6 +319,10 @@ int main(int Argc, char **Argv) {
   mao::api::ParseInfo Parse;
   if (!Session.parseFile(Cmd.Inputs[0], Program, &Parse).Ok)
     return LintMode ? 2 : ExitParseError; // Reported through diagnostics.
+  if (mao::api::Status S = Program.setRelaxMode(Cmd.RelaxMode); !S.Ok) {
+    std::fprintf(stderr, "mao: error: %s\n", S.Message.c_str());
+    return ExitUsage;
+  }
 
   if (LintMode) {
     mao::api::LintRequest Request;

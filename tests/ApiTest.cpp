@@ -182,7 +182,13 @@ TEST(Api, RollbackPolicyContainsInjectedPassFailure) {
   mao::api::Session Session(Config);
   mao::api::Program Program;
   ASSERT_TRUE(Session.parseText(kKernel, "t.s", Program).Ok);
+  // An earlier optimize edits the program, so the rollback below must
+  // restore this state, not the parsed source.
+  std::vector<mao::api::PassSpec> Earlier;
+  ASSERT_TRUE(mao::api::Session::parsePipelineSpec("redtest", Earlier).Ok);
+  ASSERT_TRUE(Session.optimize(Program, Earlier, {}).Ok);
   std::string Before = Session.emitToString(Program);
+  ASSERT_EQ(Before.find("testl"), std::string::npos);
 
   std::vector<mao::api::PassSpec> Pipeline;
   ASSERT_TRUE(mao::api::Session::parsePipelineSpec("zee", Pipeline).Ok);

@@ -241,6 +241,50 @@ TEST(Pipeline, RollbackUsesLazyCheckpointProvider) {
   EXPECT_TRUE(verifyUnit(Unit).clean());
 }
 
+/// A function whose backward `jne .L0` only the optimal audit shrinks:
+/// LOOP16 pads the .L3 loop by 8 bytes under grow and by 12 under optimal.
+std::string relaxModeSensitiveAsm() {
+  auto Nops = [](unsigned N) {
+    std::string Out;
+    for (unsigned I = 0; I < N; ++I)
+      Out += "\tnop\n";
+    return Out;
+  };
+  return "\t.text\n\t.globl f\n\t.type f, @function\nf:\n"
+         "\ttestl %edi, %edi\n\tjne .LFAR\n" +
+         Nops(10) + ".L0:\n" + Nops(94) + "\t.p2align 4\n" + Nops(29) +
+         "\tjne .L0\n\tmovl $100, %ecx\n.L3:\n"
+         "\taddl $1, %eax\n\taddl $1, %eax\n\taddl $1, %eax\n"
+         "\tsubl $1, %ecx\n\tjne .L3\n" +
+         Nops(300) + ".LFAR:\n\tret\n\t.size f, .-f\n";
+}
+
+TEST(Pipeline, RollbackReplayKeepsTheUnitsRelaxMode) {
+  // The provider re-parses, which yields a grow-mode unit; the replay of
+  // the committed LOOP16 must still lay out under optimal.
+  const std::string Text = relaxModeSensitiveAsm();
+  auto RunLoop16 = [&](RelaxMode Mode) {
+    MaoUnit Unit = parseOk(Text);
+    Unit.setRelaxMode(Mode);
+    EXPECT_TRUE(runPasses(Unit, requests({"LOOP16"}), rollbackOptions()).Ok);
+    return emitAssembly(Unit);
+  };
+  const std::string Optimal = RunLoop16(RelaxMode::Optimal);
+  ASSERT_NE(Optimal, RunLoop16(RelaxMode::Grow));
+
+  MaoUnit Unit = parseOk(Text);
+  Unit.setRelaxMode(RelaxMode::Optimal);
+  PipelineOptions Options = rollbackOptions();
+  Options.CheckpointProvider = [&Text] { return parseAssembly(Text); };
+  PipelineResult Result =
+      runPasses(Unit, requests({"LOOP16", "TESTTHROW"}), Options);
+  ASSERT_TRUE(Result.Ok) << Result.Error;
+  ASSERT_EQ(Result.Outcomes.size(), 2u);
+  EXPECT_EQ(Result.Outcomes[1].Status, PassStatus::RolledBack);
+  EXPECT_EQ(Unit.relaxMode(), RelaxMode::Optimal);
+  EXPECT_EQ(emitAssembly(Unit), Optimal);
+}
+
 TEST(Pipeline, SkipPolicyKeepsPartialEdits) {
   MaoUnit Unit = parseOk(TestAsm);
   const std::string Before = emitAssembly(Unit);

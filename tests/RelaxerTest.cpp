@@ -314,34 +314,17 @@ TEST(Relaxer, CascadeJustUnderLimitConverges) {
 
 // --- Optimal branch-displacement mode (--mao-relax=optimal) -----------------
 
-/// RAII guard: flips the process-global relax mode and restores it, so a
-/// failing test cannot leak Optimal into unrelated tests.
-struct ScopedRelaxMode {
-  explicit ScopedRelaxMode(RelaxMode M) : Saved(relaxMode()) {
-    setRelaxMode(M);
-  }
-  ~ScopedRelaxMode() { setRelaxMode(Saved); }
-  RelaxMode Saved;
-};
-
 TEST(Relaxer, OptimalAgreesWithGrowOnAlignmentFreeLayout) {
   // Without alignment padding the grow fixpoint is already minimal; the
   // optimal audit must find nothing to shrink and reproduce the layout
   // byte-for-byte.
   MaoUnit GrowUnit = parseOk(paperExample(16, true));
-  RelaxationResult RG;
-  {
-    ScopedRelaxMode M(RelaxMode::Grow);
-    RG = relaxUnit(GrowUnit);
-  }
+  RelaxationResult RG = relaxUnit(GrowUnit);
   ASSERT_TRUE(RG.Converged);
 
   MaoUnit OptUnit = parseOk(paperExample(16, true));
-  RelaxationResult RO;
-  {
-    ScopedRelaxMode M(RelaxMode::Optimal);
-    RO = relaxUnit(OptUnit);
-  }
+  OptUnit.setRelaxMode(RelaxMode::Optimal);
+  RelaxationResult RO = relaxUnit(OptUnit);
   ASSERT_TRUE(RO.Converged);
   EXPECT_EQ(RO.ShrunkBranches, 0u);
   EXPECT_EQ(RO.Labels, RG.Labels);
@@ -349,8 +332,8 @@ TEST(Relaxer, OptimalAgreesWithGrowOnAlignmentFreeLayout) {
 }
 
 TEST(Relaxer, OptimalModePassesLayoutVerifierAndAssembler) {
-  ScopedRelaxMode M(RelaxMode::Optimal);
   MaoUnit Unit = parseOk(paperExample(40, true));
+  Unit.setRelaxMode(RelaxMode::Optimal);
   RelaxationResult R = relaxUnit(Unit);
   ASSERT_TRUE(R.Converged);
   VerifierReport Report = verifyUnit(Unit);
@@ -368,6 +351,18 @@ TEST(Relaxer, ParseRelaxModeSpellings) {
   EXPECT_TRUE(parseRelaxMode("grow", Mode));
   EXPECT_EQ(Mode, RelaxMode::Grow);
   EXPECT_FALSE(parseRelaxMode("fastest", Mode));
+}
+
+TEST(Relaxer, RelaxModeTravelsWithTheUnit) {
+  MaoUnit Unit = parseOk(paperExample(16, true));
+  EXPECT_EQ(Unit.relaxMode(), RelaxMode::Grow);
+  Unit.setRelaxMode(RelaxMode::Optimal);
+  EXPECT_EQ(Unit.clone().relaxMode(), RelaxMode::Optimal);
+  MaoUnit Moved = std::move(Unit);
+  EXPECT_EQ(Moved.relaxMode(), RelaxMode::Optimal);
+  MaoUnit Assigned;
+  Assigned = std::move(Moved);
+  EXPECT_EQ(Assigned.relaxMode(), RelaxMode::Optimal);
 }
 
 // --- Assembler integration --------------------------------------------------
@@ -491,9 +486,10 @@ TEST(Assembler, IdentityTransformPreservesBytes) {
 
 // --- Differential check of the maintained layout -----------------------------
 
-/// The whole-unit relaxer UnitLayout replaced, frozen verbatim as the
-/// reference: it rebuilds its walk and hashes label names on every call.
-/// UnitLayout must agree with it on every unit and after every edit.
+/// The whole-unit relaxer UnitLayout replaced, frozen as the reference: it
+/// rebuilds its walk and hashes label names on every call. Its algorithm
+/// is verbatim; only the mode now comes from the unit. UnitLayout must
+/// agree with it on every unit and after every edit.
 RelaxationResult referenceRelaxUnit(MaoUnit &Unit, DiagEngine *Diags = nullptr) {
   RelaxationResult Result;
 
@@ -661,7 +657,7 @@ RelaxationResult referenceRelaxUnit(MaoUnit &Unit, DiagEngine *Diags = nullptr) 
 
   Result.Converged = Converge();
 
-  if (Result.Converged && relaxMode() == RelaxMode::Optimal) {
+  if (Result.Converged && Unit.relaxMode() == RelaxMode::Optimal) {
     // Minimality audit: the grow fixpoint can be conservatively large when
     // alignment padding decouples displacement from branch sizes. Demote
     // every rel32 branch whose displacement fits rel8 under the settled
@@ -806,9 +802,9 @@ TEST(UnitLayout, MatchesReferenceOnCorpus) {
   const auto Corpus = differentialCorpus();
   ASSERT_GT(Corpus.size(), 19u);
   for (RelaxMode Mode : {RelaxMode::Grow, RelaxMode::Optimal}) {
-    ScopedRelaxMode M(Mode);
     for (const auto &[Name, Text] : Corpus) {
       MaoUnit Unit = parseOk(Text);
+      Unit.setRelaxMode(Mode);
       UnitLayout Layout(Unit);
       expectMatchesReference(Unit, Layout, Name);
       // The wrapper is the same algorithm.
@@ -825,10 +821,10 @@ TEST(UnitLayout, MatchesReferenceAfterEveryEdit) {
   // checked against a fresh reference relaxation of the same unit.
   const auto Corpus = differentialCorpus();
   for (RelaxMode Mode : {RelaxMode::Grow, RelaxMode::Optimal}) {
-    ScopedRelaxMode M(Mode);
     uint64_t Seed = 1;
     for (const auto &[Name, Text] : Corpus) {
       MaoUnit Unit = parseOk(Text);
+      Unit.setRelaxMode(Mode);
       UnitLayout Layout(Unit);
       RandomSource Rng(Seed++);
       const unsigned Edits = Unit.entries().size() > 10000 ? 8 : 30;
