@@ -53,16 +53,11 @@ void runConfig(benchmark::State &State, const PipelineOptions &Options) {
   linkAllPasses();
   const std::string &Asm = corpusAssembly();
   const std::vector<PassRequest> Requests = pipelineRequests();
-  // Same lazy-checkpoint configuration as the mao driver and maofuzz: the
-  // rollback snapshot is reconstructed by re-parsing only when a rollback
-  // actually happens.
-  PipelineOptions Configured = Options;
-  Configured.CheckpointProvider = [&Asm] { return parseAssembly(Asm); };
   for (auto _ : State) {
     auto Unit = parseAssembly(Asm);
     if (!Unit.ok())
       State.SkipWithError("parse failed");
-    PipelineResult R = runPasses(*Unit, Requests, Configured);
+    PipelineResult R = runPasses(*Unit, Requests, Options);
     if (!R.Ok)
       State.SkipWithError("pass failed");
     benchmark::DoNotOptimize(R.Counts);
@@ -103,7 +98,6 @@ void BM_PipelineOverhead_RollbackVsBaseline(benchmark::State &State) {
   PipelineOptions Roll;
   Roll.OnError = OnErrorPolicy::Rollback;
   Roll.VerifyAfterEachPass = true;
-  Roll.CheckpointProvider = [&Asm] { return parseAssembly(Asm); };
   using Clock = std::chrono::steady_clock;
   auto RunOne = [&](const PipelineOptions &Options) {
     Clock::time_point T0 = Clock::now();
@@ -143,8 +137,8 @@ BENCHMARK(BM_PipelineOverhead_RollbackFullVerify)
     ->Unit(benchmark::kMillisecond);
 
 /// Snapshot cost in isolation: one clone per iteration over the parsed
-/// corpus — the eager checkpoint price (library callers without a
-/// CheckpointProvider), and the per-restore price on each rollback.
+/// corpus — the checkpoint price of every rollback-policy pipeline, and
+/// the per-restore price on each rollback.
 void BM_UnitClone(benchmark::State &State) {
   auto Unit = parseAssembly(corpusAssembly());
   if (!Unit.ok())

@@ -22,6 +22,8 @@
 #include "passes/PeepholeEngine.h"
 #include "support/Diag.h"
 #include "support/FaultInjection.h"
+#include "support/Hash.h"
+#include "support/Json.h"
 #include "support/Options.h"
 #include "support/Stats.h"
 #include "support/ThreadPool.h"
@@ -90,9 +92,6 @@ ErrorOr<ProcessorConfig> configByName(const std::string &Name) {
 
 struct Program::Impl {
   MaoUnit Unit;
-  /// Verbatim input text while the unit still matches it (the rollback
-  /// checkpoint source); cleared once optimize or tune edits the unit.
-  std::string Source;
   std::string Name = "<input>";
   bool Valid = false;
 };
@@ -110,7 +109,6 @@ Program Program::clone() const {
   Program Copy;
   Copy.I->Unit = I->Unit.clone();
   Copy.I->Unit.rebuildStructure();
-  Copy.I->Source = I->Source;
   Copy.I->Name = I->Name;
   Copy.I->Valid = I->Valid;
   return Copy;
@@ -267,7 +265,7 @@ namespace {
 
 /// Chains \p Part into \p Hash with an unambiguous length separator.
 uint64_t mixKeyPart(uint64_t Hash, const std::string &Part) {
-  Hash = serve::fnv1a64(Part, Hash);
+  Hash = fnv1a64(Part, Hash);
   const char Sep[9] = {'\0',
                        static_cast<char>(Part.size() & 0xff),
                        static_cast<char>((Part.size() >> 8) & 0xff),
@@ -277,7 +275,7 @@ uint64_t mixKeyPart(uint64_t Hash, const std::string &Part) {
                        '\0',
                        '\0',
                        '\0'};
-  return serve::fnv1a64(std::string_view(Sep, sizeof(Sep)), Hash);
+  return fnv1a64(std::string_view(Sep, sizeof(Sep)), Hash);
 }
 
 } // namespace
@@ -288,7 +286,7 @@ uint64_t Session::cacheKey(const CachedRunRequest &Request) {
   // added, removed, renamed, or re-kinded invalidates every key, so a
   // stale cache can never serve output an older binary produced under
   // different semantics.
-  uint64_t Hash = serve::fnv1a64("mao-artifact-v1");
+  uint64_t Hash = fnv1a64("mao-artifact-v1");
   for (const PassCatalogEntry &Entry : listPasses()) {
     Hash = mixKeyPart(Hash, Entry.Name);
     Hash = mixKeyPart(Hash, Entry.Kind);
@@ -417,7 +415,6 @@ Status Session::parseText(const std::string &Source, const std::string &Name,
   if (!UnitOr.ok())
     return Status::error(UnitOr.message());
   Out.I->Unit = std::move(*UnitOr);
-  Out.I->Source = Source;
   Out.I->Name = Name;
   Out.I->Valid = true;
   I->Report.Input = Name;
@@ -485,19 +482,9 @@ OptimizeResult Session::optimize(Program &P,
   Pipe.Jobs = Options.Jobs == 0 ? hardwareJobs() : Options.Jobs;
   Pipe.Diags = &I->Diags;
   Pipe.CollectStats = Options.CollectStats;
-  // Rollback re-parses the source instead of cloning eagerly; Source is
-  // cleared once the unit no longer matches it.
-  if (!P.I->Source.empty()) {
-    const std::string Source = P.I->Source;
-    const std::string Name = P.I->Name;
-    Pipe.CheckpointProvider = [Source, Name] {
-      return parseAssembly(Source, nullptr, Name);
-    };
-  }
 
   const auto Start = std::chrono::steady_clock::now();
   PipelineResult Run = runPasses(P.I->Unit, toRequests(Pipeline), Pipe);
-  P.I->Source.clear();
   const double ElapsedMs =
       std::chrono::duration<double, std::milli>(
           std::chrono::steady_clock::now() - Start)
@@ -661,7 +648,6 @@ Status Session::tune(Program &P, const TuneRequest &Request,
                                                : Request.Entry));
     return tuneUnit(P.I->Unit, Opts);
   }();
-  P.I->Source.clear();
   I->Report.TotalMs += std::chrono::duration<double, std::milli>(
                            std::chrono::steady_clock::now() - Start)
                            .count();
@@ -797,36 +783,6 @@ Status Session::verifySynthRules(std::string *Detail) {
 
 namespace {
 
-std::string reportEscape(const std::string &S) {
-  std::string Out;
-  Out.reserve(S.size());
-  for (char C : S) {
-    switch (C) {
-    case '"':
-      Out += "\\\"";
-      break;
-    case '\\':
-      Out += "\\\\";
-      break;
-    case '\n':
-      Out += "\\n";
-      break;
-    case '\t':
-      Out += "\\t";
-      break;
-    default:
-      if (static_cast<unsigned char>(C) < 0x20) {
-        char Buf[8];
-        std::snprintf(Buf, sizeof(Buf), "\\u%04x", C);
-        Out += Buf;
-      } else {
-        Out += C;
-      }
-    }
-  }
-  return Out;
-}
-
 void appendKeyU64(std::string &Out, const char *Key, uint64_t V,
                   bool Comma = true) {
   char Buf[96];
@@ -883,7 +839,7 @@ std::string Session::reportJson(const RunReport &R, bool IncludeTimings) {
   std::string Out = "{\n";
   Out += "\"version\":1,\n";
 
-  Out += "\"input\":{\"name\":\"" + reportEscape(R.Input) + "\",";
+  Out += "\"input\":{\"name\":\"" + jsonEscape(R.Input) + "\",";
   appendKeyU64(Out, "lines", R.Parse.Lines);
   appendKeyU64(Out, "instructions", R.Parse.Instructions);
   appendKeyU64(Out, "opaque_instructions", R.Parse.OpaqueInstructions);
@@ -894,8 +850,8 @@ std::string Session::reportJson(const RunReport &R, bool IncludeTimings) {
   for (size_t I = 0; I < R.Passes.size(); ++I) {
     const PassOutcomeInfo &P = R.Passes[I];
     Out += I ? ",\n" : "\n";
-    Out += "{\"pass\":\"" + reportEscape(P.Pass) + "\",\"status\":\"" +
-           reportEscape(P.Status) + "\",";
+    Out += "{\"pass\":\"" + jsonEscape(P.Pass) + "\",\"status\":\"" +
+           jsonEscape(P.Status) + "\",";
     appendKeyU64(Out, "transformations", P.Transformations);
     appendKeyI64(Out, "instruction_delta", P.InstructionDelta);
     appendKeyI64(Out, "byte_delta", P.ByteDelta, /*Comma=*/false);
@@ -947,7 +903,7 @@ std::string Session::reportJson(const RunReport &R, bool IncludeTimings) {
   for (size_t I = 0; I < R.Histograms.size(); ++I) {
     const HistogramInfo &H = R.Histograms[I].second;
     Out += I ? ",\n" : "\n";
-    Out += "\"" + reportEscape(R.Histograms[I].first) + "\":{";
+    Out += "\"" + jsonEscape(R.Histograms[I].first) + "\":{";
     appendKeyU64(Out, "count", H.Count);
     appendKeyU64(Out, "sum", H.Sum);
     appendKeyU64(Out, "min", H.Min);
@@ -961,7 +917,7 @@ std::string Session::reportJson(const RunReport &R, bool IncludeTimings) {
     appendKeyU64(Out, "baseline_cycles", R.Tune.BaselineCycles);
     appendKeyU64(Out, "default_cycles", R.Tune.DefaultCycles);
     appendKeyU64(Out, "tuned_cycles", R.Tune.TunedCycles);
-    Out += "\"tuned_pipeline\":\"" + reportEscape(R.Tune.TunedPipeline) +
+    Out += "\"tuned_pipeline\":\"" + jsonEscape(R.Tune.TunedPipeline) +
            "\",";
     appendKeyU64(Out, "evaluations", R.Tune.Evaluations);
     appendKeyU64(Out, "restarts", R.Tune.Restarts);
@@ -979,7 +935,7 @@ std::string Session::reportJson(const RunReport &R, bool IncludeTimings) {
     for (size_t I = 0; I < R.Passes.size(); ++I) {
       const PassOutcomeInfo &P = R.Passes[I];
       Out += I ? ",\n" : "\n";
-      Out += "{\"pass\":\"" + reportEscape(P.Pass) + "\",";
+      Out += "{\"pass\":\"" + jsonEscape(P.Pass) + "\",";
       appendKeyMs(Out, "wall_ms", P.WallMs);
       appendKeyMs(Out, "verify_ms", P.VerifyMs);
       appendKeyMs(Out, "validate_ms", P.ValidateMs, /*Comma=*/false);

@@ -256,93 +256,47 @@ UnitFootprint measureFootprint(MaoUnit &Unit) {
 /// Re-derives the unit's sections and functions when the previous pass
 /// inserted, erased or moved entries: an erase can free the entry a
 /// function or section range begins at, and the next pass must not walk
-/// from it. Called by both executors before a pass reads the views, so the
-/// main loop, rollback replays and partial re-runs all see fresh views.
+/// from it. Called before every pass reads the views, so the main loop,
+/// rollback replays and partial re-runs all see fresh views.
 void refreshStructure(MaoUnit &Unit) {
   if (Unit.structureEdited())
     Unit.rebuildStructure();
 }
 
-/// Runs one pass request over the unit; returns the transformation count.
-/// Throws PassTimeoutError / propagates pass exceptions; returns through
-/// \p FailedFn the function a function pass failed on (empty otherwise).
-ErrorOr<unsigned> executeRequest(MaoUnit &Unit, const PassRequest &Req,
-                                 const PipelineOptions &Options,
-                                 std::string &FailedFn) {
-  PassRegistry &Registry = PassRegistry::instance();
-  MaoOptionMap PassOptions = Req.Options; // Mutable copy for the pass.
-  Clock::time_point Start = Clock::now();
-  refreshStructure(Unit);
-
-  if (FaultInjector::instance().shouldFail(FaultSite::PassRunner))
-    throw std::runtime_error("injected pass-runner fault");
-
-  auto CheckBudget = [&]() {
-    if (Options.PassTimeoutMs > 0 &&
-        elapsedMs(Start) > static_cast<double>(Options.PassTimeoutMs))
-      throw PassTimeoutError("pass " + Req.PassName +
-                             " exceeded its wall-clock budget of " +
-                             std::to_string(Options.PassTimeoutMs) + " ms");
-  };
-
-  unsigned Count = 0;
-  if (Registry.isUnitPass(Req.PassName)) {
-    auto Pass = Registry.makeUnitPass(Req.PassName, &PassOptions, &Unit);
-    bool Ok = Pass->go();
-    CheckBudget();
-    if (!Ok)
-      return MaoStatus::error("pass " + Req.PassName + " failed");
-    Count = Pass->transformationCount();
-  } else if (Registry.isFunctionPass(Req.PassName)) {
-    // One maintained layout per request, built by the first function that
-    // asks for it and kept current by the edits of every later one.
-    std::unique_ptr<UnitLayout> Layout;
-    for (MaoFunction &Fn : Unit.functions()) {
-      auto Pass =
-          Registry.makeFunctionPass(Req.PassName, &PassOptions, &Unit, &Fn);
-      Pass->shareRequestState(Layout, Options.Diags);
-      bool Ok = Pass->go();
-      Count += Pass->transformationCount();
-      CheckBudget();
-      if (!Ok) {
-        FailedFn = Fn.name();
-        return MaoStatus::error("pass " + Req.PassName +
-                                " failed on function " + Fn.name());
-      }
-    }
-  } else {
-    return MaoStatus::error("unknown pass: " + Req.PassName);
-  }
-  return Count;
-}
-
-/// One failed shard of a sharded function pass: the function it ran over
-/// and why it failed. Collected in function-index order.
-struct ShardFailure {
+/// One function a function-pass request failed on, and why. Collected in
+/// function-index order.
+struct FunctionFailure {
   size_t FnIndex;
-  std::string FnName;
   std::string Detail;
   DiagCode Code = DiagCode::PassFailed;
 };
 
-/// Runs one *shardable* function-pass request: every function is an
-/// independent shard, executed inline when \p Pool is null (or has one
-/// worker) and on the pool otherwise. Both paths are the same code over
-/// the same per-shard state, which is what makes the results bit-identical
-/// across worker counts: entry IDs come from the shard's pre-reserved
-/// block, transformation counts and failures are buffered per shard and
-/// merged in function order after the implicit barrier.
+/// Runs one pass request over the unit and returns its transformation
+/// count. This is the only place a pass is constructed and run. A unit
+/// pass runs once; it fails the request by returning false, and so does an
+/// unknown pass name.
 ///
-/// Unlike the sequential executor, a failing shard does not stop the
-/// request: all shards run, and failures come back through \p Failures so
-/// the caller can apply its on-error policy per function. Functions whose
-/// index is in \p SkipFns are not run at all (the partial-commit replay
-/// path). Throws PassTimeoutError when the wall-clock budget expires and
-/// runtime_error for an injected runner fault, mirroring executeRequest.
-unsigned executeSharded(MaoUnit &Unit, const PassRequest &Req,
-                        const PipelineOptions &Options, ThreadPool *Pool,
-                        const std::set<size_t> &SkipFns,
-                        std::vector<ShardFailure> &Failures) {
+/// A function pass runs every function as its own shard: entry IDs come
+/// from the function's pre-reserved block, and transformation counts and
+/// failures are buffered per function and merged in function order. A
+/// failing function does not stop the request. Every function runs, and
+/// failures come back through \p Failures so the caller can apply its
+/// on-error policy per function. Functions whose index is in \p SkipFns
+/// are not run at all (the partial-commit replay path).
+///
+/// Registration decides the rest. A shardable pass runs on \p Pool when it
+/// has more than one worker. Any other function pass runs inline, and all
+/// its functions share the request's one UnitLayout and Options.Diags
+/// (MaoFunctionPass::shareRequestState). Neither choice reads Jobs, which
+/// is what makes the results bit-identical across worker counts.
+///
+/// Throws PassTimeoutError when the wall-clock budget expires and
+/// runtime_error for an injected runner fault.
+ErrorOr<unsigned> executePass(MaoUnit &Unit, const PassRequest &Req,
+                              const PipelineOptions &Options, ThreadPool *Pool,
+                              const std::set<size_t> &SkipFns,
+                              std::vector<FunctionFailure> &Failures) {
+  PassRegistry &Registry = PassRegistry::instance();
   Clock::time_point Start = Clock::now();
 
   if (FaultInjector::instance().shouldFail(FaultSite::PassRunner))
@@ -352,11 +306,34 @@ unsigned executeSharded(MaoUnit &Unit, const PassRequest &Req,
     return Options.PassTimeoutMs > 0 &&
            elapsedMs(Start) > static_cast<double>(Options.PassTimeoutMs);
   };
+  auto Timeout = [&]() {
+    return PassTimeoutError("pass " + Req.PassName +
+                            " exceeded its wall-clock budget of " +
+                            std::to_string(Options.PassTimeoutMs) + " ms");
+  };
 
   refreshStructure(Unit);
+  if (Registry.isUnitPass(Req.PassName)) {
+    MaoOptionMap PassOptions = Req.Options;
+    auto Pass = Registry.makeUnitPass(Req.PassName, &PassOptions, &Unit);
+    bool Ok = Pass->go();
+    if (BudgetExceeded())
+      throw Timeout();
+    if (!Ok)
+      return MaoStatus::error("pass " + Req.PassName + " failed");
+    return Pass->transformationCount();
+  }
+  if (!Registry.isFunctionPass(Req.PassName))
+    return MaoStatus::error("unknown pass: " + Req.PassName);
+
+  const bool Shardable = Registry.isShardable(Req.PassName);
   std::vector<MaoFunction> &Fns = Unit.functions();
   const size_t N = Fns.size();
   const uint32_t IdBase = Unit.reserveIdBlocks(N, MaoUnit::ShardIdBlockSize);
+  // A non-shardable pass's functions share one maintained layout, built by
+  // the first function that asks for it and kept current by the edits of
+  // every later one.
+  std::unique_ptr<UnitLayout> Layout;
 
   struct Shard {
     unsigned Count = 0;
@@ -384,8 +361,10 @@ unsigned executeSharded(MaoUnit &Unit, const PassRequest &Req,
     ScopedShardIds Ids(Unit, IdBase + I * MaoUnit::ShardIdBlockSize,
                        IdBase + (I + 1) * MaoUnit::ShardIdBlockSize);
     try {
-      auto Pass = PassRegistry::instance().makeFunctionPass(
-          Req.PassName, &ShardOptions, &Unit, &Fns[I]);
+      auto Pass = Registry.makeFunctionPass(Req.PassName, &ShardOptions,
+                                            &Unit, &Fns[I]);
+      if (!Shardable)
+        Pass->shareRequestState(Layout, Options.Diags);
       bool Ok = Pass->go();
       S.Count = Pass->transformationCount();
       if (!Ok) {
@@ -400,9 +379,14 @@ unsigned executeSharded(MaoUnit &Unit, const PassRequest &Req,
                  " threw an exception on function " + Fns[I].name() + ": " +
                  E.what();
     }
+    // A function that threw inside a layout call can leave the shared
+    // layout out of step with the unit (relax() clears its dirty flag
+    // before it recomputes), so the next function builds a fresh one.
+    if (S.Failed && !Shardable)
+      Layout.reset();
   };
 
-  if (Pool && Pool->workerCount() > 1)
+  if (Shardable && Pool && Pool->workerCount() > 1)
     Pool->parallelFor(N, RunShard);
   else
     for (size_t I = 0; I < N; ++I)
@@ -414,85 +398,52 @@ unsigned executeSharded(MaoUnit &Unit, const PassRequest &Req,
     Count += Shards[I].Count;
     TimedOut |= Shards[I].TimedOut;
     if (Shards[I].Failed)
-      Failures.push_back(
-          {I, Fns[I].name(), Shards[I].Detail, Shards[I].Code});
+      Failures.push_back({I, Shards[I].Detail, Shards[I].Code});
   }
   if (TimedOut || BudgetExceeded())
-    throw PassTimeoutError("pass " + Req.PassName +
-                           " exceeded its wall-clock budget of " +
-                           std::to_string(Options.PassTimeoutMs) + " ms");
+    throw Timeout();
   return Count;
 }
 
-} // namespace
-
-namespace {
-
-/// One committed request plus, for sharded passes that survived a partial
-/// failure, the function indices whose shards were rolled back — replay
+/// One committed request plus, for a function pass that survived a
+/// partial failure, the function indices it was rolled back on — replay
 /// must skip exactly those to reproduce the partial commit.
 struct CommittedReq {
   const PassRequest *Req;
   std::set<size_t> SkipFns;
 };
 
-/// Restores \p Unit to the state after the last committed pass:
-/// materializes the pre-pipeline checkpoint (from the provider on first
-/// use, when one is configured), re-clones it, and re-runs the committed
-/// requests (sharded requests replay through the sharded executor with
-/// their recorded skip set, so partial commits reproduce exactly). The
+/// Restores \p Unit to the state after the last committed pass: re-clones
+/// the pre-pipeline \p Checkpoint and re-runs the committed requests, each
+/// with its recorded skip set, so partial commits reproduce exactly. The
 /// replayed passes are deterministic and already ran to a verified-clean
 /// state once, so the replay reproduces it exactly; fault injection is
 /// suspended and the wall-clock budget waived so the recovery path cannot
-/// itself fail artificially. Returns an error only if the provider or a
-/// replayed pass misbehaves on re-execution — a runner bug or a broken
-/// provider, not a pass failure.
-MaoStatus rollbackToCheckpoint(MaoUnit &Unit, MaoUnit &Checkpoint,
-                               bool &HaveCheckpoint,
+/// itself fail artificially. Returns an error only if a replayed pass
+/// misbehaves on re-execution — a runner bug, not a pass failure.
+MaoStatus rollbackToCheckpoint(MaoUnit &Unit, const MaoUnit &Checkpoint,
                                const std::vector<CommittedReq> &Committed,
                                const PipelineOptions &Options,
                                ThreadPool *Pool) {
   FaultInjector::ScopedSuspend NoInjection;
   if (Options.CollectStats)
     StatsRegistry::instance().counter("pipeline.replays").add();
-  if (!HaveCheckpoint) {
-    ErrorOr<MaoUnit> CheckpointOr = Options.CheckpointProvider();
-    if (!CheckpointOr.ok())
-      return MaoStatus::error("rollback checkpoint provider failed: " +
-                              CheckpointOr.message());
-    Checkpoint = std::move(*CheckpointOr);
-    // A re-parse comes back in the default mode; the replay must lay out
-    // the way the live unit does.
-    Checkpoint.setRelaxMode(Unit.relaxMode());
-    HaveCheckpoint = true;
-  }
   Unit = Checkpoint.clone();
   PipelineOptions ReplayOptions = Options;
   ReplayOptions.PassTimeoutMs = 0;
-  PassRegistry &Registry = PassRegistry::instance();
   for (const CommittedReq &C : Committed) {
-    const PassRequest *Req = C.Req;
+    const std::string Failed = "rollback replay of pass " + C.Req->PassName;
     try {
-      if (Registry.isShardable(Req->PassName)) {
-        std::vector<ShardFailure> ReFailures;
-        executeSharded(Unit, *Req, ReplayOptions, Pool, C.SkipFns,
-                       ReFailures);
-        if (!ReFailures.empty())
-          return MaoStatus::error("rollback replay of pass " +
-                                  Req->PassName + " failed: " +
-                                  ReFailures.front().Detail);
-      } else {
-        std::string FailedFn;
-        ErrorOr<unsigned> CountOr =
-            executeRequest(Unit, *Req, ReplayOptions, FailedFn);
-        if (!CountOr.ok())
-          return MaoStatus::error("rollback replay of pass " +
-                                  Req->PassName + " failed: " +
-                                  CountOr.message());
-      }
+      std::vector<FunctionFailure> ReFailures;
+      ErrorOr<unsigned> CountOr = executePass(Unit, *C.Req, ReplayOptions,
+                                              Pool, C.SkipFns, ReFailures);
+      if (!CountOr.ok())
+        return MaoStatus::error(Failed + " failed: " + CountOr.message());
+      if (!ReFailures.empty())
+        return MaoStatus::error(Failed + " failed: " +
+                                ReFailures.front().Detail);
     } catch (const std::exception &E) {
-      return MaoStatus::error("rollback replay of pass " + Req->PassName +
-                              " threw: " + E.what());
+      return MaoStatus::error(Failed + " threw: " + E.what());
     }
   }
   return MaoStatus::success();
@@ -504,27 +455,23 @@ PipelineResult mao::runPasses(MaoUnit &Unit,
                               const std::vector<PassRequest> &Requests,
                               const PipelineOptions &Options) {
   PipelineResult Result;
-  const bool Transactional = Options.OnError == OnErrorPolicy::Rollback;
   PassRegistry &Registry = PassRegistry::instance();
 
   // Worker pool for shardable passes. Only built when more than one worker
-  // is requested: with one worker the sharded executor runs its (identical)
-  // inline loop, so Jobs=1 costs no thread machinery at all.
+  // is requested: with one worker the executor runs its (identical) inline
+  // loop, so Jobs=1 costs no thread machinery at all.
   std::unique_ptr<ThreadPool> Pool;
   if (Options.Jobs > 1)
     Pool = std::make_unique<ThreadPool>(Options.Jobs);
 
   // Checkpoint-replay transaction scheme: one snapshot of the pre-pipeline
   // unit plus the list of requests that committed since. See the runPasses
-  // contract in the header. With a CheckpointProvider the snapshot is not
-  // even taken until a rollback actually needs it.
+  // contract in the header.
+  const bool Transactional = Options.OnError == OnErrorPolicy::Rollback;
   MaoUnit Checkpoint;
-  bool HaveCheckpoint = false;
   std::vector<CommittedReq> Committed;
-  if (Transactional && !Requests.empty() && !Options.CheckpointProvider) {
+  if (Transactional && !Requests.empty())
     Checkpoint = Unit.clone();
-    HaveCheckpoint = true;
-  }
 
   // Footprint baseline plus outcome finalizer for --mao-report: deltas are
   // measured on committed state (after any rollback/replay resolved), so
@@ -575,63 +522,45 @@ PipelineResult mao::runPasses(MaoUnit &Unit,
     // (unlike the rollback checkpoint, which is per pipeline) because the
     // hook compares each pass's input against its output.
     MaoUnit PrePass;
-    bool HavePrePass = false;
-    if (Options.SemanticCheck) {
+    if (Options.SemanticCheck)
       PrePass = Unit.clone();
-      HavePrePass = true;
-    }
 
     Clock::time_point Start = Clock::now();
     std::string FailureDetail;
     DiagCode FailureCode = DiagCode::PassFailed;
     bool Failed = false;
-    const bool Sharded = Registry.isShardable(Req.PassName);
-    std::vector<ShardFailure> ShardFailures;
+    std::vector<FunctionFailure> FnFailures;
 
-    std::string FailedFn;
     {
       TimelineSpan PassSpan("pass", Req.PassName);
       try {
-        if (Sharded) {
-          // Shardable pass: all functions run (inline or on the pool);
-          // failures are per shard and handled below, so a bad function
-          // cannot abort its siblings mid-request.
-          Outcome.Transformations = executeSharded(
-              Unit, Req, Options, Pool.get(), /*SkipFns=*/{}, ShardFailures);
-          if (!ShardFailures.empty()) {
-            Failed = true;
-            if (Collect)
-              Stats.counter("pipeline.shard_failures")
-                  .add(ShardFailures.size());
-            FailureDetail = "pass " + Req.PassName + " failed on " +
-                            std::to_string(ShardFailures.size()) +
-                            " function(s): ";
-            for (size_t I = 0; I < ShardFailures.size(); ++I) {
-              if (I)
-                FailureDetail += "; ";
-              FailureDetail += ShardFailures[I].FnName;
-            }
-          }
+        // Every function runs; a failing function is handled per function
+        // below, so it cannot abort its siblings mid-request.
+        ErrorOr<unsigned> CountOr = executePass(
+            Unit, Req, Options, Pool.get(), /*SkipFns=*/{}, FnFailures);
+        if (!CountOr.ok()) {
+          Failed = true;
+          FailureDetail = CountOr.message();
+          if (!Registry.knows(Req.PassName))
+            FailureCode = DiagCode::PassUnknown;
         } else {
-          ErrorOr<unsigned> CountOr =
-              executeRequest(Unit, Req, Options, FailedFn);
-          if (CountOr.ok()) {
-            Outcome.Transformations = *CountOr;
-          } else {
-            Failed = true;
-            FailureDetail = CountOr.message();
-            if (!Registry.knows(Req.PassName))
-              FailureCode = DiagCode::PassUnknown;
-          }
+          Outcome.Transformations = *CountOr;
+        }
+        if (!FnFailures.empty()) {
+          Failed = true;
+          if (Collect)
+            Stats.counter("pipeline.shard_failures").add(FnFailures.size());
+          for (const FunctionFailure &F : FnFailures)
+            FailureDetail += (FailureDetail.empty() ? "" : "; ") + F.Detail;
         }
       } catch (const PassTimeoutError &E) {
         Failed = true;
-        ShardFailures.clear(); // Timeout fails the whole request.
+        FnFailures.clear(); // Timeout fails the whole request.
         FailureDetail = E.what();
         FailureCode = DiagCode::PassTimeout;
       } catch (const std::exception &E) {
         Failed = true;
-        ShardFailures.clear();
+        FnFailures.clear();
         FailureDetail =
             "pass " + Req.PassName + " threw an exception: " + E.what();
         FailureCode = DiagCode::PassException;
@@ -658,7 +587,7 @@ PipelineResult mao::runPasses(MaoUnit &Unit,
     // Semantic validation: prove the pass preserved observable behaviour.
     // Runs after the structural verifier so the validator only ever sees
     // structurally sound IR.
-    if (!Failed && Options.SemanticCheck && HavePrePass) {
+    if (!Failed && Options.SemanticCheck) {
       TimelineSpan ValidateSpan("validate", Req.PassName);
       Clock::time_point ValidateStart = Clock::now();
       try {
@@ -666,13 +595,11 @@ PipelineResult mao::runPasses(MaoUnit &Unit,
         Outcome.ValidateMs = elapsedMs(ValidateStart);
         if (!Check.ok()) {
           Failed = true;
-          ShardFailures.clear();
           FailureDetail = Check.message();
           FailureCode = DiagCode::CheckSemanticDiverged;
         }
       } catch (const std::exception &E) {
         Failed = true;
-        ShardFailures.clear();
         FailureDetail = std::string("semantic validator threw after pass ") +
                         Req.PassName + ": " + E.what();
         FailureCode = DiagCode::CheckSemanticDiverged;
@@ -691,12 +618,12 @@ PipelineResult mao::runPasses(MaoUnit &Unit,
 
     Outcome.Detail = FailureDetail;
     if (Options.Diags) {
-      // Shard failures were buffered by the workers; emit them here, on
+      // Function failures were buffered by the shards; emit them here, on
       // the orchestrating thread, in function order — diagnostics output
       // is deterministic no matter how the shards were scheduled.
-      for (const ShardFailure &F : ShardFailures)
+      for (const FunctionFailure &F : FnFailures)
         Options.Diags->error(F.Code, F.Detail, {}, Req.PassName);
-      if (ShardFailures.empty())
+      if (FnFailures.empty())
         Options.Diags->error(FailureCode, FailureDetail, {}, Req.PassName);
     }
 
@@ -709,76 +636,62 @@ PipelineResult mao::runPasses(MaoUnit &Unit,
       Result.Error = FailureDetail;
       return Result;
     case OnErrorPolicy::Rollback: {
+      // The transaction machinery cannot guarantee the unit's state when a
+      // committed pass does not reproduce, so stop hard.
       auto HardStop = [&](const std::string &Why) {
-        // The transaction machinery cannot guarantee the unit's state
-        // (a committed pass did not reproduce, or the recovery re-run
-        // misbehaved), so stop hard.
         Outcome.Status = PassStatus::Failed;
         Outcome.Detail += "; " + Why;
         Finish(Outcome);
         Result.Outcomes.push_back(std::move(Outcome));
         Result.Ok = false;
         Result.Error = Why;
+        return std::move(Result);
       };
-      MaoStatus Restored =
-          rollbackToCheckpoint(Unit, Checkpoint, HaveCheckpoint, Committed,
-                               Options, Pool.get());
-      if (!Restored.ok()) {
-        HardStop(Restored.message());
-        return Result;
-      }
+      if (MaoStatus Restored = rollbackToCheckpoint(Unit, Checkpoint,
+                                                    Committed, Options,
+                                                    Pool.get());
+          !Restored.ok())
+        return HardStop(Restored.message());
       Outcome.Status = PassStatus::RolledBack;
       Outcome.Transformations = 0;
-      if (!ShardFailures.empty()) {
-        // Partial commit: the failing functions' shards are gone with the
-        // rollback, but the surviving shards' edits should not be — re-run
-        // the request with the failed functions skipped. The surviving
-        // shards already succeeded once and passes are deterministic, so
-        // this reapplies exactly their edits; injection is suspended and
-        // the budget waived like any other replay.
-        std::set<size_t> SkipFns;
-        for (const ShardFailure &F : ShardFailures)
-          SkipFns.insert(F.FnIndex);
-        PipelineOptions ReRun = Options;
-        ReRun.PassTimeoutMs = 0;
-        unsigned Count = 0;
-        std::vector<ShardFailure> ReFailures;
+      if (FnFailures.empty())
+        break;
+      // Partial commit: the failing functions' edits are gone with the
+      // rollback, but the other functions' edits should not be — re-run
+      // the request with the failed functions skipped. Those functions
+      // already succeeded once and passes are deterministic, so this
+      // reapplies their edits; injection is suspended and the budget
+      // waived like any other replay.
+      std::set<size_t> SkipFns;
+      for (const FunctionFailure &F : FnFailures)
+        SkipFns.insert(F.FnIndex);
+      PipelineOptions ReRun = Options;
+      ReRun.PassTimeoutMs = 0;
+      std::vector<FunctionFailure> ReFailures;
+      ErrorOr<unsigned> CountOr = [&]() -> ErrorOr<unsigned> {
+        FaultInjector::ScopedSuspend NoInjection;
         try {
-          FaultInjector::ScopedSuspend NoInjection;
-          Count = executeSharded(Unit, Req, ReRun, Pool.get(), SkipFns,
-                                 ReFailures);
+          return executePass(Unit, Req, ReRun, Pool.get(), SkipFns,
+                             ReFailures);
         } catch (const std::exception &E) {
-          HardStop("partial re-run of pass " + Req.PassName +
-                   " threw: " + E.what());
-          return Result;
+          return MaoStatus::error(E.what());
         }
-        if (!ReFailures.empty()) {
-          HardStop("partial re-run of pass " + Req.PassName +
-                   " failed: " + ReFailures.front().Detail);
-          return Result;
-        }
-        bool PartialClean = true;
-        if (Options.VerifyAfterEachPass) {
-          VerifierReport Report = verifyUnit(Unit, Options.PerPassVerify,
-                                             Options.Diags, Req.PassName);
-          if (!Report.clean()) {
-            // The surviving shards only verified in combination with the
-            // failed ones before; alone they are invalid, so drop the
-            // whole pass.
-            PartialClean = false;
-            MaoStatus Dropped =
-                rollbackToCheckpoint(Unit, Checkpoint, HaveCheckpoint,
-                                     Committed, Options, Pool.get());
-            if (!Dropped.ok()) {
-              HardStop(Dropped.message());
-              return Result;
-            }
-          }
-        }
-        if (PartialClean) {
-          Committed.push_back({&Req, std::move(SkipFns)});
-          Outcome.Transformations = Count;
-        }
+      }();
+      // The surviving functions must also stand alone: a function of a
+      // non-shardable pass may have read its failed neighbour's edits, and
+      // any function's edits may only have verified in combination with
+      // them. If not, drop the whole pass.
+      if (CountOr.ok() && ReFailures.empty() &&
+          (!Options.VerifyAfterEachPass ||
+           verifyUnit(Unit, Options.PerPassVerify, Options.Diags,
+                      Req.PassName)
+               .clean())) {
+        Committed.push_back({&Req, std::move(SkipFns)});
+        Outcome.Transformations = *CountOr;
+      } else if (MaoStatus Dropped = rollbackToCheckpoint(
+                     Unit, Checkpoint, Committed, Options, Pool.get());
+                 !Dropped.ok()) {
+        return HardStop(Dropped.message());
       }
       break;
     }

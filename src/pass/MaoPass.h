@@ -83,13 +83,14 @@ public:
   /// The maintained relaxation layout of the unit, built on first use. A
   /// pass that relaxes through it must make every edit of the request
   /// through it too (UnitLayout::insertBefore/erase). The pass runner lends
-  /// every function of a request the same layout (shareRequestState), so
-  /// the walk is built once per request; a pass constructed and run on its
-  /// own builds its own.
+  /// every function of a non-shardable pass's request the same layout
+  /// (shareRequestState), so the walk is built once per request; a pass
+  /// constructed and run on its own, or a shardable one, builds its own.
   UnitLayout &layout();
 
-  /// Called by the pass runner before go(): \p Layout is the request's
-  /// lazily built layout, \p Diags its diagnostics engine (may be null).
+  /// Called by the pass runner before go() of a non-shardable pass: \p
+  /// Layout is the request's lazily built layout, \p Diags its diagnostics
+  /// engine (may be null).
   void shareRequestState(std::unique_ptr<UnitLayout> &Layout,
                          DiagEngine *Diags) {
     LayoutSlot = &Layout;
@@ -130,9 +131,10 @@ public:
   /// (DESIGN.md, "Sharded pass pipeline"): it only edits entries strictly
   /// inside its own function's ranges, never inserts at or before a range
   /// begin, never calls rebuildStructure()/makeUniqueLabel(), and reads
-  /// unit-level tables only. Shardable passes run through the sharded
-  /// executor — inline for --mao-jobs=1, on the worker pool otherwise —
-  /// with per-function failure isolation in both cases.
+  /// unit-level tables only. Shardable passes may run their functions on
+  /// the worker pool (--mao-jobs > 1); every other function pass runs them
+  /// inline, sharing one layout per request. Both get per-function failure
+  /// isolation.
   void registerFunctionPass(const std::string &Name,
                             FunctionPassFactory Factory,
                             bool Shardable = false);
@@ -310,21 +312,11 @@ struct PipelineOptions {
   /// worker pool runs the per-function invocations of shardable passes
   /// concurrently; unit passes and non-shardable function passes are
   /// unaffected (they act as barriers). Results are bit-identical for
-  /// every value of Jobs: shardable passes take the same sharded code
-  /// path inline when Jobs == 1.
+  /// every value of Jobs: every pass takes the same code path, and only
+  /// whether the pool runs its functions depends on Jobs.
   unsigned Jobs = 1;
   /// Structured diagnostics destination; may be null.
   DiagEngine *Diags = nullptr;
-  /// Optional lazy checkpoint source for the rollback policy. When set,
-  /// the runner skips the eager pre-pipeline clone and obtains the
-  /// pre-pipeline unit from this callback on the first rollback instead —
-  /// drivers reconstruct it by re-parsing the source text, so the common
-  /// no-failure path pays no snapshot cost at all. The callback must
-  /// reproduce the exact unit runPasses was handed (re-parsing the same
-  /// text does: parsing is deterministic), except for its relax mode,
-  /// which the runner copies over from the live unit. When unset, the
-  /// runner clones the unit eagerly before the first pass.
-  std::function<ErrorOr<MaoUnit>()> CheckpointProvider;
   /// Optional per-pass semantic validation hook (--mao-validate=semantic,
   /// implemented by check/SemanticValidator). When set, the runner snapshots
   /// the unit before each pass and calls the hook with the pre-pass and
@@ -338,28 +330,27 @@ struct PipelineOptions {
       SemanticCheck;
   /// Measure per-pass instruction/byte footprint deltas and publish
   /// pipeline counters to the StatsRegistry (--mao-report / --stats). The
-  /// footprint walk prices each instruction with the cached encoding
-  /// length (encoding outside the fault-injection draw sequence, like the
-  /// verifier), so enabling stats never perturbs injected faults.
+  /// footprint walk prices each instruction from its entry's length memo,
+  /// encoding the unmemoized ones outside the fault-injection draw
+  /// sequence (like the verifier), so enabling stats never perturbs
+  /// injected faults.
   bool CollectStats = false;
 };
 
 /// Runs the requested passes over \p Unit in command-line order under the
-/// given execution policy. Function passes run over every function;
-/// shardable function passes run each function as an independent shard
-/// (concurrently when Jobs > 1) with failures isolated per function: one
-/// function's failure is rolled back or skipped without discarding the
-/// edits the other functions' shards made. Whole-unit passes and
-/// non-shardable function passes are barriers between sharded regions.
+/// given execution policy. Function passes run each function as its own
+/// shard (concurrently when the pass is shardable and Jobs > 1) with
+/// failures isolated per function: one function's failure is rolled back
+/// or skipped without discarding the edits the other functions made.
+/// Whole-unit passes and non-shardable function passes are barriers
+/// between parallel regions.
 ///
 /// Under OnErrorPolicy::Rollback a failing pass (exception, go()==false,
 /// verifier failure, or timeout) has its edits undone — the unit is left
 /// byte-identical to its pre-pass state — and the remaining passes still
 /// run. Rollback is implemented as checkpoint + replay: the unit is cloned
-/// once before the first pass (or, with a CheckpointProvider, lazily
-/// reconstructed on the first failure), and restoring re-clones that
-/// checkpoint and re-runs the passes that committed since. Passes are
-/// deterministic (any
+/// once before the first pass, and restoring re-clones that checkpoint and
+/// re-runs the passes that committed since. Passes are deterministic (any
 /// randomness is seeded through pass options), so the replay reproduces
 /// the pre-pass state exactly, while the common all-passes-succeed path
 /// pays for one snapshot per pipeline instead of one per pass. Fault

@@ -41,6 +41,7 @@
 #ifndef MAO_SERVE_ARTIFACTCACHE_H
 #define MAO_SERVE_ARTIFACTCACHE_H
 
+#include "support/Hash.h"
 #include "support/Status.h"
 
 #include <atomic>
@@ -52,9 +53,9 @@
 namespace mao {
 namespace serve {
 
-/// 64-bit FNV-1a over \p Data folded into \p Hash (chainable).
-uint64_t fnv1a64(std::string_view Data,
-                 uint64_t Hash = 0xcbf29ce484222325ULL);
+/// The key and checksum hash, also reachable as serve::fnv1a64 (the
+/// benchmark tool keys its cache probes with it).
+using mao::fnv1a64;
 
 /// One cached artifact: named payload sections ("output", "report", ...).
 /// Section order is part of the serialized format and preserved.

@@ -2,8 +2,8 @@
 
 #include "serve/Protocol.h"
 
-#include "serve/ArtifactCache.h" // fnv1a64
 #include "support/FaultInjection.h"
+#include "support/Hash.h"
 
 #include <cerrno>
 #include <cstring>

@@ -2,6 +2,8 @@
 
 #include "support/Diag.h"
 
+#include "support/Hash.h"
+#include "support/Json.h"
 #include "support/Trace.h"
 
 #include <algorithm>
@@ -84,18 +86,11 @@ const char *mao::diagCodeName(DiagCode Code) {
 }
 
 uint64_t mao::diagFingerprint(DiagCode Code, const std::string &Message) {
-  uint64_t H = 1469598103934665603ull; // FNV-1a offset basis
-  auto Mix = [&H](const char *Data, size_t Len) {
-    for (size_t I = 0; I < Len; ++I) {
-      H ^= static_cast<unsigned char>(Data[I]);
-      H *= 1099511628211ull;
-    }
-  };
-  const char *Name = diagCodeName(Code);
-  Mix(Name, std::char_traits<char>::length(Name));
-  Mix("\0", 1);
-  Mix(Message.data(), Message.size());
-  return H;
+  // The basis is one digit short of FNV's offset basis. Baseline files
+  // store these fingerprints, so it stays.
+  uint64_t H = fnv1a64(diagCodeName(Code), 1469598103934665603ull);
+  H = fnv1a64(std::string_view("\0", 1), H);
+  return fnv1a64(Message, H);
 }
 
 std::string mao::diagFingerprintHex(uint64_t Fingerprint) {
@@ -148,40 +143,6 @@ std::string Diagnostic::toString() const {
 DiagSink::~DiagSink() = default;
 
 namespace {
-
-/// Escapes a string for embedding in a JSON string literal.
-std::string jsonEscape(const std::string &S) {
-  std::string Out;
-  Out.reserve(S.size() + 8);
-  for (char C : S) {
-    switch (C) {
-    case '"':
-      Out += "\\\"";
-      break;
-    case '\\':
-      Out += "\\\\";
-      break;
-    case '\n':
-      Out += "\\n";
-      break;
-    case '\t':
-      Out += "\\t";
-      break;
-    case '\r':
-      Out += "\\r";
-      break;
-    default:
-      if (static_cast<unsigned char>(C) < 0x20) {
-        char Buf[8];
-        std::snprintf(Buf, sizeof(Buf), "\\u%04x", C);
-        Out += Buf;
-      } else {
-        Out += C;
-      }
-    }
-  }
-  return Out;
-}
 
 const char *sarifLevel(DiagSeverity Severity) {
   switch (Severity) {

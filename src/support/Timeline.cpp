@@ -2,6 +2,8 @@
 
 #include "support/Timeline.h"
 
+#include "support/Json.h"
+
 #include <algorithm>
 #include <cstdio>
 
@@ -9,33 +11,6 @@ using namespace mao;
 
 namespace {
 std::atomic<Timeline *> ActiveTimeline{nullptr};
-
-void appendEscaped(std::string &Out, const std::string &S) {
-  for (char C : S) {
-    switch (C) {
-    case '"':
-      Out += "\\\"";
-      break;
-    case '\\':
-      Out += "\\\\";
-      break;
-    case '\n':
-      Out += "\\n";
-      break;
-    case '\t':
-      Out += "\\t";
-      break;
-    default:
-      if (static_cast<unsigned char>(C) < 0x20) {
-        char Buf[8];
-        std::snprintf(Buf, sizeof(Buf), "\\u%04x", C);
-        Out += Buf;
-      } else {
-        Out += C;
-      }
-    }
-  }
-}
 } // namespace
 
 Timeline *Timeline::active() {
@@ -104,7 +79,7 @@ std::string Timeline::renderJson() const {
   }
   for (const Event &E : Sorted) {
     Out += ",\n{\"name\":\"";
-    appendEscaped(Out, E.Name);
+    Out += jsonEscape(E.Name);
     std::snprintf(Buf, sizeof(Buf),
                   "\",\"cat\":\"%s\",\"ph\":\"X\",\"ts\":%llu,"
                   "\"dur\":%llu,\"pid\":1,\"tid\":%u}",

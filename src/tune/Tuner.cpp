@@ -4,6 +4,7 @@
 
 #include "asm/Assembler.h"
 #include "pass/MaoPass.h"
+#include "support/Json.h"
 #include "support/Stats.h"
 #include "support/ThreadPool.h"
 #include "support/Timeline.h"
@@ -342,40 +343,6 @@ ErrorOr<TuneResult> mao::tuneUnit(MaoUnit &Unit, const TuneOptions &Options) {
                             PR.Error);
   return R;
 }
-
-namespace {
-
-std::string jsonEscape(const std::string &S) {
-  std::string Out;
-  Out.reserve(S.size() + 2);
-  for (char C : S) {
-    switch (C) {
-    case '"':
-      Out += "\\\"";
-      break;
-    case '\\':
-      Out += "\\\\";
-      break;
-    case '\n':
-      Out += "\\n";
-      break;
-    case '\t':
-      Out += "\\t";
-      break;
-    default:
-      if (static_cast<unsigned char>(C) < 0x20) {
-        char Buf[8];
-        std::snprintf(Buf, sizeof(Buf), "\\u%04x", C);
-        Out += Buf;
-      } else {
-        Out.push_back(C);
-      }
-    }
-  }
-  return Out;
-}
-
-} // namespace
 
 std::string mao::tuneReportJson(const TuneResult &R) {
   std::string Out = "{\n";

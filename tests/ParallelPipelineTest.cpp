@@ -1,6 +1,6 @@
 //===- tests/ParallelPipelineTest.cpp - Sharded pass pipeline tests ----------==//
 //
-// Exercises the function-sharded executor: bit-identical output across
+// Exercises the per-function pass executor: bit-identical output across
 // worker counts (the pipeline's core determinism guarantee), per-shard
 // failure isolation under every on-error policy, and the ThreadPool
 // primitive itself.
@@ -35,11 +35,13 @@ MaoUnit parseOk(const std::string &Text) {
 
 /// Strips every NOP in the function; on functions whose name starts with
 /// "bad" it throws *after* the first removal, leaving a half-done edit
-/// behind — the scenario the per-shard transaction machinery must contain.
-class ShardNopStripPass : public MaoFunctionPass {
+/// behind — the scenario the per-function transaction machinery must
+/// contain.
+class NopStripPass : public MaoFunctionPass {
 public:
-  ShardNopStripPass(MaoOptionMap *Options, MaoUnit *Unit, MaoFunction *Fn)
-      : MaoFunctionPass("TESTSHARDNOP", Options, Unit, Fn) {}
+  NopStripPass(const char *Name, MaoOptionMap *Options, MaoUnit *Unit,
+               MaoFunction *Fn)
+      : MaoFunctionPass(Name, Options, Unit, Fn) {}
   bool go() override {
     const bool Bad = function().name().rfind("bad", 0) == 0;
     std::vector<EntryIter> Doomed;
@@ -56,7 +58,39 @@ public:
     return true;
   }
 };
+
+class ShardNopStripPass : public NopStripPass {
+public:
+  ShardNopStripPass(MaoOptionMap *Options, MaoUnit *Unit, MaoFunction *Fn)
+      : NopStripPass("TESTSHARDNOP", Options, Unit, Fn) {}
+};
 REGISTER_SHARDED_FUNC_PASS("TESTSHARDNOP", ShardNopStripPass)
+
+/// The same pass registered without the sharding contract: it runs inline
+/// at every worker count, through the same executor.
+class InlineNopStripPass : public NopStripPass {
+public:
+  InlineNopStripPass(MaoOptionMap *Options, MaoUnit *Unit, MaoFunction *Fn)
+      : NopStripPass("TESTINLINENOP", Options, Unit, Fn) {}
+};
+REGISTER_FUNC_PASS("TESTINLINENOP", InlineNopStripPass)
+
+/// Strips NOPs like TESTINLINENOP, but fails on f3 while `bad` still has a
+/// NOP: f3's outcome depends on its neighbour's edits, which only a
+/// non-shardable pass may read.
+class NeighbourReadingPass : public NopStripPass {
+public:
+  NeighbourReadingPass(MaoOptionMap *Options, MaoUnit *Unit, MaoFunction *Fn)
+      : NopStripPass("TESTNEIGHBOUR", Options, Unit, Fn) {}
+  bool go() override {
+    if (function().name() == "f3")
+      for (const MaoEntry &E : *unit().findFunction("bad"))
+        if (E.isInstruction() && E.instruction().isNop())
+          return false;
+    return NopStripPass::go();
+  }
+};
+REGISTER_FUNC_PASS("TESTNEIGHBOUR", NeighbourReadingPass)
 
 // Three functions, one NOP each; the middle one fails mid-edit.
 const char *const IsolationAsm = R"(	.text
@@ -108,7 +142,6 @@ RunSnapshot runWithJobs(const std::string &Source, const std::string &PassLine,
   Options.VerifyAfterEachPass = Policy != OnErrorPolicy::Abort;
   Options.Jobs = Jobs;
   Options.CollectStats = true; // Stats must not perturb sharded runs.
-  Options.CheckpointProvider = [Source] { return parseAssembly(Source); };
 
   PipelineResult Result = runPasses(Unit, Requests, Options);
   RunSnapshot Snap;
@@ -378,5 +411,61 @@ bad2:
     EXPECT_EQ(Result.Outcomes[0].Status, PassStatus::RolledBack);
     EXPECT_EQ(Result.Outcomes[0].Transformations, 0u);
     EXPECT_EQ(emitAssembly(Unit), Before);
+  }
+}
+
+TEST(ParallelPipeline, NonShardablePassFailsPerFunctionLikeAShardedOne) {
+  // Shardability only decides whether the pool may run a pass's functions;
+  // a non-shardable pass gets the same per-function failure isolation.
+  // Under rollback only `bad` loses its edit, under skip the functions
+  // after it still run, and under abort the pipeline stops after the
+  // request — the same statuses, counts and bytes as TESTSHARDNOP, at
+  // every worker count.
+  for (OnErrorPolicy Policy :
+       {OnErrorPolicy::Rollback, OnErrorPolicy::Skip, OnErrorPolicy::Abort}) {
+    const RunSnapshot Sharded =
+        runWithJobs(IsolationAsm, "TESTSHARDNOP:ZEE", 1, Policy);
+    for (unsigned Jobs : {1u, 4u}) {
+      const RunSnapshot Inline =
+          runWithJobs(IsolationAsm, "TESTINLINENOP:ZEE", Jobs, Policy);
+      EXPECT_EQ(Inline.Ok, Sharded.Ok) << "jobs=" << Jobs;
+      EXPECT_EQ(Inline.Asm, Sharded.Asm) << "jobs=" << Jobs;
+      EXPECT_EQ(Inline.Statuses, Sharded.Statuses) << "jobs=" << Jobs;
+      EXPECT_EQ(Inline.Counts, Sharded.Counts) << "jobs=" << Jobs;
+    }
+    ASSERT_FALSE(Sharded.Statuses.empty());
+    switch (Policy) {
+    case OnErrorPolicy::Rollback:
+      EXPECT_EQ(Sharded.Statuses[0], PassStatus::RolledBack);
+      EXPECT_EQ(Sharded.Counts[0], 2u);
+      EXPECT_EQ(countNops(parseOk(Sharded.Asm)), 1u);
+      break;
+    case OnErrorPolicy::Skip:
+      EXPECT_EQ(Sharded.Statuses[0], PassStatus::Skipped);
+      EXPECT_EQ(countNops(parseOk(Sharded.Asm)), 0u);
+      break;
+    case OnErrorPolicy::Abort:
+      EXPECT_FALSE(Sharded.Ok);
+      EXPECT_EQ(Sharded.Statuses,
+                std::vector<PassStatus>{PassStatus::Failed});
+      EXPECT_EQ(countNops(parseOk(Sharded.Asm)), 0u);
+      break;
+    }
+  }
+}
+
+TEST(ParallelPipeline, PartialCommitThatFailsAloneDropsWholePass) {
+  // `bad` strips its NOP and throws, which lets f3 pass. The partial
+  // re-run skips `bad`, so f3 now fails: the surviving functions do not
+  // stand alone, and the whole pass is dropped.
+  const std::string Before = emitAssembly(parseOk(IsolationAsm));
+  for (unsigned Jobs : {1u, 4u}) {
+    RunSnapshot Snap = runWithJobs(IsolationAsm, "TESTNEIGHBOUR:ZEE", Jobs);
+    ASSERT_TRUE(Snap.Ok);
+    EXPECT_EQ(Snap.Statuses,
+              (std::vector<PassStatus>{PassStatus::RolledBack,
+                                       PassStatus::Ok}));
+    EXPECT_EQ(Snap.Counts[0], 0u);
+    EXPECT_EQ(Snap.Asm, Before) << "jobs=" << Jobs;
   }
 }

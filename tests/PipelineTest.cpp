@@ -119,13 +119,9 @@ PipelineOptions rollbackOptions() {
   return Options;
 }
 
-TEST(Pipeline, Loop16BuildsOneLayoutAndRelaxesOncePerPad) {
-  // F functions, P of which hold one straddling short loop: one layout
-  // per request, one relaxation up front and one after each pad (P + 1).
-  // A function that inserted nothing leaves the layout clean, so its first
-  // round reuses the previous relaxation instead of walking the unit
-  // again (the whole-unit relaxer paid F + P walks here).
-  const unsigned F = 5, P = 3;
+/// \p F functions, the first \p P of which hold one short loop that
+/// straddles a 16-byte line and that LOOP16 pads.
+std::string shortLoopFunctions(unsigned F, unsigned P) {
   std::string Text = "\t.text\n";
   for (unsigned I = 0; I < F; ++I) {
     const std::string Fn = "f" + std::to_string(I);
@@ -139,7 +135,17 @@ TEST(Pipeline, Loop16BuildsOneLayoutAndRelaxesOncePerPad) {
     Text += "\tret\n\t.size " + Fn + ", .-" + Fn + "\n";
     Text += "\t.p2align 4\n";
   }
-  MaoUnit Unit = parseOk(Text);
+  return Text;
+}
+
+TEST(Pipeline, Loop16BuildsOneLayoutAndRelaxesOncePerPad) {
+  // F functions, P of which hold one straddling short loop: one layout
+  // per request, one relaxation up front and one after each pad (P + 1).
+  // A function that inserted nothing leaves the layout clean, so its first
+  // round reuses the previous relaxation instead of walking the unit
+  // again (the whole-unit relaxer paid F + P walks here).
+  const unsigned F = 5, P = 3;
+  MaoUnit Unit = parseOk(shortLoopFunctions(F, P));
   StatsRegistry &Stats = StatsRegistry::instance();
   Stats.reset();
   PassRequest Req;
@@ -206,41 +212,6 @@ TEST(Pipeline, RemainingPassesRunAfterRollback) {
   EXPECT_TRUE(verifyUnit(Unit).clean());
 }
 
-TEST(Pipeline, RollbackUsesLazyCheckpointProvider) {
-  MaoUnit Unit = parseOk(TestAsm);
-  const std::string Before = emitAssembly(Unit);
-
-  // With a provider the runner takes no eager snapshot: the provider is
-  // consulted exactly once, on the first rollback, and later rollbacks
-  // reuse the materialized checkpoint.
-  unsigned ProviderCalls = 0;
-  PipelineOptions Options = rollbackOptions();
-  Options.CheckpointProvider = [&ProviderCalls]() -> ErrorOr<MaoUnit> {
-    ++ProviderCalls;
-    auto UnitOr = parseAssembly(TestAsm);
-    EXPECT_TRUE(UnitOr.ok());
-    return UnitOr;
-  };
-
-  PipelineResult Result = runPasses(
-      Unit, requests({"REDTEST", "TESTTHROW", "TESTBADIR"}), Options);
-  ASSERT_TRUE(Result.Ok) << Result.Error;
-  EXPECT_EQ(ProviderCalls, 1u);
-  ASSERT_EQ(Result.Outcomes.size(), 3u);
-  EXPECT_EQ(Result.Outcomes[0].Status, PassStatus::Ok);
-  EXPECT_EQ(Result.Outcomes[1].Status, PassStatus::RolledBack);
-  EXPECT_EQ(Result.Outcomes[2].Status, PassStatus::RolledBack);
-  // Both rollbacks land on the post-REDTEST state: REDTEST's edit
-  // survives, the failing passes' edits do not.
-  MaoUnit Expected = parseOk(TestAsm);
-  PipelineResult Ref = runPasses(Expected, requests({"REDTEST"}),
-                                 rollbackOptions());
-  ASSERT_TRUE(Ref.Ok);
-  EXPECT_NE(emitAssembly(Unit), Before);
-  EXPECT_EQ(emitAssembly(Unit), emitAssembly(Expected));
-  EXPECT_TRUE(verifyUnit(Unit).clean());
-}
-
 /// A function whose backward `jne .L0` only the optimal audit shrinks:
 /// LOOP16 pads the .L3 loop by 8 bytes under grow and by 12 under optimal.
 std::string relaxModeSensitiveAsm() {
@@ -260,8 +231,8 @@ std::string relaxModeSensitiveAsm() {
 }
 
 TEST(Pipeline, RollbackReplayKeepsTheUnitsRelaxMode) {
-  // The provider re-parses, which yields a grow-mode unit; the replay of
-  // the committed LOOP16 must still lay out under optimal.
+  // The rollback checkpoint is a clone of the optimal-mode unit, so the
+  // replay of the committed LOOP16 must still lay out under optimal.
   const std::string Text = relaxModeSensitiveAsm();
   auto RunLoop16 = [&](RelaxMode Mode) {
     MaoUnit Unit = parseOk(Text);
@@ -274,15 +245,38 @@ TEST(Pipeline, RollbackReplayKeepsTheUnitsRelaxMode) {
 
   MaoUnit Unit = parseOk(Text);
   Unit.setRelaxMode(RelaxMode::Optimal);
-  PipelineOptions Options = rollbackOptions();
-  Options.CheckpointProvider = [&Text] { return parseAssembly(Text); };
   PipelineResult Result =
-      runPasses(Unit, requests({"LOOP16", "TESTTHROW"}), Options);
+      runPasses(Unit, requests({"LOOP16", "TESTTHROW"}), rollbackOptions());
   ASSERT_TRUE(Result.Ok) << Result.Error;
   ASSERT_EQ(Result.Outcomes.size(), 2u);
   EXPECT_EQ(Result.Outcomes[1].Status, PassStatus::RolledBack);
   EXPECT_EQ(Unit.relaxMode(), RelaxMode::Optimal);
   EXPECT_EQ(emitAssembly(Unit), Optimal);
+}
+
+TEST(Pipeline, RollbackReplaysLoop16AcrossFunctions) {
+  // TESTTHROW fails on every function, so its rollback restores the
+  // checkpoint and replays LOOP16 over all five functions: the result must
+  // be LOOP16 alone, at every worker count.
+  const std::string Text = shortLoopFunctions(5, 3);
+  MaoUnit Alone = parseOk(Text);
+  ASSERT_TRUE(runPasses(Alone, requests({"LOOP16"}), rollbackOptions()).Ok);
+  const std::string Expected = emitAssembly(Alone);
+  ASSERT_NE(Expected, emitAssembly(parseOk(Text)));
+  for (unsigned Jobs : {1u, 4u}) {
+    MaoUnit Unit = parseOk(Text);
+    PipelineOptions Options = rollbackOptions();
+    Options.Jobs = Jobs;
+    PipelineResult Result =
+        runPasses(Unit, requests({"LOOP16", "TESTTHROW"}), Options);
+    ASSERT_TRUE(Result.Ok) << Result.Error;
+    ASSERT_EQ(Result.Outcomes.size(), 2u);
+    EXPECT_EQ(Result.Outcomes[0].Status, PassStatus::Ok);
+    EXPECT_EQ(Result.Outcomes[0].Transformations, 3u);
+    EXPECT_EQ(Result.Outcomes[1].Status, PassStatus::RolledBack);
+    EXPECT_EQ(Result.Outcomes[1].Transformations, 0u);
+    EXPECT_EQ(emitAssembly(Unit), Expected) << "jobs=" << Jobs;
+  }
 }
 
 TEST(Pipeline, SkipPolicyKeepsPartialEdits) {

@@ -19,6 +19,7 @@
 #include "serve/Serve.h"
 #include "support/FaultInjection.h"
 #include "support/Stats.h"
+#include "tune/ScoreCache.h"
 
 #include <gtest/gtest.h>
 
@@ -625,6 +626,19 @@ TEST(CacheRun, JobsAndNameDoNotChangeTheKey) {
   Renamed.Name = "other.s";
   EXPECT_EQ(mao::api::Session::cacheKey(Renamed), Base)
       << "diagnostic-only name leaked into the content key";
+}
+
+TEST(CacheRun, KeysAndDigestsAreStable) {
+  // Persisted caches are addressed by these values, so a refactor of the
+  // hashing must reproduce them exactly.
+  EXPECT_EQ(mao::api::Session::cacheKey(kernelRequest()),
+            0xa117ac6923b3eddcULL);
+  EXPECT_EQ(mao::peepholeRuleDigest(), 0x9557b51ec49a0d27ULL);
+  mao::ScoreCache Scores("core2");
+  mao::SectionBytes Bytes;
+  Bytes[".text"] = {0x90, 0xc3};
+  Bytes[".data"] = {1, 2, 3};
+  EXPECT_EQ(Scores.keyFor(Bytes), 0x2839aa2e38da8da2ULL);
 }
 
 TEST(CacheRun, OutputAffectingInputsSeparateKeys) {

@@ -1,5 +1,8 @@
 //===- tests/SupportTest.cpp - Support-library unit tests --------------------==//
 
+#include "support/Diag.h"
+#include "support/Hash.h"
+#include "support/Json.h"
 #include "support/Options.h"
 #include "support/Random.h"
 #include "support/Status.h"
@@ -109,6 +112,30 @@ TEST(Random, ChanceIsRoughlyCalibrated) {
 }
 
 // --- Status / ErrorOr --------------------------------------------------------
+
+// --- Stable digests and JSON escaping -------------------------------------
+
+TEST(Hash, Fnv1a64KnownAnswers) {
+  // The published FNV-1a 64-bit test vectors.
+  EXPECT_EQ(fnv1a64(""), 0xcbf29ce484222325ULL);
+  EXPECT_EQ(fnv1a64("a"), 0xaf63dc4c8601ec8cULL);
+  EXPECT_EQ(fnv1a64("foobar"), 0x85944171f73967e8ULL);
+  // Chaining folds the second part into the first part's state.
+  EXPECT_EQ(fnv1a64("bar", fnv1a64("foo")), fnv1a64("foobar"));
+}
+
+TEST(Hash, DiagFingerprintIsStable) {
+  // Lint baselines store these values; the digest must never move.
+  EXPECT_EQ(diagFingerprint(DiagCode::PassFailed, "pass X failed"),
+            0x51f0101c94799ae6ULL);
+}
+
+TEST(Json, EscapesQuotesBackslashesAndControls) {
+  EXPECT_EQ(jsonEscape("plain"), "plain");
+  EXPECT_EQ(jsonEscape("a\"b\\c"), "a\\\"b\\\\c");
+  EXPECT_EQ(jsonEscape("\n\t\r"), "\\n\\t\\r");
+  EXPECT_EQ(jsonEscape(std::string("\x01\x1f", 2)), "\\u0001\\u001f");
+}
 
 TEST(Status, SuccessAndError) {
   MaoStatus Ok = MaoStatus::success();
