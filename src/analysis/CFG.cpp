@@ -89,18 +89,29 @@ CFG CFG::build(MaoFunction &Fn) {
   G.Fn = &Fn;
   Fn.HasUnresolvedIndirect = false;
 
-  // Linearize the flow-relevant entries: labels and instructions.
+  // Linearize the flow-relevant entries: labels and instructions. Counting
+  // labels and control transfers here lets block formation below size the
+  // block array, the label map and each block's instruction list once.
   struct FlowEntry {
     EntryIter It;
     bool IsLabel;
+    bool EndsBlock; ///< A branch or return.
   };
   std::vector<FlowEntry> Flow;
+  size_t NumLabels = 0, NumEnds = 0;
   for (auto It = Fn.begin(), E = Fn.end(); It != E; ++It) {
-    if (It->isLabel())
-      Flow.push_back({It.underlying(), true});
-    else if (It->isInstruction())
-      Flow.push_back({It.underlying(), false});
+    if (It->isLabel()) {
+      Flow.push_back({It.underlying(), true, false});
+      ++NumLabels;
+    } else if (It->isInstruction()) {
+      const Instruction &Insn = std::as_const(*It).instruction();
+      const bool Ends = Insn.isBranch() || Insn.isReturn();
+      Flow.push_back({It.underlying(), false, Ends});
+      NumEnds += Ends;
+    }
   }
+  G.Blocks.reserve(NumLabels + NumEnds + 1);
+  G.LabelToBlock.reserve(NumLabels);
 
   // Block formation: labels start new blocks; control transfers end them.
   auto StartNewBlock = [&]() -> BasicBlock & {
@@ -110,7 +121,8 @@ CFG CFG::build(MaoFunction &Fn) {
   };
   StartNewBlock();
   bool BlockOpen = true;
-  for (const FlowEntry &F : Flow) {
+  for (size_t K = 0; K < Flow.size(); ++K) {
+    const FlowEntry &F = Flow[K];
     if (F.IsLabel) {
       if (!G.Blocks.back().empty() || !BlockOpen)
         StartNewBlock();
@@ -123,16 +135,24 @@ CFG CFG::build(MaoFunction &Fn) {
     if (!BlockOpen)
       StartNewBlock();
     BlockOpen = true;
-    G.Blocks.back().Insns.push_back(F.It);
-    const Instruction &Insn = std::as_const(*F.It).instruction();
-    if (Insn.isBranch() || Insn.isReturn())
+    std::vector<EntryIter> &Insns = G.Blocks.back().Insns;
+    if (Insns.empty()) {
+      // The block runs to the next label or through the next transfer.
+      size_t End = K + 1;
+      while (End < Flow.size() && !Flow[End].IsLabel &&
+             !Flow[End - 1].EndsBlock)
+        ++End;
+      Insns.reserve(End - K);
+    }
+    Insns.push_back(F.It);
+    if (F.EndsBlock)
       BlockOpen = false;
   }
 
   // Edges.
   for (unsigned I = 0, E = static_cast<unsigned>(G.Blocks.size()); I != E;
        ++I) {
-    BasicBlock &BB = G.Blocks[I];
+    const BasicBlock &BB = G.Blocks[I];
     const bool HasNext = I + 1 < E;
     if (BB.empty()) {
       if (HasNext)

@@ -56,6 +56,8 @@ public:
   /// Standard tracing facility (level filtered by the "trace" option).
   void trace(int Level, const char *Fmt, ...) const
       __attribute__((format(printf, 3, 4)));
+  /// The level trace() filters against.
+  int traceLevel() const { return Tracer.level(); }
 
   /// Number of code transformations this pass performed (Fig. 7 columns).
   unsigned transformationCount() const { return Transformations; }

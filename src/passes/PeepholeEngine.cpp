@@ -146,11 +146,19 @@ MaoStatus parseWindowGuards(std::string_view Text, uint8_t &DeadFlags) {
 // Fire bookkeeping.
 //===----------------------------------------------------------------------===//
 
+/// Counts one application of \p R, matched at \p At, and reports it to the
+/// context's hook. Call before the rewrite touches \p At.
 void fired(PeepholeContext &Ctx, const PeepholeRule &R,
-           const std::string &Text) {
-  StatsRegistry::instance().counter("peep.fire." + R.Name).add(1);
+           const Instruction &At) {
+  std::atomic<StatCounter *> &Slot = R.Fires.Counter;
+  StatCounter *Counter = Slot.load(std::memory_order_acquire);
+  if (!Counter) {
+    Counter = &StatsRegistry::instance().counter("peep.fire." + R.Name);
+    Slot.store(Counter, std::memory_order_release);
+  }
+  Counter->add(1);
   if (Ctx.OnFire)
-    Ctx.OnFire(R, Text);
+    Ctx.OnFire(R, At.toString());
 }
 
 //===----------------------------------------------------------------------===//
@@ -192,7 +200,7 @@ unsigned runEraseZeroExtend(PeepholeContext &Ctx, const PeepholeRule &R) {
         continue;
       if (!precedingDefZeroExtends(BB, I, Insn.Ops[0].R))
         continue;
-      fired(Ctx, R, Insn.toString());
+      fired(Ctx, R, Insn);
       Ctx.Unit.erase(BB.Insns[I]);
       BB.Insns.erase(BB.Insns.begin() + static_cast<long>(I));
       --I;
@@ -250,7 +258,7 @@ unsigned runEraseRedundantTest(PeepholeContext &Ctx, const PeepholeRule &R) {
         continue;
       if (!precedingAluSetsSameFlags(BB, I, Insn))
         continue;
-      fired(Ctx, R, Insn.toString());
+      fired(Ctx, R, Insn);
       Ctx.Unit.erase(BB.Insns[I]);
       BB.Insns.erase(BB.Insns.begin() + static_cast<long>(I));
       IL.RegLiveAfter.erase(IL.RegLiveAfter.begin() + static_cast<long>(I));
@@ -296,7 +304,7 @@ unsigned runForwardLoad(PeepholeContext &Ctx, const PeepholeRule &R) {
       if (Last.Valid && isRegLoad(Insn) && Insn.W == Last.W &&
           Insn.Ops[0].Mem == Last.Addr &&
           superReg(Insn.Ops[1].R) != superReg(Last.Value)) {
-        fired(Ctx, R, Insn.toString());
+        fired(Ctx, R, Insn);
         Insn.Ops[0] =
             Operand::makeReg(gprWithWidth(superReg(Last.Value), Insn.W));
         ++Fired;
@@ -383,7 +391,7 @@ void foldPair(PeepholeContext &Ctx, const PeepholeRule &R, BasicBlock &BB,
   Instruction &First = BB.Insns[I]->instruction();
   Instruction &Second = BB.Insns[J]->instruction();
   int64_t Net = signedDelta(First) + signedDelta(Second);
-  fired(Ctx, R, First.toString());
+  fired(Ctx, R, First);
   Second.Mn = Net >= 0 ? Mnemonic::ADD : Mnemonic::SUB;
   Second.Ops[0] = Operand::makeImm(Net >= 0 ? Net : -Net);
   Ctx.Unit.erase(BB.Insns[I]);
@@ -483,7 +491,7 @@ unsigned runWindowRule(PeepholeContext &Ctx, const PeepholeRule &R) {
         if (R.DeadFlags &&
             (IL.FlagsLiveAfter[I + R.Pat.size() - 1] & R.DeadFlags))
           continue;
-        fired(Ctx, R, BB.Insns[I]->instruction().toString());
+        fired(Ctx, R, std::as_const(*BB.Insns[I]).instruction());
         applyWindow(Ctx, R, BB, I, Bind);
         ++Fired;
         Restart = true; // Indices and liveness shifted; rescan the block.

@@ -38,6 +38,7 @@
 #include "x86/Instruction.h"
 
 #include <array>
+#include <atomic>
 #include <cstdint>
 #include <functional>
 #include <string>
@@ -45,6 +46,8 @@
 #include <vector>
 
 namespace mao {
+
+class StatCounter;
 
 /// How a rule's pattern/replacement columns are interpreted.
 enum class RuleStrategy : uint8_t {
@@ -90,6 +93,19 @@ struct PeepholeRule {
   std::vector<TemplateInsn> Rep;
   uint8_t DeadFlags = 0; ///< Status flags that must be dead after the window.
   unsigned NumVars = 0;  ///< Distinct register variables bound by Pat.
+
+  /// The rule's `peep.fire.<Name>` counter, resolved by the engine on the
+  /// rule's first fire, so a rule that never fires registers no counter.
+  /// A copy starts unresolved (its Name may be edited).
+  struct FireCounterSlot {
+    FireCounterSlot() = default;
+    FireCounterSlot(const FireCounterSlot &) noexcept {}
+    FireCounterSlot &operator=(const FireCounterSlot &) noexcept {
+      Counter.store(nullptr, std::memory_order_relaxed);
+      return *this;
+    }
+    mutable std::atomic<StatCounter *> Counter{nullptr};
+  } Fires;
 
   /// Renders one compiled template sequence back to its canonical text
   /// ("movq %A, %B ; movq %B, %A"); used by the emitter and for display.
@@ -162,7 +178,8 @@ struct PeepholeContext {
   MaoUnit &Unit;
   MaoFunction &Fn;
   /// Called once per rule application with the rule and the text of the
-  /// instruction (window head) that matched; hooks pass tracing.
+  /// instruction (window head) that matched; hooks pass tracing. Leave it
+  /// empty when nobody listens: the text is rendered only for the hook.
   std::function<void(const PeepholeRule &, const std::string &)> OnFire;
 };
 

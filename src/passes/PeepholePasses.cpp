@@ -36,11 +36,11 @@ public:
       : MaoFunctionPass(PassName, Options, Unit, Fn), Group(Group) {}
 
   bool go() override {
-    PeepholeContext Ctx{unit(), function(),
-                        [this](const PeepholeRule &R, const std::string &At) {
-                          trace(1, "rule %s fired at: %s", R.Name.c_str(),
-                                At.c_str());
-                        }};
+    PeepholeContext Ctx{unit(), function(), nullptr};
+    if (traceLevel() >= 1)
+      Ctx.OnFire = [this](const PeepholeRule &R, const std::string &At) {
+        trace(1, "rule %s fired at: %s", R.Name.c_str(), At.c_str());
+      };
     countTransformation(runPeepholeGroup(Ctx, Group));
     return true;
   }

@@ -10,7 +10,8 @@
 ///
 /// The pass builds a dependence DAG per basic block (register, flag and
 /// conservative memory dependences — MAO has no alias analysis) and emits a
-/// list schedule ordered by critical-path distance-to-exit. The motivating
+/// list schedule ordered by critical-path distance-to-exit; both live in
+/// SchedDag.h and run in near-linear time per block. The motivating
 /// hashing microbenchmark showed a 21% spread between schedules of
 /// independent consumers of one xorl, traced to forwarding-bandwidth limits
 /// visible as RESOURCE_STALLS:RS_FULL.
@@ -19,114 +20,31 @@
 
 #include "pass/MaoPass.h"
 #include "passes/PassUtil.h"
+#include "passes/SchedDag.h"
+#include "support/Stats.h"
 
 #include <algorithm>
+#include <span>
+#include <utility>
 
 using namespace mao;
 
 namespace {
 
-/// Dependence DAG over one basic block's instructions.
-struct DepDag {
-  std::vector<std::vector<unsigned>> Succs;
-  std::vector<unsigned> PredCount;
-  std::vector<unsigned> Priority; // Critical-path length to DAG exit.
+/// SCHED's StatsRegistry counters, resolved once.
+struct SchedCounters {
+  StatCounter &Blocks;   ///< Blocks scheduled (not skipped as small/opaque).
+  StatCounter &DagEdges; ///< Dependence edges built.
+  StatCounter &Moved;    ///< Instructions whose slot changed.
+
+  static SchedCounters &get() {
+    static SchedCounters Counters{
+        StatsRegistry::instance().counter("sched.blocks"),
+        StatsRegistry::instance().counter("sched.dag_edges"),
+        StatsRegistry::instance().counter("sched.moved")};
+    return Counters;
+  }
 };
-
-DepDag buildDag(const std::vector<EntryIter> &Insns, bool FlagsLiveOut) {
-  const size_t N = Insns.size();
-  DepDag Dag;
-  Dag.Succs.assign(N, {});
-  Dag.PredCount.assign(N, 0);
-  Dag.Priority.assign(N, 0);
-
-  std::vector<InstructionEffects> Fx;
-  Fx.reserve(N);
-  for (EntryIter It : Insns)
-    Fx.push_back(It->instruction().effects());
-
-  auto AddEdge = [&](unsigned From, unsigned To) {
-    auto &S = Dag.Succs[From];
-    if (std::find(S.begin(), S.end(), To) != S.end())
-      return;
-    S.push_back(To);
-    ++Dag.PredCount[To];
-  };
-
-  // Register and memory dependences: fully conservative (no renaming is
-  // available to a textual reorder).
-  for (unsigned J = 0; J < N; ++J) {
-    const bool JIsTerminator =
-        Insns[J]->instruction().isBranch() ||
-        Insns[J]->instruction().isReturn();
-    for (unsigned I = 0; I < J; ++I) {
-      const bool Raw = (Fx[I].RegDefs & Fx[J].RegUses) != 0;
-      const bool War = (Fx[I].RegUses & Fx[J].RegDefs) != 0;
-      const bool Waw = (Fx[I].RegDefs & Fx[J].RegDefs) != 0;
-      // No alias analysis: any two memory accesses with a write between
-      // them are ordered.
-      const bool Mem = (Fx[I].MemWrite && (Fx[J].MemRead || Fx[J].MemWrite)) ||
-                       (Fx[I].MemRead && Fx[J].MemWrite);
-      const bool Barrier = Fx[I].Barrier || Fx[J].Barrier;
-      if (Raw || War || Waw || Mem || Barrier || JIsTerminator)
-        AddEdge(I, J);
-    }
-  }
-
-  // Flag dependences are modelled precisely: most x86 ALU instructions
-  // clobber flags nobody reads (the paper's hashing block is exactly
-  // this), and chaining those dead writers would serialize the block. A
-  // flag def is *live* when a reader consumes it before the next def, or
-  // when it is the final def and flags are live-out. Sound ordering:
-  //  - live def -> each of its readers (RAW)
-  //  - every reader -> every subsequent flag def (WAR; dead defs are
-  //    unordered among themselves, so "nearest" is not enough)
-  //  - every flag def -> the next live def (a dead writer must not drift
-  //    into a live def's producer-consumer window)
-  // Everything else — in particular dead def vs. dead def — stays free.
-  {
-    // Identify live defs.
-    std::vector<bool> LiveDef(N, false);
-    int LastDef = -1;
-    for (unsigned J = 0; J < N; ++J) {
-      if (Fx[J].FlagsUse && LastDef >= 0)
-        LiveDef[LastDef] = true;
-      if (Fx[J].FlagsDef)
-        LastDef = static_cast<int>(J);
-    }
-    if (FlagsLiveOut && LastDef >= 0)
-      LiveDef[LastDef] = true;
-
-    std::vector<unsigned> AllReaders, DefsSoFar;
-    int Producer = -1;
-    for (unsigned J = 0; J < N; ++J) {
-      if (Fx[J].FlagsUse) {
-        if (Producer >= 0)
-          AddEdge(static_cast<unsigned>(Producer), J); // RAW
-        AllReaders.push_back(J);
-      }
-      if (Fx[J].FlagsDef) {
-        for (unsigned R : AllReaders)
-          AddEdge(R, J); // WAR: no reader may slip past any later def.
-        if (LiveDef[J])
-          for (unsigned D : DefsSoFar)
-            AddEdge(D, J); // Dead writers must not enter a live window.
-        DefsSoFar.push_back(J);
-        Producer = static_cast<int>(J);
-      }
-    }
-  }
-
-  // Critical-path priorities: longest latency-weighted path to a sink.
-  for (size_t I = N; I-- > 0;) {
-    unsigned Best = 0;
-    for (unsigned S : Dag.Succs[I])
-      Best = std::max(Best, Dag.Priority[S]);
-    Dag.Priority[I] =
-        Best + Insns[I]->instruction().info().Latency;
-  }
-  return Dag;
-}
 
 class ListSchedulePass : public MaoFunctionPass {
 public:
@@ -143,82 +61,96 @@ public:
     if (Window < 0)
       Window = 0;
     FunctionAnalysis FA(function());
+    unsigned Blocks = 0;
     for (BasicBlock &BB : FA.Graph.blocks()) {
       if (BB.Insns.size() < 3)
         continue;
       if (containsOpaque(BB))
         continue;
+      ++Blocks;
       const bool FlagsLiveOut =
           (FA.Liveness.FlagsLiveOut[BB.Index] & FlagsAllStatus) != 0;
-      if (Window == 0 || static_cast<size_t>(Window) >= BB.Insns.size()) {
-        scheduleRange(BB.Insns, FlagsLiveOut);
+      const std::span<const EntryIter> Insns(BB.Insns);
+      if (Window == 0 || static_cast<size_t>(Window) >= Insns.size()) {
+        scheduleRange(Insns, FlagsLiveOut);
         continue;
       }
       // Chunked scheduling: each window is an independent sub-schedule.
       // Non-final chunks treat flags as live-out (a later chunk may read
       // them), which is conservative and keeps every chunk sound.
-      for (size_t Begin = 0; Begin < BB.Insns.size();
+      for (size_t Begin = 0; Begin < Insns.size();
            Begin += static_cast<size_t>(Window)) {
-        size_t End = std::min(Begin + static_cast<size_t>(Window),
-                              BB.Insns.size());
-        std::vector<EntryIter> Chunk(BB.Insns.begin() + Begin,
-                                     BB.Insns.begin() + End);
-        scheduleRange(Chunk, End == BB.Insns.size() ? FlagsLiveOut : true);
+        const size_t Len =
+            std::min(static_cast<size_t>(Window), Insns.size() - Begin);
+        scheduleRange(Insns.subspan(Begin, Len),
+                      Begin + Len == Insns.size() ? FlagsLiveOut : true);
       }
     }
+    SchedCounters &Counters = SchedCounters::get();
+    Counters.Blocks.add(Blocks);
+    Counters.DagEdges.add(DagEdges);
+    Counters.Moved.add(transformationCount());
     trace(1, "func %s: moved %u instructions", function().name().c_str(),
           transformationCount());
     return true;
   }
 
 private:
+  // Reads go through a const view of each entry, which keeps its length
+  // memo; the non-const instruction() would drop it.
   static bool containsOpaque(const BasicBlock &BB) {
     for (EntryIter It : BB.Insns)
-      if (It->instruction().isOpaque())
+      if (std::as_const(*It).instruction().isOpaque())
         return true;
     return false;
   }
 
-  void scheduleRange(std::vector<EntryIter> &Insns, bool FlagsLiveOut) {
+  void scheduleRange(std::span<const EntryIter> Insns, bool FlagsLiveOut) {
     const size_t N = Insns.size();
-    DepDag Dag = buildDag(Insns, FlagsLiveOut);
-
-    // Greedy list scheduling: repeatedly take the ready instruction with
-    // the highest critical-path priority; break ties by original order so
-    // the schedule is deterministic and stable.
-    std::vector<unsigned> Order;
-    Order.reserve(N);
-    std::vector<unsigned> PredLeft = Dag.PredCount;
-    std::vector<bool> Emitted(N, false);
-    for (size_t Step = 0; Step < N; ++Step) {
-      unsigned Best = ~0u;
-      for (unsigned I = 0; I < N; ++I) {
-        if (Emitted[I] || PredLeft[I] != 0)
-          continue;
-        if (Best == ~0u || Dag.Priority[I] > Dag.Priority[Best])
-          Best = I;
-      }
-      assert(Best != ~0u && "dependence DAG has a cycle");
-      Emitted[Best] = true;
-      Order.push_back(Best);
-      for (unsigned S : Dag.Succs[Best])
-        --PredLeft[S];
+    Nodes.resize(N);
+    for (size_t I = 0; I < N; ++I) {
+      const Instruction &Insn = std::as_const(*Insns[I]).instruction();
+      Nodes[I].Fx = Insn.effects();
+      Nodes[I].Latency = Insn.info().Latency;
+      Nodes[I].Terminator = Insn.isBranch() || Insn.isReturn();
     }
+    DagEdges += Scheduler.buildDag(Nodes, FlagsLiveOut).edgeCount();
+    const std::vector<unsigned> &Order = Scheduler.schedule();
 
-    // Apply the permutation by rewriting instruction payloads in place
-    // (entries, and thus their IDs and list positions, stay put).
-    std::vector<Instruction> Old;
-    Old.reserve(N);
-    for (EntryIter It : Insns)
-      Old.push_back(It->instruction());
+    // Apply the permutation one cycle at a time, moving each payload (and
+    // its length memo) into its new slot; slots that keep their payload are
+    // not written. Entries, and thus their IDs and list positions, stay put.
     unsigned Moved = 0;
-    for (size_t Slot = 0; Slot < N; ++Slot) {
-      if (Order[Slot] != Slot)
+    Done.assign(N, false);
+    for (size_t Start = 0; Start < N; ++Start) {
+      if (Done[Start] || Order[Start] == Start)
+        continue;
+      MaoEntry &First = *Insns[Start];
+      const unsigned FirstMemo = First.lengthMemo();
+      Instruction Held = std::move(First.instruction());
+      size_t Slot = Start;
+      for (size_t From = Order[Slot]; From != Start; From = Order[Slot]) {
+        MaoEntry &Src = *Insns[From];
+        const unsigned Memo = Src.lengthMemo();
+        Insns[Slot]->instruction() = std::move(Src.instruction());
+        Insns[Slot]->setLengthMemo(Memo);
+        Done[Slot] = true;
         ++Moved;
-      Insns[Slot]->instruction() = std::move(Old[Order[Slot]]);
+        Slot = From;
+      }
+      Insns[Slot]->instruction() = std::move(Held);
+      Insns[Slot]->setLengthMemo(FirstMemo);
+      Done[Slot] = true;
+      ++Moved;
     }
     countTransformation(Moved);
   }
+
+  ListScheduler Scheduler;
+  // Per-region storage, reused across the function's regions.
+  std::vector<SchedNode> Nodes;
+  std::vector<bool> Done;
+  uint64_t DagEdges = 0;
 };
 
 REGISTER_SHARDED_FUNC_PASS("SCHED", ListSchedulePass)

@@ -2,6 +2,8 @@
 
 #include "x86/Instruction.h"
 
+#include <algorithm>
+#include <array>
 #include <cassert>
 
 using namespace mao;
@@ -66,11 +68,17 @@ namespace {
 /// How an explicit operand participates in the instruction.
 enum class Role { None, Read, Write, ReadWrite, Address };
 
+/// The most explicit operands any modelled form has (3-operand imul).
+constexpr size_t MaxRoleOperands = 3;
+using OperandRoles = std::array<Role, MaxRoleOperands>;
+
 /// Fills \p Roles (parallel to Ops) for the instruction's encoding kind.
-void operandRoles(const Instruction &Insn, std::vector<Role> &Roles) {
+/// Kinds without data operands leave every role None, whatever their
+/// operand count.
+void operandRoles(const Instruction &Insn, OperandRoles &Roles) {
   const EncKind K = Insn.info().Kind;
   const size_t N = Insn.Ops.size();
-  Roles.assign(N, Role::None);
+  Roles.fill(Role::None);
   switch (K) {
   case EncKind::Mov:
   case EncKind::Movx:
@@ -258,9 +266,10 @@ InstructionEffects Instruction::effects() const {
     break;
   }
 
-  std::vector<Role> Roles;
+  OperandRoles Roles;
   operandRoles(*this, Roles);
-  for (size_t I = 0, E = Ops.size(); I != E; ++I) {
+  for (size_t I = 0, E = std::min<size_t>(Ops.size(), MaxRoleOperands); I != E;
+       ++I) {
     const Operand &Op = Ops[I];
     const Role R = Roles[I];
     if (R == Role::None)

@@ -12,14 +12,18 @@
 #include "analysis/Relaxer.h"
 #include "asm/AsmEmitter.h"
 #include "asm/Parser.h"
+#include "ir/Verifier.h"
 #include "pass/MaoPass.h"
+#include "passes/PeepholeEngine.h"
 #include "sim/Emulator.h"
 #include "support/Diag.h"
 #include "support/Stats.h"
+#include "x86/Encoder.h"
 
 #include <gtest/gtest.h>
 
 #include <string>
+#include <thread>
 #include <vector>
 
 using namespace mao;
@@ -126,6 +130,37 @@ TEST(ZEE, PreservesSemantics) {
 	ret
 )"),
                            "ZEE", {Reg::RAX}, Init);
+}
+
+TEST(ZEE, FireCounterExactUnderConcurrentFirstFires) {
+  // A freshly loaded rule table resolves each rule's fire counter on its
+  // first fire; shards of one pass fire concurrently, so several threads
+  // race to that first fire here. Every fire must still be counted once.
+  resetPeepholeRules();
+  std::string Body;
+  for (int I = 0; I < 8; ++I)
+    Body += "\tandl $255, %eax\n\tmovl %eax, %eax\n";
+  const std::string Asm = wrapFunction(Body + "\tret\n");
+  constexpr unsigned Threads = 4;
+  std::vector<MaoUnit> Units;
+  Units.reserve(Threads);
+  for (unsigned T = 0; T < Threads; ++T)
+    Units.push_back(parseOk(Asm));
+  StatCounter &Fires =
+      StatsRegistry::instance().counter("peep.fire.ZEE_SELFMOVE32");
+  const uint64_t Before = Fires.value();
+  std::vector<unsigned> Applied(Threads, 0);
+  std::vector<std::thread> Workers;
+  for (unsigned T = 0; T < Threads; ++T)
+    Workers.emplace_back([&, T] {
+      PeepholeContext Ctx{Units[T], Units[T].functions().front(), nullptr};
+      Applied[T] = runPeepholeGroup(Ctx, "zee");
+    });
+  for (std::thread &W : Workers)
+    W.join();
+  for (unsigned T = 0; T < Threads; ++T)
+    EXPECT_EQ(Applied[T], 8u);
+  EXPECT_EQ(Fires.value() - Before, 8u * Threads);
 }
 
 // --- REDTEST: redundant test removal ----------------------------------------
@@ -770,6 +805,103 @@ TEST(SCHED, PreservesLoopSemantics) {
 	ret
 )"),
                            "SCHED", {Reg::RAX}, Init);
+}
+
+TEST(SCHED, SchedulesFlagReaderWriters) {
+  // adc/sbb read the carry and write all status flags. Each block holds a
+  // chain of them feeding later flag readers (setc, cmov, adc, jne), with
+  // independent work around them for the scheduler to move.
+  MachineState Init;
+  Init.setGpr(Reg::RAX, 0x7fffffffffffffffULL);
+  Init.setGpr(Reg::RBX, 3);
+  Init.setGpr(Reg::RCX, ~0ULL);
+  Init.setGpr(Reg::RDX, 11);
+  Init.setGpr(Reg::RSI, 100);
+  Init.setGpr(Reg::RDI, 0x1234);
+  expectSemanticsPreserved(wrapFunction(R"(	addq $1, %rcx
+	adcq %rbx, %rax
+	imulq $7, %rdi, %r8
+	sbbq %rdx, %rsi
+	setc %dl
+	adcq $0, %rdi
+	movq %r8, %rbx
+	cmovcq %rdi, %rax
+	ret
+)"),
+                           "SCHED",
+                           {Reg::RAX, Reg::RBX, Reg::RDX, Reg::RSI, Reg::RDI,
+                            Reg::R8},
+                           Init);
+  expectSemanticsPreserved(wrapFunction(R"(	movl $0, %eax
+	movl $0, %edx
+	movl $9, %ecx
+.LLOOP:
+	addl $-1, %ecx
+	adcl $3, %eax
+	imull $5, %eax, %esi
+	sbbl $1, %edx
+	addl %esi, %edi
+	testl %ecx, %ecx
+	jne .LLOOP
+	ret
+)"),
+                           "SCHED", {Reg::RAX, Reg::RDX, Reg::RSI, Reg::RDI},
+                           Init);
+}
+
+TEST(SCHED, KeepsLengthMemos) {
+  // Every payload SCHED moves carries its length memo into its new slot,
+  // and the instructions it only reads keep theirs.
+  MaoUnit Unit = parseOk(wrapFunction(R"(	xorl %edi, %ebx
+	subl %ebx, %ecx
+	subl %ebx, %edx
+	movl %ebx, %edi
+	shrl $12, %edi
+	xorl %edi, %edx
+	movq 8(%rsp), %rax
+	addq $1000, %rax
+	ret
+)"));
+  ASSERT_TRUE(relaxUnit(Unit).Converged);
+  size_t Memoized = 0;
+  for (const MaoEntry &E : Unit.entries())
+    if (E.isInstruction() && E.lengthMemo() != 0)
+      ++Memoized;
+  ASSERT_EQ(Memoized, countInstructions(Unit));
+  ASSERT_GT(runPass(Unit, "SCHED"), 0u);
+  for (const MaoEntry &E : Unit.entries()) {
+    if (!E.isInstruction())
+      continue;
+    EXPECT_NE(E.lengthMemo(), 0u) << E.toString();
+    EXPECT_EQ(E.lengthMemo(), instructionLength(E.instruction()))
+        << E.toString();
+  }
+  const VerifierReport Report = verifyUnit(Unit);
+  EXPECT_TRUE(Report.clean()) << Report.firstMessage();
+}
+
+TEST(SCHED, CountsBlocksEdgesAndMoves) {
+  StatsRegistry &Stats = StatsRegistry::instance();
+  const uint64_t Blocks = Stats.counter("sched.blocks").value();
+  const uint64_t Edges = Stats.counter("sched.dag_edges").value();
+  const uint64_t Moved = Stats.counter("sched.moved").value();
+  // Two blocks: the first is too small to schedule.
+  MaoUnit Unit = parseOk(wrapFunction(R"(	movl $1, %eax
+	jmp .LB
+.LB:
+	xorl %edi, %ebx
+	subl %ebx, %ecx
+	subl %ebx, %edx
+	movl %ebx, %edi
+	shrl $12, %edi
+	xorl %edi, %edx
+	ret
+)"));
+  const unsigned Xforms = runPass(Unit, "SCHED");
+  EXPECT_GT(Xforms, 0u);
+  EXPECT_EQ(Stats.counter("sched.blocks").value() - Blocks, 1u);
+  EXPECT_GT(Stats.counter("sched.dag_edges").value() - Edges, 0u);
+  EXPECT_EQ(Stats.counter("sched.moved").value() - Moved, Xforms);
 }
 
 // --- Pipeline / infrastructure ------------------------------------------------
