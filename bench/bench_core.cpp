@@ -148,7 +148,6 @@ int main(int argc, char **argv) {
   OneCore.Jobs = 1;
   const double PipelineSeconds = bestSeconds(3, [&] {
     MaoUnit Unit = CorpusUnit->clone();
-    Unit.rebuildStructure();
     PipelineResult R = runPasses(Unit, Requests, OneCore);
     if (!R.Ok) {
       std::fprintf(stderr, "bench: pipeline failed: %s\n", R.Error.c_str());
@@ -165,7 +164,6 @@ int main(int argc, char **argv) {
   // --- Relaxation convergence, grow vs. optimal. ------------------------
   for (RelaxMode Mode : {RelaxMode::Grow, RelaxMode::Optimal}) {
     MaoUnit Unit = CorpusUnit->clone();
-    Unit.rebuildStructure();
     Unit.setRelaxMode(Mode);
     RelaxationResult Last;
     const double Seconds = bestSeconds(3, [&] { Last = relaxUnit(Unit); });
@@ -190,7 +188,6 @@ int main(int argc, char **argv) {
   bool Identical = true;
   for (unsigned Jobs : {1u, 2u, 4u}) {
     MaoUnit Unit = CorpusUnit->clone();
-    Unit.rebuildStructure();
     PipelineOptions Options;
     Options.Jobs = Jobs;
     PipelineResult R = runPasses(Unit, Requests, Options);

@@ -85,7 +85,6 @@ void runLine(benchmark::State &State, const char *Line) {
   for (auto _ : State) {
     State.PauseTiming();
     MaoUnit Unit = Base->clone();
-    Unit.rebuildStructure();
     State.ResumeTiming();
     PipelineResult R = runPasses(Unit, Requests, Options);
     if (!R.Ok)
@@ -126,7 +125,6 @@ void BM_ShardedSpeedup(benchmark::State &State) {
   using Clock = std::chrono::steady_clock;
   auto RunOne = [&](unsigned Jobs) {
     MaoUnit Unit = Base->clone();
-    Unit.rebuildStructure();
     PipelineOptions Options;
     Options.Jobs = Jobs;
     Clock::time_point T0 = Clock::now();

@@ -271,24 +271,8 @@ EntryIter UnitLayout::insertBefore(EntryIter Pos, MaoEntry Entry) {
   EntryIter New = Unit.insertBefore(Pos, std::move(Entry));
   ++ExpectedEntries;
   Dirty = true;
-
-  if (Pos != Unit.entries().end()) {
-    for (SectionInfo &Info : Unit.sections())
-      for (MaoFunction::Range &R : Info.Ranges)
-        if (R.Begin == Pos)
-          R.Begin = New;
-    // A function range opened by its own label keeps starting there; one
-    // opened by a section re-entry starts at the run's first entry.
-    for (MaoFunction &Fn : Unit.functions()) {
-      if (Pos->isLabel() && Pos->labelName() == Fn.name())
-        continue;
-      for (MaoFunction::Range &R : Fn.ranges())
-        if (R.Begin == Pos)
-          R.Begin = New;
-    }
-  }
   if (!Sec)
-    return New; // No run to join: unwalked until the next rebuild.
+    return New; // No run to join: outside MaoUnit's edit contract.
 
   LengthMemoTally Tally;
   const Slot S = makeSlot(*New, Tally);
@@ -306,20 +290,7 @@ EntryIter UnitLayout::insertBefore(EntryIter Pos, MaoEntry Entry) {
 
 EntryIter UnitLayout::erase(EntryIter Pos) {
   auto [Sec, Index] = locate(Pos);
-  const EntryIter Next = std::next(Pos);
-  auto Retarget = [&](MaoFunction::Range &R) {
-    if (R.Begin == Pos)
-      R.Begin = Next;
-    if (R.End == Pos)
-      R.End = Next;
-  };
-  for (SectionInfo &Info : Unit.sections())
-    for (MaoFunction::Range &R : Info.Ranges)
-      Retarget(R);
-  for (MaoFunction &Fn : Unit.functions())
-    for (MaoFunction::Range &R : Fn.ranges())
-      Retarget(R);
-  Unit.erase(Pos);
+  const EntryIter Next = Unit.erase(Pos);
   --ExpectedEntries;
   Dirty = true;
 

@@ -100,9 +100,8 @@ struct LengthMemoTally {
 /// is alive is a bug (caught by an entry-count assert).
 class UnitLayout {
 public:
-  /// Builds the walk of \p Unit. Requires rebuildStructure() to have run
-  /// since the last structural change. \p Diags (when non-null) receives
-  /// the iteration-limit warning.
+  /// Builds the walk of \p Unit's section runs. \p Diags (when non-null)
+  /// receives the iteration-limit warning.
   explicit UnitLayout(MaoUnit &Unit, DiagEngine *Diags = nullptr);
 
   UnitLayout(const UnitLayout &) = delete;
@@ -121,14 +120,11 @@ public:
   /// filled in.
   RelaxationResult takeResult();
 
-  /// Inserts \p Entry before \p Pos in the unit and in the walk. When
-  /// \p Pos begins a section run, or a function range other than at the
-  /// function's own label, the run or range now begins at the new entry,
-  /// as rebuildStructure() would place it. Returns the new entry.
+  /// Inserts \p Entry before \p Pos in the unit (which keeps its views
+  /// current, see MaoUnit) and in the walk. Returns the new entry.
   EntryIter insertBefore(EntryIter Pos, MaoEntry Entry);
 
-  /// Erases \p Pos from the unit and the walk; section runs and function
-  /// ranges bounded by it move to the next entry. Returns that entry.
+  /// Erases \p Pos from the unit and the walk. Returns the next entry.
   EntryIter erase(EntryIter Pos);
 
 private:
@@ -185,9 +181,8 @@ private:
 };
 
 /// Relaxes every section of \p Unit once: builds a UnitLayout, relaxes it
-/// and returns the result with its label maps. Requires rebuildStructure()
-/// to have run since the last structural change. See UnitLayout::relax()
-/// for the iteration-limit contract.
+/// and returns the result with its label maps. See UnitLayout::relax() for
+/// the iteration-limit contract.
 RelaxationResult relaxUnit(MaoUnit &Unit, DiagEngine *Diags = nullptr);
 
 /// Returns the layout size in bytes of \p Entry at \p Address: the encoded

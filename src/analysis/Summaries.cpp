@@ -159,7 +159,7 @@ FunctionSummary computeOne(const CallGraph &CG, unsigned FnIdx, CFG &G,
   const CallGraph::Node &N = CG.node(FnIdx);
   MaoFunction &Fn = *N.Fn;
 
-  if (Fn.HasOpaqueInstructions || emitsOpaqueBytes(Fn))
+  if (Fn.hasOpaqueInstructions() || emitsOpaqueBytes(Fn))
     return conservativeSummary(N);
 
   FunctionSummary S;

@@ -783,9 +783,7 @@ LintResult mao::lintUnit(MaoUnit &Unit, const LintOptions &Options,
       }
     }
 
-    Unit.rebuildStructure();
     std::vector<MaoFunction> &Fns = Unit.functions();
-    (void)Unit.labelMap(); // Force the lazy build before parallel readers.
     size_t N = Fns.size();
 
     unsigned Workers =

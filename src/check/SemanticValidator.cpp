@@ -335,9 +335,6 @@ void Validator::checkFunction(MaoFunction &FnB, MaoFunction &FnA) {
 }
 
 ValidationReport Validator::run() {
-  Before.rebuildStructure();
-  After.rebuildStructure();
-
   for (MaoFunction &FnB : Before.functions()) {
     MaoFunction *FnA = After.findFunction(FnB.name());
     if (!FnA) {

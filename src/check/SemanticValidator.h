@@ -51,8 +51,6 @@ struct ValidationReport {
 };
 
 /// Validates that \p After is observably equivalent to \p Before.
-/// Rebuilds the derived structure of both units (checkpoints are taken with
-/// MaoUnit::clone(), which skips it).
 ValidationReport validateSemantics(MaoUnit &Before, MaoUnit &After);
 
 } // namespace mao

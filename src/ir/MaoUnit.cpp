@@ -2,129 +2,12 @@
 
 #include "ir/MaoUnit.h"
 
+#include "support/Stats.h"
+
 #include <cassert>
 #include <utility>
 
 using namespace mao;
-
-std::string MaoEntry::toString() const {
-  switch (EntryKind) {
-  case Kind::Label:
-    return LabelName + ":";
-  case Kind::Instruction:
-    return "\t" + Insn.toString();
-  case Kind::Directive: {
-    std::string Out = "\t" + Dir.Name;
-    for (size_t I = 0, E = Dir.Args.size(); I != E; ++I) {
-      Out += I == 0 ? "\t" : ", ";
-      Out += Dir.Args[I];
-    }
-    return Out;
-  }
-  }
-  assert(false && "covered switch");
-  return "";
-}
-
-std::vector<MaoEntry *> MaoFunction::instructionEntries() const {
-  std::vector<MaoEntry *> Result;
-  for (auto It = begin(), E = end(); It != E; ++It)
-    if (It->isInstruction())
-      Result.push_back(&*It);
-  return Result;
-}
-
-size_t MaoFunction::countInstructions() const {
-  size_t N = 0;
-  for (auto It = begin(), E = end(); It != E; ++It)
-    if (It->isInstruction())
-      ++N;
-  return N;
-}
-
-MaoUnit MaoUnit::clone() const {
-  // Derived views are deliberately NOT rebuilt: a snapshot that is only
-  // ever restored (via move-assignment, which rebuilds) or discarded never
-  // needs them, and the rebuild would double the per-pass snapshot cost in
-  // the transactional pipeline. Callers that inspect the copy's sections,
-  // functions, or labels must call rebuildStructure() first.
-  MaoUnit Copy;
-  Copy.Entries = Entries;
-  Copy.NextEntryId = NextEntryId;
-  Copy.NextLabelId = NextLabelId;
-  Copy.Mode = Mode;
-  // The copy's views are lazily rebuilt on first access (they cannot be
-  // copied: they hold iterators into *our* entry list).
-  Copy.StructureDirty = true;
-  return Copy;
-}
-
-thread_local ScopedShardIds::Alloc ScopedShardIds::Active{nullptr, 0, 0};
-
-ScopedShardIds::ScopedShardIds(MaoUnit &Unit, uint32_t Begin, uint32_t End)
-    : Saved(Active) {
-  Active = {&Unit, Begin, End};
-}
-
-ScopedShardIds::~ScopedShardIds() { Active = Saved; }
-
-uint32_t MaoUnit::nextId() {
-  ScopedShardIds::Alloc &A = ScopedShardIds::Active;
-  if (A.Unit == this && A.Next < A.End)
-    return A.Next++;
-  return NextEntryId++;
-}
-
-uint32_t MaoUnit::reserveIdBlocks(size_t Count, uint32_t BlockSize) {
-  uint32_t Base = NextEntryId;
-  NextEntryId += static_cast<uint32_t>(Count) * BlockSize;
-  return Base;
-}
-
-EntryIter MaoUnit::append(MaoEntry Entry) {
-  std::lock_guard<std::mutex> Lock(StructuralM);
-  Entry.Id = nextId();
-  return Entries.insert(Entries.end(), std::move(Entry));
-}
-
-EntryIter MaoUnit::insertBefore(EntryIter Pos, MaoEntry Entry) {
-  std::lock_guard<std::mutex> Lock(StructuralM);
-  Entry.Id = nextId();
-  StructureEdited = true;
-  return Entries.insert(Pos, std::move(Entry));
-}
-
-EntryIter MaoUnit::insertAfter(EntryIter Pos, MaoEntry Entry) {
-  assert(Pos != Entries.end() && "cannot insert after end()");
-  std::lock_guard<std::mutex> Lock(StructuralM);
-  Entry.Id = nextId();
-  StructureEdited = true;
-  return Entries.insert(std::next(Pos), std::move(Entry));
-}
-
-EntryIter MaoUnit::erase(EntryIter Pos) {
-  std::lock_guard<std::mutex> Lock(StructuralM);
-  StructureEdited = true;
-  return Entries.erase(Pos);
-}
-
-void MaoUnit::moveRange(EntryIter First, EntryIter Last, EntryIter Before) {
-  std::lock_guard<std::mutex> Lock(StructuralM);
-  StructureEdited = true;
-  Entries.splice(Before, Entries, First, Last);
-}
-
-MaoFunction *MaoUnit::findFunction(const std::string &Name) {
-  ensureStructure();
-  for (MaoFunction &Fn : Functions)
-    if (Fn.name() == Name)
-      return &Fn;
-  return nullptr;
-}
-
-std::string MaoUnit::makeUniqueLabel() {
-  return ".LMAO" + std::to_string(NextLabelId++);
-}
 
 namespace {
 
@@ -169,14 +52,233 @@ std::string trimmed(const std::string &S) {
   return S.substr(B, E - B + 1);
 }
 
+/// Calls \p F on every range of \p V, with the function it belongs to
+/// (null for a section run).
+template <class FnT> void forEachRange(UnitViews &V, FnT F) {
+  for (SectionInfo &Sec : V.Sections)
+    for (MaoFunction::Range &R : Sec.Ranges)
+      F(R, nullptr);
+  for (MaoFunction &Fn : V.Functions)
+    for (MaoFunction::Range &R : Fn.ranges())
+      F(R, &Fn);
+}
+
 } // namespace
 
-void MaoUnit::rebuildStructure() {
-  StructureDirty = false;
-  StructureEdited = false;
-  Labels.clear();
-  Sections.clear();
-  Functions.clear();
+std::string MaoEntry::toString() const {
+  switch (EntryKind) {
+  case Kind::Label:
+    return LabelName + ":";
+  case Kind::Instruction:
+    return "\t" + Insn.toString();
+  case Kind::Directive: {
+    std::string Out = "\t" + Dir.Name;
+    for (size_t I = 0, E = Dir.Args.size(); I != E; ++I) {
+      Out += I == 0 ? "\t" : ", ";
+      Out += Dir.Args[I];
+    }
+    return Out;
+  }
+  }
+  assert(false && "covered switch");
+  return "";
+}
+
+std::vector<MaoEntry *> MaoFunction::instructionEntries() const {
+  std::vector<MaoEntry *> Result;
+  for (auto It = begin(), E = end(); It != E; ++It)
+    if (It->isInstruction())
+      Result.push_back(&*It);
+  return Result;
+}
+
+size_t MaoFunction::countInstructions() const {
+  size_t N = 0;
+  for (auto It = begin(), E = end(); It != E; ++It)
+    if (It->isInstruction())
+      ++N;
+  return N;
+}
+
+bool MaoFunction::hasOpaqueInstructions() const {
+  for (auto It = begin(), E = end(); It != E; ++It)
+    if (It->isInstruction() && std::as_const(*It).instruction().isOpaque())
+      return true;
+  return false;
+}
+
+MaoUnit &MaoUnit::operator=(MaoUnit &&Other) noexcept {
+  if (this == &Other)
+    return *this;
+  // The source's end() is a sentinel inside the source object, so ranges
+  // that end (or, emptied, begin) there are repointed at ours.
+  const EntryIter OtherEnd = Other.Entries.end();
+  // Order matters: destroy our nodes while our own arena is still alive
+  // (the list move-assign clears *this through the old allocator first),
+  // then drop the old arena.
+  Entries = std::move(Other.Entries);
+  IrArena = std::move(Other.IrArena);
+  Interner = std::move(Other.Interner);
+  Views = std::move(Other.Views);
+  NextEntryId = Other.NextEntryId;
+  NextLabelId = Other.NextLabelId;
+  Mode = Other.Mode;
+  forEachRange(Views, [&](MaoFunction::Range &R, MaoFunction *) {
+    if (R.Begin == OtherEnd)
+      R.Begin = Entries.end();
+    if (R.End == OtherEnd)
+      R.End = Entries.end();
+  });
+  for (MaoFunction &Fn : Views.Functions)
+    Fn.Unit = this;
+  Other.IrArena = std::make_shared<Arena>();
+  Other.Interner = std::make_unique<StringInterner>(Other.IrArena.get());
+  Other.Entries = EntryList(ArenaAllocator<MaoEntry>(Other.IrArena.get()));
+  Other.Views = UnitViews();
+  return *this;
+}
+
+MaoUnit MaoUnit::clone() const {
+  MaoUnit Copy;
+  Copy.Entries = Entries;
+  Copy.NextEntryId = NextEntryId;
+  Copy.NextLabelId = NextLabelId;
+  Copy.Mode = Mode;
+  // The views cannot be copied: they hold iterators into *our* list.
+  Copy.rebuildStructure();
+  return Copy;
+}
+
+thread_local ScopedShardIds::Alloc ScopedShardIds::Active{nullptr, 0, 0};
+
+ScopedShardIds::ScopedShardIds(MaoUnit &Unit, uint32_t Begin, uint32_t End)
+    : Saved(Active) {
+  Active = {&Unit, Begin, End};
+}
+
+ScopedShardIds::~ScopedShardIds() { Active = Saved; }
+
+uint32_t MaoUnit::nextId() {
+  ScopedShardIds::Alloc &A = ScopedShardIds::Active;
+  if (A.Unit == this && A.Next < A.End)
+    return A.Next++;
+  return NextEntryId++;
+}
+
+uint32_t MaoUnit::reserveIdBlocks(size_t Count, uint32_t BlockSize) {
+  uint32_t Base = NextEntryId;
+  NextEntryId += static_cast<uint32_t>(Count) * BlockSize;
+  return Base;
+}
+
+EntryIter MaoUnit::append(MaoEntry Entry) {
+  std::lock_guard<std::mutex> Lock(StructuralM);
+  Entry.Id = nextId();
+  return Entries.insert(Entries.end(), std::move(Entry));
+}
+
+bool MaoUnit::definesStructure(const MaoEntry &E) const {
+  if (isSectionDirective(E) || E.isDirective(DirKind::Type) ||
+      E.isDirective(DirKind::Size))
+    return true;
+  if (E.isLabel())
+    for (const MaoFunction &Fn : Views.Functions)
+      if (Fn.name() == E.labelName())
+        return true;
+  return false;
+}
+
+bool MaoUnit::startsRun(EntryIter Pos) {
+  return Pos == Entries.begin() || Pos == Entries.end() ||
+         isSectionDirective(*std::prev(Pos));
+}
+
+void MaoUnit::moveBeginsBefore(EntryIter Pos, EntryIter New) {
+  const bool AtLabel = Pos != Entries.end() && Pos->isLabel();
+  forEachRange(Views, [&](MaoFunction::Range &R, MaoFunction *Fn) {
+    if (R.Begin == Pos && !(Fn && AtLabel && Pos->labelName() == Fn->name()))
+      R.Begin = New;
+  });
+}
+
+EntryIter MaoUnit::insertLocked(EntryIter Pos, MaoEntry Entry) {
+  assert(!definesStructure(Entry) && "edit the views cannot follow");
+  const bool AtRunStart = startsRun(Pos);
+  Entry.Id = nextId();
+  EntryIter New = Entries.insert(Pos, std::move(Entry));
+  if (AtRunStart)
+    moveBeginsBefore(Pos, New);
+  if (New->isLabel())
+    Views.Labels.try_emplace(New->labelName(), New);
+  return New;
+}
+
+EntryIter MaoUnit::insertBefore(EntryIter Pos, MaoEntry Entry) {
+  std::lock_guard<std::mutex> Lock(StructuralM);
+  return insertLocked(Pos, std::move(Entry));
+}
+
+EntryIter MaoUnit::insertAfter(EntryIter Pos, MaoEntry Entry) {
+  assert(Pos != Entries.end() && "cannot insert after end()");
+  std::lock_guard<std::mutex> Lock(StructuralM);
+  return insertLocked(std::next(Pos), std::move(Entry));
+}
+
+EntryIter MaoUnit::erase(EntryIter Pos) {
+  std::lock_guard<std::mutex> Lock(StructuralM);
+  // Erasing a function label, .type or .size is outside the contract too,
+  // but UnitLayout's differential test does it on purpose; the full
+  // verifier reports the stale view.
+  assert(!isSectionDirective(*Pos) && "edit the views cannot follow");
+  const EntryIter Next = std::next(Pos);
+  // Range ends sit on section directives, labels, .size and end(), so an
+  // instruction only bounds a range when it starts a run.
+  if (!Pos->isInstruction() || startsRun(Pos))
+    forEachRange(Views, [&](MaoFunction::Range &R, MaoFunction *) {
+      if (R.Begin == Pos)
+        R.Begin = Next;
+      if (R.End == Pos)
+        R.End = Next;
+    });
+  if (Pos->isLabel()) {
+    auto Bound = Views.Labels.find(Pos->labelName());
+    if (Bound != Views.Labels.end() && Bound->second == Pos) {
+      // The key views Pos's own name, so it goes before Pos does.
+      Views.Labels.erase(Bound);
+      for (EntryIter It = Next; It != Entries.end(); ++It)
+        if (It->isLabel() && It->labelName() == Pos->labelName()) {
+          Views.Labels.emplace(It->labelName(), It);
+          break;
+        }
+    }
+  }
+  return Entries.erase(Pos);
+}
+
+void MaoUnit::moveRange(EntryIter First, EntryIter Last, EntryIter Before) {
+  std::lock_guard<std::mutex> Lock(StructuralM);
+  const bool AtRunStart = startsRun(Before);
+  Entries.splice(Before, Entries, First, Last);
+  if (AtRunStart && First != Last)
+    moveBeginsBefore(Before, First);
+}
+
+MaoFunction *MaoUnit::findFunction(const std::string &Name) {
+  for (MaoFunction &Fn : Views.Functions)
+    if (Fn.name() == Name)
+      return &Fn;
+  return nullptr;
+}
+
+std::string MaoUnit::makeUniqueLabel() {
+  return ".LMAO" + std::to_string(NextLabelId++);
+}
+
+UnitViews MaoUnit::deriveViews() {
+  static StatCounter &Builds =
+      StatsRegistry::instance().counter("ir.structure_builds");
+  Builds.add();
+  UnitViews V;
 
   // Pass 1: label map and the set of symbols declared @function.
   std::unordered_map<std::string, bool> IsFunctionSym;
@@ -186,7 +288,7 @@ void MaoUnit::rebuildStructure() {
     // the first one, and the emulator binds the same way. The parser warns
     // (MAO-parse-duplicate-label) and the full verifier rejects.
     if (E.isLabel())
-      Labels.try_emplace(E.labelName(), It);
+      V.Labels.try_emplace(E.labelName(), It);
     if (E.isDirective(DirKind::Type)) {
       const Directive &Dir = E.directive();
       const std::string &TypeArg = Dir.arg(1);
@@ -198,11 +300,11 @@ void MaoUnit::rebuildStructure() {
   // Pass 2: sections. A section's ranges restart whenever the section is
   // re-entered.
   auto findSection = [&](const std::string &Name) -> SectionInfo & {
-    for (SectionInfo &S : Sections)
+    for (SectionInfo &S : V.Sections)
       if (S.Name == Name)
         return S;
-    Sections.push_back(SectionInfo{Name, isCodeSectionName(Name), {}});
-    return Sections.back();
+    V.Sections.push_back(SectionInfo{Name, isCodeSectionName(Name), {}});
+    return V.Sections.back();
   };
 
   std::string CurSection = ".text";
@@ -232,11 +334,10 @@ void MaoUnit::rebuildStructure() {
     OpenFn = nullptr;
   };
 
-  // Functions is grown with reserve-free push_back; keep stable pointers by
-  // using indices into a deque-like two-phase build: first record
-  // boundaries, then fill. Simpler: reserve generously.
+  // OpenFn points into Functions, so reserve enough up front that no
+  // emplace_back reallocates.
   size_t FunctionCount = IsFunctionSym.size();
-  Functions.reserve(FunctionCount + 1);
+  V.Functions.reserve(FunctionCount + 1);
 
   for (EntryIter It = Entries.begin(), E = Entries.end(); It != E; ++It) {
     if (isSectionDirective(*It)) {
@@ -255,10 +356,10 @@ void MaoUnit::rebuildStructure() {
       auto FnIt = IsFunctionSym.find(It->labelName());
       if (FnIt != IsFunctionSym.end()) {
         closeFunction(It);
-        assert(Functions.size() < FunctionCount + 1 &&
+        assert(V.Functions.size() < FunctionCount + 1 &&
                "function vector reallocation would invalidate pointers");
-        Functions.emplace_back(It->labelName(), this);
-        OpenFn = &Functions.back();
+        V.Functions.emplace_back(It->labelName(), this);
+        OpenFn = &V.Functions.back();
         FnRunBegin = It;
         FnRunOpen = true;
         continue;
@@ -272,16 +373,10 @@ void MaoUnit::rebuildStructure() {
   }
   closeSectionRun(Entries.end());
   closeFunction(Entries.end());
-
-  // Mark functions containing opaque instructions.
-  for (MaoFunction &Fn : Functions)
-    for (auto It = Fn.begin(), E2 = Fn.end(); It != E2; ++It)
-      if (It->isInstruction() &&
-          std::as_const(*It).instruction().isOpaque()) {
-        Fn.HasOpaqueInstructions = true;
-        break;
-      }
+  return V;
 }
+
+void MaoUnit::rebuildStructure() { Views = deriveViews(); }
 
 std::string MaoUnit::toString() const {
   std::string Out;

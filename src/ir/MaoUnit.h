@@ -138,14 +138,16 @@ public:
   /// Counts instruction entries.
   size_t countInstructions() const;
 
+  /// True when the function contains opaque (unmodelled) instructions,
+  /// which make computed addresses estimates; walks the function.
+  bool hasOpaqueInstructions() const;
+
   /// Set when the CFG builder could not resolve an indirect branch in this
   /// function; passes decide whether to proceed (paper Sec. II).
   bool HasUnresolvedIndirect = false;
-  /// Set when the function contains opaque (unmodelled) instructions, which
-  /// make computed addresses estimates rather than exact values.
-  bool HasOpaqueInstructions = false;
 
 private:
+  friend class MaoUnit;
   std::string Name;
   MaoUnit *Unit;
   std::vector<Range> Ranges;
@@ -159,7 +161,23 @@ struct SectionInfo {
   std::vector<MaoFunction::Range> Ranges;
 };
 
-/// The IR for one assembly file.
+/// The views a unit keeps over its entry list (see MaoUnit).
+struct UnitViews {
+  std::vector<SectionInfo> Sections;
+  std::vector<MaoFunction> Functions;
+  /// Label name -> the defining entry. Keys are views into entry-owned
+  /// storage (stable: list nodes never move).
+  std::unordered_map<std::string_view, EntryIter> Labels;
+};
+
+/// The IR for one assembly file. Its views (sections, functions,
+/// labelMap()) are current from birth: the parser derives them, clone()
+/// derives them on the copy, moves carry them, and insertBefore/
+/// insertAfter/erase keep them current (the edit contract is in
+/// DESIGN.md, "Unit views"). Inserting or erasing section directives,
+/// function labels, `.type` or `.size`, inserting outside every section
+/// run and a moveRange() that moves a range endpoint are outside it; the
+/// caller must then call rebuildStructure().
 class MaoUnit {
 public:
   MaoUnit()
@@ -168,51 +186,17 @@ public:
         Entries(ArenaAllocator<MaoEntry>(IrArena.get())) {}
   MaoUnit(const MaoUnit &) = delete;
   MaoUnit &operator=(const MaoUnit &) = delete;
-  // Sections and functions hold iterators into the entry list (including
-  // end(), which does not survive a list move) and back-pointers to the
-  // unit, so moves must rebuild the derived structure. The entry list's
-  // allocator propagates on move, so the nodes stay where they are and the
-  // arena travels with them (O(1), no per-node copy); the moved-from unit
-  // is reset to a fresh arena so it remains usable.
+  // The entry list's allocator propagates on move, so the nodes stay where
+  // they are and the arena travels with them (O(1), no per-node copy), and
+  // so do the views; the moved-from unit is reset to a fresh arena so it
+  // remains usable.
   MaoUnit(MaoUnit &&Other) noexcept : MaoUnit() { *this = std::move(Other); }
-  MaoUnit &operator=(MaoUnit &&Other) noexcept {
-    if (this == &Other)
-      return *this;
-    // Order matters: destroy our nodes while our own arena is still alive
-    // (the list move-assign clears *this through the old allocator first),
-    // then drop the old arena.
-    Entries = std::move(Other.Entries);
-    IrArena = std::move(Other.IrArena);
-    Interner = std::move(Other.Interner);
-    NextEntryId = Other.NextEntryId;
-    NextLabelId = Other.NextLabelId;
-    Mode = Other.Mode;
-    Other.IrArena = std::make_shared<Arena>();
-    Other.Interner = std::make_unique<StringInterner>(Other.IrArena.get());
-    Other.Entries = EntryList(ArenaAllocator<MaoEntry>(Other.IrArena.get()));
-    Other.Functions.clear();
-    Other.Sections.clear();
-    Other.Labels.clear();
-    Other.StructureDirty = false;
-    Other.StructureEdited = false;
-    // The derived views are rebuilt lazily on first access, not here: a
-    // unit is moved three times on its way out of the parser (into the
-    // status wrapper, then to the caller), and eager rebuilding made that
-    // the single largest cost of parsing a small file.
-    Functions.clear();
-    Sections.clear();
-    Labels.clear();
-    StructureDirty = true;
-    StructureEdited = false;
-    return *this;
-  }
+  MaoUnit &operator=(MaoUnit &&Other) noexcept;
 
-  /// Deep-copies the unit (entry list, label counters, relax mode) WITHOUT
-  /// rebuilding the derived structure on the copy. Used by the
-  /// transactional pass runner to snapshot the IR before a pass so a
-  /// failing pass can be rolled back: restoring through move-assignment
-  /// rebuilds the views, and a discarded snapshot never needs them. Call
-  /// rebuildStructure() on the copy before reading its sections/functions.
+  /// Deep-copies the unit (entry list, label counters, relax mode) and
+  /// derives the copy's views. Used by the transactional pass runner to
+  /// snapshot the IR before a pipeline so a failing pass can be rolled
+  /// back.
   MaoUnit clone() const;
 
   EntryList &entries() { return Entries; }
@@ -223,15 +207,15 @@ public:
   void setRelaxMode(RelaxMode M) { Mode = M; }
 
   /// Appends an entry (used by the parser and the workload generator) and
-  /// returns an iterator to it.
+  /// returns an iterator to it; the views are left alone.
   ///
   /// append/insertBefore/insertAfter/erase are safe to call concurrently
   /// from sharded function passes: std::list nodes at disjoint positions
-  /// are independent, but the list's size bookkeeping and the boundary
-  /// links between adjacent shards are shared, so all structural edits
-  /// serialize on one internal mutex. Concurrent *readers* of a shard's
-  /// own entries need no lock — a shard never touches another shard's
-  /// nodes (see DESIGN.md, "Sharded pass pipeline" for the full contract).
+  /// are independent, but the list's bookkeeping, boundary links and views
+  /// are shared, so all structural edits serialize on one internal mutex.
+  /// Concurrent *readers* of a shard's own entries need no lock — a shard
+  /// never touches another shard's nodes (see DESIGN.md, "Sharded pass
+  /// pipeline" for the full contract).
   EntryIter append(MaoEntry Entry);
 
   /// Constructs an entry in place at the end of the list from a payload
@@ -256,8 +240,8 @@ public:
   /// Moves the entry range [First, Last) to immediately before \p Before
   /// in O(1) (a list splice): iterators into the moved range stay valid
   /// and travel with their entries. \p Before must not lie inside
-  /// [First, Last). Like every structural edit, this leaves the
-  /// section/function views stale until rebuildStructure().
+  /// [First, Last). The views follow as for an insertion, unless the
+  /// moved entries hold a range endpoint (see rebuildStructure()).
   void moveRange(EntryIter First, EntryIter Last, EntryIter Before);
 
   /// Entry-ID block size handed to each shard of a sharded function pass.
@@ -274,53 +258,28 @@ public:
   /// thread-safe; call before the parallel region.
   uint32_t reserveIdBlocks(size_t Count, uint32_t BlockSize);
 
-  /// (Re)computes sections and functions from the entry list. Passes that
-  /// restructure function boundaries re-invoke it. Structural edits
-  /// (insert/erase/moveRange) deliberately do NOT schedule a lazy rebuild
-  /// — the views go stale until the caller rebuilds, which sharded passes
-  /// rely on (a shard calling an accessor must never rebuild under its
-  /// siblings). They only record that they happened (structureEdited()),
-  /// and the pass runner rebuilds between passes. Moving or cloning a unit
-  /// marks the views dirty instead, and the accessors below rebuild on
-  /// first use; a dirty unit must not be read from several threads until
-  /// one caller has rebuilt it (the pipeline rebuilds before every
-  /// parallel region already).
+  /// Derives the views from the entry list, leaving the unit's own alone.
+  /// Counted in the `ir.structure_builds` statistic.
+  UnitViews deriveViews();
+
+  /// Replaces the views with a fresh derivation: after append(), and
+  /// after an edit outside the contract (HOTCOLD's function moves).
   void rebuildStructure();
 
-  /// True when insertBefore/insertAfter/erase/moveRange ran since the last
-  /// rebuildStructure(). An erased entry can be the Begin of a function or
-  /// section range, so views read after such an edit may point at a freed
-  /// node. Read only from the orchestrating thread, outside parallel
-  /// regions.
-  bool structureEdited() const { return StructureEdited; }
-
-  std::vector<MaoFunction> &functions() {
-    ensureStructure();
-    return Functions;
-  }
-  const std::vector<MaoFunction> &functions() const {
-    ensureStructure();
-    return Functions;
-  }
-  std::vector<SectionInfo> &sections() {
-    ensureStructure();
-    return Sections;
-  }
+  std::vector<MaoFunction> &functions() { return Views.Functions; }
+  const std::vector<MaoFunction> &functions() const { return Views.Functions; }
+  std::vector<SectionInfo> &sections() { return Views.Sections; }
 
   /// Finds a function by name; null when absent.
   MaoFunction *findFunction(const std::string &Name);
 
   /// Label name -> the defining entry's position in the entry list, so a
-  /// caller can walk on from the label. Rebuilt by rebuildStructure();
-  /// passes inserting labels must re-run it or register labels explicitly.
-  /// Keys are views into entry-owned storage (stable: list nodes never
-  /// move) and must not outlive the unit. Duplicate definitions bind to
-  /// the FIRST occurrence — the one branch fall-through reaches — matching
+  /// caller can walk on from the label. Duplicate definitions bind to the
+  /// FIRST occurrence — the one branch fall-through reaches — matching
   /// the emulator; the parser diagnoses redefinitions (MAO-parse-
   /// duplicate-label) and the verifier rejects them outright.
   const std::unordered_map<std::string_view, EntryIter> &labelMap() const {
-    ensureStructure();
-    return Labels;
+    return Views.Labels;
   }
 
   /// The unit's string-interning pool (arena-backed). The parser interns
@@ -345,35 +304,31 @@ private:
   /// with StructuralM held (all callers are the structural editors).
   uint32_t nextId();
 
-  /// Rebuilds the derived views if a move/clone left them dirty. Logically
-  /// const: the views are a cache over the entry list.
-  void ensureStructure() const {
-    if (StructureDirty)
-      const_cast<MaoUnit *>(this)->rebuildStructure();
-  }
+  /// Inserts before \p Pos and brings the views up to date; StructuralM
+  /// held.
+  EntryIter insertLocked(EntryIter Pos, MaoEntry Entry);
+  /// True when a range may begin at \p Pos other than at its function's
+  /// own label; edits elsewhere skip the scan over every range.
+  bool startsRun(EntryIter Pos);
+  /// Points the range Begins at \p Pos to \p New, which now precedes it in
+  /// the same run (see the edit contract above).
+  void moveBeginsBefore(EntryIter Pos, EntryIter New);
+  /// True for entries whose insertion or erasure the views cannot follow.
+  bool definesStructure(const MaoEntry &E) const;
 
   /// The arena owns the storage behind Entries' nodes and the interner's
   /// strings; declared before both so it is destroyed last.
   std::shared_ptr<Arena> IrArena;
   std::unique_ptr<StringInterner> Interner;
   EntryList Entries;
-  std::vector<MaoFunction> Functions;
-  std::vector<SectionInfo> Sections;
-  std::unordered_map<std::string_view, EntryIter> Labels;
+  UnitViews Views;
   uint32_t NextEntryId = 1;
   uint32_t NextLabelId = 0;
   RelaxMode Mode = RelaxMode::Grow;
-  /// True when a move or clone invalidated the derived views; cleared by
-  /// rebuildStructure(). False on a fresh unit: its (empty) views match
-  /// its (empty) entry list, and callers that append entries read empty
-  /// views until they rebuild, exactly as before views went lazy.
-  bool StructureDirty = false;
-  /// Set (under StructuralM) by insertBefore/insertAfter/erase/moveRange;
-  /// cleared by rebuildStructure(). See structureEdited().
-  bool StructureEdited = false;
-  /// Serializes structural edits (insert/erase/append). Deliberately not
-  /// moved by the move operations — a unit is never moved while shards
-  /// are running (whole-unit passes are pipeline barriers).
+  /// Serializes structural edits (insert/erase/append) and the view
+  /// updates they make. Deliberately not moved by the move operations — a
+  /// unit is never moved while shards are running (whole-unit passes are
+  /// pipeline barriers).
   std::mutex StructuralM;
 };
 

@@ -37,6 +37,22 @@ std::string_view leadingSymbol(const std::string &Arg) {
   return std::string_view(Arg).substr(0, I);
 }
 
+/// One view as a fresh derivation must reproduce it: its name and its
+/// non-empty ranges. Edits may leave emptied ranges behind, and a
+/// derivation drops them (and a section left with none).
+using ViewShape =
+    std::pair<std::string_view, std::vector<std::pair<EntryIter, EntryIter>>>;
+
+void addShape(std::vector<ViewShape> &Shapes, std::string_view Name,
+              const std::vector<MaoFunction::Range> &Ranges) {
+  ViewShape Shape{Name, {}};
+  for (const MaoFunction::Range &R : Ranges)
+    if (R.Begin != R.End)
+      Shape.second.emplace_back(R.Begin, R.End);
+  if (!Shape.second.empty())
+    Shapes.push_back(std::move(Shape));
+}
+
 /// Collects every issue of one verification run.
 class Checker {
 public:
@@ -50,6 +66,7 @@ private:
   void issue(DiagCode Code, std::string Message);
   bool full() const { return Report.Issues.size() >= Options.MaxIssues; }
 
+  bool checkViews();
   void checkStructure();
   void checkLabels();
   void checkEncodings();
@@ -83,6 +100,58 @@ void Checker::issue(DiagCode Code, std::string Message) {
   if (Diags)
     Diags->report(D);
   Report.Issues.push_back(std::move(D));
+}
+
+bool Checker::checkViews() {
+  UnitViews Fresh = Unit.deriveViews();
+  auto Differs = [&](const char *What, const std::vector<ViewShape> &Kept,
+                     const std::vector<ViewShape> &Derived) {
+    for (size_t I = 0; I < std::max(Kept.size(), Derived.size()); ++I)
+      if (I >= Kept.size() || I >= Derived.size() || Kept[I] != Derived[I]) {
+        issue(DiagCode::VerifyStaleView,
+              std::string(What) + " " +
+                  std::string(I < Kept.size() ? Kept[I].first
+                                              : Derived[I].first) +
+                  ": maintained view differs from the entry list");
+        return true;
+      }
+    return false;
+  };
+
+  std::vector<ViewShape> Kept, Derived;
+  for (const SectionInfo &Sec : Unit.sections())
+    addShape(Kept, Sec.Name, Sec.Ranges);
+  for (const SectionInfo &Sec : Fresh.Sections)
+    addShape(Derived, Sec.Name, Sec.Ranges);
+  if (Differs("section", Kept, Derived))
+    return false;
+
+  Kept.clear();
+  Derived.clear();
+  for (const MaoFunction &Fn : Unit.functions())
+    addShape(Kept, Fn.name(), Fn.ranges());
+  for (const MaoFunction &Fn : Fresh.Functions)
+    addShape(Derived, Fn.name(), Fn.ranges());
+  if (Differs("function", Kept, Derived))
+    return false;
+
+  for (const auto &[Name, Entry] : Fresh.Labels) {
+    auto Found = Unit.labelMap().find(Name);
+    if (Found == Unit.labelMap().end() || Found->second != Entry) {
+      issue(DiagCode::VerifyStaleView,
+            "label " + std::string(Name) +
+                ": maintained view differs from the entry list");
+      return false;
+    }
+  }
+  if (Unit.labelMap().size() != Fresh.Labels.size()) {
+    issue(DiagCode::VerifyStaleView,
+          "label map holds " + std::to_string(Unit.labelMap().size()) +
+              " names, the entry list defines " +
+              std::to_string(Fresh.Labels.size()));
+    return false;
+  }
+  return true;
 }
 
 void Checker::checkStructure() {
@@ -169,18 +238,6 @@ void Checker::checkStructure() {
     if (FnRanges[I].first < FnRanges[I - 1].second)
       issue(DiagCode::VerifyBadStructure,
             "function entry ranges overlap");
-
-  // The label map must agree with the entry list.
-  for (const auto &[Name, Entry] : Unit.labelMap()) {
-    if (full())
-      return;
-    auto Found = Index.find(&*Entry);
-    if (Found == Index.end() || !Entry->isLabel() ||
-        Entry->labelName() != Name)
-      issue(DiagCode::VerifyBadStructure,
-            "label map entry '" + std::string(Name) +
-                "' does not match a label in the unit");
-  }
 }
 
 void Checker::checkLabels() {
@@ -391,14 +448,14 @@ void Checker::checkLayout() {
 }
 
 VerifierReport Checker::run() {
-  // Passes mutate the entry list without rebuilding derived views; the
-  // entry list is the source of truth, so re-derive it before the checks
-  // that read the views (structure validates them, layout walks section
-  // ranges). The label and encoding checks walk the raw entry list and
-  // need neither the rebuild nor the entry index — keeping them cheap is
-  // what makes per-pass verification affordable (VerifierOptions::fast()).
-  if (Options.CheckStructure || Options.CheckLayout)
-    Unit.rebuildStructure();
+  // The structure and layout checks read the views, so first check that
+  // the edits kept them equal to a fresh derivation; the layout check
+  // would walk a stale view, so it is skipped. The label and encoding
+  // checks walk the raw entry list and need neither the derivation nor
+  // the entry index — keeping them cheap is what makes per-pass
+  // verification affordable (VerifierOptions::fast()).
+  const bool ViewsCurrent =
+      !(Options.CheckStructure || Options.CheckLayout) || checkViews();
 
   if (Options.CheckStructure) {
     UnitEnd = Unit.entries().end();
@@ -414,7 +471,7 @@ VerifierReport Checker::run() {
     checkLabels();
   if (Options.CheckEncodings && !full())
     checkEncodings();
-  if (Options.CheckLayout && !full())
+  if (Options.CheckLayout && ViewsCurrent && !full())
     checkLayout();
   return std::move(Report);
 }

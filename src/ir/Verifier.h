@@ -4,11 +4,12 @@
 /// Consistency checking for a MaoUnit, runnable standalone (maofuzz, tests)
 /// and after every pass by the transactional pass runner. The invariants:
 ///
-///  1. Structure: section and function entry chains are well-formed — every
-///     range endpoint is an entry of the unit (or end()), Begin precedes
-///     End, ranges are ordered and disjoint, every function starts at a
-///     label carrying its own name, and the label map agrees with the entry
-///     list.
+///  1. Structure: the unit's maintained views (sections, functions, label
+///     map) equal a fresh derivation from the entry list, ignoring ranges
+///     that edits emptied, and section and function entry chains are
+///     well-formed — every range endpoint is an entry of the unit (or
+///     end()), Begin precedes End, ranges are ordered and disjoint, and
+///     every function starts at a label carrying its own name.
 ///  2. Labels: no local label (".L" prefix) is defined twice, and every
 ///     local-label reference from an instruction operand resolves to a
 ///     definition. (Non-local symbols may legitimately be external.)
@@ -23,13 +24,13 @@
 ///     actually fits) — the branch-displacement well-formedness conditions
 ///     of Boender & Sacerdoti Coen.
 ///
-/// verifyUnit() re-derives the structure (rebuildStructure) before the
-/// structure and layout checks, because passes legitimately mutate the
-/// entry list without rebuilding; the verifier checks the IR, not the
-/// staleness of cached views. The label and encoding checks walk the raw
-/// entry list and skip the rebuild. Layout checks re-run relaxation and
-/// therefore refresh the Address/Size annotations; textual emission is
-/// unaffected.
+/// The structure and layout checks start with the view comparison and
+/// report a stale view as VerifyStaleView, naming the first section,
+/// function or label that differs; the layout check, which walks the
+/// views, is then skipped. The verifier never repairs a view. The label
+/// and encoding checks walk the raw entry list and skip the derivation.
+/// Layout checks re-run relaxation and therefore refresh the Address/Size
+/// annotations; textual emission is unaffected.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -53,7 +54,7 @@ struct VerifierOptions {
   unsigned MaxIssues = 16;
 
   /// The cheap configuration: label invariants only, one allocation-free
-  /// walk over the entry list with no structure rebuild, no entry index,
+  /// walk over the entry list with no view derivation, no entry index,
   /// no re-encoding, and no relaxation. This is what the pass runner uses
   /// after every pass; drivers run the full configuration once at the end
   /// of the pipeline, where the encoding and layout invariants are checked

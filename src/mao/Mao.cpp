@@ -108,7 +108,6 @@ size_t Program::functionCount() const { return I->Unit.functions().size(); }
 Program Program::clone() const {
   Program Copy;
   Copy.I->Unit = I->Unit.clone();
-  Copy.I->Unit.rebuildStructure();
   Copy.I->Name = I->Name;
   Copy.I->Valid = I->Valid;
   return Copy;

@@ -253,16 +253,6 @@ UnitFootprint measureFootprint(MaoUnit &Unit) {
   return F;
 }
 
-/// Re-derives the unit's sections and functions when the previous pass
-/// inserted, erased or moved entries: an erase can free the entry a
-/// function or section range begins at, and the next pass must not walk
-/// from it. Called before every pass reads the views, so the main loop,
-/// rollback replays and partial re-runs all see fresh views.
-void refreshStructure(MaoUnit &Unit) {
-  if (Unit.structureEdited())
-    Unit.rebuildStructure();
-}
-
 /// One function a function-pass request failed on, and why. Collected in
 /// function-index order.
 struct FunctionFailure {
@@ -312,7 +302,6 @@ ErrorOr<unsigned> executePass(MaoUnit &Unit, const PassRequest &Req,
                             std::to_string(Options.PassTimeoutMs) + " ms");
   };
 
-  refreshStructure(Unit);
   if (Registry.isUnitPass(Req.PassName)) {
     MaoOptionMap PassOptions = Req.Options;
     auto Pass = Registry.makeUnitPass(Req.PassName, &PassOptions, &Unit);

@@ -132,7 +132,8 @@ public:
   /// \p Shardable declares that the pass honours the sharding contract
   /// (DESIGN.md, "Sharded pass pipeline"): it only edits entries strictly
   /// inside its own function's ranges, never inserts at or before a range
-  /// begin, never calls rebuildStructure()/makeUniqueLabel(), and reads
+  /// begin, inserts or erases no label (other shards read labelMap()),
+  /// never calls rebuildStructure()/makeUniqueLabel(), and reads
   /// unit-level tables only. Shardable passes may run their functions on
   /// the worker pool (--mao-jobs > 1); every other function pass runs them
   /// inline, sharing one layout per request. Both get per-function failure
@@ -326,7 +327,7 @@ struct PipelineOptions {
   /// enabled) succeed. A non-ok status counts as a pass failure with
   /// DiagCode::CheckSemanticDiverged and triggers the on-error policy, so a
   /// semantics-changing pass is rolled back or skipped like any other
-  /// failure. The hook may rebuild both units' derived structure.
+  /// failure.
   std::function<MaoStatus(MaoUnit &Before, MaoUnit &After,
                           const std::string &PassName)>
       SemanticCheck;

@@ -55,7 +55,7 @@ public:
     // no unresolved indirect branches (a hidden jump-table edge could
     // target a moved block through fall-through assumptions we cannot
     // check), no opaque instructions.
-    if (Fn.ranges().size() != 1 || Fn.HasOpaqueInstructions)
+    if (Fn.ranges().size() != 1 || Fn.hasOpaqueInstructions())
       return true;
     CFG Graph = CFG::build(Fn);
     if (Fn.HasUnresolvedIndirect)

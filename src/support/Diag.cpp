@@ -53,6 +53,8 @@ const char *mao::diagCodeName(DiagCode Code) {
     return "verify-layout-inconsistent";
   case DiagCode::VerifyRelaxationDiverged:
     return "verify-relaxation-diverged";
+  case DiagCode::VerifyStaleView:
+    return "verify-stale-view";
   case DiagCode::CheckSemanticDiverged:
     return "check-semantic-diverged";
   case DiagCode::LintUseBeforeDef:

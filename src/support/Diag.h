@@ -54,6 +54,7 @@ enum class DiagCode : uint16_t {
   VerifyEncodingFailed,
   VerifyLayoutInconsistent,
   VerifyRelaxationDiverged,
+  VerifyStaleView,
   // MaoCheck semantic validator.
   CheckSemanticDiverged,
   // MaoCheck linter rules.

@@ -80,7 +80,6 @@ public:
       TimelineSpan Span("tune", "candidate#" + std::to_string(I));
       Slot &S = Slots[I];
       S.Unit = Base.clone();
-      S.Unit.rebuildStructure();
       PipelineOptions POpts;
       POpts.OnError = OnErrorPolicy::Rollback;
       POpts.Jobs = 1;

@@ -290,6 +290,41 @@ TEST(ParallelPipeline, ArenaChurnCleanAndIdenticalAcrossJobs) {
   EXPECT_GT(Total, 0u);
 }
 
+TEST(ParallelPipeline, NopKillAtSplitRunStartIdenticalAcrossJobs) {
+  // Every function is split by a .rodata excursion, and its re-entered
+  // .text run starts with a nop. NOPKILL erases it from its shard, which
+  // moves the Begin of a shared section run (no shard reads sections()).
+  // The views stay current, and jobs=4 gives the bytes of jobs=1.
+  std::string Source = "\t.text\n";
+  for (unsigned I = 0; I < 8; ++I) {
+    const std::string N = std::to_string(I), F = "f" + N;
+    Source += "\t.type " + F + ", @function\n" + F + ":\n";
+    Source += "\tmovl $" + N + ", %eax\n\tjmp .LR" + N + "\n";
+    Source += "\t.section .rodata\n.LC" + N + ":\n\t.long " + N + "\n";
+    Source += "\t.text\n\tnop\n\taddl $1, %eax\n.LR" + N + ":\n\tret\n";
+    Source += "\t.size " + F + ", .-" + F + "\n";
+  }
+  std::string Reference;
+  for (unsigned Jobs : {1u, 4u}) {
+    MaoUnit Unit = parseOk(Source);
+    std::vector<PassRequest> Requests;
+    ASSERT_TRUE(parseMaoOption("NOPKILL:SCHED", Requests).ok());
+    PipelineOptions Options;
+    Options.Jobs = Jobs;
+    PipelineResult Result = runPasses(Unit, Requests, Options);
+    ASSERT_TRUE(Result.Ok) << Result.Error;
+    EXPECT_EQ(Result.Counts[0].second, 8u);
+    VerifierReport Report = verifyUnit(Unit);
+    EXPECT_TRUE(Report.clean()) << "jobs=" << Jobs << ": "
+                                << Report.firstMessage();
+    const std::string Asm = emitAssembly(Unit);
+    if (Jobs == 1)
+      Reference = Asm;
+    else
+      EXPECT_EQ(Asm, Reference);
+  }
+}
+
 TEST(ParallelPipeline, RepeatedParallelRunsAreStable) {
   // Scheduling nondeterminism must never leak: the same parallel run twice
   // produces the same bytes (this would flake, not fail reliably, if shard

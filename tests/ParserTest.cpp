@@ -415,9 +415,9 @@ TEST(Parser, ThreeOperandImulSpillsOperandList) {
 }
 
 TEST(Parser, StructureViewsSurviveMoveAndClone) {
-  // The derived views (functions, sections, labels) are rebuilt lazily
-  // after a unit is moved or cloned; accessors must never see stale
-  // iterators into the moved-from unit.
+  // Moves carry the views (functions, sections, labels) and clone()
+  // derives them on the copy; accessors must never see stale iterators
+  // into the moved-from unit.
   auto UnitOr = parseAssembly(SampleFile);
   ASSERT_TRUE(UnitOr.ok());
   MaoUnit Moved = std::move(*UnitOr);

@@ -604,7 +604,6 @@ f:
     if (E.isInstruction() && E.instruction().isNop())
       Nops.push_back(E.instruction().NopLength);
   EXPECT_EQ(Nops, std::vector<unsigned>{5});
-  Unit.rebuildStructure();
   RelaxationResult R = relaxUnit(Unit);
   const int64_t Loop = R.sectionLabels(".text").at(".L3");
   EXPECT_EQ(Loop >> 4, (Loop + 10) >> 4) << "loop at " << Loop;
@@ -961,6 +960,59 @@ TEST(BBREORDER, MovesJumpedOverBlockWithBranchInversion) {
   std::string Text = emitAssembly(Unit);
   EXPECT_GT(Text.find("addl $10, %ebx"), Text.find("ret"));
   expectSemanticsPreserved(Asm, "BBREORDER", {Reg::RAX, Reg::RBX, Reg::RCX});
+}
+
+TEST(BBREORDER, RunsOnceDceErasedTheOnlyOpaqueInstruction) {
+  // BBREORDER skips a function with an opaque instruction. Here the only
+  // one sits in an unreachable block: after DCE erases it, BBREORDER must
+  // see an opaque-free function and move the jumped-over block.
+  const std::string Asm = wrapFunction("\tmovl $5, %ecx\n"
+                                       "\tjmp .L0\n"
+                                       "\tfrobnicate %eax\n"
+                                       ".L0:\n"
+                                       "\taddl $1, %eax\n"
+                                       "\tcmpl $3, %eax\n"
+                                       "\tje .LSKIP\n"
+                                       "\taddl $10, %ebx\n"
+                                       "\tjmp .LNEXT\n"
+                                       ".LSKIP:\n"
+                                       "\taddl $100, %ebx\n"
+                                       ".LNEXT:\n"
+                                       "\tsubl $1, %ecx\n"
+                                       "\tjne .L0\n"
+                                       "\tret\n");
+  MaoUnit Alone = parseOk(Asm);
+  ASSERT_TRUE(Alone.functions()[0].hasOpaqueInstructions());
+  EXPECT_EQ(runPass(Alone, "BBREORDER"), 0u);
+
+  MaoUnit Unit = parseOk(Asm);
+  PassRequest Dce, Reorder;
+  Dce.PassName = "DCE";
+  Reorder.PassName = "BBREORDER";
+  PipelineResult R = runPasses(Unit, {Dce, Reorder});
+  ASSERT_TRUE(R.Ok) << R.Error;
+  EXPECT_EQ(R.Counts[0].second, 1u);
+  EXPECT_EQ(R.Counts[1].second, 1u);
+  EXPECT_FALSE(Unit.functions()[0].hasOpaqueInstructions());
+  EXPECT_EQ(emitAssembly(Unit), "\t.text\n"
+                                "\t.type\tf, @function\n"
+                                "f:\n"
+                                "\tmovl\t$5, %ecx\n"
+                                "\tjmp\t.L0\n"
+                                ".L0:\n"
+                                "\taddl\t$1, %eax\n"
+                                "\tcmpl\t$3, %eax\n"
+                                "\tjne\t.LMAO0\n"
+                                ".LSKIP:\n"
+                                "\taddl\t$100, %ebx\n"
+                                ".LNEXT:\n"
+                                "\tsubl\t$1, %ecx\n"
+                                "\tjne\t.L0\n"
+                                "\tret\n"
+                                ".LMAO0:\n"
+                                "\taddl\t$10, %ebx\n"
+                                "\tjmp\t.LNEXT\n"
+                                "\t.size\tf, .-f\n");
 }
 
 TEST(BBREORDER, LeavesPlainLoopsAlone) {

@@ -15,10 +15,15 @@
 #include "support/FaultInjection.h"
 #include "support/Options.h"
 #include "support/Stats.h"
+#include "workload/Workload.h"
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <chrono>
+#include <filesystem>
+#include <fstream>
+#include <sstream>
 #include <stdexcept>
 #include <thread>
 
@@ -442,7 +447,7 @@ TEST(Pipeline, InjectedFaultsAreContained) {
 
 // ADDADD folds the two adds after the .text re-entry, erasing the entry
 // that begins the function's second range. Every later pass must read
-// views rebuilt after that erase, not walk from the freed node.
+// views the erase kept current, not walk from the freed node.
 TEST(Pipeline, PassAfterEraseAtRangeStartSeesRebuiltViews) {
   const char *const Asm = R"(	.text
 	.globl	f
@@ -485,4 +490,131 @@ f:
         EXPECT_EQ(Out, Reference) << Pipeline << " at jobs=" << Jobs;
     }
   }
+}
+
+/// examples/*.s and every SPEC profile.
+std::vector<std::pair<std::string, std::string>> exampleAndSpecCorpus() {
+  std::vector<std::pair<std::string, std::string>> Corpus;
+  std::vector<std::filesystem::path> Files;
+  for (const auto &Entry :
+       std::filesystem::directory_iterator(MAO_EXAMPLES_DIR))
+    if (Entry.path().extension() == ".s")
+      Files.push_back(Entry.path());
+  std::sort(Files.begin(), Files.end());
+  for (const std::filesystem::path &Path : Files) {
+    std::ifstream In(Path);
+    std::stringstream Text;
+    Text << In.rdbuf();
+    Corpus.emplace_back(Path.filename().string(), Text.str());
+  }
+  std::vector<WorkloadSpec> Specs = spec2000IntProfiles();
+  for (WorkloadSpec &S : spec2006Profiles())
+    Specs.push_back(S);
+  for (const WorkloadSpec &S : Specs)
+    Corpus.emplace_back(S.Name, generateWorkloadAssembly(S));
+  return Corpus;
+}
+
+std::vector<PassRequest> pipeline(const std::string &Spec) {
+  std::vector<PassRequest> Requests;
+  MaoStatus S = PassRegistry::instance().parsePipeline(Spec, Requests);
+  EXPECT_TRUE(S.ok()) << Spec << ": " << S.message();
+  return Requests;
+}
+
+// The full verifier after every pass compares the views each pass left
+// behind with a fresh derivation, so a pass whose edits a view does not
+// follow fails here, at either worker count.
+TEST(Pipeline, FullVerifierAfterEveryPassFindsCurrentViews) {
+  linkAllPasses();
+  const char *const Pipelines[] = {
+      "ZEE,REDTEST,REDMOV,ADDADD,LOOP16,SCHED",
+      "ZEE,REDTEST,REDMOV,SCHED,ADDADD",
+      "LOOP16,LSDOPT,BRALIGN,INSTRUMENT",
+      "ALIGNSEL(loops=4)",
+      "BBREORDER",
+      "HOTCOLD",
+      "DCE,BBREORDER",
+      "NOPIN,NOPKILL"};
+  for (const auto &[Name, Text] : exampleAndSpecCorpus()) {
+    for (const char *Spec : Pipelines) {
+      std::string Reference;
+      for (unsigned Jobs : {1u, 4u}) {
+        MaoUnit Unit = parseOk(Text);
+        PipelineOptions Options;
+        Options.Jobs = Jobs;
+        Options.VerifyAfterEachPass = true;
+        Options.PerPassVerify = VerifierOptions();
+        PipelineResult R = runPasses(Unit, pipeline(Spec), Options);
+        ASSERT_TRUE(R.Ok) << Name << " " << Spec << " jobs=" << Jobs << ": "
+                          << R.Error;
+        const std::string Out = emitAssembly(Unit);
+        if (Jobs == 1)
+          Reference = Out;
+        else
+          EXPECT_EQ(Out, Reference) << Name << " " << Spec;
+      }
+    }
+  }
+}
+
+// A moveRange that moves a whole function is outside the edit contract:
+// without the rebuild HOTCOLD does, the function view is stale, and the
+// verifier reports it instead of repairing it.
+TEST(Pipeline, VerifierReportsViewLeftStaleByFunctionMove) {
+  MaoUnit Unit = parseOk("\t.text\n"
+                         "\t.type f, @function\nf:\n\tret\n\t.size f, .-f\n"
+                         "\t.type g, @function\ng:\n\tret\n\t.size g, .-g\n");
+  EntryIter F = Unit.functions()[0].ranges().front().Begin;
+  EntryIter GType = std::next(Unit.functions()[0].ranges().front().End);
+  Unit.moveRange(GType, Unit.entries().end(), std::prev(F));
+  VerifierReport Stale = verifyUnit(Unit);
+  ASSERT_FALSE(Stale.clean());
+  EXPECT_EQ(Stale.Issues.front().Code, DiagCode::VerifyStaleView)
+      << Stale.firstMessage();
+  EXPECT_NE(Stale.firstMessage().find("function"), std::string::npos)
+      << Stale.firstMessage();
+  Unit.rebuildStructure();
+  EXPECT_TRUE(verifyUnit(Unit).clean());
+}
+
+// Parse derives the views once; the paper's pipeline keeps them current
+// through its edits without deriving again, at either worker count.
+TEST(Pipeline, Paper6DerivesTheViewsOnceAtParse) {
+  linkAllPasses();
+  StatCounter &Builds = StatsRegistry::instance().counter("ir.structure_builds");
+  const std::string Text = generateWorkloadAssembly(spec2000IntProfiles()[0]);
+  for (unsigned Jobs : {1u, 4u}) {
+    Builds.reset();
+    MaoUnit Unit = parseOk(Text);
+    PipelineOptions Options;
+    Options.Jobs = Jobs;
+    PipelineResult R =
+        runPasses(Unit, pipeline("ZEE,REDTEST,REDMOV,ADDADD,LOOP16,SCHED"),
+                  Options);
+    ASSERT_TRUE(R.Ok) << R.Error;
+    unsigned Edits = 0;
+    for (const auto &[Name, Count] : R.Counts)
+      Edits += Count;
+    EXPECT_GT(Edits, 0u);
+    EXPECT_EQ(Builds.value(), 1u) << "jobs=" << Jobs;
+  }
+}
+
+TEST(Pipeline, HotColdFunctionMoveAddsOneDerivation) {
+  linkAllPasses();
+  StatCounter &Builds = StatsRegistry::instance().counter("ir.structure_builds");
+  MaoUnit Unit = parseOk("\t.text\n"
+                         "\t.globl f\n\t.type f, @function\nf:\n"
+                         "\tcall g\n\tret\n\t.size f, .-f\n"
+                         "\t.type cold, @function\ncold:\n"
+                         "\tret\n\t.size cold, .-cold\n"
+                         "\t.type g, @function\ng:\n"
+                         "\tret\n\t.size g, .-g\n");
+  Builds.reset();
+  PipelineResult R = runPasses(Unit, pipeline("HOTCOLD"));
+  ASSERT_TRUE(R.Ok) << R.Error;
+  ASSERT_EQ(R.Counts[0].second, 1u);
+  EXPECT_EQ(Builds.value(), 1u);
+  EXPECT_TRUE(verifyUnit(Unit).clean());
 }
