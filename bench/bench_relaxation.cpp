@@ -4,8 +4,9 @@
 // when a NOP pushes its target out of rel8 range) and the claim that, with
 // a built-in limit of 100 iterations, "in practice almost every relaxation
 // succeeds in a few iterations, and it never fails". This harness
-// reproduces the example byte-for-byte and profiles repeated relaxation
-// over the synthetic SPEC corpus with google-benchmark.
+// reproduces the example byte-for-byte, measures what one alignment pad
+// costs a maintained layout at two corpus scales, and profiles repeated
+// relaxation over the synthetic SPEC corpus with google-benchmark.
 //
 //===----------------------------------------------------------------------===//
 
@@ -13,8 +14,14 @@
 #include "BenchUtil.h"
 
 #include "analysis/Relaxer.h"
+#include "support/Stats.h"
 
 #include <benchmark/benchmark.h>
+
+#include <chrono>
+#include <string_view>
+#include <unordered_set>
+#include <vector>
 
 using namespace maobench;
 
@@ -54,6 +61,66 @@ void BM_RelaxSyntheticCorpus(benchmark::State &State) {
 }
 BENCHMARK(BM_RelaxSyntheticCorpus)->Unit(benchmark::kMillisecond);
 
+/// The alignment passes' access pattern: one maintained layout, a NOP pad
+/// in front of a loop head (a label a later branch jumps back to, where
+/// LOOP16 pads), a relax, repeated; pads cycle over the unit's loop heads.
+/// A pad costs the re-addressing of everything it moves, up to the first
+/// slot whose address does not move, plus the branches within rel8 reach.
+void padSweep(double Scale, BenchReport &Report) {
+  constexpr unsigned Pads = 64;
+  MaoUnit Unit =
+      parseOrDie(generateWorkloadAssembly(googleCorpusProfile(Scale)));
+  std::vector<EntryIter> Heads;
+  std::unordered_set<std::string_view> Seen, Taken;
+  for (const MaoEntry &E : Unit.entries()) {
+    if (E.isLabel()) {
+      Seen.insert(E.labelName());
+      continue;
+    }
+    if (!E.isInstruction() || !E.instruction().isBranch() ||
+        E.instruction().hasIndirectTarget())
+      continue;
+    const std::string &Target = E.instruction().branchTarget()->Sym;
+    if (Seen.count(Target) && Taken.insert(Target).second)
+      Heads.push_back(Unit.labelMap().at(Target));
+  }
+  if (Heads.empty()) {
+    std::printf("pad sweep at scale %.2f: no loop heads\n", Scale);
+    return;
+  }
+
+  UnitLayout Layout(Unit);
+  Layout.relax();
+  StatCounter &Walked = StatsRegistry::instance().counter("relax.slots_walked");
+  StatCounter &Incremental =
+      StatsRegistry::instance().counter("relax.incremental");
+  const uint64_t Walked0 = Walked.value();
+  const uint64_t Incremental0 = Incremental.value();
+  const auto Start = std::chrono::steady_clock::now();
+  for (unsigned I = 0; I < Pads; ++I) {
+    Layout.insertBefore(Heads[I % Heads.size()],
+                        MaoEntry::makeInstruction(makeNop(1 + I % 15)));
+    Layout.relax();
+  }
+  const double PerPadUs = std::chrono::duration<double, std::micro>(
+                              std::chrono::steady_clock::now() - Start)
+                              .count() /
+                          Pads;
+  const double PerPadSlots = double(Walked.value() - Walked0) / Pads;
+  const double Served = double(Incremental.value() - Incremental0) / Pads;
+  std::printf("pad sweep at scale %.2f (%zu entries, %zu loop heads): "
+              "%.1f us and %.0f slots walked per pad, %.0f%% served by the "
+              "dirty span\n",
+              Scale, Unit.entries().size(), Heads.size(), PerPadUs,
+              PerPadSlots, 100 * Served);
+  const std::string Key =
+      "pad_sweep_" + std::to_string(static_cast<int>(Scale * 100)) + "pct_";
+  Report.set(Key + "us_per_pad", PerPadUs);
+  Report.set(Key + "slots_per_pad", PerPadSlots);
+  Report.set(Key + "incremental_share", Served);
+  Report.set(Key + "entries", static_cast<double>(Unit.entries().size()));
+}
+
 } // namespace
 
 int main(int argc, char **argv) {
@@ -80,6 +147,10 @@ int main(int argc, char **argv) {
   std::printf("paper: the branch at offset 0xb grows from 2 bytes (eb 7f) "
               "to 5 bytes (e9 ...)\nwhen a single one-byte nop moves its "
               "target out of rel8 range.\n\n");
+
+  for (double Scale : {0.05, 0.2})
+    padSweep(Scale, Report);
+  std::printf("\n");
 
   return runCapturedBenchmarks(argc, argv, Report);
 }

@@ -1,11 +1,13 @@
 #!/bin/sh
-# Sanitizer gate over the lint corpus: configures a second build tree with
-# -DMAO_SANITIZE=address,undefined (cached across runs under the primary
-# build directory), builds the `mao` tool only, and runs `mao --lint` over
-# every example — including the multi-worker path, where ASan would catch
-# races' memory side effects and UBSan any overflow in the summary
-# arithmetic. Findings are expected (the corpus seeds them); sanitizer
-# reports are not.
+# Sanitizer gate over the example corpus: configures a second build tree
+# with -DMAO_SANITIZE=address,undefined (cached across runs under the
+# primary build directory), builds the `mao` tool only, and runs `mao
+# --lint` over every example — including the multi-worker path, where ASan
+# would catch races' memory side effects and UBSan any overflow in the
+# summary arithmetic. Findings are expected (the corpus seeds them);
+# sanitizer reports are not. It then runs the optimizer itself, verified,
+# at one and four workers: paper6 and the alignment passes, which edit the
+# unit through the maintained relaxation layout.
 #
 # SKIPPED (exit 77) when the toolchain cannot build with sanitizers (some
 # CI containers ship compilers without libasan).
@@ -71,6 +73,17 @@ for s in "$EXAMPLES"/*.s; do
   run_lint 1 "lint $(basename "$s") (4 workers)" --lint --mao-jobs=4 "$s"
   run_lint 1 "lint $(basename "$s") (clobber-everything)" --lint \
     --lint-no-interproc "$s"
+done
+
+# The optimizer: every pass must leave a unit the verifier accepts (exit 0).
+for s in "$EXAMPLES"/*.s; do
+  for pipeline in ZEE:REDTEST:REDMOV:ADDADD:LOOP16:SCHED \
+      LOOP16:LSDOPT:BRALIGN:INSTRUMENT "ALIGNSEL=loops[4]"; do
+    for jobs in 1 4; do
+      run_lint 0 "$pipeline $(basename "$s") ($jobs workers)" \
+        "--mao=$pipeline" --mao-verify "--mao-jobs=$jobs" "$s"
+    done
+  done
 done
 
 # Baseline I/O paths under sanitizers too.

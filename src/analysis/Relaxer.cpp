@@ -5,9 +5,10 @@
 #include "support/Diag.h"
 #include "support/Stats.h"
 
+#include <algorithm>
 #include <cassert>
 #include <cstdlib>
-#include <tuple>
+#include <unordered_set>
 #include <utility>
 
 using namespace mao;
@@ -91,13 +92,16 @@ struct RelaxCounters {
   StatCounter &Relaxations;
   StatCounter &Iterations;
   StatCounter &SlotsWalked;
+  /// Relaxations served by the dirty spans alone.
+  StatCounter &Incremental;
 
   static RelaxCounters &get() {
     static RelaxCounters Counters{
         StatsRegistry::instance().counter("relax.layouts_built"),
         StatsRegistry::instance().counter("relax.relaxations"),
         StatsRegistry::instance().counter("relax.iterations"),
-        StatsRegistry::instance().counter("relax.slots_walked")};
+        StatsRegistry::instance().counter("relax.slots_walked"),
+        StatsRegistry::instance().counter("relax.incremental")};
     return Counters;
   }
 };
@@ -181,20 +185,39 @@ bool mao::parseRelaxMode(const std::string &Text, RelaxMode &Mode) {
 
 UnitLayout::UnitLayout(MaoUnit &Unit, DiagEngine *Diags)
     : Unit(Unit), Diags(Diags), ExpectedEntries(Unit.entries().size()) {
+  // A function's range begins at its own label or at a section run's first
+  // entry, which starts a run anyway, so only labels are looked up.
+  std::unordered_set<const MaoEntry *> FunctionStarts;
+  for (const MaoFunction &Fn : Unit.functions())
+    for (const MaoFunction::Range &R : Fn.ranges())
+      if (R.Begin != R.End)
+        FunctionStarts.insert(&*R.Begin);
   LengthMemoTally Tally;
   for (SectionInfo &Info : Unit.sections()) {
+    const auto SecIdx = static_cast<uint32_t>(Sections.size());
     Section &Sec = Sections.emplace_back();
     Sec.Name = Info.Name;
     for (const MaoFunction::Range &R : Info.Ranges)
-      for (EntryIter It = R.Begin; It != R.End; ++It)
-        Sec.Slots.push_back(makeSlot(*It, Tally));
-    resolveTargets(Sec);
+      for (EntryIter It = R.Begin; It != R.End; ++It) {
+        if (It == R.Begin ||
+            (It->isLabel() && FunctionStarts.count(&*It) != 0)) {
+          RunStarts.emplace(&*It, RunRef{SecIdx, static_cast<uint32_t>(
+                                                     Sec.Runs.size())});
+          Sec.Runs.emplace_back();
+        }
+        std::vector<Slot> &Slots = Sec.Runs.back();
+        Slots.push_back(makeSlot(Sec, *It, Tally));
+        if (Slots.back().Kind == SlotKind::Label)
+          defineLabel(Sec, {static_cast<uint32_t>(Sec.Runs.size() - 1),
+                            static_cast<uint32_t>(Slots.size() - 1)});
+      }
   }
   Tally.flush();
   RelaxCounters::get().LayoutsBuilt.add();
 }
 
-UnitLayout::Slot UnitLayout::makeSlot(MaoEntry &E, LengthMemoTally &Tally) {
+UnitLayout::Slot UnitLayout::makeSlot(Section &Sec, MaoEntry &E,
+                                      LengthMemoTally &Tally) {
   // Only two kinds of entry have an address- or iteration-dependent size —
   // alignment pads and direct branches — so everything else is sized once
   // here (from its length memo when it has one). A direct branch is encoded
@@ -205,13 +228,17 @@ UnitLayout::Slot UnitLayout::makeSlot(MaoEntry &E, LengthMemoTally &Tally) {
   Slot S;
   S.E = &E;
   if (View.isLabel()) {
-    S.Kind = SlotKind::Label;
+    S.Kind = SlotKind::Label; // The caller enters it once it has a place.
   } else if (View.isInstruction() && View.instruction().isBranch() &&
              !View.instruction().hasIndirectTarget()) {
     S.Kind = SlotKind::Branch;
     const Operand *Target = View.instruction().branchTarget();
     assert(Target && Target->isSymbol() && "direct branch without target");
     S.TargetOffset = Target->Imm;
+    Sec.MaxTargetOffset =
+        std::max(Sec.MaxTargetOffset, std::abs(Target->Imm));
+    S.Id = symbolId(Sec, Target->Sym);
+    ++Sec.Symbols[S.Id].Refs;
     // Ends at rel8, the width every relaxation starts from.
     Instruction &Branch = E.instruction();
     Branch.BranchSize = 4;
@@ -231,80 +258,172 @@ UnitLayout::Slot UnitLayout::makeSlot(MaoEntry &E, LengthMemoTally &Tally) {
   return S;
 }
 
-void UnitLayout::resolveTargets(Section &Sec) {
+int32_t UnitLayout::symbolId(Section &Sec, std::string_view Name) {
+  auto It = Sec.SymbolIds.find(Name);
+  if (It != Sec.SymbolIds.end())
+    return It->second;
+  const auto Id = static_cast<int32_t>(Sec.Symbols.size());
+  Sec.Symbols.emplace_back();
+  Sec.SymbolIds.emplace(std::string(Name), Id);
+  return Id;
+}
+
+void UnitLayout::defineLabel(Section &Sec, SlotPos At) {
   // Every defined label participates, global or not: a branch to a symbol
   // defined in this very unit has a known distance. Duplicate definitions
   // bind to the FIRST one, matching MaoUnit::labelMap and the emulator.
-  // Targets defined only in another section, or nowhere, stay -1: a
+  // Targets defined only in another section, or nowhere, have no First: a
   // displacement between sections would span unrelated address spaces.
-  std::unordered_map<std::string_view, int32_t> First;
-  for (size_t I = 0; I < Sec.Slots.size(); ++I)
-    if (Sec.Slots[I].Kind == SlotKind::Label)
-      First.try_emplace(Sec.Slots[I].E->labelName(), static_cast<int32_t>(I));
-  for (Slot &S : Sec.Slots) {
-    if (S.Kind != SlotKind::Branch)
-      continue;
-    auto It = First.find(std::as_const(*S.E).instruction().branchTarget()->Sym);
-    S.Target = It == First.end() ? -1 : It->second;
+  Slot &S = slotAt(Sec, At);
+  const auto Id = static_cast<int32_t>(Sec.Labels.size());
+  const int32_t Sym = symbolId(Sec, S.E->labelName());
+  Symbol &Def = Sec.Symbols[Sym];
+  Sec.Labels.push_back({At, Sym, Def.Defs});
+  Def.Defs = S.Id = Id;
+  if (Def.First >= 0 && At >= Sec.Labels[Def.First].At)
+    return;
+  Def.First = Id;
+  if (Def.Refs != 0)
+    CanResume = false; // Branches changed target, anywhere in the section.
+}
+
+void UnitLayout::undefineLabel(Section &Sec, int32_t Id) {
+  const LabelDef &Label = Sec.Labels[Id];
+  Symbol &Def = Sec.Symbols[Label.Symbol];
+  for (int32_t *Link = &Def.Defs; *Link >= 0;
+       Link = &Sec.Labels[*Link].NextDef)
+    if (*Link == Id) {
+      *Link = Label.NextDef;
+      break;
+    }
+  if (Def.First != Id)
+    return;
+  Def.First = -1;
+  for (int32_t D = Def.Defs; D >= 0; D = Sec.Labels[D].NextDef)
+    if (Def.First < 0 || Sec.Labels[D].At < Sec.Labels[Def.First].At)
+      Def.First = D;
+  if (Def.Refs != 0)
+    CanResume = false;
+}
+
+void UnitLayout::reindexLabels(Section &Sec, uint32_t Run, uint32_t From) {
+  std::vector<Slot> &Slots = Sec.Runs[Run];
+  for (uint32_t I = From; I < Slots.size(); ++I)
+    if (Slots[I].Kind == SlotKind::Label)
+      Sec.Labels[Slots[I].Id].At.Index = I;
+}
+
+bool UnitLayout::targetAddress(const Section &Sec, const Slot &Branch,
+                               int64_t &Address) const {
+  const int32_t Label = Sec.Symbols[Branch.Id].First;
+  if (Label < 0)
+    return false;
+  const SlotPos At = Sec.Labels[Label].At;
+  Address = Sec.Runs[At.Run][At.Index].Address + Branch.TargetOffset;
+  return true;
+}
+
+bool UnitLayout::fitsRel8(const Section &Sec, const Slot &Branch) const {
+  int64_t Target;
+  if (!targetAddress(Sec, Branch, Target))
+    return false;
+  const int64_t Disp = Target - (Branch.Address + Branch.Size);
+  return Disp >= -128 && Disp <= 127;
+}
+
+std::pair<UnitLayout::Section *, UnitLayout::SlotPos>
+UnitLayout::locate(EntryIter Pos, bool ForInsert) {
+  // Runs are contiguous in the list, so walking back from Pos to the first
+  // run start counts Pos's index in that run: O(the run), not O(section).
+  const EntryIter Begin = Unit.entries().begin();
+  EntryIter It = Pos;
+  uint32_t Index = 0;
+  if (It == Unit.entries().end()) {
+    if (It == Begin)
+      return {nullptr, {}};
+    --It;
+    ++Index;
+  }
+  for (;; --It, ++Index) {
+    auto Found = RunStarts.find(&*It);
+    if (Found != RunStarts.end()) {
+      Section &Sec = Sections[Found->second.Section];
+      const size_t Size = Sec.Runs[Found->second.Run].size();
+      if (Index < Size || (ForInsert && Index == Size))
+        return {&Sec, {Found->second.Run, Index}};
+      return {nullptr, {}};
+    }
+    if (It == Begin)
+      return {nullptr, {}};
   }
 }
 
-std::pair<UnitLayout::Section *, size_t> UnitLayout::locate(EntryIter Pos) {
-  if (Pos == Unit.entries().end())
-    return {nullptr, 0};
-  const MaoEntry *Wanted = &*Pos;
-  for (Section &Sec : Sections)
-    for (size_t I = 0; I < Sec.Slots.size(); ++I)
-      if (Sec.Slots[I].E == Wanted)
-        return {&Sec, I};
-  return {nullptr, 0};
+void UnitLayout::noteInsert(Section &Sec, SlotPos At) {
+  // The unchanged suffix shifts with the new slot, or, when the insertion
+  // lands inside it, now begins right after the new slot.
+  if (At >= Sec.CleanFrom)
+    Sec.CleanFrom = {At.Run, At.Index + 1};
+  else if (Sec.CleanFrom.Run == At.Run)
+    ++Sec.CleanFrom.Index;
+  Sec.EditBegin = std::min(Sec.EditBegin, At);
+}
+
+void UnitLayout::noteErase(Section &Sec, SlotPos At) {
+  if (At >= Sec.CleanFrom)
+    Sec.CleanFrom = At;
+  else if (Sec.CleanFrom.Run == At.Run)
+    --Sec.CleanFrom.Index;
+  Sec.EditBegin = std::min(Sec.EditBegin, At);
 }
 
 EntryIter UnitLayout::insertBefore(EntryIter Pos, MaoEntry Entry) {
   // The new entry joins the run of Pos; when Pos ends a run (a section
   // directive, or the end of the list) it joins the run before it.
-  auto [Sec, Index] = locate(Pos);
-  if (!Sec && Pos != Unit.entries().begin()) {
-    std::tie(Sec, Index) = locate(std::prev(Pos));
-    ++Index;
-  }
+  auto [Sec, At] = locate(Pos, /*ForInsert=*/true);
   EntryIter New = Unit.insertBefore(Pos, std::move(Entry));
   ++ExpectedEntries;
   Dirty = true;
   if (!Sec)
     return New; // No run to join: outside MaoUnit's edit contract.
 
+  std::vector<Slot> &Slots = Sec->Runs[At.Run];
   LengthMemoTally Tally;
-  const Slot S = makeSlot(*New, Tally);
+  Slots.insert(Slots.begin() + At.Index, makeSlot(*Sec, *New, Tally));
   Tally.flush();
-  Sec->Slots.insert(Sec->Slots.begin() + static_cast<ptrdiff_t>(Index), S);
-  if (S.Kind == SlotKind::Label || S.Kind == SlotKind::Branch) {
-    resolveTargets(*Sec);
-  } else {
-    for (Slot &B : Sec->Slots)
-      if (B.Kind == SlotKind::Branch && B.Target >= static_cast<int32_t>(Index))
-        ++B.Target;
+  if (At.Index == 0) {
+    const RunRef Ref = RunStarts.at(&*Pos);
+    RunStarts.erase(&*Pos);
+    RunStarts.emplace(&*New, Ref);
   }
+  reindexLabels(*Sec, At.Run, At.Index + 1);
+  if (Slots[At.Index].Kind == SlotKind::Label)
+    defineLabel(*Sec, At);
+  noteInsert(*Sec, At);
   return New;
 }
 
 EntryIter UnitLayout::erase(EntryIter Pos) {
-  auto [Sec, Index] = locate(Pos);
+  auto [Sec, At] = locate(Pos, /*ForInsert=*/false);
+  if (Sec) {
+    std::vector<Slot> &Slots = Sec->Runs[At.Run];
+    const Slot &S = Slots[At.Index];
+    if (S.Kind == SlotKind::Label)
+      undefineLabel(*Sec, S.Id);
+    else if (S.Kind == SlotKind::Branch)
+      --Sec->Symbols[S.Id].Refs;
+    if (At.Index == 0) {
+      const RunRef Ref = RunStarts.at(&*Pos);
+      RunStarts.erase(&*Pos);
+      if (Slots.size() > 1)
+        RunStarts.emplace(Slots[1].E, Ref);
+    }
+    Slots.erase(Slots.begin() + At.Index);
+    reindexLabels(*Sec, At.Run, At.Index);
+    noteErase(*Sec, At);
+  }
   const EntryIter Next = Unit.erase(Pos);
   --ExpectedEntries;
   Dirty = true;
-
-  if (Sec) {
-    const bool WasLabel = Sec->Slots[Index].Kind == SlotKind::Label;
-    Sec->Slots.erase(Sec->Slots.begin() + static_cast<ptrdiff_t>(Index));
-    if (WasLabel) {
-      resolveTargets(*Sec);
-    } else {
-      for (Slot &B : Sec->Slots)
-        if (B.Kind == SlotKind::Branch && B.Target > static_cast<int32_t>(Index))
-          --B.Target;
-    }
-  }
   return Next;
 }
 
@@ -312,21 +431,23 @@ void UnitLayout::addressRound() {
   // Addresses restart at 0 per section.
   for (Section &Sec : Sections) {
     int64_t Address = 0;
-    for (Slot &S : Sec.Slots) {
-      uint32_t Size = S.Size;
-      if (S.Kind == SlotKind::Branch)
-        Size = S.Wide ? S.Rel32Size : S.Rel8Size;
-      else if (S.Kind == SlotKind::Align)
-        Size = AlignSpec{S.Boundary, S.MaxPad}.pad(Address);
-      if (S.Address != Address || S.Size != Size) {
-        S.Address = Address;
-        S.Size = Size;
-        S.Stale = true;
+    for (std::vector<Slot> &R : Sec.Runs) {
+      for (Slot &S : R) {
+        uint32_t Size = S.Size;
+        if (S.Kind == SlotKind::Branch)
+          Size = S.Wide ? S.Rel32Size : S.Rel8Size;
+        else if (S.Kind == SlotKind::Align)
+          Size = AlignSpec{S.Boundary, S.MaxPad}.pad(Address);
+        if (S.Address != Address || S.Size != Size) {
+          S.Address = Address;
+          S.Size = Size;
+          S.Stale = true;
+        }
+        Address += Size;
       }
-      Address += Size;
+      SlotsWalked += R.size();
     }
     Sec.Size = Address;
-    SlotsWalked += Sec.Slots.size();
   }
 }
 
@@ -337,21 +458,14 @@ bool UnitLayout::growthRound() {
   bool Changed = false;
   for (size_t SecIdx = 0; SecIdx < Sections.size(); ++SecIdx) {
     Section &Sec = Sections[SecIdx];
-    for (Slot &S : Sec.Slots) {
-      if (S.Kind != SlotKind::Branch || S.Wide)
-        continue;
-      bool Grow = S.Target < 0;
-      if (!Grow) {
-        const int64_t Disp = Sec.Slots[S.Target].Address + S.TargetOffset -
-                             (S.Address + S.Size);
-        Grow = Disp < -128 || Disp > 127;
-      }
-      if (Grow) {
+    for (std::vector<Slot> &R : Sec.Runs)
+      for (Slot &S : R) {
+        if (S.Kind != SlotKind::Branch || S.Wide || fitsRel8(Sec, S))
+          continue;
         S.Wide = S.Stale = true;
         Changed = true;
         LastGrowth = SecIdx;
       }
-    }
   }
   return Changed;
 }
@@ -373,91 +487,99 @@ void UnitLayout::shrinkAudit() {
   // decouples displacement from branch sizes. Demote every rel32 branch
   // whose displacement fits rel8 under the settled layout, then re-converge
   // (which re-promotes any overreach); repeat until a round demotes
-  // nothing. Bounded to keep the worst case tame.
+  // nothing. Bounded to keep the worst case tame: when the last round
+  // still gained rel8 branches and one more would demote again, the
+  // layout is reported as not minimal rather than passed off as such.
   auto CountRel8 = [&] {
     unsigned N = 0;
     for (const Section &Sec : Sections)
-      for (const Slot &S : Sec.Slots)
-        N += S.Kind == SlotKind::Branch && !S.Wide;
+      for (const std::vector<Slot> &R : Sec.Runs)
+        for (const Slot &S : R)
+          N += S.Kind == SlotKind::Branch && !S.Wide;
     return N;
   };
   const unsigned InitialRel8 = CountRel8();
-  constexpr unsigned AuditRoundLimit = 4;
-  for (unsigned Round = 0; Round < AuditRoundLimit; ++Round) {
+  unsigned Rel8 = InitialRel8;
+  bool Gained = false;
+  for (unsigned Round = 0;; ++Round) {
+    const bool AtLimit = Round == RelaxAuditRoundLimit;
     bool Shrunk = false;
     for (Section &Sec : Sections)
-      for (Slot &S : Sec.Slots) {
-        if (S.Kind != SlotKind::Branch || !S.Wide || S.Target < 0)
-          continue; // External/cross-section: rel32 is mandatory.
-        const unsigned Delta = S.Size - S.Rel8Size;
-        const int64_t Target = Sec.Slots[S.Target].Address + S.TargetOffset;
-        // Exact single-demotion displacement: a forward target moves down
-        // by Delta together with the branch end, a backward target gains
-        // Delta of slack from the shorter branch.
-        int64_t NewDisp = Target - (S.Address + S.Size);
-        if (Target <= S.Address)
-          NewDisp += Delta;
-        if (NewDisp >= -128 && NewDisp <= 127) {
-          S.Wide = false;
-          S.Stale = Shrunk = true;
+      for (std::vector<Slot> &R : Sec.Runs)
+        for (Slot &S : R) {
+          int64_t Target;
+          if (S.Kind != SlotKind::Branch || !S.Wide ||
+              !targetAddress(Sec, S, Target))
+            continue; // External/cross-section: rel32 is mandatory.
+          const unsigned Delta = S.Size - S.Rel8Size;
+          // Exact single-demotion displacement: a forward target moves
+          // down by Delta together with the branch end, a backward target
+          // gains Delta of slack from the shorter branch.
+          int64_t NewDisp = Target - (S.Address + S.Size);
+          if (Target <= S.Address)
+            NewDisp += Delta;
+          if (NewDisp < -128 || NewDisp > 127)
+            continue;
+          Shrunk = true;
+          if (!AtLimit) {
+            S.Wide = false;
+            S.Stale = true;
+          }
         }
-      }
     if (!Shrunk)
       break;
+    if (AtLimit) {
+      if (Gained && Diags)
+        Diags->warning(DiagCode::RelaxAuditRoundLimit,
+                       "optimal relaxation stopped after " +
+                           std::to_string(RelaxAuditRoundLimit) +
+                           " audit rounds with branches still shrinking; "
+                           "the layout is not minimal");
+      break;
+    }
     if (!converge()) {
       Result.Converged = false;
       break;
     }
+    const unsigned Now = CountRel8();
+    Gained = Now > Rel8;
+    Rel8 = Now;
   }
-  if (Result.Converged) {
-    const unsigned FinalRel8 = CountRel8();
-    Result.ShrunkBranches =
-        FinalRel8 > InitialRel8 ? FinalRel8 - InitialRel8 : 0;
-  }
+  if (Result.Converged)
+    Result.ShrunkBranches = Rel8 > InitialRel8 ? Rel8 - InitialRel8 : 0;
 }
 
-void UnitLayout::writeBack() {
-  // Only this layout writes these fields while it is alive, so an entry
-  // whose slot did not change still holds its values; skipping it keeps a
-  // relaxation from touching every list node.
-  for (Section &Sec : Sections)
-    for (Slot &S : Sec.Slots) {
-      if (!S.Stale)
-        continue;
-      S.Stale = false;
-      S.E->Address = S.Address;
-      S.E->Size = S.Size;
-      if (S.Kind == SlotKind::Branch)
-        S.E->instruction().BranchSize = S.Wide ? 4 : 1;
-    }
+void UnitLayout::writeBack(Slot &S) {
+  S.Stale = false;
+  S.E->Address = S.Address;
+  S.E->Size = S.Size;
+  if (S.Kind == SlotKind::Branch)
+    S.E->instruction().BranchSize = S.Wide ? 4 : 1;
 }
 
-const RelaxationResult &UnitLayout::relax() {
-  if (!Dirty)
-    return Result;
-  assert(Unit.entries().size() == ExpectedEntries &&
-         "unit edited behind its layout's back");
-  Dirty = false;
+void UnitLayout::relaxAll() {
   Result = RelaxationResult();
-  SlotsWalked = 0;
   for (Section &Sec : Sections)
-    for (Slot &S : Sec.Slots)
-      if (S.Wide) {
-        S.Wide = false;
-        S.Stale = true;
-      }
+    for (std::vector<Slot> &R : Sec.Runs)
+      for (Slot &S : R)
+        if (S.Wide) {
+          S.Wide = false;
+          S.Stale = true;
+        }
 
   Result.Converged = converge();
   if (Result.Converged && Unit.relaxMode() == RelaxMode::Optimal)
     shrinkAudit();
-  writeBack();
-  for (const Section &Sec : Sections)
-    Result.SectionSizes[Sec.Name] = Sec.Size;
 
-  RelaxCounters &Counters = RelaxCounters::get();
-  Counters.Relaxations.add();
-  Counters.Iterations.add(Result.Iterations);
-  Counters.SlotsWalked.add(SlotsWalked);
+  bool AnyWide = false;
+  for (Section &Sec : Sections)
+    for (std::vector<Slot> &R : Sec.Runs)
+      for (Slot &S : R) {
+        AnyWide |= S.Wide;
+        if (S.Stale)
+          writeBack(S);
+      }
+  CanResume = Result.Converged && !AnyWide;
 
   // Hit the iteration limit: addresses are best-effort and must not be
   // trusted silently — report which section was still growing, and let the
@@ -468,6 +590,126 @@ const RelaxationResult &UnitLayout::relax() {
                        " did not converge within " +
                        std::to_string(RelaxationIterationLimit) +
                        " iterations; branch sizes are best-effort");
+}
+
+bool UnitLayout::relaxSpans() {
+  for (Section &Sec : Sections)
+    if (Sec.dirty() && !relaxSpan(Sec))
+      return false;
+  Result = RelaxationResult();
+  Result.Converged = true;
+  Result.Iterations = 1;
+  return true;
+}
+
+bool UnitLayout::prevSlot(const Section &Sec, SlotPos &At) {
+  while (At.Index == 0) {
+    if (At.Run == 0)
+      return false;
+    --At.Run;
+    At.Index = static_cast<uint32_t>(Sec.Runs[At.Run].size());
+  }
+  --At.Index;
+  return true;
+}
+
+bool UnitLayout::relaxSpan(Section &Sec) {
+  // Every branch was rel8 after the last relax(), and a from-scratch relax
+  // starts its first round with every branch at rel8, so that round lays
+  // the unedited prefix and everything past the resync slot out exactly as
+  // before. Re-address the rest of it here.
+  const SlotPos From = Sec.EditBegin;
+  SlotPos Before = From;
+  int64_t Address = 0;
+  if (prevSlot(Sec, Before))
+    Address = slotAt(Sec, Before).Address + slotAt(Sec, Before).Size;
+  const int64_t SpanBegin = Address;
+  SlotPos Stop{static_cast<uint32_t>(Sec.Runs.size()), 0};
+  for (uint32_t RunIdx = From.Run; RunIdx < Stop.Run; ++RunIdx) {
+    std::vector<Slot> &Slots = Sec.Runs[RunIdx];
+    for (uint32_t I = RunIdx == From.Run ? From.Index : 0; I < Slots.size();
+         ++I) {
+      Slot &S = Slots[I];
+      // Past the last edit, the first slot that did not move resyncs: the
+      // rest of the section is the old layout.
+      if (S.Address == Address && SlotPos{RunIdx, I} >= Sec.CleanFrom) {
+        Stop = {RunIdx, I};
+        break;
+      }
+      uint32_t Size = S.Size;
+      if (S.Kind == SlotKind::Branch)
+        Size = S.Rel8Size;
+      else if (S.Kind == SlotKind::Align)
+        Size = AlignSpec{S.Boundary, S.MaxPad}.pad(Address);
+      if (S.Address != Address || S.Size != Size) {
+        S.Address = Address;
+        S.Size = Size;
+        S.Stale = true;
+      }
+      Address += Size;
+      ++SlotsWalked;
+    }
+  }
+  if (Stop.Run == Sec.Runs.size())
+    Sec.Size = Address;
+
+  // Re-check the branches whose source or target moved. Before the edits
+  // every branch fit rel8, so one whose target is in the span sits within
+  // rel8 reach (plus any `sym+N` offset) of it; re-checking a few more
+  // than that is harmless.
+  const int64_t Reach = 128 + Sec.MaxTargetOffset;
+  auto Fits = [&](const Slot &S) {
+    return S.Kind != SlotKind::Branch || fitsRel8(Sec, S);
+  };
+  for (SlotPos At = From; prevSlot(Sec, At);) {
+    const Slot &S = slotAt(Sec, At);
+    if (S.Address + S.Size < SpanBegin - Reach)
+      break;
+    ++SlotsWalked;
+    if (!Fits(S))
+      return false;
+  }
+  for (uint32_t RunIdx = From.Run; RunIdx < Sec.Runs.size(); ++RunIdx) {
+    std::vector<Slot> &Slots = Sec.Runs[RunIdx];
+    for (uint32_t I = RunIdx == From.Run ? From.Index : 0; I < Slots.size();
+         ++I) {
+      Slot &S = Slots[I];
+      if (SlotPos{RunIdx, I} >= Stop) {
+        if (S.Address > Address + Reach)
+          return true;
+        ++SlotsWalked;
+      }
+      if (!Fits(S))
+        return false;
+      if (S.Stale)
+        writeBack(S);
+    }
+  }
+  return true;
+}
+
+const RelaxationResult &UnitLayout::relax() {
+  if (!Dirty)
+    return Result;
+  assert(Unit.entries().size() == ExpectedEntries &&
+         "unit edited behind its layout's back");
+  Dirty = false;
+  SlotsWalked = 0;
+  const bool Incremental = CanResume && relaxSpans();
+  if (!Incremental)
+    relaxAll();
+  for (Section &Sec : Sections) {
+    Result.SectionSizes[Sec.Name] = Sec.Size;
+    Sec.EditBegin = {UINT32_MAX, 0};
+    Sec.CleanFrom = {};
+  }
+
+  RelaxCounters &Counters = RelaxCounters::get();
+  Counters.Relaxations.add();
+  Counters.Iterations.add(Result.Iterations);
+  Counters.SlotsWalked.add(SlotsWalked);
+  if (Incremental)
+    Counters.Incremental.add();
   return Result;
 }
 
@@ -477,13 +719,17 @@ RelaxationResult UnitLayout::takeResult() {
   // the first section's definition.
   for (const Section &Sec : Sections) {
     LabelAddressMap &SecLabels = Result.SectionLabels[Sec.Name];
-    for (const Slot &S : Sec.Slots)
-      if (S.Kind == SlotKind::Label) {
-        SecLabels.try_emplace(S.E->labelName(), S.Address);
-        Result.Labels.try_emplace(S.E->labelName(), S.Address);
-      }
+    for (const std::vector<Slot> &R : Sec.Runs)
+      for (const Slot &S : R)
+        if (S.Kind == SlotKind::Label) {
+          SecLabels.try_emplace(S.E->labelName(), S.Address);
+          Result.Labels.try_emplace(S.E->labelName(), S.Address);
+        }
   }
-  Dirty = true; // The next relax() must not hand out the moved-from result.
+  // The next relax() must not hand out the moved-from result, and starts
+  // from scratch.
+  Dirty = true;
+  CanResume = false;
   return std::move(Result);
 }
 

@@ -30,7 +30,10 @@
 #include "ir/MaoUnit.h"
 #include "x86/Encoder.h"
 
+#include <compare>
+#include <functional>
 #include <string>
+#include <string_view>
 #include <unordered_map>
 #include <utility>
 #include <vector>
@@ -41,6 +44,10 @@ class DiagEngine;
 
 /// Built-in iteration bound from the paper.
 constexpr unsigned RelaxationIterationLimit = 100;
+
+/// Rounds of Optimal mode's minimality audit; a layout that still shrinks
+/// after the last one is reported (DiagCode::RelaxAuditRoundLimit).
+constexpr unsigned RelaxAuditRoundLimit = 4;
 
 /// Parses "grow"/"optimal"; returns false on anything else.
 bool parseRelaxMode(const std::string &Text, RelaxMode &Mode);
@@ -85,14 +92,26 @@ struct LengthMemoTally {
 };
 
 /// A maintained relaxation layout over one unit (DESIGN.md, "Maintained
-/// layout"). The constructor walks every section once into a flat slot
-/// array: one slot per entry, holding its static size, an alignment
-/// directive's parsed boundary and max, or a direct branch's rel8/rel32
-/// lengths and the slot index of its target label. relax() then runs the
-/// grow iteration (and, when the unit's relaxMode() is Optimal, the
-/// minimality audit) over those arrays alone, with no list walk and no
-/// string hashing, and writes Address, Size and BranchSize back to the
-/// entries whose slots changed.
+/// layout"). The constructor walks every section once into slots: one slot
+/// per entry, holding its static size, an alignment directive's parsed
+/// boundary and max, or a direct branch's rel8/rel32 lengths and the id of
+/// its target symbol in the section's symbol table. A section's slots are
+/// split into runs, one per function (plus one per section run that starts
+/// outside a function), so an edit touches only the run it lands in: the
+/// edited entry's run is found by walking back to the run's first entry,
+/// and labels are held by id, with a (run, index) place that only their own
+/// run's edits update.
+///
+/// relax() runs the grow iteration (and, when the unit's relaxMode() is
+/// Optimal, the minimality audit) over the slots alone, with no list walk
+/// and no string hashing, and writes Address, Size and BranchSize back to
+/// the entries whose slots changed. When the last relax() converged with
+/// every direct branch at rel8, it re-addresses only from each section's
+/// first edited slot to the first slot past the last edit whose address did
+/// not move, and re-checks only the branches within rel8 reach of that
+/// span. If none of them overflows, that is exactly the first round of a
+/// from-scratch relaxation and its fixpoint; otherwise, and whenever the
+/// precondition does not hold, relax() runs the whole-unit fixpoint.
 ///
 /// The layout stays current while its owner edits the unit through
 /// insertBefore()/erase(); relax() re-runs only when an edit happened
@@ -101,7 +120,7 @@ struct LengthMemoTally {
 class UnitLayout {
 public:
   /// Builds the walk of \p Unit's section runs. \p Diags (when non-null)
-  /// receives the iteration-limit warning.
+  /// receives the iteration-limit and audit-limit warnings.
   explicit UnitLayout(MaoUnit &Unit, DiagEngine *Diags = nullptr);
 
   UnitLayout(const UnitLayout &) = delete;
@@ -117,7 +136,7 @@ public:
   const RelaxationResult &relax();
 
   /// Hands over the last relax() result with Labels and SectionLabels
-  /// filled in.
+  /// filled in. The next relax() runs the whole-unit fixpoint.
   RelaxationResult takeResult();
 
   /// Inserts \p Entry before \p Pos in the unit (which keeps its views
@@ -142,39 +161,120 @@ private:
     bool Stale = true;
     uint8_t Rel8Size = 0;  ///< Branch: encoded length at rel8.
     uint8_t Rel32Size = 0; ///< Branch: encoded length at rel32.
-    /// Branch: slot index of the first definition of the target label in
-    /// this section, or -1 for an external or cross-section target.
-    int32_t Target = -1;
+    /// Branch: the target's id in the section's symbol table. Label: the
+    /// label's id in the section's label table.
+    int32_t Id = -1;
     int64_t TargetOffset = 0; ///< Branch: the constant in `sym+N`.
     int64_t Boundary = 0;     ///< Align: power of two; 0 never pads.
     int64_t MaxPad = -1;      ///< Align: padding limit; -1 for none.
   };
 
-  struct Section {
-    std::string Name;
-    std::vector<Slot> Slots;
-    int64_t Size = 0;
+  /// A place in a section: run index, then slot index within the run.
+  /// Places order lexicographically, which is section order.
+  struct SlotPos {
+    uint32_t Run = 0;
+    uint32_t Index = 0;
+    auto operator<=>(const SlotPos &) const = default;
   };
 
-  Slot makeSlot(MaoEntry &E, LengthMemoTally &Tally);
-  /// Re-resolves every branch target of \p Sec by label name.
-  static void resolveTargets(Section &Sec);
-  /// The section and slot index of \p Pos, or {nullptr, 0} when \p Pos
-  /// is outside every section run.
-  std::pair<Section *, size_t> locate(EntryIter Pos);
+  struct LabelDef {
+    SlotPos At;
+    int32_t Symbol = -1;
+    int32_t NextDef = -1; ///< Next definition of the same symbol, unordered.
+  };
+
+  struct Symbol {
+    int32_t First = -1; ///< The label id of the first definition, or -1.
+    int32_t Defs = -1;  ///< Head of the chain of every live definition.
+    uint32_t Refs = 0;  ///< Direct branches that target the symbol.
+  };
+
+  /// Name lookups by string_view into std::string keys.
+  struct NameHash {
+    using is_transparent = void;
+    size_t operator()(std::string_view S) const {
+      return std::hash<std::string_view>()(S);
+    }
+  };
+
+  struct Section {
+    std::string Name;
+    std::vector<std::vector<Slot>> Runs;
+    std::vector<LabelDef> Labels;
+    std::vector<Symbol> Symbols;
+    std::unordered_map<std::string, int32_t, NameHash, std::equal_to<>>
+        SymbolIds;
+    int64_t Size = 0;
+    /// Largest |N| of any `sym+N` branch target seen: widens the reach
+    /// within which a moved target can affect a branch.
+    int64_t MaxTargetOffset = 0;
+    /// The dirty span: the first slot edited since the last relax(), and
+    /// the first slot of the suffix no edit has touched since.
+    SlotPos EditBegin{UINT32_MAX, 0};
+    SlotPos CleanFrom;
+    bool dirty() const { return EditBegin.Run != UINT32_MAX; }
+  };
+
+  /// A run's place: its section and its index there.
+  struct RunRef {
+    uint32_t Section;
+    uint32_t Run;
+  };
+
+  Slot makeSlot(Section &Sec, MaoEntry &E, LengthMemoTally &Tally);
+  static Slot &slotAt(Section &Sec, SlotPos At) {
+    return Sec.Runs[At.Run][At.Index];
+  }
+  int32_t symbolId(Section &Sec, std::string_view Name);
+  /// Enters the label slot at \p At in its section's label table.
+  void defineLabel(Section &Sec, SlotPos At);
+  /// Drops label \p Id, rebinding its symbol to the next definition.
+  void undefineLabel(Section &Sec, int32_t Id);
+  /// Points the label table at the labels of run \p Run from \p From on.
+  static void reindexLabels(Section &Sec, uint32_t Run, uint32_t From);
+  /// The address of a branch's target, or false for an external or
+  /// cross-section one.
+  bool targetAddress(const Section &Sec, const Slot &Branch,
+                     int64_t &Address) const;
+  bool fitsRel8(const Section &Sec, const Slot &Branch) const;
+  /// The section and place of \p Pos, or no section when \p Pos is
+  /// outside every run. For an insertion, the place just past a run's last
+  /// slot (a section directive or the list end) counts as that run's.
+  std::pair<Section *, SlotPos> locate(EntryIter Pos, bool ForInsert);
+  /// Steps \p At back to the previous slot of its section; false at the
+  /// section's start.
+  static bool prevSlot(const Section &Sec, SlotPos &At);
+  void noteInsert(Section &Sec, SlotPos At);
+  void noteErase(Section &Sec, SlotPos At);
+
+  /// Hands a stale slot's values to its entry. Only this layout writes
+  /// those fields while it is alive, so an entry whose slot is not stale
+  /// still holds its values; skipping it keeps a relaxation from touching
+  /// every list node.
+  static void writeBack(Slot &S);
+  void relaxAll();
   void addressRound();
   bool growthRound();
   bool converge();
   void shrinkAudit();
-  void writeBack();
+  /// The dirty-span relaxation of every edited section; false when a
+  /// branch would grow, which leaves the whole-unit fixpoint to relaxAll().
+  bool relaxSpans();
+  bool relaxSpan(Section &Sec);
 
   MaoUnit &Unit;
   DiagEngine *Diags;
   std::vector<Section> Sections;
+  /// Each non-empty run's first entry.
+  std::unordered_map<const MaoEntry *, RunRef> RunStarts;
   RelaxationResult Result;
   /// The entry count the unit has when every edit went through the layout.
   size_t ExpectedEntries;
   bool Dirty = true;
+  /// The last relax() converged with every direct branch at rel8 and no
+  /// edit since moved a branch target to another label: the next relax()
+  /// may re-lay only the dirty spans.
+  bool CanResume = false;
   /// Index of the section that grew a branch last (for the limit warning).
   size_t LastGrowth = 0;
   uint64_t SlotsWalked = 0;

@@ -36,7 +36,7 @@ void MaoPass::trace(int Level, const char *Fmt, ...) const {
 
 UnitLayout &MaoFunctionPass::layout() {
   if (!*LayoutSlot)
-    *LayoutSlot = std::make_unique<UnitLayout>(unit());
+    *LayoutSlot = std::make_unique<UnitLayout>(unit(), RequestDiags);
   return **LayoutSlot;
 }
 

@@ -41,6 +41,8 @@ const char *mao::diagCodeName(DiagCode Code) {
     return "pass-round-cap";
   case DiagCode::RelaxIterationLimit:
     return "relax-iteration-limit";
+  case DiagCode::RelaxAuditRoundLimit:
+    return "relax-audit-round-limit";
   case DiagCode::VerifyUnresolvedLabel:
     return "verify-unresolved-label";
   case DiagCode::VerifyDuplicateLabel:

@@ -47,6 +47,7 @@ enum class DiagCode : uint16_t {
   PassRoundCap,
   // Analysis.
   RelaxIterationLimit,
+  RelaxAuditRoundLimit,
   // Verifier.
   VerifyUnresolvedLabel,
   VerifyDuplicateLabel,

@@ -24,8 +24,15 @@ public:
 
   MaoStatus run(std::vector<uint8_t> &Out);
 
+  /// Builds the encoding and returns its length in \p Length without
+  /// producing bytes. No label map, so no displacement check.
+  MaoStatus length(unsigned &Length);
+
 private:
   MaoStatus encodeBody();
+  /// encodeBody() plus the validity checks every encoding needs; run() and
+  /// length() both start here so the two cannot disagree.
+  MaoStatus build();
 
   // Per-kind encoders.
   MaoStatus encodeMov();
@@ -912,18 +919,30 @@ MaoStatus EncodingBuilder::encodeBody() {
   return MaoStatus::error("unreachable");
 }
 
-MaoStatus EncodingBuilder::run(std::vector<uint8_t> &Out) {
+MaoStatus EncodingBuilder::build() {
   if (MaoStatus S = encodeBody())
+    return S;
+  if (RawLen == 0 && HighByteUsed && rexByteNeeded())
+    return MaoStatus::error(
+        "high-byte register cannot be combined with a REX prefix");
+  return MaoStatus::success();
+}
+
+MaoStatus EncodingBuilder::length(unsigned &Length) {
+  if (MaoStatus S = build())
+    return S;
+  Length = RawLen != 0 ? RawLen : totalLength();
+  return MaoStatus::success();
+}
+
+MaoStatus EncodingBuilder::run(std::vector<uint8_t> &Out) {
+  if (MaoStatus S = build())
     return S;
 
   if (RawLen != 0) {
     Out.insert(Out.end(), RawBytes, RawBytes + RawLen);
     return MaoStatus::success();
   }
-
-  if (HighByteUsed && rexByteNeeded())
-    return MaoStatus::error(
-        "high-byte register cannot be combined with a REX prefix");
 
   if (DispIsPcRel) {
     int64_t Target = resolveSym(*PcRelSym, PcRelAddend);
@@ -979,10 +998,10 @@ MaoStatus mao::encodeInstructionNoInject(const Instruction &Insn,
 unsigned mao::instructionLength(const Instruction &Insn) {
   if (Insn.isOpaque())
     return OpaqueInstructionSizeEstimate;
-  std::vector<uint8_t> Bytes;
+  unsigned Length = 0;
   EncodingBuilder Builder(Insn, 0, nullptr);
-  MaoStatus S = Builder.run(Bytes);
+  MaoStatus S = Builder.length(Length);
   (void)S;
   assert(S.ok() && "instructionLength on an unencodable instruction");
-  return static_cast<unsigned>(Bytes.size());
+  return Length;
 }

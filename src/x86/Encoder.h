@@ -56,10 +56,13 @@ MaoStatus encodeInstructionNoInject(const Instruction &Insn, int64_t Address,
                                     std::vector<uint8_t> &Out);
 
 /// Returns the encoded length in bytes (branches honour BranchSize; opaque
-/// instructions report OpaqueInstructionSizeEstimate). Asserts that the
-/// instruction is encodable; use encodeInstruction for fallible validation
-/// of parsed input. Not memoized here: the IR keeps lengths on the entry
-/// (MaoEntry::lengthMemo), which is where relaxation looks first.
+/// instructions report OpaqueInstructionSizeEstimate). Measured without
+/// building bytes: the encoder lays out the instruction's components and
+/// sums them, after the same validity checks encodeInstruction makes
+/// (minus the displacement range check, which needs a label map). Asserts
+/// that the instruction is encodable; use encodeInstruction for fallible
+/// validation of parsed input. Not memoized here: the IR keeps lengths on
+/// the entry (MaoEntry::lengthMemo), which is where relaxation looks first.
 unsigned instructionLength(const Instruction &Insn);
 
 } // namespace mao

@@ -9,17 +9,14 @@
 //
 //===----------------------------------------------------------------------===//
 
+#include "TestCorpus.h"
 #include "asm/Parser.h"
 #include "ir/MaoUnit.h"
 #include "support/Random.h"
-#include "workload/Workload.h"
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
-#include <filesystem>
-#include <fstream>
-#include <sstream>
 #include <string>
 #include <unordered_map>
 #include <utility>
@@ -148,24 +145,8 @@ MaoEntry randomAlign(RandomSource &Rng) {
 
 /// examples/*.s, every SPEC profile and the split function.
 std::vector<std::pair<std::string, std::string>> corpus() {
-  std::vector<std::pair<std::string, std::string>> Corpus;
-  std::vector<std::filesystem::path> Files;
-  for (const auto &Entry :
-       std::filesystem::directory_iterator(MAO_EXAMPLES_DIR))
-    if (Entry.path().extension() == ".s")
-      Files.push_back(Entry.path());
-  std::sort(Files.begin(), Files.end());
-  for (const std::filesystem::path &Path : Files) {
-    std::ifstream In(Path);
-    std::stringstream Text;
-    Text << In.rdbuf();
-    Corpus.emplace_back(Path.filename().string(), Text.str());
-  }
-  std::vector<WorkloadSpec> Specs = spec2000IntProfiles();
-  for (WorkloadSpec &S : spec2006Profiles())
-    Specs.push_back(S);
-  for (const WorkloadSpec &S : Specs)
-    Corpus.emplace_back(S.Name, generateWorkloadAssembly(S));
+  std::vector<std::pair<std::string, std::string>> Corpus =
+      exampleAndSpecCorpus();
   Corpus.emplace_back("split-function", SplitFunction);
   return Corpus;
 }

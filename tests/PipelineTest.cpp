@@ -7,6 +7,7 @@
 //
 //===----------------------------------------------------------------------===//
 
+#include "TestCorpus.h"
 #include "asm/AsmEmitter.h"
 #include "asm/Parser.h"
 #include "check/Lint.h"
@@ -21,9 +22,6 @@
 
 #include <algorithm>
 #include <chrono>
-#include <filesystem>
-#include <fstream>
-#include <sstream>
 #include <stdexcept>
 #include <thread>
 
@@ -490,29 +488,6 @@ f:
         EXPECT_EQ(Out, Reference) << Pipeline << " at jobs=" << Jobs;
     }
   }
-}
-
-/// examples/*.s and every SPEC profile.
-std::vector<std::pair<std::string, std::string>> exampleAndSpecCorpus() {
-  std::vector<std::pair<std::string, std::string>> Corpus;
-  std::vector<std::filesystem::path> Files;
-  for (const auto &Entry :
-       std::filesystem::directory_iterator(MAO_EXAMPLES_DIR))
-    if (Entry.path().extension() == ".s")
-      Files.push_back(Entry.path());
-  std::sort(Files.begin(), Files.end());
-  for (const std::filesystem::path &Path : Files) {
-    std::ifstream In(Path);
-    std::stringstream Text;
-    Text << In.rdbuf();
-    Corpus.emplace_back(Path.filename().string(), Text.str());
-  }
-  std::vector<WorkloadSpec> Specs = spec2000IntProfiles();
-  for (WorkloadSpec &S : spec2006Profiles())
-    Specs.push_back(S);
-  for (const WorkloadSpec &S : Specs)
-    Corpus.emplace_back(S.Name, generateWorkloadAssembly(S));
-  return Corpus;
 }
 
 std::vector<PassRequest> pipeline(const std::string &Spec) {

@@ -1,20 +1,21 @@
 //===- tests/RelaxerTest.cpp - Repeated relaxation tests --------------------==//
 
+#include "TestCorpus.h"
 #include "analysis/Relaxer.h"
 #include "asm/AsmEmitter.h"
 #include "asm/Assembler.h"
 #include "asm/Parser.h"
 #include "ir/Verifier.h"
+#include "pass/MaoPass.h"
 #include "support/Diag.h"
 #include "support/Random.h"
+#include "support/Stats.h"
 #include "workload/Workload.h"
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
-#include <filesystem>
-#include <fstream>
-#include <sstream>
+#include <set>
 #include <string>
 #include <utility>
 #include <vector>
@@ -768,24 +769,8 @@ void expectMatchesReference(MaoUnit &Unit, UnitLayout &Layout,
 /// Every unit of the differential corpus: examples/*.s, the SPEC workload
 /// profiles and a few units built around the rel8 cliff.
 std::vector<std::pair<std::string, std::string>> differentialCorpus() {
-  std::vector<std::pair<std::string, std::string>> Corpus;
-  std::vector<std::filesystem::path> Files;
-  for (const auto &Entry :
-       std::filesystem::directory_iterator(MAO_EXAMPLES_DIR))
-    if (Entry.path().extension() == ".s")
-      Files.push_back(Entry.path());
-  std::sort(Files.begin(), Files.end());
-  for (const std::filesystem::path &Path : Files) {
-    std::ifstream In(Path);
-    std::stringstream Text;
-    Text << In.rdbuf();
-    Corpus.emplace_back(Path.filename().string(), Text.str());
-  }
-  std::vector<WorkloadSpec> Specs = spec2000IntProfiles();
-  for (WorkloadSpec &S : spec2006Profiles())
-    Specs.push_back(S);
-  for (const WorkloadSpec &S : Specs)
-    Corpus.emplace_back(S.Name, generateWorkloadAssembly(S));
+  std::vector<std::pair<std::string, std::string>> Corpus =
+      exampleAndSpecCorpus();
   // Branches at the rel8 cliff, where one byte moved flips a size.
   Corpus.emplace_back("forward-cliff",
                       "\t.text\n\tjmp .LT\n\t.zero 127\n.LT:\n\tret\n");
@@ -816,6 +801,98 @@ TEST(UnitLayout, MatchesReferenceOnCorpus) {
   }
 }
 
+/// Makes one seeded random edit through \p Layout: a NOP, a `.p2align` or
+/// an erase, and with \p WithBranches also a direct jump or a label. Half
+/// the NOP, `.p2align` and erase edits land on a label, where they move a
+/// branch target. Returns what it did, or "" when it skipped.
+std::string randomEdit(MaoUnit &Unit, UnitLayout &Layout, RandomSource &Rng,
+                       bool WithBranches) {
+  std::vector<EntryIter> Labels;
+  for (EntryIter It = Unit.entries().begin(); It != Unit.entries().end(); ++It)
+    if (It->isLabel())
+      Labels.push_back(It);
+  EntryIter Pos =
+      !Labels.empty() && Rng.nextChance(1, 2)
+          ? Labels[Rng.nextBelow(Labels.size())]
+          : std::next(Unit.entries().begin(),
+                      static_cast<long>(
+                          Rng.nextBelow(Unit.entries().size() + 1)));
+  switch (Rng.nextBelow(WithBranches ? 5 : 3)) {
+  case 0: {
+    const unsigned Length = 1 + static_cast<unsigned>(Rng.nextBelow(15));
+    Layout.insertBefore(Pos, MaoEntry::makeInstruction(makeNop(Length)));
+    return "nop" + std::to_string(Length);
+  }
+  case 1: {
+    Directive Dir;
+    Dir.Kind = DirKind::P2Align;
+    Dir.Name = ".p2align";
+    Dir.Args = {std::to_string(1 + Rng.nextBelow(5))};
+    if (Rng.nextChance(1, 2))
+      Dir.Args.insert(Dir.Args.end(), {"", std::to_string(Rng.nextBelow(16))});
+    Layout.insertBefore(Pos, MaoEntry::makeDirective(std::move(Dir)));
+    return ".p2align";
+  }
+  case 2: {
+    // Section directives bound the runs; every other entry may go. With
+    // \p WithBranches labels stay: erasing one that a branch targets turns
+    // the branch rel32 for good, which would keep every later relaxation
+    // off the dirty-span path (a case of its own).
+    if (Pos == Unit.entries().end() || (WithBranches && Pos->isLabel()) ||
+        Pos->isDirective(DirKind::Text) ||
+        Pos->isDirective(DirKind::Data) || Pos->isDirective(DirKind::Bss) ||
+        Pos->isDirective(DirKind::Section))
+      return "";
+    std::string What = "erase " + Pos->toString();
+    Layout.erase(Pos);
+    return What;
+  }
+  default: {
+    // Before a label, so the new entry joins a section run (a branch
+    // outside every run is outside MaoUnit's edit contract), and naming
+    // that label: a branch that grows to rel32 would keep every later
+    // relaxation off the dirty-span path. A second definition of the label
+    // takes over its branches.
+    if (Labels.empty())
+      return "";
+    Pos = Labels[Rng.nextBelow(Labels.size())];
+    const std::string Name = std::as_const(*Pos).labelName();
+    switch (Rng.nextBelow(3)) {
+    case 0:
+      Layout.insertBefore(Pos, MaoEntry::makeInstruction(makeJump(Name)));
+      return "jmp " + Name;
+    case 1:
+      Layout.insertBefore(Pos, MaoEntry::makeLabel(Name));
+      return "label " + Name;
+    default: {
+      const std::string Fresh = Unit.makeUniqueLabel();
+      Layout.insertBefore(Pos, MaoEntry::makeLabel(Fresh));
+      return "label " + Fresh;
+    }
+    }
+  }
+  }
+}
+
+/// Relaxes \p Unit through \p Layout without taking the result — so the
+/// next relax() may resume from the dirty spans — then through the
+/// reference, and expects identical results and entry layouts.
+void expectSpanMatchesReference(MaoUnit &Unit, UnitLayout &Layout,
+                                const std::string &What) {
+  const RelaxationResult &Got = Layout.relax();
+  const std::vector<EntryLayout> GotEntries = entryLayouts(Unit);
+  const RelaxationResult Want = referenceRelaxUnit(Unit);
+  EXPECT_EQ(Got.Converged, Want.Converged) << What;
+  EXPECT_EQ(Got.Iterations, Want.Iterations) << What;
+  EXPECT_EQ(Got.ShrunkBranches, Want.ShrunkBranches) << What;
+  EXPECT_EQ(Got.SectionSizes, Want.SectionSizes) << What;
+  EXPECT_TRUE(GotEntries == entryLayouts(Unit)) << What;
+}
+
+uint64_t incrementalRelaxations() {
+  return StatsRegistry::instance().counter("relax.incremental").value();
+}
+
 TEST(UnitLayout, MatchesReferenceAfterEveryEdit) {
   // Seeded random NOP, .p2align and erase edits through the layout, each
   // checked against a fresh reference relaxation of the same unit.
@@ -829,56 +906,222 @@ TEST(UnitLayout, MatchesReferenceAfterEveryEdit) {
       RandomSource Rng(Seed++);
       const unsigned Edits = Unit.entries().size() > 10000 ? 8 : 30;
       for (unsigned I = 0; I < Edits; ++I) {
-        // Half the edits land on a label, where they move a branch target.
-        std::vector<EntryIter> Labels;
-        for (EntryIter It = Unit.entries().begin(); It != Unit.entries().end();
-             ++It)
-          if (It->isLabel())
-            Labels.push_back(It);
-        EntryIter Pos =
-            !Labels.empty() && Rng.nextChance(1, 2)
-                ? Labels[Rng.nextBelow(Labels.size())]
-                : std::next(Unit.entries().begin(),
-                            static_cast<long>(
-                                Rng.nextBelow(Unit.entries().size() + 1)));
-        std::string What = Name + " edit " + std::to_string(I);
-        switch (Rng.nextBelow(3)) {
-        case 0: {
-          const unsigned Length = 1 + static_cast<unsigned>(Rng.nextBelow(15));
-          Layout.insertBefore(Pos, MaoEntry::makeInstruction(makeNop(Length)));
-          What += ": nop" + std::to_string(Length);
-          break;
-        }
-        case 1: {
-          Directive Dir;
-          Dir.Kind = DirKind::P2Align;
-          Dir.Name = ".p2align";
-          Dir.Args = {std::to_string(1 + Rng.nextBelow(5))};
-          if (Rng.nextChance(1, 2))
-            Dir.Args.insert(Dir.Args.end(),
-                            {"", std::to_string(Rng.nextBelow(16))});
-          Layout.insertBefore(Pos, MaoEntry::makeDirective(std::move(Dir)));
-          What += ": .p2align";
-          break;
-        }
-        default: {
-          // Section directives bound the runs; every other entry may go.
-          if (Pos == Unit.entries().end() || Pos->isDirective(DirKind::Text) ||
-              Pos->isDirective(DirKind::Data) ||
-              Pos->isDirective(DirKind::Bss) ||
-              Pos->isDirective(DirKind::Section))
-            continue;
-          What += ": erase " + Pos->toString();
-          Layout.erase(Pos);
-          break;
-        }
-        }
-        expectMatchesReference(Unit, Layout, What);
+        const std::string Edit = randomEdit(Unit, Layout, Rng, false);
+        if (Edit.empty())
+          continue;
+        expectMatchesReference(Unit, Layout,
+                               Name + " edit " + std::to_string(I) + ": " +
+                                   Edit);
         if (HasFailure())
           return;
       }
     }
   }
+
+  // Batches of 2-4 edits, jumps and labels included, between relax()
+  // calls that keep the layout's result, so the dirty-span path serves
+  // every relaxation it can. The SPEC units (all rel8) must use it; the
+  // cliff and cascade units, whose layouts hold rel32 branches or grow one,
+  // must fall back to the whole-unit fixpoint.
+  std::set<std::string> SpecNames;
+  for (const WorkloadSpec &S : spec2000IntProfiles())
+    SpecNames.insert(S.Name);
+  for (const WorkloadSpec &S : spec2006Profiles())
+    SpecNames.insert(S.Name);
+  for (RelaxMode Mode : {RelaxMode::Grow, RelaxMode::Optimal}) {
+    uint64_t Seed = 1000;
+    for (const auto &[Name, Text] : Corpus) {
+      MaoUnit Unit = parseOk(Text);
+      Unit.setRelaxMode(Mode);
+      UnitLayout Layout(Unit);
+      expectSpanMatchesReference(Unit, Layout, Name + " initial");
+      RandomSource Rng(Seed++);
+      const uint64_t Before = incrementalRelaxations();
+      const unsigned Batches = Unit.entries().size() > 10000 ? 4 : 12;
+      for (unsigned B = 0; B < Batches; ++B) {
+        std::string What = Name + " batch " + std::to_string(B) + ":";
+        for (uint64_t E = 2 + Rng.nextBelow(3); E > 0; --E)
+          What += " " + randomEdit(Unit, Layout, Rng, true);
+        expectSpanMatchesReference(Unit, Layout, What);
+        if (HasFailure())
+          return;
+      }
+      const uint64_t Served = incrementalRelaxations() - Before;
+      if (SpecNames.count(Name)) {
+        EXPECT_GT(Served, 0u) << Name;
+      }
+      if (Name == "growth-cascade" || Name == "non-converging") {
+        EXPECT_EQ(Served, 0u) << Name;
+      }
+    }
+  }
+
+  for (RelaxMode Mode : {RelaxMode::Grow, RelaxMode::Optimal}) {
+    const std::string ModeName =
+        Mode == RelaxMode::Grow ? " (grow)" : " (optimal)";
+
+    // Edits in two sections before one relax.
+    {
+      std::string S = "\t.text\nf:\n\tjmp .LA\n\t.zero 100\n.LA:\n\tret\n";
+      S += "\t.section .text.unlikely\ng:\n\tjne .LB\n\t.zero 90\n.LB:\n"
+           "\tret\n";
+      MaoUnit Unit = parseOk(S);
+      Unit.setRelaxMode(Mode);
+      UnitLayout Layout(Unit);
+      expectSpanMatchesReference(Unit, Layout, "two sections" + ModeName);
+      const uint64_t Before = incrementalRelaxations();
+      for (const char *Label : {".LA", ".LB"})
+        Layout.insertBefore(Unit.labelMap().at(Label),
+                            MaoEntry::makeInstruction(makeNop(9)));
+      expectSpanMatchesReference(Unit, Layout, "two sections" + ModeName);
+      EXPECT_EQ(incrementalRelaxations() - Before, 1u) << ModeName;
+      EXPECT_EQ(Unit.labelMap().at(".LB")->Address, 101) << ModeName;
+    }
+
+    // Erasing a branch's target label: with a second definition the branch
+    // rebinds to it and still fits rel8, without one the target turns
+    // external (rel32).
+    for (bool Duplicate : {true, false}) {
+      std::string S = "\t.text\n\tjmp .LT\n\t.zero 20\n.LT:\n\tret\n";
+      if (Duplicate)
+        S += "\t.zero 50\n.LT:\n\tret\n";
+      MaoUnit Unit = parseOk(S);
+      Unit.setRelaxMode(Mode);
+      UnitLayout Layout(Unit);
+      expectSpanMatchesReference(Unit, Layout, "target erase" + ModeName);
+      Layout.erase(Unit.labelMap().at(".LT"));
+      expectSpanMatchesReference(Unit, Layout, "target erase" + ModeName);
+      EXPECT_EQ(findInsn(Unit, Mnemonic::JMP)->instruction().BranchSize,
+                Duplicate ? 1 : 4)
+          << ModeName;
+    }
+
+    // A relax right after takeResult() runs the whole-unit fixpoint.
+    {
+      MaoUnit Unit = parseOk(paperExample(4, false));
+      Unit.setRelaxMode(Mode);
+      UnitLayout Layout(Unit);
+      expectMatchesReference(Unit, Layout, "after takeResult" + ModeName);
+      Layout.insertBefore(Unit.labelMap().at(".LTAIL"),
+                          MaoEntry::makeInstruction(makeNop(3)));
+      const uint64_t Before = incrementalRelaxations();
+      expectSpanMatchesReference(Unit, Layout, "after takeResult" + ModeName);
+      EXPECT_EQ(incrementalRelaxations(), Before) << ModeName;
+      // And resumes from the dirty span after that.
+      Layout.insertBefore(Unit.labelMap().at(".LTAIL"),
+                          MaoEntry::makeInstruction(makeNop(3)));
+      expectSpanMatchesReference(Unit, Layout, "after takeResult" + ModeName);
+      EXPECT_EQ(incrementalRelaxations(), Before + 1) << ModeName;
+    }
+
+    // From an all-rel8 layout, a NOP pushes a branch over the cliff: the
+    // span's re-check sees it and the whole-unit fixpoint grows it. The
+    // NOP goes between the branch and its target.
+    for (bool Forward : {true, false}) {
+      MaoUnit Unit = parseOk(
+          Forward ? "\t.text\n\tjmp .LT\n\t.zero 127\n.LT:\n\tret\n"
+                  : "\t.text\n.LT:\n\t.zero 126\n\tjmp .LT\n");
+      Unit.setRelaxMode(Mode);
+      UnitLayout Layout(Unit);
+      expectSpanMatchesReference(Unit, Layout, "cliff" + ModeName);
+      ASSERT_EQ(findInsn(Unit, Mnemonic::JMP)->Size, 2u);
+      const uint64_t Before = incrementalRelaxations();
+      EntryIter Label = Unit.labelMap().at(".LT");
+      Layout.insertBefore(Forward ? Label : std::next(Label),
+                          MaoEntry::makeInstruction(makeNop(1)));
+      expectSpanMatchesReference(Unit, Layout, "cliff" + ModeName);
+      EXPECT_EQ(incrementalRelaxations(), Before) << ModeName;
+      EXPECT_EQ(findInsn(Unit, Mnemonic::JMP)->Size, 5u) << ModeName;
+    }
+  }
+}
+
+/// Builds a unit whose grow fixpoint Optimal mode's audit undoes one
+/// branch per round, \p Links rounds in all. An external `jmp` (always
+/// rel32) and B_1 grow in the first round; B_1 overflows rel8 by one byte,
+/// but its target sits past a `.p2align 5` that absorbs every growth before
+/// it, so B_1 fits once it is demoted. Each B_{k+1} spans B_k and 125
+/// filler bytes: 127 at rel8, 130 once B_k grew, so B_{k+1} grows one round
+/// after B_k, and the audit can demote it only one round after B_k.
+std::string auditChain(unsigned Links) {
+  std::string S = "\t.text\n\tjmp external_fn\n";
+  for (unsigned K = Links; K >= 1; --K) {
+    S += "\tjmp .LB" + std::to_string(K) + "\n";
+    if (K < Links)
+      S += ".LB" + std::to_string(K + 1) + ":\n";
+    if (K > 1)
+      S += "\t.zero 125\n";
+  }
+  // Round one, all rel8: B_1 ends at End and its target lies 128 bytes
+  // on, behind a pad of 3 * (Links + 1) + 4 bytes.
+  const int64_t End = 4 + 127 * (int64_t(Links) - 1);
+  const int64_t Target = End + 128;
+  const int64_t Aligned = Target / 32 * 32;
+  const int64_t Pad = 3 * (int64_t(Links) + 1) + 4;
+  S += "\t.zero " + std::to_string(Aligned - End - Pad) + "\n";
+  S += "\t.p2align 5\n";
+  if (Target > Aligned)
+    S += "\t.zero " + std::to_string(Target - Aligned) + "\n";
+  S += ".LB1:\n\tret\n";
+  return S;
+}
+
+TEST(Relaxer, AuditRoundLimitEmitsDiagnostic) {
+  for (unsigned Links : {RelaxAuditRoundLimit, RelaxAuditRoundLimit + 1}) {
+    const bool Capped = Links > RelaxAuditRoundLimit;
+    MaoUnit Unit = parseOk(auditChain(Links));
+    Unit.setRelaxMode(RelaxMode::Optimal);
+    DiagEngine Diags;
+    CollectingDiagSink Sink;
+    Diags.addSink(&Sink);
+    RelaxationResult R = relaxUnit(Unit, &Diags);
+    ASSERT_TRUE(R.Converged) << Links;
+    EXPECT_EQ(R.ShrunkBranches, RelaxAuditRoundLimit) << Links;
+    // The last link is still rel32 exactly when the audit ran out.
+    const MaoEntry *Last = findInsn(Unit, Mnemonic::JMP, 1);
+    ASSERT_NE(Last, nullptr);
+    EXPECT_EQ(Last->instruction().BranchSize, Capped ? 4 : 1) << Links;
+    ASSERT_EQ(Sink.diagnostics().size(), Capped ? 1u : 0u) << Links;
+    if (Capped) {
+      const Diagnostic &D = Sink.diagnostics()[0];
+      EXPECT_EQ(D.Severity, DiagSeverity::Warning);
+      EXPECT_EQ(D.Code, DiagCode::RelaxAuditRoundLimit);
+      EXPECT_STREQ(diagCodeName(D.Code), "relax-audit-round-limit");
+      EXPECT_NE(D.Message.find(std::to_string(RelaxAuditRoundLimit)),
+                std::string::npos);
+    }
+    // The warning only reports; the layout is the reference's.
+    const std::vector<EntryLayout> Got = entryLayouts(Unit);
+    referenceRelaxUnit(Unit);
+    EXPECT_TRUE(Got == entryLayouts(Unit)) << Links;
+
+    // Grow mode has no audit and nothing to warn about.
+    MaoUnit GrowUnit = parseOk(auditChain(Links));
+    DiagEngine GrowDiags;
+    RelaxationResult G = relaxUnit(GrowUnit, &GrowDiags);
+    ASSERT_TRUE(G.Converged);
+    EXPECT_EQ(GrowDiags.warningCount(), 0u);
+    EXPECT_EQ(findInsn(GrowUnit, Mnemonic::JMP, 1)->instruction().BranchSize,
+              4);
+  }
+
+  // An alignment pass relaxes through the request's layout, which reports
+  // to the request's diagnostics engine.
+  MaoUnit Unit = parseOk("\t.type f, @function\nf:\n" +
+                         auditChain(RelaxAuditRoundLimit + 1) +
+                         "\t.size f, .-f\n");
+  Unit.setRelaxMode(RelaxMode::Optimal);
+  DiagEngine Diags;
+  CollectingDiagSink Sink;
+  Diags.addSink(&Sink);
+  linkAllPasses();
+  PassRequest Req;
+  Req.PassName = "LOOP16";
+  PipelineOptions Options;
+  Options.Diags = &Diags;
+  ASSERT_TRUE(runPasses(Unit, {Req}, Options).Ok);
+  ASSERT_EQ(Sink.diagnostics().size(), 1u);
+  EXPECT_EQ(Sink.diagnostics()[0].Code, DiagCode::RelaxAuditRoundLimit);
 }
 
 } // namespace

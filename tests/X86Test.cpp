@@ -1,10 +1,15 @@
 //===- tests/X86Test.cpp - Register, opcode, effects, encoder tests --------==//
 
+#include "TestCorpus.h"
+#include "asm/Parser.h"
 #include "x86/Encoder.h"
 #include "x86/Instruction.h"
 #include "x86/Registers.h"
 
 #include <gtest/gtest.h>
+
+#include <string>
+#include <vector>
 
 using namespace mao;
 
@@ -400,9 +405,26 @@ TEST(Encoder, MovzxMovsx) {
   EXPECT_EQ(enc(S), bytes({0x48, 0x63, 0xc7})); // movslq
 }
 
+/// Expects instructionLength to agree with the encoder's byte count for
+/// \p Insn at both branch widths; returns how many encodings it compared.
+unsigned expectLengthMatchesEncoding(Instruction Insn, const std::string &What) {
+  unsigned Compared = 0;
+  for (uint8_t BranchSize : {1, 4}) {
+    Insn.BranchSize = BranchSize;
+    std::vector<uint8_t> Bytes;
+    if (!encodeInstructionNoInject(Insn, 0, nullptr, Bytes).ok())
+      continue; // Outside instructionLength's contract.
+    EXPECT_EQ(instructionLength(Insn), Bytes.size())
+        << What << ": " << Insn.toString() << " at BranchSize "
+        << unsigned(BranchSize);
+    ++Compared;
+  }
+  return Compared;
+}
+
 TEST(Encoder, LengthsMatchEncoding) {
-  // instructionLength must agree with actual encoding for a spread of
-  // instructions.
+  // instructionLength measures without building bytes; it must agree with
+  // actual encoding for a spread of instructions...
   std::vector<Instruction> Insns = {
       makeInstr(Mnemonic::RET),
       makeInstr(Mnemonic::LEAVE),
@@ -418,6 +440,22 @@ TEST(Encoder, LengthsMatchEncoding) {
     ASSERT_TRUE(encodeInstruction(I, 0, nullptr, Bytes).ok());
     EXPECT_EQ(instructionLength(I), Bytes.size()) << I.toString();
   }
+
+  // ...and for every instruction of the differential corpus: the example
+  // programs and every SPEC profile, at rel8 and rel32.
+  const auto Corpus = exampleAndSpecCorpus();
+  ASSERT_GT(Corpus.size(), 19u);
+  size_t Compared = 0;
+  for (const auto &[Name, Text] : Corpus) {
+    auto UnitOr = parseAssembly(Text);
+    ASSERT_TRUE(UnitOr.ok()) << Name;
+    for (const MaoEntry &E : UnitOr->entries())
+      if (E.isInstruction())
+        Compared += expectLengthMatchesEncoding(E.instruction(), Name);
+    if (HasFailure())
+      return;
+  }
+  EXPECT_GT(Compared, 100000u);
 }
 
 } // namespace
