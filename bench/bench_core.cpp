@@ -22,10 +22,10 @@
 
 #include "analysis/Relaxer.h"
 #include "asm/AsmEmitter.h"
+#include "support/FileIO.h"
 
 #include <chrono>
 #include <filesystem>
-#include <fstream>
 
 using namespace maobench;
 
@@ -72,10 +72,8 @@ loadExamples(int argc, char **argv) {
   for (const fs::directory_entry &Entry : fs::directory_iterator(Dir)) {
     if (Entry.path().extension() != ".s")
       continue;
-    std::ifstream In(Entry.path(), std::ios::binary);
-    std::string Text((std::istreambuf_iterator<char>(In)),
-                     std::istreambuf_iterator<char>());
-    if (!Text.empty())
+    std::string Text;
+    if (mao::readWholeFile(Entry.path().string(), Text) && !Text.empty())
       Files.emplace_back(Entry.path().filename().string(), std::move(Text));
   }
   std::sort(Files.begin(), Files.end());

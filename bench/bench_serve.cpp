@@ -19,6 +19,7 @@
 #include "BenchJson.h"
 #include "serve/ArtifactCache.h"
 #include "serve/Serve.h"
+#include "support/FileIO.h"
 
 #include <chrono>
 #include <cstdio>
@@ -198,10 +199,8 @@ RecoveryPhase benchRecovery(const std::string &Dir) {
     (void)Cache.store(0x9000 + I, Entry);
     if (I % 8 == 0) {
       const std::string Path = Cache.entryPath(0x9000 + I);
-      std::ifstream In(Path, std::ios::binary);
-      std::string Bytes((std::istreambuf_iterator<char>(In)),
-                        std::istreambuf_iterator<char>());
-      In.close();
+      std::string Bytes;
+      mao::readWholeFile(Path, Bytes);
       std::ofstream Out(Path, std::ios::binary | std::ios::trunc);
       Out.write(Bytes.data(),
                 static_cast<std::streamsize>(Bytes.size() / 2));

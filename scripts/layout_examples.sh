@@ -12,7 +12,7 @@
 #     than the original (the dead mid-loop block blocks LSD streaming).
 #   - the --mao-report of a tune run carries the uarch.l1i_* and
 #     uarch.itlb_misses counters and is byte-identical across --mao-jobs
-#     once the wall-clock "timings" line is dropped.
+#     once the wall-clock "timings" section (the report's last) is dropped.
 #
 # Registered as the ctest entry `layout_examples`; run standalone as
 #
@@ -122,8 +122,8 @@ else
   if ! grep -q '"uarch.itlb_misses":[1-9]' "$R1"; then
     fail "counters: expected nonzero ITLB misses on layout_hotcold"
   fi
-  sed '/"timings":/d' "$R1" >"$R1.norm"
-  sed '/"timings":/d' "$R4" >"$R4.norm"
+  sed '/"timings":/,$d' "$R1" >"$R1.norm"
+  sed '/"timings":/,$d' "$R4" >"$R4.norm"
   if ! cmp -s "$R1.norm" "$R4.norm"; then
     fail "counters: --mao-report differs across --mao-jobs"
   fi

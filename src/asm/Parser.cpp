@@ -4,15 +4,17 @@
 // argument, label) is a view into the input buffer until the moment it must
 // be stored in the IR, so the per-line cost is bounded by the characters
 // scanned, not by substr/trim temporaries. Integer parsing goes through
-// std::from_chars with strtoll-compatible base detection, mnemonic and
-// register lookups hit transparent-hash tables keyed by string_view, and
-// the encode-validation scratch buffer is reused across instructions.
+// std::from_chars with strtoll-compatible base detection, and mnemonic and
+// register lookups probe fixed tables keyed by the packed name. Validation
+// measures each instruction's encoding once, without building bytes, and
+// the measured length becomes the entry's length memo.
 //
 //===----------------------------------------------------------------------===//
 
 #include "asm/Parser.h"
 
 #include "support/FaultInjection.h"
+#include "support/PackedNameTable.h"
 #include "x86/Encoder.h"
 
 #include <cassert>
@@ -205,7 +207,6 @@ bool parseSymbolExpr(std::string_view Text, std::string_view &Name,
 struct ParseScratch {
   std::vector<std::string_view> Operands;
   std::vector<std::string_view> MemParts;
-  std::vector<uint8_t> EncodeBytes;
 };
 
 /// Parses one operand in AT&T syntax. Returns std::nullopt on anything
@@ -313,61 +314,29 @@ std::optional<Operand> parseOperandText(std::string_view RawText,
   return std::nullopt;
 }
 
-/// Decoded mnemonic text.
-struct MnemonicParse {
-  Mnemonic Mn = Mnemonic::Invalid;
-  Width W = Width::None;
-  Width SrcW = Width::None;
-  CondCode CC = CondCode::None;
-  uint8_t NopLength = 1;
-};
-
 bool startsWith(std::string_view S, std::string_view Prefix) {
   return S.size() >= Prefix.size() && S.substr(0, Prefix.size()) == Prefix;
 }
 
-/// The precomputed spelling table behind parseMnemonicText(): every fixed
-/// mnemonic spelling the grammar accepts — exact names, width-suffixed
-/// forms, movz/movs width pairs, the jcc/setcc/cmovcc condition families,
-/// explicit-length NOPs and the movq/movabs/sal special cases — resolved
-/// once at startup into a single map so the hot path is one hash lookup
-/// instead of a cascade of prefix probes. Insertion order encodes rule
-/// precedence (emplace keeps the first binding of a spelling), mirroring
-/// the rule order of the cascade it replaces.
-struct SvHashMn {
+struct SvHash {
   using is_transparent = void;
   size_t operator()(std::string_view S) const {
     return std::hash<std::string_view>{}(S);
   }
 };
 
-/// Packs a name of up to 8 bytes into a uint64_t (little-endian,
-/// zero-padded). Injective for NUL-free tokens of a given length; a token
-/// can only alias a shorter name if the token is that name plus trailing
-/// NUL bytes, which the lookups below reject explicitly.
-uint64_t packShortSpelling(std::string_view Name) {
-  uint64_t Key = 0;
-  std::memcpy(&Key, Name.data(), Name.size());
-  return Key;
-}
+} // namespace
 
-/// Spellings of at most 8 bytes — every mnemonic on any hot path — live in
-/// a uint64_t-keyed map so lookup hashes one integer instead of a byte
-/// string; the handful of longer spellings (prefetchnta and friends) fall
-/// back to a string-keyed map.
-struct MnemonicMap {
-  std::unordered_map<uint64_t, MnemonicParse> Short;
-  std::unordered_map<std::string, MnemonicParse, SvHashMn, std::equal_to<>>
-      Long;
-};
-
-MnemonicMap buildMnemonicMap() {
-  MnemonicMap Map;
-  const auto Add = [&Map](std::string Key, const MnemonicParse &P) {
-    if (Key.size() <= 8)
-      Map.Short.emplace(packShortSpelling(Key), P);
-    else
-      Map.Long.emplace(std::move(Key), P);
+/// Every fixed mnemonic spelling the grammar accepts: exact names,
+/// width-suffixed forms, movz/movs width pairs, the jcc/setcc/cmovcc
+/// condition families, explicit-length NOPs and the movq/movabs/sal special
+/// cases. List order encodes rule precedence: a spelling listed twice keeps
+/// its first binding, mirroring the rule order of the prefix-probe cascade
+/// the table replaced.
+std::vector<std::pair<std::string, MnemonicSpelling>> mao::mnemonicSpellings() {
+  std::vector<std::pair<std::string, MnemonicSpelling>> List;
+  const auto Add = [&List](std::string Key, const MnemonicSpelling &P) {
+    List.emplace_back(std::move(Key), P);
   };
   constexpr Width Widths[] = {Width::B, Width::W, Width::L, Width::Q};
   const auto WidthChar = [](Width W) {
@@ -377,7 +346,7 @@ MnemonicMap buildMnemonicMap() {
 
   // Explicit-length NOPs: "nop", "nop1" .. "nop15" (MAO dialect).
   {
-    MnemonicParse P;
+    MnemonicSpelling P;
     P.Mn = Mnemonic::NOP;
     Add("nop", P);
     for (unsigned Len = 1; Len <= 15; ++Len) {
@@ -386,7 +355,7 @@ MnemonicMap buildMnemonicMap() {
     }
   }
   {
-    MnemonicParse P;
+    MnemonicSpelling P;
     P.Mn = Mnemonic::MOVSX;
     P.SrcW = Width::L;
     P.W = Width::Q;
@@ -395,7 +364,7 @@ MnemonicMap buildMnemonicMap() {
   // "movq" is primarily the 64-bit GPR move; the SSE form is selected after
   // operand parsing when an xmm register is present.
   {
-    MnemonicParse P;
+    MnemonicSpelling P;
     P.Mn = Mnemonic::MOV;
     P.W = Width::Q;
     Add("movq", P);
@@ -410,7 +379,7 @@ MnemonicMap buildMnemonicMap() {
     if (Mn == Mnemonic::JCC || Mn == Mnemonic::SETCC ||
         Mn == Mnemonic::CMOVCC)
       continue;
-    MnemonicParse P;
+    MnemonicSpelling P;
     P.Mn = Mn;
     Add(opcodeInfo(Mn).Name, P);
   }
@@ -422,7 +391,7 @@ MnemonicMap buildMnemonicMap() {
       if (widthBytes(Src) >= widthBytes(Dst))
         continue;
       for (bool Zero : {true, false}) {
-        MnemonicParse P;
+        MnemonicSpelling P;
         P.Mn = Zero ? Mnemonic::MOVZX : Mnemonic::MOVSX;
         P.SrcW = Src;
         P.W = Dst;
@@ -437,7 +406,7 @@ MnemonicMap buildMnemonicMap() {
   // the cascade tried parseCondCode on the whole suffix before peeling a
   // width character).
   for (const CondCodeSpelling &S : CondCodeSpellings) {
-    MnemonicParse P;
+    MnemonicSpelling P;
     P.CC = S.CC;
     P.Mn = Mnemonic::JCC;
     Add(std::string("j") + S.Name, P);
@@ -450,7 +419,7 @@ MnemonicMap buildMnemonicMap() {
   }
   for (const CondCodeSpelling &S : CondCodeSpellings)
     for (Width W : Widths) {
-      MnemonicParse P;
+      MnemonicSpelling P;
       P.Mn = Mnemonic::CMOVCC;
       P.CC = S.CC;
       P.W = W;
@@ -472,14 +441,14 @@ MnemonicMap buildMnemonicMap() {
     if (startsWith(Name, "nop"))
       continue;
     for (Width W : Widths) {
-      MnemonicParse P;
+      MnemonicSpelling P;
       P.Mn = Mn;
       P.W = W;
       Add(std::string(Name) + std::string(1, WidthChar(W)), P);
     }
   }
   {
-    MnemonicParse P;
+    MnemonicSpelling P;
     P.Mn = Mnemonic::SHL;
     Add("sal", P);
     for (Width W : Widths) {
@@ -487,15 +456,38 @@ MnemonicMap buildMnemonicMap() {
       Add(std::string("sal") + std::string(1, WidthChar(W)), P);
     }
   }
-  return Map;
+  return List;
 }
 
-std::optional<MnemonicParse> parseMnemonicText(std::string_view M) {
-  static const MnemonicMap Map = buildMnemonicMap();
-  if (!M.empty() && M.size() <= 8 && M.back() != '\0') {
-    if (auto It = Map.Short.find(packShortSpelling(M)); It != Map.Short.end())
-      return It->second;
-  } else if (auto It = Map.Long.find(M); It != Map.Long.end()) {
+namespace {
+
+/// The spelling table behind parseMnemonic(), filled once from
+/// mnemonicSpellings() so the hot path is one lookup instead of a cascade
+/// of prefix probes. Spellings of at most 8 bytes, every mnemonic on any
+/// hot path, go in a packed-key table; the handful of longer ones
+/// (prefetchnta and friends) in a string-keyed map.
+struct MnemonicTable {
+  PackedNameTable<MnemonicSpelling, 11> Short;
+  std::unordered_map<std::string, MnemonicSpelling, SvHash, std::equal_to<>>
+      Long;
+
+  MnemonicTable() {
+    for (auto &[Spelling, P] : mnemonicSpellings())
+      if (Spelling.size() <= Short.MaxNameLength)
+        Short.insert(Spelling, P);
+      else
+        Long.emplace(std::move(Spelling), P);
+  }
+};
+
+} // namespace
+
+std::optional<MnemonicSpelling> mao::parseMnemonic(std::string_view M) {
+  static const MnemonicTable Table;
+  if (M.size() <= Table.Short.MaxNameLength) {
+    if (const MnemonicSpelling *P = Table.Short.find(M))
+      return *P;
+  } else if (auto It = Table.Long.find(M); It != Table.Long.end()) {
     return It->second;
   }
   // Non-canonical NOP length spellings ("nop007", "nop0xf") still parse:
@@ -503,7 +495,7 @@ std::optional<MnemonicParse> parseMnemonicText(std::string_view M) {
   if (startsWith(M, "nop") && M.size() > 3) {
     int64_t Len = 0;
     if (parseInteger(M.substr(3), Len) && Len >= 1 && Len <= 15) {
-      MnemonicParse P;
+      MnemonicSpelling P;
       P.Mn = Mnemonic::NOP;
       P.NopLength = static_cast<uint8_t>(Len);
       return P;
@@ -511,6 +503,8 @@ std::optional<MnemonicParse> parseMnemonicText(std::string_view M) {
   }
   return std::nullopt;
 }
+
+namespace {
 
 /// Widths are implied by register operands when the suffix is omitted
 /// ("mov %rax, %rbx").
@@ -549,8 +543,11 @@ Instruction makeOpaque(std::string_view Line) {
   return Insn;
 }
 
-Instruction parseInstructionImpl(std::string_view Line,
-                                 ParseScratch &Scratch) {
+/// Parses one instruction. \p Length receives its encoded length (rel32
+/// for a direct branch), or 0 when the instruction is opaque.
+Instruction parseInstructionImpl(std::string_view Line, ParseScratch &Scratch,
+                                 unsigned &Length) {
+  Length = 0;
   std::string_view Text = trim(Line);
   size_t NameEnd = 0;
   while (NameEnd < Text.size() && !isSpaceChar(Text[NameEnd]))
@@ -558,7 +555,7 @@ Instruction parseInstructionImpl(std::string_view Line,
   std::string_view Name = Text.substr(0, NameEnd);
   std::string_view Rest = trim(Text.substr(NameEnd));
 
-  auto ParsedMnemonic = parseMnemonicText(Name);
+  auto ParsedMnemonic = parseMnemonic(Name);
   if (!ParsedMnemonic)
     return makeOpaque(Line);
 
@@ -656,11 +653,12 @@ Instruction parseInstructionImpl(std::string_view Line,
     break;
   }
 
-  // Final validation: must be encodable. The scratch buffer is reused so
-  // validation does not allocate per instruction.
-  Scratch.EncodeBytes.clear();
-  if (encodeInstruction(Insn, 0, nullptr, Scratch.EncodeBytes))
+  // Final validation: must be encodable. Measuring runs every check
+  // encoding does, without building the bytes.
+  if (encodedLength(Insn, Length)) {
+    Length = 0;
     return makeOpaque(Line);
+  }
   return Insn;
 }
 
@@ -680,12 +678,6 @@ Directive parseDirectiveLine(std::string_view Text,
       Dir.Args.emplace_back(Part);
   }
 
-  struct SvHash {
-    using is_transparent = void;
-    size_t operator()(std::string_view S) const {
-      return std::hash<std::string_view>{}(S);
-    }
-  };
   static const std::unordered_map<std::string, DirKind, SvHash,
                                   std::equal_to<>>
       KindMap = {
@@ -781,7 +773,8 @@ bool mentionsLocalLabelRef(std::string_view Text) {
 
 Instruction mao::parseInstructionLine(const std::string &Line) {
   ParseScratch Scratch;
-  return parseInstructionImpl(Line, Scratch);
+  unsigned Length = 0;
+  return parseInstructionImpl(Line, Scratch, Length);
 }
 
 namespace {
@@ -905,7 +898,8 @@ ErrorOr<MaoUnit> parseEntries(const std::string &Text, ParseStats *Stats,
       continue;
     }
 
-    Instruction Insn = parseInstructionImpl(Stmt, Scratch);
+    unsigned Length = 0;
+    Instruction Insn = parseInstructionImpl(Stmt, Scratch, Length);
     if (Insn.isOpaque()) {
       ++LocalStats.OpaqueInstructions;
       if (mentionsLocalLabelRef(Insn.RawText))
@@ -956,7 +950,14 @@ ErrorOr<MaoUnit> parseEntries(const std::string &Text, ParseStats *Stats,
       }
     }
     ++LocalStats.Instructions;
-    Unit.emplaceBack(std::move(Insn));
+    // Validation measured the instruction, so its entry starts with its
+    // length memo: nothing downstream measures it again until it changes.
+    // A direct branch's length depends on the displacement width that
+    // relaxation picks, so it starts unmeasured.
+    const bool DirectBranch = Insn.isBranch() && !Insn.hasIndirectTarget();
+    EntryIter It = Unit.emplaceBack(std::move(Insn));
+    if (!DirectBranch)
+      It->setLengthMemo(Length);
   }
 
   // EOF validation: every forward reference needs a later definition.

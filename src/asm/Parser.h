@@ -9,8 +9,9 @@
 /// unchanged, and are treated by every analysis as reading and writing
 /// everything — mirroring how the original handles inline assembly it
 /// cannot reason about. Every successfully modelled instruction is
-/// guaranteed encodable by the binary encoder (the parser validates by
-/// encoding once).
+/// guaranteed encodable by the binary encoder: the parser validates by
+/// measuring the encoding once (encodedLength), and every instruction but
+/// a direct branch keeps that length as its entry's length memo.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -21,7 +22,11 @@
 #include "support/Diag.h"
 #include "support/Status.h"
 
+#include <optional>
 #include <string>
+#include <string_view>
+#include <utility>
+#include <vector>
 
 namespace mao {
 
@@ -44,6 +49,27 @@ ErrorOr<MaoUnit> parseAssembly(const std::string &Text,
                                ParseStats *Stats = nullptr,
                                const std::string &Filename = "<input>",
                                DiagEngine *Diags = nullptr);
+
+/// What a mnemonic spelling decodes to: "addl" is ADD at width L, "movzbl"
+/// MOVZX from B to L, "jne" JCC with condition NE, "nop5" a 5-byte NOP.
+struct MnemonicSpelling {
+  Mnemonic Mn = Mnemonic::Invalid;
+  Width W = Width::None;
+  Width SrcW = Width::None;
+  CondCode CC = CondCode::None;
+  uint8_t NopLength = 1;
+
+  bool operator==(const MnemonicSpelling &) const = default;
+};
+
+/// Decodes a mnemonic spelling; std::nullopt when the grammar has none
+/// (the instruction then parses as opaque).
+std::optional<MnemonicSpelling> parseMnemonic(std::string_view Text);
+
+/// The fixed spellings parseMnemonic() looks up, in rule order; a spelling
+/// listed more than once resolves to its first entry. (Non-canonical NOP
+/// lengths such as "nop007" are decoded outside the table.)
+std::vector<std::pair<std::string, MnemonicSpelling>> mnemonicSpellings();
 
 /// Parses a single instruction line (no label/directive). Exposed for
 /// tests and the detection framework. Falls back to an opaque instruction

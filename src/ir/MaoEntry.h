@@ -13,6 +13,13 @@
 
 #include "x86/Instruction.h"
 
+#ifdef MAO_CHECK_LENGTH_MEMO
+#include "x86/Encoder.h"
+
+#include <cstdio>
+#include <cstdlib>
+#endif
+
 #include <cassert>
 #include <cstdint>
 #include <new>
@@ -166,6 +173,8 @@ public:
 
   /// Renders the entry as one line of assembly (without trailing newline).
   std::string toString() const;
+  /// Appends toString()'s text to \p Out without temporaries.
+  void appendTo(std::string &Out) const;
 
   /// Layout results, valid after relaxation ran for the entry's section.
   /// Address is the byte offset within the section; Size the encoded size.
@@ -182,10 +191,27 @@ public:
   /// non-const instruction() accessor, which clears the memo. A memo is
   /// therefore stale only if a caller writes through an Instruction&
   /// obtained before the memo was set; the full verifier re-encodes every
-  /// memoized instruction to catch exactly that. Filled by relaxUnit, the
-  /// verifier and the pass runner's footprint walk; lengths that do not
-  /// fit a byte are simply not memoized.
-  unsigned lengthMemo() const { return LengthMemo; }
+  /// memoized instruction to catch exactly that, and builds that define
+  /// MAO_CHECK_LENGTH_MEMO (sanitizer builds) re-measure on every read and
+  /// abort on a mismatch. The parser seeds the memo of every instruction
+  /// but a direct branch, whose length depends on the displacement width
+  /// relaxation picks; after an edit it is filled again by relaxUnit and
+  /// UnitLayout, the verifier and the pass runner's footprint walk.
+  /// Lengths that do not fit a byte are simply not memoized.
+  unsigned lengthMemo() const {
+#ifdef MAO_CHECK_LENGTH_MEMO
+    if (LengthMemo != 0 && isInstruction() &&
+        LengthMemo != instructionLength(Insn)) {
+      std::fprintf(stderr,
+                   "mao: stale length memo: '%s' has memo %u but encodes "
+                   "to %u bytes\n",
+                   Insn.toString().c_str(), unsigned(LengthMemo),
+                   instructionLength(Insn));
+      std::abort();
+    }
+#endif
+    return LengthMemo;
+  }
   void setLengthMemo(unsigned Length) {
     LengthMemo = Length <= UINT8_MAX ? static_cast<uint8_t>(Length) : 0;
   }

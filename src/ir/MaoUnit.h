@@ -220,10 +220,12 @@ public:
 
   /// Constructs an entry in place at the end of the list from a payload
   /// (Instruction, Directive, or Kind::Label + name) — one payload move,
-  /// no intermediate MaoEntry. Locking and Id assignment match append();
-  /// this is the parser's hot path, where entries arrive one per line.
+  /// no intermediate MaoEntry. Id assignment matches append(). This is the
+  /// parser's hot path, where entries arrive one per line, and the parser
+  /// is its only caller: it fills a unit no other thread can see yet, so
+  /// unlike append() it takes no lock. Never call it on a unit that
+  /// sharded passes may be editing.
   template <class... ArgsT> EntryIter emplaceBack(ArgsT &&...Args) {
-    std::lock_guard<std::mutex> Lock(StructuralM);
     EntryIter It = Entries.emplace(Entries.end(),
                                    std::forward<ArgsT>(Args)...);
     It->Id = nextId();
@@ -301,7 +303,8 @@ private:
 
   /// Next entry ID: from the calling thread's armed shard block when one
   /// is active for this unit, else from the shared counter. Only called
-  /// with StructuralM held (all callers are the structural editors).
+  /// with StructuralM held (the structural editors) or on a unit no other
+  /// thread can see yet (emplaceBack).
   uint32_t nextId();
 
   /// Inserts before \p Pos and brings the views up to date; StructuralM

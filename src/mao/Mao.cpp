@@ -22,6 +22,7 @@
 #include "passes/PeepholeEngine.h"
 #include "support/Diag.h"
 #include "support/FaultInjection.h"
+#include "support/FileIO.h"
 #include "support/Hash.h"
 #include "support/Json.h"
 #include "support/Options.h"
@@ -38,7 +39,6 @@
 #include <chrono>
 #include <cstdio>
 #include <fstream>
-#include <sstream>
 
 namespace mao {
 namespace api {
@@ -83,6 +83,29 @@ ErrorOr<ProcessorConfig> configByName(const std::string &Name) {
   return MaoStatus::error("unknown processor config '" + Name +
                           "' (expected core2 or opteron)");
 }
+
+/// Times one phase of a run outside the passes: a "phase" span on the
+/// timeline and the microseconds in the phase's time.phase.<name>_us
+/// counter, which --stats and --mao-report show.
+class PhaseTimer {
+public:
+  PhaseTimer(const char *Name, const char *Counter)
+      : Span("phase", Name), Micros(StatsRegistry::instance().counter(Counter)),
+        Start(std::chrono::steady_clock::now()) {}
+  ~PhaseTimer() {
+    Micros.add(static_cast<uint64_t>(
+        std::chrono::duration_cast<std::chrono::microseconds>(
+            std::chrono::steady_clock::now() - Start)
+            .count()));
+  }
+  PhaseTimer(const PhaseTimer &) = delete;
+  PhaseTimer &operator=(const PhaseTimer &) = delete;
+
+private:
+  TimelineSpan Span;
+  StatCounter &Micros;
+  std::chrono::steady_clock::time_point Start;
+};
 
 } // namespace
 
@@ -396,21 +419,22 @@ Status Session::cacheRun(const CachedRunRequest &Request,
 
 Status Session::parseFile(const std::string &Path, Program &Out,
                           ParseInfo *Info) {
-  std::ifstream In(Path);
-  if (!In) {
+  std::string Source;
+  if (!readWholeFile(Path, Source)) {
     I->Diags.error(DiagCode::DriverFileError, "cannot open input file",
                    SourceLoc{Path, 0});
     return Status::error("cannot open input file: " + Path);
   }
-  std::stringstream Buffer;
-  Buffer << In.rdbuf();
-  return parseText(Buffer.str(), Path, Out, Info);
+  return parseText(Source, Path, Out, Info);
 }
 
 Status Session::parseText(const std::string &Source, const std::string &Name,
                           Program &Out, ParseInfo *Info) {
   ParseStats Stats;
-  auto UnitOr = parseAssembly(Source, &Stats, Name, &I->Diags);
+  ErrorOr<MaoUnit> UnitOr = [&] {
+    PhaseTimer Phase("parse", "time.phase.parse_us");
+    return parseAssembly(Source, &Stats, Name, &I->Diags);
+  }();
   if (!UnitOr.ok())
     return Status::error(UnitOr.message());
   Out.I->Unit = std::move(*UnitOr);
@@ -539,11 +563,15 @@ Status Session::verify(Program &P) {
 Status Session::emitToFile(Program &P, const std::string &Path) {
   if (!P.valid())
     return Status::error("program is not parsed");
+  PhaseTimer Phase("emit", "time.phase.emit_us");
   return fromStatus(writeAssemblyFile(P.I->Unit, Path));
 }
 
 std::string Session::emitToString(Program &P) {
-  return P.valid() ? emitAssembly(P.I->Unit) : std::string();
+  if (!P.valid())
+    return std::string();
+  PhaseTimer Phase("emit", "time.phase.emit_us");
+  return emitAssembly(P.I->Unit);
 }
 
 Status Session::assemble(Program &P, AssembledBytes &Out) {
@@ -674,20 +702,6 @@ Status Session::tune(Program &P, const TuneRequest &Request,
 // Rule synthesis
 //===----------------------------------------------------------------------===//
 
-namespace {
-
-Status readFileText(const std::string &Path, std::string &Out) {
-  std::ifstream In(Path, std::ios::binary);
-  if (!In)
-    return Status::error("cannot open '" + Path + "'");
-  std::ostringstream Buffer;
-  Buffer << In.rdbuf();
-  Out = Buffer.str();
-  return Status::success();
-}
-
-} // namespace
-
 Status Session::synthesize(const SynthOptions &Request, SynthSummary &Out) {
   synth::SynthOptions Opts;
   Opts.IncludeWorkloads = Request.IncludeWorkloads;
@@ -698,8 +712,8 @@ Status Session::synthesize(const SynthOptions &Request, SynthSummary &Out) {
   Opts.Config = Request.Config;
   for (const std::string &Path : Request.CorpusPaths) {
     std::string Text;
-    if (Status S = readFileText(Path, Text); !S.Ok)
-      return S;
+    if (!readWholeFile(Path, Text))
+      return Status::error("cannot open '" + Path + "'");
     Opts.Corpus.emplace_back(Path, std::move(Text));
   }
   const auto Start = std::chrono::steady_clock::now();
@@ -763,8 +777,8 @@ std::vector<RuleInfo> Session::listPeepholeRules() {
 
 Status Session::loadPeepholeRulesFile(const std::string &Path) {
   std::string Text;
-  if (Status S = readFileText(Path, Text); !S.Ok)
-    return S;
+  if (!readWholeFile(Path, Text))
+    return Status::error("cannot open '" + Path + "'");
   if (MaoStatus S = loadSynthPeepholeRules(Text); !S.ok())
     return Status::error(Path + ": " + S.message());
   return Status::success();

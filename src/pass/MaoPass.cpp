@@ -40,17 +40,32 @@ UnitLayout &MaoFunctionPass::layout() {
   return **LayoutSlot;
 }
 
+void MaoFunctionPass::warn(DiagCode Code, const std::string &Message) {
+  if (RequestDiags)
+    RequestDiags->warning(Code, Message, {}, name());
+  else if (Deferred)
+    Deferred->push_back({DiagSeverity::Warning, Code, {}, name(), Message});
+  else
+    trace(0, "%s", Message.c_str());
+}
+
 void MaoFunctionPass::reportRoundCap(unsigned Rounds) {
   static StatCounter &Hits =
       StatsRegistry::instance().counter("pipeline.round_cap_hits");
   Hits.add();
-  const std::string Message = "function " + function().name() +
-                              ": stopped after " + std::to_string(Rounds) +
-                              " rounds with work left";
-  if (RequestDiags)
-    RequestDiags->warning(DiagCode::PassRoundCap, Message, {}, name());
-  else
-    trace(0, "%s", Message.c_str());
+  warn(DiagCode::PassRoundCap, "function " + function().name() +
+                                   ": stopped after " +
+                                   std::to_string(Rounds) +
+                                   " rounds with work left");
+}
+
+void MaoFunctionPass::reportUnresolvedSkip() {
+  static StatCounter &Skips =
+      StatsRegistry::instance().counter("pipeline.unresolved_skips");
+  Skips.add();
+  warn(DiagCode::PassUnresolvedIndirect,
+       "function " + function().name() +
+           ": skipped, it has an indirect jump no jump table resolves");
 }
 
 PassRegistry &PassRegistry::instance() {
@@ -330,6 +345,7 @@ ErrorOr<unsigned> executePass(MaoUnit &Unit, const PassRequest &Req,
     bool TimedOut = false;
     std::string Detail;
     DiagCode Code = DiagCode::PassFailed;
+    std::vector<Diagnostic> Warnings;
   };
   std::vector<Shard> Shards(N); // Disjoint per-index writes; no locking.
 
@@ -354,6 +370,8 @@ ErrorOr<unsigned> executePass(MaoUnit &Unit, const PassRequest &Req,
                                             &Unit, &Fns[I]);
       if (!Shardable)
         Pass->shareRequestState(Layout, Options.Diags);
+      else if (Options.Diags)
+        Pass->deferDiagnostics(&S.Warnings);
       bool Ok = Pass->go();
       S.Count = Pass->transformationCount();
       if (!Ok) {
@@ -386,6 +404,8 @@ ErrorOr<unsigned> executePass(MaoUnit &Unit, const PassRequest &Req,
   for (size_t I = 0; I < N; ++I) {
     Count += Shards[I].Count;
     TimedOut |= Shards[I].TimedOut;
+    for (Diagnostic &D : Shards[I].Warnings)
+      Options.Diags->report(std::move(D));
     if (Shards[I].Failed)
       Failures.push_back({I, Shards[I].Detail, Shards[I].Code});
   }

@@ -26,6 +26,7 @@
 #include <functional>
 #include <memory>
 #include <string>
+#include <vector>
 
 namespace mao {
 
@@ -99,18 +100,33 @@ public:
     RequestDiags = Diags;
   }
 
+  /// Called by the pass runner before go() of a shardable pass: its
+  /// warnings are appended to \p Out, which the runner reports in function
+  /// order once every shard is done, so they read the same for every
+  /// worker count.
+  void deferDiagnostics(std::vector<Diagnostic> *Out) { Deferred = Out; }
+
 protected:
   /// Reports that a fixpoint loop stopped after \p Rounds rounds with
-  /// work left: a warning naming the pass and function (trace level 0
-  /// when no diagnostics engine is attached) and one
+  /// work left: a warning naming the pass and function and one
   /// "pipeline.round_cap_hits" count.
   void reportRoundCap(unsigned Rounds);
 
+  /// Reports that the pass left this function alone because it has an
+  /// indirect jump no jump table resolves: a warning naming the pass and
+  /// function and one "pipeline.unresolved_skips" count.
+  void reportUnresolvedSkip();
+
 private:
+  /// Sends a warning to the request's diagnostics (directly, or deferred
+  /// for a shard), or to trace level 0 when the pass runs without any.
+  void warn(DiagCode Code, const std::string &Message);
+
   MaoFunction *Fn;
   std::unique_ptr<UnitLayout> OwnLayout;
   std::unique_ptr<UnitLayout> *LayoutSlot = &OwnLayout;
   DiagEngine *RequestDiags = nullptr;
+  std::vector<Diagnostic> *Deferred = nullptr;
 };
 
 /// A pass invoked once for the whole IR.

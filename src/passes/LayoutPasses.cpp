@@ -58,8 +58,10 @@ public:
     if (Fn.ranges().size() != 1 || Fn.hasOpaqueInstructions())
       return true;
     CFG Graph = CFG::build(Fn);
-    if (Fn.HasUnresolvedIndirect)
+    if (Fn.HasUnresolvedIndirect) {
+      reportUnresolvedSkip();
       return true;
+    }
     LoopStructureGraph Lsg = LoopStructureGraph::build(Graph);
     // No loops: every block is equally cold and there is no hot footprint
     // to compact.

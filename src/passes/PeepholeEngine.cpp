@@ -19,6 +19,7 @@
 #include <cctype>
 #include <cstdio>
 #include <cstdlib>
+#include <utility>
 
 namespace mao {
 
@@ -176,7 +177,7 @@ bool isSelfMove32(const Instruction &Insn) {
 bool precedingDefZeroExtends(const BasicBlock &BB, size_t MovIdx, Reg R) {
   const RegMask Bit = regMaskBit(R);
   for (size_t I = MovIdx; I-- > 0;) {
-    const Instruction &Prev = BB.Insns[I]->instruction();
+    const Instruction &Prev = std::as_const(*BB.Insns[I]).instruction();
     const InstructionEffects Fx = Prev.effects();
     if (Fx.Barrier)
       return false;
@@ -195,7 +196,7 @@ unsigned runEraseZeroExtend(PeepholeContext &Ctx, const PeepholeRule &R) {
   CFG Graph = CFG::build(Ctx.Fn);
   for (BasicBlock &BB : Graph.blocks()) {
     for (size_t I = 0; I < BB.Insns.size(); ++I) {
-      const Instruction &Insn = BB.Insns[I]->instruction();
+      const Instruction &Insn = std::as_const(*BB.Insns[I]).instruction();
       if (!isSelfMove32(Insn))
         continue;
       if (!precedingDefZeroExtends(BB, I, Insn.Ops[0].R))
@@ -228,7 +229,7 @@ bool precedingAluSetsSameFlags(const BasicBlock &BB, size_t TestIdx,
   const Reg Tested = Test.Ops[0].R;
   const RegMask Bit = regMaskBit(Tested);
   for (size_t I = TestIdx; I-- > 0;) {
-    const Instruction &Prev = BB.Insns[I]->instruction();
+    const Instruction &Prev = std::as_const(*BB.Insns[I]).instruction();
     const InstructionEffects Fx = Prev.effects();
     if (Fx.Barrier)
       return false;
@@ -250,7 +251,7 @@ unsigned runEraseRedundantTest(PeepholeContext &Ctx, const PeepholeRule &R) {
   for (BasicBlock &BB : FA.Graph.blocks()) {
     InsnLiveness IL = perInstructionLiveness(FA.Graph, BB.Index, FA.Liveness);
     for (size_t I = 0; I < BB.Insns.size(); ++I) {
-      const Instruction &Insn = BB.Insns[I]->instruction();
+      const Instruction &Insn = std::as_const(*BB.Insns[I]).instruction();
       if (!isSelfTest(Insn))
         continue;
       const uint8_t SafeFlags = FlagZF | FlagSF | FlagPF;
@@ -298,14 +299,16 @@ unsigned runForwardLoad(PeepholeContext &Ctx, const PeepholeRule &R) {
     } Last;
 
     for (EntryIter InsnIt : BB.Insns) {
-      Instruction &Insn = InsnIt->instruction();
+      // Read through a const view so unchanged instructions keep their
+      // length memos; only a rewrite takes the mutable accessor.
+      const Instruction &Insn = std::as_const(*InsnIt).instruction();
       const InstructionEffects Fx = Insn.effects();
 
       if (Last.Valid && isRegLoad(Insn) && Insn.W == Last.W &&
           Insn.Ops[0].Mem == Last.Addr &&
           superReg(Insn.Ops[1].R) != superReg(Last.Value)) {
         fired(Ctx, R, Insn);
-        Insn.Ops[0] =
+        InsnIt->instruction().Ops[0] =
             Operand::makeReg(gprWithWidth(superReg(Last.Value), Insn.W));
         ++Fired;
         // The destination now holds the same value: it can forward too.
@@ -358,13 +361,13 @@ int64_t signedDelta(const Instruction &Insn) {
 /// folded into instruction \p I, or 0 when none.
 size_t findFoldablePartner(const BasicBlock &BB, size_t I,
                            const InsnLiveness &IL) {
-  const Instruction &First = BB.Insns[I]->instruction();
+  const Instruction &First = std::as_const(*BB.Insns[I]).instruction();
   if (!isImmAddSub(First))
     return 0;
   const Reg RX = First.Ops[1].R;
   const RegMask Bit = regMaskBit(RX);
   for (size_t J = I + 1; J < BB.Insns.size(); ++J) {
-    const Instruction &Next = BB.Insns[J]->instruction();
+    const Instruction &Next = std::as_const(*BB.Insns[J]).instruction();
     const InstructionEffects Fx = Next.effects();
     if (isImmAddSub(Next) && Next.Ops[1].R == RX && Next.W == First.W) {
       // CF/OF of the folded op can differ from the original sequence;
@@ -429,7 +432,7 @@ bool matchWindowAt(const PeepholeRule &R, const BasicBlock &BB, size_t I,
                    std::array<Reg, MaxRuleVars> &Bind) {
   Bind.fill(Reg::None);
   for (size_t K = 0; K < R.Pat.size(); ++K) {
-    const Instruction &Insn = BB.Insns[I + K]->instruction();
+    const Instruction &Insn = std::as_const(*BB.Insns[I + K]).instruction();
     const TemplateInsn &T = R.Pat[K];
     if (Insn.Mn != T.Mn || Insn.W != T.W || Insn.CC != CondCode::None ||
         Insn.Ops.size() != T.Ops.size())

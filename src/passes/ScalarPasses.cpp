@@ -36,8 +36,7 @@ public:
     // the pass "decides whether or not to proceed" (paper Sec. II) - here,
     // it declines.
     if (function().HasUnresolvedIndirect) {
-      trace(1, "skipping %s: unresolved indirect branch",
-            function().name().c_str());
+      reportUnresolvedSkip();
       return true;
     }
 

@@ -3,6 +3,7 @@
 #include "serve/ArtifactCache.h"
 
 #include "support/FaultInjection.h"
+#include "support/FileIO.h"
 #include "support/Stats.h"
 
 #include <algorithm>
@@ -69,17 +70,7 @@ std::string keyFileName(uint64_t Key) {
 /// fault flips one bit in the middle of the buffer — deterministic
 /// corruption the checksum trailer must catch.
 bool readEntryFile(const std::string &Path, std::string &Out) {
-  std::FILE *F = std::fopen(Path.c_str(), "rb");
-  if (!F)
-    return false;
-  Out.clear();
-  char Buf[1 << 16];
-  size_t N;
-  while ((N = std::fread(Buf, 1, sizeof(Buf), F)) > 0)
-    Out.append(Buf, N);
-  const bool Ok = std::ferror(F) == 0;
-  std::fclose(F);
-  if (!Ok)
+  if (!readWholeFile(Path, Out))
     return false;
   if (!Out.empty() &&
       FaultInjector::instance().shouldFail(FaultSite::CacheRead))

@@ -39,6 +39,8 @@ const char *mao::diagCodeName(DiagCode Code) {
     return "pass-timeout";
   case DiagCode::PassRoundCap:
     return "pass-round-cap";
+  case DiagCode::PassUnresolvedIndirect:
+    return "pass-unresolved-indirect";
   case DiagCode::RelaxIterationLimit:
     return "relax-iteration-limit";
   case DiagCode::RelaxAuditRoundLimit:

@@ -45,6 +45,7 @@ enum class DiagCode : uint16_t {
   PassException,
   PassTimeout,
   PassRoundCap,
+  PassUnresolvedIndirect,
   // Analysis.
   RelaxIterationLimit,
   RelaxAuditRoundLimit,

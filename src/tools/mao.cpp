@@ -26,13 +26,12 @@
 
 #include "mao/Mao.h"
 #include "serve/Serve.h"
+#include "support/FileIO.h"
 #include "support/Options.h"
 
 #include <csignal>
 #include <cstdio>
-#include <fstream>
 #include <functional>
-#include <sstream>
 #include <string>
 #include <unistd.h>
 #include <vector>
@@ -215,15 +214,12 @@ int main(int Argc, char **Argv) {
                  "--synth-rules; running locally\n");
   if (ServiceRun) {
     // The cache key is over the exact input bytes: read them verbatim.
-    std::ifstream In(Cmd.Inputs[0], std::ios::binary);
-    if (!In) {
+    std::string Source;
+    if (!mao::readWholeFile(Cmd.Inputs[0], Source)) {
       std::fprintf(stderr, "mao: error: cannot read %s\n",
                    Cmd.Inputs[0].c_str());
       return ExitParseError;
     }
-    std::ostringstream Buf;
-    Buf << In.rdbuf();
-    const std::string Source = Buf.str();
 
     // In service mode the authoritative run report is the per-run JSON
     // from the cache or daemon — byte-identical between a warm hit and a

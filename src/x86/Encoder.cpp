@@ -979,12 +979,20 @@ MaoStatus EncodingBuilder::run(std::vector<uint8_t> &Out) {
 MaoStatus mao::encodeInstruction(const Instruction &Insn, int64_t Address,
                                  const LabelAddressMap *Labels,
                                  std::vector<uint8_t> &Out) {
-  // Fault-injection point: only the fallible public entry is instrumented;
-  // instructionLength() below bypasses it because callers assert success.
+  // Fault-injection point: only the fallible public entries (this and
+  // encodedLength) are instrumented; instructionLength() bypasses it
+  // because callers assert success.
   if (FaultInjector::instance().shouldFail(FaultSite::Encoder))
     return MaoStatus::error("injected encoder fault");
   EncodingBuilder Builder(Insn, Address, Labels);
   return Builder.run(Out);
+}
+
+MaoStatus mao::encodedLength(const Instruction &Insn, unsigned &Length) {
+  if (FaultInjector::instance().shouldFail(FaultSite::Encoder))
+    return MaoStatus::error("injected encoder fault");
+  EncodingBuilder Builder(Insn, 0, nullptr);
+  return Builder.length(Length);
 }
 
 MaoStatus mao::encodeInstructionNoInject(const Instruction &Insn,

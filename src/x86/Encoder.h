@@ -55,12 +55,19 @@ MaoStatus encodeInstructionNoInject(const Instruction &Insn, int64_t Address,
                                     const LabelAddressMap *Labels,
                                     std::vector<uint8_t> &Out);
 
+/// Fallible, byte-free twin of encodeInstruction with no label map: the
+/// same fault-injection draw and validity checks, and on success the
+/// length encodeInstruction would have appended. Without a label map
+/// encodeInstruction fails exactly when these checks do, so this is what
+/// the parser validates (and measures) each instruction with.
+MaoStatus encodedLength(const Instruction &Insn, unsigned &Length);
+
 /// Returns the encoded length in bytes (branches honour BranchSize; opaque
 /// instructions report OpaqueInstructionSizeEstimate). Measured without
 /// building bytes: the encoder lays out the instruction's components and
 /// sums them, after the same validity checks encodeInstruction makes
 /// (minus the displacement range check, which needs a label map). Asserts
-/// that the instruction is encodable; use encodeInstruction for fallible
+/// that the instruction is encodable; use encodedLength for fallible
 /// validation of parsed input. Not memoized here: the IR keeps lengths on
 /// the entry (MaoEntry::lengthMemo), which is where relaxation looks first.
 unsigned instructionLength(const Instruction &Insn);

@@ -5,6 +5,7 @@
 #include <algorithm>
 #include <array>
 #include <cassert>
+#include <charconv>
 
 using namespace mao;
 
@@ -301,31 +302,50 @@ InstructionEffects Instruction::effects() const {
 }
 
 std::string Instruction::mnemonicText() const {
+  std::string Out;
+  appendMnemonicTo(Out);
+  return Out;
+}
+
+void Instruction::appendMnemonicTo(std::string &Out) const {
   const OpcodeInfo &Info = info();
   switch (Info.Kind) {
   case EncKind::Jcc:
-    return std::string("j") + condCodeName(CC);
+    Out += 'j';
+    Out += condCodeName(CC);
+    return;
   case EncKind::Setcc:
-    return std::string("set") + condCodeName(CC);
+    Out += "set";
+    Out += condCodeName(CC);
+    return;
   case EncKind::Cmovcc:
-    return std::string("cmov") + condCodeName(CC);
-  case EncKind::Movx: {
+    Out += "cmov";
+    Out += condCodeName(CC);
+    return;
+  case EncKind::Movx:
     // movslq keeps its idiomatic spelling; others are movz/movs + both
     // width suffixes (movzbl, movswq, ...).
-    if (Mn == Mnemonic::MOVSX && SrcW == Width::L && W == Width::Q)
-      return "movslq";
-    std::string Text = Info.Name;
-    Text += widthSuffix(SrcW);
-    Text += widthSuffix(W);
-    return Text;
-  }
-  case EncKind::Nop:
+    if (Mn == Mnemonic::MOVSX && SrcW == Width::L && W == Width::Q) {
+      Out += "movslq";
+      return;
+    }
+    Out += Info.Name;
+    Out += widthSuffix(SrcW);
+    Out += widthSuffix(W);
+    return;
+  case EncKind::Nop: {
+    Out += "nop";
     if (NopLength <= 1)
-      return "nop";
+      return;
     // MAO dialect: an explicit-length multi-byte NOP ("nop5" encodes as the
     // recommended 5-byte 0F 1F form). The original MAO reaches these via
     // gas; our assembler round-trips them textually.
-    return "nop" + std::to_string(static_cast<unsigned>(NopLength));
+    char Digits[4];
+    Out.append(Digits, std::to_chars(Digits, Digits + sizeof(Digits),
+                                     static_cast<unsigned>(NopLength))
+                           .ptr);
+    return;
+  }
   case EncKind::Mov:
   case EncKind::AluRMI:
   case EncKind::Test:
@@ -335,33 +355,39 @@ std::string Instruction::mnemonicText() const {
   case EncKind::Push:
   case EncKind::Pop:
   case EncKind::Xchg:
-  case EncKind::Lea: {
-    std::string Text = Info.Name;
+  case EncKind::Lea:
+    Out += Info.Name;
     if (char Suffix = widthSuffix(W))
-      Text += Suffix;
-    return Text;
-  }
-  case EncKind::SseCvtMov:
-    // movd/movq spelling already encodes the GPR width.
-    return Info.Name;
+      Out += Suffix;
+    return;
   default:
-    return Info.Name;
+    // SseCvtMov among them: its movd/movq spelling already encodes the GPR
+    // width.
+    Out += Info.Name;
+    return;
   }
 }
 
 std::string Instruction::toString() const {
-  if (isOpaque())
-    return RawText;
-  std::string Out = mnemonicText();
+  std::string Out;
+  appendTo(Out);
+  return Out;
+}
+
+void Instruction::appendTo(std::string &Out) const {
+  if (isOpaque()) {
+    Out += RawText;
+    return;
+  }
+  appendMnemonicTo(Out);
   if (Ops.empty())
-    return Out;
+    return;
   Out += '\t';
   for (size_t I = 0, E = Ops.size(); I != E; ++I) {
     if (I != 0)
       Out += ", ";
-    Out += Ops[I].toString();
+    Ops[I].appendTo(Out);
   }
-  return Out;
 }
 
 Instruction mao::makeInstr(Mnemonic Mn, Width W) {

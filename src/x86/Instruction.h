@@ -100,9 +100,13 @@ struct Instruction {
 
   /// Renders AT&T assembly text ("movl %eax, 4(%rsp)").
   std::string toString() const;
+  /// Appends toString()'s text to \p Out without temporaries.
+  void appendTo(std::string &Out) const;
 
   /// Returns the full mnemonic including width/cc suffix ("movl", "jne").
   std::string mnemonicText() const;
+  /// Appends mnemonicText() to \p Out without a temporary.
+  void appendMnemonicTo(std::string &Out) const;
 
   bool operator==(const Instruction &O) const = default;
 };

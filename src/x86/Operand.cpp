@@ -3,15 +3,16 @@
 #include "x86/Operand.h"
 
 #include <cassert>
-#include <cinttypes>
-#include <cstdio>
+#include <charconv>
 
 using namespace mao;
 
 static void appendInt(std::string &Out, int64_t Value) {
-  char Buffer[32];
-  std::snprintf(Buffer, sizeof(Buffer), "%" PRId64, Value);
-  Out += Buffer;
+  char Buffer[24];
+  const auto [End, Ec] = std::to_chars(Buffer, Buffer + sizeof(Buffer), Value);
+  assert(Ec == std::errc() && "an int64_t fits in 24 characters");
+  (void)Ec;
+  Out.append(Buffer, End);
 }
 
 /// Renders "sym", "sym+4", or "" / decimal displacement.
@@ -33,28 +34,34 @@ static void appendSymPlusAddend(std::string &Out, const std::string &Sym,
 
 std::string Operand::toString() const {
   std::string Out;
+  appendTo(Out);
+  return Out;
+}
+
+void Operand::appendTo(std::string &Out) const {
   switch (Kind) {
   case OperandKind::None:
-    return "<none>";
+    Out += "<none>";
+    return;
   case OperandKind::Register:
     if (IndirectStar)
       Out += '*';
     Out += '%';
     Out += regName(R);
-    return Out;
+    return;
   case OperandKind::Immediate:
     Out += '$';
     appendSymPlusAddend(Out, Sym, Imm, /*OmitZero=*/false);
-    return Out;
+    return;
   case OperandKind::Symbol:
     appendSymPlusAddend(Out, Sym, Imm, /*OmitZero=*/false);
-    return Out;
+    return;
   case OperandKind::Memory: {
     if (IndirectStar)
       Out += '*';
     appendSymPlusAddend(Out, Mem.SymDisp, Mem.Disp, /*OmitZero=*/true);
     if (Mem.Base == Reg::None && Mem.Index == Reg::None)
-      return Out;
+      return;
     Out += '(';
     if (Mem.Base != Reg::None) {
       Out += '%';
@@ -68,9 +75,8 @@ std::string Operand::toString() const {
       Out += static_cast<char>('0' + Mem.Scale);
     }
     Out += ')';
-    return Out;
+    return;
   }
   }
   assert(false && "covered switch");
-  return Out;
 }

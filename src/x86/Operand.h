@@ -100,6 +100,8 @@ struct Operand {
 
   /// Renders the operand in AT&T syntax ("%rax", "$5", "8(%rsp,%rcx,4)").
   std::string toString() const;
+  /// Appends toString()'s text to \p Out without a temporary.
+  void appendTo(std::string &Out) const;
 };
 
 /// The operand sequence of one instruction: a small-vector with two inline

@@ -2,9 +2,9 @@
 
 #include "x86/Registers.h"
 
+#include "support/PackedNameTable.h"
+
 #include <cassert>
-#include <cstring>
-#include <unordered_map>
 
 using namespace mao;
 
@@ -15,33 +15,16 @@ const RegInfo mao::RegTable[static_cast<unsigned>(Reg::NumRegs)] = {
 #include "x86/Registers.def"
 };
 
-namespace {
-
-/// Every modelled register name fits in 8 bytes ("xmm15" is the longest),
-/// so names pack losslessly into a uint64_t and the lookup hashes one
-/// integer instead of a byte string.
-uint64_t packShortName(std::string_view Name) {
-  uint64_t Key = 0;
-  std::memcpy(&Key, Name.data(), Name.size());
-  return Key;
-}
-
-} // namespace
-
 Reg mao::parseRegName(std::string_view Name) {
-  static const std::unordered_map<uint64_t, Reg> Map = [] {
-    std::unordered_map<uint64_t, Reg> M;
-    for (unsigned I = 1; I < static_cast<unsigned>(Reg::NumRegs); ++I) {
-      assert(std::strlen(RegTable[I].Name) <= 8 &&
-             "register name no longer packs into the uint64_t fast key");
-      M.emplace(packShortName(RegTable[I].Name), static_cast<Reg>(I));
-    }
-    return M;
+  // Every modelled register name fits in 8 bytes ("xmm15" is the longest).
+  static const PackedNameTable<Reg, 8> Table = [] {
+    PackedNameTable<Reg, 8> T;
+    for (unsigned I = 1; I < static_cast<unsigned>(Reg::NumRegs); ++I)
+      T.insert(RegTable[I].Name, static_cast<Reg>(I));
+    return T;
   }();
-  if (Name.empty() || Name.size() > 8 || Name.back() == '\0')
-    return Reg::None;
-  auto It = Map.find(packShortName(Name));
-  return It == Map.end() ? Reg::None : It->second;
+  const Reg *R = Table.find(Name);
+  return R ? *R : Reg::None;
 }
 
 Reg mao::gprWithWidth(Reg Super64, Width W) {

@@ -8,6 +8,7 @@
 
 #include "asm/Assembler.h"
 #include "asm/Parser.h"
+#include "support/FileIO.h"
 
 #include <gtest/gtest.h>
 
@@ -46,14 +47,8 @@ std::string gasTextBytes(const std::string &Asm) {
   if (std::system(Cmd.c_str()) != 0)
     return "";
   std::string Hex;
-  F = std::fopen((Base + "/bytes.txt").c_str(), "r");
-  if (!F)
+  if (!readWholeFile(Base + "/bytes.txt", Hex))
     return "";
-  char Buf[4096];
-  size_t N;
-  while ((N = std::fread(Buf, 1, sizeof(Buf), F)) > 0)
-    Hex.append(Buf, N);
-  std::fclose(F);
   std::string Cleanup = "rm -rf " + Base;
   (void)std::system(Cleanup.c_str());
   return Hex;

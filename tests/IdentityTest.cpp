@@ -17,6 +17,7 @@
 #include "asm/Parser.h"
 #include "x86/Encoder.h"
 #include "pass/MaoPass.h"
+#include "support/FileIO.h"
 #include "workload/Workload.h"
 
 #include <gtest/gtest.h>
@@ -133,13 +134,7 @@ TEST(Identity, MaoAssemblerMatchesGasOnWorkloads) {
       "$j; else break }}' > " + Base + "/bytes.txt";
   ASSERT_EQ(std::system(Cmd.c_str()), 0);
   std::string GasHex;
-  F = std::fopen((Base + "/bytes.txt").c_str(), "r");
-  ASSERT_NE(F, nullptr);
-  char Buf[65536];
-  size_t N;
-  while ((N = std::fread(Buf, 1, sizeof(Buf), F)) > 0)
-    GasHex.append(Buf, N);
-  std::fclose(F);
+  ASSERT_TRUE(readWholeFile(Base + "/bytes.txt", GasHex));
   std::string Cleanup = "rm -rf " + Base;
   (void)std::system(Cleanup.c_str());
 

@@ -1,9 +1,17 @@
 //===- tests/ParserTest.cpp - AT&T parser and round-trip tests --------------==//
 
+#include "TestCorpus.h"
 #include "asm/AsmEmitter.h"
 #include "asm/Parser.h"
+#include "support/FaultInjection.h"
+#include "x86/Registers.h"
 
 #include <gtest/gtest.h>
+
+#include <cstdint>
+#include <string>
+#include <string_view>
+#include <unordered_map>
 
 using namespace mao;
 
@@ -434,6 +442,109 @@ TEST(Parser, StructureViewsSurviveMoveAndClone) {
   for (const MaoEntry &E : Clone.entries())
     InClone |= (&E == CloneLabel);
   EXPECT_TRUE(InClone);
+}
+
+TEST(ParserTables, EveryRegisterNameResolves) {
+  for (unsigned I = 1; I < static_cast<unsigned>(Reg::NumRegs); ++I)
+    EXPECT_EQ(parseRegName(RegTable[I].Name), static_cast<Reg>(I))
+        << RegTable[I].Name;
+}
+
+TEST(ParserTables, EverySpellingResolvesToItsFirstBinding) {
+  // The reference is a map that keeps each spelling's first binding: what
+  // the parser's spelling table held before it was a packed-key table.
+  std::unordered_map<std::string, MnemonicSpelling> Reference;
+  for (const auto &[Spelling, P] : mnemonicSpellings())
+    Reference.emplace(Spelling, P);
+  ASSERT_GT(Reference.size(), 400u);
+  for (const auto &[Spelling, P] : Reference) {
+    const std::optional<MnemonicSpelling> Got = parseMnemonic(Spelling);
+    ASSERT_TRUE(Got.has_value()) << Spelling;
+    EXPECT_TRUE(*Got == P) << Spelling;
+  }
+}
+
+TEST(ParserTables, NearMissesResolveToNothing) {
+  using namespace std::string_view_literals;
+  for (std::string_view Name :
+       {""sv, "r"sv, "ra"sv, "raxx"sv, "xmm16"sv, "eaxeaxeax"sv,
+        "xmm15xmm15"sv, "rax\0"sv, "ra\0x"sv, "\0rax"sv, "xmm1\0\0\0\0"sv})
+    EXPECT_EQ(parseRegName(Name), Reg::None) << '"' << Name << '"';
+  for (std::string_view Name :
+       {""sv, "a"sv, "ad"sv, "addll"sv, "movzbll"sv, "nop16"sv, "addl\0"sv,
+        "ad\0dl"sv, "prefetchn"sv, "prefetchntaa"sv, "cmovnzlq"sv})
+    EXPECT_FALSE(parseMnemonic(Name).has_value()) << '"' << Name << '"';
+}
+
+TEST(Emit, IntegersRenderLikePrintf) {
+  EXPECT_EQ(Operand::makeImm(INT64_MIN).toString(), "$-9223372036854775808");
+  EXPECT_EQ(Operand::makeImm(INT64_MAX).toString(), "$9223372036854775807");
+  EXPECT_EQ(Operand::makeSymbol("x", -7).toString(), "x-7");
+  EXPECT_EQ(Operand::makeImmSym("x", 12).toString(), "$x+12");
+  MemRef M;
+  M.Disp = -129;
+  M.Base = Reg::RSP;
+  EXPECT_EQ(Operand::makeMem(M).toString(), "-129(%rsp)");
+  EXPECT_EQ(makeNop(11).toString(), "nop11");
+}
+
+TEST(Emit, AppendToMatchesToStringAndEmitIsAFixedPoint) {
+  for (const auto &[Name, Text] : exampleAndSpecCorpus()) {
+    auto UnitOr = parseAssembly(Text, nullptr, Name);
+    ASSERT_TRUE(UnitOr.ok()) << Name;
+    std::string Lines;
+    for (const MaoEntry &E : UnitOr->entries()) {
+      std::string Appended = "prefix";
+      E.appendTo(Appended);
+      ASSERT_EQ(Appended, "prefix" + E.toString()) << Name;
+      if (E.isInstruction()) {
+        const Instruction &Insn = E.instruction();
+        std::string Mnemonic = "m";
+        Insn.appendMnemonicTo(Mnemonic);
+        ASSERT_EQ(Mnemonic, "m" + Insn.mnemonicText()) << Name;
+        for (const Operand &Op : Insn.Ops) {
+          std::string Rendered = "o";
+          Op.appendTo(Rendered);
+          ASSERT_EQ(Rendered, "o" + Op.toString()) << Name;
+        }
+      }
+      Lines += E.toString();
+      Lines += '\n';
+    }
+    const std::string Emitted = emitAssembly(*UnitOr);
+    EXPECT_EQ(Emitted, Lines) << Name;
+    auto Again = parseAssembly(Emitted, nullptr, Name);
+    ASSERT_TRUE(Again.ok()) << Name;
+    EXPECT_EQ(emitAssembly(*Again), Emitted) << Name;
+  }
+}
+
+TEST(Parser, EncoderFaultMakesEveryInstructionOpaque) {
+  // Validation measures each modelled instruction through the encoder's
+  // fallible entry, which draws the encoder fault once: at rate 1000 every
+  // instruction degrades to opaque, one draw apiece.
+  struct Reset {
+    ~Reset() { FaultInjector::instance().reset(); }
+  } ResetAtExit;
+  for (const auto &[Name, Text] : exampleAndSpecCorpus()) {
+    FaultInjector::instance().reset();
+    auto Clean = parseAssembly(Text, nullptr, Name);
+    ASSERT_TRUE(Clean.ok()) << Name;
+    unsigned Modelled = 0;
+    for (const MaoEntry &E : Clean->entries())
+      Modelled += E.isInstruction() && !E.instruction().isOpaque();
+
+    ASSERT_TRUE(FaultInjector::instance().configure("encoder:1000", 1).ok());
+    auto Faulty = parseAssembly(Text, nullptr, Name);
+    ASSERT_TRUE(Faulty.ok()) << Name;
+    unsigned ModelledLeft = 0;
+    for (const MaoEntry &E : Faulty->entries())
+      ModelledLeft += E.isInstruction() && !E.instruction().isOpaque();
+    EXPECT_EQ(ModelledLeft, 0u) << Name;
+    EXPECT_EQ(FaultInjector::instance().drawCount(FaultSite::Encoder),
+              Modelled)
+        << Name;
+  }
 }
 
 } // namespace

@@ -18,6 +18,7 @@
 #include "sim/Emulator.h"
 #include "support/Diag.h"
 #include "support/Stats.h"
+#include "workload/Workload.h"
 #include "x86/Encoder.h"
 
 #include <gtest/gtest.h>
@@ -393,6 +394,53 @@ TEST(DCE, SkipsFunctionWithUnresolvedIndirect) {
 	ret
 )"));
   EXPECT_EQ(runPass(Unit, "DCE"), 0u);
+}
+
+TEST(DCE, UnresolvedIndirectSkipIsReported) {
+  // DCE and BBREORDER leave a function alone when it has an indirect jump
+  // no jump table resolves. Each skip is one warning through the request's
+  // diagnostics, in function order for every worker count, and one count.
+  const std::string Asm = "\t.text\n"
+                          "\t.type f, @function\nf:\n"
+                          "\tjmp *%rax\n.LF:\n\tret\n\t.size f, .-f\n"
+                          "\t.type g, @function\ng:\n"
+                          "\tjmp *%rcx\n.LG:\n\tret\n\t.size g, .-g\n";
+  linkAllPasses();
+  for (unsigned Jobs : {1u, 4u}) {
+    MaoUnit Unit = parseOk(Asm);
+    StatsRegistry::instance().reset();
+    DiagEngine Diags;
+    CollectingDiagSink Sink;
+    Diags.addSink(&Sink);
+    PassRequest Dce, Reorder;
+    Dce.PassName = "DCE";
+    Reorder.PassName = "BBREORDER";
+    PipelineOptions Options;
+    Options.Diags = &Diags;
+    Options.Jobs = Jobs;
+    PipelineResult R = runPasses(Unit, {Dce, Reorder}, Options);
+    ASSERT_TRUE(R.Ok) << R.Error;
+    EXPECT_EQ(R.Counts[0].second + R.Counts[1].second, 0u);
+    EXPECT_EQ(StatsRegistry::instance()
+                  .counter("pipeline.unresolved_skips")
+                  .value(),
+              4u);
+    ASSERT_EQ(Sink.diagnostics().size(), 4u) << "jobs " << Jobs;
+    const std::pair<const char *, const char *> Want[] = {
+        {"DCE", "function f"},
+        {"DCE", "function g"},
+        {"BBREORDER", "function f"},
+        {"BBREORDER", "function g"}};
+    for (size_t I = 0; I < 4; ++I) {
+      const Diagnostic &D = Sink.diagnostics()[I];
+      EXPECT_EQ(D.Severity, DiagSeverity::Warning);
+      EXPECT_EQ(D.Code, DiagCode::PassUnresolvedIndirect);
+      EXPECT_STREQ(diagCodeName(D.Code), "pass-unresolved-indirect");
+      EXPECT_EQ(D.PassName, Want[I].first) << "jobs " << Jobs;
+      EXPECT_EQ(D.Message.rfind(Want[I].second, 0), 0u)
+          << D.Message << " (jobs " << Jobs << ")";
+    }
+  }
 }
 
 TEST(DCE, KeepsJumpTableTargets) {
@@ -846,6 +894,36 @@ TEST(SCHED, SchedulesFlagReaderWriters) {
 )"),
                            "SCHED", {Reg::RAX, Reg::RDX, Reg::RSI, Reg::RDI},
                            Init);
+}
+
+TEST(PeepholePasses, KeepLengthMemosOfInstructionsTheyOnlyRead) {
+  // The peephole passes read every instruction but rewrite few: the rest
+  // keep the length memos parsing seeded, so LOOP16's layout after them
+  // does not measure the unit again.
+  for (const WorkloadSpec &Spec : spec2000IntProfiles()) {
+    MaoUnit Unit = parseOk(generateWorkloadAssembly(Spec));
+    linkAllPasses();
+    std::vector<PassRequest> Reqs(4);
+    const char *Names[] = {"ZEE", "REDTEST", "REDMOV", "ADDADD"};
+    for (size_t I = 0; I < Reqs.size(); ++I)
+      Reqs[I].PassName = Names[I];
+    PipelineResult R = runPasses(Unit, Reqs);
+    ASSERT_TRUE(R.Ok) << Spec.Name << ": " << R.Error;
+    size_t Rewrites = 0, Unmeasured = 0;
+    for (const auto &Count : R.Counts)
+      Rewrites += Count.second;
+    for (const MaoEntry &E : Unit.entries()) {
+      if (!E.isInstruction() || E.instruction().isOpaque())
+        continue;
+      const Instruction &Insn = E.instruction();
+      if (!(Insn.isBranch() && !Insn.hasIndirectTarget()) &&
+          E.lengthMemo() == 0)
+        ++Unmeasured;
+    }
+    // A rewrite re-renders at most two instructions (a forwarded load, a
+    // folded add/sub pair, a window's replacement).
+    EXPECT_LE(Unmeasured, 2 * Rewrites) << Spec.Name;
+  }
 }
 
 TEST(SCHED, KeepsLengthMemos) {

@@ -388,7 +388,11 @@ TEST(LengthMemo, FilledByRelaxationAndKeptAcrossRelaxations) {
   MaoUnit Unit = parseOk(paperExample(4, /*WithNop=*/false));
   MaoEntry *Cmp = findInsnEntry(Unit, Mnemonic::CMP);
   ASSERT_NE(Cmp, nullptr);
-  EXPECT_EQ(Cmp->lengthMemo(), 0u); // Parsing measures nothing.
+  // Parsing measured it; an edit drops the memo, relaxation refills it.
+  EXPECT_EQ(Cmp->lengthMemo(),
+            instructionLength(std::as_const(*Cmp).instruction()));
+  (void)Cmp->instruction();
+  ASSERT_EQ(Cmp->lengthMemo(), 0u);
   ASSERT_TRUE(relaxUnit(Unit).Converged);
   const unsigned Length = Cmp->lengthMemo();
   EXPECT_EQ(Length, instructionLength(std::as_const(*Cmp).instruction()));
@@ -400,6 +404,31 @@ TEST(LengthMemo, FilledByRelaxationAndKeptAcrossRelaxations) {
   const MaoEntry *Jmp = findInsn(Unit, Mnemonic::JMP);
   ASSERT_NE(Jmp, nullptr);
   EXPECT_EQ(Jmp->lengthMemo(), 0u);
+}
+
+TEST(LengthMemo, SeededByParseOnTheCorpus) {
+  // Validation measures every instruction once, and the entry keeps that
+  // length: every instruction but a direct branch starts measured, so no
+  // later layer has to measure an unedited instruction again.
+  size_t Seeded = 0, DirectBranches = 0;
+  for (const auto &[Name, Text] : exampleAndSpecCorpus()) {
+    MaoUnit Unit = parseOk(Text);
+    size_t Wrong = 0;
+    for (const MaoEntry &E : Unit.entries()) {
+      if (!E.isInstruction() || E.instruction().isOpaque())
+        continue;
+      const Instruction &Insn = E.instruction();
+      const bool Direct = Insn.isBranch() && !Insn.hasIndirectTarget();
+      const unsigned Want = Direct ? 0 : instructionLength(Insn);
+      if (E.lengthMemo() != Want && ++Wrong == 1)
+        ADD_FAILURE() << Name << ": '" << Insn.toString() << "' has memo "
+                      << E.lengthMemo() << ", want " << Want;
+      ++(Direct ? DirectBranches : Seeded);
+    }
+    EXPECT_EQ(Wrong, 0u) << Name;
+  }
+  EXPECT_GT(Seeded, 0u);
+  EXPECT_GT(DirectBranches, 0u);
 }
 
 TEST(LengthMemo, CarriedByCloneAndCopies) {
@@ -444,6 +473,12 @@ TEST(LengthMemo, FullVerifierReportsAStaleMemo) {
   // cmpl $0 -> cmpl $1000 trades the imm8 form for imm32.
   ASSERT_EQ(Held.Ops.size(), 2u);
   Held.Ops[0].Imm = 1000;
+#ifdef MAO_CHECK_LENGTH_MEMO
+  // This build re-measures on every memo read, so reading the stale memo
+  // is already fatal.
+  EXPECT_DEATH((void)Cmp->lengthMemo(), "stale length memo");
+  return;
+#endif
   ASSERT_NE(instructionLength(Held), Cmp->lengthMemo());
 
   // The cheap configuration trusts the memo ...

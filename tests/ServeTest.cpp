@@ -18,6 +18,7 @@
 #include "serve/Protocol.h"
 #include "serve/Serve.h"
 #include "support/FaultInjection.h"
+#include "support/FileIO.h"
 #include "support/Stats.h"
 #include "tune/ScoreCache.h"
 
@@ -108,9 +109,9 @@ struct FaultGuard {
 };
 
 std::string readFile(const std::string &Path) {
-  std::ifstream In(Path, std::ios::binary);
-  return std::string((std::istreambuf_iterator<char>(In)),
-                     std::istreambuf_iterator<char>());
+  std::string Bytes;
+  mao::readWholeFile(Path, Bytes);
+  return Bytes;
 }
 
 void writeFile(const std::string &Path, const std::string &Bytes) {

@@ -1,6 +1,7 @@
 //===- tests/SupportTest.cpp - Support-library unit tests --------------------==//
 
 #include "support/Diag.h"
+#include "support/FileIO.h"
 #include "support/Hash.h"
 #include "support/Json.h"
 #include "support/Options.h"
@@ -9,9 +10,39 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdio>
+#include <filesystem>
+#include <fstream>
+
 using namespace mao;
 
 namespace {
+
+// --- Whole-file reads -------------------------------------------------------
+
+TEST(FileIO, ReadsEveryByteVerbatim) {
+  const std::string Path = ::testing::TempDir() + "mao_read_whole_file.bin";
+  std::string Bytes = "line\r\n\0tail without newline";
+  Bytes += std::string(100000, 'x'); // past any single stdio buffer
+  {
+    std::ofstream Out(Path, std::ios::binary);
+    Out.write(Bytes.data(), static_cast<std::streamsize>(Bytes.size()));
+  }
+  std::string Read = "stale";
+  ASSERT_TRUE(readWholeFile(Path, Read));
+  EXPECT_EQ(Read, Bytes);
+  std::remove(Path.c_str());
+  EXPECT_FALSE(readWholeFile(Path, Read));
+}
+
+TEST(FileIO, ReadsFilesThatReportNoSize) {
+  // procfs files report size 0 but have content: the read goes on to EOF.
+  if (!std::filesystem::exists("/proc/self/status"))
+    GTEST_SKIP() << "no procfs";
+  std::string Read;
+  ASSERT_TRUE(readWholeFile("/proc/self/status", Read));
+  EXPECT_NE(Read.find("Name:"), std::string::npos);
+}
 
 // --- Option parsing (the paper's --mao= syntax) -----------------------------
 

@@ -10,12 +10,11 @@
 #ifndef MAO_TESTS_TESTCORPUS_H
 #define MAO_TESTS_TESTCORPUS_H
 
+#include "support/FileIO.h"
 #include "workload/Workload.h"
 
 #include <algorithm>
 #include <filesystem>
-#include <fstream>
-#include <sstream>
 #include <string>
 #include <utility>
 #include <vector>
@@ -32,10 +31,9 @@ inline std::vector<std::pair<std::string, std::string>> exampleAndSpecCorpus() {
       Files.push_back(Entry.path());
   std::sort(Files.begin(), Files.end());
   for (const std::filesystem::path &Path : Files) {
-    std::ifstream In(Path);
-    std::stringstream Text;
-    Text << In.rdbuf();
-    Corpus.emplace_back(Path.filename().string(), Text.str());
+    std::string Text;
+    readWholeFile(Path.string(), Text);
+    Corpus.emplace_back(Path.filename().string(), std::move(Text));
   }
   std::vector<WorkloadSpec> Specs = spec2000IntProfiles();
   for (WorkloadSpec &S : spec2006Profiles())
