@@ -23,6 +23,7 @@
 #include "analysis/Relaxer.h"
 #include "asm/AsmEmitter.h"
 #include "support/FileIO.h"
+#include "support/Stats.h"
 
 #include <chrono>
 #include <filesystem>
@@ -158,6 +159,25 @@ int main(int argc, char **argv) {
               "insts/s/core\n",
               Stats.Instructions, PipelineSeconds * 1e3, InstsPerSecCore);
   Report.set("pipeline_insts_per_s_per_core", InstsPerSecCore);
+
+  // --- CFG builds per function under paper6 (deterministic). ------------
+  {
+    StatCounter &Builds =
+        StatsRegistry::instance().counter("analysis.cfg_builds");
+    MaoUnit Unit = CorpusUnit->clone();
+    const uint64_t Before = Builds.value();
+    PipelineResult R = runPasses(Unit, Requests, OneCore);
+    const double PerFunction =
+        static_cast<double>(Builds.value() - Before) /
+        static_cast<double>(std::max<size_t>(1, Unit.functions().size()));
+    if (!R.Ok) {
+      std::fprintf(stderr, "bench: pipeline failed: %s\n", R.Error.c_str());
+      return 1;
+    }
+    std::printf("cfg builds:       %.2f per function under paper6\n",
+                PerFunction);
+    Report.set("paper6_cfg_builds_per_function", PerFunction);
+  }
 
   // --- Relaxation convergence, grow vs. optimal. ------------------------
   for (RelaxMode Mode : {RelaxMode::Grow, RelaxMode::Optimal}) {

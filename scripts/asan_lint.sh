@@ -7,7 +7,10 @@
 # summary arithmetic. Findings are expected (the corpus seeds them);
 # sanitizer reports are not. It then runs the optimizer itself, verified,
 # at one and four workers: paper6 and the alignment passes, which edit the
-# unit through the maintained relaxation layout.
+# unit through the maintained relaxation layout, and the peep5 order
+# (SCHED before ADDADD) and DCE:BBREORDER:NOPKILL:CONSTFOLD, which erase
+# and move entries the kept per-function CFGs hold: a kept CFG that still
+# held an erased entry would show up as a use-after-free.
 #
 # SKIPPED (exit 77) when the toolchain cannot build with sanitizers (some
 # CI containers ship compilers without libasan).
@@ -78,7 +81,8 @@ done
 # The optimizer: every pass must leave a unit the verifier accepts (exit 0).
 for s in "$EXAMPLES"/*.s; do
   for pipeline in ZEE:REDTEST:REDMOV:ADDADD:LOOP16:SCHED \
-      LOOP16:LSDOPT:BRALIGN:INSTRUMENT "ALIGNSEL=loops[4]"; do
+      LOOP16:LSDOPT:BRALIGN:INSTRUMENT "ALIGNSEL=loops[4]" \
+      ZEE:REDTEST:REDMOV:SCHED:ADDADD DCE:BBREORDER:NOPKILL:CONSTFOLD; do
     for jobs in 1 4; do
       run_lint 0 "$pipeline $(basename "$s") ($jobs workers)" \
         "--mao=$pipeline" --mao-verify "--mao-jobs=$jobs" "$s"

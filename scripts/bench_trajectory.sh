@@ -100,8 +100,10 @@ if [ "$RAN" -eq 0 ]; then
 fi
 
 # The throughput-core headline: bench_core must publish the parse
-# trajectory (examples and synthetic MB/s) and the cross-jobs
-# determinism bit. Thresholds here are sanity floors, not the performance
+# trajectory (examples and synthetic MB/s), the cross-jobs determinism bit
+# and paper6's CFG builds per function, which must stay at most 2: passes
+# share one kept CFG per function and rebuild it only after a control-flow
+# edit. Thresholds here are sanity floors, not the performance
 # bar — quick mode underestimates steady-state MB/s.
 if [ -s "$WORK/BENCH_core.json" ]; then
   if ! err=$(python3 - "$WORK/BENCH_core.json" <<'EOF' 2>&1
@@ -109,15 +111,19 @@ import json, sys
 m = json.load(open(sys.argv[1]))["metrics"]
 required = [
     "examples_parse_mb_s", "synthetic_parse_mb_s", "jobs_byte_identical",
+    "paper6_cfg_builds_per_function",
 ]
 missing = [k for k in required if k not in m]
 if missing:
     sys.exit("bench_core metrics missing: " + ", ".join(missing))
-for key in required[:-1]:
+for key in required[:2]:
     if m[key] <= 0:
         sys.exit("bench_core metric %s is not positive: %r" % (key, m[key]))
 if m["jobs_byte_identical"] != 1:
     sys.exit("pipeline output was not byte-identical across --mao-jobs")
+if m["paper6_cfg_builds_per_function"] > 2:
+    sys.exit("paper6 builds %.2f CFGs per function (at most 2)"
+             % m["paper6_cfg_builds_per_function"])
 EOF
   ); then
     fail "bench_core headline: $err"

@@ -2,6 +2,8 @@
 
 #include "analysis/Dataflow.h"
 
+#include "support/Stats.h"
+
 #include <algorithm>
 #include <cassert>
 #include <utility>
@@ -29,6 +31,9 @@ bool exitsConservatively(const CFG &G, const BasicBlock &BB) {
 } // namespace
 
 LivenessResult mao::computeLiveness(const CFG &G) {
+  static StatCounter &Builds =
+      StatsRegistry::instance().counter("analysis.liveness_builds");
+  Builds.add();
   const std::vector<BasicBlock> &Blocks = G.blocks();
   const size_t N = Blocks.size();
   LivenessResult R;
@@ -44,7 +49,7 @@ LivenessResult mao::computeLiveness(const CFG &G) {
     RegMask LiveUse = 0, Defined = 0;
     uint8_t FlagUse = 0, FlagDef = 0;
     for (EntryIter It : Blocks[B].Insns) {
-      const InstructionEffects Fx = std::as_const(*It).instruction().effects();
+      const InstructionEffects Fx = It->effects();
       LiveUse |= Fx.RegUses & ~Defined;
       FlagUse |= Fx.FlagsUse & ~FlagDef;
       Defined |= Fx.RegDefs;
@@ -91,8 +96,13 @@ LivenessResult mao::computeLiveness(const CFG &G) {
 
 InsnLiveness mao::perInstructionLiveness(const CFG &G, unsigned Block,
                                          const LivenessResult &Live) {
-  const BasicBlock &BB = G.blocks()[Block];
-  const size_t N = BB.Insns.size();
+  return perInstructionLiveness(G.blocks()[Block].Insns, Live, Block);
+}
+
+InsnLiveness mao::perInstructionLiveness(std::span<const EntryIter> Insns,
+                                         const LivenessResult &Live,
+                                         unsigned Block) {
+  const size_t N = Insns.size();
   InsnLiveness R;
   R.RegLiveAfter.assign(N, 0);
   R.FlagsLiveAfter.assign(N, 0);
@@ -101,8 +111,7 @@ InsnLiveness mao::perInstructionLiveness(const CFG &G, unsigned Block,
   for (size_t I = N; I-- > 0;) {
     R.RegLiveAfter[I] = Cur;
     R.FlagsLiveAfter[I] = FCur;
-    const InstructionEffects Fx =
-        std::as_const(*BB.Insns[I]).instruction().effects();
+    const InstructionEffects Fx = Insns[I]->effects();
     Cur = (Cur & ~Fx.RegDefs) | Fx.RegUses;
     FCur = static_cast<uint8_t>((FCur & ~Fx.FlagsDef) | Fx.FlagsUse);
   }
@@ -119,8 +128,7 @@ ReachingDefs ReachingDefs::compute(const CFG &G) {
   for (unsigned B = 0; B < N; ++B) {
     for (unsigned I = 0, E = static_cast<unsigned>(Blocks[B].Insns.size());
          I != E; ++I) {
-      const InstructionEffects Fx =
-          std::as_const(*Blocks[B].Insns[I]).instruction().effects();
+      const InstructionEffects Fx = Blocks[B].Insns[I]->effects();
       if (!Fx.RegDefs)
         continue;
       DefsInBlock[B].push_back(static_cast<unsigned>(R.AllDefs.size()));
@@ -201,8 +209,7 @@ ReachingDefs::reachingInstruction(const CFG &G, unsigned Block,
   std::vector<const Def *> Reaching = reachingBlockEntry(Block, Mask);
   const BasicBlock &BB = G.blocks()[Block];
   for (unsigned I = 0; I < InsnIdx && I < BB.Insns.size(); ++I) {
-    const InstructionEffects Fx =
-        std::as_const(*BB.Insns[I]).instruction().effects();
+    const InstructionEffects Fx = BB.Insns[I]->effects();
     if (!(Fx.RegDefs & Mask))
       continue;
     // This def kills earlier defs of the same registers.
@@ -228,6 +235,7 @@ unsigned mao::resolveIndirectJumps(CFG &G) {
   ReachingDefs RD = ReachingDefs::compute(G);
 
   unsigned Resolved = 0;
+  std::vector<std::pair<unsigned, unsigned>> Edges;
   auto &Pending = G.unresolvedJumps();
   for (auto It = Pending.begin(); It != Pending.end();) {
     const Instruction &Jump = std::as_const(*It->Jump).instruction();
@@ -246,7 +254,11 @@ unsigned mao::resolveIndirectJumps(CFG &G) {
       std::string Table =
           CFG::matchTableLoad(std::as_const(*Defs[0]->Insn).instruction(),
                               JumpReg);
-      if (!Table.empty() && G.connectJumpTable(Block, Table)) {
+      std::vector<unsigned> Targets =
+          Table.empty() ? std::vector<unsigned>() : G.jumpTableBlocks(Table);
+      for (unsigned To : Targets)
+        Edges.push_back({Block, To});
+      if (!Targets.empty()) {
         ++Resolved;
         ++G.stats().ResolvedReachingDefs;
         It = Pending.erase(It);
@@ -255,6 +267,8 @@ unsigned mao::resolveIndirectJumps(CFG &G) {
     }
     ++It;
   }
+  if (!Edges.empty())
+    G.addEdges(Edges);
   G.function().HasUnresolvedIndirect = !Pending.empty();
   return Resolved;
 }

@@ -25,6 +25,7 @@
 #include "x86/Instruction.h"
 
 #include <cstdint>
+#include <span>
 #include <vector>
 
 namespace mao {
@@ -50,6 +51,11 @@ struct InsnLiveness {
 };
 InsnLiveness perInstructionLiveness(const CFG &G, unsigned Block,
                                     const LivenessResult &Live);
+/// The same over \p Insns, block \p Block's instructions as a pass has
+/// edited them since \p Live was computed.
+InsnLiveness perInstructionLiveness(std::span<const EntryIter> Insns,
+                                    const LivenessResult &Live,
+                                    unsigned Block);
 
 /// Reaching definitions of super registers.
 class ReachingDefs {

@@ -240,11 +240,10 @@ UnitLayout::Slot UnitLayout::makeSlot(Section &Sec, MaoEntry &E,
     S.Id = symbolId(Sec, Target->Sym);
     ++Sec.Symbols[S.Id].Refs;
     // Ends at rel8, the width every relaxation starts from.
-    Instruction &Branch = E.instruction();
-    Branch.BranchSize = 4;
-    S.Rel32Size = static_cast<uint8_t>(instructionLength(Branch));
-    Branch.BranchSize = 1;
-    S.Rel8Size = static_cast<uint8_t>(instructionLength(Branch));
+    E.setBranchSize(4);
+    S.Rel32Size = static_cast<uint8_t>(instructionLength(View.instruction()));
+    E.setBranchSize(1);
+    S.Rel8Size = static_cast<uint8_t>(instructionLength(View.instruction()));
     Tally.Misses += 2;
   } else if (View.isDirective(DirKind::P2Align) ||
              View.isDirective(DirKind::Balign)) {
@@ -554,7 +553,7 @@ void UnitLayout::writeBack(Slot &S) {
   S.E->Address = S.Address;
   S.E->Size = S.Size;
   if (S.Kind == SlotKind::Branch)
-    S.E->instruction().BranchSize = S.Wide ? 4 : 1;
+    S.E->setBranchSize(S.Wide ? 4 : 1);
 }
 
 void UnitLayout::relaxAll() {

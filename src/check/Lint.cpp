@@ -61,13 +61,13 @@ private:
 
 std::string blockName(const BasicBlock &B) {
   if (!B.Labels.empty())
-    return "'" + B.Labels.front() + "'";
+    return "'" + B.Labels.front()->labelName() + "'";
   return "#" + std::to_string(B.Index);
 }
 
 bool blockIsInert(const BasicBlock &B) {
   for (EntryIter It : B.Insns)
-    if (It->isInstruction() && !It->instruction().isNop())
+    if (It->isInstruction() && !std::as_const(*It).instruction().isNop())
       return false;
   return true;
 }
@@ -124,7 +124,7 @@ void ruleUseBeforeDef(const FnLintContext &C, FindingBuf &E) {
   auto Transfer = [&C](const BasicBlock &B, RegMask &Regs, uint8_t &Flags,
                        RegMask *RegOffend, uint8_t *FlagOffend) {
     for (const EntryIter &It : B.Insns) {
-      const Instruction &Insn = It->instruction();
+      const Instruction &Insn = std::as_const(*It).instruction();
       const InstructionEffects Eff = Insn.effects();
       if (RegOffend)
         *RegOffend |= Eff.RegUses & ~Regs;
@@ -199,7 +199,7 @@ void ruleDeadFlagWrite(const FnLintContext &C, FindingBuf &E) {
   for (const BasicBlock &B : C.G.blocks()) {
     InsnLiveness IL = perInstructionLiveness(C.G, B.Index, C.Live);
     for (size_t I = 0; I < B.Insns.size(); ++I) {
-      const Instruction &Insn = B.Insns[I]->instruction();
+      const Instruction &Insn = std::as_const(*B.Insns[I]).instruction();
       if (!Insn.writesFlagsOnly())
         continue;
       uint8_t Defs = Insn.effects().FlagsDef & FlagsAllStatus;
@@ -293,7 +293,7 @@ void ruleStackAlignment(const FnLintContext &C, FindingBuf &E) {
     for (EntryIter It : Blocks[BI].Insns) {
       if (!It->isInstruction())
         continue;
-      const Instruction &Insn = It->instruction();
+      const Instruction &Insn = std::as_const(*It).instruction();
       if (Depth != Unknown && Insn.isCall() && ((Depth % 16) + 16) % 16 != 8)
         E.warn(DiagCode::LintStackMisaligned,
                "function '" + C.Fn.name() + "', block " +
@@ -398,7 +398,7 @@ void rulePartialRegister(const FnLintContext &C, FindingBuf &E) {
     for (EntryIter It : B.Insns) {
       if (!It->isInstruction())
         continue;
-      const Instruction &Insn = It->instruction();
+      const Instruction &Insn = std::as_const(*It).instruction();
       if (Insn.isOpaque() || Insn.isCall()) {
         LastWrite.fill(Width::None);
         Written.fill(Insn.isCall());
@@ -551,7 +551,7 @@ void ruleArgValues(const FnLintContext &C, FindingBuf &E) {
     // the dead-write check (reset at block boundaries: conservative).
     std::array<const Instruction *, 32> LastArgWrite{};
     for (const EntryIter &It : B.Insns) {
-      const Instruction &Insn = It->instruction();
+      const Instruction &Insn = std::as_const(*It).instruction();
       const InstructionEffects Eff = Insn.effects();
       if (Insn.isCall()) {
         RegMask Reads = CallRead(Insn);

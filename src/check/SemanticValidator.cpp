@@ -42,8 +42,8 @@ struct FnSide {
 std::set<std::string> blockLabels(const CFG &G) {
   std::set<std::string> Out;
   for (const BasicBlock &B : G.blocks())
-    for (const std::string &L : B.Labels)
-      Out.insert(L);
+    for (EntryIter L : B.Labels)
+      Out.insert(L->labelName());
   return Out;
 }
 
@@ -57,9 +57,9 @@ std::vector<std::string> blockKeys(const CFG &G,
   std::string Anchor; // Entry anchor is "".
   unsigned Ordinal = 0;
   for (const BasicBlock &B : G.blocks()) {
-    for (const std::string &L : B.Labels)
-      if (Common.count(L)) {
-        Anchor = L;
+    for (EntryIter L : B.Labels)
+      if (Common.count(L->labelName())) {
+        Anchor = L->labelName();
         Ordinal = 0;
         break;
       }
@@ -89,7 +89,7 @@ std::vector<bool> reachableBlocks(const CFG &G, bool AllReachable) {
 
 std::string blockDisplayName(const BasicBlock &B) {
   if (!B.Labels.empty())
-    return B.Labels.front();
+    return B.Labels.front()->labelName();
   if (B.Index == 0)
     return "<entry>";
   return "<block " + std::to_string(B.Index) + ">";
@@ -100,7 +100,7 @@ std::vector<const Instruction *> blockInsns(const BasicBlock &B) {
   Out.reserve(B.Insns.size());
   for (EntryIter It : B.Insns)
     if (It->isInstruction())
-      Out.push_back(&It->instruction());
+      Out.push_back(&std::as_const(*It).instruction());
   return Out;
 }
 

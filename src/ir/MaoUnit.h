@@ -38,6 +38,7 @@ using EntryIter = EntryList::iterator;
 using ConstEntryIter = EntryList::const_iterator;
 
 class MaoUnit;
+struct KeptAnalyses;
 
 /// Branch-displacement selection mode (driver flag --mao-relax), a
 /// property of the unit it lays out: passes, the verifier, the assembler
@@ -146,6 +147,15 @@ public:
   /// function; passes decide whether to proceed (paper Sec. II).
   bool HasUnresolvedIndirect = false;
 
+  /// Bumped by the unit's edits of this function's entries (EditEpochs).
+  EditEpochs Epochs;
+
+  /// The CFG, loops and liveness the pass pipeline keeps for this function
+  /// between passes (pass/FunctionAnalyses.h creates and reads them; the
+  /// function only owns them, so they go when the views are rebuilt).
+  std::unique_ptr<KeptAnalyses, void (*)(KeptAnalyses *)> Kept{nullptr,
+                                                                nullptr};
+
 private:
   friend class MaoUnit;
   std::string Name;
@@ -177,7 +187,8 @@ struct UnitViews {
 /// DESIGN.md, "Unit views"). Inserting or erasing section directives,
 /// function labels, `.type` or `.size`, inserting outside every section
 /// run and a moveRange() that moves a range endpoint are outside it; the
-/// caller must then call rebuildStructure().
+/// caller must then call rebuildStructure(). The same edits move the
+/// edited function's EditEpochs (DESIGN.md, "Analysis lifetime").
 class MaoUnit {
 public:
   MaoUnit()
@@ -262,10 +273,12 @@ public:
 
   /// Derives the views from the entry list, leaving the unit's own alone.
   /// Counted in the `ir.structure_builds` statistic.
-  UnitViews deriveViews();
+  UnitViews deriveViews() { return derive(/*SetOwners=*/false); }
 
   /// Replaces the views with a fresh derivation: after append(), and
-  /// after an edit outside the contract (HOTCOLD's function moves).
+  /// after an edit outside the contract (HOTCOLD's function moves). Every
+  /// entry's Owner is pointed at its new function, and the functions'
+  /// kept analyses go with the old views.
   void rebuildStructure();
 
   std::vector<MaoFunction> &functions() { return Views.Functions; }
@@ -301,6 +314,10 @@ public:
 private:
   friend class ScopedShardIds;
 
+  /// deriveViews(); with \p SetOwners it also points every entry's Owner
+  /// at the derived function it belongs to (or null), in the same walk.
+  UnitViews derive(bool SetOwners);
+
   /// Next entry ID: from the calling thread's armed shard block when one
   /// is active for this unit, else from the shared counter. Only called
   /// with StructuralM held (the structural editors) or on a unit no other
@@ -314,7 +331,8 @@ private:
   /// own label; edits elsewhere skip the scan over every range.
   bool startsRun(EntryIter Pos);
   /// Points the range Begins at \p Pos to \p New, which now precedes it in
-  /// the same run (see the edit contract above).
+  /// the same run (see the edit contract above), and makes New's owner
+  /// the function whose range it now begins, if any.
   void moveBeginsBefore(EntryIter Pos, EntryIter New);
   /// True for entries whose insertion or erasure the views cannot follow.
   bool definesStructure(const MaoEntry &E) const;

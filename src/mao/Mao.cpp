@@ -84,29 +84,6 @@ ErrorOr<ProcessorConfig> configByName(const std::string &Name) {
                           "' (expected core2 or opteron)");
 }
 
-/// Times one phase of a run outside the passes: a "phase" span on the
-/// timeline and the microseconds in the phase's time.phase.<name>_us
-/// counter, which --stats and --mao-report show.
-class PhaseTimer {
-public:
-  PhaseTimer(const char *Name, const char *Counter)
-      : Span("phase", Name), Micros(StatsRegistry::instance().counter(Counter)),
-        Start(std::chrono::steady_clock::now()) {}
-  ~PhaseTimer() {
-    Micros.add(static_cast<uint64_t>(
-        std::chrono::duration_cast<std::chrono::microseconds>(
-            std::chrono::steady_clock::now() - Start)
-            .count()));
-  }
-  PhaseTimer(const PhaseTimer &) = delete;
-  PhaseTimer &operator=(const PhaseTimer &) = delete;
-
-private:
-  TimelineSpan Span;
-  StatCounter &Micros;
-  std::chrono::steady_clock::time_point Start;
-};
-
 } // namespace
 
 //===----------------------------------------------------------------------===//

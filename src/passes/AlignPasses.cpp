@@ -22,7 +22,6 @@
 ///
 //===----------------------------------------------------------------------===//
 
-#include "analysis/Loops.h"
 #include "analysis/Relaxer.h"
 #include "pass/MaoPass.h"
 #include "passes/PassUtil.h"
@@ -119,10 +118,11 @@ struct PadRequest {
 
 /// The layout fixpoint shared by LOOP16, LSDOPT and BRALIGN. Every round
 /// relaxes the layout (a no-op when the last round inserted nothing),
-/// rebuilds the function's CFG and loops, and asks the pass for at most one
-/// pad, because a pad moves everything after it. The loop ends when the
-/// pass asks for nothing, or after RoundCap pads: a pass that still wants
-/// one then reports the cap instead of inserting it.
+/// takes the function's kept CFG and loops (a pad is an instruction-only
+/// edit unless it lands alone after a branch or return), and asks the pass
+/// for at most one pad, because a pad moves everything after it. The loop
+/// ends when the pass asks for nothing, or after RoundCap pads: a pass
+/// that still wants one then reports the cap instead of inserting it.
 class AlignFixpointPass : public MaoFunctionPass {
 public:
   using MaoFunctionPass::MaoFunctionPass;
@@ -130,10 +130,8 @@ public:
   bool go() final {
     for (unsigned Round = 0;; ++Round) {
       layout().relax();
-      CFG Graph = CFG::build(function());
-      resolveIndirectJumps(Graph);
-      LoopStructureGraph LSG = LoopStructureGraph::build(Graph);
-      std::optional<PadRequest> Pad = nextPad(Graph, LSG);
+      const LoopStructureGraph &LSG = keptLoops(function());
+      std::optional<PadRequest> Pad = nextPad(keptCFG(function()), LSG);
       if (!Pad)
         return true;
       if (Round == RoundCap) {
@@ -347,9 +345,8 @@ public:
 
     if (LoopPow > 0) {
       layout().relax();
-      CFG Graph = CFG::build(function());
-      resolveIndirectJumps(Graph);
-      LoopStructureGraph LSG = LoopStructureGraph::build(Graph);
+      const LoopStructureGraph &LSG = keptLoops(function());
+      const CFG &Graph = keptCFG(function());
       for (size_t L = 1; L < LSG.loops().size(); ++L) {
         if (!LSG.loops()[L].Children.empty())
           continue; // Innermost loops only.

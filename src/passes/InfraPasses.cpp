@@ -10,7 +10,6 @@
 ///
 //===----------------------------------------------------------------------===//
 
-#include "analysis/Loops.h"
 #include "asm/AsmEmitter.h"
 #include "pass/MaoPass.h"
 #include "passes/PassUtil.h"
@@ -44,9 +43,8 @@ public:
       : MaoFunctionPass("LFIND", Options, Unit, Fn) {}
 
   bool go() override {
-    CFG Graph = CFG::build(function());
-    resolveIndirectJumps(Graph);
-    LoopStructureGraph LSG = LoopStructureGraph::build(Graph);
+    const CFG &Graph = keptCFG(function());
+    const LoopStructureGraph &LSG = keptLoops(function());
     trace(0, "func %s: %zu blocks, %zu loops%s", function().name().c_str(),
           Graph.blocks().size(), LSG.loopCount(),
           function().HasUnresolvedIndirect ? " (unresolved indirect)" : "");

@@ -22,9 +22,8 @@
 ///
 //===----------------------------------------------------------------------===//
 
-#include "analysis/CFG.h"
 #include "analysis/CallGraph.h"
-#include "analysis/Loops.h"
+#include "pass/FunctionAnalyses.h"
 #include "pass/MaoPass.h"
 
 #include <deque>
@@ -37,7 +36,8 @@ namespace {
 
 /// True when \p It refers to an instruction that never falls through.
 bool endsStraightLine(EntryIter It) {
-  return It->isInstruction() && It->instruction().endsStraightLine();
+  return It->isInstruction() &&
+         std::as_const(*It).instruction().endsStraightLine();
 }
 
 //===----------------------------------------------------------------------===//
@@ -57,12 +57,12 @@ public:
     // check), no opaque instructions.
     if (Fn.ranges().size() != 1 || Fn.hasOpaqueInstructions())
       return true;
-    CFG Graph = CFG::build(Fn);
+    const CFG &Graph = keptCFG(Fn);
     if (Fn.HasUnresolvedIndirect) {
       reportUnresolvedSkip();
       return true;
     }
-    LoopStructureGraph Lsg = LoopStructureGraph::build(Graph);
+    const LoopStructureGraph &Lsg = keptLoops(Fn);
     // No loops: every block is equally cold and there is no hot footprint
     // to compact.
     if (Lsg.loopCount() == 0)
@@ -161,11 +161,12 @@ private:
     }
     // Pattern (b): jumped-over cold block — `jcc L; B; L:` becomes
     // `j!cc B_label; L:` with B spliced to the tail.
-    if (!Prev->isInstruction() || !Prev->instruction().isCondJump())
+    if (!Prev->isInstruction() ||
+        !std::as_const(*Prev).instruction().isCondJump())
       return false;
     if (S.End == unit().entries().end() || !S.End->isLabel())
       return false;
-    const Operand *Target = Prev->instruction().branchTarget();
+    const Operand *Target = std::as_const(*Prev).instruction().branchTarget();
     if (!Target || Target->Sym != S.End->labelName())
       return false;
     std::string BlockLabel;
@@ -175,8 +176,8 @@ private:
       BlockLabel = unit().makeUniqueLabel();
       S.Begin = unit().insertBefore(S.Begin, MaoEntry::makeLabel(BlockLabel));
     }
-    Prev->instruction() =
-        makeCondJump(invertCondCode(Prev->instruction().CC), BlockLabel);
+    Prev->instruction() = makeCondJump(
+        invertCondCode(std::as_const(*Prev).instruction().CC), BlockLabel);
     unit().moveRange(S.Begin, S.End, Dest);
     return true;
   }
@@ -344,7 +345,8 @@ private:
         ++Span.End;
       for (EntryIter It = Range.Begin; It != Range.End; ++It)
         if (It->isInstruction())
-          Span.EndsStraightLine = It->instruction().endsStraightLine();
+          Span.EndsStraightLine =
+              std::as_const(*It).instruction().endsStraightLine();
       Spans.push_back(Span);
     }
     // Graph.node order is function-structure order, which is entry-list

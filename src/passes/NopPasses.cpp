@@ -119,7 +119,7 @@ public:
       if (It->isDirective(DirKind::P2Align) ||
           It->isDirective(DirKind::Balign))
         Doomed.push_back(It.underlying());
-      else if (It->isInstruction() && It->instruction().isNop())
+      else if (It->isInstruction() && std::as_const(*It).instruction().isNop())
         Doomed.push_back(It.underlying());
     }
     for (EntryIter It : Doomed) {

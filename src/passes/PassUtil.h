@@ -1,32 +1,18 @@
 //===- passes/PassUtil.h - Shared helpers for optimization passes -*- C++ -*-===//
 ///
 /// \file
-/// Small utilities shared by the optimization passes: per-function CFG +
-/// liveness bundles and common predicates over instructions.
+/// Small utilities shared by the optimization passes: the kept
+/// per-function analyses and common predicates over instructions.
 ///
 //===----------------------------------------------------------------------===//
 
 #ifndef MAO_PASSES_PASSUTIL_H
 #define MAO_PASSES_PASSUTIL_H
 
-#include "analysis/CFG.h"
-#include "analysis/Dataflow.h"
-#include "analysis/Loops.h"
 #include "ir/MaoUnit.h"
+#include "pass/FunctionAnalyses.h"
 
 namespace mao {
-
-/// CFG + liveness computed together, the common prologue of most passes.
-struct FunctionAnalysis {
-  CFG Graph;
-  LivenessResult Liveness;
-
-  explicit FunctionAnalysis(MaoFunction &Fn)
-      : Graph(CFG::build(Fn)), Liveness() {
-    resolveIndirectJumps(Graph);
-    Liveness = computeLiveness(Graph);
-  }
-};
 
 /// True for ALU operations whose ZF/SF/PF flags reflect the value written
 /// to the destination (the precondition for removing a subsequent

@@ -172,13 +172,18 @@ bool isSelfMove32(const Instruction &Insn) {
          Insn.Ops[0].R == Insn.Ops[1].R;
 }
 
+/// A block's instructions as a pass edits them: the matchers erase from
+/// this copy as they erase from the unit, so later scans never see an
+/// erased entry. The kept CFG itself is refreshed on its next use.
+using BlockInsns = std::vector<EntryIter>;
+
 /// Scans backward for the nearest definition of \p R; true when it is a
 /// 32-bit GPR write (which zero-extends) with no barrier in between.
-bool precedingDefZeroExtends(const BasicBlock &BB, size_t MovIdx, Reg R) {
+bool precedingDefZeroExtends(const BlockInsns &Insns, size_t MovIdx, Reg R) {
   const RegMask Bit = regMaskBit(R);
   for (size_t I = MovIdx; I-- > 0;) {
-    const Instruction &Prev = std::as_const(*BB.Insns[I]).instruction();
-    const InstructionEffects Fx = Prev.effects();
+    const Instruction &Prev = std::as_const(*Insns[I]).instruction();
+    const InstructionEffects Fx = Insns[I]->effects();
     if (Fx.Barrier)
       return false;
     if (!(Fx.RegDefs & Bit))
@@ -193,17 +198,18 @@ bool precedingDefZeroExtends(const BasicBlock &BB, size_t MovIdx, Reg R) {
 
 unsigned runEraseZeroExtend(PeepholeContext &Ctx, const PeepholeRule &R) {
   unsigned Fired = 0;
-  CFG Graph = CFG::build(Ctx.Fn);
-  for (BasicBlock &BB : Graph.blocks()) {
-    for (size_t I = 0; I < BB.Insns.size(); ++I) {
-      const Instruction &Insn = std::as_const(*BB.Insns[I]).instruction();
+  BlockInsns Insns;
+  for (const BasicBlock &BB : keptCFG(Ctx.Fn).blocks()) {
+    Insns.assign(BB.Insns.begin(), BB.Insns.end());
+    for (size_t I = 0; I < Insns.size(); ++I) {
+      const Instruction &Insn = std::as_const(*Insns[I]).instruction();
       if (!isSelfMove32(Insn))
         continue;
-      if (!precedingDefZeroExtends(BB, I, Insn.Ops[0].R))
+      if (!precedingDefZeroExtends(Insns, I, Insn.Ops[0].R))
         continue;
       fired(Ctx, R, Insn);
-      Ctx.Unit.erase(BB.Insns[I]);
-      BB.Insns.erase(BB.Insns.begin() + static_cast<long>(I));
+      Ctx.Unit.erase(Insns[I]);
+      Insns.erase(Insns.begin() + static_cast<long>(I));
       --I;
       ++Fired;
     }
@@ -224,13 +230,13 @@ bool isSelfTest(const Instruction &Insn) {
 /// Scans backward from the test: the nearest flag-writing instruction
 /// must be a result-flag ALU op into the tested register, same width,
 /// with no intervening redefinition of the register.
-bool precedingAluSetsSameFlags(const BasicBlock &BB, size_t TestIdx,
+bool precedingAluSetsSameFlags(const BlockInsns &Insns, size_t TestIdx,
                                const Instruction &Test) {
   const Reg Tested = Test.Ops[0].R;
   const RegMask Bit = regMaskBit(Tested);
   for (size_t I = TestIdx; I-- > 0;) {
-    const Instruction &Prev = std::as_const(*BB.Insns[I]).instruction();
-    const InstructionEffects Fx = Prev.effects();
+    const Instruction &Prev = std::as_const(*Insns[I]).instruction();
+    const InstructionEffects Fx = Insns[I]->effects();
     if (Fx.Barrier)
       return false;
     if (Fx.FlagsDef) {
@@ -247,21 +253,24 @@ bool precedingAluSetsSameFlags(const BasicBlock &BB, size_t TestIdx,
 
 unsigned runEraseRedundantTest(PeepholeContext &Ctx, const PeepholeRule &R) {
   unsigned Fired = 0;
-  FunctionAnalysis FA(Ctx.Fn);
-  for (BasicBlock &BB : FA.Graph.blocks()) {
-    InsnLiveness IL = perInstructionLiveness(FA.Graph, BB.Index, FA.Liveness);
-    for (size_t I = 0; I < BB.Insns.size(); ++I) {
-      const Instruction &Insn = std::as_const(*BB.Insns[I]).instruction();
+  const LivenessResult &Liveness = keptLiveness(Ctx.Fn);
+  const CFG &Graph = keptCFG(Ctx.Fn);
+  BlockInsns Insns;
+  for (const BasicBlock &BB : Graph.blocks()) {
+    InsnLiveness IL = perInstructionLiveness(Graph, BB.Index, Liveness);
+    Insns.assign(BB.Insns.begin(), BB.Insns.end());
+    for (size_t I = 0; I < Insns.size(); ++I) {
+      const Instruction &Insn = std::as_const(*Insns[I]).instruction();
       if (!isSelfTest(Insn))
         continue;
       const uint8_t SafeFlags = FlagZF | FlagSF | FlagPF;
       if (IL.FlagsLiveAfter[I] & ~SafeFlags)
         continue;
-      if (!precedingAluSetsSameFlags(BB, I, Insn))
+      if (!precedingAluSetsSameFlags(Insns, I, Insn))
         continue;
       fired(Ctx, R, Insn);
-      Ctx.Unit.erase(BB.Insns[I]);
-      BB.Insns.erase(BB.Insns.begin() + static_cast<long>(I));
+      Ctx.Unit.erase(Insns[I]);
+      Insns.erase(Insns.begin() + static_cast<long>(I));
       IL.RegLiveAfter.erase(IL.RegLiveAfter.begin() + static_cast<long>(I));
       IL.FlagsLiveAfter.erase(IL.FlagsLiveAfter.begin() +
                               static_cast<long>(I));
@@ -288,8 +297,7 @@ bool isRegLoad(const Instruction &Insn) {
 
 unsigned runForwardLoad(PeepholeContext &Ctx, const PeepholeRule &R) {
   unsigned Fired = 0;
-  CFG Graph = CFG::build(Ctx.Fn);
-  for (BasicBlock &BB : Graph.blocks()) {
+  for (const BasicBlock &BB : keptCFG(Ctx.Fn).blocks()) {
     // Track the most recent load: (address, width) -> value register.
     struct LastLoad {
       bool Valid = false;
@@ -302,7 +310,7 @@ unsigned runForwardLoad(PeepholeContext &Ctx, const PeepholeRule &R) {
       // Read through a const view so unchanged instructions keep their
       // length memos; only a rewrite takes the mutable accessor.
       const Instruction &Insn = std::as_const(*InsnIt).instruction();
-      const InstructionEffects Fx = Insn.effects();
+      const InstructionEffects Fx = InsnIt->effects();
 
       if (Last.Valid && isRegLoad(Insn) && Insn.W == Last.W &&
           Insn.Ops[0].Mem == Last.Addr &&
@@ -359,16 +367,16 @@ int64_t signedDelta(const Instruction &Insn) {
 
 /// Returns the index of a second add/sub on the same register that can be
 /// folded into instruction \p I, or 0 when none.
-size_t findFoldablePartner(const BasicBlock &BB, size_t I,
+size_t findFoldablePartner(const BlockInsns &Insns, size_t I,
                            const InsnLiveness &IL) {
-  const Instruction &First = std::as_const(*BB.Insns[I]).instruction();
+  const Instruction &First = std::as_const(*Insns[I]).instruction();
   if (!isImmAddSub(First))
     return 0;
   const Reg RX = First.Ops[1].R;
   const RegMask Bit = regMaskBit(RX);
-  for (size_t J = I + 1; J < BB.Insns.size(); ++J) {
-    const Instruction &Next = std::as_const(*BB.Insns[J]).instruction();
-    const InstructionEffects Fx = Next.effects();
+  for (size_t J = I + 1; J < Insns.size(); ++J) {
+    const Instruction &Next = std::as_const(*Insns[J]).instruction();
+    const InstructionEffects Fx = Insns[J]->effects();
     if (isImmAddSub(Next) && Next.Ops[1].R == RX && Next.W == First.W) {
       // CF/OF of the folded op can differ from the original sequence;
       // only fold when downstream consumers look at ZF/SF/PF at most.
@@ -389,32 +397,33 @@ size_t findFoldablePartner(const BasicBlock &BB, size_t I,
   return 0;
 }
 
-void foldPair(PeepholeContext &Ctx, const PeepholeRule &R, BasicBlock &BB,
+void foldPair(PeepholeContext &Ctx, const PeepholeRule &R, BlockInsns &Insns,
               size_t I, size_t J) {
-  Instruction &First = BB.Insns[I]->instruction();
-  Instruction &Second = BB.Insns[J]->instruction();
+  const Instruction &First = std::as_const(*Insns[I]).instruction();
+  Instruction &Second = Insns[J]->instruction();
   int64_t Net = signedDelta(First) + signedDelta(Second);
   fired(Ctx, R, First);
   Second.Mn = Net >= 0 ? Mnemonic::ADD : Mnemonic::SUB;
   Second.Ops[0] = Operand::makeImm(Net >= 0 ? Net : -Net);
-  Ctx.Unit.erase(BB.Insns[I]);
-  BB.Insns.erase(BB.Insns.begin() + static_cast<long>(I));
+  Ctx.Unit.erase(Insns[I]);
+  Insns.erase(Insns.begin() + static_cast<long>(I));
 }
 
 unsigned runFoldImmChain(PeepholeContext &Ctx, const PeepholeRule &R) {
   unsigned Fired = 0;
-  FunctionAnalysis FA(Ctx.Fn);
-  for (BasicBlock &BB : FA.Graph.blocks()) {
+  const LivenessResult &Liveness = keptLiveness(Ctx.Fn);
+  BlockInsns Insns;
+  for (const BasicBlock &BB : keptCFG(Ctx.Fn).blocks()) {
+    Insns.assign(BB.Insns.begin(), BB.Insns.end());
     bool Restart = true;
     while (Restart) {
       Restart = false;
-      InsnLiveness IL =
-          perInstructionLiveness(FA.Graph, BB.Index, FA.Liveness);
-      for (size_t I = 0; I + 1 < BB.Insns.size(); ++I) {
-        size_t J = findFoldablePartner(BB, I, IL);
+      InsnLiveness IL = perInstructionLiveness(Insns, Liveness, BB.Index);
+      for (size_t I = 0; I + 1 < Insns.size(); ++I) {
+        size_t J = findFoldablePartner(Insns, I, IL);
         if (J == 0)
           continue;
-        foldPair(Ctx, R, BB, I, J);
+        foldPair(Ctx, R, Insns, I, J);
         ++Fired;
         Restart = true; // Liveness indices shifted; recompute.
         break;
@@ -428,11 +437,11 @@ unsigned runFoldImmChain(PeepholeContext &Ctx, const PeepholeRule &R) {
 // Strategy: Window (generic adjacent N -> M rewrite).
 //===----------------------------------------------------------------------===//
 
-bool matchWindowAt(const PeepholeRule &R, const BasicBlock &BB, size_t I,
+bool matchWindowAt(const PeepholeRule &R, const BlockInsns &Insns, size_t I,
                    std::array<Reg, MaxRuleVars> &Bind) {
   Bind.fill(Reg::None);
   for (size_t K = 0; K < R.Pat.size(); ++K) {
-    const Instruction &Insn = std::as_const(*BB.Insns[I + K]).instruction();
+    const Instruction &Insn = std::as_const(*Insns[I + K]).instruction();
     const TemplateInsn &T = R.Pat[K];
     if (Insn.Mn != T.Mn || Insn.W != T.W || Insn.CC != CondCode::None ||
         Insn.Ops.size() != T.Ops.size())
@@ -465,13 +474,14 @@ bool matchWindowAt(const PeepholeRule &R, const BasicBlock &BB, size_t I,
   return true;
 }
 
-void applyWindow(PeepholeContext &Ctx, const PeepholeRule &R, BasicBlock &BB,
-                 size_t I, const std::array<Reg, MaxRuleVars> &Bind) {
+void applyWindow(PeepholeContext &Ctx, const PeepholeRule &R,
+                 BlockInsns &Insns, size_t I,
+                 const std::array<Reg, MaxRuleVars> &Bind) {
   for (size_t K = 0; K < R.Rep.size(); ++K)
-    BB.Insns[I + K]->instruction() = renderTemplateInsn(R.Rep[K], Bind);
+    Insns[I + K]->instruction() = renderTemplateInsn(R.Rep[K], Bind);
   for (size_t K = R.Pat.size(); K-- > R.Rep.size();) {
-    Ctx.Unit.erase(BB.Insns[I + K]);
-    BB.Insns.erase(BB.Insns.begin() + static_cast<long>(I + K));
+    Ctx.Unit.erase(Insns[I + K]);
+    Insns.erase(Insns.begin() + static_cast<long>(I + K));
   }
 }
 
@@ -479,23 +489,25 @@ unsigned runWindowRule(PeepholeContext &Ctx, const PeepholeRule &R) {
   if (R.Pat.empty() || R.Rep.size() > R.Pat.size())
     return 0;
   unsigned Fired = 0;
-  FunctionAnalysis FA(Ctx.Fn);
-  for (BasicBlock &BB : FA.Graph.blocks()) {
+  const LivenessResult &Liveness = keptLiveness(Ctx.Fn);
+  BlockInsns Insns;
+  for (const BasicBlock &BB : keptCFG(Ctx.Fn).blocks()) {
+    Insns.assign(BB.Insns.begin(), BB.Insns.end());
     bool Restart = true;
     while (Restart) {
       Restart = false;
       InsnLiveness IL;
       if (R.DeadFlags)
-        IL = perInstructionLiveness(FA.Graph, BB.Index, FA.Liveness);
-      for (size_t I = 0; I + R.Pat.size() <= BB.Insns.size(); ++I) {
+        IL = perInstructionLiveness(Insns, Liveness, BB.Index);
+      for (size_t I = 0; I + R.Pat.size() <= Insns.size(); ++I) {
         std::array<Reg, MaxRuleVars> Bind;
-        if (!matchWindowAt(R, BB, I, Bind))
+        if (!matchWindowAt(R, Insns, I, Bind))
           continue;
         if (R.DeadFlags &&
             (IL.FlagsLiveAfter[I + R.Pat.size() - 1] & R.DeadFlags))
           continue;
-        fired(Ctx, R, std::as_const(*BB.Insns[I]).instruction());
-        applyWindow(Ctx, R, BB, I, Bind);
+        fired(Ctx, R, std::as_const(*Insns[I]).instruction());
+        applyWindow(Ctx, R, Insns, I, Bind);
         ++Fired;
         Restart = true; // Indices and liveness shifted; rescan the block.
         break;

@@ -26,7 +26,7 @@ unsigned mao::insertInversePrefetches(MaoUnit &Unit, MaoFunction &Fn,
   for (auto It = Fn.begin(), E = Fn.end(); It != E; ++It) {
     if (!It->isInstruction())
       continue;
-    const Instruction &Insn = It->instruction();
+    const Instruction &Insn = std::as_const(*It).instruction();
     if (Insn.isOpaque() || Insn.info().Kind == EncKind::Prefetch)
       continue;
     const Operand *Mem = Insn.memOperand();
@@ -40,8 +40,9 @@ unsigned mao::insertInversePrefetches(MaoUnit &Unit, MaoFunction &Fn,
     if (Ordinal >= Loads.size())
       continue;
     EntryIter Load = Loads[Ordinal];
-    Instruction Prefetch = makeInstr(Mnemonic::PREFETCHNTA, Width::None,
-                                     *Load->instruction().memOperand());
+    Instruction Prefetch =
+        makeInstr(Mnemonic::PREFETCHNTA, Width::None,
+                  *std::as_const(*Load).instruction().memOperand());
     // prefetchnta takes a plain memory operand; drop any indirect marker.
     Prefetch.Ops[0].IndirectStar = false;
     Unit.insertBefore(Load, MaoEntry::makeInstruction(std::move(Prefetch)));

@@ -30,8 +30,7 @@ public:
       : MaoFunctionPass("DCE", Options, Unit, Fn) {}
 
   bool go() override {
-    CFG Graph = CFG::build(function());
-    resolveIndirectJumps(Graph);
+    const CFG &Graph = keptCFG(function());
     // With unresolved indirect control flow any block may be a target:
     // the pass "decides whether or not to proceed" (paper Sec. II) - here,
     // it declines.
@@ -52,16 +51,15 @@ public:
         Work.push_back(S);
     }
 
-    for (BasicBlock &BB : Graph.blocks()) {
+    for (const BasicBlock &BB : Graph.blocks()) {
       if (Reachable[BB.Index])
         continue;
       for (EntryIter InsnIt : BB.Insns) {
         trace(1, "removing unreachable: %s",
-              InsnIt->instruction().toString().c_str());
+              std::as_const(*InsnIt).instruction().toString().c_str());
         unit().erase(InsnIt);
         countTransformation();
       }
-      BB.Insns.clear();
     }
     return true;
   }
@@ -79,13 +77,15 @@ public:
       : MaoFunctionPass("CONSTFOLD", Options, Unit, Fn) {}
 
   bool go() override {
-    FunctionAnalysis FA(function());
-    for (BasicBlock &BB : FA.Graph.blocks()) {
-      InsnLiveness IL =
-          perInstructionLiveness(FA.Graph, BB.Index, FA.Liveness);
-      for (size_t I = 0; I + 1 < BB.Insns.size(); ++I) {
-        Instruction &MovInsn = BB.Insns[I]->instruction();
-        Instruction &OpInsn = BB.Insns[I + 1]->instruction();
+    const LivenessResult &Liveness = keptLiveness(function());
+    const CFG &Graph = keptCFG(function());
+    std::vector<EntryIter> Insns; // Erased from as the unit is.
+    for (const BasicBlock &BB : Graph.blocks()) {
+      InsnLiveness IL = perInstructionLiveness(Graph, BB.Index, Liveness);
+      Insns.assign(BB.Insns.begin(), BB.Insns.end());
+      for (size_t I = 0; I + 1 < Insns.size(); ++I) {
+        const Instruction &MovInsn = std::as_const(*Insns[I]).instruction();
+        const Instruction &OpInsn = std::as_const(*Insns[I + 1]).instruction();
         if (!isConstMove(MovInsn))
           continue;
         const Reg R = MovInsn.Ops[1].R;
@@ -99,9 +99,9 @@ public:
         trace(1, "folding '%s ; %s' -> mov $%lld",
               MovInsn.toString().c_str(), OpInsn.toString().c_str(),
               static_cast<long long>(Folded));
-        MovInsn.Ops[0] = Operand::makeImm(Folded);
-        unit().erase(BB.Insns[I + 1]);
-        BB.Insns.erase(BB.Insns.begin() + static_cast<long>(I + 1));
+        Insns[I]->instruction().Ops[0] = Operand::makeImm(Folded);
+        unit().erase(Insns[I + 1]);
+        Insns.erase(Insns.begin() + static_cast<long>(I + 1));
         IL.RegLiveAfter.erase(IL.RegLiveAfter.begin() +
                               static_cast<long>(I + 1));
         IL.FlagsLiveAfter.erase(IL.FlagsLiveAfter.begin() +

@@ -60,17 +60,17 @@ public:
     long Window = options().getInt("window", 0);
     if (Window < 0)
       Window = 0;
-    FunctionAnalysis FA(function());
+    const LivenessResult &Liveness = keptLiveness(function());
     unsigned Blocks = 0;
-    for (BasicBlock &BB : FA.Graph.blocks()) {
+    for (const BasicBlock &BB : keptCFG(function()).blocks()) {
       if (BB.Insns.size() < 3)
         continue;
       if (containsOpaque(BB))
         continue;
       ++Blocks;
       const bool FlagsLiveOut =
-          (FA.Liveness.FlagsLiveOut[BB.Index] & FlagsAllStatus) != 0;
-      const std::span<const EntryIter> Insns(BB.Insns);
+          (Liveness.FlagsLiveOut[BB.Index] & FlagsAllStatus) != 0;
+      const std::span<const EntryIter> Insns = BB.Insns;
       if (Window == 0 || static_cast<size_t>(Window) >= Insns.size()) {
         scheduleRange(Insns, FlagsLiveOut);
         continue;
@@ -110,7 +110,7 @@ private:
     Nodes.resize(N);
     for (size_t I = 0; I < N; ++I) {
       const Instruction &Insn = std::as_const(*Insns[I]).instruction();
-      Nodes[I].Fx = Insn.effects();
+      Nodes[I].Fx = Insns[I]->effects();
       Nodes[I].Latency = Insn.info().Latency;
       Nodes[I].Terminator = Insn.isBranch() || Insn.isReturn();
     }

@@ -2,6 +2,7 @@
 
 #include "passes/SimAddr.h"
 
+#include "pass/FunctionAnalyses.h"
 #include "pass/MaoPass.h"
 
 #include <algorithm>
@@ -145,7 +146,7 @@ mao::simulateAddresses(const BasicBlock &BB, size_t SampleIdx,
 
   // The sampled instruction itself.
   {
-    const Instruction &Insn = BB.Insns[SampleIdx]->instruction();
+    const Instruction &Insn = std::as_const(*BB.Insns[SampleIdx]).instruction();
     if (auto A = effectiveAddress(Insn, Snapshot))
       Result.push_back({BB.Insns[SampleIdx]->Id, *A, true});
   }
@@ -154,9 +155,9 @@ mao::simulateAddresses(const BasicBlock &BB, size_t SampleIdx,
   {
     RegSnapshot Regs = Snapshot;
     for (size_t I = SampleIdx; I < ForwardEnd; ++I) {
-      const Instruction &Insn = BB.Insns[I]->instruction();
+      const Instruction &Insn = std::as_const(*BB.Insns[I]).instruction();
       if (I != SampleIdx) {
-        if (Insn.effects().Barrier)
+        if (BB.Insns[I]->effects().Barrier)
           break;
         if (auto A = effectiveAddress(Insn, Regs))
           Result.push_back({BB.Insns[I]->Id, *A, false});
@@ -171,8 +172,8 @@ mao::simulateAddresses(const BasicBlock &BB, size_t SampleIdx,
   {
     RegSnapshot Regs = Snapshot;
     for (size_t I = SampleIdx; I-- > BackwardEnd;) {
-      const Instruction &Insn = BB.Insns[I]->instruction();
-      if (Insn.effects().Barrier)
+      const Instruction &Insn = std::as_const(*BB.Insns[I]).instruction();
+      if (BB.Insns[I]->effects().Barrier)
         break;
       stepBackward(Insn, Regs);
       if (auto A = effectiveAddress(Insn, Regs))
@@ -195,14 +196,14 @@ public:
       : MaoFunctionPass("SIMADDR", Options, Unit, Fn) {}
 
   bool go() override {
-    CFG Graph = CFG::build(function());
+    const CFG &Graph = keptCFG(function());
     size_t Sampled = 0, Recovered = 0;
     RegSnapshot Snapshot;
     for (unsigned I = 0; I < NumGprSupers; ++I)
       Snapshot.Gpr[I] = 0x10000 + 0x1000 * I; // Synthetic register file.
     for (const BasicBlock &BB : Graph.blocks()) {
       for (size_t I = 0; I < BB.Insns.size(); ++I) {
-        if (!BB.Insns[I]->instruction().memOperand())
+        if (!std::as_const(*BB.Insns[I]).instruction().memOperand())
           continue;
         auto Addresses = simulateAddresses(BB, I, Snapshot);
         size_t FromSample = 0;

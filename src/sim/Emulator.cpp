@@ -925,7 +925,7 @@ EmulationResult Interp::run(const std::string &Name,
       continue;
     }
 
-    const Instruction &Insn = IP->instruction();
+    const Instruction &Insn = std::as_const(*IP).instruction();
     ++Result.InstructionsExecuted;
 
     // The step hook observes the *pre-execution* state (register file at

@@ -59,6 +59,8 @@ const char *mao::diagCodeName(DiagCode Code) {
     return "verify-relaxation-diverged";
   case DiagCode::VerifyStaleView:
     return "verify-stale-view";
+  case DiagCode::VerifyStaleCFG:
+    return "verify-stale-cfg";
   case DiagCode::CheckSemanticDiverged:
     return "check-semantic-diverged";
   case DiagCode::LintUseBeforeDef:

@@ -57,6 +57,7 @@ enum class DiagCode : uint16_t {
   VerifyLayoutInconsistent,
   VerifyRelaxationDiverged,
   VerifyStaleView,
+  VerifyStaleCFG,
   // MaoCheck semantic validator.
   CheckSemanticDiverged,
   // MaoCheck linter rules.

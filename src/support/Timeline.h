@@ -21,6 +21,8 @@
 #ifndef MAO_SUPPORT_TIMELINE_H
 #define MAO_SUPPORT_TIMELINE_H
 
+#include "support/Stats.h"
+
 #include <atomic>
 #include <chrono>
 #include <cstdint>
@@ -96,6 +98,29 @@ private:
   const char *Category;
   std::string Name;
   uint64_t Begin = 0;
+};
+
+/// Times one phase of a run: a "phase" span on the timeline and the
+/// microseconds in the phase's time.phase.<name>_us counter, which --stats
+/// and --mao-report show.
+class PhaseTimer {
+public:
+  PhaseTimer(const char *Name, const char *Counter)
+      : Span("phase", Name), Micros(StatsRegistry::instance().counter(Counter)),
+        Start(std::chrono::steady_clock::now()) {}
+  ~PhaseTimer() {
+    Micros.add(static_cast<uint64_t>(
+        std::chrono::duration_cast<std::chrono::microseconds>(
+            std::chrono::steady_clock::now() - Start)
+            .count()));
+  }
+  PhaseTimer(const PhaseTimer &) = delete;
+  PhaseTimer &operator=(const PhaseTimer &) = delete;
+
+private:
+  TimelineSpan Span;
+  StatCounter &Micros;
+  std::chrono::steady_clock::time_point Start;
 };
 
 } // namespace mao

@@ -81,9 +81,9 @@ bool canonicalizeWindow(const BasicBlock &BB, size_t I, size_t Len,
   Out.clear();
   std::array<Reg, MaxRuleVars> VarOf{};
   unsigned NumVars = 0;
-  const Width W = BB.Insns[I]->instruction().W;
+  const Width W = std::as_const(*BB.Insns[I]).instruction().W;
   for (size_t K = 0; K < Len; ++K) {
-    const Instruction &Insn = BB.Insns[I + K]->instruction();
+    const Instruction &Insn = std::as_const(*BB.Insns[I + K]).instruction();
     if (Insn.W != W)
       return false;
     TemplateInsn T;
@@ -304,7 +304,8 @@ harvestWindows(const std::vector<std::pair<std::string, std::string>> &Corpus,
             bool AllOk = true;
             for (size_t K = 0; K < Len; ++K)
               AllOk = AllOk &&
-                      isSynthesizable(BB.Insns[I + K]->instruction());
+                      isSynthesizable(
+                          std::as_const(*BB.Insns[I + K]).instruction());
             if (!AllOk)
               break;
             std::vector<TemplateInsn> Canon;

@@ -12,6 +12,7 @@
 #include "asm/Parser.h"
 #include "check/Lint.h"
 #include "ir/Verifier.h"
+#include "pass/FunctionAnalyses.h"
 #include "pass/MaoPass.h"
 #include "support/FaultInjection.h"
 #include "support/Options.h"
@@ -531,6 +532,97 @@ TEST(Pipeline, FullVerifierAfterEveryPassFindsCurrentViews) {
       }
     }
   }
+}
+
+// The runner compares every kept CFG with a fresh build after each pass
+// when the verifier checks structure (--mao-verify), and once more at the
+// pipeline's end: over the corpus, at both worker counts, and under
+// rollback with injected pass failures whose restores replay passes.
+TEST(Pipeline, KeptCFGsMatchAFreshBuildAfterEveryPass) {
+  linkAllPasses();
+  const char *const Pipelines[] = {
+      "ZEE,REDTEST,REDMOV,ADDADD,LOOP16,SCHED",
+      "ZEE,REDTEST,REDMOV,SCHED,ADDADD",
+      "LOOP16,LSDOPT,BRALIGN",
+      "DCE,BBREORDER,NOPKILL,CONSTFOLD"};
+  VerifierOptions Structure = VerifierOptions::fast();
+  Structure.CheckStructure = true;
+  for (const auto &[Name, Text] : exampleAndSpecCorpus()) {
+    for (const char *Spec : Pipelines) {
+      for (const bool Rollback : {false, true}) {
+        for (unsigned Jobs : {1u, 4u}) {
+          MaoUnit Unit = parseOk(Text);
+          DiagEngine Diags;
+          CollectingDiagSink Sink;
+          Diags.addSink(&Sink);
+          PipelineOptions Options;
+          Options.Jobs = Jobs;
+          Options.VerifyAfterEachPass = true;
+          Options.PerPassVerify = Structure;
+          Options.Diags = &Diags;
+          if (Rollback) {
+            Options.OnError = OnErrorPolicy::Rollback;
+            ASSERT_TRUE(
+                FaultInjector::instance().configure("pass:300", 7).ok());
+          }
+          PipelineResult R = runPasses(Unit, pipeline(Spec), Options);
+          FaultInjector::instance().reset();
+          const std::string Where = Name + " " + Spec + " jobs=" +
+                                    std::to_string(Jobs) +
+                                    (Rollback ? " rollback" : "");
+          ASSERT_TRUE(R.Ok) << Where << ": " << R.Error;
+          for (const Diagnostic &D : Sink.diagnostics())
+            EXPECT_NE(D.Code, DiagCode::VerifyStaleCFG)
+                << Where << ": " << D.Message;
+          // Every function, its kept CFG refreshed now, too.
+          for (MaoFunction &Fn : Unit.functions())
+            keptCFG(Fn);
+          VerifierReport Report = verifyKeptAnalyses(Unit, nullptr, Where);
+          EXPECT_TRUE(Report.clean()) << Where << ": " << Report.firstMessage();
+        }
+      }
+    }
+  }
+}
+
+// A write through an Instruction& taken before the CFG was kept goes past
+// the epochs; verify-stale-cfg reports the stale CFG it leaves.
+TEST(Pipeline, VerifierReportsAStaleKeptCFG) {
+  MaoUnit Unit = parseOk("\t.text\n\t.type f, @function\nf:\n"
+                         "\tje .LA\n\tret\n.LA:\n\tret\n.LB:\n\tret\n"
+                         "\t.size f, .-f\n");
+  MaoFunction &Fn = Unit.functions()[0];
+  MaoEntry *Je = nullptr;
+  for (MaoEntry &E : Unit.entries())
+    if (E.isInstruction() && !Je)
+      Je = &E;
+  ASSERT_NE(Je, nullptr);
+  Instruction &Held = Je->instruction();
+  keptCFG(Fn);
+  EXPECT_TRUE(verifyKeptAnalyses(Unit, nullptr, "test").clean());
+  Held.Ops[0] = Operand::makeSymbol(".LB");
+  VerifierReport Report = verifyKeptAnalyses(Unit, nullptr, "test");
+  ASSERT_FALSE(Report.clean());
+  EXPECT_EQ(Report.Issues.front().Code, DiagCode::VerifyStaleCFG);
+  EXPECT_STREQ(diagCodeName(DiagCode::VerifyStaleCFG), "verify-stale-cfg");
+  EXPECT_NE(Report.firstMessage().find("function f"), std::string::npos)
+      << Report.firstMessage();
+}
+
+// A rollback restore replaces the views, and the kept analyses go with
+// them: no function of the restored unit holds one.
+TEST(Pipeline, RollbackRestoreDropsTheKeptCFGs) {
+  linkAllPasses();
+  MaoUnit Unit = parseOk(TestAsm);
+  for (MaoFunction &Fn : Unit.functions())
+    keptCFG(Fn);
+  ASSERT_TRUE(FaultInjector::instance().configure("pass:1000", 1).ok());
+  PipelineResult R = runPasses(Unit, requests({"ZEE"}), rollbackOptions());
+  FaultInjector::instance().reset();
+  ASSERT_TRUE(R.Ok) << R.Error;
+  ASSERT_EQ(R.Outcomes.front().Status, PassStatus::RolledBack);
+  for (const MaoFunction &Fn : Unit.functions())
+    EXPECT_TRUE(Fn.Kept == nullptr) << Fn.name();
 }
 
 // A moveRange that moves a whole function is outside the edit contract:

@@ -369,11 +369,12 @@ TEST(Relaxer, RelaxModeTravelsWithTheUnit) {
 // --- Assembler integration --------------------------------------------------
 
 // The length memo lives in the padding after the entry's kind tag: the
-// three layout fields, then the largest payload.
+// three layout fields, the effects memo's register masks and the owner's
+// epochs pointer (16 bytes), then the largest payload.
 static_assert(sizeof(MaoEntry) ==
-                  3 * sizeof(uint64_t) + std::max({sizeof(Instruction),
-                                                   sizeof(std::string),
-                                                   sizeof(Directive)}),
+                  3 * sizeof(uint64_t) + 16 +
+                      std::max({sizeof(Instruction), sizeof(std::string),
+                                sizeof(Directive)}),
               "the length memo must not grow MaoEntry");
 
 /// The first instruction entry with mnemonic \p Mn, mutable.
@@ -473,7 +474,7 @@ TEST(LengthMemo, FullVerifierReportsAStaleMemo) {
   // cmpl $0 -> cmpl $1000 trades the imm8 form for imm32.
   ASSERT_EQ(Held.Ops.size(), 2u);
   Held.Ops[0].Imm = 1000;
-#ifdef MAO_CHECK_LENGTH_MEMO
+#ifdef MAO_CHECK_ENTRY_MEMOS
   // This build re-measures on every memo read, so reading the stale memo
   // is already fatal.
   EXPECT_DEATH((void)Cmp->lengthMemo(), "stale length memo");
