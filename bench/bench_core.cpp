@@ -1,7 +1,7 @@
 //===- bench/bench_core.cpp - Throughput core: parse/pipeline/relax -----------===//
 //
 // The throughput trajectory for the arena-IR + zero-copy-parse work, in one
-// binary and four headline metrics (all in BENCH_core.json):
+// binary and five headline metrics (all in BENCH_core.json):
 //
 //  - parse MB/s of the single-pass string_view lexer, on the repo's
 //    examples corpus and on a larger synthetic corpus. The committed
@@ -10,6 +10,9 @@
 //    at --mao-jobs=1 over the synthetic corpus.
 //  - relaxation convergence wall-clock, grow vs. optimal mode, plus the
 //    branches the optimal audit recovers.
+//  - IR footprint: the unit arena's bytes per entry after parsing the
+//    synthetic corpus (one list node per entry; the trajectory gate caps
+//    it at 192).
 //  - cross-jobs byte-identity: the emitted assembly at jobs 1/2/4 must be
 //    identical (jobs_byte_identical is 1 when it holds; the tier-1
 //    pipeline tests enforce the same invariant, this records it in the
@@ -140,6 +143,14 @@ int main(int argc, char **argv) {
     std::fprintf(stderr, "bench: corpus parse failed\n");
     return 1;
   }
+  // --- IR footprint: arena bytes per parsed entry. ---------------------
+  const double BytesPerEntry =
+      static_cast<double>(CorpusUnit->arena().bytesAllocated()) /
+      static_cast<double>(std::max<size_t>(1, CorpusUnit->entries().size()));
+  std::printf("ir footprint:     %.1f arena bytes per entry (%zu entries)\n",
+              BytesPerEntry, CorpusUnit->entries().size());
+  Report.set("ir_bytes_per_entry", BytesPerEntry);
+
   std::vector<PassRequest> Requests;
   if (parseMaoOption("ZEE:REDTEST:REDMOV:ADDADD:LOOP16:SCHED", Requests))
     return 1;

@@ -100,18 +100,20 @@ if [ "$RAN" -eq 0 ]; then
 fi
 
 # The throughput-core headline: bench_core must publish the parse
-# trajectory (examples and synthetic MB/s), the cross-jobs determinism bit
-# and paper6's CFG builds per function, which must stay at most 2: passes
+# trajectory (examples and synthetic MB/s), the cross-jobs determinism bit,
+# paper6's CFG builds per function, which must stay at most 2 (passes
 # share one kept CFG per function and rebuild it only after a control-flow
-# edit. Thresholds here are sanity floors, not the performance
-# bar — quick mode underestimates steady-state MB/s.
+# edit), and the IR's arena bytes per entry, which must stay at most 192
+# (a 160-byte MaoEntry plus its list links). The MB/s thresholds are sanity
+# floors, not the performance bar — quick mode underestimates steady-state
+# MB/s.
 if [ -s "$WORK/BENCH_core.json" ]; then
   if ! err=$(python3 - "$WORK/BENCH_core.json" <<'EOF' 2>&1
 import json, sys
 m = json.load(open(sys.argv[1]))["metrics"]
 required = [
     "examples_parse_mb_s", "synthetic_parse_mb_s", "jobs_byte_identical",
-    "paper6_cfg_builds_per_function",
+    "paper6_cfg_builds_per_function", "ir_bytes_per_entry",
 ]
 missing = [k for k in required if k not in m]
 if missing:
@@ -124,6 +126,9 @@ if m["jobs_byte_identical"] != 1:
 if m["paper6_cfg_builds_per_function"] > 2:
     sys.exit("paper6 builds %.2f CFGs per function (at most 2)"
              % m["paper6_cfg_builds_per_function"])
+if not 0 < m["ir_bytes_per_entry"] <= 192:
+    sys.exit("the IR takes %.1f arena bytes per entry (at most 192)"
+             % m["ir_bytes_per_entry"])
 EOF
   ); then
     fail "bench_core headline: $err"

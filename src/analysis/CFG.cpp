@@ -75,11 +75,11 @@ std::string CFG::matchTableLoad(const Instruction &Insn, Reg JumpReg) {
   const Operand &Dst = Insn.Ops[1];
   if (!Dst.isReg() || superReg(Dst.R) != superReg(JumpReg))
     return "";
-  if (!Src.isMem() || !Src.Mem.hasSym() || Src.Mem.isRipRelative())
+  if (!Src.hasSymDisp() || Src.Mem.isRipRelative())
     return "";
   if (Src.Mem.Index == Reg::None || Src.Mem.Scale != 8)
     return "";
-  return Src.Mem.SymDisp;
+  return Src.Sym;
 }
 
 std::vector<unsigned>
@@ -262,10 +262,10 @@ CFG CFG::build(MaoFunction &Fn) {
         Table = G.jumpTableBlocks(TableLabel);
       if (!Table.empty())
         G.SameBlockTables.push_back({I, std::move(TableLabel)});
-    } else if (Target->isMem() && Target->Mem.hasSym() &&
-               Target->Mem.Index != Reg::None && Target->Mem.Scale == 8) {
+    } else if (Target->hasSymDisp() && Target->Mem.Index != Reg::None &&
+               Target->Mem.Scale == 8) {
       // `jmp *TBL(,%rI,8)` reads the table directly.
-      Table = G.jumpTableBlocks(Target->Mem.SymDisp);
+      Table = G.jumpTableBlocks(Target->Sym);
     }
     for (unsigned To : Table)
       Connect(To);

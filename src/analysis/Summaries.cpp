@@ -231,12 +231,12 @@ FunctionSummary computeOne(const CallGraph &CG, unsigned FnIdx, CFG &G,
       if (Insn.info().Kind != EncKind::Lea) {
         if (const Operand *Mem = Insn.memOperand()) {
           if (Mem->Mem.Base != Reg::None && Mem->Mem.Base != Reg::RIP &&
-              superReg(Mem->Mem.Base) == Reg::RSP && Mem->Mem.Disp < 0 &&
-              !Mem->Mem.hasSym()) {
+              superReg(Mem->Mem.Base) == Reg::RSP && Mem->Imm < 0 &&
+              !Mem->hasSymDisp()) {
             S.UsesRedZone = true;
             S.RedZoneSites.push_back(
                 "'" + Insn.toString() + "' addresses " +
-                std::to_string(Mem->Mem.Disp) + "(%rsp), below the stack "
+                std::to_string(Mem->Imm) + "(%rsp), below the stack "
                 "pointer");
           }
         }

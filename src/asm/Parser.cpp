@@ -209,109 +209,96 @@ struct ParseScratch {
   std::vector<std::string_view> MemParts;
 };
 
-/// Parses one operand in AT&T syntax. Returns std::nullopt on anything
-/// outside the modelled forms (caller degrades the instruction to opaque).
-std::optional<Operand> parseOperandText(std::string_view RawText,
-                                        ParseScratch &Scratch) {
+/// Parses one operand in AT&T syntax into \p Op, a default-constructed
+/// operand (the instruction's own slot, so the symbol is built in place).
+/// Returns false on anything outside the modelled forms (the caller
+/// degrades the instruction to opaque).
+bool parseOperandText(std::string_view RawText, ParseScratch &Scratch,
+                      Operand &Op) {
   std::string_view Text = trim(RawText);
   if (Text.empty())
-    return std::nullopt;
+    return false;
 
   bool Star = false;
   if (Text[0] == '*') {
     Star = true;
     Text = trim(Text.substr(1));
     if (Text.empty())
-      return std::nullopt;
+      return false;
   }
 
+  std::string_view Sym;
   if (Text[0] == '$') {
     std::string_view Body = Text.substr(1);
-    int64_t Value = 0;
-    if (parseInteger(Body, Value))
-      return Operand::makeImm(Value);
-    std::string_view Sym;
-    int64_t Addend = 0;
-    if (parseSymbolExpr(Body, Sym, Addend))
-      return Operand::makeImmSym(std::string(Sym), Addend);
-    return std::nullopt;
+    Op.Kind = OperandKind::Immediate;
+    if (parseInteger(Body, Op.Imm))
+      return true;
+    if (!parseSymbolExpr(Body, Sym, Op.Imm))
+      return false;
+    Op.Sym = Sym;
+    return true;
   }
 
+  Op.IndirectStar = Star;
   if (Text[0] == '%') {
-    Reg R = parseRegName(Text.substr(1));
-    if (R == Reg::None)
-      return std::nullopt;
-    Operand Op = Operand::makeReg(R);
-    Op.IndirectStar = Star;
-    return Op;
+    Op.Kind = OperandKind::Register;
+    Op.R = parseRegName(Text.substr(1));
+    return Op.R != Reg::None;
   }
 
   size_t Paren = Text.find('(');
   if (Paren != std::string_view::npos) {
     if (Text.back() != ')')
-      return std::nullopt;
-    MemRef M;
+      return false;
+    Op.Kind = OperandKind::Memory;
+    MemRef &M = Op.Mem;
     std::string_view DispText = trim(Text.substr(0, Paren));
-    if (!DispText.empty()) {
-      std::string_view SymDisp;
-      if (parseInteger(DispText, M.Disp))
-        ;
-      else if (parseSymbolExpr(DispText, SymDisp, M.Disp))
-        M.SymDisp = std::string(SymDisp);
-      else
-        return std::nullopt;
-    }
+    if (!DispText.empty() && !parseInteger(DispText, Op.Imm) &&
+        !parseSymbolExpr(DispText, Sym, Op.Imm))
+      return false;
     std::string_view Inner =
         Text.substr(Paren + 1, Text.size() - Paren - 2);
     std::vector<std::string_view> &Parts = Scratch.MemParts;
     splitTopLevelCommas(Inner, Parts);
     if (Parts.empty() || Parts.size() > 3)
-      return std::nullopt;
+      return false;
     if (!Parts[0].empty()) {
       if (Parts[0][0] != '%')
-        return std::nullopt;
+        return false;
       M.Base = parseRegName(Parts[0].substr(1));
       if (M.Base == Reg::None)
-        return std::nullopt;
+        return false;
     }
     if (Parts.size() >= 2 && !Parts[1].empty()) {
       if (Parts[1][0] != '%')
-        return std::nullopt;
+        return false;
       M.Index = parseRegName(Parts[1].substr(1));
       if (M.Index == Reg::None)
-        return std::nullopt;
+        return false;
     }
     if (Parts.size() == 3 && !Parts[2].empty()) {
       int64_t Scale = 0;
       if (!parseInteger(Parts[2], Scale) ||
           (Scale != 1 && Scale != 2 && Scale != 4 && Scale != 8))
-        return std::nullopt;
+        return false;
       M.Scale = static_cast<uint8_t>(Scale);
     }
-    Operand Op = Operand::makeMem(std::move(M));
-    Op.IndirectStar = Star;
-    return Op;
+    Op.Sym = Sym;
+    return true;
   }
 
   // Bare integer: absolute memory reference.
-  int64_t Value = 0;
-  if (parseInteger(Text, Value)) {
-    MemRef M;
-    M.Disp = Value;
-    Operand Op = Operand::makeMem(std::move(M));
-    Op.IndirectStar = Star;
-    return Op;
+  if (parseInteger(Text, Op.Imm)) {
+    Op.Kind = OperandKind::Memory;
+    return true;
   }
 
   // Bare symbol: direct target or data symbol.
-  std::string_view Sym;
-  int64_t Addend = 0;
-  if (parseSymbolExpr(Text, Sym, Addend)) {
-    Operand Op = Operand::makeSymbol(std::string(Sym), Addend);
-    Op.IndirectStar = Star;
-    return Op;
-  }
-  return std::nullopt;
+  if (!parseSymbolExpr(Text, Sym, Op.Imm))
+    return false;
+  Op.Kind = OperandKind::Symbol;
+  Op.Sym = Sym;
+  return true;
 }
 
 bool startsWith(std::string_view S, std::string_view Prefix) {
@@ -537,17 +524,14 @@ bool validateBranchTarget(const Instruction &Insn) {
 }
 
 Instruction makeOpaque(std::string_view Line) {
-  Instruction Insn;
-  Insn.Mn = Mnemonic::OPAQUE;
-  Insn.RawText = std::string(trim(Line));
-  return Insn;
+  return mao::makeOpaque(std::string(trim(Line)));
 }
 
-/// Parses one instruction. \p Length receives its encoded length (rel32
-/// for a direct branch), or 0 when the instruction is opaque.
-Instruction parseInstructionImpl(std::string_view Line, ParseScratch &Scratch,
-                                 unsigned &Length) {
-  Length = 0;
+/// Parses one modelled instruction into \p Insn, a default-constructed
+/// instruction, and sets \p Length to its encoded length (rel32 for a
+/// direct branch). Returns false for anything outside the modelled forms.
+bool parseModelledInstruction(std::string_view Line, ParseScratch &Scratch,
+                              Instruction &Insn, unsigned &Length) {
   std::string_view Text = trim(Line);
   size_t NameEnd = 0;
   while (NameEnd < Text.size() && !isSpaceChar(Text[NameEnd]))
@@ -557,9 +541,8 @@ Instruction parseInstructionImpl(std::string_view Line, ParseScratch &Scratch,
 
   auto ParsedMnemonic = parseMnemonic(Name);
   if (!ParsedMnemonic)
-    return makeOpaque(Line);
+    return false;
 
-  Instruction Insn;
   Insn.Mn = ParsedMnemonic->Mn;
   Insn.W = ParsedMnemonic->W;
   Insn.SrcW = ParsedMnemonic->SrcW;
@@ -570,12 +553,9 @@ Instruction parseInstructionImpl(std::string_view Line, ParseScratch &Scratch,
     std::vector<std::string_view> &Operands = Scratch.Operands;
     splitTopLevelCommas(Rest, Operands);
     Insn.Ops.reserve(Operands.size());
-    for (std::string_view OpText : Operands) {
-      auto Op = parseOperandText(OpText, Scratch);
-      if (!Op)
-        return makeOpaque(Line);
-      Insn.Ops.push_back(std::move(*Op));
-    }
+    for (std::string_view OpText : Operands)
+      if (!parseOperandText(OpText, Scratch, Insn.Ops.emplace_back()))
+        return false;
   }
 
   // GPR `movq`/`movd` with an xmm operand is the SSE move form.
@@ -590,7 +570,7 @@ Instruction parseInstructionImpl(std::string_view Line, ParseScratch &Scratch,
 
   deduceWidth(Insn);
   if (!validateBranchTarget(Insn))
-    return makeOpaque(Line);
+    return false;
 
   // Structural validation: operand counts per kind are enforced by assert
   // in downstream code, so check here and degrade gracefully instead.
@@ -632,7 +612,7 @@ Instruction parseInstructionImpl(std::string_view Line, ParseScratch &Scratch,
     return false;
   };
   if (!CountOk())
-    return makeOpaque(Line);
+    return false;
 
   // Widthful kinds must have a width by now (e.g. `movl $1, (%rax)` needs
   // the suffix; without one the instruction is ambiguous).
@@ -647,7 +627,7 @@ Instruction parseInstructionImpl(std::string_view Line, ParseScratch &Scratch,
   case EncKind::Bswap:
   case EncKind::Cmovcc:
     if (Insn.W == Width::None)
-      return makeOpaque(Line);
+      return false;
     break;
   default:
     break;
@@ -655,9 +635,20 @@ Instruction parseInstructionImpl(std::string_view Line, ParseScratch &Scratch,
 
   // Final validation: must be encodable. Measuring runs every check
   // encoding does, without building the bytes.
-  if (encodedLength(Insn, Length)) {
+  return encodedLength(Insn, Length).ok();
+}
+
+/// Parses one instruction. \p Length receives its encoded length (rel32
+/// for a direct branch), or 0 when the instruction is opaque. Operands are
+/// parsed into the instruction's own slots and the instruction is the
+/// named return value, so a symbol is built once and not moved until it
+/// lands in its list node.
+Instruction parseInstructionImpl(std::string_view Line, ParseScratch &Scratch,
+                                 unsigned &Length) {
+  Instruction Insn;
+  if (!parseModelledInstruction(Line, Scratch, Insn, Length)) {
     Length = 0;
-    return makeOpaque(Line);
+    Insn = makeOpaque(Line);
   }
   return Insn;
 }
@@ -784,10 +775,8 @@ ErrorOr<MaoUnit> parseEntries(const std::string &Text, ParseStats *Stats,
   MaoUnit Unit;
   ParseStats LocalStats;
   ParseScratch Scratch;
-  StringInterner &Interner = Unit.interner();
-
-  // Duplicate-label tracking: interned views, one allocation per distinct
-  // name for the whole parse.
+  // Duplicate-label tracking: views of the label entries' own names, which
+  // stay put because list nodes never move.
   std::unordered_set<std::string_view> SeenLabels;
 
   // GAS numeric local labels: "N:" may be defined many times; "Nb" binds to
@@ -820,10 +809,6 @@ ErrorOr<MaoUnit> parseEntries(const std::string &Text, ParseStats *Stats,
   };
 
   const std::string_view Input(Text);
-  // Hoisted: one singleton access per parse, one predicted branch per line
-  // when injection is disabled (shouldFail itself stays authoritative when
-  // any site is armed).
-  FaultInjector &Faults = FaultInjector::instance();
   size_t LineStart = 0;
   // Strict inequality: input ending in '\n' has no phantom empty final
   // line (the old substr lexer counted one, skewing ParseStats.Lines and
@@ -840,7 +825,7 @@ ErrorOr<MaoUnit> parseEntries(const std::string &Text, ParseStats *Stats,
     if (Malformed)
       return ParseError(DiagCode::ParseUnterminatedString,
                         "unterminated string literal");
-    if (Faults.anySiteEnabled() && Faults.shouldFail(FaultSite::Parser))
+    if (FaultInjector::instance().shouldFail(FaultSite::Parser))
       return ParseError(DiagCode::ParseInjectedFault,
                         "injected parser fault");
 
@@ -869,14 +854,14 @@ ErrorOr<MaoUnit> parseEntries(const std::string &Text, ParseStats *Stats,
         uint32_t K = ++LocalDefs[LocalN];
         Unit.emplaceBack(MaoEntry::Kind::Label, localLabelName(LocalN, K));
       } else {
-        std::string_view Interned = Interner.intern(Name);
-        if (!SeenLabels.insert(Interned).second && Diags)
+        EntryIter Label =
+            Unit.emplaceBack(MaoEntry::Kind::Label, std::string(Name));
+        if (!SeenLabels.insert(Label->labelName()).second && Diags)
           Diags->warning(
               DiagCode::ParseDuplicateLabel,
               "duplicate definition of label '" + std::string(Name) +
                   "'; the first definition wins",
               SourceLoc{Filename, static_cast<unsigned>(LocalStats.Lines)});
-        Unit.emplaceBack(MaoEntry::Kind::Label, std::string(Name));
       }
       ++LocalStats.Labels;
       Stmt = trim(Stmt.substr(I + 1));
@@ -902,7 +887,7 @@ ErrorOr<MaoUnit> parseEntries(const std::string &Text, ParseStats *Stats,
     Instruction Insn = parseInstructionImpl(Stmt, Scratch, Length);
     if (Insn.isOpaque()) {
       ++LocalStats.OpaqueInstructions;
-      if (mentionsLocalLabelRef(Insn.RawText))
+      if (mentionsLocalLabelRef(Insn.rawText()))
         VerbatimLocalRefLines.push_back(
             static_cast<unsigned>(LocalStats.Lines));
     } else {
@@ -931,23 +916,13 @@ ErrorOr<MaoUnit> parseEntries(const std::string &Text, ParseStats *Stats,
       };
       // Local-label references start with a digit, which ordinary symbols
       // never do — gate on the first byte so the common case skips the
-      // resolver entirely. Interning (relaxation and encoding key their
-      // label maps on pooled storage) runs after Resolve may have
-      // rewritten the symbol.
-      auto StartsWithDigit = [](const std::string &S) {
-        return std::isdigit(static_cast<unsigned char>(S[0])) != 0;
-      };
-      for (Operand &Op : Insn.Ops) {
-        if (!Op.Sym.empty()) {
-          if (StartsWithDigit(Op.Sym))
-            if (MaoStatus S = Resolve(Op.Sym))
-              return S;
-          Interner.intern(Op.Sym);
-        }
-        if (Op.isMem() && Op.Mem.hasSym() && StartsWithDigit(Op.Mem.SymDisp))
-          if (MaoStatus S = Resolve(Op.Mem.SymDisp))
+      // resolver entirely. Sym is every operand kind's one symbol, a
+      // memory operand's displacement included.
+      for (Operand &Op : Insn.Ops)
+        if (!Op.Sym.empty() &&
+            std::isdigit(static_cast<unsigned char>(Op.Sym[0])))
+          if (MaoStatus S = Resolve(Op.Sym))
             return S;
-      }
     }
     ++LocalStats.Instructions;
     // Validation measured the instruction, so its entry starts with its

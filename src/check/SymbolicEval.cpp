@@ -858,14 +858,15 @@ private:
   }
 
   // --- Memory ---------------------------------------------------------------
-  NodeId memAddr(const MemRef &M) {
+  NodeId memAddr(const Operand &Op) {
+    const MemRef &M = Op.Mem;
     NodeId A;
-    if (M.hasSym())
-      A = T.makeSymAddr(M.SymDisp, M.Disp);
+    if (Op.hasSymDisp())
+      A = T.makeSymAddr(Op.Sym, Op.Imm);
     else if (M.isRipRelative())
-      A = T.makeSymAddr("<rip>", M.Disp);
+      A = T.makeSymAddr("<rip>", Op.Imm);
     else
-      A = cst(static_cast<uint64_t>(M.Disp));
+      A = cst(static_cast<uint64_t>(Op.Imm));
     if (M.Base != Reg::None && M.Base != Reg::RIP)
       A = op(SymTag::Add, {A, Regs[denseRegIndex(M.Base)]});
     if (M.Index != Reg::None) {
@@ -908,7 +909,7 @@ private:
     case OperandKind::Register:
       return readReg(Op.R);
     case OperandKind::Memory:
-      return loadAt(memAddr(Op.Mem), bytesOf(W));
+      return loadAt(memAddr(Op), bytesOf(W));
     default:
       return std::nullopt;
     }
@@ -920,7 +921,7 @@ private:
       return true;
     }
     if (Op.isMem()) {
-      storeAt(memAddr(Op.Mem), V, bytesOf(W));
+      storeAt(memAddr(Op), V, bytesOf(W));
       return true;
     }
     return false;
@@ -1062,12 +1063,12 @@ void Eval::clobberForCall(const Instruction &Insn) {
 
 void Eval::clobberForOpaque(const Instruction &Insn) {
   OpaqueEvent Ev;
-  Ev.Text = Insn.RawText;
+  Ev.Text = Insn.rawText();
   Ev.RegState.assign(Regs.begin(), Regs.end());
   Ev.FlagState.assign(Flags.begin(), Flags.end());
   Sum.Opaques.push_back(std::move(Ev));
 
-  const std::string Key = "opq:" + Insn.RawText;
+  const std::string Key = "opq:" + Insn.rawText();
   for (unsigned I = 0; I < NumDenseRegs; ++I)
     Regs[I] = T.makeUnknown(Key, OpaqueOrdinal, I);
   for (unsigned F = 0; F < NumStatusFlags; ++F)
@@ -1108,7 +1109,7 @@ bool Eval::translate(const Instruction &Insn, std::string &Why) {
 
   case EncKind::Lea:
     return writeOperand(Insn.Ops[1], W,
-                        truncTo(memAddr(Insn.Ops[0].Mem), Bits));
+                        truncTo(memAddr(Insn.Ops[0]), Bits));
 
   case EncKind::AluRMI: {
     auto A = readOperand(Insn.Ops[1], W); // dest (first ALU input)
@@ -1448,7 +1449,7 @@ bool Eval::translate(const Instruction &Insn, std::string &Why) {
     if (Src.isReg() && regIsXmm(Src.R)) {
       V = Regs[denseRegIndex(Src.R)];
     } else if (Src.isMem()) {
-      V = loadAt(memAddr(Src.Mem), Bytes);
+      V = loadAt(memAddr(Src), Bytes);
     } else {
       Why = "SSE move source";
       return false;
@@ -1459,7 +1460,7 @@ bool Eval::translate(const Instruction &Insn, std::string &Why) {
       return true;
     }
     if (Dst.isMem()) {
-      storeAt(memAddr(Dst.Mem), V, Bytes);
+      storeAt(memAddr(Dst), V, Bytes);
       return true;
     }
     Why = "SSE move destination";
@@ -1492,7 +1493,7 @@ bool Eval::translate(const Instruction &Insn, std::string &Why) {
         return true;
       }
       if (Dst.isMem()) {
-        storeAt(memAddr(Dst.Mem), V, IsMovd ? 4 : 8);
+        storeAt(memAddr(Dst), V, IsMovd ? 4 : 8);
         return true;
       }
     }
@@ -1511,7 +1512,7 @@ bool Eval::translate(const Instruction &Insn, std::string &Why) {
     if (Src.isReg() && regIsXmm(Src.R)) {
       SrcBits = Regs[denseRegIndex(Src.R)];
     } else if (Src.isMem()) {
-      SrcBits = loadAt(memAddr(Src.Mem), 8);
+      SrcBits = loadAt(memAddr(Src), 8);
     } else {
       Why = "SSE ALU source";
       return false;

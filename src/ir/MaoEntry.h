@@ -20,7 +20,6 @@
 #include <cstdlib>
 #endif
 
-#include <algorithm>
 #include <cassert>
 #include <cstdint>
 #include <new>
@@ -106,17 +105,18 @@ public:
   }
 
   /// Payload constructors, public so container emplace can build an entry
-  /// in place (MaoUnit::emplaceBack) with a single payload move. Prefer
-  /// the named factories everywhere a temporary entry is acceptable.
-  explicit MaoEntry(Instruction I) : EntryKind(Kind::Instruction) {
+  /// in place (MaoUnit::emplaceBack) with a single payload move, which is
+  /// why they take the payload by rvalue reference. Prefer the named
+  /// factories everywhere a temporary entry is acceptable.
+  explicit MaoEntry(Instruction &&I) : EntryKind(Kind::Instruction) {
     new (&Insn) Instruction(std::move(I));
   }
-  MaoEntry(Kind K, std::string Name) : EntryKind(Kind::Label) {
+  MaoEntry(Kind K, std::string &&Name) : EntryKind(Kind::Label) {
     assert(K == Kind::Label && "tag constructor is for labels only");
     (void)K;
     new (&LabelName) std::string(std::move(Name));
   }
-  explicit MaoEntry(Directive D) : EntryKind(Kind::Directive) {
+  explicit MaoEntry(Directive &&D) : EntryKind(Kind::Directive) {
     new (&Dir) Directive(std::move(D));
   }
 
@@ -368,14 +368,10 @@ private:
   };
 };
 
-/// The effects memo and the owner pointer may grow an entry by at most 16
-/// bytes over the 24 bytes of fields in front of the payload it had before
-/// them (the payload is the largest member of the union).
-static_assert(sizeof(MaoEntry) <=
-                  24 + 16 +
-                      std::max({sizeof(Instruction), sizeof(std::string),
-                                sizeof(Directive)}),
-              "MaoEntry grew by more than 16 bytes");
+/// 40 bytes of header (layout, id, owner, memos) and a payload of at most
+/// 120 bytes (Instruction, asserted in x86/Instruction.h): a list node
+/// stays within 176 bytes.
+static_assert(sizeof(MaoEntry) <= 160, "MaoEntry grew past 160 bytes");
 
 } // namespace mao
 

@@ -181,7 +181,6 @@ MaoUnit &MaoUnit::operator=(MaoUnit &&Other) noexcept {
   // then drop the old arena.
   Entries = std::move(Other.Entries);
   IrArena = std::move(Other.IrArena);
-  Interner = std::move(Other.Interner);
   Views = std::move(Other.Views);
   NextEntryId = Other.NextEntryId;
   NextLabelId = Other.NextLabelId;
@@ -195,7 +194,6 @@ MaoUnit &MaoUnit::operator=(MaoUnit &&Other) noexcept {
   for (MaoFunction &Fn : Views.Functions)
     Fn.Unit = this;
   Other.IrArena = std::make_shared<Arena>();
-  Other.Interner = std::make_unique<StringInterner>(Other.IrArena.get());
   Other.Entries = EntryList(ArenaAllocator<MaoEntry>(Other.IrArena.get()));
   Other.Views = UnitViews();
   return *this;

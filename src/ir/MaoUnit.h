@@ -193,7 +193,6 @@ class MaoUnit {
 public:
   MaoUnit()
       : IrArena(std::make_shared<Arena>()),
-        Interner(std::make_unique<StringInterner>(IrArena.get())),
         Entries(ArenaAllocator<MaoEntry>(IrArena.get())) {}
   MaoUnit(const MaoUnit &) = delete;
   MaoUnit &operator=(const MaoUnit &) = delete;
@@ -297,12 +296,7 @@ public:
     return Views.Labels;
   }
 
-  /// The unit's string-interning pool (arena-backed). The parser interns
-  /// every label and symbol name through this so equal names share one
-  /// allocation; interned views live exactly as long as the unit.
-  StringInterner &interner() { return *Interner; }
-
-  /// The unit's arena (IR nodes + interned strings); exposed for stats.
+  /// The unit's arena (the entry list's nodes); exposed for stats.
   const Arena &arena() const { return *IrArena; }
 
   /// Generates a fresh MAO-local label name (".LMAO<n>").
@@ -337,10 +331,9 @@ private:
   /// True for entries whose insertion or erasure the views cannot follow.
   bool definesStructure(const MaoEntry &E) const;
 
-  /// The arena owns the storage behind Entries' nodes and the interner's
-  /// strings; declared before both so it is destroyed last.
+  /// The arena owns the storage behind Entries' nodes; declared first so
+  /// it is destroyed last.
   std::shared_ptr<Arena> IrArena;
-  std::unique_ptr<StringInterner> Interner;
   EntryList Entries;
   UnitViews Views;
   uint32_t NextEntryId = 1;

@@ -266,10 +266,8 @@ void Checker::checkLabels() {
       if (Insn.isOpaque())
         continue;
       for (const Operand &Op : Insn.Ops) {
-        if (Op.isSymbol() || Op.isSymbolicImm())
+        if (Op.isSymbol() || Op.isSymbolicImm() || Op.hasSymDisp())
           NoteRef(Op.Sym, E);
-        if (Op.isMem() && Op.Mem.hasSym())
-          NoteRef(Op.Mem.SymDisp, E);
       }
     } else {
       const Directive &Dir = E.directive();

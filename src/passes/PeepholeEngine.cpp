@@ -301,7 +301,10 @@ unsigned runForwardLoad(PeepholeContext &Ctx, const PeepholeRule &R) {
     // Track the most recent load: (address, width) -> value register.
     struct LastLoad {
       bool Valid = false;
-      MemRef Addr;
+      /// The recorded load's memory operand: the whole operand, so a
+      /// match sees displacement and symbol as well as the registers.
+      /// Only the current instruction is ever rewritten, so it stays put.
+      const Operand *Addr = nullptr;
       Width W = Width::None;
       Reg Value = Reg::None;
     } Last;
@@ -313,7 +316,7 @@ unsigned runForwardLoad(PeepholeContext &Ctx, const PeepholeRule &R) {
       const InstructionEffects Fx = InsnIt->effects();
 
       if (Last.Valid && isRegLoad(Insn) && Insn.W == Last.W &&
-          Insn.Ops[0].Mem == Last.Addr &&
+          Insn.Ops[0] == *Last.Addr &&
           superReg(Insn.Ops[1].R) != superReg(Last.Value)) {
         fired(Ctx, R, Insn);
         InsnIt->instruction().Ops[0] =
@@ -327,8 +330,8 @@ unsigned runForwardLoad(PeepholeContext &Ctx, const PeepholeRule &R) {
       // Invalidate on anything that could change the address registers,
       // the cached value register, or memory.
       if (Last.Valid) {
-        RegMask Watched = regMaskBit(Last.Addr.Base) |
-                          regMaskBit(Last.Addr.Index) |
+        RegMask Watched = regMaskBit(Last.Addr->Mem.Base) |
+                          regMaskBit(Last.Addr->Mem.Index) |
                           regMaskBit(Last.Value);
         if (Fx.MemWrite || Fx.Barrier || (Fx.RegDefs & Watched))
           Last.Valid = false;
@@ -341,7 +344,7 @@ unsigned runForwardLoad(PeepholeContext &Ctx, const PeepholeRule &R) {
         if (superReg(Dst) != superReg(M.Base) &&
             (M.Index == Reg::None || superReg(Dst) != superReg(M.Index))) {
           Last.Valid = true;
-          Last.Addr = M;
+          Last.Addr = &Insn.Ops[0];
           Last.W = Insn.W;
           Last.Value = Dst;
         }

@@ -15,9 +15,9 @@ std::optional<int64_t> mao::effectiveAddress(const Instruction &Insn,
   if (!Mem)
     return std::nullopt;
   const MemRef &M = Mem->Mem;
-  if (M.hasSym() || M.isRipRelative())
+  if (Mem->hasSymDisp() || M.isRipRelative())
     return std::nullopt;
-  int64_t Address = M.Disp;
+  int64_t Address = Mem->Imm;
   if (M.Base != Reg::None) {
     auto Base = Regs.get(M.Base);
     if (!Base)

@@ -116,10 +116,11 @@ public:
 
 private:
   // --- Operand access -------------------------------------------------------
-  std::optional<uint64_t> memAddress(const MemRef &M) {
-    if (M.hasSym() || M.isRipRelative())
+  std::optional<uint64_t> memAddress(const Operand &Op) {
+    const MemRef &M = Op.Mem;
+    if (Op.hasSymDisp() || M.isRipRelative())
       return std::nullopt; // No data-symbol layout in the emulator.
-    uint64_t A = static_cast<uint64_t>(M.Disp);
+    uint64_t A = static_cast<uint64_t>(Op.Imm);
     if (M.Base != Reg::None)
       A += S.gpr(M.Base);
     if (M.Index != Reg::None)
@@ -136,7 +137,7 @@ private:
     case OperandKind::Register:
       return S.gprValue(Op.R);
     case OperandKind::Memory: {
-      auto A = memAddress(Op.Mem);
+      auto A = memAddress(Op);
       if (!A)
         return std::nullopt;
       return Em.load(*A, widthBytes(W));
@@ -152,7 +153,7 @@ private:
       return true;
     }
     if (Op.isMem()) {
-      auto A = memAddress(Op.Mem);
+      auto A = memAddress(Op);
       if (!A)
         return false;
       Em.store(*A, Value, widthBytes(W));
@@ -285,7 +286,7 @@ Interp::Flow Interp::exec(const Instruction &Insn, std::string &Error) {
   }
 
   case EncKind::Lea: {
-    auto A = memAddress(Insn.Ops[0].Mem);
+    auto A = memAddress(Insn.Ops[0]);
     if (!A) {
       Error = "lea of a symbolic address: " + Insn.toString();
       return Flow::Stop;
@@ -708,7 +709,7 @@ Interp::Flow Interp::exec(const Instruction &Insn, std::string &Error) {
     if (Src.isReg() && regIsXmm(Src.R)) {
       V = S.XmmLo[regEncoding(Src.R)];
     } else if (Src.isMem()) {
-      auto A = memAddress(Src.Mem);
+      auto A = memAddress(Src);
       if (!A) {
         Error = "SSE load address unresolvable";
         return Flow::Stop;
@@ -721,7 +722,7 @@ Interp::Flow Interp::exec(const Instruction &Insn, std::string &Error) {
     if (Dst.isReg() && regIsXmm(Dst.R)) {
       S.XmmLo[regEncoding(Dst.R)] = V;
     } else if (Dst.isMem()) {
-      auto A = memAddress(Dst.Mem);
+      auto A = memAddress(Dst);
       if (!A) {
         Error = "SSE store address unresolvable";
         return Flow::Stop;
@@ -758,7 +759,7 @@ Interp::Flow Interp::exec(const Instruction &Insn, std::string &Error) {
         return Flow::Next;
       }
       if (Dst.isMem()) {
-        auto A = memAddress(Dst.Mem);
+        auto A = memAddress(Dst);
         if (!A) {
           Error = "movq store address unresolvable";
           return Flow::Stop;
@@ -782,7 +783,7 @@ Interp::Flow Interp::exec(const Instruction &Insn, std::string &Error) {
     if (Src.isReg() && regIsXmm(Src.R)) {
       SrcBits = S.XmmLo[regEncoding(Src.R)];
     } else if (Src.isMem()) {
-      auto A = memAddress(Src.Mem);
+      auto A = memAddress(Src);
       if (!A) {
         Error = "SSE ALU load unresolvable";
         return Flow::Stop;
@@ -884,7 +885,7 @@ Interp::Flow Interp::exec(const Instruction &Insn, std::string &Error) {
     return Flow::Stop;
 
   case EncKind::Opaque:
-    Error = "opaque instruction reached: " + Insn.RawText;
+    Error = "opaque instruction reached: " + Insn.rawText();
     return Flow::Stop;
   }
   Error = "unimplemented instruction: " + Insn.toString();

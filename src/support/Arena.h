@@ -1,4 +1,4 @@
-//===- support/Arena.h - Bump allocation for IR and strings -----*- C++ -*-===//
+//===- support/Arena.h - Bump allocation for the IR -------------*- C++ -*-===//
 ///
 /// \file
 /// Chunked bump allocation for the IR hot path.
@@ -14,23 +14,14 @@
 /// compare equal iff they share the arena; move assignment propagates the
 /// allocator so moving a MaoUnit moves the arena pointer, never the nodes.
 ///
-/// StringInterner deduplicates strings (labels, symbol names) into
-/// arena-backed storage and returns std::string_view handles that stay
-/// valid for the arena's lifetime. Interning is idempotent: interning the
-/// same characters twice returns a view of the same bytes, which makes the
-/// views usable as cheap map keys with no per-lookup allocation.
-///
 /// Lifetime rules (see DESIGN.md, "Throughput core"):
 ///  - everything allocated from an Arena dies with the Arena;
 ///  - MaoUnit shares its Arena via shared_ptr so moved-from units and
-///    cloned units each keep a consistent (arena, container) pair;
-///  - interned views must not outlive the owning unit.
+///    cloned units each keep a consistent (arena, container) pair.
 ///
 /// Thread safety: Arena::allocate/deallocate are NOT synchronized — the IR
 /// serializes structural edits on MaoUnit::StructuralM already, and the
-/// arena piggybacks on that lock. StringInterner::intern takes its own
-/// mutex because reads (parsing, relaxation) happen outside structural
-/// edits.
+/// arena piggybacks on that lock.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -41,11 +32,7 @@
 #include <cstdint>
 #include <cstring>
 #include <memory>
-#include <mutex>
 #include <new>
-#include <string>
-#include <string_view>
-#include <unordered_set>
 #include <vector>
 
 namespace mao {
@@ -167,9 +154,9 @@ private:
   char *End = nullptr;
   size_t NextChunkBytes;
   size_t BytesLive = 0;
-  /// Same-size free lists, linearly scanned: an IR arena sees a handful of
-  /// distinct block sizes (list nodes, the occasional string), so a flat
-  /// vector beats a hash map on both hit and miss.
+  /// Same-size free lists, linearly scanned: an IR arena sees few distinct
+  /// block sizes (the entry list's nodes), so a flat vector beats a hash map
+  /// on both hit and miss.
   std::vector<FreeBin> FreeBins;
 };
 
@@ -205,44 +192,6 @@ public:
 
 private:
   Arena *A;
-};
-
-/// Deduplicating string pool over an Arena. intern() copies unseen strings
-/// into arena storage and returns a view into that storage; interning equal
-/// characters again returns a view of the same bytes. Views stay valid for
-/// the arena's lifetime. Thread-safe (internal mutex) because parse and
-/// relaxation intern concurrently under --mao-jobs.
-class StringInterner {
-public:
-  explicit StringInterner(Arena *A) : A(A) {}
-
-  StringInterner(const StringInterner &) = delete;
-  StringInterner &operator=(const StringInterner &) = delete;
-
-  /// Returns the canonical arena-backed view for \p S.
-  std::string_view intern(std::string_view S) {
-    std::lock_guard<std::mutex> Lock(M);
-    auto It = Pool.find(S);
-    if (It != Pool.end())
-      return *It;
-    char *Storage = A->allocateArray<char>(S.size());
-    if (!S.empty())
-      std::memcpy(Storage, S.data(), S.size());
-    std::string_view Interned(Storage, S.size());
-    Pool.insert(Interned);
-    return Interned;
-  }
-
-  /// Number of distinct strings interned.
-  size_t size() const {
-    std::lock_guard<std::mutex> Lock(M);
-    return Pool.size();
-  }
-
-private:
-  Arena *A;
-  mutable std::mutex M;
-  std::unordered_set<std::string_view> Pool;
 };
 
 } // namespace mao

@@ -27,10 +27,7 @@ const char *mao::faultSiteName(FaultSite Site) {
   return "unknown";
 }
 
-FaultInjector &FaultInjector::instance() {
-  static FaultInjector Injector;
-  return Injector;
-}
+constinit FaultInjector FaultInjector::Instance;
 
 void FaultInjector::reset() {
   Armed = false;
@@ -109,8 +106,8 @@ void FaultInjector::configureFromEnv() {
                  S.message().c_str());
 }
 
-bool FaultInjector::shouldFail(FaultSite Site) {
-  if (!Armed || SuspendDepth > 0)
+bool FaultInjector::draw(FaultSite Site) {
+  if (SuspendDepth > 0)
     return false;
   SiteState &S = Sites[static_cast<unsigned>(Site)];
   if (!S.Enabled)

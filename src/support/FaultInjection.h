@@ -60,7 +60,7 @@ const char *faultSiteName(FaultSite Site);
 /// Process-wide injector. Sites draw deterministic pseudo-random decisions.
 class FaultInjector {
 public:
-  static FaultInjector &instance();
+  static FaultInjector &instance() { return Instance; }
 
   /// Configures from a spec string: comma-separated "site:permille" pairs,
   /// e.g. "parser:10,encoder:5,pass:100" (pass = pass runner). Unlisted
@@ -74,14 +74,14 @@ public:
   /// Disables all sites and clears counters.
   void reset();
 
-  bool anySiteEnabled() const { return Armed; }
   bool siteEnabled(FaultSite Site) const {
     return Sites[static_cast<unsigned>(Site)].Enabled;
   }
 
   /// Draws the next decision for \p Site. Always false when disabled
-  /// (without consuming randomness).
-  bool shouldFail(FaultSite Site);
+  /// (without consuming randomness). Inline, so an injection point costs
+  /// one predicted branch while nothing is armed.
+  bool shouldFail(FaultSite Site) { return Armed && draw(Site); }
 
   /// RAII suspension: while at least one ScopedSuspend is alive,
   /// shouldFail() returns false without drawing. The transactional pass
@@ -107,6 +107,13 @@ public:
   unsigned totalInjected() const;
 
 private:
+  /// shouldFail() once some site is armed.
+  bool draw(FaultSite Site);
+
+  /// The process-wide injector. Constant-initialized, so instance() is a
+  /// plain address: no guard, no call.
+  static FaultInjector Instance;
+
   struct SiteState {
     bool Enabled = false;
     uint64_t Permille = 0;

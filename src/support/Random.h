@@ -19,7 +19,7 @@ namespace mao {
 /// Deterministic, seedable 64-bit generator (SplitMix64).
 class RandomSource {
 public:
-  explicit RandomSource(uint64_t Seed) : State(Seed) {}
+  constexpr explicit RandomSource(uint64_t Seed) : State(Seed) {}
 
   /// Returns the next raw 64-bit value.
   uint64_t next() {

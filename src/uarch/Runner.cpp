@@ -22,9 +22,9 @@ std::optional<uint64_t> dataAddress(const Instruction &Insn,
   // An indirect branch target memory operand is a code reference, but its
   // load still touches the data side; treat it like any other access.
   const MemRef &M = Mem->Mem;
-  if (M.hasSym() || M.isRipRelative())
+  if (Mem->hasSymDisp() || M.isRipRelative())
     return std::nullopt;
-  uint64_t A = static_cast<uint64_t>(M.Disp);
+  uint64_t A = static_cast<uint64_t>(Mem->Imm);
   if (M.Base != Reg::None)
     A += S.gprValue(gprWithWidth(superReg(M.Base), Width::Q));
   if (M.Index != Reg::None)

@@ -187,8 +187,8 @@ MaoStatus EncodingBuilder::setRM(const Operand &Op) {
     ModRM |= 0x05; // mod=00 rm=101
     DispSize = 4;
     DispIsPcRel = true;
-    PcRelSym = &M.SymDisp;
-    PcRelAddend = M.Disp;
+    PcRelSym = &Op.Sym;
+    PcRelAddend = Op.Imm;
     return MaoStatus::success();
   }
 
@@ -207,7 +207,7 @@ MaoStatus EncodingBuilder::setRM(const Operand &Op) {
     HasSib = true;
     Sib = 0x25; // scale=0, index=100 (none), base=101 (disp32)
     DispSize = 4;
-    Disp = M.hasSym() ? resolveSym(M.SymDisp, M.Disp) : M.Disp;
+    Disp = Op.hasSymDisp() ? resolveSym(Op.Sym, Op.Imm) : Op.Imm;
     return MaoStatus::success();
   }
 
@@ -217,20 +217,20 @@ MaoStatus EncodingBuilder::setRM(const Operand &Op) {
   if (!HasBase) {
     Mod = 0x00; // SIB with base=101: disp32 follows
     DispSize = 4;
-  } else if (M.hasSym()) {
+  } else if (Op.hasSymDisp()) {
     Mod = 0x80;
     DispSize = 4;
-  } else if (M.Disp == 0 && (BaseEnc & 7) != 5) {
+  } else if (Op.Imm == 0 && (BaseEnc & 7) != 5) {
     Mod = 0x00;
     DispSize = 0;
-  } else if (fitsInt8(M.Disp)) {
+  } else if (fitsInt8(Op.Imm)) {
     Mod = 0x40;
     DispSize = 1;
   } else {
     Mod = 0x80;
     DispSize = 4;
   }
-  Disp = M.hasSym() ? resolveSym(M.SymDisp, M.Disp) : M.Disp;
+  Disp = Op.hasSymDisp() ? resolveSym(Op.Sym, Op.Imm) : Op.Imm;
 
   const bool NeedSib = HasIndex || !HasBase || (BaseEnc & 7) == 4;
   if (!NeedSib) {
@@ -333,8 +333,7 @@ MaoStatus EncodingBuilder::encodeMov() {
   }
   if (Src.isSymbol() && Dst.isReg()) {
     // `mov sym, %reg` (absolute load); encode as mem form with symbolic disp.
-    Operand MemOp = Operand::makeMem(MemRef{Src.Sym, Src.Imm, Reg::None,
-                                            Reg::None, 1});
+    Operand MemOp = Operand::makeMem(MemRef(), Src.Imm, Src.Sym);
     addOpcode(Byte ? 0x8a : 0x8b);
     setModRMReg(Dst.R);
     return setRM(MemOp);

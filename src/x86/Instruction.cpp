@@ -37,6 +37,11 @@ const RegMask mao::RetUsedMask =
     gprBit(Reg::RAX) | gprBit(Reg::RDX) | gprBit(Reg::RSP) |
     (1u << 16) | (1u << 17); // xmm0, xmm1 return values
 
+const std::string &Instruction::rawText() const {
+  static const std::string Empty;
+  return isOpaque() && Ops.size() == 1 ? Ops[0].Sym : Empty;
+}
+
 const Operand *Instruction::branchTarget() const {
   EncKind K = info().Kind;
   if (K != EncKind::Jmp && K != EncKind::Jcc && K != EncKind::Call)
@@ -376,7 +381,7 @@ std::string Instruction::toString() const {
 
 void Instruction::appendTo(std::string &Out) const {
   if (isOpaque()) {
-    Out += RawText;
+    Out += rawText();
     return;
   }
   appendMnemonicTo(Out);
@@ -433,5 +438,12 @@ Instruction mao::makeNop(unsigned Bytes) {
   assert(Bytes >= 1 && Bytes <= 15 && "x86 NOPs encode in 1..15 bytes");
   Instruction Insn = makeInstr(Mnemonic::NOP, Width::None);
   Insn.NopLength = static_cast<uint8_t>(Bytes);
+  return Insn;
+}
+
+Instruction mao::makeOpaque(std::string Text) {
+  Instruction Insn = makeInstr(Mnemonic::OPAQUE, Width::None);
+  Operand &Holder = Insn.Ops.emplace_back();
+  Holder.Sym = std::move(Text);
   return Insn;
 }

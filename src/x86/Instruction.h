@@ -63,9 +63,12 @@ struct Instruction {
   /// 1 = rel8, 4 = rel32. Calls are always rel32.
   uint8_t BranchSize = 0;
   OperandList Ops;          ///< AT&T order: sources first, destination last.
-  std::string RawText;      ///< Verbatim text for Opaque instructions.
 
   const OpcodeInfo &info() const { return opcodeInfo(Mn); }
+
+  /// The verbatim text of an Opaque instruction (makeOpaque keeps it in
+  /// the Sym of a single None operand); "" for every other instruction.
+  const std::string &rawText() const;
 
   bool isOpaque() const { return info().Kind == EncKind::Opaque; }
   bool isNop() const { return Mn == Mnemonic::NOP; }
@@ -126,6 +129,12 @@ Instruction makeCondJump(CondCode CC, const std::string &Label);
 Instruction makeCall(const std::string &Label);
 /// Builds a NOP of \p Bytes encoded bytes (1..15).
 Instruction makeNop(unsigned Bytes);
+/// Builds an Opaque instruction that re-emits \p Text verbatim.
+Instruction makeOpaque(std::string Text);
+
+// The payload of a MaoEntry: with its 40-byte header a list entry stays
+// within 160 bytes.
+static_assert(sizeof(Instruction) <= 120, "Instruction grew past 120 bytes");
 
 } // namespace mao
 

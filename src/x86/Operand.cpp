@@ -59,7 +59,7 @@ void Operand::appendTo(std::string &Out) const {
   case OperandKind::Memory: {
     if (IndirectStar)
       Out += '*';
-    appendSymPlusAddend(Out, Mem.SymDisp, Mem.Disp, /*OmitZero=*/true);
+    appendSymPlusAddend(Out, Sym, Imm, /*OmitZero=*/true);
     if (Mem.Base == Reg::None && Mem.Index == Reg::None)
       return;
     Out += '(';

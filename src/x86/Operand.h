@@ -21,15 +21,15 @@
 
 namespace mao {
 
-/// A memory reference: SymDisp+Disp(Base, Index, Scale).
+/// The register part of a memory reference `disp(Base, Index, Scale)`. The
+/// displacement lives in the operand, like every other kind's constant and
+/// symbol: its constant part in Operand::Imm, its symbolic part in
+/// Operand::Sym, so an operand holds at most one symbol and one constant.
 struct MemRef {
-  std::string SymDisp; ///< Optional symbolic displacement part.
-  int64_t Disp = 0;    ///< Constant displacement part.
   Reg Base = Reg::None;  ///< Base register; may be Reg::RIP.
   Reg Index = Reg::None; ///< Index register (never RSP).
   uint8_t Scale = 1;     ///< 1, 2, 4 or 8.
 
-  bool hasSym() const { return !SymDisp.empty(); }
   bool isRipRelative() const { return Base == Reg::RIP; }
   bool operator==(const MemRef &O) const = default;
 };
@@ -44,13 +44,20 @@ enum class OperandKind : uint8_t {
 
 /// One instruction operand. A small tagged union; the active members depend
 /// on Kind. AT&T operand order is preserved: sources precede destinations.
+/// Members a kind does not use keep their default values, so two operands
+/// compare equal exactly when they denote the same operand. The one-byte
+/// fields come first so the whole operand is 48 bytes.
 struct Operand {
   OperandKind Kind = OperandKind::None;
-  Reg R = Reg::None;     ///< Register when Kind == Register.
-  int64_t Imm = 0;       ///< Immediate value / symbol addend.
-  std::string Sym;       ///< Symbol when Kind is Immediate or Symbol.
-  MemRef Mem;            ///< Memory reference when Kind == Memory.
+  Reg R = Reg::None;         ///< Register when Kind == Register.
   bool IndirectStar = false; ///< '*' prefix on a jump/call target.
+  MemRef Mem;                ///< Base/index/scale when Kind == Memory.
+  /// Immediate value, symbol addend, or memory displacement.
+  int64_t Imm = 0;
+  /// Symbol when Kind is Immediate or Symbol, the symbolic displacement
+  /// when Kind is Memory; an opaque instruction's verbatim text rides in
+  /// its single None operand (Instruction::rawText()).
+  std::string Sym;
 
   static Operand makeReg(Reg R) {
     Operand Op;
@@ -74,10 +81,14 @@ struct Operand {
     return Op;
   }
 
-  static Operand makeMem(MemRef M) {
+  /// Builds `SymDisp+Disp(M.Base, M.Index, M.Scale)`.
+  static Operand makeMem(MemRef M, int64_t Disp = 0,
+                         std::string SymDisp = std::string()) {
     Operand Op;
     Op.Kind = OperandKind::Memory;
-    Op.Mem = std::move(M);
+    Op.Mem = M;
+    Op.Imm = Disp;
+    Op.Sym = std::move(SymDisp);
     return Op;
   }
 
@@ -95,6 +106,8 @@ struct Operand {
   bool isSymbol() const { return Kind == OperandKind::Symbol; }
   bool isSymbolicImm() const { return isImm() && !Sym.empty(); }
   bool isConstImm() const { return isImm() && Sym.empty(); }
+  /// True for a memory operand with a symbolic displacement (`sym+8(%rip)`).
+  bool hasSymDisp() const { return isMem() && !Sym.empty(); }
 
   bool operator==(const Operand &O) const = default;
 
@@ -260,6 +273,10 @@ private:
   uint32_t Cap = InlineCap;
   alignas(Operand) unsigned char Inline[sizeof(Operand) * InlineCap];
 };
+
+// A MaoEntry's payload is an Instruction, and with it two inline operands:
+// each operand byte costs two bytes per list node.
+static_assert(sizeof(Operand) <= 48, "Operand grew past 48 bytes");
 
 } // namespace mao
 

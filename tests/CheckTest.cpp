@@ -215,6 +215,37 @@ TEST(SemanticValidator, ComparesOpaqueInstructionsAsEvents) {
   EXPECT_FALSE(Diverged.Equivalent);
 }
 
+TEST(SymbolicEval, OpaqueTextSurvivesCloneEmitAndEmulation) {
+  // An opaque instruction keeps its verbatim text in its one operand; a
+  // clone, the emitter, the evaluator's event and unknown-value key, and
+  // the emulator's stop message all see the same text.
+  const std::string Text = "lock xaddl %eax, (%rdi)";
+  MaoUnit Original = parseOk(wrapFunction("f", "\t" + Text + "\n\tret\n"));
+  MaoUnit Unit = Original.clone();
+  MaoFunction *Fn = Unit.findFunction("f");
+  ASSERT_NE(Fn, nullptr);
+  const std::vector<const Instruction *> Insns = functionInsns(*Fn);
+  ASSERT_EQ(Insns.size(), 2u);
+  const Instruction &Opaque = *Insns[0];
+  ASSERT_TRUE(Opaque.isOpaque());
+  EXPECT_EQ(Opaque.rawText(), Text);
+  EXPECT_EQ(Opaque.toString(), Text);
+  EXPECT_NE(Unit.toString().find("\t" + Text + "\n"), std::string::npos);
+
+  SymTable Table;
+  BlockEvaluator Eval(Table);
+  BlockSummary Summary = Eval.evaluate(Insns);
+  ASSERT_EQ(Summary.Opaques.size(), 1u);
+  EXPECT_EQ(Summary.Opaques[0].Text, Text);
+  EXPECT_EQ(Table.node(Summary.Regs[denseRegIndex(Reg::RAX)]).Aux,
+            "opq:" + Text);
+
+  Emulator Emu(Unit);
+  EmulationResult Result = Emu.run("f", MachineState());
+  EXPECT_EQ(Result.Reason, StopReason::Unsupported);
+  EXPECT_EQ(Result.Message, "opaque instruction reached: " + Text);
+}
+
 //===----------------------------------------------------------------------===//
 // Pipeline integration: a deliberately broken pass is caught and rolled
 // back, and the failure is reported through both sinks.

@@ -59,20 +59,57 @@ TEST(Parser, MemoryOperands) {
   EXPECT_EQ(I.SrcW, Width::B);
   EXPECT_EQ(I.W, Width::L);
   const MemRef &M = I.Ops[0].Mem;
-  EXPECT_EQ(M.Disp, 1);
+  EXPECT_EQ(I.Ops[0].Imm, 1);
   EXPECT_EQ(M.Base, Reg::RDI);
   EXPECT_EQ(M.Index, Reg::R8);
   EXPECT_EQ(M.Scale, 4);
 
   Instruction NoBase = parse("movq .L4(,%rax,8), %rax");
   const MemRef &M2 = NoBase.Ops[0].Mem;
-  EXPECT_EQ(M2.SymDisp, ".L4");
+  EXPECT_EQ(NoBase.Ops[0].Sym, ".L4");
+  EXPECT_TRUE(NoBase.Ops[0].hasSymDisp());
   EXPECT_EQ(M2.Base, Reg::None);
   EXPECT_EQ(M2.Index, Reg::RAX);
   EXPECT_EQ(M2.Scale, 8);
 
   Instruction Rip = parse("leaq .LC0(%rip), %rdi");
   EXPECT_TRUE(Rip.Ops[0].Mem.isRipRelative());
+}
+
+TEST(Parser, MemoryOperandsDifferingOnlyInDisplacementAreUnequal) {
+  // The displacement lives in the operand (Imm and Sym), not in MemRef:
+  // operand equality must still see both parts.
+  const Operand Plain = parse("movq 8(%rsp), %rax").Ops[0];
+  EXPECT_EQ(Plain, parse("movq 8(%rsp), %rcx").Ops[0]);
+  EXPECT_NE(Plain, parse("movq 16(%rsp), %rax").Ops[0]);
+  EXPECT_NE(Plain, parse("movq sym+8(%rsp), %rax").Ops[0]);
+  EXPECT_NE(parse("movq a+8(%rsp), %rax").Ops[0],
+            parse("movq b+8(%rsp), %rax").Ops[0]);
+  EXPECT_EQ(Plain.Mem, parse("movq sym+16(%rsp), %rax").Ops[0].Mem);
+}
+
+TEST(Parser, BuiltOperandsEqualParsedOnes) {
+  // Members an operand kind does not use keep their defaults, so a builder
+  // and the parser agree on every field.
+  MemRef Stack;
+  Stack.Base = Reg::RSP;
+  MemRef Table;
+  Table.Index = Reg::RAX;
+  Table.Scale = 8;
+  MemRef Rip;
+  Rip.Base = Reg::RIP;
+  EXPECT_EQ(parse("addq $5, %rax"),
+            makeInstr(Mnemonic::ADD, Width::Q, Operand::makeImm(5),
+                      Operand::makeReg(Reg::RAX)));
+  EXPECT_EQ(parse("movl $.LC0+4, %edi").Ops[0],
+            Operand::makeImmSym(".LC0", 4));
+  EXPECT_EQ(parse("movq -8(%rsp), %rax").Ops[0],
+            Operand::makeMem(Stack, -8));
+  EXPECT_EQ(parse("movq .L4(,%rax,8), %rax").Ops[0],
+            Operand::makeMem(Table, 0, ".L4"));
+  EXPECT_EQ(parse("leaq .LC0+8(%rip), %rdi").Ops[0],
+            Operand::makeMem(Rip, 8, ".LC0"));
+  EXPECT_EQ(parse("call g").Ops[0], Operand::makeSymbol("g"));
 }
 
 TEST(Parser, CondJumpsAndAliases) {
@@ -128,7 +165,10 @@ TEST(Parser, ExplicitLengthNops) {
 TEST(Parser, UnknownBecomesOpaque) {
   Instruction I = parse("lock cmpxchgq %rcx, (%rdx)");
   EXPECT_TRUE(I.isOpaque());
-  EXPECT_EQ(I.RawText, "lock cmpxchgq %rcx, (%rdx)");
+  EXPECT_EQ(I.rawText(), "lock cmpxchgq %rcx, (%rdx)");
+  EXPECT_EQ(I, makeOpaque("lock cmpxchgq %rcx, (%rdx)"));
+  EXPECT_NE(I, makeOpaque("lock cmpxchgq %rcx, (%rdi)"));
+  EXPECT_EQ(parse("movq %rax, %rbx").rawText(), "");
   EXPECT_TRUE(parse("vfmadd231pd %ymm0, %ymm1, %ymm2").isOpaque());
   EXPECT_TRUE(parse("rep movsb").isOpaque());
 }
@@ -482,9 +522,8 @@ TEST(Emit, IntegersRenderLikePrintf) {
   EXPECT_EQ(Operand::makeSymbol("x", -7).toString(), "x-7");
   EXPECT_EQ(Operand::makeImmSym("x", 12).toString(), "$x+12");
   MemRef M;
-  M.Disp = -129;
   M.Base = Reg::RSP;
-  EXPECT_EQ(Operand::makeMem(M).toString(), "-129(%rsp)");
+  EXPECT_EQ(Operand::makeMem(M, -129).toString(), "-129(%rsp)");
   EXPECT_EQ(makeNop(11).toString(), "nop11");
 }
 

@@ -307,6 +307,27 @@ TEST(REDMOV, BlockedByCall) {
   EXPECT_EQ(runPass(Unit, "REDMOV"), 0u);
 }
 
+TEST(REDMOV, MatchesTheWholeDisplacement) {
+  // Same registers, different displacement: never forwarded.
+  for (const char *Second :
+       {"sym+8(%rsp)", "16(%rsp)", "other+8(%rsp)"}) {
+    MaoUnit Unit = parseOk(wrapFunction(
+        std::string("\tmovq 8(%rsp), %rdx\n\tmovq ") + Second +
+        ", %rcx\n\tret\n"));
+    EXPECT_EQ(runPass(Unit, "REDMOV"), 0u) << Second;
+  }
+  MaoUnit Reversed = parseOk(wrapFunction(R"(	movq sym+8(%rsp), %rdx
+	movq 8(%rsp), %rcx
+	ret
+)"));
+  EXPECT_EQ(runPass(Reversed, "REDMOV"), 0u);
+  MaoUnit Same = parseOk(wrapFunction(R"(	movq sym+8(%rsp), %rdx
+	movq sym+8(%rsp), %rcx
+	ret
+)"));
+  EXPECT_EQ(runPass(Same, "REDMOV"), 1u);
+}
+
 TEST(REDMOV, PreservesSemantics) {
   std::string Asm = wrapFunction(R"(	pushq %rbp
 	movq %rsp, %rbp

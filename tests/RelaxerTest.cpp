@@ -368,14 +368,12 @@ TEST(Relaxer, RelaxModeTravelsWithTheUnit) {
 
 // --- Assembler integration --------------------------------------------------
 
-// The length memo lives in the padding after the entry's kind tag: the
-// three layout fields, the effects memo's register masks and the owner's
-// epochs pointer (16 bytes), then the largest payload.
-static_assert(sizeof(MaoEntry) ==
-                  3 * sizeof(uint64_t) + 16 +
-                      std::max({sizeof(Instruction), sizeof(std::string),
-                                sizeof(Directive)}),
-              "the length memo must not grow MaoEntry");
+// The length memo lives in the padding after the entry's kind tag, so the
+// entry stays within its absolute caps: 48-byte operands, a 120-byte
+// instruction payload and a 160-byte entry.
+static_assert(sizeof(Operand) <= 48, "Operand grew past 48 bytes");
+static_assert(sizeof(Instruction) <= 120, "Instruction grew past 120 bytes");
+static_assert(sizeof(MaoEntry) <= 160, "the length memo must not grow MaoEntry");
 
 /// The first instruction entry with mnemonic \p Mn, mutable.
 MaoEntry *findInsnEntry(MaoUnit &Unit, Mnemonic Mn) {

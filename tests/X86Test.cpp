@@ -38,6 +38,19 @@ TEST(Registers, NamesRoundTrip) {
   }
 }
 
+TEST(Operands, MemoryEqualityCoversDisplacementAndSymbol) {
+  MemRef M;
+  M.Base = Reg::RSP;
+  EXPECT_EQ(Operand::makeMem(M, 8), Operand::makeMem(M, 8));
+  EXPECT_NE(Operand::makeMem(M, 8), Operand::makeMem(M, 16));
+  EXPECT_NE(Operand::makeMem(M, 8), Operand::makeMem(M, 8, "sym"));
+  EXPECT_NE(Operand::makeMem(M, 8, "a"), Operand::makeMem(M, 8, "b"));
+  EXPECT_TRUE(Operand::makeMem(M, 8, "sym").hasSymDisp());
+  EXPECT_FALSE(Operand::makeMem(M, 8).hasSymDisp());
+  EXPECT_FALSE(Operand::makeSymbol("sym").hasSymDisp());
+  EXPECT_EQ(Operand::makeMem(M, 8, "sym").toString(), "sym+8(%rsp)");
+}
+
 TEST(Registers, SuperRegisters) {
   EXPECT_EQ(superReg(Reg::AL), Reg::RAX);
   EXPECT_EQ(superReg(Reg::AH), Reg::RAX);
@@ -142,8 +155,7 @@ TEST(Effects, MemoryOperandUsesAddressRegs) {
   M.Base = Reg::RSP;
   M.Index = Reg::RCX;
   M.Scale = 4;
-  M.Disp = 24;
-  Instruction I = makeInstr(Mnemonic::MOV, Width::Q, Operand::makeMem(M),
+  Instruction I = makeInstr(Mnemonic::MOV, Width::Q, Operand::makeMem(M, 24),
                             Operand::makeReg(Reg::RDX));
   InstructionEffects Fx = I.effects();
   EXPECT_TRUE(Fx.MemRead);
@@ -210,9 +222,7 @@ TEST(Effects, TestDefinesAllStatusFlags) {
 }
 
 TEST(Effects, OpaqueIsBarrier) {
-  Instruction I;
-  I.Mn = Mnemonic::OPAQUE;
-  I.RawText = "lock cmpxchg %rax, (%rbx)";
+  Instruction I = makeOpaque("lock cmpxchg %rax, (%rbx)");
   InstructionEffects Fx = I.effects();
   EXPECT_TRUE(Fx.Barrier);
   EXPECT_EQ(Fx.RegDefs, ~RegMask(0));
@@ -271,8 +281,7 @@ TEST(Encoder, MemAddressingModes) {
   // movq 24(%rsp), %rdx -> RSP base forces a SIB byte.
   MemRef M;
   M.Base = Reg::RSP;
-  M.Disp = 24;
-  EXPECT_EQ(enc(makeInstr(Mnemonic::MOV, Width::Q, Operand::makeMem(M),
+  EXPECT_EQ(enc(makeInstr(Mnemonic::MOV, Width::Q, Operand::makeMem(M, 24),
                           Operand::makeReg(Reg::RDX))),
             bytes({0x48, 0x8b, 0x54, 0x24, 0x18}));
   // movl (%rdi,%r8,4), %edx -> REX.X for r8.
@@ -369,8 +378,8 @@ TEST(Encoder, Rel8OutOfRangeFails) {
 TEST(Encoder, RipRelative) {
   MemRef M;
   M.Base = Reg::RIP;
-  M.SymDisp = ".LC0";
-  Instruction I = makeInstr(Mnemonic::LEA, Width::Q, Operand::makeMem(M),
+  Instruction I = makeInstr(Mnemonic::LEA, Width::Q,
+                            Operand::makeMem(M, 0, ".LC0"),
                             Operand::makeReg(Reg::RDI));
   EXPECT_EQ(enc(I), bytes({0x48, 0x8d, 0x3d, 0x00, 0x00, 0x00, 0x00}));
 }
