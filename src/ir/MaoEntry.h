@@ -119,6 +119,21 @@ public:
   explicit MaoEntry(Directive &&D) : EntryKind(Kind::Directive) {
     new (&Dir) Directive(std::move(D));
   }
+  /// Default-constructs the payload of kind \p K, so the parser can fill
+  /// an instruction or directive in the list node it will live in.
+  explicit MaoEntry(Kind K) : EntryKind(K) {
+    switch (K) {
+    case Kind::Instruction:
+      new (&Insn) Instruction();
+      break;
+    case Kind::Label:
+      new (&LabelName) std::string();
+      break;
+    case Kind::Directive:
+      new (&Dir) Directive();
+      break;
+    }
+  }
 
   // A copy is a new entry: it carries the payload and its memos but
   // belongs to no function until the unit inserts it.

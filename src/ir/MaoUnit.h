@@ -230,10 +230,11 @@ public:
 
   /// Constructs an entry in place at the end of the list from a payload
   /// (Instruction, Directive, or Kind::Label + name) — one payload move,
-  /// no intermediate MaoEntry. Id assignment matches append(). This is the
-  /// parser's hot path, where entries arrive one per line, and the parser
-  /// is its only caller: it fills a unit no other thread can see yet, so
-  /// unlike append() it takes no lock. Never call it on a unit that
+  /// no intermediate MaoEntry — or from a bare Kind, whose default payload
+  /// the caller then fills in the node. Id assignment matches append().
+  /// This is the parser's hot path, where entries arrive one per line, and
+  /// the parser is its only caller: it fills a unit no other thread can see
+  /// yet, so unlike append() it takes no lock. Never call it on a unit that
   /// sharded passes may be editing.
   template <class... ArgsT> EntryIter emplaceBack(ArgsT &&...Args) {
     EntryIter It = Entries.emplace(Entries.end(),

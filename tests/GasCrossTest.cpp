@@ -132,8 +132,7 @@ TEST(GasCross, Mcf181LoopSnippet) {
   expectMatchesGas(S);
 }
 
-TEST(GasCross, BroadInstructionMix) {
-  std::string S = R"(	.text
+const char *BroadMix = R"(	.text
 f:
 	pushq %rbp
 	movq %rsp, %rbp
@@ -162,6 +161,18 @@ f:
 	leave
 	ret
 )";
+
+TEST(GasCross, BroadInstructionMix) { expectMatchesGas(BroadMix); }
+
+TEST(GasCross, CrlfInputMatchesGas) {
+  // The same program saved with CRLF line endings: MAO models every line
+  // as it does the LF text, and its .text equals what gas makes of it.
+  std::string S;
+  for (const char *C = BroadMix; *C; ++C) {
+    if (*C == '\n')
+      S += '\r';
+    S += *C;
+  }
   expectMatchesGas(S);
 }
 

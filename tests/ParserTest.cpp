@@ -1,5 +1,6 @@
 //===- tests/ParserTest.cpp - AT&T parser and round-trip tests --------------==//
 
+#include "ParserReference.h"
 #include "TestCorpus.h"
 #include "asm/AsmEmitter.h"
 #include "asm/Parser.h"
@@ -9,9 +10,12 @@
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <optional>
+#include <random>
 #include <string>
 #include <string_view>
 #include <unordered_map>
+#include <vector>
 
 using namespace mao;
 
@@ -584,6 +588,344 @@ TEST(Parser, EncoderFaultMakesEveryInstructionOpaque) {
               Modelled)
         << Name;
   }
+}
+
+//===----------------------------------------------------------------------===//
+// The differential oracle: the one-scan parser against the split-and-trim
+// reference (ParserReference.h) on the example and SPEC corpus, the Google
+// corpus stand-in and a seeded mutation corpus. The two must agree on every
+// entry (instruction under ==, opaque or not, length memo, label, directive),
+// on ParseStats, on the diagnostics and on the fault draws they make.
+//===----------------------------------------------------------------------===//
+
+using ParseFn = ErrorOr<MaoUnit> (*)(const std::string &, ParseStats *,
+                                     const std::string &, DiagEngine *);
+
+/// What one parse shows from outside.
+struct Observed {
+  std::optional<MaoUnit> Unit;
+  std::string Error;
+  ParseStats Stats;
+  std::vector<Diagnostic> Diags;
+  unsigned ParserDraws = 0;
+  unsigned EncoderDraws = 0;
+};
+
+/// Parses \p Text with \p Parse under the fault spec \p Faults ("" for
+/// none), seeded alike for every parser.
+Observed observe(ParseFn Parse, const std::string &Text,
+                 const std::string &Name, const std::string &Faults) {
+  Observed O;
+  EXPECT_TRUE(FaultInjector::instance().configure(Faults, 7).ok());
+  CollectingDiagSink Sink;
+  DiagEngine Diags;
+  Diags.addSink(&Sink);
+  ErrorOr<MaoUnit> UnitOr = Parse(Text, &O.Stats, Name, &Diags);
+  if (UnitOr.ok())
+    O.Unit.emplace(UnitOr.take());
+  else
+    O.Error = UnitOr.message();
+  O.Diags = Sink.diagnostics();
+  O.ParserDraws = FaultInjector::instance().drawCount(FaultSite::Parser);
+  O.EncoderDraws = FaultInjector::instance().drawCount(FaultSite::Encoder);
+  FaultInjector::instance().reset();
+  return O;
+}
+
+/// Asserts that \p Got and \p Want hold the same entries in the same order.
+void expectSameEntries(const MaoUnit &Got, const MaoUnit &Want,
+                       const std::string &Name) {
+  ASSERT_EQ(Got.entries().size(), Want.entries().size()) << Name;
+  auto W = Want.entries().begin();
+  size_t Index = 0;
+  for (const MaoEntry &G : Got.entries()) {
+    const std::string Where = Name + ": entry " + std::to_string(Index++) +
+                              " '" + W->toString() + "'";
+    ASSERT_EQ(G.kind(), W->kind()) << Where;
+    ASSERT_EQ(G.Id, W->Id) << Where;
+    switch (G.kind()) {
+    case MaoEntry::Kind::Instruction:
+      ASSERT_EQ(G.instruction(), W->instruction())
+          << Where << " parsed as '" << G.toString() << "'";
+      ASSERT_EQ(G.lengthMemo(), W->lengthMemo()) << Where;
+      break;
+    case MaoEntry::Kind::Label:
+      ASSERT_EQ(G.labelName(), W->labelName()) << Where;
+      break;
+    case MaoEntry::Kind::Directive:
+      ASSERT_EQ(G.directive().Kind, W->directive().Kind) << Where;
+      ASSERT_EQ(G.directive().Name, W->directive().Name) << Where;
+      ASSERT_EQ(G.directive().Args, W->directive().Args) << Where;
+      break;
+    }
+    ++W;
+  }
+}
+
+/// Parses \p Text with both parsers under \p Faults and asserts they agree.
+void expectMatchesReference(const std::string &Text, const std::string &Name,
+                            const std::string &Faults = "") {
+  const Observed Got = observe(&mao::parseAssembly, Text, Name, Faults);
+  const Observed Want = observe(&reference::parseAssembly, Text, Name, Faults);
+  const std::string Where = Name + (Faults.empty() ? "" : " under " + Faults);
+  ASSERT_EQ(Got.Unit.has_value(), Want.Unit.has_value())
+      << Where << ": '" << Got.Error << "' vs '" << Want.Error << "'";
+  EXPECT_EQ(Got.Error, Want.Error) << Where;
+  EXPECT_EQ(Got.ParserDraws, Want.ParserDraws) << Where;
+  EXPECT_EQ(Got.EncoderDraws, Want.EncoderDraws) << Where;
+  EXPECT_EQ(Got.Stats.Lines, Want.Stats.Lines) << Where;
+  EXPECT_EQ(Got.Stats.Instructions, Want.Stats.Instructions) << Where;
+  EXPECT_EQ(Got.Stats.OpaqueInstructions, Want.Stats.OpaqueInstructions)
+      << Where;
+  EXPECT_EQ(Got.Stats.Labels, Want.Stats.Labels) << Where;
+  EXPECT_EQ(Got.Stats.Directives, Want.Stats.Directives) << Where;
+  ASSERT_EQ(Got.Diags.size(), Want.Diags.size()) << Where;
+  for (size_t I = 0; I < Got.Diags.size(); ++I) {
+    EXPECT_EQ(Got.Diags[I].toString(), Want.Diags[I].toString()) << Where;
+    EXPECT_EQ(Got.Diags[I].Code, Want.Diags[I].Code) << Where;
+  }
+  if (Want.Unit)
+    expectSameEntries(*Got.Unit, *Want.Unit, Where);
+}
+
+/// The example and SPEC corpus plus the Google corpus stand-in at 5%.
+std::vector<std::pair<std::string, std::string>> oracleCorpus() {
+  auto Corpus = exampleAndSpecCorpus();
+  Corpus.emplace_back("google-0.05",
+                      generateWorkloadAssembly(googleCorpusProfile(0.05)));
+  return Corpus;
+}
+
+TEST(ParserOracle, MatchesReferenceOnCorpus) {
+  for (const auto &[Name, Text] : oracleCorpus())
+    expectMatchesReference(Text, Name);
+}
+
+TEST(ParserOracle, FaultDrawsMatchReference) {
+  // Encoder faults at 5 per mille leave some instructions opaque and draw
+  // once per modelled candidate through the whole file; a parser fault at
+  // 1 per mille also stops the parse at the same line in both.
+  for (const auto &[Name, Text] : oracleCorpus()) {
+    expectMatchesReference(Text, Name, "encoder:5");
+    expectMatchesReference(Text, Name, "parser:1,encoder:5");
+  }
+}
+
+/// A seeded corpus of statements that stress the lexer: corpus lines, each
+/// reworked by one to three mutations (blanks around tokens, comments,
+/// '#' inside strings, '\r', broken or empty parentheses, trailing commas,
+/// unknown mnemonics, '*' and '$' forms, integer spellings, numeric local
+/// labels and their references).
+std::vector<std::string> mutatedLines(uint64_t Seed, size_t Count) {
+  std::vector<std::string> Source;
+  for (const auto &[Name, Text] : exampleAndSpecCorpus()) {
+    size_t Begin = 0;
+    while (Begin < Text.size() && Source.size() < 20000) {
+      size_t End = Text.find('\n', Begin);
+      if (End == std::string::npos)
+        End = Text.size();
+      if (End > Begin)
+        Source.push_back(Text.substr(Begin, End - Begin));
+      Begin = End + 1;
+    }
+  }
+  std::mt19937_64 Rng(Seed);
+  auto Pick = [&Rng](size_t N) { return static_cast<size_t>(Rng() % N); };
+  auto OneOf = [&Pick](std::initializer_list<const char *> Options) {
+    return std::string(Options.begin()[Pick(Options.size())]);
+  };
+  // Start offsets of the operands: after the blank that ends the mnemonic,
+  // and after every comma.
+  auto OperandStarts = [](const std::string &L) {
+    std::vector<size_t> Starts;
+    const size_t Blank = L.find_first_of(" \t", L.find_first_not_of(" \t"));
+    if (Blank != std::string::npos)
+      Starts.push_back(Blank + 1);
+    for (size_t C = L.find(','); C != std::string::npos; C = L.find(',', C + 1))
+      Starts.push_back(C + 1);
+    return Starts;
+  };
+  auto ReplaceOperand = [&](std::string &L, const std::string &With) {
+    std::vector<size_t> Starts = OperandStarts(L);
+    if (Starts.empty()) {
+      L += " " + With;
+      return;
+    }
+    size_t B = Starts[Pick(Starts.size())];
+    size_t E = L.find(',', B);
+    L.replace(B, (E == std::string::npos ? L.size() : E) - B, With);
+  };
+
+  std::vector<std::string> Lines;
+  while (Lines.size() < Count) {
+    std::string L = Source[Pick(Source.size())];
+    for (size_t M = 0, N = 1 + Pick(3); M < N; ++M) {
+      switch (Pick(13)) {
+      case 0: { // a blank next to a token boundary, or anywhere
+        size_t At = Pick(L.size() + 1);
+        size_t Boundary = L.find_first_of(",()$%*:", At);
+        if (Boundary != std::string::npos && Pick(2))
+          At = Boundary + Pick(2);
+        L.insert(std::min(At, L.size()), Pick(2) ? " " : "\t");
+        break;
+      }
+      case 1:
+        L += OneOf({" # note", "#x", "\t# a, (b", " #\"open"});
+        break;
+      case 2:
+        L = OneOf({"\t.ascii \"a#b\"", "\t.string \"x#y\" # tail",
+                   "\tmovl \"#\", %eax", "\t.ascii \"a\\\"#b\", \"c\"",
+                   "\t.ascii \"a\\\\\"#c", "l: .byte 1, \"#,\" # z"});
+        break;
+      case 3:
+        if (Pick(3))
+          L += '\r';
+        else
+          L.insert(Pick(L.size() + 1), "\r");
+        break;
+      case 4:
+        if (Pick(2)) {
+          L.insert(Pick(L.size() + 1), Pick(2) ? "(" : ")");
+        } else if (size_t Open = L.find('('); Open != std::string::npos) {
+          size_t Close = L.find(')', Open);
+          L.replace(Open,
+                    (Close == std::string::npos ? L.size() : Close + 1) - Open,
+                    OneOf({"()", "( )", "(,)", "(,,)", "(%rax,,)",
+                           "(,%rax,8)", "(%rax,%rbx,3)", "(%rax,%rbx,)",
+                           "( %rsp , %rax , 4 )", "(%rax,%rbx,4,)",
+                           "((%rax))", "(%rax", "(%rip)", "(%rax,%rbx,0x4)",
+                           "(%rax,%rbx,04)", "(%rax %rbx)"}));
+        }
+        break;
+      case 5:
+        L += OneOf({",", ", ", " ,"});
+        break;
+      case 6: { // another mnemonic, known or not
+        const size_t B = std::min(L.find_first_not_of(" \t"), L.size());
+        const size_t E = std::min(L.find_first_of(" \t", B), L.size());
+        L.replace(B, E - B,
+                  OneOf({"frob", "addll", "movzbll", "nopl", "lock", "j",
+                         "cmov", "nop007", "movq", "jmp", "call", "pushq"}));
+        break;
+      }
+      case 7: {
+        std::vector<size_t> Starts = OperandStarts(L);
+        size_t At = Starts.empty() ? L.size() : Starts[Pick(Starts.size())];
+        L.insert(At, OneOf({"*", "$", "* ", "*$", "$ ", "**", "*%"}));
+        break;
+      }
+      case 8:
+        ReplaceOperand(L, OneOf({"1b", "1f", "2f", "1b+4", "$1f", "12b(%rip)",
+                                 "0b", "$0x1b", "*1f", "3b", "1bf"}));
+        break;
+      case 9:
+        ReplaceOperand(
+            L, OneOf({"0x10", "-8(%rbp)", "010(%rax)", "08", "$-0x80", "$+5",
+                      "sym+0x10", "sym-010", "$0x", "99999999999999999999",
+                      "- 8(%rbp)", "8 (%rbp)", "sym +4", "$sym@PLT", "%rax ",
+                      "% rax", "%r8d", "%xmm3", "sym+4(%rip)",
+                      "0x7fffffff(,%rcx,2)", "$-9223372036854775808",
+                      "$18446744073709551615", "%rax(%rbx)"}));
+        break;
+      case 10:
+        L = OneOf({"lab: ", "1: ", "x: y: ", "2 :", "3:\t", "dup: "}) + L;
+        break;
+      case 11: // an unterminated literal, one ending in a backslash
+        if (!Pick(50))
+          L = OneOf({"\t.ascii \"unterminated", "\t.ascii \"tail\\"});
+        break;
+      default: { // an operand token with its neighbours swapped about
+        if (L.size() > 2) {
+          size_t At = Pick(L.size() - 1);
+          std::swap(L[At], L[At + 1]);
+        }
+        break;
+      }
+      }
+    }
+    Lines.push_back(std::move(L));
+  }
+  return Lines;
+}
+
+TEST(ParserOracle, MatchesReferenceOnMutations) {
+  const std::vector<std::string> Lines = mutatedLines(2011, 24000);
+  // Per statement: the instruction API on its own.
+  for (const std::string &L : Lines) {
+    const Instruction Got = parseInstructionLine(L);
+    const Instruction Want = reference::parseInstructionLine(L);
+    ASSERT_EQ(Got, Want) << "'" << L << "' parsed as '" << Got.toString()
+                         << "', reference '" << Want.toString() << "'";
+  }
+  // Per file: chunks of 24 statements between numeric label definitions,
+  // so "1b" and "1f" usually resolve and one chunk's error leaves the
+  // others compared.
+  for (size_t Begin = 0; Begin < Lines.size(); Begin += 24) {
+    std::string Chunk = "1:\n";
+    for (size_t I = Begin; I < Begin + 24 && I < Lines.size(); ++I)
+      Chunk += Lines[I] + (I % 7 == 3 ? "\r\n" : "\n");
+    Chunk += "1:\n2:\n3:\n12:\n";
+    if (Begin % 48 == 0)
+      Chunk += "\tret\r"; // a '\r' at the end of the input
+    expectMatchesReference(Chunk, "chunk@" + std::to_string(Begin));
+    if (Begin % 240 == 0)
+      expectMatchesReference(Chunk, "chunk@" + std::to_string(Begin),
+                             "parser:30,encoder:200");
+  }
+}
+
+//===----------------------------------------------------------------------===//
+// CRLF input.
+//===----------------------------------------------------------------------===//
+
+std::string withCrlf(const std::string &Text) {
+  std::string Out;
+  Out.reserve(Text.size() + Text.size() / 16);
+  for (char C : Text) {
+    if (C == '\n')
+      Out += '\r';
+    Out += C;
+  }
+  return Out;
+}
+
+TEST(Parser, CrlfParsesLikeLf) {
+  for (const auto &[Name, Text] : exampleAndSpecCorpus()) {
+    if (Name.size() < 2 || Name.compare(Name.size() - 2, 2, ".s") != 0)
+      continue;
+    ParseStats LfStats, CrlfStats;
+    auto Lf = parseAssembly(Text, &LfStats, Name);
+    auto Crlf = parseAssembly(withCrlf(Text), &CrlfStats, Name);
+    ASSERT_TRUE(Lf.ok()) << Name;
+    ASSERT_TRUE(Crlf.ok()) << Name << ": " << Crlf.message();
+    expectSameEntries(*Crlf, *Lf, Name);
+    EXPECT_EQ(CrlfStats.Lines, LfStats.Lines) << Name;
+    EXPECT_EQ(CrlfStats.OpaqueInstructions, LfStats.OpaqueInstructions)
+        << Name;
+    EXPECT_EQ(emitAssembly(*Crlf), emitAssembly(*Lf)) << Name;
+  }
+}
+
+TEST(Parser, CrlfFunctionIsModelled) {
+  // A '\r' before each '\n' and one at the end of the input: the labels,
+  // directives and instructions are those of the LF text.
+  const std::string Text = "\t.text\r\n\t.globl\tf\r\nf:\r\n\tpushq\t%rbp\r\n"
+                           "\tmovl\t$1, %eax\r\n\tpopq\t%rbp\r\n\tret\r";
+  ParseStats Stats;
+  auto UnitOr = parseAssembly(Text, &Stats);
+  ASSERT_TRUE(UnitOr.ok()) << UnitOr.message();
+  EXPECT_EQ(Stats.Lines, 7u);
+  EXPECT_EQ(Stats.Instructions, 4u);
+  EXPECT_EQ(Stats.OpaqueInstructions, 0u);
+  EXPECT_EQ(Stats.Labels, 1u);
+  EXPECT_TRUE(UnitOr->labelMap().count("f"));
+  EXPECT_EQ(emitAssembly(*UnitOr),
+            emitAssembly(*parseAssembly("\t.text\n\t.globl\tf\nf:\n\tpushq\t"
+                                        "%rbp\n\tmovl\t$1, %eax\n\tpopq\t"
+                                        "%rbp\n\tret\n")));
+  // Only a '\r' at the end of a line goes: one inside it still makes the
+  // instruction opaque, as it always did.
+  EXPECT_TRUE(parseInstructionLine("ret\r #").isOpaque());
 }
 
 } // namespace
