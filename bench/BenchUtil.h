@@ -6,18 +6,25 @@
 /// paper-vs-measured rows. Every bench binary prints the rows of the
 /// corresponding paper artifact; EXPERIMENTS.md records the comparison.
 ///
+/// parseOrDie, applyPasses and measure come in two forms: over the
+/// internal IR, and over the public facade (mao/Mao.h, the overloads that
+/// take a Session). Benches on the facade exercise the surface an
+/// external embedder uses and double as integration coverage for it.
+///
 //===----------------------------------------------------------------------===//
 
 #ifndef MAO_BENCH_BENCHUTIL_H
 #define MAO_BENCH_BENCHUTIL_H
 
 #include "asm/Parser.h"
+#include "mao/Mao.h"
 #include "pass/MaoPass.h"
 #include "support/Options.h"
 #include "uarch/Runner.h"
 #include "workload/Workload.h"
 
 #include <cstdio>
+#include <cstdlib>
 #include <string>
 
 namespace maobench {
@@ -67,6 +74,53 @@ inline PmuCounters measure(MaoUnit &Unit, const ProcessorConfig &Config,
     std::exit(1);
   }
   return Result->Pmu;
+}
+
+/// Parses assembly through the facade, aborting the bench on failure.
+inline api::Program parseOrDie(api::Session &Session, const std::string &Asm) {
+  api::Program Program;
+  if (api::Status S = Session.parseText(Asm, "<bench>", Program); !S.Ok) {
+    std::fprintf(stderr, "bench: parse error: %s\n", S.Message.c_str());
+    std::exit(1);
+  }
+  return Program;
+}
+
+/// Runs a classic ':'-separated pass line through the facade; returns
+/// total transformations.
+inline unsigned applyPasses(api::Session &Session, api::Program &Program,
+                            const std::string &PassLine) {
+  std::vector<api::PassSpec> Pipeline;
+  if (api::Status S = api::Session::parseClassicSpec(PassLine, Pipeline);
+      !S.Ok) {
+    std::fprintf(stderr, "bench: bad pass line '%s': %s\n", PassLine.c_str(),
+                 S.Message.c_str());
+    std::exit(1);
+  }
+  api::OptimizeResult Result =
+      Session.optimize(Program, Pipeline, api::OptimizeOptions());
+  if (!Result.Ok) {
+    std::fprintf(stderr, "bench: %s\n", Result.Error.c_str());
+    std::exit(1);
+  }
+  return Result.TotalTransformations;
+}
+
+/// Measures bench_main on the named machine model through the facade.
+inline api::MeasureSummary measure(api::Session &Session,
+                                   api::Program &Program,
+                                   const std::string &Config,
+                                   const std::string &Entry = "bench_main") {
+  api::MeasureRequest Request;
+  Request.Function = Entry;
+  Request.Config = Config;
+  api::MeasureSummary Summary;
+  if (api::Status S = Session.measure(Program, Request, Summary); !S.Ok) {
+    std::fprintf(stderr, "bench: measurement failed: %s\n",
+                 S.Message.c_str());
+    std::exit(1);
+  }
+  return Summary;
 }
 
 /// Percent improvement of Optimized over Base (positive = faster).

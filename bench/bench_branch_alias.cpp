@@ -11,8 +11,8 @@
 //
 //===----------------------------------------------------------------------===//
 
-#include "ApiBenchUtil.h"
 #include "BenchJson.h"
+#include "BenchUtil.h"
 
 using namespace maobench;
 

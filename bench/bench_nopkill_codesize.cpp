@@ -9,8 +9,8 @@
 //
 //===----------------------------------------------------------------------===//
 
-#include "ApiBenchUtil.h"
 #include "BenchJson.h"
+#include "BenchUtil.h"
 
 #include "workload/Workload.h"
 

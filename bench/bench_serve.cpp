@@ -15,8 +15,8 @@
 //
 //===----------------------------------------------------------------------===//
 
-#include "ApiBenchUtil.h"
 #include "BenchJson.h"
+#include "BenchUtil.h"
 #include "serve/ArtifactCache.h"
 #include "serve/Serve.h"
 #include "support/FileIO.h"

@@ -1,7 +1,7 @@
 //===- bench/bench_synth.cpp - E22: superoptimizer rule synthesis -------------===//
 //
 // Throughput of the offline rule-synthesis loop (src/synth, the engine
-// behind `maosynth`): harvest windows from the workload generator's
+// behind `mao --synth`): harvest windows from the workload generator's
 // google-corpus profile, enumerate candidate replacements, prove them
 // through the symbolic oracle plus the SemanticValidator recheck, and
 // score the survivors on the Core-2 model. The headline metrics are the
@@ -15,8 +15,8 @@
 //
 //===----------------------------------------------------------------------===//
 
-#include "ApiBenchUtil.h"
 #include "BenchJson.h"
+#include "BenchUtil.h"
 
 #include <chrono>
 
@@ -24,7 +24,7 @@ using namespace maobench;
 
 int main(int argc, char **argv) {
   BenchReport Report("synth");
-  printHeader("E22: superoptimizer rule synthesis (maosynth engine, "
+  printHeader("E22: superoptimizer rule synthesis (mao --synth engine, "
               "workload corpus, Core-2 model, seed 1)");
 
   mao::api::Session Session;

@@ -16,8 +16,8 @@
 //
 //===----------------------------------------------------------------------===//
 
-#include "ApiBenchUtil.h"
 #include "BenchJson.h"
+#include "BenchUtil.h"
 
 #include <chrono>
 

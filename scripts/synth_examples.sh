@@ -1,5 +1,5 @@
 #!/bin/sh
-# Rule-synthesis CLI gate: runs `maosynth` over the example corpus and
+# Rule-synthesis CLI gate: runs `mao --synth` over the example corpus and
 # `mao` over the synth-seeded kernel and checks the documented contract:
 #
 #   - a synthesis run over the examples succeeds and emits at least one
@@ -8,7 +8,8 @@
 #   - the emitted table is byte-identical across --mao-jobs values (the
 #     determinism contract: jobs change wall-clock, nothing else),
 #   - the emitted table re-verifies: every rule re-proves through the
-#     symbolic oracle and SemanticValidator (maosynth --verify),
+#     symbolic oracle and SemanticValidator
+#     (mao --synth-rules=TABLE --synth-verify),
 #   - the committed compiled-in table re-verifies the same way
 #     (mao --synth-verify) -- the CI gate over src/passes/PeepholeRules.def,
 #   - the pinned win: on examples/synth_copy.s the tuner with the synth
@@ -17,12 +18,11 @@
 #
 # Registered as the ctest entry `synth_examples`; run standalone as
 #
-#   scripts/synth_examples.sh path/to/mao path/to/maosynth [examples-dir]
+#   scripts/synth_examples.sh path/to/mao [examples-dir]
 set -u
 
-MAO="${1:?usage: synth_examples.sh path/to/mao path/to/maosynth [examples-dir]}"
-MAOSYNTH="${2:?usage: synth_examples.sh path/to/mao path/to/maosynth [examples-dir]}"
-EXAMPLES="${3:-$(dirname "$0")/../examples}"
+MAO="${1:?usage: synth_examples.sh path/to/mao [examples-dir]}"
+EXAMPLES="${2:-$(dirname "$0")/../examples}"
 TMPDIR="${TMPDIR:-/tmp}"
 TABLE="$TMPDIR/mao_synth_examples.$$.def"
 TABLE2="$TMPDIR/mao_synth_examples2.$$.def"
@@ -45,7 +45,7 @@ json_field() {
 # the committed table). Workload harvesting is off so the emitted rules
 # stay the small general set the examples justify.
 rm -f "$TABLE" "$TABLE2" "$EVIDENCE"
-if ! "$MAOSYNTH" --synth-no-workloads "--synth-out=$TABLE" \
+if ! "$MAO" --synth --synth-no-workloads "--synth-out=$TABLE" \
     "$EXAMPLES"/*.s 2>"$EVIDENCE"; then
   fail "synthesis over the example corpus failed"
   sed 's/^/synth_examples:   /' "$EVIDENCE" >&2
@@ -83,7 +83,7 @@ else
 fi
 
 # Determinism: the table must be byte-identical for any --mao-jobs.
-if ! "$MAOSYNTH" --synth-no-workloads --mao-jobs=4 "--synth-out=$TABLE2" \
+if ! "$MAO" --synth --synth-no-workloads --mao-jobs=4 "--synth-out=$TABLE2" \
     "$EXAMPLES"/*.s >/dev/null 2>&1; then
   fail "synthesis with --mao-jobs=4 failed"
 fi
@@ -94,7 +94,7 @@ else
 fi
 
 # The emitted table re-verifies rule by rule.
-if "$MAOSYNTH" --verify "$TABLE" >/dev/null 2>&1; then
+if "$MAO" "--synth-rules=$TABLE" --synth-verify >/dev/null 2>&1; then
   echo "synth_examples: ok: emitted table re-verifies"
 else
   fail "emitted table failed re-verification"

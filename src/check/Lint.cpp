@@ -16,7 +16,6 @@
 #include <fstream>
 #include <optional>
 #include <string>
-#include <thread>
 #include <unordered_set>
 #include <vector>
 
@@ -786,9 +785,7 @@ LintResult mao::lintUnit(MaoUnit &Unit, const LintOptions &Options,
     std::vector<MaoFunction> &Fns = Unit.functions();
     size_t N = Fns.size();
 
-    unsigned Workers =
-        Options.Jobs != 0 ? Options.Jobs : std::thread::hardware_concurrency();
-    ThreadPool Pool(Workers != 0 ? Workers : 1);
+    ThreadPool Pool(ThreadPool::resolveWorkers(Options.Jobs));
 
     // Stage 1 (parallel): CFG construction + indirect-jump resolution.
     std::vector<CFG> Graphs(N);

@@ -17,6 +17,7 @@
 #include "check/Lint.h"
 #include "check/SemanticValidator.h"
 #include "ir/Verifier.h"
+#include "mao/CommandLine.h"
 #include "pass/MaoPass.h"
 #include "serve/ArtifactCache.h"
 #include "passes/PeepholeEngine.h"
@@ -312,7 +313,9 @@ namespace {
 /// The uncached compute path of cacheRun: parse → optimize → emit through
 /// \p S, plus the deterministic per-run report (non-timing sections only;
 /// Input is a fixed sentinel so the stored report is a pure function of
-/// the cache key, not of what the requester called the file).
+/// the cache key, not of what the requester called the file). A policy
+/// that verifies each pass also gates the result on the full verifier,
+/// as a plain driver run does, so a rejected unit is never stored.
 Status computeArtifact(Session &S, const CachedRunRequest &Request,
                        CachedRunResult &Out) {
   Program P;
@@ -330,6 +333,9 @@ Status computeArtifact(Session &S, const CachedRunRequest &Request,
   OptimizeResult R = S.optimize(P, Request.Pipeline, Opts);
   if (!R.Ok)
     return Status::error(R.Error.empty() ? "pipeline failed" : R.Error);
+  if (Opts.verifiesEachPass())
+    if (Status St = S.verify(P); !St.Ok)
+      return St;
   Out.Output = S.emitToString(P);
   RunReport Report;
   Report.Input = "<artifact>";
@@ -460,13 +466,10 @@ OptimizeResult Session::optimize(Program &P,
                    "' (expected off, structural, or semantic)";
     return Result;
   }
-  // Any recovery or validation policy needs the per-pass verifier; an
-  // explicit request additionally upgrades it from the cheap configuration
-  // to the thorough one (the driver's --mao-verify contract).
-  Pipe.VerifyAfterEachPass = Options.VerifyAfterEachPass ||
-                             Pipe.OnError != OnErrorPolicy::Abort ||
-                             (Options.Validate != "off" &&
-                              !Options.Validate.empty());
+  // An explicit request additionally upgrades the per-pass verifier from
+  // the cheap configuration to the thorough one (the driver's --mao-verify
+  // contract).
+  Pipe.VerifyAfterEachPass = Options.verifiesEachPass();
   if (Options.VerifyAfterEachPass)
     Pipe.PerPassVerify = VerifierOptions();
   if (Options.Validate == "semantic")
@@ -479,7 +482,7 @@ OptimizeResult Session::optimize(Program &P,
                               " changed semantics: " + Report.firstMessage());
     };
   Pipe.PassTimeoutMs = Options.PassTimeoutMs;
-  Pipe.Jobs = Options.Jobs == 0 ? hardwareJobs() : Options.Jobs;
+  Pipe.Jobs = ThreadPool::resolveWorkers(Options.Jobs);
   Pipe.Diags = &I->Diags;
   Pipe.CollectStats = Options.CollectStats;
 
@@ -643,7 +646,7 @@ Status Session::tune(Program &P, const TuneRequest &Request,
   Opts.Budget = tuneBudgetFromString(Request.Budget);
   Opts.SynthAxis = Request.SynthAxis;
   Opts.LayoutAxis = Request.LayoutAxis;
-  Opts.Jobs = Request.Jobs == 0 ? hardwareJobs() : Request.Jobs;
+  Opts.Jobs = ThreadPool::resolveWorkers(Request.Jobs);
   Opts.ScoreCacheBudgetBytes = Request.ScoreCacheBudgetBytes;
   const auto Start = std::chrono::steady_clock::now();
   ErrorOr<TuneResult> ResultOr = [&] {
@@ -685,7 +688,7 @@ Status Session::synthesize(const SynthOptions &Request, SynthSummary &Out) {
   Opts.MaxWindow = Request.MaxWindow;
   Opts.MaxRules = Request.MaxRules;
   Opts.Seed = Request.Seed;
-  Opts.Jobs = Request.Jobs == 0 ? hardwareJobs() : Request.Jobs;
+  Opts.Jobs = ThreadPool::resolveWorkers(Request.Jobs);
   Opts.Config = Request.Config;
   for (const std::string &Path : Request.CorpusPaths) {
     std::string Text;
@@ -1068,7 +1071,7 @@ Status Session::parseClassicSpec(const std::string &Payload,
 
 std::string Session::driverHelp() { return driverOptionHelp(); }
 
-unsigned Session::hardwareJobs() { return ThreadPool::defaultWorkerCount(); }
+unsigned Session::hardwareJobs() { return ThreadPool::resolveWorkers(0); }
 
 } // namespace api
 } // namespace mao

@@ -74,6 +74,15 @@ struct OptimizeOptions {
   /// lastReport() / --mao-report. Off by default: the footprint walk costs
   /// one entry-list scan per pass boundary.
   bool CollectStats = false;
+
+  /// True when the pipeline verifies the IR after every pass: on request,
+  /// and under any recovery policy or validation level, which need it.
+  /// Such a run also passes the full verifier before its output is
+  /// emitted (the driver's final gate and Session::cacheRun alike).
+  bool verifiesEachPass() const {
+    return VerifyAfterEachPass || (!OnError.empty() && OnError != "abort") ||
+           (!Validate.empty() && Validate != "off");
+  }
 };
 
 /// Per-pass outcome of an optimize run. The delta fields are populated
@@ -489,7 +498,7 @@ public:
   /// rule-provenance query behind `mao --rules`.
   static std::vector<RuleInfo> listPeepholeRules();
   /// Replaces the synth rule group with the rules of \p Path (a .def file,
-  /// the shape maosynth emits); `--synth-rules`. Not thread-safe; call
+  /// the shape synthesize() emits); `--synth-rules`. Not thread-safe; call
   /// before optimize/tune.
   static Status loadPeepholeRulesFile(const std::string &Path);
   /// Re-proves every active synth-group rule (oracle + validator); the CI

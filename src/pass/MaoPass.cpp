@@ -148,24 +148,6 @@ MaoStatus PassRegistry::validate(const std::string &Name) const {
   return MaoStatus::error(Message);
 }
 
-ErrorOr<std::unique_ptr<MaoPass>>
-PassRegistry::create(const std::string &Name, const MaoOptionMap &Params,
-                     MaoUnit *Unit, MaoFunction *Fn) const {
-  if (MaoStatus S = validate(Name))
-    return S;
-  // Factories take a mutable pointer for historical reasons; the pass copies
-  // the map in its constructor, so handing out Scratch's address is safe.
-  MaoOptionMap Scratch = Params;
-  if (isUnitPass(Name))
-    return ErrorOr<std::unique_ptr<MaoPass>>(
-        makeUnitPass(Name, &Scratch, Unit));
-  if (!Fn)
-    return MaoStatus::error("pass '" + Name +
-                            "' is a function pass; create() needs a function");
-  return ErrorOr<std::unique_ptr<MaoPass>>(
-      makeFunctionPass(Name, &Scratch, Unit, Fn));
-}
-
 MaoStatus PassRegistry::parsePipeline(const std::string &Spec,
                                       std::vector<PassRequest> &Out) const {
   std::vector<PassRequest> Parsed;

@@ -34,9 +34,8 @@ namespace mao {
 class MaoPass {
 public:
   /// The pass copies \p Options: a constructed pass is self-contained and
-  /// outlives the map it was created from (PassRegistry::create hands out
-  /// passes whose request maps are temporaries, and sharded execution gets
-  /// its per-shard isolation for free).
+  /// outlives the map it was created from (sharded execution gets its
+  /// per-shard isolation for free).
   /// A pass with no explicit trace[N] option inherits the global trace
   /// level (--mao-trace-level), so infrastructure-wide tracing reaches
   /// every pass without per-pass spellings.
@@ -186,24 +185,14 @@ public:
     PassKind Kind = PassKind::Function;
   };
 
-  /// The full pass catalogue, sorted by name. This is the discovery half of
-  /// the programmatic construction API: everything create() accepts is
-  /// listed here with its execution kind.
+  /// The full pass catalogue, sorted by name, with each pass's execution
+  /// kind.
   std::vector<PassInfo> listPasses() const;
 
   /// Validates a pass request against the registry: unknown names get a
   /// did-you-mean error (computed over allPassNames()). This is the single
   /// name-resolution point for --mao-passes, the tuner, and the facade.
   MaoStatus validate(const std::string &Name) const;
-
-  /// Programmatic pass construction: builds the named pass over \p Unit
-  /// (and \p Fn for function passes; create() with Fn == nullptr is only
-  /// valid for unit passes). The pass copies \p Params, so the map may be a
-  /// temporary. Unknown names produce the validate() error.
-  ErrorOr<std::unique_ptr<MaoPass>> create(const std::string &Name,
-                                           const MaoOptionMap &Params,
-                                           MaoUnit *Unit,
-                                           MaoFunction *Fn = nullptr) const;
 
   /// Parses the registry-validated pipeline spelling "a,b(c=1,d=2)" into
   /// pass requests appended to \p Out. Syntax errors come from

@@ -2,7 +2,7 @@
 ///
 /// \file
 /// Implementation of the rule table (compiled from PeepholeRules.def, or
-/// reloaded from a maosynth-emitted .def at runtime) and the rewrite
+/// reloaded from a `mao --synth`-emitted .def at runtime) and the rewrite
 /// engine itself: the four strategy matchers ported from the original
 /// hand-written passes, plus the generic window matcher for synthesized
 /// rules. Byte-identical output to the pre-table passes is the migration
@@ -848,15 +848,18 @@ std::string renderPeepholeRulesDef(const std::vector<PeepholeRule> &Rules) {
       "Window\n"
       "// rules are generic adjacent rewrites in the template language and "
       "are what\n"
-      "// maosynth emits. Regenerate with:\n"
+      "// `mao --synth` emits. Regenerate with:\n"
       "//\n"
-      "//   maosynth --synth-out=src/passes/PeepholeRules.def examples/*.s\n"
+      "//   mao --synth --synth-no-workloads "
+      "--synth-out=src/passes/PeepholeRules.def examples/*.s\n"
       "//\n"
       "// The synth group below is machine-generated; every row was proven\n"
       "// equivalent by the symbolic oracle, re-verified by SemanticValidator,"
       " and\n"
       "// kept only for a strict simulated-cycle win (see src/synth/Synth.h)."
       "\n"
+      "// A row's win=BEFORE->AFTER is that win as scored when the table was\n"
+      "// generated: evidence, not a figure later runs must reproduce.\n"
       "//\n"
       "//===-----------------------------------------------------------------"
       "-----===//\n";

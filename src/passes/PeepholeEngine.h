@@ -19,7 +19,7 @@
 ///  - Window rules describe a generic adjacent N -> M rewrite in a small
 ///    template language ("movq %A, %B ; movq %B, %A" -> "movq %A, %B")
 ///    with an optional dead-flags precondition. This is the format
-///    maosynth emits: the synthesis loop proves a window rewrite sound
+///    `mao --synth` emits: the synthesis loop proves a window rewrite sound
 ///    (src/synth), and the engine only ever has to pattern-match it.
 ///
 /// The active table is the compiled-in PeepholeRules.def by default;
@@ -169,7 +169,7 @@ MaoStatus parsePeepholeRulesDef(const std::string &Text,
 
 /// Renders the complete canonical PeepholeRules.def for \p Rules: header
 /// comment plus one MAO_PEEPHOLE_RULE invocation per rule. The output
-/// reparses to an equal table (the round-trip contract maosynth and
+/// reparses to an equal table (the round-trip contract `mao --synth` and
 /// SynthTest rely on).
 std::string renderPeepholeRulesDef(const std::vector<PeepholeRule> &Rules);
 

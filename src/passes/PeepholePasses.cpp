@@ -11,7 +11,7 @@
 ///   REDTEST - redundant test instructions: subl $16,%r15d ; testl %r15d,%r15d
 ///   REDMOV  - redundant memory access:     movq 24(%rsp),%rdx ; movq 24(%rsp),%rcx
 ///   ADDADD  - add/add sequences:           add $I1,rX ; ... ; add $I2,rX
-///   SYNTH   - superoptimizer-synthesized window rewrites (maosynth)
+///   SYNTH   - superoptimizer-synthesized window rewrites (mao --synth)
 ///
 /// The matching algorithms live in PeepholeEngine.cpp; migrating them there
 /// preserved byte-identical pipeline output (PassesTest pins the patterns).

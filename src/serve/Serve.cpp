@@ -274,6 +274,20 @@ void Server::requestStop() {
 // Client
 //===----------------------------------------------------------------------===//
 
+ServeRequest mao::serve::toServeRequest(const CachedRunRequest &Run) {
+  ServeRequest Req;
+  Req.Name = Run.Name;
+  Req.Source = Run.Source;
+  Req.Pipeline = api::Session::canonicalPipelineSpec(Run.Pipeline);
+  Req.OnError = Run.Options.OnError;
+  Req.Validate = Run.Options.Validate;
+  Req.Jobs = Run.Options.Jobs;
+  Req.DeadlineMs = static_cast<uint32_t>(Run.Options.PassTimeoutMs);
+  Req.Relax = Run.Relax;
+  Req.Verify = Run.Options.VerifyAfterEachPass;
+  return Req;
+}
+
 namespace {
 
 MaoStatus connectTo(const std::string &Path, int &OutFd) {

@@ -139,6 +139,11 @@ struct ClientOptions {
   bool Deterministic = false;  ///< Tests: skip real sleeps between tries.
 };
 
+/// The wire form of \p Run, the request `mao --connect` sends: its source,
+/// name, canonical pipeline spelling, run policy and relax mode. The
+/// policy's pass timeout travels as the request deadline.
+ServeRequest toServeRequest(const api::CachedRunRequest &Run);
+
 /// Sends \p Request to the daemon at Options.SocketPath with bounded
 /// retry and exponential backoff. An error return means the daemon was
 /// unreachable or the stream failed on every attempt — the caller decides

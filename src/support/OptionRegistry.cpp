@@ -42,13 +42,13 @@ std::string mao::suggestNearest(const std::string &Name,
 }
 
 void OptionRegistry::addFlag(const std::string &Name, bool *Target,
-                             const std::string &Help) {
+                             const std::string &Help, bool Value) {
   Definition Def;
   Def.Name = Name;
   Def.ValueKind = Kind::Flag;
   Def.Help = Help;
-  Def.Apply = [Target](const std::string &) {
-    *Target = true;
+  Def.Apply = [Target, Value](const std::string &) {
+    *Target = Value;
     return MaoStatus::success();
   };
   Definitions.push_back(std::move(Def));

@@ -8,8 +8,8 @@
 /// MaoOptionMap. The registry replaces the first two with a table:
 ///
 ///   OptionRegistry R;
-///   R.addFlag("--lint", &Cmd.Lint, "run the MaoCheck linter ...");
-///   R.addInt("--mao-pass-timeout-ms", &Cmd.PassTimeoutMs, 0, "...");
+///   R.addFlag("--lint", &Cmd.RunLint, "run the MaoCheck linter ...");
+///   R.addInt("--mao-pass-timeout-ms", &Cmd.Optimize.PassTimeoutMs, 0, "...");
 ///   MaoStatus S = R.parse(Args);
 ///
 /// Each definition carries its help text, so `help()` renders the complete
@@ -56,8 +56,10 @@ public:
     Custom, ///< `--name=...`, handed to a callback verbatim.
   };
 
-  /// Registers a bare switch storing true into \p Target when seen.
-  void addFlag(const std::string &Name, bool *Target, const std::string &Help);
+  /// Registers a bare switch storing \p Value into \p Target when seen
+  /// (false for an inverted switch such as `--lint-no-interproc`).
+  void addFlag(const std::string &Name, bool *Target, const std::string &Help,
+               bool Value = true);
 
   /// Registers `--name=VALUE` storing the raw text.
   void addString(const std::string &Name, std::string *Target,

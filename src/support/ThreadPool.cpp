@@ -22,7 +22,9 @@ ThreadPool::~ThreadPool() {
     T.join();
 }
 
-unsigned ThreadPool::defaultWorkerCount() {
+unsigned ThreadPool::resolveWorkers(unsigned Jobs) {
+  if (Jobs != 0)
+    return Jobs;
   unsigned N = std::thread::hardware_concurrency();
   return N > 0 ? N : 1;
 }

@@ -54,8 +54,10 @@ public:
     return static_cast<unsigned>(Threads.size()) + 1;
   }
 
-  /// A sensible default worker count for this machine (>= 1).
-  static unsigned defaultWorkerCount();
+  /// The worker count a `Jobs` request means: \p Jobs itself, or for 0
+  /// every hardware thread of this machine (>= 1). The one place the
+  /// 0-means-all rule is resolved.
+  static unsigned resolveWorkers(unsigned Jobs);
 
 private:
   void workerLoop();

@@ -561,6 +561,9 @@ ErrorOr<SynthResult> synthesizeRules(const SynthOptions &Options) {
       Name = Base + "_" + std::to_string(Tie);
     Taken.push_back(Name);
     SR.Rule.Name = Name;
+    // "maosynth" names the synthesizer in every emitted table, the
+    // committed one included; it stays so regenerated tables keep their
+    // bytes.
     SR.Rule.Provenance =
         "synth:maosynth seed=" + std::to_string(Options.Seed) +
         " support=" + std::to_string(SR.Support) +

@@ -1,7 +1,7 @@
 //===- synth/Synth.h - Superoptimizer peephole-rule synthesis ---*- C++ -*-===//
 ///
 /// \file
-/// The offline rule-synthesis loop behind `maosynth` (Souper/Minotaur
+/// The offline rule-synthesis loop behind `mao --synth` (Souper/Minotaur
 /// style, see PAPERS.md): MAO discovers and proves its own peephole rules
 /// instead of hand-writing them, closing the loop the paper's
 /// extensibility story implies. Five stages, all deterministic:

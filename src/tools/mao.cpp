@@ -12,22 +12,25 @@
 /// prefix would be passed to the downstream assembler (here: reported and
 /// ignored, since the reproduction assembles in-process).
 ///
-/// The driver is a client of the public facade (mao/Mao.h) — it parses
-/// flags with the declarative option registry (support/Options.h) and
-/// forwards everything else through mao::api::Session. `--mao-help`
-/// prints the full generated flag reference; see DESIGN.md for the
-/// robustness flags and the "Autotuning" section for `--tune`.
+/// The driver is a client of the public facade (mao/Mao.h): its command
+/// line (mao/CommandLine.h) parses straight into the facade's request
+/// structs, which go to mao::api::Session unchanged. `--mao-help` prints
+/// the full generated flag reference; see DESIGN.md for the robustness
+/// flags, "Autotuning" for `--tune` and "Rule synthesis" for `--synth`,
+/// which harvests any number of inputs:
+///
+///   mao --synth --synth-no-workloads --synth-out=rules.def examples/*.s
 ///
 /// Exit codes: 0 success, 1 usage error, 2 parse/input error, 3
-/// pipeline, tuner, or verifier error. Under --lint: 0 clean, 1 findings,
-/// 2 internal/input error.
+/// pipeline, tuner, synthesis, or verifier error. Under --lint: 0 clean,
+/// 1 findings, 2 internal/input error.
 ///
 //===----------------------------------------------------------------------===//
 
+#include "mao/CommandLine.h"
 #include "mao/Mao.h"
 #include "serve/Serve.h"
 #include "support/FileIO.h"
-#include "support/Options.h"
 
 #include <csignal>
 #include <cstdio>
@@ -125,12 +128,15 @@ int main(int Argc, char **Argv) {
     return ExitOk;
   }
 
-  const bool LintMode = Cmd.Lint;
-  if (Cmd.Inputs.empty()) {
+  const bool LintMode = Cmd.RunLint;
+  // Synthesis harvests every input as corpus, and needs none when it also
+  // harvests generated workloads; every other mode reads exactly one.
+  const bool SynthMode = Cmd.RunSynth && !LintMode;
+  if (Cmd.Inputs.empty() && !(SynthMode && Cmd.Synth.IncludeWorkloads)) {
     printUsage();
     return LintMode ? 2 : ExitUsage;
   }
-  if (Cmd.Inputs.size() > 1) {
+  if (Cmd.Inputs.size() > 1 && !SynthMode) {
     std::fprintf(stderr, "mao: error: expected exactly one input file\n");
     return LintMode ? 2 : ExitUsage;
   }
@@ -141,14 +147,7 @@ int main(int Argc, char **Argv) {
   // Resolve the pipeline up front so a typo fails before any work: the
   // classic --mao= requests (already parsed) first, then the
   // registry-validated --mao-passes specs in command-line order.
-  std::vector<mao::api::PassSpec> Pipeline;
-  for (const mao::PassRequest &Req : Cmd.Passes) {
-    mao::api::PassSpec Spec;
-    Spec.Name = Req.PassName;
-    for (const auto &KV : Req.Options.all())
-      Spec.Options.emplace_back(KV.first, KV.second);
-    Pipeline.push_back(std::move(Spec));
-  }
+  std::vector<mao::api::PassSpec> Pipeline = Cmd.Passes;
   for (const std::string &SpecText : Cmd.PassSpecs)
     if (mao::api::Status S =
             mao::api::Session::parsePipelineSpec(SpecText, Pipeline);
@@ -160,14 +159,11 @@ int main(int Argc, char **Argv) {
   if (Cmd.TraceLevel > 0)
     mao::api::Session::setTraceLevel(static_cast<int>(Cmd.TraceLevel));
 
-  mao::api::Session::Config Config;
-  Config.SarifPath = Cmd.SarifPath;
-  Config.TraceOutPath = Cmd.TraceOut;
-  mao::api::Session Session(Config);
+  mao::api::Session Session(Cmd.Session);
 
   // Whether per-pass metrics are being collected this run; the report and
   // the stats table both feed off the same registry snapshot.
-  const bool CollectStats = !Cmd.ReportPath.empty() || Cmd.Stats;
+  Cmd.Optimize.CollectStats = !Cmd.ReportPath.empty() || Cmd.Stats;
   // Emits the requested observability artifacts (run report, stats table,
   // trace timeline); called on every exit path past parsing.
   auto FlushObservability = [&]() {
@@ -176,7 +172,7 @@ int main(int Argc, char **Argv) {
         std::fprintf(stderr, "mao: error: %s\n", S.Message.c_str());
     if (Cmd.Stats)
       std::fputs(Session.statsTable().c_str(), stderr);
-    if (!Cmd.TraceOut.empty())
+    if (!Cmd.Session.TraceOutPath.empty())
       if (mao::api::Status S = Session.writeTrace(); !S.Ok)
         std::fprintf(stderr, "mao: error: %s\n", S.Message.c_str());
   };
@@ -194,6 +190,45 @@ int main(int Argc, char **Argv) {
       return ExitUsage;
     }
 
+  if (SynthMode) {
+    Cmd.Synth.CorpusPaths = Cmd.Inputs;
+    mao::api::SynthSummary Synth;
+    if (mao::api::Status S = Session.synthesize(Cmd.Synth, Synth); !S.Ok) {
+      std::fprintf(stderr, "mao: synth: %s\n", S.Message.c_str());
+      FlushObservability();
+      // An unreadable corpus file is an input error, like an unreadable
+      // input anywhere else.
+      return S.Message.find("cannot open") != std::string::npos
+                 ? ExitParseError
+                 : ExitPipelineError;
+    }
+    std::fprintf(stderr,
+                 "mao: synth: %llu corpus file(s): %llu windows (%llu "
+                 "unique), %llu candidates tried, %llu proven, %llu "
+                 "verified, %llu shard failure(s)\n",
+                 static_cast<unsigned long long>(Synth.CorpusFiles),
+                 static_cast<unsigned long long>(Synth.WindowsHarvested),
+                 static_cast<unsigned long long>(Synth.UniqueWindows),
+                 static_cast<unsigned long long>(Synth.CandidatesTried),
+                 static_cast<unsigned long long>(Synth.CandidatesProven),
+                 static_cast<unsigned long long>(Synth.CandidatesVerified),
+                 static_cast<unsigned long long>(Synth.ShardFailures));
+    for (const mao::api::RuleInfo &Rule : Synth.Rules)
+      std::fprintf(stderr, "mao: synth: %s: \"%s\" -> \"%s\"%s%s (%s)\n",
+                   Rule.Name.c_str(), Rule.Pattern.c_str(),
+                   Rule.Replacement.c_str(),
+                   Rule.Guards.empty() ? "" : " guard ", Rule.Guards.c_str(),
+                   Rule.Provenance.c_str());
+    std::fprintf(stderr, "mao: synth: %llu rule(s) emitted%s%s\n",
+                 static_cast<unsigned long long>(Synth.RulesEmitted),
+                 Cmd.Synth.OutPath.empty() ? "" : " to ",
+                 Cmd.Synth.OutPath.c_str());
+    if (Cmd.Synth.OutPath.empty())
+      std::fputs(Synth.TableText.c_str(), stdout);
+    FlushObservability();
+    return ExitOk;
+  }
+
   bool HasAsmPass = false;
   for (const mao::api::PassSpec &Spec : Pipeline)
     if (Spec.Name == "ASM")
@@ -205,7 +240,8 @@ int main(int Argc, char **Argv) {
   // lint, tune, and ASM file-output passes keep the direct path. maod
   // computes with its own rule table, so --synth-rules runs stay local.
   const bool WantService = !Cmd.ConnectPath.empty() || !Cmd.CacheDir.empty();
-  const bool ServiceRun = WantService && !LintMode && !Cmd.Tune && !HasAsmPass;
+  const bool ServiceRun =
+      WantService && !LintMode && !Cmd.RunTune && !HasAsmPass;
   const bool Connect = !Cmd.ConnectPath.empty() && Cmd.SynthRules.empty();
   if ((WantService && !ServiceRun) || (!Cmd.ConnectPath.empty() && !Connect))
     std::fprintf(stderr,
@@ -214,12 +250,17 @@ int main(int Argc, char **Argv) {
                  "--synth-rules; running locally\n");
   if (ServiceRun) {
     // The cache key is over the exact input bytes: read them verbatim.
-    std::string Source;
-    if (!mao::readWholeFile(Cmd.Inputs[0], Source)) {
+    mao::api::CachedRunRequest Run;
+    if (!mao::readWholeFile(Cmd.Inputs[0], Run.Source)) {
       std::fprintf(stderr, "mao: error: cannot read %s\n",
                    Cmd.Inputs[0].c_str());
       return ExitParseError;
     }
+    Run.Name = Cmd.Inputs[0];
+    Run.Pipeline = Pipeline;
+    Run.Options = Cmd.Optimize;
+    Run.Relax = Cmd.RelaxMode;
+    Run.VerifyHit = Cmd.CacheVerify;
 
     // In service mode the authoritative run report is the per-run JSON
     // from the cache or daemon — byte-identical between a warm hit and a
@@ -242,25 +283,16 @@ int main(int Argc, char **Argv) {
       }
       if (Cmd.Stats)
         std::fputs(Session.statsTable().c_str(), stderr);
-      if (!Cmd.TraceOut.empty())
+      if (!Cmd.Session.TraceOutPath.empty())
         (void)Session.writeTrace();
     };
 
     if (Connect) {
-      mao::serve::ServeRequest Req;
-      Req.Name = Cmd.Inputs[0];
-      Req.Source = Source;
-      Req.Pipeline = mao::api::Session::canonicalPipelineSpec(Pipeline);
-      Req.OnError = Cmd.OnError;
-      Req.Validate = Cmd.Validate;
-      Req.Jobs = Cmd.Jobs;
-      Req.DeadlineMs = static_cast<uint32_t>(Cmd.PassTimeoutMs);
-      Req.Relax = Cmd.RelaxMode;
-      Req.Verify = Cmd.Verify;
       mao::serve::ClientOptions Client;
       Client.SocketPath = Cmd.ConnectPath;
       mao::serve::ServeResponse Resp;
-      if (mao::MaoStatus S = mao::serve::clientRun(Client, Req, Resp)) {
+      if (mao::MaoStatus S = mao::serve::clientRun(
+              Client, mao::serve::toServeRequest(Run), Resp)) {
         std::fprintf(stderr, "mao: warning: %s; falling back to a local run\n",
                      S.message().c_str());
       } else {
@@ -287,17 +319,6 @@ int main(int Argc, char **Argv) {
           !S.Ok)
         std::fprintf(stderr, "mao: warning: cache disabled: %s\n",
                      S.Message.c_str());
-    mao::api::CachedRunRequest Run;
-    Run.Source = Source;
-    Run.Name = Cmd.Inputs[0];
-    Run.Pipeline = Pipeline;
-    Run.Options.OnError = Cmd.OnError;
-    Run.Options.Validate = Cmd.Validate;
-    Run.Options.VerifyAfterEachPass = Cmd.Verify;
-    Run.Options.PassTimeoutMs = Cmd.PassTimeoutMs;
-    Run.Options.Jobs = Cmd.Jobs;
-    Run.Relax = Cmd.RelaxMode;
-    Run.VerifyHit = Cmd.CacheVerify;
     mao::api::CachedRunResult Result;
     if (mao::api::Status S = Session.cacheRun(Run, Result); !S.Ok) {
       std::fprintf(stderr, "mao: error: %s\n", S.Message.c_str());
@@ -321,14 +342,8 @@ int main(int Argc, char **Argv) {
   }
 
   if (LintMode) {
-    mao::api::LintRequest Request;
-    Request.WarningsAsErrors = Cmd.LintWerror;
-    Request.FileName = Cmd.Inputs[0];
-    Request.Jobs = Cmd.Jobs;
-    Request.Interprocedural = !Cmd.LintNoInterproc;
-    Request.BaselinePath = Cmd.LintBaseline;
-    Request.BaselineOutPath = Cmd.LintBaselineOut;
-    mao::api::LintSummary Lint = Session.lint(Program, Request);
+    Cmd.Lint.FileName = Cmd.Inputs[0];
+    mao::api::LintSummary Lint = Session.lint(Program, Cmd.Lint);
     std::fprintf(stderr,
                  "mao: lint: %u error(s), %u warning(s), %u note(s), "
                  "%u suppressed; indirect jumps: %u unresolved of %u\n",
@@ -344,54 +359,9 @@ int main(int Argc, char **Argv) {
                Parse.Lines, Parse.Instructions, Parse.OpaqueInstructions,
                Parse.Functions);
 
-  if (Cmd.Synth) {
-    mao::api::SynthOptions Request;
-    Request.CorpusPaths = Cmd.Inputs;
-    Request.IncludeWorkloads = !Cmd.SynthNoWorkloads;
-    Request.MaxWindow = Cmd.SynthWindow;
-    Request.MaxRules = Cmd.SynthMaxRules;
-    Request.Seed = Cmd.SynthSeed;
-    Request.Jobs = Cmd.Jobs;
-    Request.Config = Cmd.SynthConfig;
-    Request.OutPath = Cmd.SynthOut;
-    mao::api::SynthSummary Synth;
-    if (mao::api::Status S = Session.synthesize(Request, Synth); !S.Ok) {
-      std::fprintf(stderr, "mao: synth: %s\n", S.Message.c_str());
-      FlushObservability();
-      return ExitPipelineError;
-    }
-    std::fprintf(stderr,
-                 "mao: synth: %llu windows (%llu unique), %llu candidates, "
-                 "%llu proven, %llu verified, %llu rule(s) emitted\n",
-                 static_cast<unsigned long long>(Synth.WindowsHarvested),
-                 static_cast<unsigned long long>(Synth.UniqueWindows),
-                 static_cast<unsigned long long>(Synth.CandidatesTried),
-                 static_cast<unsigned long long>(Synth.CandidatesProven),
-                 static_cast<unsigned long long>(Synth.CandidatesVerified),
-                 static_cast<unsigned long long>(Synth.RulesEmitted));
-    for (const mao::api::RuleInfo &Rule : Synth.Rules)
-      std::fprintf(stderr, "mao: synth: %s: \"%s\" -> \"%s\" (%s)\n",
-                   Rule.Name.c_str(), Rule.Pattern.c_str(),
-                   Rule.Replacement.c_str(), Rule.Provenance.c_str());
-    if (Cmd.SynthOut.empty())
-      std::fputs(Synth.TableText.c_str(), stdout);
-    FlushObservability();
-    return ExitOk;
-  }
-
-  if (Cmd.Tune) {
-    mao::api::TuneRequest Request;
-    Request.Entry = Cmd.TuneEntry;
-    Request.Config = Cmd.TuneConfig;
-    Request.Budget = Cmd.TuneBudget;
-    Request.Seed = Cmd.TuneSeed;
-    Request.Jobs = Cmd.Jobs;
-    Request.SynthAxis = Cmd.TuneSynthAxis;
-    Request.LayoutAxis = Cmd.TuneLayoutAxis;
-    Request.ReportPath = Cmd.TuneReport;
-    Request.ScoreCacheBudgetBytes = Cmd.ScoreCacheBudget;
+  if (Cmd.RunTune) {
     mao::api::TuneSummary Tune;
-    if (mao::api::Status S = Session.tune(Program, Request, Tune); !S.Ok) {
+    if (mao::api::Status S = Session.tune(Program, Cmd.Tune, Tune); !S.Ok) {
       std::fprintf(stderr, "mao: tune: %s\n", S.Message.c_str());
       FlushObservability();
       return ExitPipelineError;
@@ -409,17 +379,9 @@ int main(int Argc, char **Argv) {
     // The tuned unit is already applied; fall through to verify + emit.
   }
 
-  bool VerifiedPerPass = false;
-  if (!Pipeline.empty() || !Cmd.Tune) {
-    mao::api::OptimizeOptions Options;
-    Options.OnError = Cmd.OnError;
-    Options.Validate = Cmd.Validate;
-    Options.VerifyAfterEachPass = Cmd.Verify;
-    Options.PassTimeoutMs = Cmd.PassTimeoutMs;
-    Options.Jobs = Cmd.Jobs;
-    Options.CollectStats = CollectStats;
+  if (!Pipeline.empty() || !Cmd.RunTune) {
     mao::api::OptimizeResult Result =
-        Session.optimize(Program, Pipeline, Options);
+        Session.optimize(Program, Pipeline, Cmd.Optimize);
     if (!Result.Ok) {
       if (!Result.Error.empty())
         std::fprintf(stderr, "mao: error: %s\n", Result.Error.c_str());
@@ -434,13 +396,11 @@ int main(int Argc, char **Argv) {
         std::fprintf(stderr, "mao: %s performed %u transformations\n",
                      Outcome.Pass.c_str(), Outcome.Transformations);
     }
-    VerifiedPerPass = Cmd.Verify || Cmd.OnError != "abort" ||
-                      Cmd.Validate != "off";
   }
 
-  // Final consistency gate when verification was requested or the tuner
+  // Final consistency gate when the run verified per pass or the tuner
   // rewrote the unit: never emit assembly the verifier rejects.
-  if (VerifiedPerPass || Cmd.Tune)
+  if (Cmd.Optimize.verifiesEachPass() || Cmd.RunTune)
     if (!Session.verify(Program).Ok) {
       FlushObservability();
       return ExitPipelineError;

@@ -2,10 +2,6 @@
 
 #include "x86/Opcodes.h"
 
-#include <cassert>
-#include <functional>
-#include <unordered_map>
-
 using namespace mao;
 
 const OpcodeInfo mao::OpcodeTable[static_cast<unsigned>(
@@ -27,31 +23,3 @@ const OpcodeInfo mao::OpcodeTable[static_cast<unsigned>(
 #include "x86/Opcodes.def"
 };
 
-namespace {
-struct SvHash {
-  using is_transparent = void;
-  size_t operator()(std::string_view S) const {
-    return std::hash<std::string_view>{}(S);
-  }
-};
-
-} // namespace
-
-Mnemonic mao::findMnemonicExact(std::string_view Name) {
-  // Transparent hashing: lookups take the parser's string_view tokens
-  // directly, with no per-call key allocation.
-  static const std::unordered_map<std::string, Mnemonic, SvHash,
-                                  std::equal_to<>>
-      Map = [] {
-    std::unordered_map<std::string, Mnemonic, SvHash, std::equal_to<>> M;
-    for (unsigned I = 1; I < static_cast<unsigned>(Mnemonic::NumMnemonics);
-         ++I) {
-      // Later duplicates (e.g. MOVQX also spelled "movq") do not shadow the
-      // first entry; the parser disambiguates by operand kinds.
-      M.emplace(OpcodeTable[I].Name, static_cast<Mnemonic>(I));
-    }
-    return M;
-  }();
-  auto It = Map.find(Name);
-  return It == Map.end() ? Mnemonic::Invalid : It->second;
-}

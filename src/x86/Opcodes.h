@@ -15,7 +15,6 @@
 
 #include <cstdint>
 #include <string>
-#include <string_view>
 
 namespace mao {
 
@@ -98,10 +97,6 @@ extern const OpcodeInfo OpcodeTable[static_cast<unsigned>(
 inline const OpcodeInfo &opcodeInfo(Mnemonic Mn) {
   return OpcodeTable[static_cast<unsigned>(Mn)];
 }
-
-/// Finds a mnemonic whose base spelling is exactly \p Name (no suffix
-/// processing); Mnemonic::Invalid when unknown.
-Mnemonic findMnemonicExact(std::string_view Name);
 
 /// True for instructions that end or redirect straight-line execution.
 inline bool isControlFlow(Mnemonic Mn) {

@@ -12,6 +12,7 @@
 #include "asm/Parser.h"
 #include "check/Lint.h"
 #include "ir/Verifier.h"
+#include "mao/CommandLine.h"
 #include "pass/FunctionAnalyses.h"
 #include "pass/MaoPass.h"
 #include "support/FaultInjection.h"
@@ -390,10 +391,10 @@ TEST(Pipeline, CommandLineParsesCheckFlags) {
                                  "--mao-validate=semantic",
                                  "--mao-sarif=out.sarif", "in.s"});
   ASSERT_TRUE(CmdOr.ok()) << CmdOr.message();
-  EXPECT_TRUE(CmdOr->Lint);
-  EXPECT_TRUE(CmdOr->LintWerror);
-  EXPECT_EQ(CmdOr->Validate, "semantic");
-  EXPECT_EQ(CmdOr->SarifPath, "out.sarif");
+  EXPECT_TRUE(CmdOr->RunLint);
+  EXPECT_TRUE(CmdOr->Lint.WarningsAsErrors);
+  EXPECT_EQ(CmdOr->Optimize.Validate, "semantic");
+  EXPECT_EQ(CmdOr->Session.SarifPath, "out.sarif");
 
   EXPECT_FALSE(parseCommandLine({"--mao-validate=bogus", "in.s"}).ok());
   EXPECT_FALSE(parseCommandLine({"--mao-sarif=", "in.s"}).ok());

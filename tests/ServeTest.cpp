@@ -743,6 +743,48 @@ TEST(CacheRun, StoreFaultIsADiagnosticNotAnError) {
   EXPECT_EQ(Warm.Output, Clean.Output);
 }
 
+TEST(CacheRun, VerifyGateMatchesThePlainRun) {
+  // A rollback run whose injected encoder fault only the final full verify
+  // sees: the plain driver path refuses to emit the unit, and a cached run
+  // must fail the same way and store nothing.
+  FaultGuard Guard;
+  TempDir Tmp;
+  mao::api::CachedRunRequest Request;
+  Request.Name = "tune_lsd.s";
+  ASSERT_TRUE(mao::readWholeFile(
+      std::string(MAO_EXAMPLES_DIR) + "/" + Request.Name, Request.Source));
+  ASSERT_TRUE(mao::api::Session::parseClassicSpec(
+                  "ZEE:REDTEST:REDMOV:ADDADD:LOOP16:SCHED", Request.Pipeline)
+                  .Ok);
+  Request.Options.OnError = "rollback";
+  ASSERT_TRUE(Request.Options.verifiesEachPass());
+  mao::api::Session::Config Quiet;
+  Quiet.StderrDiagnostics = false;
+
+  {
+    mao::api::Session Plain(Quiet);
+    ASSERT_TRUE(Plain.armFaultInjection("encoder:50", 7).Ok);
+    mao::api::Program P;
+    ASSERT_TRUE(Plain.parseText(Request.Source, Request.Name, P).Ok);
+    ASSERT_TRUE(Plain.optimize(P, Request.Pipeline, Request.Options).Ok);
+    mao::api::Status Gate = Plain.verify(P);
+    ASSERT_FALSE(Gate.Ok);
+    EXPECT_NE(Gate.Message.find("no longer encodes"), std::string::npos)
+        << Gate.Message;
+  }
+
+  mao::api::Session Cached(Quiet);
+  ASSERT_TRUE(Cached.cacheOpen(Tmp.path()).Ok);
+  ASSERT_TRUE(Cached.armFaultInjection("encoder:50", 7).Ok);
+  mao::api::CachedRunResult Result;
+  mao::api::Status S = Cached.cacheRun(Request, Result);
+  EXPECT_FALSE(S.Ok);
+  EXPECT_NE(S.Message.find("no longer encodes"), std::string::npos)
+      << S.Message;
+  EXPECT_TRUE(Result.Output.empty());
+  EXPECT_EQ(Cached.cacheStats().Stores, 0u);
+}
+
 // --- Engine degradation ladder --------------------------------------------
 
 ServeRequest engineRequest() {

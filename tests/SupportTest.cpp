@@ -1,5 +1,6 @@
 //===- tests/SupportTest.cpp - Support-library unit tests --------------------==//
 
+#include "mao/CommandLine.h"
 #include "support/Diag.h"
 #include "support/FileIO.h"
 #include "support/Hash.h"
@@ -13,6 +14,8 @@
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
+#include <iterator>
+#include <sstream>
 
 using namespace mao;
 
@@ -98,6 +101,145 @@ TEST(Options, CommandLineSplitsKinds) {
   EXPECT_EQ(CmdOr->Passthrough[0], "--64");
   ASSERT_EQ(CmdOr->Inputs.size(), 1u);
   EXPECT_EQ(CmdOr->Inputs[0], "input.s");
+}
+
+TEST(Options, DriverFlagsLandInFacadeFields) {
+  // One row per settable driver flag: the argument, and a check that reads
+  // the field it must land in. Every check fails on a default command line,
+  // so a flag bound to the wrong field (or to none) is caught.
+  struct Row {
+    const char *Arg;
+    bool (*Landed)(const MaoCommandLine &);
+  };
+  const Row Rows[] = {
+      {"--mao=ZEE:LOOP16=maxsize[8]",
+       [](const MaoCommandLine &C) {
+         return C.Passes.size() == 2 && C.Passes[1].Name == "LOOP16" &&
+                C.Passes[1].Options.size() == 1 &&
+                C.Passes[1].Options[0].first == "maxsize" &&
+                C.Passes[1].Options[0].second == "8";
+       }},
+      {"--mao-passes=zee,sched(window=8)",
+       [](const MaoCommandLine &C) {
+         return C.PassSpecs.size() == 1 &&
+                C.PassSpecs[0] == "zee,sched(window=8)";
+       }},
+      {"--mao-help", [](const MaoCommandLine &C) { return C.Help; }},
+      {"--mao-on-error=rollback",
+       [](const MaoCommandLine &C) {
+         return C.Optimize.OnError == "rollback";
+       }},
+      {"--mao-verify",
+       [](const MaoCommandLine &C) {
+         return C.Optimize.VerifyAfterEachPass;
+       }},
+      {"--mao-validate=semantic",
+       [](const MaoCommandLine &C) {
+         return C.Optimize.Validate == "semantic";
+       }},
+      {"--mao-relax=optimal",
+       [](const MaoCommandLine &C) { return C.RelaxMode == "optimal"; }},
+      {"--mao-pass-timeout-ms=250",
+       [](const MaoCommandLine &C) {
+         return C.Optimize.PassTimeoutMs == 250;
+       }},
+      {"--mao-jobs=3",
+       [](const MaoCommandLine &C) {
+         return C.Optimize.Jobs == 3 && C.Lint.Jobs == 3 &&
+                C.Tune.Jobs == 3 && C.Synth.Jobs == 3;
+       }},
+      {"--mao-fault-inject=pass:10@7",
+       [](const MaoCommandLine &C) {
+         return C.FaultSpec == "pass:10" && C.FaultSeed == 7;
+       }},
+      {"--mao-sarif=out.sarif",
+       [](const MaoCommandLine &C) {
+         return C.Session.SarifPath == "out.sarif";
+       }},
+      {"--mao-report=r.json",
+       [](const MaoCommandLine &C) { return C.ReportPath == "r.json"; }},
+      {"--stats", [](const MaoCommandLine &C) { return C.Stats; }},
+      {"--mao-trace-out=t.json",
+       [](const MaoCommandLine &C) {
+         return C.Session.TraceOutPath == "t.json";
+       }},
+      {"--mao-trace-level=2",
+       [](const MaoCommandLine &C) { return C.TraceLevel == 2; }},
+      {"--cache-dir=cache",
+       [](const MaoCommandLine &C) { return C.CacheDir == "cache"; }},
+      {"--connect=sock",
+       [](const MaoCommandLine &C) { return C.ConnectPath == "sock"; }},
+      {"--cache-verify", [](const MaoCommandLine &C) { return C.CacheVerify; }},
+      {"--mao-score-cache-budget=4096",
+       [](const MaoCommandLine &C) {
+         return C.Tune.ScoreCacheBudgetBytes == 4096;
+       }},
+      {"--cache-budget=8192",
+       [](const MaoCommandLine &C) { return C.CacheBudget == 8192; }},
+      {"--lint", [](const MaoCommandLine &C) { return C.RunLint; }},
+      {"--lint-werror",
+       [](const MaoCommandLine &C) { return C.Lint.WarningsAsErrors; }},
+      {"--lint-no-interproc",
+       [](const MaoCommandLine &C) { return !C.Lint.Interprocedural; }},
+      {"--lint-baseline=b.txt",
+       [](const MaoCommandLine &C) {
+         return C.Lint.BaselinePath == "b.txt";
+       }},
+      {"--lint-baseline-out=o.txt",
+       [](const MaoCommandLine &C) {
+         return C.Lint.BaselineOutPath == "o.txt";
+       }},
+      {"--tune", [](const MaoCommandLine &C) { return C.RunTune; }},
+      {"--tune-budget=small",
+       [](const MaoCommandLine &C) { return C.Tune.Budget == "small"; }},
+      {"--tune-report=t.json",
+       [](const MaoCommandLine &C) {
+         return C.Tune.ReportPath == "t.json";
+       }},
+      {"--tune-seed=9", [](const MaoCommandLine &C) { return C.Tune.Seed == 9; }},
+      {"--tune-config=opteron",
+       [](const MaoCommandLine &C) { return C.Tune.Config == "opteron"; }},
+      {"--tune-entry=kernel",
+       [](const MaoCommandLine &C) { return C.Tune.Entry == "kernel"; }},
+      {"--tune-synth-axis",
+       [](const MaoCommandLine &C) { return C.Tune.SynthAxis; }},
+      {"--tune-layout-axis",
+       [](const MaoCommandLine &C) { return C.Tune.LayoutAxis; }},
+      {"--synth", [](const MaoCommandLine &C) { return C.RunSynth; }},
+      {"--synth-out=rules.def",
+       [](const MaoCommandLine &C) {
+         return C.Synth.OutPath == "rules.def";
+       }},
+      {"--synth-window=1",
+       [](const MaoCommandLine &C) { return C.Synth.MaxWindow == 1; }},
+      {"--synth-max-rules=4",
+       [](const MaoCommandLine &C) { return C.Synth.MaxRules == 4; }},
+      {"--synth-seed=5",
+       [](const MaoCommandLine &C) { return C.Synth.Seed == 5; }},
+      {"--synth-config=opteron",
+       [](const MaoCommandLine &C) { return C.Synth.Config == "opteron"; }},
+      {"--synth-no-workloads",
+       [](const MaoCommandLine &C) { return !C.Synth.IncludeWorkloads; }},
+      {"--synth-rules=rules.def",
+       [](const MaoCommandLine &C) { return C.SynthRules == "rules.def"; }},
+      {"--synth-verify",
+       [](const MaoCommandLine &C) { return C.SynthVerify; }},
+  };
+  const MaoCommandLine Defaults = *parseCommandLine({});
+  for (const Row &R : Rows) {
+    SCOPED_TRACE(R.Arg);
+    EXPECT_FALSE(R.Landed(Defaults));
+    auto CmdOr = parseCommandLine({R.Arg, "in.s"});
+    ASSERT_TRUE(CmdOr.ok()) << CmdOr.message();
+    EXPECT_TRUE(R.Landed(*CmdOr));
+  }
+
+  // The table covers every flag the help reference lists, one per line.
+  std::istringstream Help(driverOptionHelp());
+  size_t Listed = 0;
+  for (std::string Line; std::getline(Help, Line);)
+    Listed += Line.rfind("  --", 0) == 0;
+  EXPECT_EQ(Listed, std::size(Rows));
 }
 
 TEST(Options, DefaultsApplyWhenUnset) {

@@ -6,7 +6,7 @@
 // independent SemanticValidator recheck, the emitted .def must round-trip
 // through the engine's parser, the whole run must be byte-identical across
 // worker counts, and the committed PeepholeRules.def must re-prove — the
-// same gate CI runs via `maosynth --verify`.
+// same gate CI runs via `mao --synth-verify`.
 //
 //===----------------------------------------------------------------------===//
 
@@ -194,7 +194,7 @@ TEST(SynthPipeline, DeterministicAcrossJobs) {
 
 TEST(SynthPipeline, CommittedRulesReProve) {
   // The compiled-in PeepholeRules.def synth group must pass the same gate
-  // CI runs (`maosynth --verify`): oracle plus validator per rule.
+  // CI runs (`mao --synth-verify`): oracle plus validator per rule.
   resetPeepholeRules();
   std::string Detail;
   MaoStatus S = verifyActiveSynthRules(&Detail);

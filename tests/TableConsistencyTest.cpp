@@ -14,7 +14,9 @@
 //    observable outcome (registers, xmm state, written flags) must be
 //    declared used — for the condition-code families the per-CC flag set
 //    (condCodeFlagsUsed) joins the table mask;
-//  * coverage: every mnemonic in Opcodes.def except OPAQUE is executed.
+//  * coverage: every mnemonic in Opcodes.def except OPAQUE is executed;
+//  * uniqueness: no two mnemonics share a name, so the parser's spelling
+//    table maps each base name to exactly one mnemonic.
 //
 //===----------------------------------------------------------------------===//
 
@@ -273,5 +275,14 @@ TEST(TableConsistency, EveryMnemonicIsCovered) {
       continue; // Unmodelled by construction; the emulator rejects it.
     EXPECT_TRUE(Covered.count(Mn))
         << "no emulator sample for mnemonic " << opcodeInfo(Mn).Name;
+  }
+}
+
+TEST(TableConsistency, OpcodeNamesAreUnique) {
+  std::set<std::string> Seen;
+  for (unsigned M = 0; M < static_cast<unsigned>(Mnemonic::NumMnemonics);
+       ++M) {
+    const std::string Name = opcodeInfo(static_cast<Mnemonic>(M)).Name;
+    EXPECT_TRUE(Seen.insert(Name).second) << "duplicate opcode name " << Name;
   }
 }
