@@ -1,5 +1,7 @@
 #!/bin/sh
-# Tree hygiene gate: fails when generated files are tracked by git.
+# Tree hygiene gate: fails when generated files are tracked by git, or
+# when a source file under src/ opens a file for writing (std::ofstream,
+# or fopen with a "w" or "a" mode) anywhere but support/FileIO.cpp.
 #
 # The repo once tracked its whole build/ directory (865 files of CMake
 # droppings and object code), which made every rebuild dirty the tree and
@@ -22,4 +24,16 @@ if [ -n "$BAD" ]; then
   echo "check_tree: run 'git rm -r --cached <path>' and commit" >&2
   exit 1
 fi
-echo "check_tree: no generated files tracked"
+
+# One writer: writeWholeFile checks every open, write, flush and close, so
+# a full disk fails the run instead of leaving a short file behind.
+WRITERS=$(grep -rnE --include='*.cpp' --include='*.h' \
+  'std::ofstream|fopen *\([^;]*, *"[^"]*[wa]' src |
+  grep -v '^src/support/FileIO.cpp:' | head -20)
+if [ -n "$WRITERS" ]; then
+  echo "check_tree: files under src/ open files for writing:" >&2
+  echo "$WRITERS" >&2
+  echo "check_tree: write through writeWholeFile (support/FileIO.h)" >&2
+  exit 1
+fi
+echo "check_tree: no generated files tracked, one file writer"

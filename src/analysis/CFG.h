@@ -43,6 +43,14 @@ struct BasicBlock {
   std::span<const unsigned> Preds;
 
   bool empty() const { return Insns.empty(); }
+  /// True when the block holds nothing observable (NOPs at most): such a
+  /// block may appear or vanish freely.
+  bool isInert() const {
+    for (EntryIter It : Insns)
+      if (!std::as_const(*It).instruction().isNop())
+        return false;
+    return true;
+  }
   const Instruction &lastInstruction() const {
     return std::as_const(*Insns.back()).instruction();
   }

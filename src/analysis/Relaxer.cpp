@@ -15,31 +15,6 @@ using namespace mao;
 
 namespace {
 
-/// Length in bytes of a quoted string literal after unescaping; returns 0
-/// for malformed literals.
-size_t unescapedStringLength(const std::string &Quoted) {
-  if (Quoted.size() < 2 || Quoted.front() != '"' || Quoted.back() != '"')
-    return 0;
-  size_t Len = 0;
-  for (size_t I = 1; I + 1 < Quoted.size(); ++I, ++Len) {
-    if (Quoted[I] != '\\')
-      continue;
-    ++I;
-    if (I + 1 >= Quoted.size())
-      break;
-    // Octal escapes consume up to three digits.
-    unsigned Digits = 0;
-    while (Digits < 3 && I + 1 < Quoted.size() && Quoted[I] >= '0' &&
-           Quoted[I] <= '7') {
-      ++I;
-      ++Digits;
-    }
-    if (Digits > 0)
-      --I; // The loop header advances once more.
-  }
-  return Len;
-}
-
 int64_t parseIntArg(const std::string &Text, int64_t Default = 0) {
   if (Text.empty())
     return Default;
@@ -152,9 +127,8 @@ unsigned mao::entryLayoutSize(MaoEntry &Entry, int64_t Address,
     return static_cast<unsigned>(parseIntArg(Dir.arg(0)));
   case DirKind::String:
   case DirKind::Asciz:
-    return static_cast<unsigned>(unescapedStringLength(Dir.arg(0)) + 1);
   case DirKind::Ascii:
-    return static_cast<unsigned>(unescapedStringLength(Dir.arg(0)));
+    return static_cast<unsigned>(Dir.stringBytes().size());
   default:
     return 0;
   }

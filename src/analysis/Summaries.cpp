@@ -124,34 +124,6 @@ bool summaryEquals(const FunctionSummary &A, const FunctionSummary &B) {
          A.RedZoneSites == B.RedZoneSites;
 }
 
-/// Net bytes pushed by one instruction outside the shapes the frame-anchor
-/// walk special-cases, or nullopt when the effect on %rsp is unknown.
-std::optional<int64_t> plainStackDelta(const Instruction &Insn) {
-  const OpcodeInfo &Info = Insn.info();
-  switch (Info.Kind) {
-  case EncKind::Push:
-    return 8;
-  case EncKind::Pop:
-    return -8;
-  case EncKind::Ret:
-    return 0;
-  default:
-    break;
-  }
-  if (Info.Kind == EncKind::AluRMI && Insn.Ops.size() == 2 &&
-      Insn.Ops[1].isReg() && superReg(Insn.Ops[1].R) == Reg::RSP &&
-      Insn.Ops[0].isConstImm()) {
-    if (Insn.Mn == Mnemonic::SUB)
-      return Insn.Ops[0].Imm;
-    if (Insn.Mn == Mnemonic::ADD)
-      return -Insn.Ops[0].Imm;
-    return std::nullopt;
-  }
-  if (Insn.effects().RegDefs & regMaskBit(Reg::RSP))
-    return std::nullopt;
-  return 0;
-}
-
 /// One function's summary given the (possibly still-evolving) summaries of
 /// its callees in \p Table.
 FunctionSummary computeOne(const CallGraph &CG, unsigned FnIdx, CFG &G,
@@ -381,7 +353,7 @@ FunctionSummary computeOne(const CallGraph &CG, unsigned FnIdx, CFG &G,
           D = A == NoAnchor ? Unknown : A;
         } else {
           if (D != Unknown) {
-            std::optional<int64_t> Delta = plainStackDelta(Insn);
+            std::optional<int64_t> Delta = stackDelta(Insn);
             D = Delta ? D + *Delta : Unknown;
           }
           if (Insn.effects().RegDefs & regMaskBit(Reg::RBP))
@@ -564,4 +536,31 @@ RegMask SummaryTable::callClobbers(const Instruction &Call) const {
 RegMask SummaryTable::callReads(const Instruction &Call) const {
   const FunctionSummary *Callee = calleeSummary(Call);
   return Callee ? Callee->ArgsRead : ArgRegsMask;
+}
+
+std::optional<int64_t> mao::stackDelta(const Instruction &Insn) {
+  const OpcodeInfo &Info = Insn.info();
+  switch (Info.Kind) {
+  case EncKind::Push:
+    return 8;
+  case EncKind::Pop:
+    return -8;
+  case EncKind::Call:
+  case EncKind::Ret:
+    return 0;
+  default:
+    break;
+  }
+  if (Info.Kind == EncKind::AluRMI && Insn.Ops.size() == 2 &&
+      Insn.Ops[1].isReg() && superReg(Insn.Ops[1].R) == Reg::RSP &&
+      Insn.Ops[0].isConstImm()) {
+    if (Insn.Mn == Mnemonic::SUB)
+      return Insn.Ops[0].Imm;
+    if (Insn.Mn == Mnemonic::ADD)
+      return -Insn.Ops[0].Imm;
+    return std::nullopt;
+  }
+  if (Insn.effects().RegDefs & regMaskBit(Reg::RSP))
+    return std::nullopt;
+  return 0;
 }

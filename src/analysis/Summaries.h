@@ -26,6 +26,7 @@
 #include "analysis/CallGraph.h"
 
 #include <cstdint>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -37,6 +38,13 @@ extern const RegMask CalleeSavedMask;
 extern const RegMask ArgRegsMask;
 /// Registers carrying return values: rax, rdx, xmm0, xmm1.
 extern const RegMask ReturnRegsMask;
+
+/// Net bytes \p Insn pushes onto the stack: push, pop, and add/sub of a
+/// constant to %rsp; 0 for a call (the callee pops the return address)
+/// and anything that leaves %rsp alone; nullopt for any other write to
+/// %rsp (mov, lea, leave, opaque). The frame walk here and the linter's
+/// alignment rule share this one rule.
+std::optional<int64_t> stackDelta(const Instruction &Insn);
 
 /// What one function does to the machine state, as far as the analysis can
 /// prove. The detail vectors carry pre-rendered, function-local fragments

@@ -2,23 +2,6 @@
 
 #include "asm/AsmEmitter.h"
 
-#include <cstdio>
-
 using namespace mao;
 
 std::string mao::emitAssembly(const MaoUnit &Unit) { return Unit.toString(); }
-
-MaoStatus mao::writeAssemblyFile(const MaoUnit &Unit,
-                                 const std::string &Path) {
-  std::string Text = emitAssembly(Unit);
-  if (Path == "-") {
-    std::fwrite(Text.data(), 1, Text.size(), stdout);
-    return MaoStatus::success();
-  }
-  std::FILE *File = std::fopen(Path.c_str(), "w");
-  if (!File)
-    return MaoStatus::error("cannot open output file: " + Path);
-  std::fwrite(Text.data(), 1, Text.size(), File);
-  std::fclose(File);
-  return MaoStatus::success();
-}

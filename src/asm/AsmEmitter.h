@@ -11,7 +11,6 @@
 #define MAO_ASM_ASMEMITTER_H
 
 #include "ir/MaoUnit.h"
-#include "support/Status.h"
 
 #include <string>
 
@@ -20,10 +19,6 @@ namespace mao {
 /// Renders \p Unit as assembly text (same as Unit.toString(); named entry
 /// point so clients do not depend on IR internals).
 std::string emitAssembly(const MaoUnit &Unit);
-
-/// Writes the unit to \p Path ("-" writes to stdout). Returns an error when
-/// the file cannot be opened.
-MaoStatus writeAssemblyFile(const MaoUnit &Unit, const std::string &Path);
 
 } // namespace mao
 

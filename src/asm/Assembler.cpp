@@ -39,56 +39,6 @@ int64_t resolveDataArg(const std::string &Arg, const LabelAddressMap &Labels) {
   return It == Labels.end() ? 0 : It->second;
 }
 
-/// Unescapes a quoted string literal (supports the escapes gas emits).
-std::string unescapeString(const std::string &Quoted) {
-  std::string Out;
-  if (Quoted.size() < 2 || Quoted.front() != '"' || Quoted.back() != '"')
-    return Out;
-  for (size_t I = 1; I + 1 < Quoted.size(); ++I) {
-    char C = Quoted[I];
-    if (C != '\\') {
-      Out += C;
-      continue;
-    }
-    ++I;
-    if (I + 1 >= Quoted.size() + 1)
-      break;
-    char E = Quoted[I];
-    switch (E) {
-    case 'n':
-      Out += '\n';
-      break;
-    case 't':
-      Out += '\t';
-      break;
-    case 'r':
-      Out += '\r';
-      break;
-    case '\\':
-      Out += '\\';
-      break;
-    case '"':
-      Out += '"';
-      break;
-    default:
-      if (E >= '0' && E <= '7') {
-        unsigned Value = 0, Digits = 0;
-        while (Digits < 3 && I + 1 < Quoted.size() && Quoted[I] >= '0' &&
-               Quoted[I] <= '7') {
-          Value = Value * 8 + static_cast<unsigned>(Quoted[I] - '0');
-          ++I;
-          ++Digits;
-        }
-        --I;
-        Out += static_cast<char>(Value);
-      } else {
-        Out += E;
-      }
-    }
-  }
-  return Out;
-}
-
 /// Emits alignment padding: multi-byte NOPs in code sections, zeros in data.
 /// The NOP patterns and the 11-byte chunking match gas' alt_patt table so
 /// that MAO-assembled text is byte-identical with GNU as output.
@@ -141,14 +91,9 @@ MaoStatus emitDirective(const MaoEntry &Entry, const LabelAddressMap &Labels,
     Out.insert(Out.end(), Entry.Size, 0);
     return MaoStatus::success();
   case DirKind::String:
-  case DirKind::Asciz: {
-    std::string S = unescapeString(Dir.arg(0));
-    Out.insert(Out.end(), S.begin(), S.end());
-    Out.push_back(0);
-    return MaoStatus::success();
-  }
+  case DirKind::Asciz:
   case DirKind::Ascii: {
-    std::string S = unescapeString(Dir.arg(0));
+    const std::string S = Dir.stringBytes();
     Out.insert(Out.end(), S.begin(), S.end());
     return MaoStatus::success();
   }

@@ -284,9 +284,11 @@ bool readMemRef(Cursor &C, MemRef &M) {
 /// Reads one AT&T operand at the cursor into \p Op, a default-constructed
 /// operand (the instruction's own slot, so the symbol is built in place):
 /// "%reg", "$imm", "$sym+k", "disp(base,index,scale)", a bare integer or
-/// "sym+k", any of the last four after a '*'. Returns false on anything
-/// outside these forms (the caller degrades the instruction to opaque).
-bool readOperand(Cursor &C, Operand &Op) {
+/// "sym+k", any of the last four after a '*'. A bare "sym+k" is a branch
+/// or call target when \p BranchTarget, else an absolute memory operand
+/// like a bare integer. Returns false on anything outside these forms (the
+/// caller degrades the instruction to opaque).
+bool readOperand(Cursor &C, Operand &Op, bool BranchTarget) {
   bool Star = false;
   if (C.eat('*')) {
     Star = true;
@@ -332,10 +334,10 @@ bool readOperand(Cursor &C, Operand &Op) {
     return true;
   }
 
-  // Bare symbol: direct target or data symbol.
+  // Bare symbol: direct target, else an absolute data address.
   if (!parseSymbolExpr(Text, Sym, Op.Imm))
     return false;
-  Op.Kind = OperandKind::Symbol;
+  Op.Kind = BranchTarget ? OperandKind::Symbol : OperandKind::Memory;
   Op.Sym = Sym;
   return true;
 }
@@ -394,6 +396,7 @@ std::vector<std::pair<std::string, MnemonicSpelling>> mao::mnemonicSpellings() {
     P.Mn = Mnemonic::MOV;
     P.W = Width::Q;
     Add("movq", P);
+    P.Movabs = true;
     Add("movabs", P);
     Add("movabsq", P);
   }
@@ -530,6 +533,15 @@ std::optional<MnemonicSpelling> mao::parseMnemonic(std::string_view M) {
   return std::nullopt;
 }
 
+bool mao::movabsAsMovq(const Instruction &Insn) {
+  if (Insn.Ops.size() != 2)
+    return false;
+  const Operand &Src = Insn.Ops[0];
+  const Operand &Dst = Insn.Ops[1];
+  return Src.isConstImm() && Src.Imm != static_cast<int32_t>(Src.Imm) &&
+         Dst.isReg() && regIsGpr(Dst.R) && regWidth(Dst.R) == Width::Q;
+}
+
 namespace {
 
 /// Widths are implied by register operands when the suffix is omitted
@@ -584,10 +596,13 @@ bool parseModelledInstruction(std::string_view Stmt, Instruction &Insn,
   Insn.NopLength = ParsedMnemonic->NopLength;
 
   // Operands: each is followed by a comma and the next one, or the end.
+  const EncKind Kind = Insn.info().Kind;
+  const bool Branch =
+      Kind == EncKind::Jmp || Kind == EncKind::Jcc || Kind == EncKind::Call;
   C.skipBlanks();
   if (!C.atEnd())
     for (;;) {
-      if (!readOperand(C, Insn.Ops.emplace_back()))
+      if (!readOperand(C, Insn.Ops.emplace_back(), Branch))
         return false;
       C.skipBlanks();
       if (C.atEnd())
@@ -608,8 +623,6 @@ bool parseModelledInstruction(std::string_view Stmt, Instruction &Insn,
   }
 
   deduceWidth(Insn);
-  if (!validateBranchTarget(Insn))
-    return false;
 
   // Structural validation: operand counts per kind are enforced by assert
   // in downstream code, so check here and degrade gracefully instead.
@@ -650,7 +663,9 @@ bool parseModelledInstruction(std::string_view Stmt, Instruction &Insn,
     }
     return false;
   };
-  if (!CountOk())
+  // The count first: a branch without a target has no target to check.
+  if (!CountOk() || !validateBranchTarget(Insn) ||
+      (ParsedMnemonic->Movabs && !movabsAsMovq(Insn)))
     return false;
 
   // Widthful kinds must have a width by now (e.g. `movl $1, (%rax)` needs

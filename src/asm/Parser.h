@@ -52,12 +52,14 @@ ErrorOr<MaoUnit> parseAssembly(const std::string &Text,
 
 /// What a mnemonic spelling decodes to: "addl" is ADD at width L, "movzbl"
 /// MOVZX from B to L, "jne" JCC with condition NE, "nop5" a 5-byte NOP.
+/// "movabs" is MOV at width Q spelled as movabs: see movabsAsMovq().
 struct MnemonicSpelling {
   Mnemonic Mn = Mnemonic::Invalid;
   Width W = Width::None;
   Width SrcW = Width::None;
   CondCode CC = CondCode::None;
   uint8_t NopLength = 1;
+  bool Movabs = false;
 
   bool operator==(const MnemonicSpelling &) const = default;
 };
@@ -70,6 +72,13 @@ std::optional<MnemonicSpelling> parseMnemonic(std::string_view Text);
 /// listed more than once resolves to its first entry. (Non-canonical NOP
 /// lengths such as "nop007" are decoded outside the table.)
 std::vector<std::pair<std::string, MnemonicSpelling>> mnemonicSpellings();
+
+/// Whether a movabs with \p Insn's operands is modelled, as the movq it is
+/// printed as: only a constant outside imm32 loaded into a 64-bit register,
+/// where both encode B8+r imm64. Its moffs64 memory forms (A0-A3) and its
+/// imm64 load of a symbol or a small constant have bytes movq lacks, so
+/// those stay opaque and are emitted verbatim.
+bool movabsAsMovq(const Instruction &Insn);
 
 /// Parses a single instruction line (no label/directive). Exposed for
 /// tests and the detection framework. Falls back to an opaque instruction

@@ -6,6 +6,7 @@
 #include "analysis/CallGraph.h"
 #include "analysis/Dataflow.h"
 #include "analysis/Summaries.h"
+#include "support/FileIO.h"
 #include "support/Stats.h"
 #include "support/ThreadPool.h"
 
@@ -62,13 +63,6 @@ std::string blockName(const BasicBlock &B) {
   if (!B.Labels.empty())
     return "'" + B.Labels.front()->labelName() + "'";
   return "#" + std::to_string(B.Index);
-}
-
-bool blockIsInert(const BasicBlock &B) {
-  for (EntryIter It : B.Insns)
-    if (It->isInstruction() && !std::as_const(*It).instruction().isNop())
-      return false;
-  return true;
 }
 
 const char *gprMaskName(unsigned Bit) {
@@ -232,7 +226,7 @@ void ruleUnreachable(const FnLintContext &C, FindingBuf &E) {
       }
   }
   for (const BasicBlock &B : C.G.blocks())
-    if (!Seen[B.Index] && !blockIsInert(B))
+    if (!Seen[B.Index] && !B.isInert())
       E.warn(DiagCode::LintUnreachableBlock,
              "function '" + C.Fn.name() + "': block " + blockName(B) +
                  " is unreachable");
@@ -245,37 +239,6 @@ void ruleUnreachable(const FnLintContext &C, FindingBuf &E) {
 // a known push-depth ≡ 8 (mod 16). Depth tracking is abandoned (not
 // reported) at instructions that modify %rsp in unmodelled ways.
 //===----------------------------------------------------------------------===//
-
-/// Net bytes this instruction pushes onto the stack, or nullopt when the
-/// effect on %rsp is not statically known.
-std::optional<int64_t> stackDelta(const Instruction &Insn) {
-  const OpcodeInfo &Info = Insn.info();
-  switch (Info.Kind) {
-  case EncKind::Push:
-    return 8;
-  case EncKind::Pop:
-    return -8;
-  case EncKind::Call: // Balanced: callee pops the return address.
-  case EncKind::Ret:
-    return 0;
-  default:
-    break;
-  }
-  // Explicit %rsp adjustments: add/sub $imm, %rsp.
-  if (Info.Kind == EncKind::AluRMI && Insn.Ops.size() == 2 &&
-      Insn.Ops[1].isReg() && superReg(Insn.Ops[1].R) == Reg::RSP &&
-      Insn.Ops[0].isConstImm()) {
-    if (Insn.Mn == Mnemonic::SUB)
-      return Insn.Ops[0].Imm;
-    if (Insn.Mn == Mnemonic::ADD)
-      return -Insn.Ops[0].Imm;
-    return std::nullopt;
-  }
-  // Any other write to %rsp (mov, lea, leave, opaque) loses tracking.
-  if (Insn.effects().RegDefs & regMaskBit(Reg::RSP))
-    return std::nullopt;
-  return 0;
-}
 
 void ruleStackAlignment(const FnLintContext &C, FindingBuf &E) {
   const auto &Blocks = C.G.blocks();
@@ -705,17 +668,11 @@ public:
 
   /// Writes every finding seen (suppressed or not) as a baseline file.
   bool writeBaseline(const std::string &Path, std::string &Error) const {
-    std::ofstream File(Path, std::ios::trunc);
-    if (!File) {
-      Error = "cannot write baseline file '" + Path + "'";
-      return false;
-    }
-    File << "# mao lint baseline (fingerprint  rule: message)\n";
+    std::string Text = "# mao lint baseline (fingerprint  rule: message)\n";
     for (const Entry &E : All)
-      File << diagFingerprintHex(E.Fingerprint) << "  "
-           << diagCodeName(E.Code) << ": " << E.Message << "\n";
-    File.flush();
-    if (!File) {
+      Text += diagFingerprintHex(E.Fingerprint) + "  " +
+              diagCodeName(E.Code) + ": " + E.Message + "\n";
+    if (writeWholeFile(Path, Text)) {
       Error = "cannot write baseline file '" + Path + "'";
       return false;
     }

@@ -114,15 +114,6 @@ std::vector<std::string> blockText(const BasicBlock &B) {
   return Out;
 }
 
-/// Returns true when a block contains nothing observable (labels and NOPs
-/// only, falling through) — such blocks may appear or vanish freely.
-bool blockIsInert(const BasicBlock &B) {
-  for (const Instruction *I : blockInsns(B))
-    if (!I->isNop())
-      return false;
-  return true;
-}
-
 class Validator {
 public:
   explicit Validator(MaoUnit &Before, MaoUnit &After)
@@ -312,7 +303,7 @@ void Validator::checkFunction(MaoFunction &FnB, MaoFunction &FnA) {
     auto It = KeyToA.find(SideB.Keys[BiB]);
     const BasicBlock &BB = SideB.Graph.blocks()[BiB];
     if (It == KeyToA.end()) {
-      if (!blockIsInert(BB))
+      if (!BB.isInert())
         diverge(FnB.name(), BB,
                 "reachable block disappeared from the pass output");
       continue;
@@ -328,7 +319,7 @@ void Validator::checkFunction(MaoFunction &FnB, MaoFunction &FnA) {
     if (MatchedA[BiA] || !SideA.Reachable[BiA])
       continue;
     const BasicBlock &BA = SideA.Graph.blocks()[BiA];
-    if (!blockIsInert(BA))
+    if (!BA.isInert())
       diverge(FnA.name(), BA,
               "pass introduced a reachable block with no counterpart");
   }

@@ -40,10 +40,6 @@ int64_t sext(uint64_t Value, unsigned Bits) {
   return static_cast<int64_t>((Value ^ Sign) - Sign);
 }
 
-bool parity8(uint64_t Value) {
-  return (std::popcount(Value & 0xff) % 2) == 0;
-}
-
 /// True for masks of the form 00..011..1 (at least one low bit set).
 bool isLowOnesMask(uint64_t M) { return M != 0 && ((M + 1) & M) == 0; }
 

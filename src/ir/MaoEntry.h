@@ -73,13 +73,21 @@ enum class DirKind : uint8_t {
 struct Directive {
   DirKind Kind = DirKind::Other;
   std::string Name;              ///< As spelled, including the leading dot.
-  std::vector<std::string> Args; ///< Comma-separated argument strings.
+  /// Comma-separated argument strings, without surrounding blanks: the
+  /// parser trims each, and passes build them trimmed.
+  std::vector<std::string> Args;
 
   /// Returns Args[I] or "" when absent.
   const std::string &arg(size_t I) const {
     static const std::string Empty;
     return I < Args.size() ? Args[I] : Empty;
   }
+
+  /// The bytes a string directive (.ascii, .string, .asciz) assembles to:
+  /// each quoted argument with its escapes decoded as gas reads them, and
+  /// a NUL after each for .string and .asciz. The one reading of string
+  /// literals, so layout sizes and assembled bytes cannot drift apart.
+  std::string stringBytes() const;
 };
 
 /// One node in MAO's long entry list.

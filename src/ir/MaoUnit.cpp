@@ -5,6 +5,8 @@
 #include "support/Stats.h"
 
 #include <cassert>
+#include <cctype>
+#include <cstring>
 #include <utility>
 
 using namespace mao;
@@ -41,15 +43,6 @@ bool isSectionDirective(const MaoEntry &E) {
   DirKind K = E.directive().Kind;
   return K == DirKind::Text || K == DirKind::Data || K == DirKind::Bss ||
          K == DirKind::Section;
-}
-
-/// Strips whitespace from both ends of \p S.
-std::string trimmed(const std::string &S) {
-  size_t B = S.find_first_not_of(" \t");
-  if (B == std::string::npos)
-    return "";
-  size_t E = S.find_last_not_of(" \t");
-  return S.substr(B, E - B + 1);
 }
 
 /// True for the entries a CFG's block formation keys on: labels start
@@ -122,6 +115,45 @@ template <class FnT> void forEachRange(UnitViews &V, FnT F) {
 std::string MaoEntry::toString() const {
   std::string Out;
   appendTo(Out);
+  return Out;
+}
+
+std::string Directive::stringBytes() const {
+  static constexpr char Named[] = "bfnrt", NamedValue[] = "\b\f\n\r\t";
+  auto IsDigit = [](char C) { return C >= '0' && C <= '9'; };
+  std::string Out;
+  for (const std::string &Quoted : Args) {
+    if (Quoted.size() >= 2 && Quoted.front() == '"' && Quoted.back() == '"')
+      for (size_t I = 1, End = Quoted.size() - 1; I < End; ++I) {
+        char C = Quoted[I];
+        if (C == '\\' && I + 1 < End) {
+          C = Quoted[++I];
+          if (IsDigit(C)) {
+            // Up to three digits, the low byte kept; gas reads '8' and '9'
+            // as octal digits too.
+            unsigned V = C - '0';
+            for (int N = 1; N < 3 && I + 1 < End && IsDigit(Quoted[I + 1]);
+                 ++N)
+              V = V * 8 + (Quoted[++I] - '0');
+            C = static_cast<char>(V);
+          } else if (C == 'x' || C == 'X') {
+            // Every hex digit that follows, the low byte kept.
+            unsigned V = 0;
+            while (I + 1 < End &&
+                   std::isxdigit(static_cast<unsigned char>(Quoted[I + 1]))) {
+              const char H = Quoted[++I];
+              V = V * 16 + (IsDigit(H) ? H - '0' : (H | 0x20) - 'a' + 10);
+            }
+            C = static_cast<char>(V);
+          } else if (const char *P = std::strchr(Named, C); P && C) {
+            C = NamedValue[P - Named];
+          } // Else '\\', '"' or an unknown escape: the character itself.
+        }
+        Out += C;
+      }
+    if (Kind == DirKind::String || Kind == DirKind::Asciz)
+      Out += '\0';
+  }
   return Out;
 }
 
@@ -370,7 +402,7 @@ UnitViews MaoUnit::derive(bool SetOwners) {
       const Directive &Dir = E.directive();
       const std::string &TypeArg = Dir.arg(1);
       if (TypeArg.find("function") != std::string::npos)
-        IsFunctionSym[trimmed(Dir.arg(0))] = true;
+        IsFunctionSym[Dir.arg(0)] = true;
     }
   }
 
@@ -420,7 +452,7 @@ UnitViews MaoUnit::derive(bool SetOwners) {
     if (isSectionDirective(*It)) {
       closeSectionRun(It);
       closeFnRun(It);
-      CurSection = trimmed(sectionNameOf(It->directive()));
+      CurSection = sectionNameOf(It->directive());
       CurIsCode = isCodeSectionName(CurSection);
       RunBegin = std::next(It);
       if (OpenFn && CurIsCode) {
@@ -437,7 +469,7 @@ UnitViews MaoUnit::derive(bool SetOwners) {
       FnRunBegin = It;
       FnRunOpen = true;
     } else if (It->isDirective(DirKind::Size) && OpenFn &&
-               trimmed(It->directive().arg(0)) == OpenFn->name()) {
+               It->directive().arg(0) == OpenFn->name()) {
       closeFunction(It);
     }
     // The vector's buffer moves into the views, so the pointer stays good.

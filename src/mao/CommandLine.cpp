@@ -2,6 +2,7 @@
 
 #include "mao/CommandLine.h"
 
+#include "support/FaultInjection.h"
 #include "support/OptionRegistry.h"
 #include "support/Options.h"
 
@@ -75,20 +76,8 @@ OptionRegistry buildDriverOptions(MaoCommandLine &Cmd) {
   R.addCustom(
       "--mao-fault-inject",
       [&Cmd](const std::string &Payload) {
-        std::string Spec = Payload;
-        std::string::size_type At = Spec.find('@');
-        if (At != std::string::npos) {
-          std::string SeedText = Spec.substr(At + 1);
-          char *End = nullptr;
-          unsigned long long Seed = std::strtoull(SeedText.c_str(), &End, 10);
-          if (End == SeedText.c_str() || *End != '\0')
-            return MaoStatus::error(
-                "--mao-fault-inject seed must be an integer; got '" +
-                SeedText + "'");
-          Cmd.FaultSeed = Seed;
-          Spec = Spec.substr(0, At);
-        }
-        Cmd.FaultSpec = Spec;
+        if (MaoStatus S = splitFaultSeed(Payload, Cmd.FaultSpec, Cmd.FaultSeed))
+          return MaoStatus::error("--mao-fault-inject " + S.message());
         return MaoStatus::success();
       },
       "arm the deterministic fault injector: site:permille[,...][@seed]");
@@ -164,7 +153,7 @@ OptionRegistry buildDriverOptions(MaoCommandLine &Cmd) {
         return MaoStatus::success();
       },
       "candidate-evaluation budget: small, medium, large, or a count");
-  R.addString("--tune-report", &Cmd.Tune.ReportPath,
+  R.addString("--tune-report", &Cmd.TuneReportPath,
               "write the machine-readable JSON tuning report to FILE");
   AddU64("--tune-seed", &Cmd.Tune.Seed, "an integer",
          "search seed; runs are deterministic in (input, seed, budget, "
@@ -196,11 +185,9 @@ OptionRegistry buildDriverOptions(MaoCommandLine &Cmd) {
   R.addFlag("--synth-no-workloads", &Cmd.Synth.IncludeWorkloads,
             "harvest only the input corpus, not generated workload code",
             /*Value=*/false);
-  // The help text predates `mao --synth`; it stays so that --mao-help
-  // output does not change.
   R.addString("--synth-rules", &Cmd.SynthRules,
               "replace the synth rule group with the rules of FILE (a .def "
-              "table, the shape maosynth emits) before optimizing");
+              "table, the shape mao --synth emits) before optimizing");
   R.addFlag("--synth-verify", &Cmd.SynthVerify,
             "re-prove every active synthesized rule (symbolic oracle plus "
             "SemanticValidator) and exit; the CI gate over the rule table");

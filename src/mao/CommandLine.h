@@ -69,8 +69,9 @@ struct MaoCommandLine {
   uint64_t FaultSeed = 1;
   /// --mao-relax={grow,optimal}: Program::setRelaxMode spelling.
   std::string RelaxMode = "grow";
-  /// --mao-report=FILE ("-" for stdout) and --stats.
+  /// --mao-report=FILE ("-" for stdout), --tune-report=FILE and --stats.
   std::string ReportPath;
+  std::string TuneReportPath;
   bool Stats = false;
   /// --mao-trace-level=N.
   long TraceLevel = 0;

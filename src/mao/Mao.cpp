@@ -39,7 +39,6 @@
 #include <algorithm>
 #include <chrono>
 #include <cstdio>
-#include <fstream>
 
 namespace mao {
 namespace api {
@@ -76,13 +75,17 @@ std::vector<PassSpec> toSpecs(const std::vector<PassRequest> &Requests) {
   return Specs;
 }
 
-ErrorOr<ProcessorConfig> configByName(const std::string &Name) {
-  if (Name == "core2" || Name.empty())
-    return ProcessorConfig::core2();
-  if (Name == "opteron")
-    return ProcessorConfig::opteron();
-  return MaoStatus::error("unknown processor config '" + Name +
-                          "' (expected core2 or opteron)");
+/// Adds one pass outcome to \p Report: its pass list, its failure,
+/// rollback and skip tallies, and its transformation total.
+void addOutcome(RunReport &Report, const PassOutcomeInfo &Outcome) {
+  if (Outcome.Status == "failed")
+    ++Report.Failures;
+  else if (Outcome.Status == "rolled-back")
+    ++Report.Rollbacks;
+  else if (Outcome.Status == "skipped")
+    ++Report.Skips;
+  Report.TotalTransformations += Outcome.Transformations;
+  Report.Passes.push_back(Outcome);
 }
 
 } // namespace
@@ -177,19 +180,14 @@ Status Session::writeTrace() {
   if (I->Cfg.TraceOutPath.empty())
     return Status::success();
   I->TraceFlushed = true;
-  if (!I->Tl.writeTo(I->Cfg.TraceOutPath))
-    return Status::error("cannot write trace timeline to " +
-                         I->Cfg.TraceOutPath);
-  return Status::success();
+  return fromStatus(writeWholeFile(I->Cfg.TraceOutPath, I->Tl.renderJson()));
 }
 
 Status Session::writeSarif() {
   if (I->Cfg.SarifPath.empty())
     return Status::success();
   I->SarifFlushed = true;
-  if (!I->Sarif.writeTo(I->Cfg.SarifPath))
-    return Status::error("cannot write SARIF log to " + I->Cfg.SarifPath);
-  return Status::success();
+  return fromStatus(writeWholeFile(I->Cfg.SarifPath, I->Sarif.render()));
 }
 
 Status Session::armFaultInjection(const std::string &Spec, uint64_t Seed) {
@@ -340,16 +338,8 @@ Status computeArtifact(Session &S, const CachedRunRequest &Request,
   RunReport Report;
   Report.Input = "<artifact>";
   Report.Parse = Info;
-  Report.Passes = R.Outcomes;
-  for (const PassOutcomeInfo &Outcome : R.Outcomes) {
-    if (Outcome.Status == "failed")
-      ++Report.Failures;
-    else if (Outcome.Status == "rolled-back")
-      ++Report.Rollbacks;
-    else if (Outcome.Status == "skipped")
-      ++Report.Skips;
-  }
-  Report.TotalTransformations = R.TotalTransformations;
+  for (const PassOutcomeInfo &Outcome : R.Outcomes)
+    addOutcome(Report, Outcome);
   Out.ReportJson = Session::reportJson(Report, /*IncludeTimings=*/false);
   return Status::success();
 }
@@ -507,21 +497,7 @@ OptimizeResult Session::optimize(Program &P,
     Info.ValidateMs = Outcome.ValidateMs;
     Info.Detail = Outcome.Detail;
     Result.TotalTransformations += Outcome.Transformations;
-    switch (Outcome.Status) {
-    case PassStatus::Ok:
-      break;
-    case PassStatus::Failed:
-      ++I->Report.Failures;
-      break;
-    case PassStatus::RolledBack:
-      ++I->Report.Rollbacks;
-      break;
-    case PassStatus::Skipped:
-      ++I->Report.Skips;
-      break;
-    }
-    I->Report.TotalTransformations += Outcome.Transformations;
-    I->Report.Passes.push_back(Info);
+    addOutcome(I->Report, Info);
     Result.Outcomes.push_back(std::move(Info));
   }
   I->Report.Jobs = Pipe.Jobs;
@@ -544,7 +520,7 @@ Status Session::emitToFile(Program &P, const std::string &Path) {
   if (!P.valid())
     return Status::error("program is not parsed");
   PhaseTimer Phase("emit", "time.phase.emit_us");
-  return fromStatus(writeAssemblyFile(P.I->Unit, Path));
+  return fromStatus(writeWholeFile(Path, emitAssembly(P.I->Unit)));
 }
 
 std::string Session::emitToString(Program &P) {
@@ -610,11 +586,13 @@ Status Session::measure(Program &P, const MeasureRequest &Request,
                         MeasureSummary &Out) {
   if (!P.valid())
     return Status::error("program is not parsed");
-  auto ConfigOr = configByName(Request.Config);
-  if (!ConfigOr.ok())
-    return Status::error(ConfigOr.message());
+  const std::optional<ProcessorConfig> Config = ProcessorConfig::byName(
+      Request.Config.empty() ? "core2" : Request.Config);
+  if (!Config)
+    return Status::error("unknown processor config '" + Request.Config +
+                         "' (expected core2 or opteron)");
   MeasureOptions Opts;
-  Opts.Config = *ConfigOr;
+  Opts.Config = *Config;
   Opts.MaxSteps = Request.MaxSteps;
   auto ResultOr = measureFunction(P.I->Unit, Request.Function, Opts);
   if (!ResultOr.ok())
@@ -672,9 +650,6 @@ Status Session::tune(Program &P, const TuneRequest &Request,
   Out.ReportJson = tuneReportJson(R);
   I->Report.Tuned = true;
   I->Report.Tune = Out;
-  if (!Request.ReportPath.empty())
-    if (MaoStatus S = writeTuneReport(R, Request.ReportPath))
-      return Status::error(S.message());
   return Status::success();
 }
 
@@ -729,11 +704,9 @@ Status Session::synthesize(const SynthOptions &Request, SynthSummary &Out) {
   Out.RulesEmitted = R.Stats.RulesEmitted;
   Out.ShardFailures = R.Stats.ShardFailures;
   Out.TableText = R.TableText;
-  if (!Request.OutPath.empty()) {
-    std::ofstream OutFile(Request.OutPath, std::ios::binary);
-    if (!OutFile || !(OutFile << Out.TableText))
-      return Status::error("cannot write '" + Request.OutPath + "'");
-  }
+  if (!Request.OutPath.empty() &&
+      writeWholeFile(Request.OutPath, Out.TableText))
+    return Status::error("cannot write '" + Request.OutPath + "'");
   return Status::success();
 }
 
@@ -954,18 +927,7 @@ std::string Session::lastReportJson(bool IncludeTimings) const {
 }
 
 Status Session::writeReport(const std::string &Path) const {
-  const std::string Json = lastReportJson();
-  if (Path == "-") {
-    std::fwrite(Json.data(), 1, Json.size(), stdout);
-    return Status::success();
-  }
-  std::FILE *F = std::fopen(Path.c_str(), "w");
-  if (!F)
-    return Status::error("cannot write run report to " + Path);
-  const bool Ok = std::fwrite(Json.data(), 1, Json.size(), F) == Json.size();
-  if (std::fclose(F) != 0 || !Ok)
-    return Status::error("cannot write run report to " + Path);
-  return Status::success();
+  return fromStatus(writeWholeFile(Path, lastReportJson()));
 }
 
 std::string Session::statsTable() const {

@@ -178,7 +178,6 @@ struct TuneRequest {
   /// splitting and I-cache basic-block reordering (--tune-layout-axis);
   /// off by default for the same trajectory-stability reason.
   bool LayoutAxis = false;
-  std::string ReportPath; ///< When set, the JSON report is written here.
   /// Score-cache byte budget, 0 = unlimited (--mao-score-cache-budget).
   /// Eviction can only cost re-simulation, never change the result.
   uint64_t ScoreCacheBudgetBytes = 0;
@@ -194,7 +193,8 @@ struct TuneSummary {
   unsigned Restarts = 0;
   uint64_t ScoreCacheHits = 0;
   uint64_t ScoreCacheMisses = 0;
-  std::string ReportJson; ///< The full machine-readable report.
+  std::string ReportJson; ///< The full machine-readable report (the
+                          ///< driver writes it to --tune-report).
 };
 
 /// Options for Session::synthesize (see DESIGN.md, "Rule synthesis"). The
@@ -389,7 +389,9 @@ public:
   Session(const Session &) = delete;
   Session &operator=(const Session &) = delete;
 
-  /// Flushes the SARIF log now (also runs on destruction).
+  /// Flushes the SARIF log now (also runs on destruction, which drops the
+  /// result). Like every write here, a failure reads "cannot write PATH:
+  /// REASON"; without a configured path this does nothing.
   Status writeSarif();
 
   /// Flushes the trace-event timeline now (also runs on destruction).

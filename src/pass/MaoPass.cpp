@@ -532,6 +532,9 @@ PipelineResult mao::runPasses(MaoUnit &Unit,
     std::string FailureDetail;
     DiagCode FailureCode = DiagCode::PassFailed;
     bool Failed = false;
+    // A lost output stops the pipeline whatever the policy, and its caller
+    // reports it: no rollback brings the output back.
+    bool LostOutput = false;
     std::vector<FunctionFailure> FnFailures;
 
     {
@@ -556,6 +559,11 @@ PipelineResult mao::runPasses(MaoUnit &Unit,
           for (const FunctionFailure &F : FnFailures)
             FailureDetail += (FailureDetail.empty() ? "" : "; ") + F.Detail;
         }
+      } catch (const OutputWriteError &E) {
+        Failed = true;
+        LostOutput = true;
+        FnFailures.clear();
+        FailureDetail = E.what();
       } catch (const PassTimeoutError &E) {
         Failed = true;
         FnFailures.clear(); // Timeout fails the whole request.
@@ -619,7 +627,7 @@ PipelineResult mao::runPasses(MaoUnit &Unit,
     }
 
     Outcome.Detail = FailureDetail;
-    if (Options.Diags) {
+    if (Options.Diags && !LostOutput) {
       // Function failures were buffered by the shards; emit them here, on
       // the orchestrating thread, in function order — diagnostics output
       // is deterministic no matter how the shards were scheduled.
@@ -629,7 +637,7 @@ PipelineResult mao::runPasses(MaoUnit &Unit,
         Options.Diags->error(FailureCode, FailureDetail, {}, Req.PassName);
     }
 
-    switch (Options.OnError) {
+    switch (LostOutput ? OnErrorPolicy::Abort : Options.OnError) {
     case OnErrorPolicy::Abort:
       Outcome.Status = PassStatus::Failed;
       Finish(Outcome);

@@ -25,6 +25,7 @@
 
 #include <functional>
 #include <memory>
+#include <stdexcept>
 #include <string>
 #include <vector>
 
@@ -71,6 +72,13 @@ private:
   MaoUnit *Unit;
   TraceContext Tracer;
   unsigned Transformations = 0;
+};
+
+/// Thrown by a pass that cannot write an output the user named (the ASM
+/// pass's o[FILE]). No --mao-on-error policy contains it: the output is
+/// lost, not the unit, so the pipeline stops with this message.
+struct OutputWriteError : std::runtime_error {
+  using std::runtime_error::runtime_error;
 };
 
 /// A pass invoked once per identified function.

@@ -13,6 +13,7 @@
 #include "asm/AsmEmitter.h"
 #include "pass/MaoPass.h"
 #include "passes/PassUtil.h"
+#include "support/FileIO.h"
 
 using namespace mao;
 
@@ -27,10 +28,8 @@ public:
     std::string Path = options().getString("o", "-");
     if (Path == "/dev/null")
       return true;
-    if (MaoStatus S = writeAssemblyFile(unit(), Path)) {
-      trace(0, "error: %s", S.message().c_str());
-      return false;
-    }
+    if (MaoStatus S = writeWholeFile(Path, emitAssembly(unit())))
+      throw OutputWriteError(S.message());
     return true;
   }
 };

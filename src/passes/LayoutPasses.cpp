@@ -279,10 +279,10 @@ private:
         continue;
       const Directive &Dir = Entry.directive();
       if (Dir.Kind == DirKind::Globl) {
-        AddRoot(trimmed(Dir.arg(0)));
+        AddRoot(Dir.arg(0));
       } else if (Dir.Kind == DirKind::Quad || Dir.Kind == DirKind::Long) {
         for (const std::string &Arg : Dir.Args)
-          AddRoot(trimmed(Arg));
+          AddRoot(Arg);
       }
     }
     AddRoot("main");
@@ -297,14 +297,6 @@ private:
         }
     }
     return Hot;
-  }
-
-  static std::string trimmed(const std::string &S) {
-    size_t B = S.find_first_not_of(" \t");
-    if (B == std::string::npos)
-      return "";
-    size_t E = S.find_last_not_of(" \t");
-    return S.substr(B, E - B + 1);
   }
 
   /// Builds the movable span of every single-range function, in entry-list
@@ -331,7 +323,7 @@ private:
           Travels = true;
         else if (Prev->isDirective(DirKind::Globl) ||
                  Prev->isDirective(DirKind::Type))
-          Travels = trimmed(Prev->directive().arg(0)) == Fn.name();
+          Travels = Prev->directive().arg(0) == Fn.name();
         if (!Travels)
           break;
         Span.Begin = Prev;
@@ -341,7 +333,7 @@ private:
       Span.End = Range.End;
       if (Span.End != U.entries().end() &&
           Span.End->isDirective(DirKind::Size) &&
-          trimmed(Span.End->directive().arg(0)) == Fn.name())
+          Span.End->directive().arg(0) == Fn.name())
         ++Span.End;
       for (EntryIter It = Range.Begin; It != Range.End; ++It)
         if (It->isInstruction())

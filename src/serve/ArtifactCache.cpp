@@ -2,6 +2,7 @@
 
 #include "serve/ArtifactCache.h"
 
+#include "serve/LittleEndian.h"
 #include "support/FaultInjection.h"
 #include "support/FileIO.h"
 #include "support/Stats.h"
@@ -25,38 +26,6 @@ constexpr char EntryMagic[4] = {'M', 'A', 'O', 'A'};
 constexpr uint32_t EntryVersion = 1;
 constexpr size_t MaxSectionCount = 64;
 constexpr uint64_t MaxSectionBytes = 1ULL << 32;
-
-void appendU32(std::string &Out, uint32_t V) {
-  for (unsigned I = 0; I < 4; ++I)
-    Out.push_back(static_cast<char>((V >> (8 * I)) & 0xff));
-}
-
-void appendU64(std::string &Out, uint64_t V) {
-  for (unsigned I = 0; I < 8; ++I)
-    Out.push_back(static_cast<char>((V >> (8 * I)) & 0xff));
-}
-
-bool readU32(std::string_view Bytes, size_t &Pos, uint32_t &Out) {
-  if (Pos + 4 > Bytes.size())
-    return false;
-  Out = 0;
-  for (unsigned I = 0; I < 4; ++I)
-    Out |= static_cast<uint32_t>(static_cast<unsigned char>(Bytes[Pos + I]))
-           << (8 * I);
-  Pos += 4;
-  return true;
-}
-
-bool readU64(std::string_view Bytes, size_t &Pos, uint64_t &Out) {
-  if (Pos + 8 > Bytes.size())
-    return false;
-  Out = 0;
-  for (unsigned I = 0; I < 8; ++I)
-    Out |= static_cast<uint64_t>(static_cast<unsigned char>(Bytes[Pos + I]))
-           << (8 * I);
-  Pos += 8;
-  return true;
-}
 
 std::string keyFileName(uint64_t Key) {
   char Buf[32];
@@ -97,18 +66,12 @@ MaoStatus writeFileAtomic(const std::string &Dir, const std::string &Path,
     ToWrite /= 2; // Simulate a writer cut down mid-write.
     Injected = true;
   }
-  size_t Done = 0;
-  while (Done < ToWrite) {
-    ssize_t N = ::write(Fd, Data.data() + Done, ToWrite - Done);
-    if (N < 0) {
-      if (errno == EINTR)
-        continue;
-      ::close(Fd);
-      ::unlink(TmpPath.c_str());
-      return MaoStatus::error("write failed for " + TmpPath + ": " +
-                              std::strerror(errno));
-    }
-    Done += static_cast<size_t>(N);
+  if (!writeFully(Fd, Data.data(), ToWrite)) {
+    const int Errno = errno;
+    ::close(Fd);
+    ::unlink(TmpPath.c_str());
+    return MaoStatus::error("write failed for " + TmpPath + ": " +
+                            std::strerror(Errno));
   }
   if (Injected) {
     ::close(Fd);

@@ -2,7 +2,9 @@
 
 #include "serve/Protocol.h"
 
+#include "serve/LittleEndian.h"
 #include "support/FaultInjection.h"
+#include "support/FileIO.h"
 #include "support/Hash.h"
 
 #include <cerrno>
@@ -20,30 +22,9 @@ constexpr size_t FrameHeaderSize = 2 + 1 + 1 + 4 + 8;
 constexpr uint32_t RequestSchema = 2;
 constexpr uint32_t ResponseSchema = 1;
 
-void appendU32(std::string &Out, uint32_t V) {
-  for (unsigned I = 0; I < 4; ++I)
-    Out.push_back(static_cast<char>((V >> (8 * I)) & 0xff));
-}
-
-void appendU64(std::string &Out, uint64_t V) {
-  for (unsigned I = 0; I < 8; ++I)
-    Out.push_back(static_cast<char>((V >> (8 * I)) & 0xff));
-}
-
 void appendString(std::string &Out, const std::string &S) {
   appendU32(Out, static_cast<uint32_t>(S.size()));
   Out.append(S);
-}
-
-bool readU32(const std::string &Bytes, size_t &Pos, uint32_t &Out) {
-  if (Pos + 4 > Bytes.size())
-    return false;
-  Out = 0;
-  for (unsigned I = 0; I < 4; ++I)
-    Out |= static_cast<uint32_t>(static_cast<unsigned char>(Bytes[Pos + I]))
-           << (8 * I);
-  Pos += 4;
-  return true;
 }
 
 bool readString(const std::string &Bytes, size_t &Pos, std::string &Out) {
@@ -53,21 +34,6 @@ bool readString(const std::string &Bytes, size_t &Pos, std::string &Out) {
   Out.assign(Bytes, Pos, Len);
   Pos += Len;
   return true;
-}
-
-MaoStatus writeAll(int Fd, const char *Data, size_t Size) {
-  size_t Done = 0;
-  while (Done < Size) {
-    ssize_t N = ::write(Fd, Data + Done, Size - Done);
-    if (N < 0) {
-      if (errno == EINTR)
-        continue;
-      return MaoStatus::error(std::string("frame write failed: ") +
-                              std::strerror(errno));
-    }
-    Done += static_cast<size_t>(N);
-  }
-  return MaoStatus::success();
 }
 
 /// Reads exactly \p Size bytes. \p SawAny reports whether any byte arrived
@@ -102,7 +68,10 @@ MaoStatus mao::serve::writeFrame(int Fd, const Frame &F) {
   appendU32(Wire, static_cast<uint32_t>(F.Payload.size()));
   appendU64(Wire, fnv1a64(F.Payload));
   Wire.append(F.Payload);
-  return writeAll(Fd, Wire.data(), Wire.size());
+  if (!writeFully(Fd, Wire.data(), Wire.size()))
+    return MaoStatus::error(std::string("frame write failed: ") +
+                            std::strerror(errno));
+  return MaoStatus::success();
 }
 
 MaoStatus mao::serve::readFrame(int Fd, Frame &Out, bool &CleanEof,
@@ -125,13 +94,9 @@ MaoStatus mao::serve::readFrame(int Fd, Frame &Out, bool &CleanEof,
     return MaoStatus::error("unknown frame kind " + std::to_string(Kind));
   uint32_t Len = 0;
   uint64_t Checksum = 0;
-  for (unsigned I = 0; I < 4; ++I)
-    Len |= static_cast<uint32_t>(static_cast<unsigned char>(Header[4 + I]))
-           << (8 * I);
-  for (unsigned I = 0; I < 8; ++I)
-    Checksum |=
-        static_cast<uint64_t>(static_cast<unsigned char>(Header[8 + I]))
-        << (8 * I);
+  size_t Pos = 4;
+  (void)readU32({Header, sizeof(Header)}, Pos, Len);
+  (void)readU64({Header, sizeof(Header)}, Pos, Checksum);
   if (Len > MaxPayload)
     return MaoStatus::error("frame payload too large (" +
                             std::to_string(Len) + " bytes)");

@@ -2,7 +2,6 @@
 
 #include "sim/Emulator.h"
 
-#include <bit>
 #include <optional>
 #include <cassert>
 #include <cstring>
@@ -37,10 +36,6 @@ int64_t signExtend(uint64_t Value, Width W) {
   default:
     return static_cast<int64_t>(Value);
   }
-}
-
-bool parity8(uint64_t Value) {
-  return (std::popcount(Value & 0xff) % 2) == 0;
 }
 
 bool signBit(uint64_t Value, Width W) {

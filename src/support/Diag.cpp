@@ -241,17 +241,6 @@ std::string SarifDiagSink::render() const {
   return Out;
 }
 
-bool SarifDiagSink::writeTo(const std::string &Path) const {
-  std::FILE *F = std::fopen(Path.c_str(), "w");
-  if (!F)
-    return false;
-  std::string Doc = render();
-  size_t Written = std::fwrite(Doc.data(), 1, Doc.size(), F);
-  bool Ok = Written == Doc.size();
-  Ok = std::fclose(F) == 0 && Ok;
-  return Ok;
-}
-
 void StderrDiagSink::handle(const Diagnostic &D) {
   // Shares the log lock with TraceContext so diagnostics and trace lines
   // from parallel shards never interleave mid-line.

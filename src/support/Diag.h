@@ -126,16 +126,13 @@ public:
 /// Buffers diagnostics and renders them as a SARIF 2.1.0 log (the static
 /// analysis interchange format consumed by code-review UIs and CI systems).
 /// Rule ids are "MAO-<code-name>"; each rule used is declared once in the
-/// tool.driver.rules array. Render with writeTo() after the run.
+/// tool.driver.rules array. Render after the run.
 class SarifDiagSink : public DiagSink {
 public:
   void handle(const Diagnostic &D) override { Diags.push_back(D); }
 
   /// Renders the buffered diagnostics as one SARIF document.
   std::string render() const;
-
-  /// Writes render() to \p Path. Returns false on I/O failure.
-  bool writeTo(const std::string &Path) const;
 
   const std::vector<Diagnostic> &diagnostics() const { return Diags; }
 

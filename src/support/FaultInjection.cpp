@@ -90,18 +90,32 @@ MaoStatus FaultInjector::configure(const std::string &Spec, uint64_t Seed) {
   return MaoStatus::success();
 }
 
+MaoStatus mao::splitFaultSeed(const std::string &Payload, std::string &Spec,
+                              uint64_t &Seed) {
+  const std::string::size_type At = Payload.find('@');
+  Spec = Payload.substr(0, At);
+  if (At == std::string::npos)
+    return MaoStatus::success();
+  const std::string SeedText = Payload.substr(At + 1);
+  char *End = nullptr;
+  const unsigned long long Value = std::strtoull(SeedText.c_str(), &End, 10);
+  if (End == SeedText.c_str() || *End != '\0')
+    return MaoStatus::error("seed must be an integer; got '" + SeedText +
+                            "'");
+  Seed = Value;
+  return MaoStatus::success();
+}
+
 void FaultInjector::configureFromEnv() {
   const char *Env = std::getenv("MAO_FAULT_INJECT");
   if (!Env || !*Env)
     return;
-  std::string Spec(Env);
+  std::string Spec;
   uint64_t Seed = 1;
-  std::string::size_type At = Spec.find('@');
-  if (At != std::string::npos) {
-    Seed = std::strtoull(Spec.c_str() + At + 1, nullptr, 10);
-    Spec = Spec.substr(0, At);
-  }
-  if (MaoStatus S = configure(Spec, Seed))
+  MaoStatus S = splitFaultSeed(Env, Spec, Seed);
+  if (S.ok())
+    S = configure(Spec, Seed);
+  if (S)
     std::fprintf(stderr, "mao: ignoring MAO_FAULT_INJECT: %s\n",
                  S.message().c_str());
 }

@@ -57,6 +57,14 @@ constexpr unsigned NumFaultSites = 7;
 
 const char *faultSiteName(FaultSite Site);
 
+/// Splits a fault spec with an optional "@seed" suffix ("encoder:50@7"):
+/// \p Spec gets the part before the '@' and \p Seed the decimal seed after
+/// it, or keeps its value when there is none. The one reading of the
+/// suffix, for --mao-fault-inject, maod's --fault-inject and
+/// MAO_FAULT_INJECT. Fails with "seed must be an integer; got 'TEXT'".
+MaoStatus splitFaultSeed(const std::string &Payload, std::string &Spec,
+                         uint64_t &Seed);
+
 /// Process-wide injector. Sites draw deterministic pseudo-random decisions.
 class FaultInjector {
 public:

@@ -90,12 +90,3 @@ std::string Timeline::renderJson() const {
   Out += "\n]}\n";
   return Out;
 }
-
-bool Timeline::writeTo(const std::string &Path) const {
-  std::FILE *F = std::fopen(Path.c_str(), "w");
-  if (!F)
-    return false;
-  const std::string Json = renderJson();
-  const bool Ok = std::fwrite(Json.data(), 1, Json.size(), F) == Json.size();
-  return std::fclose(F) == 0 && Ok;
-}

@@ -65,9 +65,6 @@ public:
   /// thread_name metadata per lane.
   std::string renderJson() const;
 
-  /// Writes renderJson() to \p Path; returns false on I/O failure.
-  bool writeTo(const std::string &Path) const;
-
 private:
   std::chrono::steady_clock::time_point Start;
   mutable std::mutex M;

@@ -35,16 +35,6 @@ namespace {
 constexpr std::array<Reg, MaxRuleVars> ProveBinding = {Reg::RDI, Reg::RSI,
                                                        Reg::RDX, Reg::RCX};
 
-ProcessorConfig configByName(const std::string &Name, bool &Ok) {
-  Ok = true;
-  if (Name == "core2")
-    return ProcessorConfig::core2();
-  if (Name == "opteron")
-    return ProcessorConfig::opteron();
-  Ok = false;
-  return ProcessorConfig::core2();
-}
-
 //===----------------------------------------------------------------------===//
 // Harvest.
 //===----------------------------------------------------------------------===//
@@ -477,11 +467,11 @@ MaoStatus verifyActiveSynthRules(std::string *Detail) {
 ErrorOr<uint64_t> scoreWindowCycles(const std::vector<TemplateInsn> &Seq,
                                     const std::string &Config,
                                     uint64_t Iterations) {
-  bool ConfigOk = false;
-  MeasureOptions MO;
-  MO.Config = configByName(Config, ConfigOk);
-  if (!ConfigOk)
+  const std::optional<ProcessorConfig> Model = ProcessorConfig::byName(Config);
+  if (!Model)
     return MaoStatus::error("unknown processor config '" + Config + "'");
+  MeasureOptions MO;
+  MO.Config = *Model;
   ErrorOr<MaoUnit> UnitOr =
       parseAssembly(scoringHarness(Seq, Iterations), nullptr, "harness.s");
   if (!UnitOr.ok())
@@ -493,9 +483,7 @@ ErrorOr<uint64_t> scoreWindowCycles(const std::vector<TemplateInsn> &Seq,
 ErrorOr<SynthResult> synthesizeRules(const SynthOptions &Options) {
   if (Options.MaxWindow < 1 || Options.MaxWindow > 3)
     return MaoStatus::error("--synth-window must be 1..3");
-  bool ConfigOk = false;
-  configByName(Options.Config, ConfigOk);
-  if (!ConfigOk)
+  if (!ProcessorConfig::byName(Options.Config))
     return MaoStatus::error("unknown processor config '" + Options.Config +
                             "'");
 

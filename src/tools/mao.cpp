@@ -35,6 +35,7 @@
 #include <csignal>
 #include <cstdio>
 #include <functional>
+#include <optional>
 #include <string>
 #include <unistd.h>
 #include <vector>
@@ -164,19 +165,38 @@ int main(int Argc, char **Argv) {
   // Whether per-pass metrics are being collected this run; the report and
   // the stats table both feed off the same registry snapshot.
   Cmd.Optimize.CollectStats = !Cmd.ReportPath.empty() || Cmd.Stats;
+  // One rule for every output the run writes (the assembly and each file
+  // the user named): a write that fails prints one line and fails a run
+  // that had not failed, with exit 3 (2 under --lint).
+  bool OutputLost = false;
+  auto CheckWrite = [&](const std::string &Error) {
+    if (Error.empty())
+      return;
+    std::fprintf(stderr, "mao: error: %s\n", Error.c_str());
+    OutputLost = true;
+  };
+  // In service mode the authoritative run report is the per-run JSON from
+  // the cache or daemon — byte-identical between a warm hit and a
+  // recompute, which the session report (empty on a hit) is not.
+  std::optional<std::string> ServiceReport;
   // Emits the requested observability artifacts (run report, stats table,
-  // trace timeline); called on every exit path past parsing.
-  auto FlushObservability = [&]() {
+  // trace timeline, SARIF log) and settles the exit code; every exit path
+  // past parsing returns through it.
+  auto Finish = [&](int Code) {
     if (!Cmd.ReportPath.empty())
-      if (mao::api::Status S = Session.writeReport(Cmd.ReportPath); !S.Ok)
-        std::fprintf(stderr, "mao: error: %s\n", S.Message.c_str());
+      CheckWrite(ServiceReport
+                     ? mao::writeWholeFile(Cmd.ReportPath, *ServiceReport)
+                           .message()
+                     : Session.writeReport(Cmd.ReportPath).Message);
     if (Cmd.Stats)
       std::fputs(Session.statsTable().c_str(), stderr);
-    if (!Cmd.Session.TraceOutPath.empty())
-      if (mao::api::Status S = Session.writeTrace(); !S.Ok)
-        std::fprintf(stderr, "mao: error: %s\n", S.Message.c_str());
+    CheckWrite(Session.writeTrace().Message);
+    CheckWrite(Session.writeSarif().Message);
+    if (!OutputLost)
+      return Code;
+    return LintMode ? 2 : Code == ExitOk ? ExitPipelineError : Code;
   };
-  std::function<void()> FlushOnSignal = FlushObservability;
+  std::function<void()> FlushOnSignal = [&] { (void)Finish(ExitOk); };
   SignalFlush = &FlushOnSignal;
   std::signal(SIGINT, onSignal);
   std::signal(SIGTERM, onSignal);
@@ -195,12 +215,11 @@ int main(int Argc, char **Argv) {
     mao::api::SynthSummary Synth;
     if (mao::api::Status S = Session.synthesize(Cmd.Synth, Synth); !S.Ok) {
       std::fprintf(stderr, "mao: synth: %s\n", S.Message.c_str());
-      FlushObservability();
       // An unreadable corpus file is an input error, like an unreadable
       // input anywhere else.
-      return S.Message.find("cannot open") != std::string::npos
-                 ? ExitParseError
-                 : ExitPipelineError;
+      return Finish(S.Message.find("cannot open") != std::string::npos
+                        ? ExitParseError
+                        : ExitPipelineError);
     }
     std::fprintf(stderr,
                  "mao: synth: %llu corpus file(s): %llu windows (%llu "
@@ -224,9 +243,8 @@ int main(int Argc, char **Argv) {
                  Cmd.Synth.OutPath.empty() ? "" : " to ",
                  Cmd.Synth.OutPath.c_str());
     if (Cmd.Synth.OutPath.empty())
-      std::fputs(Synth.TableText.c_str(), stdout);
-    FlushObservability();
-    return ExitOk;
+      CheckWrite(mao::writeWholeFile("-", Synth.TableText).message());
+    return Finish(ExitOk);
   }
 
   bool HasAsmPass = false;
@@ -262,31 +280,6 @@ int main(int Argc, char **Argv) {
     Run.Relax = Cmd.RelaxMode;
     Run.VerifyHit = Cmd.CacheVerify;
 
-    // In service mode the authoritative run report is the per-run JSON
-    // from the cache or daemon — byte-identical between a warm hit and a
-    // recompute, which the session report (empty on a hit) is not.
-    auto FlushService = [&](const std::string &ReportJson) {
-      if (!Cmd.ReportPath.empty()) {
-        if (Cmd.ReportPath == "-") {
-          std::fwrite(ReportJson.data(), 1, ReportJson.size(), stdout);
-        } else {
-          std::FILE *F = std::fopen(Cmd.ReportPath.c_str(), "w");
-          const bool Ok =
-              F && std::fwrite(ReportJson.data(), 1, ReportJson.size(), F) ==
-                       ReportJson.size();
-          if (F)
-            std::fclose(F);
-          if (!Ok)
-            std::fprintf(stderr, "mao: error: cannot write run report to %s\n",
-                         Cmd.ReportPath.c_str());
-        }
-      }
-      if (Cmd.Stats)
-        std::fputs(Session.statsTable().c_str(), stderr);
-      if (!Cmd.Session.TraceOutPath.empty())
-        (void)Session.writeTrace();
-    };
-
     if (Connect) {
       mao::serve::ClientOptions Client;
       Client.SocketPath = Cmd.ConnectPath;
@@ -296,10 +289,10 @@ int main(int Argc, char **Argv) {
         std::fprintf(stderr, "mao: warning: %s; falling back to a local run\n",
                      S.message().c_str());
       } else {
+        ServiceReport = Resp.Report;
         if (Resp.Status == mao::serve::ServeStatus::Error) {
           std::fprintf(stderr, "mao: error: %s\n", Resp.Diagnostic.c_str());
-          FlushService(Resp.Report);
-          return ExitPipelineError;
+          return Finish(ExitPipelineError);
         }
         if (Resp.Status == mao::serve::ServeStatus::DegradedIdentity)
           std::fprintf(stderr,
@@ -307,9 +300,8 @@ int main(int Argc, char **Argv) {
                        Resp.Diagnostic.c_str());
         else if (!Resp.Diagnostic.empty())
           std::fprintf(stderr, "mao: warning: %s\n", Resp.Diagnostic.c_str());
-        std::fwrite(Resp.Output.data(), 1, Resp.Output.size(), stdout);
-        FlushService(Resp.Report);
-        return ExitOk;
+        CheckWrite(mao::writeWholeFile("-", Resp.Output).message());
+        return Finish(ExitOk);
       }
     }
 
@@ -320,22 +312,25 @@ int main(int Argc, char **Argv) {
         std::fprintf(stderr, "mao: warning: cache disabled: %s\n",
                      S.Message.c_str());
     mao::api::CachedRunResult Result;
-    if (mao::api::Status S = Session.cacheRun(Run, Result); !S.Ok) {
+    const mao::api::Status S = Session.cacheRun(Run, Result);
+    ServiceReport = Result.ReportJson;
+    if (!S.Ok) {
       std::fprintf(stderr, "mao: error: %s\n", S.Message.c_str());
-      FlushService("");
-      return ExitPipelineError;
+      return Finish(ExitPipelineError);
     }
     if (!Result.Diagnostic.empty())
       std::fprintf(stderr, "mao: warning: %s\n", Result.Diagnostic.c_str());
-    std::fwrite(Result.Output.data(), 1, Result.Output.size(), stdout);
-    FlushService(Result.ReportJson);
-    return ExitOk;
+    CheckWrite(mao::writeWholeFile("-", Result.Output).message());
+    return Finish(ExitOk);
   }
 
   mao::api::Program Program;
   mao::api::ParseInfo Parse;
-  if (!Session.parseFile(Cmd.Inputs[0], Program, &Parse).Ok)
-    return LintMode ? 2 : ExitParseError; // Reported through diagnostics.
+  if (!Session.parseFile(Cmd.Inputs[0], Program, &Parse).Ok) {
+    // Reported through diagnostics, which the SARIF log carries.
+    CheckWrite(Session.writeSarif().Message);
+    return LintMode ? 2 : ExitParseError;
+  }
   if (mao::api::Status S = Program.setRelaxMode(Cmd.RelaxMode); !S.Ok) {
     std::fprintf(stderr, "mao: error: %s\n", S.Message.c_str());
     return ExitUsage;
@@ -349,8 +344,7 @@ int main(int Argc, char **Argv) {
                  "%u suppressed; indirect jumps: %u unresolved of %u\n",
                  Lint.Errors, Lint.Warnings, Lint.Notes, Lint.Suppressed,
                  Lint.IndirectUnresolved, Lint.IndirectTotal);
-    FlushObservability();
-    return Lint.ExitCode;
+    return Finish(Lint.ExitCode);
   }
 
   std::fprintf(stderr,
@@ -363,8 +357,7 @@ int main(int Argc, char **Argv) {
     mao::api::TuneSummary Tune;
     if (mao::api::Status S = Session.tune(Program, Cmd.Tune, Tune); !S.Ok) {
       std::fprintf(stderr, "mao: tune: %s\n", S.Message.c_str());
-      FlushObservability();
-      return ExitPipelineError;
+      return Finish(ExitPipelineError);
     }
     std::fprintf(stderr,
                  "mao: tune: baseline %llu, default pipeline %llu, tuned "
@@ -376,6 +369,9 @@ int main(int Argc, char **Argv) {
                  static_cast<unsigned long long>(Tune.ScoreCacheHits));
     std::fprintf(stderr, "mao: tune: winner: --mao-passes=%s\n",
                  Tune.TunedPipeline.c_str());
+    if (!Cmd.TuneReportPath.empty())
+      CheckWrite(
+          mao::writeWholeFile(Cmd.TuneReportPath, Tune.ReportJson).message());
     // The tuned unit is already applied; fall through to verify + emit.
   }
 
@@ -385,8 +381,7 @@ int main(int Argc, char **Argv) {
     if (!Result.Ok) {
       if (!Result.Error.empty())
         std::fprintf(stderr, "mao: error: %s\n", Result.Error.c_str());
-      FlushObservability();
-      return ExitPipelineError;
+      return Finish(ExitPipelineError);
     }
     for (const mao::api::PassOutcomeInfo &Outcome : Result.Outcomes) {
       if (Outcome.Status != "ok")
@@ -401,17 +396,10 @@ int main(int Argc, char **Argv) {
   // Final consistency gate when the run verified per pass or the tuner
   // rewrote the unit: never emit assembly the verifier rejects.
   if (Cmd.Optimize.verifiesEachPass() || Cmd.RunTune)
-    if (!Session.verify(Program).Ok) {
-      FlushObservability();
-      return ExitPipelineError;
-    }
+    if (!Session.verify(Program).Ok)
+      return Finish(ExitPipelineError);
 
   if (!HasAsmPass)
-    if (mao::api::Status S = Session.emitToFile(Program, "-"); !S.Ok) {
-      std::fprintf(stderr, "mao: error: %s\n", S.Message.c_str());
-      FlushObservability();
-      return ExitPipelineError;
-    }
-  FlushObservability();
-  return ExitOk;
+    CheckWrite(Session.emitToFile(Program, "-").Message);
+  return Finish(ExitOk);
 }

@@ -156,20 +156,9 @@ int main(int Argc, char **Argv) {
   R.addCustom(
       "--fault-inject",
       [&FaultSpec, &FaultSeed](const std::string &Payload) {
-        std::string Spec = Payload;
-        const std::string::size_type At = Spec.find('@');
-        if (At != std::string::npos) {
-          const std::string SeedText = Spec.substr(At + 1);
-          char *End = nullptr;
-          unsigned long long Seed = std::strtoull(SeedText.c_str(), &End, 10);
-          if (End == SeedText.c_str() || *End != '\0')
-            return mao::MaoStatus::error(
-                "--fault-inject seed must be an integer; got '" + SeedText +
-                "'");
-          FaultSeed = Seed;
-          Spec = Spec.substr(0, At);
-        }
-        FaultSpec = Spec;
+        if (mao::MaoStatus S =
+                mao::splitFaultSeed(Payload, FaultSpec, FaultSeed))
+          return mao::MaoStatus::error("--fault-inject " + S.message());
         return mao::MaoStatus::success();
       },
       "arm the deterministic fault injector: site:permille[,...][@seed]");

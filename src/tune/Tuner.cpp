@@ -13,7 +13,6 @@
 
 #include <algorithm>
 #include <cstdio>
-#include <fstream>
 #include <limits>
 #include <map>
 #include <set>
@@ -190,14 +189,13 @@ ErrorOr<TuneResult> mao::tuneUnit(MaoUnit &Unit, const TuneOptions &Options) {
             ? std::string("--tune: the unit defines no functions to score")
             : "--tune-entry: no function named '" + Options.Entry + "'");
 
-  MeasureOptions MOpts;
-  if (Options.Config == "core2")
-    MOpts.Config = ProcessorConfig::core2();
-  else if (Options.Config == "opteron")
-    MOpts.Config = ProcessorConfig::opteron();
-  else
+  const std::optional<ProcessorConfig> Model =
+      ProcessorConfig::byName(Options.Config);
+  if (!Model)
     return MaoStatus::error("--tune-config: unknown processor model '" +
                             Options.Config + "'");
+  MeasureOptions MOpts;
+  MOpts.Config = *Model;
   MOpts.MaxSteps = Options.MaxSteps;
 
   TuneResult R;
@@ -387,15 +385,4 @@ std::string mao::tuneReportJson(const TuneResult &R) {
   }
   Out += "  ]\n}\n";
   return Out;
-}
-
-MaoStatus mao::writeTuneReport(const TuneResult &R, const std::string &Path) {
-  std::ofstream Out(Path);
-  if (!Out)
-    return MaoStatus::error("--tune-report: cannot open '" + Path +
-                            "' for writing");
-  Out << tuneReportJson(R);
-  if (!Out.good())
-    return MaoStatus::error("--tune-report: write to '" + Path + "' failed");
-  return MaoStatus::success();
 }

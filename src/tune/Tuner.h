@@ -99,9 +99,6 @@ ErrorOr<TuneResult> tuneUnit(MaoUnit &Unit, const TuneOptions &Options);
 /// Renders the machine-readable report (the --tune-report payload).
 std::string tuneReportJson(const TuneResult &Result);
 
-/// Writes tuneReportJson to \p Path.
-MaoStatus writeTuneReport(const TuneResult &Result, const std::string &Path);
-
 } // namespace mao
 
 #endif // MAO_TUNE_TUNER_H

@@ -26,6 +26,7 @@
 #define MAO_UARCH_PROCESSORCONFIG_H
 
 #include <cstdint>
+#include <optional>
 #include <string>
 
 namespace mao {
@@ -116,6 +117,15 @@ struct ProcessorConfig {
     C.ItlbEntries = 32;
     C.ItlbMissPenalty = 25;
     return C;
+  }
+
+  /// The model a user selects by name ("core2" or "opteron"), or none.
+  static std::optional<ProcessorConfig> byName(const std::string &Name) {
+    if (Name == "core2")
+      return core2();
+    if (Name == "opteron")
+      return opteron();
+    return std::nullopt;
   }
 
   /// Pentium-4-like machine for the Nopinizer anecdotes: long pipeline,

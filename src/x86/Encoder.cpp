@@ -178,7 +178,11 @@ MaoStatus EncodingBuilder::setRM(const Operand &Op) {
     return MaoStatus::success();
   }
 
-  assert(Op.isMem() && "rm operand must be a register or memory reference");
+  // An immediate here (`shrl $2, $1f`) is no x86 operand: the
+  // instruction stays opaque, as gas rejects it.
+  if (!Op.isMem())
+    return MaoStatus::error("rm operand must be a register or memory "
+                            "reference");
   const MemRef &M = Op.Mem;
 
   if (M.isRipRelative()) {
@@ -330,13 +334,6 @@ MaoStatus EncodingBuilder::encodeMov() {
     addOpcode(Byte ? 0x8a : 0x8b);
     setModRMReg(Dst.R);
     return setRM(Src);
-  }
-  if (Src.isSymbol() && Dst.isReg()) {
-    // `mov sym, %reg` (absolute load); encode as mem form with symbolic disp.
-    Operand MemOp = Operand::makeMem(MemRef(), Src.Imm, Src.Sym);
-    addOpcode(Byte ? 0x8a : 0x8b);
-    setModRMReg(Dst.R);
-    return setRM(MemOp);
   }
   return MaoStatus::error("unsupported mov operand combination");
 }

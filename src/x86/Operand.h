@@ -4,7 +4,8 @@
 /// Operand representation covering the x86-64 addressing modes that appear
 /// in compiler-generated AT&T assembly: registers, (symbolic) immediates,
 /// memory references `disp(base, index, scale)` including RIP-relative
-/// forms, and direct symbol targets for branches and calls.
+/// and absolute (`sym+8`, no base or index) forms, and direct symbol
+/// targets for branches and calls.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -38,8 +39,9 @@ enum class OperandKind : uint8_t {
   None,
   Register,  ///< %reg (possibly an indirect '*%reg' branch target)
   Immediate, ///< $imm or $sym+imm
-  Memory,    ///< disp(base,index,scale) (possibly an indirect '*mem' target)
-  Symbol,    ///< bare symbol: direct branch/call target or data reference
+  Memory,    ///< disp(base,index,scale) (possibly an indirect '*mem' target);
+             ///< a bare `sym+k` data operand has no base and no index
+  Symbol,    ///< bare symbol as a direct branch/call target
 };
 
 /// One instruction operand. A small tagged union; the active members depend

@@ -11,6 +11,7 @@
 #ifndef MAO_X86_X86DEFS_H
 #define MAO_X86_X86DEFS_H
 
+#include <bit>
 #include <cassert>
 #include <cstdint>
 #include <string>
@@ -125,6 +126,11 @@ uint8_t condCodeFlagsUsed(CondCode CC);
 
 /// Formats a flag mask as e.g. "CF|ZF" for diagnostics.
 std::string flagMaskToString(uint8_t Mask);
+
+/// PF of a result: set when its low byte has an even number of one bits.
+inline bool parity8(uint64_t Value) {
+  return (std::popcount(Value & 0xff) % 2) == 0;
+}
 
 /// Execution ports of the modelled out-of-order back end (Core-2-like:
 /// three ALU-capable issue ports plus dedicated load / store-address /

@@ -150,6 +150,9 @@ f:
 	testq %rdi, %rdi
 	je .LX
 	negq %rdx
+	movabs $81985529216486895, %r12
+	movabsq $-81985529216486895, %rax
+	movabsq $2147483648, %rcx
 	notl %eax
 	incl %eax
 	decq %rcx
@@ -201,6 +204,38 @@ TEST(GasCross, ColdPathWithBothBranchSizes) {
   for (int I = 0; I < 40; ++I)
     S += "\timull $3, %eax, %eax\n";
   S += ".LFAR:\n\tret\n";
+  expectMatchesGas(S);
+}
+
+TEST(GasCross, BareSymbolDataOperands) {
+  // A bare symbol outside a branch or call is an absolute memory operand:
+  // mod=00 rm=100 with a no-base, no-index SIB and a disp32.
+  std::string S = R"(	.data
+counter:
+	.long 0
+	.text
+f:
+	shrl $3, counter
+	movl counter, %eax
+	addq counter, %rcx
+	ret
+)";
+  expectMatchesGas(S);
+}
+
+TEST(GasCross, StringEscapes) {
+  // Octal (with gas's reading of 8 and 9 as octal digits), \x with every
+  // hex digit that follows, the named escapes, and escapes gas takes
+  // literally.
+  std::string S = R"(	.text
+f:
+	ret
+	.ascii "\x41\b\f\101\\\""
+	.ascii "\x4142\19\q\X4a\0012\xg\n\r\t"
+	.string "a", "b\0"
+	.asciz "\377"
+	ret
+)";
   expectMatchesGas(S);
 }
 

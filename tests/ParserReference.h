@@ -214,10 +214,11 @@ struct ParseScratch {
 
 /// Parses one operand in AT&T syntax into \p Op, a default-constructed
 /// operand (the instruction's own slot, so the symbol is built in place).
-/// Returns false on anything outside the modelled forms (the caller
-/// degrades the instruction to opaque).
+/// A bare symbol is a branch or call target when \p BranchTarget, else an
+/// absolute memory operand. Returns false on anything outside the modelled
+/// forms (the caller degrades the instruction to opaque).
 bool parseOperandText(std::string_view RawText, ParseScratch &Scratch,
-                      Operand &Op) {
+                      Operand &Op, bool BranchTarget) {
   std::string_view Text = trim(RawText);
   if (Text.empty())
     return false;
@@ -296,10 +297,10 @@ bool parseOperandText(std::string_view RawText, ParseScratch &Scratch,
     return true;
   }
 
-  // Bare symbol: direct target or data symbol.
+  // Bare symbol: direct target, else an absolute data address.
   if (!parseSymbolExpr(Text, Sym, Op.Imm))
     return false;
-  Op.Kind = OperandKind::Symbol;
+  Op.Kind = BranchTarget ? OperandKind::Symbol : OperandKind::Memory;
   Op.Sym = Sym;
   return true;
 }
@@ -364,11 +365,14 @@ bool parseModelledInstruction(std::string_view Line, ParseScratch &Scratch,
   Insn.NopLength = ParsedMnemonic->NopLength;
 
   if (!Rest.empty()) {
+    const EncKind Kind = Insn.info().Kind;
+    const bool Branch =
+        Kind == EncKind::Jmp || Kind == EncKind::Jcc || Kind == EncKind::Call;
     std::vector<std::string_view> &Operands = Scratch.Operands;
     splitTopLevelCommas(Rest, Operands);
     Insn.Ops.reserve(Operands.size());
     for (std::string_view OpText : Operands)
-      if (!parseOperandText(OpText, Scratch, Insn.Ops.emplace_back()))
+      if (!parseOperandText(OpText, Scratch, Insn.Ops.emplace_back(), Branch))
         return false;
   }
 
@@ -383,8 +387,6 @@ bool parseModelledInstruction(std::string_view Line, ParseScratch &Scratch,
   }
 
   deduceWidth(Insn);
-  if (!validateBranchTarget(Insn))
-    return false;
 
   // Structural validation: operand counts per kind are enforced by assert
   // in downstream code, so check here and degrade gracefully instead.
@@ -425,7 +427,9 @@ bool parseModelledInstruction(std::string_view Line, ParseScratch &Scratch,
     }
     return false;
   };
-  if (!CountOk())
+  // The count first: a branch without a target has no target to check.
+  if (!CountOk() || !validateBranchTarget(Insn) ||
+      (ParsedMnemonic->Movabs && !movabsAsMovq(Insn)))
     return false;
 
   // Widthful kinds must have a width by now (e.g. `movl $1, (%rax)` needs

@@ -158,6 +158,23 @@ TEST(Parser, MovqSseSelection) {
   EXPECT_EQ(X.Mn, Mnemonic::MOVQX);
 }
 
+TEST(Parser, MovabsModelledOnlyAsMovq) {
+  // A constant outside imm32 into a 64-bit register: movq's bytes too.
+  Instruction Imm64 = parse("movabs $81985529216486895, %r12");
+  ASSERT_FALSE(Imm64.isOpaque());
+  EXPECT_EQ(Imm64.toString(), "movq\t$81985529216486895, %r12");
+  // moffs64 forms and imm64 loads of a symbol or a small constant encode
+  // differently from movq, so they stay opaque and print verbatim.
+  for (const char *Line :
+       {"movabsq %rax, counter", "movabsq counter, %rax", "movabs 8, %eax",
+        "movabsq $1, %rax", "movabs $counter, %rax",
+        "movabsq $81985529216486895, %eax", "movabsq $1, 8(%rax)"}) {
+    Instruction I = parse(Line);
+    EXPECT_TRUE(I.isOpaque()) << Line;
+    EXPECT_EQ(I.toString(), Line);
+  }
+}
+
 TEST(Parser, ExplicitLengthNops) {
   EXPECT_EQ(parse("nop").NopLength, 1);
   Instruction N5 = parse("nop5");

@@ -924,6 +924,36 @@ TEST(SCHED, HoistsCriticalPath) {
   EXPECT_GT(Moved, 0u);
 }
 
+TEST(SCHED, KeepsABareSymbolStoreBeforeItsLoad) {
+  // A bare data symbol is a memory operand: the shift writes `counter` and
+  // the load reads it, so the load may not move above the shift. The
+  // imull chain behind the load makes it the critical path.
+  MaoUnit Unit = parseOk("\t.data\ncounter:\n\t.long 0\n" +
+                         wrapFunction(R"(	shrl $3, counter
+	imull %ecx, %edx
+	imull %edx, %esi
+	movl counter, %eax
+	imull %eax, %eax
+	imull %eax, %eax
+	ret
+)"));
+  const Instruction *Shift = nullptr;
+  for (const MaoEntry &E : Unit.entries())
+    if (E.isInstruction() && E.instruction().Mn == Mnemonic::SHR)
+      Shift = &E.instruction();
+  ASSERT_NE(Shift, nullptr);
+  EXPECT_TRUE(Shift->effects().MemWrite);
+  EXPECT_TRUE(Shift->effects().MemRead);
+
+  runPass(Unit, "SCHED");
+  const std::string Out = emitAssembly(Unit);
+  const size_t ShiftAt = Out.find("shrl\t$3, counter");
+  const size_t LoadAt = Out.find("movl\tcounter, %eax");
+  ASSERT_NE(ShiftAt, std::string::npos) << Out;
+  ASSERT_NE(LoadAt, std::string::npos) << Out;
+  EXPECT_LT(ShiftAt, LoadAt) << Out;
+}
+
 TEST(SCHED, PreservesSemantics) {
   MachineState Init;
   Init.setGpr(Reg::EDI, 0x1234);

@@ -180,6 +180,28 @@ TEST(Relaxer, DataDirectiveSizes) {
   EXPECT_EQ(R.Labels.at(".LEND"), 44);
 }
 
+TEST(Relaxer, StringDirectiveSizeIsItsAssembledBytes) {
+  // Layout and the assembler read a string literal through one decoder,
+  // and read it as gas does.
+  const std::pair<const char *, std::string> Cases[] = {
+      {R"(.ascii "\x41\b\f\101\\\"")", "A\b\fA\\\""},
+      {R"(.ascii "\x4142\19\q")", "B\021q"},
+      {R"(.string "a", "b")", std::string("a\0b\0", 4)},
+      {R"(.asciz "\0012")", std::string("\0012\0", 3)},
+      {R"(.ascii "\xg")", std::string("\0g", 2)},
+  };
+  for (const auto &[Directive, Bytes] : Cases) {
+    MaoUnit Unit = parseOk(std::string("\t.data\n\t") + Directive + "\n");
+    auto BytesOr = assembleUnit(Unit);
+    ASSERT_TRUE(BytesOr.ok()) << BytesOr.message();
+    const std::vector<uint8_t> &Data = BytesOr->at(".data");
+    EXPECT_EQ(std::string(Data.begin(), Data.end()), Bytes) << Directive;
+    EXPECT_EQ(relaxUnit(Unit).SectionSizes.at(".data"),
+              static_cast<int64_t>(Bytes.size()))
+        << Directive;
+  }
+}
+
 TEST(Relaxer, ExternalTargetsUseRel32) {
   MaoUnit Unit = parseOk("\t.text\n\tjmp external_fn\n");
   RelaxationResult R = relaxUnit(Unit);

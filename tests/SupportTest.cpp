@@ -2,6 +2,7 @@
 
 #include "mao/CommandLine.h"
 #include "support/Diag.h"
+#include "support/FaultInjection.h"
 #include "support/FileIO.h"
 #include "support/Hash.h"
 #include "support/Json.h"
@@ -12,6 +13,7 @@
 #include <gtest/gtest.h>
 
 #include <cstdio>
+#include <cstdlib>
 #include <filesystem>
 #include <fstream>
 #include <iterator>
@@ -45,6 +47,102 @@ TEST(FileIO, ReadsFilesThatReportNoSize) {
   std::string Read;
   ASSERT_TRUE(readWholeFile("/proc/self/status", Read));
   EXPECT_NE(Read.find("Name:"), std::string::npos);
+}
+
+// --- Whole-file writes ------------------------------------------------------
+
+TEST(FileIO, WriteRoundTripsEveryByte) {
+  const std::string Path = ::testing::TempDir() + "mao_write_whole_file.bin";
+  std::string Bytes = "line\r\n\0tail without newline";
+  Bytes += std::string(100000, 'x');
+  ASSERT_TRUE(writeWholeFile(Path, "stale and longer than nothing").ok());
+  ASSERT_TRUE(writeWholeFile(Path, Bytes).ok()); // Truncates, then writes.
+  std::string Read;
+  ASSERT_TRUE(readWholeFile(Path, Read));
+  EXPECT_EQ(Read, Bytes);
+  std::remove(Path.c_str());
+}
+
+TEST(FileIO, WriteDashGoesToStdout) {
+  ::testing::internal::CaptureStdout();
+  const MaoStatus S = writeWholeFile("-", "to stdout\n");
+  EXPECT_EQ(::testing::internal::GetCapturedStdout(), "to stdout\n");
+  EXPECT_TRUE(S.ok()) << S.message();
+}
+
+TEST(FileIO, WriteFailuresAreErrors) {
+  const MaoStatus Missing = writeWholeFile("/nonexistent-dir/x.s", "text");
+  ASSERT_FALSE(Missing.ok());
+  EXPECT_EQ(Missing.message(),
+            "cannot write /nonexistent-dir/x.s: No such file or directory");
+  if (!std::filesystem::exists("/dev/full"))
+    GTEST_SKIP() << "no /dev/full";
+  const MaoStatus Full = writeWholeFile("/dev/full", "text");
+  ASSERT_FALSE(Full.ok());
+  EXPECT_EQ(Full.message(), "cannot write /dev/full: No space left on device");
+}
+
+// --- The @seed suffix of a fault spec ---------------------------------------
+
+/// The first 64 encoder-site decisions of the armed injector, then reset.
+std::string encoderDraws() {
+  FaultInjector &FI = FaultInjector::instance();
+  std::string Draws;
+  for (int I = 0; I < 64; ++I)
+    Draws += FI.shouldFail(FaultSite::Encoder) ? '1' : '0';
+  FI.reset();
+  return Draws;
+}
+
+TEST(FaultSeed, SuffixReadsAsTheSeedArgument) {
+  std::string Spec;
+  uint64_t Seed = 1;
+  ASSERT_TRUE(splitFaultSeed("encoder:500@7", Spec, Seed).ok());
+  EXPECT_EQ(Spec, "encoder:500");
+  EXPECT_EQ(Seed, 7u);
+  ASSERT_TRUE(splitFaultSeed("encoder:500", Spec, Seed).ok());
+  EXPECT_EQ(Spec, "encoder:500");
+  EXPECT_EQ(Seed, 7u); // No suffix: the seed keeps its value.
+
+  FaultInjector &FI = FaultInjector::instance();
+  ASSERT_TRUE(FI.configure("encoder:500", 7).ok());
+  const std::string ByArgument = encoderDraws();
+  ASSERT_EQ(setenv("MAO_FAULT_INJECT", "encoder:500@7", 1), 0);
+  FI.configureFromEnv();
+  unsetenv("MAO_FAULT_INJECT");
+  EXPECT_EQ(encoderDraws(), ByArgument);
+  EXPECT_NE(ByArgument.find('1'), std::string::npos);
+
+  auto CmdOr = parseCommandLine({"--mao-fault-inject=encoder:500@7", "a.s"});
+  ASSERT_TRUE(CmdOr.ok()) << CmdOr.message();
+  EXPECT_EQ(CmdOr->FaultSpec, "encoder:500");
+  EXPECT_EQ(CmdOr->FaultSeed, 7u);
+}
+
+TEST(FaultSeed, BadSeedsAreRejectedEverywhere) {
+  for (const char *Bad : {"@abc", "@", "@1x"}) {
+    const std::string Payload = std::string("encoder:50") + Bad;
+    std::string Spec;
+    uint64_t Seed = 1;
+    const MaoStatus S = splitFaultSeed(Payload, Spec, Seed);
+    ASSERT_FALSE(S.ok()) << Payload;
+    EXPECT_EQ(S.message(), std::string("seed must be an integer; got '") +
+                               (Bad + 1) + "'");
+    auto CmdOr = parseCommandLine({"--mao-fault-inject=" + Payload, "a.s"});
+    ASSERT_FALSE(CmdOr.ok()) << Payload;
+    EXPECT_EQ(CmdOr.message(), "--mao-fault-inject " + S.message());
+
+    FaultInjector &FI = FaultInjector::instance();
+    FI.reset();
+    ASSERT_EQ(setenv("MAO_FAULT_INJECT", Payload.c_str(), 1), 0);
+    ::testing::internal::CaptureStderr();
+    FI.configureFromEnv();
+    const std::string Err = ::testing::internal::GetCapturedStderr();
+    unsetenv("MAO_FAULT_INJECT");
+    EXPECT_FALSE(FI.siteEnabled(FaultSite::Encoder)) << Payload;
+    EXPECT_EQ(Err, "mao: ignoring MAO_FAULT_INJECT: " + S.message() + "\n");
+    FI.reset();
+  }
 }
 
 // --- Option parsing (the paper's --mao= syntax) -----------------------------
@@ -194,7 +292,7 @@ TEST(Options, DriverFlagsLandInFacadeFields) {
        [](const MaoCommandLine &C) { return C.Tune.Budget == "small"; }},
       {"--tune-report=t.json",
        [](const MaoCommandLine &C) {
-         return C.Tune.ReportPath == "t.json";
+         return C.TuneReportPath == "t.json";
        }},
       {"--tune-seed=9", [](const MaoCommandLine &C) { return C.Tune.Seed == 9; }},
       {"--tune-config=opteron",
