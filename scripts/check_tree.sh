@@ -1,7 +1,7 @@
 #!/bin/sh
 # Tree hygiene gate: fails when generated files are tracked by git, or
-# when a source file under src/ opens a file for writing (std::ofstream,
-# or fopen with a "w" or "a" mode) anywhere but support/FileIO.cpp.
+# when a source file under src/ opens a file itself (std::ofstream,
+# std::ifstream, or fopen with any mode) anywhere but support/FileIO.cpp.
 #
 # The repo once tracked its whole build/ directory (865 files of CMake
 # droppings and object code), which made every rebuild dirty the tree and
@@ -36,4 +36,15 @@ if [ -n "$WRITERS" ]; then
   echo "check_tree: write through writeWholeFile (support/FileIO.h)" >&2
   exit 1
 fi
-echo "check_tree: no generated files tracked, one file writer"
+# One reader: readWholeFile reads a file in one checked read, so an
+# unreadable input is reported one way.
+READERS=$(grep -rnE --include='*.cpp' --include='*.h' \
+  'std::ifstream|fopen *\([^;]*, *"[^"]*r' src |
+  grep -v '^src/support/FileIO.cpp:' | head -20)
+if [ -n "$READERS" ]; then
+  echo "check_tree: files under src/ open files for reading:" >&2
+  echo "$READERS" >&2
+  echo "check_tree: read through readWholeFile (support/FileIO.h)" >&2
+  exit 1
+fi
+echo "check_tree: no generated files tracked, one file writer, one reader"

@@ -14,7 +14,7 @@
 #include <cstdint>
 #include <cstdio>
 #include <exception>
-#include <fstream>
+#include <sstream>
 #include <optional>
 #include <string>
 #include <unordered_set>
@@ -291,66 +291,6 @@ void ruleStackAlignment(const FnLintContext &C, FindingBuf &E) {
 // (R6, informational).
 //===----------------------------------------------------------------------===//
 
-/// Explicit register operands this instruction writes, with their views.
-std::vector<Reg> writtenRegs(const Instruction &Insn) {
-  std::vector<Reg> Out;
-  const OpcodeInfo &Info = Insn.info();
-  auto AddIfReg = [&](const Operand &Op) {
-    if (Op.isReg())
-      Out.push_back(Op.R);
-  };
-  switch (Info.Kind) {
-  case EncKind::Mov:
-  case EncKind::Movx:
-  case EncKind::Lea:
-  case EncKind::Cmovcc:
-  case EncKind::SseMov:
-  case EncKind::SseCvtMov:
-  case EncKind::SseAlu:
-    if (Insn.Ops.size() >= 2)
-      AddIfReg(Insn.Ops[1]);
-    break;
-  case EncKind::AluRMI:
-    if (Insn.Mn != Mnemonic::CMP && Insn.Ops.size() >= 2)
-      AddIfReg(Insn.Ops[1]);
-    break;
-  case EncKind::ShiftRot:
-  case EncKind::ImulMulti:
-    if (!Insn.Ops.empty())
-      AddIfReg(Insn.Ops.back());
-    break;
-  case EncKind::UnaryRM:
-  case EncKind::Pop:
-  case EncKind::Setcc:
-  case EncKind::Bswap:
-    if (!Insn.Ops.empty())
-      AddIfReg(Insn.Ops[0]);
-    break;
-  case EncKind::Xchg:
-    for (const Operand &Op : Insn.Ops)
-      AddIfReg(Op);
-    break;
-  default:
-    break;
-  }
-  return Out;
-}
-
-/// True when the destination is written without reading its old explicit
-/// value (the cases where a zero-extending form would avoid the merge).
-bool destIsWriteOnly(const Instruction &Insn) {
-  switch (Insn.info().Kind) {
-  case EncKind::Mov:
-  case EncKind::Movx:
-  case EncKind::Lea:
-  case EncKind::Pop:
-  case EncKind::Setcc:
-    return true;
-  default:
-    return false;
-  }
-}
-
 void rulePartialRegister(const FnLintContext &C, FindingBuf &E) {
   for (const BasicBlock &B : C.G.blocks()) {
     // Per super register: width of the last write in this block, or None.
@@ -380,12 +320,16 @@ void rulePartialRegister(const FnLintContext &C, FindingBuf &E) {
                      " after a narrow write to the same register "
                      "(partial-register stall)");
       };
-      for (const Operand &Op : Insn.Ops) {
+      // Operand roles come from the x86 layer (operandRoles); implicit
+      // operands, such as mul's rdx:rax, are not tracked.
+      const OperandRoles Roles = operandRoles(Insn);
+      auto RoleOf = [&](size_t I) {
+        return I < MaxRoleOperands ? Roles[I] : OperandRole::None;
+      };
+      for (size_t I = 0; I < Insn.Ops.size(); ++I) {
+        const Operand &Op = Insn.Ops[I];
         if (Op.isReg()) {
-          bool IsDest = !writtenRegs(Insn).empty() &&
-                        &Op == &Insn.Ops[Insn.Ops.size() - 1] &&
-                        destIsWriteOnly(Insn);
-          if (!IsDest)
+          if (RoleOf(I) != OperandRole::Write)
             CheckRead(Op.R, regWidth(Op.R));
         } else if (Op.isMem()) {
           if (Op.Mem.Base != Reg::None && Op.Mem.Base != Reg::RIP)
@@ -394,13 +338,16 @@ void rulePartialRegister(const FnLintContext &C, FindingBuf &E) {
             CheckRead(Op.Mem.Index, Width::Q);
         }
       }
-      for (Reg R : writtenRegs(Insn)) {
-        if (!regIsGpr(R))
+      for (size_t I = 0; I < Insn.Ops.size(); ++I) {
+        const OperandRole Role = RoleOf(I);
+        const Reg R = Insn.Ops[I].R;
+        if (!Insn.Ops[I].isReg() || !regIsGpr(R) ||
+            (Role != OperandRole::Write && Role != OperandRole::ReadWrite))
           continue;
         unsigned S = gprSuperIndex(R);
         Width WW = regWidth(R);
         bool Narrow = WW == Width::B || WW == Width::W || regIsHighByte(R);
-        if (Narrow && !Written[S] && destIsWriteOnly(Insn))
+        if (Narrow && !Written[S] && Role == OperandRole::Write)
           E.note(DiagCode::LintFalseDependency,
                  "function '" + C.Fn.name() + "', block " + blockName(B) +
                      ": '" + Insn.toString() + "' merges into %" +
@@ -593,14 +540,15 @@ void ruleArgValues(const FnLintContext &C, FindingBuf &E) {
 
 bool loadBaseline(const std::string &Path,
                   std::unordered_set<uint64_t> &Out, std::string &Error) {
-  std::ifstream File(Path);
-  if (!File) {
+  std::string Text;
+  if (!readWholeFile(Path, Text)) {
     Error = "cannot open baseline file '" + Path + "'";
     return false;
   }
+  std::istringstream Lines(Text);
   std::string Line;
   unsigned LineNo = 0;
-  while (std::getline(File, Line)) {
+  while (std::getline(Lines, Line)) {
     ++LineNo;
     size_t Begin = Line.find_first_not_of(" \t\r");
     if (Begin == std::string::npos || Line[Begin] == '#')

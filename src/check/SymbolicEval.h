@@ -9,14 +9,15 @@
 /// registers and flags, the ordered store/call/opaque event lists, and the
 /// terminator — map to the *same* node ids in a shared SymTable.
 ///
-/// The node semantics mirror sim/Emulator instruction by instruction (the
-/// constant-folding paths are the emulator's scalar code), with one
-/// deliberate deviation: flags the ISA leaves undefined (and the opcode
-/// table models as clobbered, e.g. ZF after mul, all flags after a shift)
-/// are modelled as opaque deterministic functions of the operands rather
-/// than as pass-through of the previous value. That matches the liveness
-/// assumptions every pass is written against, so a pass exploiting
-/// "table says clobbered" is not flagged as a miscompile.
+/// The evaluator has no instruction semantics of its own: it runs the
+/// interpreter of x86/Semantics.h over NodeIds, and SymTable folds constant
+/// operations with the same evalOp the emulator executes. The domains
+/// differ in one place, which Semantics.h names per instruction: flags the
+/// ISA leaves undefined (and the opcode table models as clobbered, e.g. ZF
+/// after mul, AF after a shift) are opaque deterministic functions of the
+/// operands here, where the emulator stores a fixed value. That matches the
+/// liveness assumptions every pass is written against, so a pass
+/// exploiting "table says clobbered" is not flagged as a miscompile.
 ///
 /// Simplification rules are chosen to prove exactly the rewrites MAO's
 /// peephole passes perform: known-zero-bit tracking discharges
@@ -30,7 +31,7 @@
 #ifndef MAO_CHECK_SYMBOLICEVAL_H
 #define MAO_CHECK_SYMBOLICEVAL_H
 
-#include "x86/Instruction.h"
+#include "x86/Semantics.h"
 
 #include <array>
 #include <cstdint>
@@ -52,50 +53,6 @@ enum class SymKind : uint8_t {
   Unknown,  ///< Opaque fresh value keyed by (Aux, A, B): call results,
             ///< post-opaque state.
   Op,       ///< Operation Tag over Args (see SymTag).
-};
-
-/// Operation tags for SymKind::Op nodes. Value operations work on the full
-/// 64-bit domain (narrower widths are expressed by masking the inputs and
-/// the result); flag extractors return 0/1.
-enum class SymTag : uint16_t {
-  None,
-  // Integer value operations.
-  Add,    // a + b (commutative; constant canonicalized last)
-  Sub,    // a - b (sub-by-constant is normalized to Add)
-  Mul,    // low 64 bits of a * b
-  MulHiU, // A = width bits: high half of unsigned a * b at that width
-  MulHiS, // A = width bits: high half of signed a * b
-  DivQ,   // A = width bits: unsigned quotient of (hi:lo) / d, Args={hi,lo,d}
-  DivR,   // unsigned remainder, same shape
-  IDivQ,  // signed quotient
-  IDivR,  // signed remainder
-  And,    // a & b (commutative)
-  Or,     // a | b (commutative)
-  Xor,    // a ^ b (commutative)
-  Not,    // ~a
-  Neg,    // 0 - a
-  Shl,    // a << b (b already masked to the width's count range)
-  Shr,    // a >> b (logical; a pre-masked to width)
-  Sar,    // A = width bits: arithmetic shift right
-  Rol,    // A = width bits: rotate left
-  Ror,    // A = width bits: rotate right
-  Bswap,  // A = width bits: byte swap
-  SExt,   // A = source bits: sign-extend low A bits of a to 64
-  Select, // Args = {c, t, f}: c (0/1) ? t : f
-  Load,   // A = bytes, B = memory epoch, Args = {addr}; zero-extended
-  // Flag extractors (result is 0 or 1).
-  EqZero,  // a == 0 (ZF of a width-masked result)
-  SignBit, // A = width bits: bit A-1 of a (SF)
-  Par8,    // even parity of a's low byte (PF)
-  // Opaque-but-deterministic flag functions: flag A (FlagBit position) of
-  // operation B = (mnemonic | widthBits << 16) applied to Args. Folds to a
-  // constant when all Args are constants and the emulator defines the
-  // result; otherwise both sides of a comparison build the same node for
-  // the same inputs.
-  FlagFn,
-  // Scalar SSE value operations (bit-accurate float/double reinterpret).
-  FAdd32, FSub32, FMul32, FDiv32,
-  FAdd64, FSub64, FMul64, FDiv64,
 };
 
 /// One DAG node. Interned: equal structure implies equal NodeId.
@@ -200,11 +157,6 @@ struct BlockSummary {
   Terminator Term;
 };
 
-/// Number of dense register slots (16 GPR supers + 16 XMM).
-constexpr unsigned NumDenseRegs = 32;
-/// Number of tracked status flags (CF,PF,AF,ZF,SF,OF — FlagBit positions).
-constexpr unsigned NumStatusFlags = 6;
-
 /// Evaluates one straight-line instruction sequence into a BlockSummary.
 /// Reusable: every evaluate() call starts from the configured initial
 /// state. Two evaluators sharing one SymTable produce comparable node ids.
@@ -225,9 +177,6 @@ private:
   std::array<NodeId, NumDenseRegs> InitRegs{};
   std::array<NodeId, NumStatusFlags> InitFlags{};
 };
-
-/// Dense register index for any register view; ~0u for RIP/None.
-unsigned denseRegIndex(Reg R);
 
 /// Renders a node as a compact s-expression (diagnostics and tests).
 std::string renderNode(const SymTable &T, NodeId Id);

@@ -435,27 +435,28 @@ OptimizeResult Session::optimize(Program &P,
                                  const std::vector<PassSpec> &Pipeline,
                                  const OptimizeOptions &Options) {
   OptimizeResult Result;
-  if (!P.valid()) {
-    Result.Error = "program is not parsed";
+  // Every failure is reported once through the diagnostics (the pass
+  // runner reports its own); Result.Error repeats it for API callers.
+  auto Refuse = [&](std::string Why) {
+    I->Diags.error(DiagCode::DriverUsage, Why);
+    Result.Error = std::move(Why);
     return Result;
-  }
+  };
+  if (!P.valid())
+    return Refuse("program is not parsed");
 
   PipelineOptions Pipe;
   if (Options.OnError == "rollback")
     Pipe.OnError = OnErrorPolicy::Rollback;
   else if (Options.OnError == "skip")
     Pipe.OnError = OnErrorPolicy::Skip;
-  else if (Options.OnError != "abort" && !Options.OnError.empty()) {
-    Result.Error = "unknown on-error policy '" + Options.OnError +
-                   "' (expected abort, rollback, or skip)";
-    return Result;
-  }
+  else if (Options.OnError != "abort" && !Options.OnError.empty())
+    return Refuse("unknown on-error policy '" + Options.OnError +
+                  "' (expected abort, rollback, or skip)");
   if (Options.Validate != "off" && Options.Validate != "structural" &&
-      Options.Validate != "semantic" && !Options.Validate.empty()) {
-    Result.Error = "unknown validation level '" + Options.Validate +
-                   "' (expected off, structural, or semantic)";
-    return Result;
-  }
+      Options.Validate != "semantic" && !Options.Validate.empty())
+    return Refuse("unknown validation level '" + Options.Validate +
+                  "' (expected off, structural, or semantic)");
   // An explicit request additionally upgrades the per-pass verifier from
   // the cheap configuration to the thorough one (the driver's --mao-verify
   // contract).

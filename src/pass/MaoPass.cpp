@@ -372,6 +372,8 @@ ErrorOr<unsigned> executePass(MaoUnit &Unit, const PassRequest &Req,
         S.Failed = true;
         S.Detail =
             "pass " + Req.PassName + " failed on function " + Fns[I].name();
+        if (!Pass->failureReason().empty())
+          S.Detail += ": " + Pass->failureReason();
       }
     } catch (const std::exception &E) {
       S.Failed = true;
@@ -564,6 +566,7 @@ PipelineResult mao::runPasses(MaoUnit &Unit,
         LostOutput = true;
         FnFailures.clear();
         FailureDetail = E.what();
+        FailureCode = DiagCode::DriverFileError;
       } catch (const PassTimeoutError &E) {
         Failed = true;
         FnFailures.clear(); // Timeout fails the whole request.
@@ -626,11 +629,13 @@ PipelineResult mao::runPasses(MaoUnit &Unit,
       continue;
     }
 
+    // The one report of this failure: a diagnostic per failed function, or
+    // one for the pass. Function failures were buffered by the shards;
+    // emit them here, on the orchestrating thread, in function order —
+    // diagnostics output is deterministic no matter how the shards were
+    // scheduled. Result.Error repeats it for callers without a sink.
     Outcome.Detail = FailureDetail;
-    if (Options.Diags && !LostOutput) {
-      // Function failures were buffered by the shards; emit them here, on
-      // the orchestrating thread, in function order — diagnostics output
-      // is deterministic no matter how the shards were scheduled.
+    if (Options.Diags) {
       for (const FunctionFailure &F : FnFailures)
         Options.Diags->error(F.Code, F.Detail, {}, Req.PassName);
       if (FnFailures.empty())
@@ -649,6 +654,8 @@ PipelineResult mao::runPasses(MaoUnit &Unit,
       // The transaction machinery cannot guarantee the unit's state when a
       // committed pass does not reproduce, so stop hard.
       auto HardStop = [&](const std::string &Why) {
+        if (Options.Diags)
+          Options.Diags->error(DiagCode::PassFailed, Why, {}, Req.PassName);
         Outcome.Status = PassStatus::Failed;
         Outcome.Detail += "; " + Why;
         Finish(Outcome);

@@ -63,8 +63,18 @@ public:
   /// Number of code transformations this pass performed (Fig. 7 columns).
   unsigned transformationCount() const { return Transformations; }
 
+  /// Why go() returned false, when the pass said so through fail().
+  const std::string &failureReason() const { return FailureReason; }
+
 protected:
   void countTransformation(unsigned N = 1) { Transformations += N; }
+
+  /// Records \p Why as the reason this run failed; the pass runner puts it
+  /// in the one failure diagnostic. Returns false, for `return fail(...)`.
+  bool fail(std::string Why) {
+    FailureReason = std::move(Why);
+    return false;
+  }
 
 private:
   std::string Name;
@@ -72,6 +82,7 @@ private:
   MaoUnit *Unit;
   TraceContext Tracer;
   unsigned Transformations = 0;
+  std::string FailureReason;
 };
 
 /// Thrown by a pass that cannot write an output the user named (the ASM

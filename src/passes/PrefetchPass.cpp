@@ -14,8 +14,9 @@
 #include "passes/PrefetchPass.h"
 
 #include "pass/MaoPass.h"
+#include "support/FileIO.h"
 
-#include <cstdio>
+#include <sstream>
 
 using namespace mao;
 
@@ -62,18 +63,16 @@ public:
     const std::string Path = options().getString("profile");
     if (Path.empty())
       return true; // Nothing to do without a profile.
-    std::FILE *File = std::fopen(Path.c_str(), "r");
-    if (!File) {
-      trace(0, "cannot open reuse profile: %s", Path.c_str());
-      return false;
-    }
+    std::string Profile;
+    if (!readWholeFile(Path, Profile))
+      return fail("cannot read reuse profile " + Path);
     std::vector<unsigned> Ordinals;
-    char Name[256];
+    std::istringstream In(Profile);
+    std::string Name;
     unsigned Ordinal;
-    while (std::fscanf(File, "%255s %u", Name, &Ordinal) == 2)
+    while (In >> Name >> Ordinal)
       if (function().name() == Name)
         Ordinals.push_back(Ordinal);
-    std::fclose(File);
 
     unsigned N = insertInversePrefetches(unit(), function(), Ordinals);
     countTransformation(N);

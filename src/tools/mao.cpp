@@ -378,19 +378,14 @@ int main(int Argc, char **Argv) {
   if (!Pipeline.empty() || !Cmd.RunTune) {
     mao::api::OptimizeResult Result =
         Session.optimize(Program, Pipeline, Cmd.Optimize);
-    if (!Result.Ok) {
-      if (!Result.Error.empty())
-        std::fprintf(stderr, "mao: error: %s\n", Result.Error.c_str());
+    // Every failure, contained or not, was reported once through the
+    // diagnostics already.
+    if (!Result.Ok)
       return Finish(ExitPipelineError);
-    }
-    for (const mao::api::PassOutcomeInfo &Outcome : Result.Outcomes) {
-      if (Outcome.Status != "ok")
-        std::fprintf(stderr, "mao: pass %s %s (%s)\n", Outcome.Pass.c_str(),
-                     Outcome.Status.c_str(), Outcome.Detail.c_str());
-      else if (Outcome.Transformations > 0)
+    for (const mao::api::PassOutcomeInfo &Outcome : Result.Outcomes)
+      if (Outcome.Status == "ok" && Outcome.Transformations > 0)
         std::fprintf(stderr, "mao: %s performed %u transformations\n",
                      Outcome.Pass.c_str(), Outcome.Transformations);
-    }
   }
 
   // Final consistency gate when the run verified per pass or the tuner

@@ -69,124 +69,116 @@ Operand *Instruction::memOperand() {
   return nullptr;
 }
 
-namespace {
-
-/// How an explicit operand participates in the instruction.
-enum class Role { None, Read, Write, ReadWrite, Address };
-
-/// The most explicit operands any modelled form has (3-operand imul).
-constexpr size_t MaxRoleOperands = 3;
-using OperandRoles = std::array<Role, MaxRoleOperands>;
-
-/// Fills \p Roles (parallel to Ops) for the instruction's encoding kind.
-/// Kinds without data operands leave every role None, whatever their
-/// operand count.
-void operandRoles(const Instruction &Insn, OperandRoles &Roles) {
+OperandRoles mao::operandRoles(const Instruction &Insn) {
   const EncKind K = Insn.info().Kind;
   const size_t N = Insn.Ops.size();
-  Roles.fill(Role::None);
+  OperandRoles Roles;
+  Roles.fill(OperandRole::None);
   switch (K) {
   case EncKind::Mov:
   case EncKind::Movx:
   case EncKind::SseMov:
   case EncKind::SseCvtMov:
     assert(N == 2 && "move needs src, dst");
-    Roles[0] = Role::Read;
-    Roles[1] = Role::Write;
-    return;
+    Roles[0] = OperandRole::Read;
+    Roles[1] = OperandRole::Write;
+    return Roles;
   case EncKind::Lea:
     assert(N == 2 && "lea needs mem, dst");
-    Roles[0] = Role::Address;
-    Roles[1] = Role::Write;
-    return;
+    Roles[0] = OperandRole::Address;
+    Roles[1] = OperandRole::Write;
+    return Roles;
   case EncKind::AluRMI:
     assert(N == 2 && "ALU needs src, dst");
-    Roles[0] = Role::Read;
-    Roles[1] = Insn.Mn == Mnemonic::CMP ? Role::Read : Role::ReadWrite;
-    return;
+    Roles[0] = OperandRole::Read;
+    Roles[1] = Insn.Mn == Mnemonic::CMP ? OperandRole::Read : OperandRole::ReadWrite;
+    return Roles;
   case EncKind::Test:
     assert(N == 2 && "test needs two sources");
-    Roles[0] = Roles[1] = Role::Read;
-    return;
+    Roles[0] = Roles[1] = OperandRole::Read;
+    return Roles;
   case EncKind::UnaryRM:
     assert(N == 1 && "unary op needs one operand");
     Roles[0] = (Insn.Mn == Mnemonic::MUL || Insn.Mn == Mnemonic::DIV ||
                 Insn.Mn == Mnemonic::IDIV)
-                   ? Role::Read
-                   : Role::ReadWrite;
-    return;
+                   ? OperandRole::Read
+                   : OperandRole::ReadWrite;
+    return Roles;
   case EncKind::ImulMulti:
     if (N == 1) {
-      Roles[0] = Role::Read;
+      Roles[0] = OperandRole::Read;
     } else if (N == 2) {
-      Roles[0] = Role::Read;
-      Roles[1] = Role::ReadWrite;
+      Roles[0] = OperandRole::Read;
+      Roles[1] = OperandRole::ReadWrite;
     } else {
       assert(N == 3 && "imul takes 1-3 operands");
-      Roles[0] = Roles[1] = Role::Read;
-      Roles[2] = Role::Write;
+      Roles[0] = Roles[1] = OperandRole::Read;
+      Roles[2] = OperandRole::Write;
     }
-    return;
+    return Roles;
   case EncKind::ShiftRot:
     if (N == 1) {
-      Roles[0] = Role::ReadWrite;
+      Roles[0] = OperandRole::ReadWrite;
     } else {
       assert(N == 2 && "shift takes 1-2 operands");
-      Roles[0] = Role::Read;
-      Roles[1] = Role::ReadWrite;
+      Roles[0] = OperandRole::Read;
+      Roles[1] = OperandRole::ReadWrite;
     }
-    return;
+    return Roles;
   case EncKind::Push:
     assert(N == 1);
-    Roles[0] = Role::Read;
-    return;
+    Roles[0] = OperandRole::Read;
+    return Roles;
   case EncKind::Pop:
     assert(N == 1);
-    Roles[0] = Role::Write;
-    return;
+    Roles[0] = OperandRole::Write;
+    return Roles;
   case EncKind::Xchg:
     assert(N == 2);
-    Roles[0] = Roles[1] = Role::ReadWrite;
-    return;
+    Roles[0] = Roles[1] = OperandRole::ReadWrite;
+    return Roles;
   case EncKind::Bswap:
     assert(N == 1);
-    Roles[0] = Role::ReadWrite;
-    return;
+    Roles[0] = OperandRole::ReadWrite;
+    return Roles;
   case EncKind::Setcc:
     assert(N == 1);
-    Roles[0] = Role::Write;
-    return;
+    Roles[0] = OperandRole::Write;
+    return Roles;
   case EncKind::Cmovcc:
     assert(N == 2);
-    Roles[0] = Role::Read;
-    Roles[1] = Role::ReadWrite;
-    return;
+    Roles[0] = OperandRole::Read;
+    Roles[1] = OperandRole::ReadWrite;
+    return Roles;
   case EncKind::SseAlu:
     assert(N == 2);
-    Roles[0] = Role::Read;
+    Roles[0] = OperandRole::Read;
     Roles[1] = (Insn.Mn == Mnemonic::UCOMISS || Insn.Mn == Mnemonic::UCOMISD)
-                   ? Role::Read
-                   : Role::ReadWrite;
-    return;
+                   ? OperandRole::Read
+                   : OperandRole::ReadWrite;
+    return Roles;
   case EncKind::Prefetch:
     assert(N == 1 && Insn.Ops[0].isMem() && "prefetch takes a memory operand");
-    Roles[0] = Role::Address;
-    return;
+    Roles[0] = OperandRole::Address;
+    return Roles;
   case EncKind::Jmp:
   case EncKind::Jcc:
   case EncKind::Call:
     assert(N == 1 && "branch needs a target");
     // Direct targets are not data operands; indirect ones are read.
-    Roles[0] = Insn.Ops[0].isSymbol() ? Role::None : Role::Read;
-    return;
+    Roles[0] = Insn.Ops[0].isSymbol() ? OperandRole::None : OperandRole::Read;
+    return Roles;
   case EncKind::Ret:
   case EncKind::Fixed:
   case EncKind::Nop:
   case EncKind::Opaque:
-    return;
+    return Roles;
   }
   assert(false && "covered switch");
+  return Roles;
 }
+
+namespace {
 
 /// Maps an ImpRegBit mask from the opcode table to a RegMask.
 RegMask impToRegMask(uint8_t Imp) {
@@ -272,20 +264,19 @@ InstructionEffects Instruction::effects() const {
     break;
   }
 
-  OperandRoles Roles;
-  operandRoles(*this, Roles);
+  const OperandRoles Roles = operandRoles(*this);
   for (size_t I = 0, E = std::min<size_t>(Ops.size(), MaxRoleOperands); I != E;
        ++I) {
     const Operand &Op = Ops[I];
-    const Role R = Roles[I];
-    if (R == Role::None)
+    const OperandRole R = Roles[I];
+    if (R == OperandRole::None)
       continue;
 
     if (Op.isMem()) {
       Fx.RegUses |= regMaskBit(Op.Mem.Base) | regMaskBit(Op.Mem.Index);
-      if (R == Role::Read || R == Role::ReadWrite)
+      if (R == OperandRole::Read || R == OperandRole::ReadWrite)
         Fx.MemRead = true;
-      if (R == Role::Write || R == Role::ReadWrite)
+      if (R == OperandRole::Write || R == OperandRole::ReadWrite)
         Fx.MemWrite = true;
       continue;
     }
@@ -293,14 +284,14 @@ InstructionEffects Instruction::effects() const {
       continue;
 
     const RegMask Bit = regMaskBit(Op.R);
-    if (R == Role::Read || R == Role::Address) {
+    if (R == OperandRole::Read || R == OperandRole::Address) {
       Fx.RegUses |= Bit;
       continue;
     }
     // Write or ReadWrite. Narrow writes merge into the old value, so they
     // also count as uses of the super register.
     Fx.RegDefs |= Bit;
-    if (R == Role::ReadWrite || !writeIsFullDef(Op.R))
+    if (R == OperandRole::ReadWrite || !writeIsFullDef(Op.R))
       Fx.RegUses |= Bit;
   }
   return Fx;

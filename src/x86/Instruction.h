@@ -19,6 +19,7 @@
 #include "x86/Opcodes.h"
 #include "x86/Operand.h"
 
+#include <array>
 #include <cstdint>
 #include <string>
 #include <vector>
@@ -113,6 +114,19 @@ struct Instruction {
 
   bool operator==(const Instruction &O) const = default;
 };
+
+/// How an explicit operand participates in its instruction.
+enum class OperandRole : uint8_t { None, Read, Write, ReadWrite, Address };
+
+/// The most explicit operands any modelled form has (3-operand imul).
+constexpr size_t MaxRoleOperands = 3;
+using OperandRoles = std::array<OperandRole, MaxRoleOperands>;
+
+/// The role of each explicit operand, parallel to Insn.Ops, by encoding
+/// kind: what effects() and the linter read. Kinds without data operands
+/// (direct branches, ret, fixed forms, opaque text) give None throughout.
+/// Implicit operands (rax/rdx of mul and div) are not listed.
+OperandRoles operandRoles(const Instruction &Insn);
 
 /// Convenience builders used throughout passes, tests and the workload
 /// generator. All take operands in AT&T order.

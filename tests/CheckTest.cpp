@@ -592,6 +592,21 @@ TEST(Lint, DetectsPartialRegisterStall) {
   EXPECT_TRUE(hasCode(Sink, DiagCode::LintPartialRegStall));
 }
 
+TEST(Lint, MulAndDivOperandsAreReadNotWritten) {
+  // The explicit operand of mul/div/idiv is a source (operandRoles): the
+  // byte read of %cl is no narrow write, so the wide read of %ecx after it
+  // does not stall.
+  for (const char *Op : {"mulb", "divb", "idivb"}) {
+    CollectingDiagSink Sink;
+    lintText(wrapFunction("f", std::string("\tmovl $3, %ecx\n\tmovl $5, "
+                                           "%eax\n\t") +
+                                   Op +
+                                   " %cl\n\taddl %ecx, %eax\n\tret\n"),
+             &Sink);
+    EXPECT_FALSE(hasCode(Sink, DiagCode::LintPartialRegStall)) << Op;
+  }
+}
+
 TEST(Lint, NotesFalseDependencyWithoutFailing) {
   // A byte-width write-only def with no prior full-width def carries a
   // false dependency on the old value; advisory only (a Note), so the

@@ -918,6 +918,10 @@ std::string randomEdit(MaoUnit &Unit, UnitLayout &Layout, RandomSource &Rng,
       Layout.insertBefore(Pos, MaoEntry::makeInstruction(makeJump(Name)));
       return "jmp " + Name;
     case 1:
+      // A second definition of a function's name would redefine the
+      // function, which MaoUnit's edit contract excludes.
+      if (Unit.findFunction(Name))
+        return "";
       Layout.insertBefore(Pos, MaoEntry::makeLabel(Name));
       return "label " + Name;
     default: {
