@@ -17,7 +17,11 @@
 ///     SIMADDR sampling experiments.
 ///
 /// Execution interprets the IR entry list directly; instruction addresses
-/// (when needed by the uarch model) come from relaxation results.
+/// (when needed by the uarch model) come from relaxation results. What a
+/// data instruction computes is not stated here: the run loop follows
+/// jumps, calls and returns itself and hands every other instruction to
+/// the shared interpreter of x86/Semantics.h over concrete values, the
+/// same interpreter the symbolic evaluator (check/SymbolicEval) runs.
 ///
 //===----------------------------------------------------------------------===//
 
