@@ -248,6 +248,9 @@ void Checker::checkLabels() {
   // fall out of a sort, and references resolve by binary search. Failure
   // messages are only rendered when an issue is actually raised.
   std::vector<std::string_view> Defined;
+  // Symbols a .set/.equ/.equiv assigns: they resolve references, and gas
+  // lets .set assign one symbol again, so they are not duplicates.
+  std::vector<std::string_view> Assigned;
   std::vector<std::pair<std::string_view, const MaoEntry *>> LocalRefs;
   Defined.reserve(Unit.entries().size() / 4);
   LocalRefs.reserve(Unit.entries().size() / 4);
@@ -275,6 +278,9 @@ void Checker::checkLabels() {
           Dir.Kind == DirKind::Long || Dir.Kind == DirKind::Quad)
         for (const std::string &Arg : Dir.Args)
           NoteRef(leadingSymbol(Arg), E);
+      else if (Dir.Name == ".set" || Dir.Name == ".equ" ||
+               Dir.Name == ".equiv")
+        Assigned.push_back(Dir.arg(0));
     }
   }
 
@@ -293,8 +299,10 @@ void Checker::checkLabels() {
     I = J;
   }
 
+  std::sort(Assigned.begin(), Assigned.end());
   for (const auto &[Sym, Entry] : LocalRefs) {
-    if (std::binary_search(Defined.begin(), Defined.end(), Sym))
+    if (std::binary_search(Defined.begin(), Defined.end(), Sym) ||
+        std::binary_search(Assigned.begin(), Assigned.end(), Sym))
       continue;
     if (full())
       return;

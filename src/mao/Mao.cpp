@@ -319,8 +319,10 @@ Status computeArtifact(Session &S, const CachedRunRequest &Request,
   Program P;
   ParseInfo Info;
   if (Status St = S.parseText(Request.Source, Request.Name, P, &Info);
-      !St.Ok)
+      !St.Ok) {
+    Out.Reported = Out.ParseFailed = true;
     return St;
+  }
   if (Status St = P.setRelaxMode(Request.Relax); !St.Ok)
     return St;
   // CollectStats is forced on so the stored report's per-pass deltas do
@@ -328,12 +330,17 @@ Status computeArtifact(Session &S, const CachedRunRequest &Request,
   // report must be a pure function of the cache key.
   OptimizeOptions Opts = Request.Options;
   Opts.CollectStats = true;
+  // The pass runner and the verifier report their own failures.
   OptimizeResult R = S.optimize(P, Request.Pipeline, Opts);
-  if (!R.Ok)
+  if (!R.Ok) {
+    Out.Reported = true;
     return Status::error(R.Error.empty() ? "pipeline failed" : R.Error);
+  }
   if (Opts.verifiesEachPass())
-    if (Status St = S.verify(P); !St.Ok)
+    if (Status St = S.verify(P); !St.Ok) {
+      Out.Reported = true;
       return St;
+    }
   Out.Output = S.emitToString(P);
   RunReport Report;
   Report.Input = "<artifact>";
@@ -366,8 +373,10 @@ Status Session::cacheRun(const CachedRunRequest &Request,
         return Status::success();
       }
       CachedRunResult Fresh;
-      if (Status S = computeArtifact(*this, Request, Fresh); !S.Ok)
+      if (Status S = computeArtifact(*this, Request, Fresh); !S.Ok) {
+        Out = std::move(Fresh);
         return S;
+      }
       if (Fresh.Output != *Output || Fresh.ReportJson != *Report)
         return Status::error(
             "artifact cache hit diverged from recompute (key " +

@@ -285,6 +285,11 @@ struct CachedRunResult {
   /// Non-fatal store-side detail (e.g. the entry could not be persisted);
   /// the computed result is still valid when this is set.
   std::string Diagnostic;
+  /// On failure: the session's diagnostics already reported it (a parse
+  /// error, a failed pass or a verifier issue), so the caller prints
+  /// nothing more; and whether it was the input that did not parse.
+  bool Reported = false;
+  bool ParseFailed = false;
 };
 
 /// Histogram summary row of the run report.

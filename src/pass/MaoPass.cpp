@@ -534,6 +534,8 @@ PipelineResult mao::runPasses(MaoUnit &Unit,
     std::string FailureDetail;
     DiagCode FailureCode = DiagCode::PassFailed;
     bool Failed = false;
+    // The verifier reports its issues through Options.Diags itself.
+    bool Reported = false;
     // A lost output stops the pipeline whatever the policy, and its caller
     // reports it: no rollback brings the output back.
     bool LostOutput = false;
@@ -594,6 +596,7 @@ PipelineResult mao::runPasses(MaoUnit &Unit,
         FailureDetail = "verifier failed after pass " + Req.PassName + ": " +
                         Report.firstMessage();
         FailureCode = Report.Issues.front().Code;
+        Reported = true;
       }
     }
 
@@ -629,13 +632,14 @@ PipelineResult mao::runPasses(MaoUnit &Unit,
       continue;
     }
 
-    // The one report of this failure: a diagnostic per failed function, or
-    // one for the pass. Function failures were buffered by the shards;
-    // emit them here, on the orchestrating thread, in function order —
-    // diagnostics output is deterministic no matter how the shards were
-    // scheduled. Result.Error repeats it for callers without a sink.
+    // The one report of this failure: the verifier's own issues, or a
+    // diagnostic per failed function, or one for the pass. Function
+    // failures were buffered by the shards; emit them here, on the
+    // orchestrating thread, in function order — diagnostics output is
+    // deterministic no matter how the shards were scheduled. Result.Error
+    // repeats it for callers without a sink.
     Outcome.Detail = FailureDetail;
-    if (Options.Diags) {
+    if (Options.Diags && !Reported) {
       for (const FunctionFailure &F : FnFailures)
         Options.Diags->error(F.Code, F.Detail, {}, Req.PassName);
       if (FnFailures.empty())

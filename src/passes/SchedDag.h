@@ -1,19 +1,20 @@
-//===- passes/SchedDag.h - List-scheduling dependence DAG -------*- C++ -*-===//
+//===- passes/SchedDag.h - Critical-path list scheduling --------*- C++ -*-===//
 ///
 /// \file
-/// The dependence DAG and the list loop behind SCHED (paper Sec. III-F),
-/// kept apart from the IR so tests can drive them on synthetic blocks. A
-/// block is a vector of SchedNodes: each instruction's side-effect summary,
-/// its latency, and whether it is a branch or return.
+/// The list schedule behind SCHED (paper Sec. III-F), kept apart from the IR
+/// so tests can drive it on synthetic blocks. A block is a vector of
+/// SchedNodes: each instruction's side-effect summary, its latency, and
+/// whether it is a branch or return.
 ///
 /// The dependence rules (register, flag, conservative memory, barrier and
-/// terminator; DESIGN.md "List scheduling") are the pairwise rules of the
-/// original quadratic pass. ListScheduler::buildDag emits just enough of
-/// those edges for every other one to follow along a path, read off running
-/// tables in one forward walk, so a block of N instructions costs near-O(N)
-/// edges. The DAG has the same transitive closure as the pairwise one, so
-/// readiness, longest-path priorities and hence the emitted schedule are
-/// identical.
+/// terminator; DESIGN.md "List scheduling") are stated between pairs of
+/// instructions, but no dependence graph is built. Each node's
+/// priority, the latency-weighted longest path to the block's exit, is read
+/// off running tables in one backward walk. Along every dependence u -> v
+/// the priority does not rise and the index does, so the greedy list loop
+/// (take the ready node with the highest priority, the lowest index among
+/// equals) emits exactly the nodes sorted by (priority desc, index asc),
+/// and the scheduler sorts.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -22,8 +23,6 @@
 
 #include "x86/Instruction.h"
 
-#include <array>
-#include <cstddef>
 #include <vector>
 
 namespace mao {
@@ -36,76 +35,28 @@ struct SchedNode {
   bool Terminator = false;
 };
 
-/// Dependence DAG over one scheduling region. Every edge runs from a lower
-/// to a higher node index.
-struct SchedDag {
-  /// Successors of node I are Succs[SuccBegin[I] .. SuccBegin[I + 1]).
-  std::vector<unsigned> SuccBegin;
-  std::vector<unsigned> Succs;
-  std::vector<unsigned> PredCount;
-  /// Latency-weighted critical-path length from the node to a DAG exit.
-  std::vector<unsigned> Priority;
-
-  size_t size() const { return PredCount.size(); }
-  size_t edgeCount() const { return Succs.size(); }
-};
-
-/// Builds dependence DAGs and list schedules, one region at a time. The
-/// scheduler owns its working storage, so scheduling many regions through
-/// one instance allocates only when a region outgrows the earlier ones.
+/// Schedules regions one at a time. The scheduler owns its working storage,
+/// so scheduling many regions through one instance allocates only when a
+/// region outgrows the earlier ones.
 class ListScheduler {
 public:
-  /// Builds the DAG of \p Nodes. \p FlagsLiveOut says whether a status flag
-  /// is read after the region, which keeps its final flag def live. The
-  /// result is valid until the next call.
-  const SchedDag &buildDag(const std::vector<SchedNode> &Nodes,
-                           bool FlagsLiveOut);
+  /// The list schedule of \p Nodes: node indices in emission order, valid
+  /// until the next call. \p FlagsLiveOut says whether a status flag is
+  /// read after the region, which keeps its final flag def live.
+  const std::vector<unsigned> &schedule(const std::vector<SchedNode> &Nodes,
+                                        bool FlagsLiveOut);
 
-  /// Greedy list schedule of the last built DAG: repeatedly takes the ready
-  /// node with the highest priority, the lowest index among equals. Returns
-  /// node indices in emission order, valid until the next call.
-  const std::vector<unsigned> &schedule();
+  /// The last scheduled region's priorities: each node's latency-weighted
+  /// critical-path length to the region's exit.
+  const std::vector<unsigned> &priorities() const { return Priority; }
 
 private:
-  /// A resource written by defs and read by uses (one register, or memory
-  /// as a whole): its last def and the uses since that def, as a list
-  /// threaded through UseLinks.
-  struct Resource {
-    unsigned LastDef = 0;
-    unsigned UsesHead = 0;
-  };
-  struct UseLink {
-    unsigned Node = 0;
-    unsigned Next = 0;
-  };
+  unsigned computePriorities(const std::vector<SchedNode> &Nodes,
+                             bool FlagsLiveOut);
 
-  void markLiveFlagDefs(const std::vector<SchedNode> &Nodes, bool FlagsLiveOut);
-  void addFlagEdges(const InstructionEffects &Fx);
-  void use(const Resource &R);
-  void pushUse(Resource &R);
-  void def(Resource &R);
-  void addEdge(unsigned From);
-  void addEdges(const std::vector<unsigned> &From);
-  /// Adds edges from every node in [First, Cur), from node 0 when there is
-  /// no First.
-  void addEdgesSince(unsigned First);
-  void finishDag(const std::vector<SchedNode> &Nodes);
-
-  SchedDag Dag;
-  // Working storage of buildDag.
-  unsigned Cur = 0; ///< The node being visited; every new edge ends here.
-  std::vector<unsigned> Stamp; ///< Stamp[I] == Cur: edge I -> Cur exists.
-  std::vector<unsigned> PredBegin, Preds;
-  std::vector<UseLink> UseLinks;
-  std::array<Resource, 8 * sizeof(RegMask)> Regs; ///< By RegMask bit.
-  Resource Mem;
-  unsigned LastBarrier = 0, LastTerminator = 0; ///< Or none.
-  std::vector<bool> LiveFlagDef;
-  unsigned FlagProducer = 0;
-  std::vector<unsigned> FlagReadersPending, FlagDefsSinceLive;
-  std::vector<unsigned> Scratch;
-  // Working storage of schedule().
-  std::vector<unsigned> PredLeft, Ready, Order;
+  std::vector<unsigned> Priority;
+  std::vector<unsigned> Start; ///< The sort's first slot per priority.
+  std::vector<unsigned> Order;
 };
 
 } // namespace mao

@@ -315,8 +315,9 @@ int main(int Argc, char **Argv) {
     const mao::api::Status S = Session.cacheRun(Run, Result);
     ServiceReport = Result.ReportJson;
     if (!S.Ok) {
-      std::fprintf(stderr, "mao: error: %s\n", S.Message.c_str());
-      return Finish(ExitPipelineError);
+      if (!Result.Reported)
+        std::fprintf(stderr, "mao: error: %s\n", S.Message.c_str());
+      return Finish(Result.ParseFailed ? ExitParseError : ExitPipelineError);
     }
     if (!Result.Diagnostic.empty())
       std::fprintf(stderr, "mao: warning: %s\n", Result.Diagnostic.c_str());

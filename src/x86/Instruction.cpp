@@ -230,6 +230,13 @@ InstructionEffects Instruction::effects() const {
     Fx.RegDefs |= regMaskBit(Reg::RAX) | regMaskBit(Reg::RDX);
     Fx.RegUses |= regMaskBit(Reg::RAX);
   }
+  // At byte width the family keeps the high half in %ah, not %dl (ax = al
+  // * src; al, ah = ax / src), so %rdx is neither read nor written.
+  if (W == Width::B && (Mn == Mnemonic::MUL || Mn == Mnemonic::IMUL ||
+                        Mn == Mnemonic::DIV || Mn == Mnemonic::IDIV)) {
+    Fx.RegDefs &= ~regMaskBit(Reg::RDX);
+    Fx.RegUses &= ~regMaskBit(Reg::RDX);
+  }
 
   if (CC != CondCode::None)
     Fx.FlagsUse |= condCodeFlagsUsed(CC);

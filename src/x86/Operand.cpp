@@ -59,8 +59,11 @@ void Operand::appendTo(std::string &Out) const {
   case OperandKind::Memory: {
     if (IndirectStar)
       Out += '*';
-    appendSymPlusAddend(Out, Sym, Imm, /*OmitZero=*/true);
-    if (Mem.Base == Reg::None && Mem.Index == Reg::None)
+    // A zero displacement goes without saying only before a register:
+    // an absolute address 0 prints as "0".
+    const bool HasRegs = Mem.Base != Reg::None || Mem.Index != Reg::None;
+    appendSymPlusAddend(Out, Sym, Imm, /*OmitZero=*/HasRegs);
+    if (!HasRegs)
       return;
     Out += '(';
     if (Mem.Base != Reg::None) {

@@ -109,6 +109,13 @@ inline unsigned denseRegIndex(Reg R) {
   return ~0u;
 }
 
+/// Where a one-operand mul, imul, div or idiv of width \p W keeps the high
+/// half of its product, dividend and remainder: %ah at byte width (ax = al
+/// * src; al, ah = ax / src), else %rdx at that width.
+inline Reg highHalfReg(Width W) {
+  return W == Width::B ? Reg::AH : gprWithWidth(Reg::RDX, W);
+}
+
 /// FlagBit position (0 for CF ... 5 for OF).
 constexpr unsigned flagPos(uint8_t FlagBit) {
   return static_cast<unsigned>(std::countr_zero(FlagBit));
@@ -824,7 +831,7 @@ StepError Interpreter<D>::unary(const Instruction &Insn, Value V) {
     const Value Lo = trunc(op(SymTag::Mul, {A, V}), Bits);
     const Value Hi = opW(SymTag::MulHiU, Bits, {A, V});
     writeReg(Acc, Lo);
-    writeReg(gprWithWidth(Reg::RDX, W), Hi);
+    writeReg(highHalfReg(W), Hi);
     const Value HiNonZero = not01(op(SymTag::EqZero, {Hi}));
     Dom.setFlag(FlagCF, HiNonZero);
     Dom.setFlag(FlagOF, HiNonZero);
@@ -841,7 +848,7 @@ StepError Interpreter<D>::unary(const Instruction &Insn, Value V) {
     if (std::optional<uint64_t> Den = Dom.constant(V); Den && *Den == 0)
       return DivideByZero;
     const bool Signed = Insn.Mn == Mnemonic::IDIV;
-    const Reg Acc = gprWithWidth(Reg::RAX, W), Ext = gprWithWidth(Reg::RDX, W);
+    const Reg Acc = gprWithWidth(Reg::RAX, W), Ext = highHalfReg(W);
     const Value Hi = readReg(Ext);
     const Value Lo = readReg(Acc);
     const Value Quot =
@@ -878,7 +885,7 @@ StepError Interpreter<D>::multiply(const Instruction &Insn) {
     const Value A = readReg(Acc);
     const Value Lo = trunc(op(SymTag::Mul, {A, *V}), Bits);
     writeReg(Acc, Lo);
-    writeReg(gprWithWidth(Reg::RDX, W), opW(SymTag::MulHiS, Bits, {A, *V}));
+    writeReg(highHalfReg(W), opW(SymTag::MulHiS, Bits, {A, *V}));
     Dom.setFlag(FlagCF, Dom.flagFn(FlagCF, Mnemonic::IMUL, Bits, {A, *V}));
     Dom.setFlag(FlagOF, Dom.flagFn(FlagOF, Mnemonic::IMUL, Bits, {A, *V}));
     undefinedFlag(FlagPF, Insn, {A, *V},

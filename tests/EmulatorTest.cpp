@@ -154,6 +154,33 @@ TEST(Emulator, MulDiv) {
   EXPECT_EQ(S.gprValue(Reg::EBX), 2u);  // 100%7
 }
 
+TEST(Emulator, ByteMulDivUseAh) {
+  // Values from the hardware: the high byte of a product and the remainder
+  // go to %ah, and %edx keeps its value.
+  struct Case {
+    const char *Op;
+    uint32_t Eax;
+    uint32_t Ecx;
+    uint64_t Rax; ///< After the op.
+  };
+  const Case Cases[] = {
+      {"mulb", 7, 3, 0x15},             // ax = 7 * 3
+      {"mulb", 200, 3, 0x258},          // ax = 600: %ah = 2
+      {"imulb", 0xfd, 5, 0xfff1},       // ax = -3 * 5 = -15
+      {"divb", 1000, 7, 0x68e},         // %al = 142, %ah = 6
+      {"idivb", 0xffffff9c, 7, 0xfffffef2}, // -100 / 7: %al = -14, %ah = -2
+  };
+  for (const Case &C : Cases) {
+    MaoUnit Unit = parseOk(wrapFunction(
+        "\tmovl $5, %edx\n\tmovl $" + std::to_string(C.Eax) +
+        ", %eax\n\tmovl $" + std::to_string(C.Ecx) + ", %ecx\n\t" + C.Op +
+        " %cl\n\tret\n"));
+    MachineState S = runF(Unit);
+    EXPECT_EQ(S.gpr(Reg::RAX), C.Rax) << C.Op << " " << C.Eax;
+    EXPECT_EQ(S.gpr(Reg::RDX), 5u) << C.Op << " " << C.Eax;
+  }
+}
+
 TEST(Emulator, MemoryRoundTrip) {
   MaoUnit Unit = parseOk(wrapFunction(R"(	pushq %rbp
 	movq %rsp, %rbp

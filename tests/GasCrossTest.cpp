@@ -6,6 +6,7 @@
 //
 //===----------------------------------------------------------------------===//
 
+#include "asm/AsmEmitter.h"
 #include "asm/Assembler.h"
 #include "asm/Parser.h"
 #include "support/FileIO.h"
@@ -220,6 +221,17 @@ f:
 	addq counter, %rcx
 	ret
 )";
+  expectMatchesGas(S);
+}
+
+TEST(GasCross, ZeroAbsoluteAddressRoundTrips) {
+  if (!haveBinutils())
+    GTEST_SKIP() << "binutils not installed";
+  const std::string S = "\t.text\nf:\n\tmovq %rax, 0\n\tmovl 0, %eax\n\tret\n";
+  auto UnitOr = parseAssembly(S);
+  ASSERT_TRUE(UnitOr.ok());
+  const std::string Emitted = emitAssembly(*UnitOr);
+  EXPECT_EQ(gasTextBytes(Emitted), gasTextBytes(S)) << Emitted;
   expectMatchesGas(S);
 }
 

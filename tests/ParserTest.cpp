@@ -175,6 +175,19 @@ TEST(Parser, MovabsModelledOnlyAsMovq) {
   }
 }
 
+TEST(Parser, ZeroAbsoluteAddressPrints) {
+  // With no symbol, base or index the displacement is the whole address,
+  // so a zero one still prints.
+  EXPECT_EQ(parse("movq %rax, 0").toString(), "movq\t%rax, 0");
+  EXPECT_EQ(parse("movl 0, %eax").toString(), "movl\t0, %eax");
+  EXPECT_EQ(parse("movl 0(%rax), %eax").toString(), "movl\t(%rax), %eax");
+  for (const char *Line : {"movq %rax, 0", "movl 0, %eax"}) {
+    Instruction First = parse(Line);
+    ASSERT_FALSE(First.isOpaque()) << Line;
+    EXPECT_EQ(parse(First.toString()), First) << Line;
+  }
+}
+
 TEST(Parser, ExplicitLengthNops) {
   EXPECT_EQ(parse("nop").NopLength, 1);
   Instruction N5 = parse("nop5");

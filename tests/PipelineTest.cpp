@@ -610,6 +610,20 @@ TEST(Pipeline, VerifierReportsAStaleKeptCFG) {
       << Report.firstMessage();
 }
 
+// A .set/.equ alias defines its symbol: a reference to it resolves, and
+// assigning one symbol twice is no duplicate label.
+TEST(Pipeline, VerifierResolvesSetAliases) {
+  MaoUnit Unit = parseOk("\t.text\n\t.type f, @function\nf:\n"
+                         "\tleaq .LC29(%rip), %rax\n"
+                         "\tleaq .LC30(%rip), %rcx\n\tret\n"
+                         "\t.size f, .-f\n\t.section .rodata\n"
+                         ".LC8:\n\t.string \"x\"\n"
+                         "\t.set .LC29,.LC8\n\t.set .LC29,.LC8\n"
+                         "\t.equ .LC30, .LC8+1\n");
+  VerifierReport Report = verifyUnit(Unit);
+  EXPECT_TRUE(Report.clean()) << Report.firstMessage();
+}
+
 // A rollback restore replaces the views, and the kept analyses go with
 // them: no function of the restored unit holds one.
 TEST(Pipeline, RollbackRestoreDropsTheKeptCFGs) {

@@ -133,6 +133,10 @@ std::vector<Sample> samples() {
   S.push_back({Mnemonic::IMUL, "\timull $-3, %esi, %eax\n\tret\n"});
   S.push_back({Mnemonic::IMUL, "\timulq %rsi\n\tret\n"});
   S.push_back({Mnemonic::MUL, "\tmull %esi\n\tret\n"});
+  S.push_back({Mnemonic::MUL, "\tmulb %cl\n\tret\n"});
+  S.push_back({Mnemonic::IMUL, "\timulb %sil\n\tret\n"});
+  S.push_back({Mnemonic::DIV, "\tmovl $1000, %eax\n\tdivb %cl\n\tret\n"});
+  S.push_back({Mnemonic::IDIV, "\tmovl $-100, %eax\n\tidivb %cl\n\tret\n"});
   S.push_back({Mnemonic::DIV, "\tmovl $0, %edx\n\tmovl $1000, %eax\n"
                               "\tdivl %ecx\n\tret\n"});
   S.push_back({Mnemonic::IDIV, "\tmovq $-1, %rdx\n\tmovq $-1000, %rax\n"

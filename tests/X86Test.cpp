@@ -197,6 +197,19 @@ TEST(Effects, ImulOneOpVsTwoOp) {
   EXPECT_FALSE(Two.effects().RegDefs & regMaskBit(Reg::RDX));
 }
 
+TEST(Effects, ByteMulDivKeepTheHighHalfInAh) {
+  // ax = al * src and al, ah = ax / src: %rdx is neither read nor written.
+  for (Mnemonic Mn :
+       {Mnemonic::MUL, Mnemonic::IMUL, Mnemonic::DIV, Mnemonic::IDIV}) {
+    Instruction I = makeInstr(Mn, Width::B, Operand::makeReg(Reg::CL));
+    InstructionEffects Fx = I.effects();
+    EXPECT_TRUE(Fx.RegDefs & regMaskBit(Reg::RAX)) << I.mnemonicText();
+    EXPECT_TRUE(Fx.RegUses & regMaskBit(Reg::RAX)) << I.mnemonicText();
+    EXPECT_FALSE(Fx.RegDefs & regMaskBit(Reg::RDX)) << I.mnemonicText();
+    EXPECT_FALSE(Fx.RegUses & regMaskBit(Reg::RDX)) << I.mnemonicText();
+  }
+}
+
 TEST(Effects, CallClobbersAndBarriers) {
   Instruction I = makeCall("foo");
   InstructionEffects Fx = I.effects();
