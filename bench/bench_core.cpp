@@ -8,8 +8,8 @@
 //    BENCH_core.json is the reference to compare against.
 //  - pipeline instructions/s/core: the standard peephole+sched pass line
 //    at --mao-jobs=1 over the synthetic corpus.
-//  - relaxation convergence wall-clock, grow vs. optimal mode, plus the
-//    branches the optimal audit recovers.
+//  - relaxation convergence: the wall-clock and passes of one relaxation
+//    of the synthetic corpus.
 //  - IR footprint: the unit arena's bytes per entry after parsing the
 //    synthetic corpus (one list node per entry; the trajectory gate caps
 //    it at 192).
@@ -190,26 +190,19 @@ int main(int argc, char **argv) {
     Report.set("paper6_cfg_builds_per_function", PerFunction);
   }
 
-  // --- Relaxation convergence, grow vs. optimal. ------------------------
-  for (RelaxMode Mode : {RelaxMode::Grow, RelaxMode::Optimal}) {
+  // --- Relaxation convergence. ------------------------------------------
+  {
     MaoUnit Unit = CorpusUnit->clone();
-    Unit.setRelaxMode(Mode);
     RelaxationResult Last;
     const double Seconds = bestSeconds(3, [&] { Last = relaxUnit(Unit); });
-    const char *Name = Mode == RelaxMode::Grow ? "grow" : "optimal";
     if (!Last.Converged) {
-      std::fprintf(stderr, "bench: %s relaxation did not converge\n", Name);
+      std::fprintf(stderr, "bench: relaxation did not converge\n");
       return 1;
     }
-    std::printf("relax (%s):%s %8.3f ms to converge, %u iterations, "
-                "%u branches shrunk\n",
-                Name, Mode == RelaxMode::Grow ? "    " : " ", Seconds * 1e3,
-                Last.Iterations, Last.ShrunkBranches);
-    Report.set(std::string("relax_") + Name + "_converge_ms", Seconds * 1e3);
-    Report.set(std::string("relax_") + Name + "_iterations",
-               Last.Iterations);
-    if (Mode == RelaxMode::Optimal)
-      Report.set("relax_optimal_shrunk_branches", Last.ShrunkBranches);
+    std::printf("relax:            %8.3f ms to converge, %u iterations\n",
+                Seconds * 1e3, Last.Iterations);
+    Report.set("relax_converge_ms", Seconds * 1e3);
+    Report.set("relax_iterations", Last.Iterations);
   }
 
   // --- Cross-jobs byte-identity. ----------------------------------------

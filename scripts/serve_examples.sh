@@ -14,11 +14,14 @@
 #     stops cleanly on SIGTERM, and removes its socket file,
 #   - with no daemon listening, `mao --connect` falls back to a local run
 #     and still produces the same bytes,
-#   - --mao-relax and --synth-rules reach the result: on an input where
-#     grow and optimal relaxation differ, --cache-dir (warmed by a grow
-#     run) and --connect reproduce the direct optimal bytes; with a rule
-#     table that has no synth rules, both reproduce the direct bytes on
-#     synth_copy.s after a built-in-table run was stored.
+#   - layout-driven output travels intact: on an input whose LOOP16
+#     padding depends on how branches relax, --cache-dir (cold and warm)
+#     and --connect reproduce the direct run's bytes,
+#   - --synth-rules reaches the result: with a rule table that has no
+#     synth rules, --cache-dir and --connect reproduce the direct bytes on
+#     synth_copy.s after a built-in-table run was stored,
+#   - the removed --mao-relax flag is refused as an unknown option: one
+#     stderr line and the usage exit code, 1.
 #
 # Registered as the ctest entry `serve_examples`; run standalone as
 #
@@ -118,13 +121,14 @@ else
 fi
 [ "$FAILED" -eq 0 ] && echo "serve_examples: ok: injected faults contained"
 
-# An input where the relax modes differ: LOOP16 pads the .L3 loop by 8
-# bytes under grow and by 12 under optimal, which shrinks `jne .L0`.
+# An input whose LOOP16 padding depends on relaxation: `jne .L0` stays
+# rel8 only under gas's in-order passes, and at that layout a 12-byte pad
+# puts the .L3 loop on a 16-byte boundary.
 nops() {
   i=0
   while [ "$i" -lt "$1" ]; do printf '\tnop\n'; i=$((i + 1)); done
 }
-relaxsrc="$WORK/relax.s"
+loopsrc="$WORK/loop.s"
 {
   printf '\t.text\n\t.globl\tf\n\t.type\tf, @function\nf:\n'
   printf '\ttestl\t%%edi, %%edi\n\tjne\t.LFAR\n'
@@ -133,20 +137,26 @@ relaxsrc="$WORK/relax.s"
   printf '\taddl\t$1, %%eax\n\taddl\t$1, %%eax\n\taddl\t$1, %%eax\n'
   printf '\tsubl\t$1, %%ecx\n\tjne\t.L3\n'
   nops 300; printf '.LFAR:\n\tret\n\t.size\tf, .-f\n'
-} >"$relaxsrc"
-"$MAO" --mao=LOOP16 "$relaxsrc" >"$WORK/relax.grow.s" 2>/dev/null || \
-  fail "relax: direct grow run failed"
-"$MAO" --mao=LOOP16 --mao-relax=optimal "$relaxsrc" \
-  >"$WORK/relax.optimal.s" 2>/dev/null || fail "relax: direct optimal run failed"
-cmp -s "$WORK/relax.grow.s" "$WORK/relax.optimal.s" && \
-  fail "relax: grow and optimal agree on the relax input"
-cache="$WORK/cache_relax"
-"$MAO" --mao=LOOP16 "--cache-dir=$cache" "$relaxsrc" >/dev/null 2>&1 || \
-  fail "relax: grow cache run failed"
-"$MAO" --mao=LOOP16 --mao-relax=optimal "--cache-dir=$cache" "$relaxsrc" \
-  >"$WORK/relax.cached.s" 2>/dev/null || fail "relax: optimal cache run failed"
-cmp -s "$WORK/relax.optimal.s" "$WORK/relax.cached.s" || \
-  fail "relax: --cache-dir did not reproduce the direct optimal bytes"
+} >"$loopsrc"
+"$MAO" --mao=LOOP16 "$loopsrc" >"$WORK/loop.direct.s" 2>/dev/null || \
+  fail "loop16: direct run failed"
+grep -q "$(printf '^\tnop12$')" "$WORK/loop.direct.s" || \
+  fail "loop16: the direct run did not pad the loop by 12 bytes"
+cache="$WORK/cache_loop"
+for run in cold warm; do
+  "$MAO" --mao=LOOP16 "--cache-dir=$cache" "$loopsrc" \
+    >"$WORK/loop.$run.s" 2>/dev/null || fail "loop16: $run cache run failed"
+  cmp -s "$WORK/loop.direct.s" "$WORK/loop.$run.s" || \
+    fail "loop16: $run --cache-dir run did not reproduce the direct bytes"
+done
+
+# The relax-mode flag is gone: an unknown option, one line, exit 1.
+"$MAO" --mao-relax=optimal "$loopsrc" >/dev/null 2>"$WORK/relax.err"
+rc=$?
+[ "$rc" -eq 1 ] || fail "--mao-relax=optimal exited $rc, want 1"
+[ "$(wc -l <"$WORK/relax.err")" -eq 1 ] && \
+  grep -q "unknown option '--mao-relax=optimal'" "$WORK/relax.err" || \
+  fail "--mao-relax=optimal: want one unknown-option line, got: $(cat "$WORK/relax.err")"
 
 # A rule table with no synth rules drops the built-in synth rules.
 rules="$WORK/no-synth-rules.def"
@@ -165,7 +175,7 @@ cache="$WORK/cache_synth"
   >"$WORK/synth.cached.s" 2>/dev/null || fail "synth-rules: cache run failed"
 cmp -s "$WORK/synth.direct.s" "$WORK/synth.cached.s" || \
   fail "synth-rules: --cache-dir did not reproduce the direct bytes"
-[ "$FAILED" -eq 0 ] && echo "serve_examples: ok: --cache-dir keys relax mode and rule table"
+[ "$FAILED" -eq 0 ] && echo "serve_examples: ok: --cache-dir reproduces LOOP16 and keys the rule table"
 
 # Daemon round trip: cold and warm through maod are byte-identical to the
 # plain run; SIGTERM stops the daemon cleanly and removes the socket.
@@ -193,14 +203,12 @@ cmp -s "$direct" "$WORK/daemon.cold.s" || \
 cmp -s "$direct" "$WORK/daemon.warm.s" || \
   fail "daemon: warm output differs from the plain run"
 
-# The daemon first stores the grow and built-in-table results; the
-# optimal and --synth-rules requests must not be served them.
-"$MAO" --mao=LOOP16 "--connect=$SOCK" "$relaxsrc" >/dev/null 2>&1 || \
-  fail "daemon: grow --connect run failed"
-"$MAO" --mao=LOOP16 --mao-relax=optimal "--connect=$SOCK" "$relaxsrc" \
-  >"$WORK/relax.daemon.s" 2>/dev/null || fail "daemon: optimal --connect run failed"
-cmp -s "$WORK/relax.optimal.s" "$WORK/relax.daemon.s" || \
-  fail "daemon: --connect did not reproduce the direct optimal bytes"
+# The daemon lays LOOP16 out as a direct run does; it first stores the
+# built-in-table result, which the --synth-rules request must not get.
+"$MAO" --mao=LOOP16 "--connect=$SOCK" "$loopsrc" \
+  >"$WORK/loop.daemon.s" 2>/dev/null || fail "daemon: LOOP16 --connect run failed"
+cmp -s "$WORK/loop.direct.s" "$WORK/loop.daemon.s" || \
+  fail "daemon: --connect did not reproduce the direct LOOP16 bytes"
 "$MAO" --mao=SYNTH "--connect=$SOCK" "$synthsrc" >/dev/null 2>&1 || \
   fail "daemon: built-in-table --connect run failed"
 "$MAO" --mao=SYNTH "--synth-rules=$rules" "--connect=$SOCK" "$synthsrc" \

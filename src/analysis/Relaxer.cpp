@@ -141,18 +141,6 @@ RelaxationResult::sectionLabels(const std::string &SectionName) const {
   return It == SectionLabels.end() ? Empty : It->second;
 }
 
-bool mao::parseRelaxMode(const std::string &Text, RelaxMode &Mode) {
-  if (Text == "grow") {
-    Mode = RelaxMode::Grow;
-    return true;
-  }
-  if (Text == "optimal") {
-    Mode = RelaxMode::Optimal;
-    return true;
-  }
-  return false;
-}
-
 //===----------------------------------------------------------------------===//
 // UnitLayout
 //===----------------------------------------------------------------------===//
@@ -195,9 +183,9 @@ UnitLayout::Slot UnitLayout::makeSlot(Section &Sec, MaoEntry &E,
   // Only two kinds of entry have an address- or iteration-dependent size —
   // alignment pads and direct branches — so everything else is sized once
   // here (from its length memo when it has one). A direct branch is encoded
-  // once at each width, so rounds and the optimal-mode audit just pick one
-  // of the two. Everything but a direct branch is read through a const
-  // view so its length memo survives.
+  // once at each width, so passes just pick one of the two. Everything but
+  // a direct branch is read through a const view so its length memo
+  // survives.
   const MaoEntry &View = E;
   Slot S;
   S.E = &E;
@@ -286,20 +274,12 @@ void UnitLayout::reindexLabels(Section &Sec, uint32_t Run, uint32_t From) {
       Sec.Labels[Slots[I].Id].At.Index = I;
 }
 
-bool UnitLayout::targetAddress(const Section &Sec, const Slot &Branch,
-                               int64_t &Address) const {
+bool UnitLayout::fitsRel8(const Section &Sec, const Slot &Branch) const {
   const int32_t Label = Sec.Symbols[Branch.Id].First;
   if (Label < 0)
-    return false;
-  const SlotPos At = Sec.Labels[Label].At;
-  Address = Sec.Runs[At.Run][At.Index].Address + Branch.TargetOffset;
-  return true;
-}
-
-bool UnitLayout::fitsRel8(const Section &Sec, const Slot &Branch) const {
-  int64_t Target;
-  if (!targetAddress(Sec, Branch, Target))
-    return false;
+    return false; // External or cross-section: rel32 is mandatory.
+  const int64_t Target =
+      slotAt(Sec, Sec.Labels[Label].At).Address + Branch.TargetOffset;
   const int64_t Disp = Target - (Branch.Address + Branch.Size);
   return Disp >= -128 && Disp <= 127;
 }
@@ -400,126 +380,87 @@ EntryIter UnitLayout::erase(EntryIter Pos) {
   return Next;
 }
 
-void UnitLayout::addressRound() {
-  // Addresses restart at 0 per section.
-  for (Section &Sec : Sections) {
+bool UnitLayout::outgrowsRel8(const Section &Sec, const Slot &Branch,
+                              SlotPos At, int64_t Address,
+                              uint32_t Region) const {
+  // gas's relax_frag for a rel8 branch about to be placed at \p Address.
+  // The target holds this pass's address when it lies behind the branch
+  // and the last pass's when it lies ahead; an unreached target moves by
+  // the stretch unless an alignment slot between the two may absorb it.
+  const int32_t Label = Sec.Symbols[Branch.Id].First;
+  assert(Label >= 0 && "the first guess makes every other branch rel32");
+  const LabelDef &Def = Sec.Labels[Label];
+  int64_t Target = slotAt(Sec, Def.At).Address + Branch.TargetOffset;
+  const int64_t Stretch = Address - Branch.Address;
+  if (Stretch != 0 && At < Def.At) {
+    if (Stretch < 0 || Def.Region == Region)
+      Target += Stretch;
+    else if (Target < Address + Branch.Rel8Size - 1)
+      return false; // The stale estimate fell behind the branch.
+  }
+  const int64_t Disp = Target - (Address + Branch.Rel8Size);
+  return Disp < -128 || Disp > 127;
+}
+
+bool UnitLayout::relaxPass(bool Grow) {
+  // One pass of gas's relax_segment (binutils gas/write.c): each section
+  // in slot order, every slot placed at the running address, so a branch
+  // sees the growth of everything before it in this same pass. Alignment
+  // slots re-pad in place; each one ends a region. Without Grow it is
+  // gas's first guess: a branch to a label of its own section at rel8,
+  // any other at rel32 for good.
+  bool Grew = false;
+  for (size_t SecIdx = 0; SecIdx < Sections.size(); ++SecIdx) {
+    Section &Sec = Sections[SecIdx];
     int64_t Address = 0;
-    for (std::vector<Slot> &R : Sec.Runs) {
-      for (Slot &S : R) {
+    uint32_t Region = 0;
+    for (uint32_t RunIdx = 0; RunIdx < Sec.Runs.size(); ++RunIdx) {
+      std::vector<Slot> &Slots = Sec.Runs[RunIdx];
+      for (uint32_t I = 0; I < Slots.size(); ++I) {
+        Slot &S = Slots[I];
         uint32_t Size = S.Size;
-        if (S.Kind == SlotKind::Branch)
-          Size = S.Wide ? S.Rel32Size : S.Rel8Size;
-        else if (S.Kind == SlotKind::Align)
+        if (S.Kind == SlotKind::Label) {
+          if (!Grow) // Regions hold until the next edit.
+            Sec.Labels[S.Id].Region = Region;
+        } else if (S.Kind == SlotKind::Align) {
           Size = AlignSpec{S.Boundary, S.MaxPad}.pad(Address);
+        } else if (S.Kind == SlotKind::Branch) {
+          if (!Grow) {
+            S.Wide = Sec.Symbols[S.Id].First < 0;
+          } else if (!S.Wide &&
+                     outgrowsRel8(Sec, S, {RunIdx, I}, Address, Region)) {
+            S.Wide = true;
+            Grew = true;
+            LastGrowth = SecIdx;
+          }
+          Size = S.Wide ? S.Rel32Size : S.Rel8Size;
+        }
         if (S.Address != Address || S.Size != Size) {
           S.Address = Address;
           S.Size = Size;
           S.Stale = true;
         }
         Address += Size;
+        Region += S.Kind == SlotKind::Align && S.Boundary > 1;
       }
-      SlotsWalked += R.size();
+      SlotsWalked += Slots.size();
     }
     Sec.Size = Address;
   }
-}
-
-bool UnitLayout::growthRound() {
-  // Widen branches whose rel8 displacement no longer fits. External and
-  // cross-section targets must use rel32 (resolved by relocation, where
-  // the distance is actually known).
-  bool Changed = false;
-  for (size_t SecIdx = 0; SecIdx < Sections.size(); ++SecIdx) {
-    Section &Sec = Sections[SecIdx];
-    for (std::vector<Slot> &R : Sec.Runs)
-      for (Slot &S : R) {
-        if (S.Kind != SlotKind::Branch || S.Wide || fitsRel8(Sec, S))
-          continue;
-        S.Wide = S.Stale = true;
-        Changed = true;
-        LastGrowth = SecIdx;
-      }
-  }
-  return Changed;
+  return Grew;
 }
 
 bool UnitLayout::converge() {
-  // Monotone (branches only grow), so it terminates; the shared iteration
-  // budget bounds the pathological case.
+  // gas's first guess, then relaxation passes until one grows nothing;
+  // branches only grow, so that happens, and the shared iteration budget
+  // bounds the pathological case.
+  relaxPass(/*Grow=*/false);
   while (Result.Iterations < RelaxationIterationLimit) {
     ++Result.Iterations;
-    addressRound();
-    if (!growthRound())
+    if (!relaxPass(/*Grow=*/true))
       return true;
   }
   return false;
-}
-
-void UnitLayout::shrinkAudit() {
-  // The grow fixpoint can be conservatively large when alignment padding
-  // decouples displacement from branch sizes. Demote every rel32 branch
-  // whose displacement fits rel8 under the settled layout, then re-converge
-  // (which re-promotes any overreach); repeat until a round demotes
-  // nothing. Bounded to keep the worst case tame: when the last round
-  // still gained rel8 branches and one more would demote again, the
-  // layout is reported as not minimal rather than passed off as such.
-  auto CountRel8 = [&] {
-    unsigned N = 0;
-    for (const Section &Sec : Sections)
-      for (const std::vector<Slot> &R : Sec.Runs)
-        for (const Slot &S : R)
-          N += S.Kind == SlotKind::Branch && !S.Wide;
-    return N;
-  };
-  const unsigned InitialRel8 = CountRel8();
-  unsigned Rel8 = InitialRel8;
-  bool Gained = false;
-  for (unsigned Round = 0;; ++Round) {
-    const bool AtLimit = Round == RelaxAuditRoundLimit;
-    bool Shrunk = false;
-    for (Section &Sec : Sections)
-      for (std::vector<Slot> &R : Sec.Runs)
-        for (Slot &S : R) {
-          int64_t Target;
-          if (S.Kind != SlotKind::Branch || !S.Wide ||
-              !targetAddress(Sec, S, Target))
-            continue; // External/cross-section: rel32 is mandatory.
-          const unsigned Delta = S.Size - S.Rel8Size;
-          // Exact single-demotion displacement: a forward target moves
-          // down by Delta together with the branch end, a backward target
-          // gains Delta of slack from the shorter branch.
-          int64_t NewDisp = Target - (S.Address + S.Size);
-          if (Target <= S.Address)
-            NewDisp += Delta;
-          if (NewDisp < -128 || NewDisp > 127)
-            continue;
-          Shrunk = true;
-          if (!AtLimit) {
-            S.Wide = false;
-            S.Stale = true;
-          }
-        }
-    if (!Shrunk)
-      break;
-    if (AtLimit) {
-      if (Gained && Diags)
-        Diags->warning(DiagCode::RelaxAuditRoundLimit,
-                       "optimal relaxation stopped after " +
-                           std::to_string(RelaxAuditRoundLimit) +
-                           " audit rounds with branches still shrinking; "
-                           "the layout is not minimal");
-      break;
-    }
-    if (!converge()) {
-      Result.Converged = false;
-      break;
-    }
-    const unsigned Now = CountRel8();
-    Gained = Now > Rel8;
-    Rel8 = Now;
-  }
-  if (Result.Converged)
-    Result.ShrunkBranches = Rel8 > InitialRel8 ? Rel8 - InitialRel8 : 0;
 }
 
 void UnitLayout::writeBack(Slot &S) {
@@ -532,17 +473,7 @@ void UnitLayout::writeBack(Slot &S) {
 
 void UnitLayout::relaxAll() {
   Result = RelaxationResult();
-  for (Section &Sec : Sections)
-    for (std::vector<Slot> &R : Sec.Runs)
-      for (Slot &S : R)
-        if (S.Wide) {
-          S.Wide = false;
-          S.Stale = true;
-        }
-
   Result.Converged = converge();
-  if (Result.Converged && Unit.relaxMode() == RelaxMode::Optimal)
-    shrinkAudit();
 
   bool AnyWide = false;
   for (Section &Sec : Sections)
@@ -588,9 +519,9 @@ bool UnitLayout::prevSlot(const Section &Sec, SlotPos &At) {
 
 bool UnitLayout::relaxSpan(Section &Sec) {
   // Every branch was rel8 after the last relax(), and a from-scratch relax
-  // starts its first round with every branch at rel8, so that round lays
-  // the unedited prefix and everything past the resync slot out exactly as
-  // before. Re-address the rest of it here.
+  // starts from a first guess with every in-section branch at rel8, so that
+  // guess lays the unedited prefix and everything past the resync slot out
+  // exactly as before. Re-address the rest of it here.
   const SlotPos From = Sec.EditBegin;
   SlotPos Before = From;
   int64_t Address = 0;

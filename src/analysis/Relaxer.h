@@ -11,9 +11,16 @@
 /// writing the object file) because alignment passes re-layout code and
 /// re-query addresses many times.
 ///
-/// Our implementation chooses rel8 vs. rel32 monotonically (branches only
-/// grow), so convergence is guaranteed; `.p2align` padding is recomputed
-/// every round and settles once branch sizes do.
+/// MAO emits text, so gas picks every branch width in the end; relaxation
+/// here is gas's own (binutils gas/write.c, relax_segment and relax_frag),
+/// so the addresses MAO reasons about are the ones gas produces. A first
+/// walk sizes every branch with an in-section target at rel8 and every
+/// other one at rel32. Each pass then walks a section in order, growing a
+/// rel8 branch whose target is out of reach: a target behind the branch has
+/// this pass's address; one ahead has the last pass's, moved by the bytes
+/// grown so far in this pass unless an alignment directive lies between the
+/// two. Alignment padding is recomputed in place. Branches only grow, so
+/// the passes stop once one grows nothing.
 ///
 /// UnitLayout keeps one flat walk of the unit current across those
 /// queries, so an alignment pass relaxes once per edit rather than once
@@ -45,20 +52,11 @@ class DiagEngine;
 /// Built-in iteration bound from the paper.
 constexpr unsigned RelaxationIterationLimit = 100;
 
-/// Rounds of Optimal mode's minimality audit; a layout that still shrinks
-/// after the last one is reported (DiagCode::RelaxAuditRoundLimit).
-constexpr unsigned RelaxAuditRoundLimit = 4;
-
-/// Parses "grow"/"optimal"; returns false on anything else.
-bool parseRelaxMode(const std::string &Text, RelaxMode &Mode);
-
 struct RelaxationResult {
   bool Converged = false;
+  /// Relaxation passes run, the last of them growing nothing when
+  /// Converged.
   unsigned Iterations = 0;
-  /// Optimal mode only: net number of branches demoted from rel32 to rel8
-  /// by the minimality audit (0 in Grow mode or when the grow fixpoint was
-  /// already minimal).
-  unsigned ShrunkBranches = 0;
   /// Label -> address within its *defining* section. Every label defined
   /// in the unit is present, including global ones. Addresses of different
   /// sections are unrelated address spaces (each restarts at 0): this flat
@@ -102,16 +100,16 @@ struct LengthMemoTally {
 /// and labels are held by id, with a (run, index) place that only their own
 /// run's edits update.
 ///
-/// relax() runs the grow iteration (and, when the unit's relaxMode() is
-/// Optimal, the minimality audit) over the slots alone, with no list walk
-/// and no string hashing, and writes Address, Size and BranchSize back to
-/// the entries whose slots changed. When the last relax() converged with
+/// relax() runs gas's relaxation passes over the slots alone, with no list
+/// walk and no string hashing, and writes Address, Size and BranchSize back
+/// to the entries whose slots changed. When the last relax() converged with
 /// every direct branch at rel8, it re-addresses only from each section's
 /// first edited slot to the first slot past the last edit whose address did
 /// not move, and re-checks only the branches within rel8 reach of that
-/// span. If none of them overflows, that is exactly the first round of a
-/// from-scratch relaxation and its fixpoint; otherwise, and whenever the
-/// precondition does not hold, relax() runs the whole-unit fixpoint.
+/// span. If none of them overflows, that is exactly the first guess of a
+/// from-scratch relaxation, whose first pass then grows nothing; otherwise,
+/// and whenever the precondition does not hold, relax() runs the whole-unit
+/// passes.
 ///
 /// The layout stays current while its owner edits the unit through
 /// insertBefore()/erase(); relax() re-runs only when an edit happened
@@ -120,19 +118,19 @@ struct LengthMemoTally {
 class UnitLayout {
 public:
   /// Builds the walk of \p Unit's section runs. \p Diags (when non-null)
-  /// receives the iteration-limit and audit-limit warnings.
+  /// receives the iteration-limit warning.
   explicit UnitLayout(MaoUnit &Unit, DiagEngine *Diags = nullptr);
 
   UnitLayout(const UnitLayout &) = delete;
   UnitLayout &operator=(const UnitLayout &) = delete;
 
-  /// Relaxes every section: every direct branch starts at rel8 and grows
-  /// until the layout settles. When the iteration limit is hit, a
-  /// structured warning naming the offending section goes to the Diags
-  /// engine and Converged stays false — callers gate on it (the verifier
-  /// turns it into a layout error). Returns at once, with the previous
-  /// result, when nothing was edited since the last call. The label maps
-  /// of the result are left empty; takeResult() fills them.
+  /// Relaxes every section: every direct branch with an in-section target
+  /// starts at rel8 and grows until the layout settles. When the iteration
+  /// limit is hit, a structured warning naming the offending section goes
+  /// to the Diags engine and Converged stays false — callers gate on it
+  /// (the verifier turns it into a layout error). Returns at once, with
+  /// the previous result, when nothing was edited since the last call. The
+  /// label maps of the result are left empty; takeResult() fills them.
   const RelaxationResult &relax();
 
   /// Hands over the last relax() result with Labels and SectionLabels
@@ -153,7 +151,7 @@ private:
     MaoEntry *E = nullptr;
     int64_t Address = 0;
     /// Fixed and label slots: the static size. Branch and alignment slots:
-    /// the size from the last address round.
+    /// the size from the last pass.
     uint32_t Size = 0;
     SlotKind Kind = SlotKind::Fixed;
     bool Wide = false;     ///< Branch: currently rel32.
@@ -181,6 +179,9 @@ private:
     SlotPos At;
     int32_t Symbol = -1;
     int32_t NextDef = -1; ///< Next definition of the same symbol, unordered.
+    /// The alignment slots before the label, counted by the last first
+    /// guess: gas's frag region.
+    uint32_t Region = 0;
   };
 
   struct Symbol {
@@ -225,6 +226,9 @@ private:
   static Slot &slotAt(Section &Sec, SlotPos At) {
     return Sec.Runs[At.Run][At.Index];
   }
+  static const Slot &slotAt(const Section &Sec, SlotPos At) {
+    return Sec.Runs[At.Run][At.Index];
+  }
   int32_t symbolId(Section &Sec, std::string_view Name);
   /// Enters the label slot at \p At in its section's label table.
   void defineLabel(Section &Sec, SlotPos At);
@@ -232,11 +236,12 @@ private:
   void undefineLabel(Section &Sec, int32_t Id);
   /// Points the label table at the labels of run \p Run from \p From on.
   static void reindexLabels(Section &Sec, uint32_t Run, uint32_t From);
-  /// The address of a branch's target, or false for an external or
-  /// cross-section one.
-  bool targetAddress(const Section &Sec, const Slot &Branch,
-                     int64_t &Address) const;
+  /// Whether \p Branch fits rel8 at the addresses it and its target hold.
   bool fitsRel8(const Section &Sec, const Slot &Branch) const;
+  /// Whether the rel8 branch \p Branch, at \p At in its section and about
+  /// to move to \p Address in region \p Region, grows in this pass.
+  bool outgrowsRel8(const Section &Sec, const Slot &Branch, SlotPos At,
+                    int64_t Address, uint32_t Region) const;
   /// The section and place of \p Pos, or no section when \p Pos is
   /// outside every run. For an insertion, the place just past a run's last
   /// slot (a section directive or the list end) counts as that run's.
@@ -253,10 +258,11 @@ private:
   /// every list node.
   static void writeBack(Slot &S);
   void relaxAll();
-  void addressRound();
-  bool growthRound();
+  /// One walk of every section; with \p Grow it also grows the rel8
+  /// branches that no longer fit. Returns whether one grew.
+  bool relaxPass(bool Grow);
+  /// The first guess and the passes after it; false at the iteration limit.
   bool converge();
-  void shrinkAudit();
   /// The dirty-span relaxation of every edited section; false when a
   /// branch would grow, which leaves the whole-unit fixpoint to relaxAll().
   bool relaxSpans();

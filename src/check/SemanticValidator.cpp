@@ -50,16 +50,19 @@ std::set<std::string> blockLabels(const CFG &G) {
 /// Assigns each block a key (anchor label, ordinal since anchor). Anchors
 /// are labels present on BOTH sides, so labels a pass invents (alignment
 /// targets, relaxation islands) do not desynchronize the matching; blocks
-/// between anchors match by position.
+/// between anchors match by position. A block headed by several anchors is
+/// keyed by the last: the labels before it may have headed code a pass
+/// deleted (DCE leaves a dead block's label on the next block), so only
+/// the last one names the same code on both sides.
 std::vector<std::string> blockKeys(const CFG &G,
                                    const std::set<std::string> &Common) {
   std::vector<std::string> Keys;
   std::string Anchor; // Entry anchor is "".
   unsigned Ordinal = 0;
   for (const BasicBlock &B : G.blocks()) {
-    for (EntryIter L : B.Labels)
-      if (Common.count(L->labelName())) {
-        Anchor = L->labelName();
+    for (auto L = B.Labels.rbegin(); L != B.Labels.rend(); ++L)
+      if (Common.count((*L)->labelName())) {
+        Anchor = (*L)->labelName();
         Ordinal = 0;
         break;
       }
@@ -137,6 +140,9 @@ private:
   MaoUnit &Before;
   MaoUnit &After;
   ValidationReport Report;
+  /// Before-side fallthrough blocks of inverted branches, paired with the
+  /// after-side blocks those branches now jump to (one function at a time).
+  std::unordered_map<unsigned, unsigned> MatchedByBranch;
   static constexpr unsigned MaxDivergences = 20;
 };
 
@@ -245,17 +251,29 @@ void Validator::compareBlocks(const FnSide &SideB, const FnSide &SideA,
       diverge(FnName, BA, "jump target differs: " + TB.TargetLabel + " vs " +
                               TA.TargetLabel);
     break;
-  case TermKind::CondJump:
-    if (TB.Cond != TA.Cond) {
-      diverge(FnName, BA,
-              "branch condition differs: " + renderNode(T, TB.Cond) + " vs " +
-                  renderNode(T, TA.Cond));
-      return;
+  case TermKind::CondJump: {
+    const std::string TakenB = targetKey(SideB, TB.TargetLabel);
+    if (TB.Cond == TA.Cond) {
+      if (TakenB != targetKey(SideA, TA.TargetLabel))
+        diverge(FnName, BA, "branch target differs: " + TB.TargetLabel +
+                                " vs " + TA.TargetLabel);
+      break;
     }
-    if (targetKey(SideB, TB.TargetLabel) != targetKey(SideA, TA.TargetLabel))
-      diverge(FnName, BA, "branch target differs: " + TB.TargetLabel +
-                              " vs " + TA.TargetLabel);
-    break;
+    // (¬c, F, T) ≡ (c, T, F): the inverted branch now falls through to the
+    // old target and jumps to the old fallthrough block, which the pass may
+    // have moved and labelled; that block is then matched to the new target.
+    const unsigned TakenA = SideA.Graph.blockOfLabel(TA.TargetLabel);
+    if (TB.Cond == TA.InvertedCond && TakenA != ~0u &&
+        BiB + 1 < SideB.Keys.size() && BiA + 1 < SideA.Keys.size() &&
+        TakenB == SideA.Keys[BiA + 1]) {
+      MatchedByBranch.emplace(BiB + 1, TakenA);
+      break;
+    }
+    diverge(FnName, BA,
+            "branch condition differs: " + renderNode(T, TB.Cond) + " vs " +
+                renderNode(T, TA.Cond));
+    return;
+  }
   case TermKind::IndirectJump:
     if (TB.Target != TA.Target)
       diverge(FnName, BA, "indirect jump target expression differs: " +
@@ -297,19 +315,27 @@ void Validator::checkFunction(MaoFunction &FnB, MaoFunction &FnA) {
     KeyToA.emplace(SideA.Keys[I], I);
 
   std::vector<bool> MatchedA(SideA.Keys.size(), false);
+  MatchedByBranch.clear();
   for (unsigned BiB = 0; BiB < SideB.Keys.size(); ++BiB) {
     if (!SideB.Reachable[BiB])
       continue; // Unreachable before the pass: nothing observable.
-    auto It = KeyToA.find(SideB.Keys[BiB]);
-    const BasicBlock &BB = SideB.Graph.blocks()[BiB];
-    if (It == KeyToA.end()) {
+    // A block's inverted predecessor comes before it, so its pairing is
+    // known by now.
+    unsigned BiA;
+    if (auto Paired = MatchedByBranch.find(BiB);
+        Paired != MatchedByBranch.end()) {
+      BiA = Paired->second;
+    } else if (auto It = KeyToA.find(SideB.Keys[BiB]); It != KeyToA.end()) {
+      BiA = It->second;
+    } else {
+      const BasicBlock &BB = SideB.Graph.blocks()[BiB];
       if (!BB.isInert())
         diverge(FnB.name(), BB,
                 "reachable block disappeared from the pass output");
       continue;
     }
-    MatchedA[It->second] = true;
-    compareBlocks(SideB, SideA, BiB, It->second, FnB.name());
+    MatchedA[BiA] = true;
+    compareBlocks(SideB, SideA, BiB, BiA, FnB.name());
     if (Report.Divergences.size() >= MaxDivergences)
       return;
   }

@@ -592,6 +592,7 @@ BlockSummary Eval::run(const std::vector<const Instruction *> &Insns) {
     if (Insn.isCondJump()) {
       Sum.Term.Kind = TermKind::CondJump;
       Sum.Term.Cond = Interp.condition(Insn.CC);
+      Sum.Term.InvertedCond = Interp.condition(invertCondCode(Insn.CC));
       Sum.Term.TargetLabel = Insn.Ops[0].Sym;
       break;
     }

@@ -140,6 +140,7 @@ struct Terminator {
   TermKind Kind = TermKind::Fallthrough;
   std::string TargetLabel; ///< Jump / CondJump direct target.
   NodeId Cond = 0;         ///< CondJump: 0/1 condition expression.
+  NodeId InvertedCond = 0; ///< CondJump: the inverted code's condition.
   NodeId Target = 0;       ///< IndirectJump: target address expression.
   /// Return: (dense register index, value) for the ABI return registers.
   std::vector<std::pair<uint8_t, NodeId>> RetValues;

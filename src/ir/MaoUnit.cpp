@@ -216,7 +216,6 @@ MaoUnit &MaoUnit::operator=(MaoUnit &&Other) noexcept {
   Views = std::move(Other.Views);
   NextEntryId = Other.NextEntryId;
   NextLabelId = Other.NextLabelId;
-  Mode = Other.Mode;
   forEachRange(Views, [&](MaoFunction::Range &R, MaoFunction *) {
     if (R.Begin == OtherEnd)
       R.Begin = Entries.end();
@@ -236,7 +235,6 @@ MaoUnit MaoUnit::clone() const {
   Copy.Entries = Entries;
   Copy.NextEntryId = NextEntryId;
   Copy.NextLabelId = NextLabelId;
-  Copy.Mode = Mode;
   // The views cannot be copied: they hold iterators into *our* list.
   Copy.rebuildStructure();
   return Copy;

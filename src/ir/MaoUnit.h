@@ -40,26 +40,6 @@ using ConstEntryIter = EntryList::const_iterator;
 class MaoUnit;
 struct KeptAnalyses;
 
-/// Branch-displacement selection mode (driver flag --mao-relax), a
-/// property of the unit it lays out: passes, the verifier, the assembler
-/// and the uarch runner all relax the same unit, so they agree on it.
-enum class RelaxMode : uint8_t {
-  /// Monotone grow-from-rel8, the paper's algorithm: branches only widen,
-  /// so convergence is guaranteed and the result is the least fixpoint of
-  /// the grow iteration.
-  Grow,
-  /// Minimal-size selection after Boender & Sacerdoti Coen's provably
-  /// correct branch-displacement algorithm: converge the monotone
-  /// iteration, then audit every rel32 branch under the settled layout and
-  /// shrink the ones whose displacement fits rel8, re-converging after
-  /// each shrink round. On alignment-free layouts the grow fixpoint is
-  /// already minimal and both modes agree byte-for-byte; alignment padding
-  /// can make the grow solution conservatively large, and the audit
-  /// recovers those bytes. Either way the result passes the verifier's
-  /// rel8-fixpoint layout check.
-  Optimal,
-};
-
 /// One function recognized in the entry list.
 class MaoFunction {
 public:
@@ -203,18 +183,13 @@ public:
   MaoUnit(MaoUnit &&Other) noexcept : MaoUnit() { *this = std::move(Other); }
   MaoUnit &operator=(MaoUnit &&Other) noexcept;
 
-  /// Deep-copies the unit (entry list, label counters, relax mode) and
-  /// derives the copy's views. Used by the transactional pass runner to
-  /// snapshot the IR before a pipeline so a failing pass can be rolled
-  /// back.
+  /// Deep-copies the unit (entry list and label counters) and derives the
+  /// copy's views. Used by the transactional pass runner to snapshot the
+  /// IR before a pipeline so a failing pass can be rolled back.
   MaoUnit clone() const;
 
   EntryList &entries() { return Entries; }
   const EntryList &entries() const { return Entries; }
-
-  /// How relaxation lays this unit out; Grow on a fresh unit.
-  RelaxMode relaxMode() const { return Mode; }
-  void setRelaxMode(RelaxMode M) { Mode = M; }
 
   /// Appends an entry (used by the parser and the workload generator) and
   /// returns an iterator to it; the views are left alone.
@@ -339,7 +314,6 @@ private:
   UnitViews Views;
   uint32_t NextEntryId = 1;
   uint32_t NextLabelId = 0;
-  RelaxMode Mode = RelaxMode::Grow;
   /// Serializes structural edits (insert/erase/append) and the view
   /// updates they make. Deliberately not moved by the move operations — a
   /// unit is never moved while shards are running (whole-unit passes are

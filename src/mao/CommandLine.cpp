@@ -47,10 +47,6 @@ OptionRegistry buildDriverOptions(MaoCommandLine &Cmd) {
   R.addEnum("--mao-validate", &Cmd.Optimize.Validate,
             {"off", "structural", "semantic"},
             "per-pass validation level (semantic proves behaviour preserved)");
-  R.addEnum("--mao-relax", &Cmd.RelaxMode, {"grow", "optimal"},
-            "branch-displacement selection: grow = the paper's monotone "
-            "widening; optimal = shrink rel32 branches that fit rel8 after "
-            "convergence");
   R.addInt("--mao-pass-timeout-ms", &Cmd.Optimize.PassTimeoutMs, 0,
            "per-pass wall-clock budget in ms (0 = unlimited)");
   // parseCommandLine fans the value out to every request's Jobs.

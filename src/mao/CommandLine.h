@@ -9,10 +9,9 @@
 /// straight into the facade request it configures: `--tune-seed` lands in
 /// Tune.Seed, `--lint-werror` in Lint.WarningsAsErrors, and so on. The
 /// driver hands those structs to mao::api::Session as they are. What none
-/// of them carries is a field of its own here: the mode switches, the
-/// observability and service targets, and the relax mode, which the plain,
-/// cache and daemon paths each take in their own form. The same table
-/// renders `--mao-help` and the did-you-mean suggestions for unknown flags.
+/// of them carries is a field of its own here: the mode switches and the
+/// observability and service targets. The same table renders `--mao-help`
+/// and the did-you-mean suggestions for unknown flags.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -67,8 +66,6 @@ struct MaoCommandLine {
   /// --mao-fault-inject=spec[@seed].
   std::string FaultSpec;
   uint64_t FaultSeed = 1;
-  /// --mao-relax={grow,optimal}: Program::setRelaxMode spelling.
-  std::string RelaxMode = "grow";
   /// --mao-report=FILE ("-" for stdout), --tune-report=FILE and --stats.
   std::string ReportPath;
   std::string TuneReportPath;

@@ -10,7 +10,6 @@
 
 #include "mao/Mao.h"
 
-#include "analysis/Relaxer.h"
 #include "asm/AsmEmitter.h"
 #include "asm/Assembler.h"
 #include "asm/Parser.h"
@@ -115,15 +114,6 @@ Program Program::clone() const {
   Copy.I->Name = I->Name;
   Copy.I->Valid = I->Valid;
   return Copy;
-}
-
-Status Program::setRelaxMode(const std::string &Mode) {
-  RelaxMode Parsed;
-  if (!parseRelaxMode(Mode, Parsed))
-    return Status::error("invalid relax mode '" + Mode +
-                         "' (expected grow or optimal)");
-  I->Unit.setRelaxMode(Parsed);
-  return Status::success();
 }
 
 //===----------------------------------------------------------------------===//
@@ -283,8 +273,9 @@ uint64_t Session::cacheKey(const CachedRunRequest &Request) {
   // registry catalogue stands in for per-pass version numbers — any pass
   // added, removed, renamed, or re-kinded invalidates every key, so a
   // stale cache can never serve output an older binary produced under
-  // different semantics.
-  uint64_t Hash = fnv1a64("mao-artifact-v1");
+  // different semantics. A change below the passes that moves output, such
+  // as the layout algorithm, bumps the tag (v2: gas's relaxation).
+  uint64_t Hash = fnv1a64("mao-artifact-v2");
   for (const PassCatalogEntry &Entry : listPasses()) {
     Hash = mixKeyPart(Hash, Entry.Name);
     Hash = mixKeyPart(Hash, Entry.Kind);
@@ -298,7 +289,6 @@ uint64_t Session::cacheKey(const CachedRunRequest &Request) {
   // A pass timeout changes which passes commit, so it separates keys
   // (0, the default, is the only fully deterministic setting).
   Hash = mixKeyPart(Hash, std::to_string(Request.Options.PassTimeoutMs));
-  Hash = mixKeyPart(Hash, Request.Relax);
   // The rule table is an input too: --synth-rules changes what the
   // peephole passes rewrite.
   Hash = mixKeyPart(Hash, std::to_string(peepholeRuleDigest()));
@@ -323,8 +313,6 @@ Status computeArtifact(Session &S, const CachedRunRequest &Request,
     Out.Reported = Out.ParseFailed = true;
     return St;
   }
-  if (Status St = P.setRelaxMode(Request.Relax); !St.Ok)
-    return St;
   // CollectStats is forced on so the stored report's per-pass deltas do
   // not depend on which caller happened to compute the entry first — the
   // report must be a pure function of the cache key.

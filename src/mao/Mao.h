@@ -260,7 +260,7 @@ struct ArtifactCounters {
 };
 
 /// One cached optimization request: the whole parse → optimize → emit
-/// round as a pure function of (Source, Pipeline, Options, Relax), which
+/// round as a pure function of (Source, Pipeline, Options), which
 /// is what makes it content-addressable. Name is diagnostic-only and
 /// excluded from the key.
 struct CachedRunRequest {
@@ -268,7 +268,6 @@ struct CachedRunRequest {
   std::string Name = "<input>";
   std::vector<PassSpec> Pipeline;
   OptimizeOptions Options;
-  std::string Relax = "grow"; ///< Program::setRelaxMode spelling.
   /// Paranoia mode: on a cache hit, recompute anyway and fail the request
   /// if the stored bytes differ (fuzzing and the serve acceptance tests).
   bool VerifyHit = false;
@@ -356,12 +355,6 @@ public:
   size_t functionCount() const;
   /// Deep copy (for before/after comparisons).
   Program clone() const;
-  /// Sets the branch-displacement selection mode (--mao-relax): "grow"
-  /// (the default) or "optimal". Every later optimize, tune, verify,
-  /// emit, assemble and measure call on this program lays it out in that
-  /// mode; a later parse into the program resets it to grow. Returns an
-  /// error for any other spelling.
-  Status setRelaxMode(const std::string &Mode);
 
 private:
   friend class Session;
@@ -448,7 +441,7 @@ public:
   ArtifactCounters cacheStats() const;
   /// The content-addressed key cacheRun uses for \p Request: FNV-1a over
   /// the input bytes, the canonical pipeline spelling, the key-relevant
-  /// execution options, the relax mode, the active peephole-rule digest,
+  /// execution options, the active peephole-rule digest,
   /// and the pass/option version fingerprint of this binary. Jobs is
   /// deliberately excluded — output is identical for every worker count.
   static uint64_t cacheKey(const CachedRunRequest &Request);

@@ -19,7 +19,7 @@ namespace {
 constexpr char FrameMagic0 = 'M';
 constexpr char FrameMagic1 = 'F';
 constexpr size_t FrameHeaderSize = 2 + 1 + 1 + 4 + 8;
-constexpr uint32_t RequestSchema = 2;
+constexpr uint32_t RequestSchema = 3;
 constexpr uint32_t ResponseSchema = 1;
 
 void appendString(std::string &Out, const std::string &S) {
@@ -126,7 +126,6 @@ std::string mao::serve::encodeRequest(const ServeRequest &R) {
   appendString(Out, R.Validate);
   appendU32(Out, R.Jobs);
   appendU32(Out, R.DeadlineMs);
-  appendString(Out, R.Relax);
   appendU32(Out, R.Verify);
   return Out;
 }
@@ -147,7 +146,6 @@ MaoStatus mao::serve::decodeRequest(const std::string &Payload,
       !readString(Payload, Pos, Out.Validate) ||
       !readU32(Payload, Pos, Out.Jobs) ||
       !readU32(Payload, Pos, Out.DeadlineMs) ||
-      !readString(Payload, Pos, Out.Relax) ||
       !readU32(Payload, Pos, Out.Verify))
     return MaoStatus::error("malformed request payload");
   if (Pos != Payload.size())

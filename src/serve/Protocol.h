@@ -77,8 +77,7 @@ struct ServeRequest {
   std::string Validate = "off";
   uint32_t Jobs = 1;       ///< Worker count; never affects output bytes.
   uint32_t DeadlineMs = 0; ///< Per-request budget (0 = server default).
-  std::string Relax = "grow"; ///< --mao-relax spelling.
-  uint32_t Verify = 0;        ///< Nonzero: --mao-verify.
+  uint32_t Verify = 0;     ///< Nonzero: --mao-verify.
 };
 
 /// Request disposition, the top rung first. DegradedIdentity means the

@@ -2,7 +2,6 @@
 
 #include "serve/Serve.h"
 
-#include "analysis/Relaxer.h"
 #include "support/Stats.h"
 
 #include <cerrno>
@@ -69,17 +68,12 @@ ServeResponse Engine::handle(const ServeRequest &Request) {
                  std::to_string(Request.Source.size()) + " bytes (cap " +
                  std::to_string(Options.MaxRequestBytes) + ")");
 
-  // Rung 1: a bad pipeline or relax-mode spelling is a structured client
-  // error.
+  // Rung 1: a bad pipeline spelling is a structured client error.
   CachedRunRequest Run;
   if (!Request.Pipeline.empty())
     if (Status St = api::Session::parsePipelineSpec(Request.Pipeline, Run.Pipeline);
         !St.Ok)
       return Error(St.Message);
-  if (RelaxMode Mode; !parseRelaxMode(Request.Relax, Mode))
-    return Error("invalid relax mode '" + Request.Relax +
-                 "' (expected grow or optimal)");
-  Run.Relax = Request.Relax;
   Run.Source = Request.Source;
   if (!Request.Name.empty())
     Run.Name = Request.Name;
@@ -283,7 +277,6 @@ ServeRequest mao::serve::toServeRequest(const CachedRunRequest &Run) {
   Req.Validate = Run.Options.Validate;
   Req.Jobs = Run.Options.Jobs;
   Req.DeadlineMs = static_cast<uint32_t>(Run.Options.PassTimeoutMs);
-  Req.Relax = Run.Relax;
   Req.Verify = Run.Options.VerifyAfterEachPass;
   return Req;
 }

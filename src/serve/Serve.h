@@ -140,7 +140,7 @@ struct ClientOptions {
 };
 
 /// The wire form of \p Run, the request `mao --connect` sends: its source,
-/// name, canonical pipeline spelling, run policy and relax mode. The
+/// name, canonical pipeline spelling and run policy. The
 /// policy's pass timeout travels as the request deadline.
 ServeRequest toServeRequest(const api::CachedRunRequest &Run);
 

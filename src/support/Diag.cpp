@@ -43,8 +43,6 @@ const char *mao::diagCodeName(DiagCode Code) {
     return "pass-unresolved-indirect";
   case DiagCode::RelaxIterationLimit:
     return "relax-iteration-limit";
-  case DiagCode::RelaxAuditRoundLimit:
-    return "relax-audit-round-limit";
   case DiagCode::VerifyUnresolvedLabel:
     return "verify-unresolved-label";
   case DiagCode::VerifyDuplicateLabel:

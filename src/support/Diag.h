@@ -48,7 +48,6 @@ enum class DiagCode : uint16_t {
   PassUnresolvedIndirect,
   // Analysis.
   RelaxIterationLimit,
-  RelaxAuditRoundLimit,
   // Verifier.
   VerifyUnresolvedLabel,
   VerifyDuplicateLabel,

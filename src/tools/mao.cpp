@@ -277,7 +277,6 @@ int main(int Argc, char **Argv) {
     Run.Name = Cmd.Inputs[0];
     Run.Pipeline = Pipeline;
     Run.Options = Cmd.Optimize;
-    Run.Relax = Cmd.RelaxMode;
     Run.VerifyHit = Cmd.CacheVerify;
 
     if (Connect) {
@@ -331,10 +330,6 @@ int main(int Argc, char **Argv) {
     // Reported through diagnostics, which the SARIF log carries.
     CheckWrite(Session.writeSarif().Message);
     return LintMode ? 2 : ExitParseError;
-  }
-  if (mao::api::Status S = Program.setRelaxMode(Cmd.RelaxMode); !S.Ok) {
-    std::fprintf(stderr, "mao: error: %s\n", S.Message.c_str());
-    return ExitUsage;
   }
 
   if (LintMode) {

@@ -196,6 +196,36 @@ TEST(SemanticValidator, DetectsSwappedBranchTargets) {
   EXPECT_EQ(Report.Divergences[0].Function, "f");
 }
 
+TEST(SemanticValidator, MatchesTheMovedBlockOfAnInvertedBranch) {
+  // BBREORDER's rewrite: `jne .L1; B; .L1:` becomes `je .Lm; .L1: ...`
+  // with B moved behind the function as .Lm. (¬c, F, T) is (c, T, F), and
+  // the moved block is compared with the fallthrough block it was.
+  const std::string Before = wrapFunction("f", "\ttestq %rdi, %rdi\n"
+                                               "\tjne .L1\n"
+                                               "\tmovq $1, %rax\n"
+                                               "\tjmp .L1\n"
+                                               ".L1:\n"
+                                               "\taddq $2, %rax\n"
+                                               "\tret\n");
+  auto After = [](const char *Moved) {
+    return wrapFunction("f", std::string("\ttestq %rdi, %rdi\n"
+                                         "\tje .Lm\n"
+                                         ".L1:\n"
+                                         "\taddq $2, %rax\n"
+                                         "\tret\n"
+                                         ".Lm:\n") +
+                                 Moved + "\tjmp .L1\n");
+  };
+  MaoUnit UB = parseOk(Before);
+  MaoUnit Same = parseOk(After("\tmovq $1, %rax\n"));
+  ValidationReport Report = validateSemantics(UB, Same);
+  EXPECT_TRUE(Report.Equivalent) << Report.firstMessage();
+  MaoUnit Changed = parseOk(After("\tmovq $3, %rax\n"));
+  Report = validateSemantics(UB, Changed);
+  ASSERT_FALSE(Report.Equivalent);
+  EXPECT_EQ(Report.Divergences[0].Block, ".Lm");
+}
+
 TEST(SemanticValidator, ComparesOpaqueInstructionsAsEvents) {
   // Unmodelled instructions are compared as ordered opaque events over the
   // full machine state they observe: identical sequences are equivalent,

@@ -6,53 +6,25 @@
 //
 //===----------------------------------------------------------------------===//
 
+#include "GasOracle.h"
 #include "asm/AsmEmitter.h"
 #include "asm/Assembler.h"
 #include "asm/Parser.h"
-#include "support/FileIO.h"
 
 #include <gtest/gtest.h>
 
 #include <cstdio>
-#include <cstdlib>
+#include <map>
 #include <string>
 
 using namespace mao;
 
 namespace {
 
-bool haveBinutils() {
-  return std::system("which as > /dev/null 2>&1") == 0 &&
-         std::system("which objdump > /dev/null 2>&1") == 0;
-}
-
-/// Assembles \p Asm with GNU as and returns the .text bytes as hex, or ""
-/// on failure.
+/// GNU as's .text bytes of \p Asm as hex, or "" on failure.
 std::string gasTextBytes(const std::string &Asm) {
-  char Dir[] = "/tmp/maogasXXXXXX";
-  if (!mkdtemp(Dir))
-    return "";
-  std::string Base = Dir;
-  std::string AsmPath = Base + "/t.s";
-  std::FILE *F = std::fopen(AsmPath.c_str(), "w");
-  if (!F)
-    return "";
-  std::fwrite(Asm.data(), 1, Asm.size(), F);
-  std::fclose(F);
-  std::string Cmd = "as --64 -o " + Base + "/t.o " + AsmPath +
-                    " 2>/dev/null && objdump -d -j .text " + Base +
-                    "/t.o | awk '/^[[:space:]]+[0-9a-f]+:/ {for (j=2; j<=NF; "
-                    "j++) { if ($j ~ /^[0-9a-f][0-9a-f]$/) printf \"%s\", "
-                    "$j; else break }}' > " +
-                    Base + "/bytes.txt";
-  if (std::system(Cmd.c_str()) != 0)
-    return "";
-  std::string Hex;
-  if (!readWholeFile(Base + "/bytes.txt", Hex))
-    return "";
-  std::string Cleanup = "rm -rf " + Base;
-  (void)std::system(Cleanup.c_str());
-  return Hex;
+  std::map<std::string, GasSection> Sections;
+  return assembleWithGas(Asm, Sections) ? Sections[".text"].Hex : "";
 }
 
 std::string maoTextBytes(const std::string &Asm) {
@@ -206,6 +178,21 @@ TEST(GasCross, ColdPathWithBothBranchSizes) {
     S += "\timull $3, %eax, %eax\n";
   S += ".LFAR:\n\tret\n";
   expectMatchesGas(S);
+}
+
+// Layouts that only gas's own relaxation rule lays out as gas does
+// (tests/GasOracle.h says why for each).
+
+TEST(GasCross, AlignedLoopBehindABackwardBranch) {
+  expectMatchesGas(alignedLoopAsm());
+}
+
+TEST(GasCross, ForwardJumpAcrossAnAlignmentKeepsItsPassEstimate) {
+  expectMatchesGas(forwardAcrossAlignAsm());
+}
+
+TEST(GasCross, EstimateBehindTheBranchDoesNotGrowIt) {
+  expectMatchesGas(staleEstimateAsm());
 }
 
 TEST(GasCross, BareSymbolDataOperands) {

@@ -12,18 +12,17 @@
 //
 //===----------------------------------------------------------------------===//
 
+#include "GasOracle.h"
 #include "asm/AsmEmitter.h"
 #include "asm/Assembler.h"
 #include "asm/Parser.h"
-#include "x86/Encoder.h"
 #include "pass/MaoPass.h"
-#include "support/FileIO.h"
 #include "workload/Workload.h"
 
 #include <gtest/gtest.h>
 
 #include <cstdio>
-#include <cstdlib>
+#include <map>
 
 using namespace mao;
 
@@ -67,45 +66,12 @@ TEST(Identity, EmitParseEmitIsFixpoint) {
 }
 
 TEST(Identity, MaoAssemblerMatchesGasOnWorkloads) {
-  if (std::system("which as > /dev/null 2>&1") != 0 ||
-      std::system("which objdump > /dev/null 2>&1") != 0)
+  if (!haveBinutils())
     GTEST_SKIP() << "binutils not installed";
 
   const WorkloadSpec *Spec = findBenchmarkProfile("175.vpr");
   ASSERT_NE(Spec, nullptr);
   std::string Asm = generateWorkloadAssembly(*Spec);
-
-  // GNU as does not know the MAO dialect's explicit-length "nopN"
-  // mnemonics; translate them into the equivalent .byte sequences for the
-  // gas side of the comparison.
-  std::string GasAsm;
-  {
-    size_t Pos = 0;
-    while (Pos <= Asm.size()) {
-      size_t End = Asm.find('\n', Pos);
-      if (End == std::string::npos)
-        End = Asm.size();
-      std::string Line = Asm.substr(Pos, End - Pos);
-      unsigned Len = 0;
-      if (std::sscanf(Line.c_str(), "\tnop%u", &Len) == 1 && Len >= 2 &&
-          Len <= 15) {
-        std::vector<uint8_t> Bytes;
-        ASSERT_TRUE(encodeInstruction(makeNop(Len), 0, nullptr, Bytes).ok());
-        std::string Repl = "\t.byte ";
-        char Hex[8];
-        for (size_t I = 0; I < Bytes.size(); ++I) {
-          std::snprintf(Hex, sizeof(Hex), "%s0x%02x", I ? ", " : "",
-                        Bytes[I]);
-          Repl += Hex;
-        }
-        GasAsm += Repl;
-      } else {
-        GasAsm += Line;
-      }
-      GasAsm += '\n';
-      Pos = End + 1;
-    }
-  }
 
   // MAO's own .text bytes.
   auto Unit = parseAssembly(Asm);
@@ -120,25 +86,10 @@ TEST(Identity, MaoAssemblerMatchesGasOnWorkloads) {
   }
 
   // GNU as bytes.
-  char Dir[] = "/tmp/maoidXXXXXX";
-  ASSERT_NE(mkdtemp(Dir), nullptr);
-  std::string Base = Dir;
-  std::FILE *F = std::fopen((Base + "/t.s").c_str(), "w");
-  ASSERT_NE(F, nullptr);
-  std::fwrite(GasAsm.data(), 1, GasAsm.size(), F);
-  std::fclose(F);
-  std::string Cmd =
-      "as --64 -o " + Base + "/t.o " + Base + "/t.s 2>/dev/null && objdump "
-      "-d -j .text " + Base + "/t.o | awk '/^[[:space:]]+[0-9a-f]+:/ {for "
-      "(j=2; j<=NF; j++) { if ($j ~ /^[0-9a-f][0-9a-f]$/) printf \"%s\", "
-      "$j; else break }}' > " + Base + "/bytes.txt";
-  ASSERT_EQ(std::system(Cmd.c_str()), 0);
-  std::string GasHex;
-  ASSERT_TRUE(readWholeFile(Base + "/bytes.txt", GasHex));
-  std::string Cleanup = "rm -rf " + Base;
-  (void)std::system(Cleanup.c_str());
-
-  EXPECT_EQ(MaoHex, GasHex)
+  std::map<std::string, GasSection> Gas;
+  std::string Error;
+  ASSERT_TRUE(assembleWithGas(gasDialect(Asm), Gas, &Error)) << Error;
+  EXPECT_EQ(MaoHex, Gas[".text"].Hex)
       << "MAO-assembled workload differs from GNU as output";
 }
 

@@ -7,12 +7,14 @@
 //
 //===----------------------------------------------------------------------===//
 
+#include "GasOracle.h"
 #include "TestCorpus.h"
 #include "asm/AsmEmitter.h"
 #include "asm/Parser.h"
 #include "check/Lint.h"
 #include "ir/Verifier.h"
 #include "mao/CommandLine.h"
+#include "mao/Mao.h"
 #include "pass/FunctionAnalyses.h"
 #include "pass/MaoPass.h"
 #include "support/FaultInjection.h"
@@ -24,6 +26,8 @@
 
 #include <algorithm>
 #include <chrono>
+#include <map>
+#include <utility>
 #include <stdexcept>
 #include <thread>
 
@@ -217,46 +221,57 @@ TEST(Pipeline, RemainingPassesRunAfterRollback) {
   EXPECT_TRUE(verifyUnit(Unit).clean());
 }
 
-/// A function whose backward `jne .L0` only the optimal audit shrinks:
-/// LOOP16 pads the .L3 loop by 8 bytes under grow and by 12 under optimal.
-std::string relaxModeSensitiveAsm() {
-  auto Nops = [](unsigned N) {
-    std::string Out;
-    for (unsigned I = 0; I < N; ++I)
-      Out += "\tnop\n";
-    return Out;
-  };
-  return "\t.text\n\t.globl f\n\t.type f, @function\nf:\n"
-         "\ttestl %edi, %edi\n\tjne .LFAR\n" +
-         Nops(10) + ".L0:\n" + Nops(94) + "\t.p2align 4\n" + Nops(29) +
-         "\tjne .L0\n\tmovl $100, %ecx\n.L3:\n"
-         "\taddl $1, %eax\n\taddl $1, %eax\n\taddl $1, %eax\n"
-         "\tsubl $1, %ecx\n\tjne .L3\n" +
-         Nops(300) + ".LFAR:\n\tret\n\t.size f, .-f\n";
-}
-
-TEST(Pipeline, RollbackReplayKeepsTheUnitsRelaxMode) {
-  // The rollback checkpoint is a clone of the optimal-mode unit, so the
-  // replay of the committed LOOP16 must still lay out under optimal.
-  const std::string Text = relaxModeSensitiveAsm();
-  auto RunLoop16 = [&](RelaxMode Mode) {
-    MaoUnit Unit = parseOk(Text);
-    Unit.setRelaxMode(Mode);
-    EXPECT_TRUE(runPasses(Unit, requests({"LOOP16"}), rollbackOptions()).Ok);
-    return emitAssembly(Unit);
-  };
-  const std::string Optimal = RunLoop16(RelaxMode::Optimal);
-  ASSERT_NE(Optimal, RunLoop16(RelaxMode::Grow));
+TEST(Pipeline, RollbackReplayOfLoop16AlignsTheLoopInGasObject) {
+  // LOOP16 pads the .L3 loop at the layout gas produces, so .L3 lands on a
+  // 16-byte boundary in gas's object; the replay of the committed LOOP16
+  // after a rollback reproduces that output.
+  const std::string Text = alignedLoopAsm();
+  MaoUnit Alone = parseOk(Text);
+  ASSERT_TRUE(runPasses(Alone, requests({"LOOP16"}), rollbackOptions()).Ok);
+  const std::string Expected = emitAssembly(Alone);
+  ASSERT_NE(Expected, emitAssembly(parseOk(Text)));
 
   MaoUnit Unit = parseOk(Text);
-  Unit.setRelaxMode(RelaxMode::Optimal);
   PipelineResult Result =
       runPasses(Unit, requests({"LOOP16", "TESTTHROW"}), rollbackOptions());
   ASSERT_TRUE(Result.Ok) << Result.Error;
   ASSERT_EQ(Result.Outcomes.size(), 2u);
   EXPECT_EQ(Result.Outcomes[1].Status, PassStatus::RolledBack);
-  EXPECT_EQ(Unit.relaxMode(), RelaxMode::Optimal);
-  EXPECT_EQ(emitAssembly(Unit), Optimal);
+  EXPECT_EQ(emitAssembly(Unit), Expected);
+
+  if (!haveBinutils())
+    GTEST_SKIP() << "binutils not installed";
+  std::map<std::string, GasSection> Gas;
+  std::string Error;
+  ASSERT_TRUE(assembleWithGas(gasDialect(Expected), Gas, &Error)) << Error;
+  ASSERT_EQ(Gas[".text"].Labels.count(".L3"), 1u);
+  EXPECT_EQ(Gas[".text"].Labels[".L3"] % 16, 0) << Expected;
+}
+
+TEST(Pipeline, SemanticValidationAcceptsDeadLabelsAndInvertedBranches) {
+  // DCE leaves a dead block's label on the block after it, and BBREORDER
+  // inverts a jcc and swaps its successors. Neither changes behaviour, so
+  // the validator must pass both at every worker count.
+  const std::pair<const char *, const char *> Runs[] = {
+      {"dce", "layout_reorder.s"}, {"bbreorder", "tune_lsd.s"}};
+  for (const auto &[Pass, File] : Runs)
+    for (unsigned Jobs : {1u, 4u}) {
+      mao::api::Session Session;
+      mao::api::Program Program;
+      ASSERT_TRUE(
+          Session.parseFile(std::string(MAO_EXAMPLES_DIR) + "/" + File, Program)
+              .Ok);
+      std::vector<mao::api::PassSpec> Pipeline;
+      ASSERT_TRUE(mao::api::Session::parsePipelineSpec(Pass, Pipeline).Ok);
+      mao::api::OptimizeOptions Options;
+      Options.Validate = "semantic";
+      Options.Jobs = Jobs;
+      const mao::api::OptimizeResult Result =
+          Session.optimize(Program, Pipeline, Options);
+      EXPECT_TRUE(Result.Ok) << Pass << " at jobs " << Jobs << ": "
+                             << Result.Error;
+      EXPECT_GT(Result.TotalTransformations, 0u) << Pass;
+    }
 }
 
 TEST(Pipeline, RollbackReplaysLoop16AcrossFunctions) {

@@ -1,12 +1,12 @@
 //===- tests/RelaxerTest.cpp - Repeated relaxation tests --------------------==//
 
+#include "GasOracle.h"
 #include "TestCorpus.h"
 #include "analysis/Relaxer.h"
 #include "asm/AsmEmitter.h"
 #include "asm/Assembler.h"
 #include "asm/Parser.h"
 #include "ir/Verifier.h"
-#include "pass/MaoPass.h"
 #include "support/Diag.h"
 #include "support/Random.h"
 #include "support/Stats.h"
@@ -15,8 +15,12 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cstdio>
+#include <cstdlib>
+#include <map>
 #include <set>
 #include <string>
+#include <unordered_map>
 #include <utility>
 #include <vector>
 
@@ -206,6 +210,8 @@ TEST(Relaxer, ExternalTargetsUseRel32) {
   MaoUnit Unit = parseOk("\t.text\n\tjmp external_fn\n");
   RelaxationResult R = relaxUnit(Unit);
   ASSERT_TRUE(R.Converged);
+  // rel32 from gas's first guess on, so the first pass grows nothing.
+  EXPECT_EQ(R.Iterations, 1u);
   const MaoEntry *Jmp = findInsn(Unit, Mnemonic::JMP);
   EXPECT_EQ(Jmp->instruction().BranchSize, 4);
 }
@@ -333,59 +339,6 @@ TEST(Relaxer, CascadeJustUnderLimitConverges) {
     if (E.isInstruction() && E.instruction().Mn == Mnemonic::JMP) {
       EXPECT_EQ(E.instruction().BranchSize, 4);
     }
-}
-
-// --- Optimal branch-displacement mode (--mao-relax=optimal) -----------------
-
-TEST(Relaxer, OptimalAgreesWithGrowOnAlignmentFreeLayout) {
-  // Without alignment padding the grow fixpoint is already minimal; the
-  // optimal audit must find nothing to shrink and reproduce the layout
-  // byte-for-byte.
-  MaoUnit GrowUnit = parseOk(paperExample(16, true));
-  RelaxationResult RG = relaxUnit(GrowUnit);
-  ASSERT_TRUE(RG.Converged);
-
-  MaoUnit OptUnit = parseOk(paperExample(16, true));
-  OptUnit.setRelaxMode(RelaxMode::Optimal);
-  RelaxationResult RO = relaxUnit(OptUnit);
-  ASSERT_TRUE(RO.Converged);
-  EXPECT_EQ(RO.ShrunkBranches, 0u);
-  EXPECT_EQ(RO.Labels, RG.Labels);
-  EXPECT_EQ(RO.SectionSizes.at(".text"), RG.SectionSizes.at(".text"));
-}
-
-TEST(Relaxer, OptimalModePassesLayoutVerifierAndAssembler) {
-  MaoUnit Unit = parseOk(paperExample(40, true));
-  Unit.setRelaxMode(RelaxMode::Optimal);
-  RelaxationResult R = relaxUnit(Unit);
-  ASSERT_TRUE(R.Converged);
-  VerifierReport Report = verifyUnit(Unit);
-  EXPECT_TRUE(Report.clean()) << Report.firstMessage();
-  auto BytesOr = assembleUnit(Unit);
-  ASSERT_TRUE(BytesOr.ok()) << BytesOr.message();
-  EXPECT_EQ(static_cast<int64_t>(BytesOr->at(".text").size()),
-            R.SectionSizes.at(".text"));
-}
-
-TEST(Relaxer, ParseRelaxModeSpellings) {
-  RelaxMode Mode = RelaxMode::Grow;
-  EXPECT_TRUE(parseRelaxMode("optimal", Mode));
-  EXPECT_EQ(Mode, RelaxMode::Optimal);
-  EXPECT_TRUE(parseRelaxMode("grow", Mode));
-  EXPECT_EQ(Mode, RelaxMode::Grow);
-  EXPECT_FALSE(parseRelaxMode("fastest", Mode));
-}
-
-TEST(Relaxer, RelaxModeTravelsWithTheUnit) {
-  MaoUnit Unit = parseOk(paperExample(16, true));
-  EXPECT_EQ(Unit.relaxMode(), RelaxMode::Grow);
-  Unit.setRelaxMode(RelaxMode::Optimal);
-  EXPECT_EQ(Unit.clone().relaxMode(), RelaxMode::Optimal);
-  MaoUnit Moved = std::move(Unit);
-  EXPECT_EQ(Moved.relaxMode(), RelaxMode::Optimal);
-  MaoUnit Assigned;
-  Assigned = std::move(Moved);
-  EXPECT_EQ(Assigned.relaxMode(), RelaxMode::Optimal);
 }
 
 // --- Assembler integration --------------------------------------------------
@@ -543,39 +496,34 @@ TEST(Assembler, IdentityTransformPreservesBytes) {
 
 // --- Differential check of the maintained layout -----------------------------
 
+/// Whether alignment directive \p Dir asks for more than one byte, which
+/// is when gas gives it a frag of its own and so starts a new region.
+bool alignsPastOneByte(const Directive &Dir) {
+  const long long Arg = std::strtoll(Dir.arg(0).c_str(), nullptr, 0);
+  return Dir.Kind == DirKind::P2Align ? Arg >= 1 && Arg <= 31 : Arg >= 2;
+}
+
 /// The whole-unit relaxer UnitLayout replaced, frozen as the reference: it
-/// rebuilds its walk and hashes label names on every call. Its algorithm
-/// is verbatim; only the mode now comes from the unit. UnitLayout must
+/// rebuilds its walk and hashes label names on every call. It runs gas's
+/// relax_segment passes (binutils gas/write.c) by name. UnitLayout must
 /// agree with it on every unit and after every edit.
 RelaxationResult referenceRelaxUnit(MaoUnit &Unit, DiagEngine *Diags = nullptr) {
   RelaxationResult Result;
 
-  // Reset branch sizes optimistically: every direct jump starts rel8 and
-  // grows as needed. (Calls are rel32 by construction.) Only direct
-  // branches are opened for writing; everything else is read through a
-  // const view so its length memo survives.
-  for (MaoEntry &E : Unit.entries()) {
-    if (!E.isInstruction())
-      continue;
-    const Instruction &Insn = std::as_const(E).instruction();
-    if (Insn.isBranch() && !Insn.hasIndirectTarget())
-      E.instruction().BranchSize = 1;
-  }
-
   // Pre-compute the layout walk. Only two kinds of entry have an
-  // address- or iteration-dependent size — alignment pads and direct
-  // branches — so everything else is sized once here (from its length
-  // memo when it has one) instead of on every relaxation round. A direct
-  // branch is encoded once at each width, so rounds and the optimal-mode
-  // audit just pick one of the two. Label and branch-target names are
-  // captured as string_view keys once, so the per-round map operations
-  // allocate no strings at all.
+  // address- or pass-dependent size — alignment pads and direct branches —
+  // so everything else is sized once here (from its length memo when it
+  // has one). A direct branch is encoded once at each width. Label and
+  // branch-target names are captured as string_view keys once. Only
+  // direct branches are opened for writing; everything else is read
+  // through a const view so its length memo survives.
   struct Slot {
     MaoEntry *E;
     unsigned StaticSize; ///< Valid when !Dynamic.
     bool Dynamic;
     bool IsLabel;
     bool IsBranch;              ///< Dynamic direct branch (else a pad).
+    bool NewRegion;             ///< An alignment that ends a region.
     uint8_t Rel8Size;           ///< Encoded length at BranchSize 1.
     uint8_t Rel32Size;          ///< Encoded length at BranchSize 4.
     std::string_view LabelKey;  ///< Label name; valid when IsLabel.
@@ -591,8 +539,7 @@ RelaxationResult referenceRelaxUnit(MaoUnit &Unit, DiagEngine *Diags = nullptr) 
         const MaoEntry &View = *It;
         Slot S;
         S.E = &*It;
-        S.Dynamic = false;
-        S.IsBranch = false;
+        S.Dynamic = S.IsBranch = S.NewRegion = false;
         S.Target = nullptr;
         if (View.isInstruction()) {
           const Instruction &Insn = View.instruction();
@@ -602,7 +549,6 @@ RelaxationResult referenceRelaxUnit(MaoUnit &Unit, DiagEngine *Diags = nullptr) 
             assert(S.Target && S.Target->isSymbol() &&
                    "direct branch without target");
             S.TargetSym = S.Target->Sym;
-            // Ends at rel8, the width the reset above left it at.
             Instruction &Branch = It->instruction();
             Branch.BranchSize = 4;
             S.Rel32Size = static_cast<uint8_t>(instructionLength(Branch));
@@ -613,12 +559,12 @@ RelaxationResult referenceRelaxUnit(MaoUnit &Unit, DiagEngine *Diags = nullptr) 
         } else if (View.isDirective()) {
           DirKind K = View.directive().Kind;
           S.Dynamic = K == DirKind::P2Align || K == DirKind::Balign;
+          S.NewRegion = S.Dynamic && alignsPastOneByte(View.directive());
         }
         // Every defined label participates in displacement resolution,
         // global or not: a branch to a symbol defined in this very unit
-        // has a known distance, so pessimizing it to rel32 just because
-        // it is exported would leave relaxation over-conservative. Truly
-        // external symbols are simply absent from the maps.
+        // has a known distance. Truly external symbols are simply absent
+        // from the maps.
         S.IsLabel = View.isLabel();
         if (S.IsLabel)
           S.LabelKey = View.labelName();
@@ -629,26 +575,67 @@ RelaxationResult referenceRelaxUnit(MaoUnit &Unit, DiagEngine *Diags = nullptr) 
   }
   Tally.flush();
 
+  // gas's first estimate: a branch to a label of its own section starts at
+  // rel8, any other (external or cross-section) is rel32 for good.
+  for (auto &[Sec, Slots] : Walk) {
+    std::set<std::string_view> Defined;
+    for (const Slot &S : Slots)
+      if (S.IsLabel)
+        Defined.insert(S.LabelKey);
+    for (const Slot &S : Slots)
+      if (S.IsBranch)
+        S.E->instruction().BranchSize = Defined.count(S.TargetSym) ? 1 : 4;
+  }
+
   auto BranchSizeOf = [](const Slot &S) {
     return std::as_const(*S.E).instruction().BranchSize;
   };
 
+  // Per section: label -> the alignments before it (its region).
+  std::map<std::string, std::unordered_map<std::string_view, unsigned>>
+      Regions;
   std::string LastGrowthSection;
 
-  // One address-assignment round over every section. Addresses restart at
-  // 0 per section, so each section gets its own label map; the flat view
-  // is kept for same-section-aware callers. Duplicate label definitions
+  // One pass over every section, in order. Duplicate label definitions
   // bind to the FIRST occurrence (try_emplace), matching MaoUnit::labelMap
-  // and the emulator.
-  auto AddressRound = [&] {
+  // and the emulator. While a pass runs, the labels it has passed have
+  // this pass's addresses (Now) and the others the last pass's (Last).
+  auto Pass = [&](bool Grow) -> bool {
+    bool Grew = false;
     Result.Labels.clear();
-    Result.SectionLabels.clear();
-    Result.SectionSizes.clear();
     for (auto &[Sec, Slots] : Walk) {
-      LabelAddressMap &SecLabels = Result.SectionLabels[Sec->Name];
+      const LabelAddressMap Last = Result.SectionLabels[Sec->Name];
+      LabelAddressMap &Now = Result.SectionLabels[Sec->Name];
+      Now.clear();
+      std::unordered_map<std::string_view, unsigned> &Region =
+          Regions[Sec->Name];
       int64_t Address = 0;
+      unsigned CurRegion = 0;
       for (const Slot &S : Slots) {
         MaoEntry &E = *S.E;
+        if (Grow && S.IsBranch && BranchSizeOf(S) == 1) {
+          // gas's relax_frag: an unreached target moves with the stretch
+          // unless an alignment between may absorb it; an estimate that
+          // falls behind the branch does not grow it in this pass.
+          const int64_t Stretch = Address - E.Address;
+          auto Reached = Now.find(S.TargetSym);
+          int64_t Target = S.Target->Imm + (Reached != Now.end()
+                                                ? Reached->second
+                                                : Last.at(S.TargetSym));
+          bool Grows = true;
+          if (Reached == Now.end() && Stretch != 0) {
+            if (Stretch < 0 || Region.at(S.TargetSym) == CurRegion)
+              Target += Stretch;
+            else if (Target < Address + S.Rel8Size - 1)
+              Grows = false;
+          }
+          const int64_t Disp = Target - (Address + S.Rel8Size);
+          if (Grows && (Disp < -128 || Disp > 127)) {
+            E.instruction().BranchSize = 4;
+            Grew = true;
+            LastGrowthSection = Sec->Name;
+          }
+        }
         E.Address = Address;
         if (S.IsBranch)
           E.Size = BranchSizeOf(S) == 1 ? S.Rel8Size : S.Rel32Size;
@@ -657,124 +644,26 @@ RelaxationResult referenceRelaxUnit(MaoUnit &Unit, DiagEngine *Diags = nullptr) 
         else
           E.Size = S.StaticSize;
         if (S.IsLabel) {
-          SecLabels.try_emplace(S.LabelKey, Address);
+          Now.try_emplace(S.LabelKey, Address);
+          Region.try_emplace(S.LabelKey, CurRegion);
           Result.Labels.try_emplace(S.LabelKey, Address);
         }
         Address += E.Size;
+        CurRegion += S.NewRegion;
       }
       Result.SectionSizes[Sec->Name] = Address;
     }
+    return Grew;
   };
 
-  // One growth round: widen branches whose rel8 displacement no longer
-  // fits. Resolution is per section: a displacement between two sections
-  // would span unrelated address spaces, so cross-section targets — like
-  // truly external ones — are absent from the branch's map and force rel32
-  // (resolved by relocation, where the distance is actually known).
-  auto GrowthRound = [&]() -> bool {
-    bool Changed = false;
-    for (auto &[Sec, Slots] : Walk) {
-      const LabelAddressMap &SecLabels = Result.SectionLabels[Sec->Name];
-      for (const Slot &S : Slots) {
-        if (!S.IsBranch || BranchSizeOf(S) != 1)
-          continue;
-        MaoEntry &E = *S.E;
-        auto LabelIt = SecLabels.find(S.TargetSym);
-        if (LabelIt == SecLabels.end()) {
-          // External or cross-section target: must use rel32.
-          E.instruction().BranchSize = 4;
-          Changed = true;
-          LastGrowthSection = Sec->Name;
-          continue;
-        }
-        int64_t Disp =
-            LabelIt->second + S.Target->Imm - (E.Address + E.Size);
-        if (Disp < -128 || Disp > 127) {
-          E.instruction().BranchSize = 4;
-          Changed = true;
-          LastGrowthSection = Sec->Name;
-        }
-      }
-    }
-    return Changed;
-  };
-
-  // Converge from the current branch-size state. Monotone (branches only
-  // grow), so it terminates; the shared iteration budget bounds the
-  // pathological case.
-  auto Converge = [&]() -> bool {
-    while (Result.Iterations < RelaxationIterationLimit) {
-      ++Result.Iterations;
-      AddressRound();
-      if (!GrowthRound())
-        return true;
-    }
-    return false;
-  };
-
-  Result.Converged = Converge();
-
-  if (Result.Converged && Unit.relaxMode() == RelaxMode::Optimal) {
-    // Minimality audit: the grow fixpoint can be conservatively large when
-    // alignment padding decouples displacement from branch sizes. Demote
-    // every rel32 branch whose displacement fits rel8 under the settled
-    // layout, then re-converge (which re-promotes any overreach); repeat
-    // until a round demotes nothing. Bounded to keep the worst case tame.
-    auto CountRel8 = [&] {
-      unsigned N = 0;
-      for (auto &[Sec, Slots] : Walk)
-        for (const Slot &S : Slots)
-          if (S.IsBranch && BranchSizeOf(S) == 1)
-            ++N;
-      return N;
-    };
-    const unsigned InitialRel8 = CountRel8();
-    constexpr unsigned AuditRoundLimit = 4;
-    for (unsigned Round = 0; Round < AuditRoundLimit; ++Round) {
-      bool Shrunk = false;
-      for (auto &[Sec, Slots] : Walk) {
-        const LabelAddressMap &SecLabels = Result.SectionLabels[Sec->Name];
-        for (const Slot &S : Slots) {
-          if (!S.IsBranch || BranchSizeOf(S) != 4)
-            continue;
-          MaoEntry &E = *S.E;
-          auto LabelIt = SecLabels.find(S.TargetSym);
-          if (LabelIt == SecLabels.end())
-            continue; // External/cross-section: rel32 is mandatory.
-          Instruction &Insn = E.instruction();
-          const unsigned Rel32Size = E.Size;
-          Insn.BranchSize = 1;
-          const unsigned Delta = Rel32Size - S.Rel8Size;
-          const int64_t Target = LabelIt->second + S.Target->Imm;
-          // Exact single-demotion displacement: a forward target moves
-          // down by Delta together with the branch end, a backward target
-          // gains Delta of slack from the shorter branch.
-          int64_t NewDisp = Target - (E.Address + Rel32Size);
-          if (Target <= E.Address)
-            NewDisp += Delta;
-          if (NewDisp >= -128 && NewDisp <= 127) {
-            Shrunk = true;
-          } else {
-            Insn.BranchSize = 4;
-          }
-        }
-      }
-      if (!Shrunk)
-        break;
-      if (!Converge()) {
-        Result.Converged = false;
-        break;
-      }
-    }
-    if (Result.Converged) {
-      const unsigned FinalRel8 = CountRel8();
-      Result.ShrunkBranches =
-          FinalRel8 > InitialRel8 ? FinalRel8 - InitialRel8 : 0;
+  Pass(/*Grow=*/false);
+  while (Result.Iterations < RelaxationIterationLimit) {
+    ++Result.Iterations;
+    if (!Pass(/*Grow=*/true)) {
+      Result.Converged = true;
+      return Result;
     }
   }
-
-  if (Result.Converged)
-    return Result;
 
   // Hit the iteration limit; addresses are best-effort and must not be
   // trusted silently — report which section was still growing, and let the
@@ -815,7 +704,6 @@ void expectMatchesReference(MaoUnit &Unit, UnitLayout &Layout,
   const RelaxationResult Want = referenceRelaxUnit(Unit);
   EXPECT_EQ(Got.Converged, Want.Converged) << What;
   EXPECT_EQ(Got.Iterations, Want.Iterations) << What;
-  EXPECT_EQ(Got.ShrunkBranches, Want.ShrunkBranches) << What;
   EXPECT_EQ(Got.Labels, Want.Labels) << What;
   EXPECT_EQ(Got.SectionLabels, Want.SectionLabels) << What;
   EXPECT_EQ(Got.SectionSizes, Want.SectionSizes) << What;
@@ -823,7 +711,7 @@ void expectMatchesReference(MaoUnit &Unit, UnitLayout &Layout,
 }
 
 /// Every unit of the differential corpus: examples/*.s, the SPEC workload
-/// profiles and a few units built around the rel8 cliff.
+/// profiles and a few units built around the rel8 cliff and alignment.
 std::vector<std::pair<std::string, std::string>> differentialCorpus() {
   std::vector<std::pair<std::string, std::string>> Corpus =
       exampleAndSpecCorpus();
@@ -836,24 +724,29 @@ std::vector<std::pair<std::string, std::string>> differentialCorpus() {
   Corpus.emplace_back("growth-cascade", growthCascade(12));
   Corpus.emplace_back("non-converging",
                       growthCascade(RelaxationIterationLimit + 1));
+  // Layouts that only gas's own relaxation rule lays out as gas does.
+  Corpus.emplace_back("aligned-loop", alignedLoopAsm());
+  Corpus.emplace_back("forward-across-align", forwardAcrossAlignAsm());
+  Corpus.emplace_back("stale-estimate", staleEstimateAsm());
+  // An external target is rel32 from the first guess on: nothing grows.
+  Corpus.emplace_back("external",
+                      "\t.text\n\tjmp external_fn\n\tjne .LT\n"
+                      "\t.zero 20\n.LT:\n\tret\n");
   return Corpus;
 }
 
 TEST(UnitLayout, MatchesReferenceOnCorpus) {
   const auto Corpus = differentialCorpus();
   ASSERT_GT(Corpus.size(), 19u);
-  for (RelaxMode Mode : {RelaxMode::Grow, RelaxMode::Optimal}) {
-    for (const auto &[Name, Text] : Corpus) {
-      MaoUnit Unit = parseOk(Text);
-      Unit.setRelaxMode(Mode);
-      UnitLayout Layout(Unit);
-      expectMatchesReference(Unit, Layout, Name);
-      // The wrapper is the same algorithm.
-      const RelaxationResult Wrapped = relaxUnit(Unit);
-      const RelaxationResult Want = referenceRelaxUnit(Unit);
-      EXPECT_EQ(Wrapped.Labels, Want.Labels) << Name;
-      EXPECT_EQ(Wrapped.Iterations, Want.Iterations) << Name;
-    }
+  for (const auto &[Name, Text] : Corpus) {
+    MaoUnit Unit = parseOk(Text);
+    UnitLayout Layout(Unit);
+    expectMatchesReference(Unit, Layout, Name);
+    // The wrapper is the same algorithm.
+    const RelaxationResult Wrapped = relaxUnit(Unit);
+    const RelaxationResult Want = referenceRelaxUnit(Unit);
+    EXPECT_EQ(Wrapped.Labels, Want.Labels) << Name;
+    EXPECT_EQ(Wrapped.Iterations, Want.Iterations) << Name;
   }
 }
 
@@ -944,7 +837,6 @@ void expectSpanMatchesReference(MaoUnit &Unit, UnitLayout &Layout,
   const RelaxationResult Want = referenceRelaxUnit(Unit);
   EXPECT_EQ(Got.Converged, Want.Converged) << What;
   EXPECT_EQ(Got.Iterations, Want.Iterations) << What;
-  EXPECT_EQ(Got.ShrunkBranches, Want.ShrunkBranches) << What;
   EXPECT_EQ(Got.SectionSizes, Want.SectionSizes) << What;
   EXPECT_TRUE(GotEntries == entryLayouts(Unit)) << What;
 }
@@ -957,24 +849,21 @@ TEST(UnitLayout, MatchesReferenceAfterEveryEdit) {
   // Seeded random NOP, .p2align and erase edits through the layout, each
   // checked against a fresh reference relaxation of the same unit.
   const auto Corpus = differentialCorpus();
-  for (RelaxMode Mode : {RelaxMode::Grow, RelaxMode::Optimal}) {
-    uint64_t Seed = 1;
-    for (const auto &[Name, Text] : Corpus) {
-      MaoUnit Unit = parseOk(Text);
-      Unit.setRelaxMode(Mode);
-      UnitLayout Layout(Unit);
-      RandomSource Rng(Seed++);
-      const unsigned Edits = Unit.entries().size() > 10000 ? 8 : 30;
-      for (unsigned I = 0; I < Edits; ++I) {
-        const std::string Edit = randomEdit(Unit, Layout, Rng, false);
-        if (Edit.empty())
-          continue;
-        expectMatchesReference(Unit, Layout,
-                               Name + " edit " + std::to_string(I) + ": " +
-                                   Edit);
-        if (HasFailure())
-          return;
-      }
+  uint64_t Seed = 1;
+  for (const auto &[Name, Text] : Corpus) {
+    MaoUnit Unit = parseOk(Text);
+    UnitLayout Layout(Unit);
+    RandomSource Rng(Seed++);
+    const unsigned Edits = Unit.entries().size() > 10000 ? 8 : 30;
+    for (unsigned I = 0; I < Edits; ++I) {
+      const std::string Edit = randomEdit(Unit, Layout, Rng, false);
+      if (Edit.empty())
+        continue;
+      expectMatchesReference(Unit, Layout,
+                             Name + " edit " + std::to_string(I) + ": " +
+                                 Edit);
+      if (HasFailure())
+        return;
     }
   }
 
@@ -988,200 +877,215 @@ TEST(UnitLayout, MatchesReferenceAfterEveryEdit) {
     SpecNames.insert(S.Name);
   for (const WorkloadSpec &S : spec2006Profiles())
     SpecNames.insert(S.Name);
-  for (RelaxMode Mode : {RelaxMode::Grow, RelaxMode::Optimal}) {
-    uint64_t Seed = 1000;
-    for (const auto &[Name, Text] : Corpus) {
-      MaoUnit Unit = parseOk(Text);
-      Unit.setRelaxMode(Mode);
-      UnitLayout Layout(Unit);
-      expectSpanMatchesReference(Unit, Layout, Name + " initial");
-      RandomSource Rng(Seed++);
-      const uint64_t Before = incrementalRelaxations();
-      const unsigned Batches = Unit.entries().size() > 10000 ? 4 : 12;
-      for (unsigned B = 0; B < Batches; ++B) {
-        std::string What = Name + " batch " + std::to_string(B) + ":";
-        for (uint64_t E = 2 + Rng.nextBelow(3); E > 0; --E)
-          What += " " + randomEdit(Unit, Layout, Rng, true);
-        expectSpanMatchesReference(Unit, Layout, What);
-        if (HasFailure())
-          return;
-      }
-      const uint64_t Served = incrementalRelaxations() - Before;
-      if (SpecNames.count(Name)) {
-        EXPECT_GT(Served, 0u) << Name;
-      }
-      if (Name == "growth-cascade" || Name == "non-converging") {
-        EXPECT_EQ(Served, 0u) << Name;
-      }
+  Seed = 1000;
+  for (const auto &[Name, Text] : Corpus) {
+    MaoUnit Unit = parseOk(Text);
+    UnitLayout Layout(Unit);
+    expectSpanMatchesReference(Unit, Layout, Name + " initial");
+    RandomSource Rng(Seed++);
+    const uint64_t Before = incrementalRelaxations();
+    const unsigned Batches = Unit.entries().size() > 10000 ? 4 : 12;
+    for (unsigned B = 0; B < Batches; ++B) {
+      std::string What = Name + " batch " + std::to_string(B) + ":";
+      for (uint64_t E = 2 + Rng.nextBelow(3); E > 0; --E)
+        What += " " + randomEdit(Unit, Layout, Rng, true);
+      expectSpanMatchesReference(Unit, Layout, What);
+      if (HasFailure())
+        return;
+    }
+    const uint64_t Served = incrementalRelaxations() - Before;
+    if (SpecNames.count(Name)) {
+      EXPECT_GT(Served, 0u) << Name;
+    }
+    if (Name == "growth-cascade" || Name == "non-converging") {
+      EXPECT_EQ(Served, 0u) << Name;
     }
   }
 
-  for (RelaxMode Mode : {RelaxMode::Grow, RelaxMode::Optimal}) {
-    const std::string ModeName =
-        Mode == RelaxMode::Grow ? " (grow)" : " (optimal)";
+  // Edits in two sections before one relax.
+  {
+    std::string S = "\t.text\nf:\n\tjmp .LA\n\t.zero 100\n.LA:\n\tret\n";
+    S += "\t.section .text.unlikely\ng:\n\tjne .LB\n\t.zero 90\n.LB:\n"
+         "\tret\n";
+    MaoUnit Unit = parseOk(S);
+    UnitLayout Layout(Unit);
+    expectSpanMatchesReference(Unit, Layout, "two sections");
+    const uint64_t Before = incrementalRelaxations();
+    for (const char *Label : {".LA", ".LB"})
+      Layout.insertBefore(Unit.labelMap().at(Label),
+                          MaoEntry::makeInstruction(makeNop(9)));
+    expectSpanMatchesReference(Unit, Layout, "two sections");
+    EXPECT_EQ(incrementalRelaxations() - Before, 1u);
+    EXPECT_EQ(Unit.labelMap().at(".LB")->Address, 101);
+  }
 
-    // Edits in two sections before one relax.
-    {
-      std::string S = "\t.text\nf:\n\tjmp .LA\n\t.zero 100\n.LA:\n\tret\n";
-      S += "\t.section .text.unlikely\ng:\n\tjne .LB\n\t.zero 90\n.LB:\n"
-           "\tret\n";
-      MaoUnit Unit = parseOk(S);
-      Unit.setRelaxMode(Mode);
-      UnitLayout Layout(Unit);
-      expectSpanMatchesReference(Unit, Layout, "two sections" + ModeName);
-      const uint64_t Before = incrementalRelaxations();
-      for (const char *Label : {".LA", ".LB"})
-        Layout.insertBefore(Unit.labelMap().at(Label),
-                            MaoEntry::makeInstruction(makeNop(9)));
-      expectSpanMatchesReference(Unit, Layout, "two sections" + ModeName);
-      EXPECT_EQ(incrementalRelaxations() - Before, 1u) << ModeName;
-      EXPECT_EQ(Unit.labelMap().at(".LB")->Address, 101) << ModeName;
-    }
+  // Erasing a branch's target label: with a second definition the branch
+  // rebinds to it and still fits rel8, without one the target turns
+  // external (rel32).
+  for (bool Duplicate : {true, false}) {
+    std::string S = "\t.text\n\tjmp .LT\n\t.zero 20\n.LT:\n\tret\n";
+    if (Duplicate)
+      S += "\t.zero 50\n.LT:\n\tret\n";
+    MaoUnit Unit = parseOk(S);
+    UnitLayout Layout(Unit);
+    expectSpanMatchesReference(Unit, Layout, "target erase");
+    Layout.erase(Unit.labelMap().at(".LT"));
+    expectSpanMatchesReference(Unit, Layout, "target erase");
+    EXPECT_EQ(findInsn(Unit, Mnemonic::JMP)->instruction().BranchSize,
+              Duplicate ? 1 : 4);
+  }
 
-    // Erasing a branch's target label: with a second definition the branch
-    // rebinds to it and still fits rel8, without one the target turns
-    // external (rel32).
-    for (bool Duplicate : {true, false}) {
-      std::string S = "\t.text\n\tjmp .LT\n\t.zero 20\n.LT:\n\tret\n";
-      if (Duplicate)
-        S += "\t.zero 50\n.LT:\n\tret\n";
-      MaoUnit Unit = parseOk(S);
-      Unit.setRelaxMode(Mode);
-      UnitLayout Layout(Unit);
-      expectSpanMatchesReference(Unit, Layout, "target erase" + ModeName);
-      Layout.erase(Unit.labelMap().at(".LT"));
-      expectSpanMatchesReference(Unit, Layout, "target erase" + ModeName);
-      EXPECT_EQ(findInsn(Unit, Mnemonic::JMP)->instruction().BranchSize,
-                Duplicate ? 1 : 4)
-          << ModeName;
-    }
+  // A relax right after takeResult() runs the whole-unit fixpoint.
+  {
+    MaoUnit Unit = parseOk(paperExample(4, false));
+    UnitLayout Layout(Unit);
+    expectMatchesReference(Unit, Layout, "after takeResult");
+    Layout.insertBefore(Unit.labelMap().at(".LTAIL"),
+                        MaoEntry::makeInstruction(makeNop(3)));
+    const uint64_t Before = incrementalRelaxations();
+    expectSpanMatchesReference(Unit, Layout, "after takeResult");
+    EXPECT_EQ(incrementalRelaxations(), Before);
+    // And resumes from the dirty span after that.
+    Layout.insertBefore(Unit.labelMap().at(".LTAIL"),
+                        MaoEntry::makeInstruction(makeNop(3)));
+    expectSpanMatchesReference(Unit, Layout, "after takeResult");
+    EXPECT_EQ(incrementalRelaxations(), Before + 1);
+  }
 
-    // A relax right after takeResult() runs the whole-unit fixpoint.
-    {
-      MaoUnit Unit = parseOk(paperExample(4, false));
-      Unit.setRelaxMode(Mode);
-      UnitLayout Layout(Unit);
-      expectMatchesReference(Unit, Layout, "after takeResult" + ModeName);
-      Layout.insertBefore(Unit.labelMap().at(".LTAIL"),
-                          MaoEntry::makeInstruction(makeNop(3)));
-      const uint64_t Before = incrementalRelaxations();
-      expectSpanMatchesReference(Unit, Layout, "after takeResult" + ModeName);
-      EXPECT_EQ(incrementalRelaxations(), Before) << ModeName;
-      // And resumes from the dirty span after that.
-      Layout.insertBefore(Unit.labelMap().at(".LTAIL"),
-                          MaoEntry::makeInstruction(makeNop(3)));
-      expectSpanMatchesReference(Unit, Layout, "after takeResult" + ModeName);
-      EXPECT_EQ(incrementalRelaxations(), Before + 1) << ModeName;
-    }
-
-    // From an all-rel8 layout, a NOP pushes a branch over the cliff: the
-    // span's re-check sees it and the whole-unit fixpoint grows it. The
-    // NOP goes between the branch and its target.
-    for (bool Forward : {true, false}) {
-      MaoUnit Unit = parseOk(
-          Forward ? "\t.text\n\tjmp .LT\n\t.zero 127\n.LT:\n\tret\n"
-                  : "\t.text\n.LT:\n\t.zero 126\n\tjmp .LT\n");
-      Unit.setRelaxMode(Mode);
-      UnitLayout Layout(Unit);
-      expectSpanMatchesReference(Unit, Layout, "cliff" + ModeName);
-      ASSERT_EQ(findInsn(Unit, Mnemonic::JMP)->Size, 2u);
-      const uint64_t Before = incrementalRelaxations();
-      EntryIter Label = Unit.labelMap().at(".LT");
-      Layout.insertBefore(Forward ? Label : std::next(Label),
-                          MaoEntry::makeInstruction(makeNop(1)));
-      expectSpanMatchesReference(Unit, Layout, "cliff" + ModeName);
-      EXPECT_EQ(incrementalRelaxations(), Before) << ModeName;
-      EXPECT_EQ(findInsn(Unit, Mnemonic::JMP)->Size, 5u) << ModeName;
-    }
+  // From an all-rel8 layout, a NOP pushes a branch over the cliff: the
+  // span's re-check sees it and the whole-unit fixpoint grows it. The
+  // NOP goes between the branch and its target.
+  for (bool Forward : {true, false}) {
+    MaoUnit Unit = parseOk(
+        Forward ? "\t.text\n\tjmp .LT\n\t.zero 127\n.LT:\n\tret\n"
+                : "\t.text\n.LT:\n\t.zero 126\n\tjmp .LT\n");
+    UnitLayout Layout(Unit);
+    expectSpanMatchesReference(Unit, Layout, "cliff");
+    ASSERT_EQ(findInsn(Unit, Mnemonic::JMP)->Size, 2u);
+    const uint64_t Before = incrementalRelaxations();
+    EntryIter Label = Unit.labelMap().at(".LT");
+    Layout.insertBefore(Forward ? Label : std::next(Label),
+                        MaoEntry::makeInstruction(makeNop(1)));
+    expectSpanMatchesReference(Unit, Layout, "cliff");
+    EXPECT_EQ(incrementalRelaxations(), Before);
+    EXPECT_EQ(findInsn(Unit, Mnemonic::JMP)->Size, 5u);
   }
 }
 
-/// Builds a unit whose grow fixpoint Optimal mode's audit undoes one
-/// branch per round, \p Links rounds in all. An external `jmp` (always
-/// rel32) and B_1 grow in the first round; B_1 overflows rel8 by one byte,
-/// but its target sits past a `.p2align 5` that absorbs every growth before
-/// it, so B_1 fits once it is demoted. Each B_{k+1} spans B_k and 125
-/// filler bytes: 127 at rel8, 130 once B_k grew, so B_{k+1} grows one round
-/// after B_k, and the audit can demote it only one round after B_k.
-std::string auditChain(unsigned Links) {
-  std::string S = "\t.text\n\tjmp external_fn\n";
-  for (unsigned K = Links; K >= 1; --K) {
-    S += "\tjmp .LB" + std::to_string(K) + "\n";
-    if (K < Links)
-      S += ".LB" + std::to_string(K + 1) + ":\n";
-    if (K > 1)
-      S += "\t.zero 125\n";
+
+// --- gas as the oracle -------------------------------------------------------
+
+/// A seeded random unit alone in section \p Section, for the gas oracle:
+/// runs of 1- to 15-byte filler instructions, `.p2align` with and without
+/// a max skip, `.balign`, and forward and backward `jmp`/`jcc` to the
+/// unit's labels, some as `sym+N`, spread so that branches fall on both
+/// sides of the rel8 reach.
+std::string randomGasUnit(RandomSource &Rng, const std::string &Section) {
+  static const char *const Fillers[] = {
+      "nop", "addl $1, %eax", "imull $3, %eax, %eax", "movl $5, %ecx",
+      "leaq 8(%rsp), %rdx", "addq $1000, %rax"};
+  static const char *const Branches[] = {"jmp", "jne", "je", "jg", "jb"};
+  const unsigned NumLabels = 2 + static_cast<unsigned>(Rng.nextBelow(6));
+  const unsigned Items = 10 + static_cast<unsigned>(Rng.nextBelow(40));
+  auto Label = [&](unsigned I) { return Section + "_L" + std::to_string(I); };
+  std::string S = "\t.section " + Section + ",\"ax\",@progbits\n";
+  unsigned Defined = 0;
+  for (unsigned I = 0; I < Items; ++I) {
+    if (Defined < NumLabels && Rng.nextChance(NumLabels, Items))
+      S += Label(Defined++) + ":\n";
+    switch (Rng.nextBelow(10)) {
+    case 0:
+    case 1:
+      S += std::string("\t") + Branches[Rng.nextBelow(5)] + " " +
+           Label(static_cast<unsigned>(Rng.nextBelow(NumLabels)));
+      if (Rng.nextChance(1, 6))
+        S += "+" + std::to_string(1 + Rng.nextBelow(3));
+      S += "\n";
+      break;
+    case 2: {
+      const unsigned Pow = 1 + static_cast<unsigned>(Rng.nextBelow(5));
+      S += Rng.nextChance(1, 2) ? "\t.p2align " + std::to_string(Pow)
+                                : "\t.balign " + std::to_string(1u << Pow);
+      // A max skip from 1 up to past the boundary (where it never binds).
+      if (Rng.nextChance(1, 2))
+        S += ",," + std::to_string(1 + Rng.nextBelow((1u << Pow) + 2));
+      S += "\n";
+      break;
+    }
+    default:
+      for (uint64_t N = 1 + Rng.nextBelow(4); N > 0; --N)
+        S += Rng.nextChance(1, 4)
+                 ? "\tnop" + std::to_string(2 + Rng.nextBelow(14)) + "\n"
+                 : std::string("\t") + Fillers[Rng.nextBelow(6)] + "\n";
+    }
   }
-  // Round one, all rel8: B_1 ends at End and its target lies 128 bytes
-  // on, behind a pad of 3 * (Links + 1) + 4 bytes.
-  const int64_t End = 4 + 127 * (int64_t(Links) - 1);
-  const int64_t Target = End + 128;
-  const int64_t Aligned = Target / 32 * 32;
-  const int64_t Pad = 3 * (int64_t(Links) + 1) + 4;
-  S += "\t.zero " + std::to_string(Aligned - End - Pad) + "\n";
-  S += "\t.p2align 5\n";
-  if (Target > Aligned)
-    S += "\t.zero " + std::to_string(Target - Aligned) + "\n";
-  S += ".LB1:\n\tret\n";
-  return S;
+  while (Defined < NumLabels)
+    S += Label(Defined++) + ":\n";
+  return S + "\tret\n";
 }
 
-TEST(Relaxer, AuditRoundLimitEmitsDiagnostic) {
-  for (unsigned Links : {RelaxAuditRoundLimit, RelaxAuditRoundLimit + 1}) {
-    const bool Capped = Links > RelaxAuditRoundLimit;
-    MaoUnit Unit = parseOk(auditChain(Links));
-    Unit.setRelaxMode(RelaxMode::Optimal);
-    DiagEngine Diags;
-    CollectingDiagSink Sink;
-    Diags.addSink(&Sink);
-    RelaxationResult R = relaxUnit(Unit, &Diags);
-    ASSERT_TRUE(R.Converged) << Links;
-    EXPECT_EQ(R.ShrunkBranches, RelaxAuditRoundLimit) << Links;
-    // The last link is still rel32 exactly when the audit ran out.
-    const MaoEntry *Last = findInsn(Unit, Mnemonic::JMP, 1);
-    ASSERT_NE(Last, nullptr);
-    EXPECT_EQ(Last->instruction().BranchSize, Capped ? 4 : 1) << Links;
-    ASSERT_EQ(Sink.diagnostics().size(), Capped ? 1u : 0u) << Links;
-    if (Capped) {
-      const Diagnostic &D = Sink.diagnostics()[0];
-      EXPECT_EQ(D.Severity, DiagSeverity::Warning);
-      EXPECT_EQ(D.Code, DiagCode::RelaxAuditRoundLimit);
-      EXPECT_STREQ(diagCodeName(D.Code), "relax-audit-round-limit");
-      EXPECT_NE(D.Message.find(std::to_string(RelaxAuditRoundLimit)),
-                std::string::npos);
-    }
-    // The warning only reports; the layout is the reference's.
-    const std::vector<EntryLayout> Got = entryLayouts(Unit);
-    referenceRelaxUnit(Unit);
-    EXPECT_TRUE(Got == entryLayouts(Unit)) << Links;
-
-    // Grow mode has no audit and nothing to warn about.
-    MaoUnit GrowUnit = parseOk(auditChain(Links));
-    DiagEngine GrowDiags;
-    RelaxationResult G = relaxUnit(GrowUnit, &GrowDiags);
-    ASSERT_TRUE(G.Converged);
-    EXPECT_EQ(GrowDiags.warningCount(), 0u);
-    EXPECT_EQ(findInsn(GrowUnit, Mnemonic::JMP, 1)->instruction().BranchSize,
-              4);
+std::string hexOf(const std::vector<uint8_t> &Bytes) {
+  std::string Hex;
+  char Buf[4];
+  for (uint8_t B : Bytes) {
+    std::snprintf(Buf, sizeof(Buf), "%02x", B);
+    Hex += Buf;
   }
+  return Hex;
+}
 
-  // An alignment pass relaxes through the request's layout, which reports
-  // to the request's diagnostics engine.
-  MaoUnit Unit = parseOk("\t.type f, @function\nf:\n" +
-                         auditChain(RelaxAuditRoundLimit + 1) +
-                         "\t.size f, .-f\n");
-  Unit.setRelaxMode(RelaxMode::Optimal);
-  DiagEngine Diags;
-  CollectingDiagSink Sink;
-  Diags.addSink(&Sink);
-  linkAllPasses();
-  PassRequest Req;
-  Req.PassName = "LOOP16";
-  PipelineOptions Options;
-  Options.Diags = &Diags;
-  ASSERT_TRUE(runPasses(Unit, {Req}, Options).Ok);
-  ASSERT_EQ(Sink.diagnostics().size(), 1u);
-  EXPECT_EQ(Sink.diagnostics()[0].Code, DiagCode::RelaxAuditRoundLimit);
+TEST(Relaxer, MatchesGasOnRandomUnits) {
+  // Each unit is a section of its own, so one gas run checks a batch. Per
+  // unit, MAO's bytes, label addresses and instruction addresses must be
+  // the ones in gas's object.
+  if (!haveBinutils())
+    GTEST_SKIP() << "binutils not installed";
+  constexpr unsigned Batches = 12, UnitsPerBatch = 50;
+  RandomSource Rng(2011);
+  unsigned Checked = 0, Grown = 0;
+  for (unsigned B = 0; B < Batches; ++B) {
+    std::map<std::string, std::string> Units;
+    std::string Asm;
+    for (unsigned U = 0; U < UnitsPerBatch; ++U) {
+      const std::string Section = ".text.u" + std::to_string(U);
+      Units[Section] = randomGasUnit(Rng, Section);
+      Asm += Units[Section];
+    }
+    MaoUnit Unit = parseOk(Asm);
+    const RelaxationResult Relax = relaxUnit(Unit);
+    ASSERT_TRUE(Relax.Converged);
+    std::map<std::string, std::vector<int64_t>> InsnAddresses;
+    for (SectionInfo &Sec : Unit.sections())
+      for (const MaoFunction::Range &R : Sec.Ranges)
+        for (EntryIter It = R.Begin; It != R.End; ++It)
+          if (It->isInstruction())
+            InsnAddresses[Sec.Name].push_back(It->Address);
+    for (const MaoEntry &E : Unit.entries())
+      Grown += E.isInstruction() && E.instruction().BranchSize == 4;
+    auto BytesOr = assembleUnit(Unit, Relax);
+    ASSERT_TRUE(BytesOr.ok()) << BytesOr.message();
+
+    std::map<std::string, GasSection> Gas;
+    std::string Error;
+    ASSERT_TRUE(assembleWithGas(gasDialect(Asm), Gas, &Error)) << Error;
+    for (const auto &[Section, Text] : Units) {
+      const GasSection &Want = Gas[Section];
+      EXPECT_EQ(hexOf(BytesOr->at(Section)), Want.Hex) << Text;
+      std::map<std::string, int64_t> Labels;
+      for (const auto &[Name, Address] : Relax.sectionLabels(Section))
+        Labels.emplace(Name, Address);
+      EXPECT_EQ(Labels, Want.Labels) << Text;
+      for (int64_t Address : InsnAddresses[Section])
+        EXPECT_EQ(Want.InsnStarts.count(Address), 1u)
+            << "no gas instruction at " << Address << " in\n"
+            << Text;
+      if (HasFailure())
+        return;
+      ++Checked;
+    }
+  }
+  EXPECT_EQ(Checked, Batches * UnitsPerBatch);
+  EXPECT_GT(Grown, 0u); // The units reach past rel8, not only within it.
 }
 
 } // namespace

@@ -12,6 +12,7 @@
 //
 //===----------------------------------------------------------------------===//
 
+#include "GasOracle.h"
 #include "mao/Mao.h"
 #include "passes/PeepholeEngine.h"
 #include "serve/ArtifactCache.h"
@@ -63,25 +64,6 @@ const char *kKernel =
     "\tjne .LLOOP\n"
     "\tmovl $0, %eax\n\tleave\n\tret\n"
     "\t.size bench_main, .-bench_main\n";
-
-/// A function whose backward `jne .L0` only the optimal relaxation audit
-/// shrinks: LOOP16 pads the .L3 loop by 8 bytes under grow and by 12
-/// under optimal.
-std::string relaxModeSensitiveAsm() {
-  auto Nops = [](unsigned N) {
-    std::string Out;
-    for (unsigned I = 0; I < N; ++I)
-      Out += "\tnop\n";
-    return Out;
-  };
-  return "\t.text\n\t.globl f\n\t.type f, @function\nf:\n"
-         "\ttestl %edi, %edi\n\tjne .LFAR\n" +
-         Nops(10) + ".L0:\n" + Nops(94) + "\t.p2align 4\n" + Nops(29) +
-         "\tjne .L0\n\tmovl $100, %ecx\n.L3:\n"
-         "\taddl $1, %eax\n\taddl $1, %eax\n\taddl $1, %eax\n"
-         "\tsubl $1, %ecx\n\tjne .L3\n" +
-         Nops(300) + ".LFAR:\n\tret\n\t.size f, .-f\n";
-}
 
 /// Unique scratch directory, removed (recursively, best-effort) on exit.
 class TempDir {
@@ -508,7 +490,6 @@ TEST(Protocol, RequestResponseCodecRoundTrip) {
   R.Validate = "structural";
   R.Jobs = 4;
   R.DeadlineMs = 1500;
-  R.Relax = "optimal";
   R.Verify = 1;
   ServeRequest R2;
   ASSERT_FALSE(mao::serve::decodeRequest(mao::serve::encodeRequest(R), R2));
@@ -519,7 +500,6 @@ TEST(Protocol, RequestResponseCodecRoundTrip) {
   EXPECT_EQ(R2.Validate, R.Validate);
   EXPECT_EQ(R2.Jobs, R.Jobs);
   EXPECT_EQ(R2.DeadlineMs, R.DeadlineMs);
-  EXPECT_EQ(R2.Relax, R.Relax);
   EXPECT_EQ(R2.Verify, R.Verify);
 
   ServeResponse P;
@@ -535,6 +515,29 @@ TEST(Protocol, RequestResponseCodecRoundTrip) {
   EXPECT_EQ(P2.Output, P.Output);
   EXPECT_EQ(P2.Report, P.Report);
   EXPECT_EQ(P2.Diagnostic, P.Diagnostic);
+}
+
+TEST(Protocol, SchemaTwoRequestIsAnsweredWithAnError) {
+  // Schema 2 carried a relax-mode string before the verify flag; the
+  // server answers such a frame with an error frame.
+  std::string Old = mao::serve::encodeRequest(ServeRequest());
+  Old[0] = 2;
+  Old.insert(Old.size() - 4, std::string("\x04\0\0\0grow", 8));
+  int In[2], Out[2];
+  ASSERT_EQ(::pipe(In), 0);
+  ASSERT_EQ(::pipe(Out), 0);
+  ASSERT_FALSE(mao::serve::writeFrame(In[1], Frame{FrameKind::Request, Old}));
+  ::close(In[1]);
+  mao::serve::Server Server{mao::serve::ServerOptions{}};
+  EXPECT_FALSE(Server.runOnFds(In[0], Out[1]));
+  ::close(In[0]);
+  ::close(Out[1]);
+  Frame Reply;
+  bool CleanEof = false;
+  ASSERT_FALSE(mao::serve::readFrame(Out[0], Reply, CleanEof));
+  ::close(Out[0]);
+  EXPECT_EQ(Reply.Kind, FrameKind::Error);
+  EXPECT_EQ(Reply.Payload, "unsupported request schema 2");
 }
 
 TEST(Protocol, CodecRejectsTruncationAndTrailingBytes) {
@@ -631,9 +634,10 @@ TEST(CacheRun, JobsAndNameDoNotChangeTheKey) {
 
 TEST(CacheRun, KeysAndDigestsAreStable) {
   // Persisted caches are addressed by these values, so a refactor of the
-  // hashing must reproduce them exactly.
+  // hashing must reproduce them exactly. The request key last changed with
+  // the "mao-artifact-v2" tag, when relaxation became gas's.
   EXPECT_EQ(mao::api::Session::cacheKey(kernelRequest()),
-            0xa117ac6923b3eddcULL);
+            0x552dd665c55f24e6ULL);
   EXPECT_EQ(mao::peepholeRuleDigest(), 0x9557b51ec49a0d27ULL);
   mao::ScoreCache Scores("core2");
   mao::SectionBytes Bytes;
@@ -663,46 +667,12 @@ TEST(CacheRun, OutputAffectingInputsSeparateKeys) {
   Timeout.Options.PassTimeoutMs = 123;
   EXPECT_NE(mao::api::Session::cacheKey(Timeout), Base);
 
-  mao::api::CachedRunRequest Relax = kernelRequest();
-  Relax.Relax = "optimal";
-  EXPECT_NE(mao::api::Session::cacheKey(Relax), Base);
-
   // A --synth-rules table with no synth rules drops the built-in ones.
   ASSERT_TRUE(mao::loadSynthPeepholeRules("").ok());
   const uint64_t NoSynthRules = mao::api::Session::cacheKey(kernelRequest());
   mao::resetPeepholeRules();
   EXPECT_NE(NoSynthRules, Base);
   EXPECT_EQ(mao::api::Session::cacheKey(kernelRequest()), Base);
-}
-
-TEST(CacheRun, RelaxModeIsNotServedAcrossModes) {
-  TempDir Tmp;
-  mao::api::Session Session;
-  ASSERT_TRUE(Session.cacheOpen(Tmp.path()).Ok);
-  mao::api::CachedRunRequest Request;
-  Request.Source = relaxModeSensitiveAsm();
-  ASSERT_TRUE(
-      mao::api::Session::parsePipelineSpec("loop16", Request.Pipeline).Ok);
-
-  mao::api::CachedRunResult Grow;
-  ASSERT_TRUE(Session.cacheRun(Request, Grow).Ok);
-
-  Request.Relax = "optimal";
-  mao::api::CachedRunResult Optimal;
-  ASSERT_TRUE(Session.cacheRun(Request, Optimal).Ok);
-  EXPECT_FALSE(Optimal.CacheHit);
-  EXPECT_NE(Optimal.Output, Grow.Output);
-
-  // The optimal bytes are those of a direct run under optimal.
-  mao::api::Program P;
-  ASSERT_TRUE(Session.parseText(Request.Source, "f.s", P).Ok);
-  ASSERT_TRUE(P.setRelaxMode("optimal").Ok);
-  ASSERT_TRUE(Session.optimize(P, Request.Pipeline, {}).Ok);
-  EXPECT_EQ(Optimal.Output, Session.emitToString(P));
-
-  Request.Relax = "fastest";
-  mao::api::CachedRunResult Bad;
-  EXPECT_FALSE(Session.cacheRun(Request, Bad).Ok);
 }
 
 TEST(CacheRun, WithoutAnOpenCacheItIsAPlainCompute) {
@@ -813,7 +783,7 @@ TEST(Engine, ColdThenWarmByteIdentical) {
   EXPECT_EQ(Warm.Report, Cold.Report);
 }
 
-TEST(Engine, RelaxAndVerifyReachTheKeyOfALocalRun) {
+TEST(Engine, VerifyReachesTheKeyOfALocalRun) {
   // maod and a local --cache-dir run over the same directory must agree
   // on the key, so every request field has to reach cacheRun.
   TempDir Tmp;
@@ -821,9 +791,8 @@ TEST(Engine, RelaxAndVerifyReachTheKeyOfALocalRun) {
   Options.CacheDir = Tmp.path() + "/cache";
   mao::serve::Engine Engine(Options);
   ServeRequest R = engineRequest();
-  R.Source = relaxModeSensitiveAsm();
+  R.Source = mao::alignedLoopAsm();
   R.Pipeline = "loop16";
-  R.Relax = "optimal";
   R.Verify = 1;
   ServeResponse Served = Engine.handle(R);
   ASSERT_EQ(Served.Status, ServeStatus::Ok) << Served.Diagnostic;
@@ -836,21 +805,10 @@ TEST(Engine, RelaxAndVerifyReachTheKeyOfALocalRun) {
   ASSERT_TRUE(mao::api::Session::parsePipelineSpec(R.Pipeline, Run.Pipeline).Ok);
   Run.Options.OnError = R.OnError;
   Run.Options.VerifyAfterEachPass = true;
-  Run.Relax = "optimal";
   mao::api::CachedRunResult Result;
   ASSERT_TRUE(Local.cacheRun(Run, Result).Ok);
   EXPECT_TRUE(Result.CacheHit);
   EXPECT_EQ(Result.Output, Served.Output);
-}
-
-TEST(Engine, BadRelaxModeIsAStructuredError) {
-  mao::serve::Engine Engine(mao::serve::EngineOptions{});
-  ServeRequest R = engineRequest();
-  R.Relax = "fastest";
-  ServeResponse Out = Engine.handle(R);
-  EXPECT_EQ(Out.Status, ServeStatus::Error);
-  EXPECT_NE(Out.Diagnostic.find("fastest"), std::string::npos)
-      << Out.Diagnostic;
 }
 
 TEST(Engine, OversizedRequestIsAStructuredError) {

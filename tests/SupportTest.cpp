@@ -201,6 +201,16 @@ TEST(Options, CommandLineSplitsKinds) {
   EXPECT_EQ(CmdOr->Inputs[0], "input.s");
 }
 
+TEST(Options, RelaxModeFlagIsGone) {
+  // There is one relaxation, gas's; the flag that chose between two is an
+  // unknown option now.
+  auto CmdOr = parseCommandLine({"--mao-relax=optimal", "input.s"});
+  ASSERT_FALSE(CmdOr.ok());
+  EXPECT_NE(CmdOr.message().find("unknown option '--mao-relax=optimal'"),
+            std::string::npos)
+      << CmdOr.message();
+}
+
 TEST(Options, DriverFlagsLandInFacadeFields) {
   // One row per settable driver flag: the argument, and a check that reads
   // the field it must land in. Every check fails on a default command line,
@@ -235,8 +245,6 @@ TEST(Options, DriverFlagsLandInFacadeFields) {
        [](const MaoCommandLine &C) {
          return C.Optimize.Validate == "semantic";
        }},
-      {"--mao-relax=optimal",
-       [](const MaoCommandLine &C) { return C.RelaxMode == "optimal"; }},
       {"--mao-pass-timeout-ms=250",
        [](const MaoCommandLine &C) {
          return C.Optimize.PassTimeoutMs == 250;
