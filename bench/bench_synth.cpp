@@ -64,7 +64,7 @@ int main(int argc, char **argv) {
               CandidatesPerS, ProvenPerS, Seconds);
   for (const mao::api::RuleInfo &R : Summary.Rules)
     std::printf("  %-24s support %-6llu %s\n", R.Name.c_str(),
-                (unsigned long long)R.Fires, R.Provenance.c_str());
+                (unsigned long long)R.Support, R.Provenance.c_str());
 
   Report.set("candidates_per_s", CandidatesPerS);
   Report.set("rules_proven_per_s", ProvenPerS);

@@ -2,9 +2,10 @@
 # Failure-report gate: a failed pass prints one line per failed pass or
 # function, under every --mao-on-error policy, and nothing repeats it; so
 # do a per-pass verifier issue and a parse error, with and without the
-# artifact cache. Runs `mao` on examples/clean.s (two functions) and on two
-# small generated inputs, and counts the stderr lines other than the parse
-# summary ("mao: N lines, ...").
+# artifact cache, and a --synth-rules table in an old row shape. Runs
+# `mao` on examples/clean.s (two functions) and on two small generated
+# inputs, and counts the stderr lines other than the parse summary
+# ("mao: N lines, ...").
 #
 # Registered as the ctest entry `failure_lines`; run standalone as
 #
@@ -61,6 +62,17 @@ expect "verifier after a pass" 3 1 --mao=ZEE --mao-verify "$UNDEF"
 expect "verifier after a pass, cache" 3 1 "$CACHE" --mao=ZEE --mao-verify \
   "$UNDEF"
 expect "abort, cache" 3 1 "$CACHE" --mao=ZEE "$INJECT" "$IN"
+
+# A rule table row with the old group and strategy fields (7, not 5) is an
+# input error: one line, exit 2.
+OLDROW="$WORK/old_row.def"
+printf 'MAO_PEEPHOLE_RULE(SYN_TESTQ, "synth", Window,\n  "testq %%A, %%A",\n  "dead-flags:CF|PF|AF|ZF|SF|OF",\n  "",\n  "synth:maosynth seed=1")\n' \
+  >"$OLDROW"
+expect "old 7-field rule row" 2 1 "--synth-rules=$OLDROW" "$IN"
+if ! grep -q '^mao: error: .*takes 5 fields, got 7' "$ERR"; then
+  echo "failure_lines: FAIL: old 7-field rule row: no 'mao: error:' line" >&2
+  FAILED=1
+fi
 
 if [ "$FAILED" -ne 0 ]; then
   exit 1

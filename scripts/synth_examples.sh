@@ -3,10 +3,12 @@
 # `mao` over the synth-seeded kernel and checks the documented contract:
 #
 #   - a synthesis run over the examples succeeds and emits at least one
-#     synth-group rule, each carrying a strict simulator win in its
+#     rule, each carrying a strict simulator win in its
 #     evidence line (win=BEFORE->AFTER with AFTER < BEFORE),
 #   - the emitted table is byte-identical across --mao-jobs values (the
 #     determinism contract: jobs change wall-clock, nothing else),
+#   - the committed src/passes/PeepholeRules.def is byte-identical to the
+#     emitted table (regenerate it with the command in its header),
 #   - the emitted table re-verifies: every rule re-proves through the
 #     symbolic oracle and SemanticValidator
 #     (mao --synth-rules=TABLE --synth-verify),
@@ -91,6 +93,15 @@ if ! cmp -s "$TABLE" "$TABLE2"; then
   fail "emitted table differs between --mao-jobs=1 and --mao-jobs=4"
 else
   echo "synth_examples: ok: table identical across jobs"
+fi
+
+# The committed table is what this run emits.
+COMMITTED="$(dirname "$0")/../src/passes/PeepholeRules.def"
+if cmp -s "$TABLE" "$COMMITTED"; then
+  echo "synth_examples: ok: committed table is the emitted table"
+else
+  fail "src/passes/PeepholeRules.def differs from the emitted table"
+  diff "$COMMITTED" "$TABLE" | sed 's/^/synth_examples:   /' >&2
 fi
 
 # The emitted table re-verifies rule by rule.

@@ -28,14 +28,15 @@ int64_t parseIntArg(const std::string &Text, int64_t Default = 0) {
 /// An alignment directive's padding rule, parsed once.
 struct AlignSpec {
   int64_t Boundary = 0; ///< Power of two; 0 never pads.
-  int64_t MaxPad = -1;  ///< Third argument; -1 for no limit.
+  /// Third argument; 0, as in gas, or -1 (absent) for no limit.
+  int64_t MaxPad = -1;
 
   /// Padding inserted at \p Address.
   unsigned pad(int64_t Address) const {
     if (Boundary == 0)
       return 0;
     const int64_t Pad = (Boundary - (Address % Boundary)) % Boundary;
-    return MaxPad >= 0 && Pad > MaxPad ? 0 : static_cast<unsigned>(Pad);
+    return MaxPad > 0 && Pad > MaxPad ? 0 : static_cast<unsigned>(Pad);
   }
 };
 

@@ -164,7 +164,7 @@ private:
     int32_t Id = -1;
     int64_t TargetOffset = 0; ///< Branch: the constant in `sym+N`.
     int64_t Boundary = 0;     ///< Align: power of two; 0 never pads.
-    int64_t MaxPad = -1;      ///< Align: padding limit; -1 for none.
+    int64_t MaxPad = -1;      ///< Align: padding limit; 0 or -1 for none.
   };
 
   /// A place in a section: run index, then slot index within the run.

@@ -203,19 +203,14 @@ public:
   /// Moves \p From's instruction into this instruction entry together with
   /// its length and effects memos, which stay valid because they describe
   /// the payload they travel with. \p From is left hollow until it receives
-  /// a payload in turn. Not an edit by itself: a pass that permutes
-  /// payloads notes one per block with noteEdit().
+  /// a payload in turn. Not an edit: a pass that permutes payloads within
+  /// a block, keeping every dependence and the terminator's slot, leaves
+  /// the block's instructions, control flow and live-in/out as they were.
   void takeInstruction(MaoEntry &From) {
     assert(isInstruction() && From.isInstruction() &&
            "payload move between non-instructions");
     Insn = std::move(From.Insn);
     copyMemos(From);
-  }
-  /// Notes an edit of the owning function's instructions that keeps its
-  /// control flow, without touching the entry.
-  void noteEdit() const {
-    if (Owner)
-      Owner->noteEdit(/*ChangesControlFlow=*/false);
   }
   /// Sets the displacement width relaxation chose for a direct branch.
   /// Not an edit: the width changes the branch's length, so the length

@@ -182,7 +182,7 @@ OptionRegistry buildDriverOptions(MaoCommandLine &Cmd) {
             "harvest only the input corpus, not generated workload code",
             /*Value=*/false);
   R.addString("--synth-rules", &Cmd.SynthRules,
-              "replace the synth rule group with the rules of FILE (a .def "
+              "replace the peephole rule table with the rules of FILE (a .def "
               "table, the shape mao --synth emits) before optimizing");
   R.addFlag("--synth-verify", &Cmd.SynthVerify,
             "re-prove every active synthesized rule (symbolic oracle plus "

@@ -59,7 +59,7 @@ struct MaoCommandLine {
   bool RunLint = false;
   bool RunTune = false;
   bool RunSynth = false;
-  /// --synth-rules=FILE: load FILE as the synth rule group first.
+  /// --synth-rules=FILE: load FILE as the peephole rule table first.
   std::string SynthRules;
   /// --synth-verify: re-prove the active synth rules and exit.
   bool SynthVerify = false;

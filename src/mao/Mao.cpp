@@ -684,13 +684,11 @@ Status Session::synthesize(const SynthOptions &Request, SynthSummary &Out) {
   for (const synth::SynthRule &SR : R.Rules) {
     RuleInfo Info;
     Info.Name = SR.Rule.Name;
-    Info.Group = SR.Rule.Group;
-    Info.Strategy = ruleStrategyName(SR.Rule.Strategy);
     Info.Pattern = SR.Rule.Pattern;
     Info.Guards = SR.Rule.Guards;
     Info.Replacement = SR.Rule.Replacement;
     Info.Provenance = SR.Rule.Provenance;
-    Info.Fires = SR.Support;
+    Info.Support = SR.Support;
     Out.Rules.push_back(std::move(Info));
   }
   Out.CorpusFiles = R.Stats.CorpusFiles;
@@ -706,24 +704,6 @@ Status Session::synthesize(const SynthOptions &Request, SynthSummary &Out) {
       writeWholeFile(Request.OutPath, Out.TableText))
     return Status::error("cannot write '" + Request.OutPath + "'");
   return Status::success();
-}
-
-std::vector<RuleInfo> Session::listPeepholeRules() {
-  std::vector<RuleInfo> Out;
-  for (const PeepholeRule &R : activePeepholeRules()) {
-    RuleInfo Info;
-    Info.Name = R.Name;
-    Info.Group = R.Group;
-    Info.Strategy = ruleStrategyName(R.Strategy);
-    Info.Pattern = R.Pattern;
-    Info.Guards = R.Guards;
-    Info.Replacement = R.Replacement;
-    Info.Provenance = R.Provenance;
-    Info.Fires =
-        StatsRegistry::instance().counter("peep.fire." + R.Name).value();
-    Out.push_back(std::move(Info));
-  }
-  return Out;
 }
 
 Status Session::loadPeepholeRulesFile(const std::string &Path) {

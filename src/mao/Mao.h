@@ -212,22 +212,19 @@ struct SynthOptions {
   std::string OutPath; ///< When set, the emitted .def is written here.
 };
 
-/// One row of the active peephole-rule table (rule-provenance query).
+/// One rule a synthesis run emitted, with its evidence.
 struct RuleInfo {
   std::string Name;
-  std::string Group;
-  std::string Strategy;
   std::string Pattern;
   std::string Guards;
   std::string Replacement;
-  std::string Provenance; ///< "hand:..." or "synth:...".
-  uint64_t Fires = 0;     ///< peep.fire.<name> counter, this process.
+  std::string Provenance; ///< "synth:... win=N->M": the cycle evidence.
+  uint64_t Support = 0;   ///< Corpus windows matching the pattern.
 };
 
 /// Summary of a synthesis run.
 struct SynthSummary {
-  /// Emitted rules in table order, with evidence: Fires is repurposed as
-  /// corpus support; cycle columns come via Provenance ("win=N->M").
+  /// Emitted rules in table order.
   std::vector<RuleInfo> Rules;
   uint64_t CorpusFiles = 0;
   uint64_t WindowsHarvested = 0;
@@ -494,14 +491,11 @@ public:
   /// winners as a PeepholeRules.def table (SynthSummary::TableText, also
   /// written to OutPath when set).
   Status synthesize(const SynthOptions &Request, SynthSummary &Out);
-  /// The active peephole-rule table with per-rule fire counts — the
-  /// rule-provenance query behind `mao --rules`.
-  static std::vector<RuleInfo> listPeepholeRules();
-  /// Replaces the synth rule group with the rules of \p Path (a .def file,
-  /// the shape synthesize() emits); `--synth-rules`. Not thread-safe; call
-  /// before optimize/tune.
+  /// Replaces the peephole rule table with the rules of \p Path (a .def
+  /// file, the shape synthesize() emits); `--synth-rules`. Not
+  /// thread-safe; call before optimize/tune.
   static Status loadPeepholeRulesFile(const std::string &Path);
-  /// Re-proves every active synth-group rule (oracle + validator); the CI
+  /// Re-proves every active peephole rule (oracle + validator); the CI
   /// gate behind `--synth-verify`. \p Detail receives a summary line.
   static Status verifySynthRules(std::string *Detail);
 

@@ -98,6 +98,21 @@ std::string firstDifference(const CFG &Kept, const CFG &Fresh) {
   return "";
 }
 
+/// The first difference between \p Kept and \p Fresh, or "".
+std::string firstDifference(const LivenessResult &Kept,
+                            const LivenessResult &Fresh) {
+  const std::pair<const char *, bool> Parts[] = {
+      {"register live-in", Kept.RegLiveIn == Fresh.RegLiveIn},
+      {"register live-out", Kept.RegLiveOut == Fresh.RegLiveOut},
+      {"flags live-in", Kept.FlagsLiveIn == Fresh.FlagsLiveIn},
+      {"flags live-out", Kept.FlagsLiveOut == Fresh.FlagsLiveOut}};
+  for (const auto &[Part, Same] : Parts)
+    if (!Same)
+      return std::string("liveness differs from a fresh computation: ") +
+             Part;
+  return "";
+}
+
 } // namespace
 
 const CFG &mao::keptCFG(MaoFunction &Fn) { return current(Fn).Graph; }
@@ -134,6 +149,9 @@ VerifierReport mao::verifyKeptAnalyses(MaoUnit &Unit, DiagEngine *Diags,
     std::string Why = firstDifference(Kept, Fresh);
     if (Why.empty() && KeptUnresolved != Fn.HasUnresolvedIndirect)
       Why = "HasUnresolvedIndirect differs";
+    if (Why.empty() && K->Liveness &&
+        K->LivenessEpoch == Fn.Epochs.Instructions)
+      Why = firstDifference(*K->Liveness, computeLiveness(Fresh));
     if (Why.empty())
       continue;
     Diagnostic D;
@@ -141,7 +159,7 @@ VerifierReport mao::verifyKeptAnalyses(MaoUnit &Unit, DiagEngine *Diags,
     D.Code = DiagCode::VerifyStaleCFG;
     D.PassName = Context;
     D.Message = "function " + Fn.name() +
-                ": kept CFG differs from a fresh build: " + Why;
+                ": kept analyses differ from a fresh build: " + Why;
     if (Diags)
       Diags->report(D);
     Report.Issues.push_back(std::move(D));

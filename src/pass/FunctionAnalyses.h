@@ -41,8 +41,10 @@ const LivenessResult &keptLiveness(MaoFunction &Fn);
 /// control-flow edit dropped, as keptCFG() would return it, with a fresh
 /// CFG::build plus resolveIndirectJumps (blocks' entries and labels,
 /// successor and predecessor sets, unresolved jumps and
-/// HasUnresolvedIndirect) and reports each mismatch as
-/// DiagCode::VerifyStaleCFG, like verifyUnit's issues.
+/// HasUnresolvedIndirect), and kept liveness that no edit outdated with
+/// computeLiveness of the fresh CFG (each block's live-in and live-out),
+/// and reports each mismatch as DiagCode::VerifyStaleCFG, like
+/// verifyUnit's issues.
 VerifierReport verifyKeptAnalyses(MaoUnit &Unit, DiagEngine *Diags,
                                   const std::string &Context);
 

@@ -252,7 +252,8 @@ UnitFootprint measureFootprint(MaoUnit &Unit) {
 }
 
 /// The per-pass verifier: verifyUnit, then, when the configuration checks
-/// structure (--mao-verify), every kept CFG against a fresh build.
+/// structure (--mao-verify), every kept CFG and current liveness against a
+/// fresh build.
 VerifierReport verifyAfterPass(MaoUnit &Unit, const PipelineOptions &Options,
                                const std::string &PassName) {
   VerifierReport Report =

@@ -1,22 +1,19 @@
-//===- passes/PeepholeEngine.cpp - Table-driven peephole rewriting ----------===//
+//===- passes/PeepholeEngine.cpp - Synthesized window rewrite rules ---------===//
 ///
 /// \file
 /// Implementation of the rule table (compiled from PeepholeRules.def, or
-/// reloaded from a `mao --synth`-emitted .def at runtime) and the rewrite
-/// engine itself: the four strategy matchers ported from the original
-/// hand-written passes, plus the generic window matcher for synthesized
-/// rules. Byte-identical output to the pre-table passes is the migration
-/// contract; PassesTest pins it pattern by pattern.
+/// reloaded from a `mao --synth`-emitted .def at runtime): the template
+/// language, the .def reader and writer, the digest and the window
+/// matcher the SYNTH pass runs every row through.
 ///
 //===----------------------------------------------------------------------===//
 
 #include "passes/PeepholeEngine.h"
 
-#include "passes/PassUtil.h"
 #include "support/Hash.h"
-#include "support/Stats.h"
 
 #include <cctype>
+#include <cerrno>
 #include <cstdio>
 #include <cstdlib>
 #include <utility>
@@ -144,304 +141,11 @@ MaoStatus parseWindowGuards(std::string_view Text, uint8_t &DeadFlags) {
 }
 
 //===----------------------------------------------------------------------===//
-// Fire bookkeeping.
+// The window matcher.
 //===----------------------------------------------------------------------===//
 
-/// Counts one application of \p R, matched at \p At, and reports it to the
-/// context's hook. Call before the rewrite touches \p At.
-void fired(PeepholeContext &Ctx, const PeepholeRule &R,
-           const Instruction &At) {
-  std::atomic<StatCounter *> &Slot = R.Fires.Counter;
-  StatCounter *Counter = Slot.load(std::memory_order_acquire);
-  if (!Counter) {
-    Counter = &StatsRegistry::instance().counter("peep.fire." + R.Name);
-    Slot.store(Counter, std::memory_order_release);
-  }
-  Counter->add(1);
-  if (Ctx.OnFire)
-    Ctx.OnFire(R, At.toString());
-}
-
-//===----------------------------------------------------------------------===//
-// Strategy: EraseZeroExtend (ZEE).
-//===----------------------------------------------------------------------===//
-
-bool isSelfMove32(const Instruction &Insn) {
-  return Insn.Mn == Mnemonic::MOV && Insn.W == Width::L &&
-         Insn.Ops.size() == 2 && Insn.Ops[0].isReg() && Insn.Ops[1].isReg() &&
-         Insn.Ops[0].R == Insn.Ops[1].R;
-}
-
-/// A block's instructions as a pass edits them: the matchers erase from
-/// this copy as they erase from the unit, so later scans never see an
-/// erased entry. The kept CFG itself is refreshed on its next use.
-using BlockInsns = std::vector<EntryIter>;
-
-/// Scans backward for the nearest definition of \p R; true when it is a
-/// 32-bit GPR write (which zero-extends) with no barrier in between.
-bool precedingDefZeroExtends(const BlockInsns &Insns, size_t MovIdx, Reg R) {
-  const RegMask Bit = regMaskBit(R);
-  for (size_t I = MovIdx; I-- > 0;) {
-    const Instruction &Prev = std::as_const(*Insns[I]).instruction();
-    const InstructionEffects Fx = Insns[I]->effects();
-    if (Fx.Barrier)
-      return false;
-    if (!(Fx.RegDefs & Bit))
-      continue;
-    // Found the def: it must be an explicit 32-bit register write.
-    Reg Dst = plainRegDest(Prev);
-    return Dst != Reg::None && superReg(Dst) == superReg(R) &&
-           regWidth(Dst) == Width::L && !Fx.MemWrite;
-  }
-  return false; // Def not in this block: value may have set high bits.
-}
-
-unsigned runEraseZeroExtend(PeepholeContext &Ctx, const PeepholeRule &R) {
-  unsigned Fired = 0;
-  BlockInsns Insns;
-  for (const BasicBlock &BB : keptCFG(Ctx.Fn).blocks()) {
-    Insns.assign(BB.Insns.begin(), BB.Insns.end());
-    for (size_t I = 0; I < Insns.size(); ++I) {
-      const Instruction &Insn = std::as_const(*Insns[I]).instruction();
-      if (!isSelfMove32(Insn))
-        continue;
-      if (!precedingDefZeroExtends(Insns, I, Insn.Ops[0].R))
-        continue;
-      fired(Ctx, R, Insn);
-      Ctx.Unit.erase(Insns[I]);
-      Insns.erase(Insns.begin() + static_cast<long>(I));
-      --I;
-      ++Fired;
-    }
-  }
-  return Fired;
-}
-
-//===----------------------------------------------------------------------===//
-// Strategy: EraseRedundantTest (REDTEST).
-//===----------------------------------------------------------------------===//
-
-bool isSelfTest(const Instruction &Insn) {
-  return Insn.Mn == Mnemonic::TEST && Insn.Ops.size() == 2 &&
-         Insn.Ops[0].isReg() && Insn.Ops[1].isReg() &&
-         Insn.Ops[0].R == Insn.Ops[1].R;
-}
-
-/// Scans backward from the test: the nearest flag-writing instruction
-/// must be a result-flag ALU op into the tested register, same width,
-/// with no intervening redefinition of the register.
-bool precedingAluSetsSameFlags(const BlockInsns &Insns, size_t TestIdx,
-                               const Instruction &Test) {
-  const Reg Tested = Test.Ops[0].R;
-  const RegMask Bit = regMaskBit(Tested);
-  for (size_t I = TestIdx; I-- > 0;) {
-    const Instruction &Prev = std::as_const(*Insns[I]).instruction();
-    const InstructionEffects Fx = Insns[I]->effects();
-    if (Fx.Barrier)
-      return false;
-    if (Fx.FlagsDef) {
-      if (!flagsReflectResult(Prev.Mn))
-        return false;
-      Reg Dst = plainRegDest(Prev);
-      return Dst == Tested && Prev.W == Test.W;
-    }
-    if (Fx.RegDefs & Bit)
-      return false; // Register changed after the flags were set.
-  }
-  return false;
-}
-
-unsigned runEraseRedundantTest(PeepholeContext &Ctx, const PeepholeRule &R) {
-  unsigned Fired = 0;
-  const LivenessResult &Liveness = keptLiveness(Ctx.Fn);
-  const CFG &Graph = keptCFG(Ctx.Fn);
-  BlockInsns Insns;
-  for (const BasicBlock &BB : Graph.blocks()) {
-    InsnLiveness IL = perInstructionLiveness(Graph, BB.Index, Liveness);
-    Insns.assign(BB.Insns.begin(), BB.Insns.end());
-    for (size_t I = 0; I < Insns.size(); ++I) {
-      const Instruction &Insn = std::as_const(*Insns[I]).instruction();
-      if (!isSelfTest(Insn))
-        continue;
-      const uint8_t SafeFlags = FlagZF | FlagSF | FlagPF;
-      if (IL.FlagsLiveAfter[I] & ~SafeFlags)
-        continue;
-      if (!precedingAluSetsSameFlags(Insns, I, Insn))
-        continue;
-      fired(Ctx, R, Insn);
-      Ctx.Unit.erase(Insns[I]);
-      Insns.erase(Insns.begin() + static_cast<long>(I));
-      IL.RegLiveAfter.erase(IL.RegLiveAfter.begin() + static_cast<long>(I));
-      IL.FlagsLiveAfter.erase(IL.FlagsLiveAfter.begin() +
-                              static_cast<long>(I));
-      --I;
-      ++Fired;
-    }
-  }
-  return Fired;
-}
-
-//===----------------------------------------------------------------------===//
-// Strategy: ForwardLoad (REDMOV).
-//===----------------------------------------------------------------------===//
-
-/// `mov mem, %gpr` of 32- or 64-bit width (narrow widths merge and are
-/// not worth the pattern).
-bool isRegLoad(const Instruction &Insn) {
-  return Insn.Mn == Mnemonic::MOV && Insn.Ops.size() == 2 &&
-         Insn.Ops[0].isMem() && Insn.Ops[1].isReg() &&
-         regIsGpr(Insn.Ops[1].R) &&
-         (Insn.W == Width::L || Insn.W == Width::Q) &&
-         !Insn.Ops[0].Mem.isRipRelative();
-}
-
-unsigned runForwardLoad(PeepholeContext &Ctx, const PeepholeRule &R) {
-  unsigned Fired = 0;
-  for (const BasicBlock &BB : keptCFG(Ctx.Fn).blocks()) {
-    // Track the most recent load: (address, width) -> value register.
-    struct LastLoad {
-      bool Valid = false;
-      /// The recorded load's memory operand: the whole operand, so a
-      /// match sees displacement and symbol as well as the registers.
-      /// Only the current instruction is ever rewritten, so it stays put.
-      const Operand *Addr = nullptr;
-      Width W = Width::None;
-      Reg Value = Reg::None;
-    } Last;
-
-    for (EntryIter InsnIt : BB.Insns) {
-      // Read through a const view so unchanged instructions keep their
-      // length memos; only a rewrite takes the mutable accessor.
-      const Instruction &Insn = std::as_const(*InsnIt).instruction();
-      const InstructionEffects Fx = InsnIt->effects();
-
-      if (Last.Valid && isRegLoad(Insn) && Insn.W == Last.W &&
-          Insn.Ops[0] == *Last.Addr &&
-          superReg(Insn.Ops[1].R) != superReg(Last.Value)) {
-        fired(Ctx, R, Insn);
-        InsnIt->instruction().Ops[0] =
-            Operand::makeReg(gprWithWidth(superReg(Last.Value), Insn.W));
-        ++Fired;
-        // The destination now holds the same value: it can forward too.
-        Last.Value = Insn.Ops[1].R;
-        continue;
-      }
-
-      // Invalidate on anything that could change the address registers,
-      // the cached value register, or memory.
-      if (Last.Valid) {
-        RegMask Watched = regMaskBit(Last.Addr->Mem.Base) |
-                          regMaskBit(Last.Addr->Mem.Index) |
-                          regMaskBit(Last.Value);
-        if (Fx.MemWrite || Fx.Barrier || (Fx.RegDefs & Watched))
-          Last.Valid = false;
-      }
-      if (isRegLoad(Insn)) {
-        // A load overwritten by itself (same dest as an address reg) is
-        // not cacheable.
-        const MemRef &M = Insn.Ops[0].Mem;
-        Reg Dst = Insn.Ops[1].R;
-        if (superReg(Dst) != superReg(M.Base) &&
-            (M.Index == Reg::None || superReg(Dst) != superReg(M.Index))) {
-          Last.Valid = true;
-          Last.Addr = &Insn.Ops[0];
-          Last.W = Insn.W;
-          Last.Value = Dst;
-        }
-      }
-    }
-  }
-  return Fired;
-}
-
-//===----------------------------------------------------------------------===//
-// Strategy: FoldImmChain (ADDADD).
-//===----------------------------------------------------------------------===//
-
-bool isImmAddSub(const Instruction &Insn) {
-  return (Insn.Mn == Mnemonic::ADD || Insn.Mn == Mnemonic::SUB) &&
-         Insn.Ops.size() == 2 && Insn.Ops[0].isConstImm() &&
-         Insn.Ops[1].isReg() && (Insn.W == Width::L || Insn.W == Width::Q);
-}
-
-int64_t signedDelta(const Instruction &Insn) {
-  return Insn.Mn == Mnemonic::ADD ? Insn.Ops[0].Imm : -Insn.Ops[0].Imm;
-}
-
-/// Returns the index of a second add/sub on the same register that can be
-/// folded into instruction \p I, or 0 when none.
-size_t findFoldablePartner(const BlockInsns &Insns, size_t I,
-                           const InsnLiveness &IL) {
-  const Instruction &First = std::as_const(*Insns[I]).instruction();
-  if (!isImmAddSub(First))
-    return 0;
-  const Reg RX = First.Ops[1].R;
-  const RegMask Bit = regMaskBit(RX);
-  for (size_t J = I + 1; J < Insns.size(); ++J) {
-    const Instruction &Next = std::as_const(*Insns[J]).instruction();
-    const InstructionEffects Fx = Insns[J]->effects();
-    if (isImmAddSub(Next) && Next.Ops[1].R == RX && Next.W == First.W) {
-      // CF/OF of the folded op can differ from the original sequence;
-      // only fold when downstream consumers look at ZF/SF/PF at most.
-      const uint8_t SafeFlags = FlagZF | FlagSF | FlagPF;
-      if (IL.FlagsLiveAfter[J] & ~SafeFlags)
-        return 0;
-      return J;
-    }
-    if (Fx.Barrier)
-      return 0;
-    if ((Fx.RegDefs | Fx.RegUses) & Bit)
-      return 0; // rX redefined or consumed in between.
-    if (Fx.FlagsUse)
-      return 0; // Someone reads the first op's flags.
-    if (Fx.FlagsDef)
-      return 0; // Conservative: keep the flag chain simple.
-  }
-  return 0;
-}
-
-void foldPair(PeepholeContext &Ctx, const PeepholeRule &R, BlockInsns &Insns,
-              size_t I, size_t J) {
-  const Instruction &First = std::as_const(*Insns[I]).instruction();
-  Instruction &Second = Insns[J]->instruction();
-  int64_t Net = signedDelta(First) + signedDelta(Second);
-  fired(Ctx, R, First);
-  Second.Mn = Net >= 0 ? Mnemonic::ADD : Mnemonic::SUB;
-  Second.Ops[0] = Operand::makeImm(Net >= 0 ? Net : -Net);
-  Ctx.Unit.erase(Insns[I]);
-  Insns.erase(Insns.begin() + static_cast<long>(I));
-}
-
-unsigned runFoldImmChain(PeepholeContext &Ctx, const PeepholeRule &R) {
-  unsigned Fired = 0;
-  const LivenessResult &Liveness = keptLiveness(Ctx.Fn);
-  BlockInsns Insns;
-  for (const BasicBlock &BB : keptCFG(Ctx.Fn).blocks()) {
-    Insns.assign(BB.Insns.begin(), BB.Insns.end());
-    bool Restart = true;
-    while (Restart) {
-      Restart = false;
-      InsnLiveness IL = perInstructionLiveness(Insns, Liveness, BB.Index);
-      for (size_t I = 0; I + 1 < Insns.size(); ++I) {
-        size_t J = findFoldablePartner(Insns, I, IL);
-        if (J == 0)
-          continue;
-        foldPair(Ctx, R, Insns, I, J);
-        ++Fired;
-        Restart = true; // Liveness indices shifted; recompute.
-        break;
-      }
-    }
-  }
-  return Fired;
-}
-
-//===----------------------------------------------------------------------===//
-// Strategy: Window (generic adjacent N -> M rewrite).
-//===----------------------------------------------------------------------===//
-
-bool matchWindowAt(const PeepholeRule &R, const BlockInsns &Insns, size_t I,
-                   std::array<Reg, MaxRuleVars> &Bind) {
+bool matchWindowAt(const PeepholeRule &R, const std::vector<EntryIter> &Insns,
+                   size_t I, std::array<Reg, MaxRuleVars> &Bind) {
   Bind.fill(Reg::None);
   for (size_t K = 0; K < R.Pat.size(); ++K) {
     const Instruction &Insn = std::as_const(*Insns[I + K]).instruction();
@@ -477,62 +181,16 @@ bool matchWindowAt(const PeepholeRule &R, const BlockInsns &Insns, size_t I,
   return true;
 }
 
-void applyWindow(PeepholeContext &Ctx, const PeepholeRule &R,
-                 BlockInsns &Insns, size_t I,
-                 const std::array<Reg, MaxRuleVars> &Bind) {
-  for (size_t K = 0; K < R.Rep.size(); ++K)
-    Insns[I + K]->instruction() = renderTemplateInsn(R.Rep[K], Bind);
-  for (size_t K = R.Pat.size(); K-- > R.Rep.size();) {
-    Ctx.Unit.erase(Insns[I + K]);
-    Insns.erase(Insns.begin() + static_cast<long>(I + K));
-  }
-}
-
-unsigned runWindowRule(PeepholeContext &Ctx, const PeepholeRule &R) {
-  if (R.Pat.empty() || R.Rep.size() > R.Pat.size())
-    return 0;
-  unsigned Fired = 0;
-  const LivenessResult &Liveness = keptLiveness(Ctx.Fn);
-  BlockInsns Insns;
-  for (const BasicBlock &BB : keptCFG(Ctx.Fn).blocks()) {
-    Insns.assign(BB.Insns.begin(), BB.Insns.end());
-    bool Restart = true;
-    while (Restart) {
-      Restart = false;
-      InsnLiveness IL;
-      if (R.DeadFlags)
-        IL = perInstructionLiveness(Insns, Liveness, BB.Index);
-      for (size_t I = 0; I + R.Pat.size() <= Insns.size(); ++I) {
-        std::array<Reg, MaxRuleVars> Bind;
-        if (!matchWindowAt(R, Insns, I, Bind))
-          continue;
-        if (R.DeadFlags &&
-            (IL.FlagsLiveAfter[I + R.Pat.size() - 1] & R.DeadFlags))
-          continue;
-        fired(Ctx, R, std::as_const(*Insns[I]).instruction());
-        applyWindow(Ctx, R, Insns, I, Bind);
-        ++Fired;
-        Restart = true; // Indices and liveness shifted; rescan the block.
-        break;
-      }
-    }
-  }
-  return Fired;
-}
-
 //===----------------------------------------------------------------------===//
-// Table construction and the active-table switch.
+// The compiled-in table and the active-table switch.
 //===----------------------------------------------------------------------===//
 
 std::vector<PeepholeRule> compileBuiltins() {
   std::vector<PeepholeRule> Rules;
-#define MAO_PEEPHOLE_RULE(NameTok, GroupStr, StrategyTok, PatStr, GuardStr,   \
-                          RepStr, ProvStr)                                     \
+#define MAO_PEEPHOLE_RULE(NameTok, PatStr, GuardStr, RepStr, ProvStr)          \
   {                                                                            \
     PeepholeRule R;                                                            \
     R.Name = #NameTok;                                                         \
-    R.Group = GroupStr;                                                        \
-    R.Strategy = RuleStrategy::StrategyTok;                                    \
     R.Pattern = PatStr;                                                        \
     R.Guards = GuardStr;                                                       \
     R.Replacement = RepStr;                                                    \
@@ -593,22 +251,6 @@ std::string renderWindowGuards(uint8_t DeadFlags) {
       First = false;
     }
   return Out;
-}
-
-const char *ruleStrategyName(RuleStrategy S) {
-  switch (S) {
-  case RuleStrategy::EraseZeroExtend:
-    return "EraseZeroExtend";
-  case RuleStrategy::EraseRedundantTest:
-    return "EraseRedundantTest";
-  case RuleStrategy::ForwardLoad:
-    return "ForwardLoad";
-  case RuleStrategy::FoldImmChain:
-    return "FoldImmChain";
-  case RuleStrategy::Window:
-    return "Window";
-  }
-  return "Window";
 }
 
 std::string
@@ -674,16 +316,15 @@ MaoStatus parseTemplates(std::string_view Text,
 }
 
 MaoStatus compilePeepholeRule(PeepholeRule &R) {
-  if (R.Strategy != RuleStrategy::Window)
-    return MaoStatus::success();
   if (MaoStatus S = parseTemplates(R.Pattern, R.Pat); !S.ok())
     return S;
   if (R.Pat.empty())
     return MaoStatus::error("window rule with empty pattern");
   if (MaoStatus S = parseTemplates(R.Replacement, R.Rep); !S.ok())
     return S;
-  if (R.Rep.size() > R.Pat.size())
-    return MaoStatus::error("window replacement longer than its pattern");
+  // Every fire shrinks its block, so SYNTH's rescans end.
+  if (R.Rep.size() >= R.Pat.size())
+    return MaoStatus::error("window replacement not shorter than its pattern");
   if (MaoStatus S = parseWindowGuards(R.Guards, R.DeadFlags); !S.ok())
     return S;
   // Count pattern variables; the replacement may only use bound ones.
@@ -705,11 +346,6 @@ MaoStatus compilePeepholeRule(PeepholeRule &R) {
   return MaoStatus::success();
 }
 
-const std::vector<PeepholeRule> &builtinPeepholeRules() {
-  static const std::vector<PeepholeRule> Builtins = compileBuiltins();
-  return Builtins;
-}
-
 const std::vector<PeepholeRule> &activePeepholeRules() {
   return mutableActiveRules();
 }
@@ -718,18 +354,11 @@ MaoStatus loadSynthPeepholeRules(const std::string &DefText) {
   std::vector<PeepholeRule> Parsed;
   if (MaoStatus S = parsePeepholeRulesDef(DefText, Parsed); !S.ok())
     return S;
-  std::vector<PeepholeRule> Next;
-  for (const PeepholeRule &R : builtinPeepholeRules())
-    if (R.Group != "synth")
-      Next.push_back(R);
-  for (PeepholeRule &R : Parsed)
-    if (R.Group == "synth")
-      Next.push_back(std::move(R));
-  mutableActiveRules() = std::move(Next);
+  mutableActiveRules() = std::move(Parsed);
   return MaoStatus::success();
 }
 
-void resetPeepholeRules() { mutableActiveRules() = builtinPeepholeRules(); }
+void resetPeepholeRules() { mutableActiveRules() = compileBuiltins(); }
 
 uint64_t peepholeRuleDigest() {
   uint64_t Hash = fnv1a64("");
@@ -739,8 +368,6 @@ uint64_t peepholeRuleDigest() {
   };
   for (const PeepholeRule &R : activePeepholeRules()) {
     Mix(R.Name);
-    Mix(R.Group);
-    Mix(ruleStrategyName(R.Strategy));
     Mix(R.Pattern);
     Mix(R.Guards);
     Mix(R.Replacement);
@@ -805,28 +432,15 @@ MaoStatus parsePeepholeRulesDef(const std::string &Text,
       }
       return MaoStatus::error("expected ',' or ')' in rule table");
     }
-    if (Fields.size() != 7)
-      return MaoStatus::error("MAO_PEEPHOLE_RULE takes 7 fields, got " +
+    if (Fields.size() != 5)
+      return MaoStatus::error("MAO_PEEPHOLE_RULE takes 5 fields, got " +
                               std::to_string(Fields.size()));
     PeepholeRule R;
     R.Name = Fields[0];
-    R.Group = Fields[1];
-    bool KnownStrategy = false;
-    for (RuleStrategy S :
-         {RuleStrategy::EraseZeroExtend, RuleStrategy::EraseRedundantTest,
-          RuleStrategy::ForwardLoad, RuleStrategy::FoldImmChain,
-          RuleStrategy::Window}) {
-      if (Fields[2] == ruleStrategyName(S)) {
-        R.Strategy = S;
-        KnownStrategy = true;
-      }
-    }
-    if (!KnownStrategy)
-      return MaoStatus::error("unknown rule strategy '" + Fields[2] + "'");
-    R.Pattern = Fields[3];
-    R.Guards = Fields[4];
-    R.Replacement = Fields[5];
-    R.Provenance = Fields[6];
+    R.Pattern = Fields[1];
+    R.Guards = Fields[2];
+    R.Replacement = Fields[3];
+    R.Provenance = Fields[4];
     if (MaoStatus S = compilePeepholeRule(R); !S.ok())
       return MaoStatus::error(R.Name + ": " + S.message());
     Out.push_back(std::move(R));
@@ -837,35 +451,31 @@ MaoStatus parsePeepholeRulesDef(const std::string &Text,
 
 std::string renderPeepholeRulesDef(const std::vector<PeepholeRule> &Rules) {
   std::string Out =
-      "//===- passes/PeepholeRules.def - Peephole rewrite rule table "
-      "--------------===//\n"
+      "//===- passes/PeepholeRules.def - Synthesized peephole rules "
+      "---------------===//\n"
       "//\n"
-      "// One MAO_PEEPHOLE_RULE(Name, Group, Strategy, Pattern, Guards, "
-      "Replacement,\n"
-      "// Provenance) row per peephole the table-driven engine "
-      "(PeepholeEngine.h)\n"
-      "// can apply. Strategy rules parameterize the built-in matchers; "
-      "Window\n"
-      "// rules are generic adjacent rewrites in the template language and "
-      "are what\n"
-      "// `mao --synth` emits. Regenerate with:\n"
+      "// One MAO_PEEPHOLE_RULE(Name, Pattern, Guards, Replacement, "
+      "Provenance) row\n"
+      "// per window rule the SYNTH pass applies (PeepholeEngine.h): an "
+      "adjacent\n"
+      "// rewrite in the template language. The hand-written peepholes "
+      "(ZEE,\n"
+      "// REDTEST, REDMOV, ADDADD) are passes, not rows. This file is what\n"
       "//\n"
       "//   mao --synth --synth-no-workloads "
       "--synth-out=src/passes/PeepholeRules.def examples/*.s\n"
       "//\n"
-      "// The synth group below is machine-generated; every row was proven\n"
-      "// equivalent by the symbolic oracle, re-verified by SemanticValidator,"
-      " and\n"
-      "// kept only for a strict simulated-cycle win (see src/synth/Synth.h)."
-      "\n"
-      "// A row's win=BEFORE->AFTER is that win as scored when the table was\n"
-      "// generated: evidence, not a figure later runs must reproduce.\n"
+      "// emits, byte for byte: every row was proven equivalent by the "
+      "symbolic\n"
+      "// oracle, re-verified by SemanticValidator, and kept only for a "
+      "strict\n"
+      "// simulated-cycle win (see src/synth/Synth.h), recorded as\n"
+      "// win=BEFORE->AFTER in its provenance.\n"
       "//\n"
       "//===-----------------------------------------------------------------"
       "-----===//\n";
   for (const PeepholeRule &R : Rules) {
-    Out += "\nMAO_PEEPHOLE_RULE(" + R.Name + ", \"" + R.Group + "\", " +
-           ruleStrategyName(R.Strategy) + ",\n";
+    Out += "\nMAO_PEEPHOLE_RULE(" + R.Name + ",\n";
     Out += "                  \"" + R.Pattern + "\",\n";
     Out += "                  \"" + R.Guards + "\",\n";
     Out += "                  \"" + R.Replacement + "\",\n";
@@ -874,30 +484,29 @@ std::string renderPeepholeRulesDef(const std::vector<PeepholeRule> &Rules) {
   return Out;
 }
 
-unsigned runPeepholeGroup(PeepholeContext &Ctx, std::string_view Group) {
-  unsigned Total = 0;
-  for (const PeepholeRule &R : activePeepholeRules()) {
-    if (R.Group != Group)
-      continue;
-    switch (R.Strategy) {
-    case RuleStrategy::EraseZeroExtend:
-      Total += runEraseZeroExtend(Ctx, R);
-      break;
-    case RuleStrategy::EraseRedundantTest:
-      Total += runEraseRedundantTest(Ctx, R);
-      break;
-    case RuleStrategy::ForwardLoad:
-      Total += runForwardLoad(Ctx, R);
-      break;
-    case RuleStrategy::FoldImmChain:
-      Total += runFoldImmChain(Ctx, R);
-      break;
-    case RuleStrategy::Window:
-      Total += runWindowRule(Ctx, R);
-      break;
-    }
+size_t findWindow(const PeepholeRule &R, const std::vector<EntryIter> &Insns,
+                  const LivenessResult &Live, unsigned Block,
+                  std::array<Reg, MaxRuleVars> &Bind) {
+  InsnLiveness IL;
+  if (R.DeadFlags)
+    IL = perInstructionLiveness(Insns, Live, Block);
+  for (size_t I = 0; I + R.Pat.size() <= Insns.size(); ++I)
+    if (matchWindowAt(R, Insns, I, Bind) &&
+        !(R.DeadFlags &&
+          (IL.FlagsLiveAfter[I + R.Pat.size() - 1] & R.DeadFlags)))
+      return I;
+  return Insns.size();
+}
+
+void applyWindow(MaoUnit &Unit, const PeepholeRule &R,
+                 std::vector<EntryIter> &Insns, size_t I,
+                 const std::array<Reg, MaxRuleVars> &Bind) {
+  for (size_t K = 0; K < R.Rep.size(); ++K)
+    Insns[I + K]->instruction() = renderTemplateInsn(R.Rep[K], Bind);
+  for (size_t K = R.Pat.size(); K-- > R.Rep.size();) {
+    Unit.erase(Insns[I + K]);
+    Insns.erase(Insns.begin() + static_cast<long>(I + K));
   }
-  return Total;
 }
 
 } // namespace mao

@@ -118,7 +118,10 @@ private:
     // Apply the permutation one cycle at a time, moving each payload with
     // its memos into its new slot; slots that keep their payload are not
     // written. Entries, and thus their IDs and list positions, stay put.
-    // Terminators keep their slots, so the block's control flow does too.
+    // Terminators keep their slots, so the block's control flow does too,
+    // and a schedule keeps every dependence, so the block's live-in and
+    // live-out stay: the kept analyses remain valid and no edit is noted
+    // (verifyKeptAnalyses checks this under --mao-verify).
     unsigned Moved = 0;
     Done.assign(N, false);
     for (size_t Start = 0; Start < N; ++Start) {
@@ -136,8 +139,6 @@ private:
       Done[Slot] = true;
       ++Moved;
     }
-    if (Moved)
-      Insns[0]->noteEdit();
     countTransformation(Moved);
   }
 

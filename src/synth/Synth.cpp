@@ -199,8 +199,6 @@ PeepholeRule makeWindowRule(const std::vector<TemplateInsn> &Pattern,
                             uint8_t DeadFlags) {
   PeepholeRule R;
   R.Name = "SYN_TMP";
-  R.Group = "synth";
-  R.Strategy = RuleStrategy::Window;
   R.Pattern = PeepholeRule::renderTemplates(Pattern);
   R.Guards = renderWindowGuards(DeadFlags);
   R.Replacement = PeepholeRule::renderTemplates(Replacement);
@@ -420,8 +418,6 @@ bool proveWindowRewrite(const std::vector<TemplateInsn> &Window,
 }
 
 MaoStatus verifyRuleWithValidator(const PeepholeRule &R) {
-  if (R.Strategy != RuleStrategy::Window)
-    return MaoStatus::error(R.Name + ": only Window rules are verifiable");
   const std::string BeforeText =
       embeddingFunction(R.Pat, R.NumVars, R.DeadFlags);
   const std::string AfterText =
@@ -443,11 +439,7 @@ MaoStatus verifyRuleWithValidator(const PeepholeRule &R) {
 MaoStatus verifyActiveSynthRules(std::string *Detail) {
   unsigned Checked = 0;
   for (const PeepholeRule &R : activePeepholeRules()) {
-    if (R.Group != "synth")
-      continue;
     ++Checked;
-    if (R.Strategy != RuleStrategy::Window)
-      return MaoStatus::error(R.Name + ": synth rules must be Window rules");
     uint8_t Derived = 0;
     if (!proveWindowRewrite(R.Pat, R.Rep, Derived))
       return MaoStatus::error(R.Name + ": symbolic oracle rejects the rule");
@@ -561,11 +553,7 @@ ErrorOr<SynthResult> synthesizeRules(const SynthOptions &Options) {
   Result.Stats.RulesEmitted = Winners.size();
   Result.Rules = std::move(Winners);
 
-  // Render the complete table: compiled-in strategy rules + the winners.
   std::vector<PeepholeRule> Table;
-  for (const PeepholeRule &R : builtinPeepholeRules())
-    if (R.Group != "synth")
-      Table.push_back(R);
   for (const SynthRule &SR : Result.Rules)
     Table.push_back(SR.Rule);
   Result.TableText = renderPeepholeRulesDef(Table);

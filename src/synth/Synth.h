@@ -95,8 +95,7 @@ struct SynthStats {
 struct SynthResult {
   std::vector<SynthRule> Rules; ///< Winners in canonical (emitted) order.
   SynthStats Stats;
-  /// The complete rendered PeepholeRules.def: the compiled-in strategy
-  /// rules followed by the synthesized window rules.
+  /// The rendered PeepholeRules.def holding the winners.
   std::string TableText;
 };
 
@@ -133,15 +132,15 @@ bool proveWindowRewrite(const std::vector<TemplateInsn> &Window,
                         const std::vector<TemplateInsn> &Candidate,
                         uint8_t &DeadFlags);
 
-/// Re-verifies a compiled Window rule end to end with SemanticValidator:
+/// Re-verifies a compiled window rule end to end with SemanticValidator:
 /// both sides are embedded in a function that stores every bound register
 /// and captures every unguarded flag with setcc before returning, so the
 /// validator's liveness rules observe exactly what the rule claims to
 /// preserve. (AF has no setcc and is covered by the symbolic oracle.)
 MaoStatus verifyRuleWithValidator(const PeepholeRule &R);
 
-/// Re-proves every "synth"-group rule of the active table (oracle plus
-/// validator; the derived guard must be covered by the committed guard).
+/// Re-proves every rule of the active table (oracle plus validator; the
+/// derived guard must be covered by the committed guard).
 /// This is the CI gate over the committed PeepholeRules.def.
 MaoStatus verifyActiveSynthRules(std::string *Detail);
 

@@ -598,8 +598,6 @@ IterationResult runSynthOne(uint64_t Seed, const FuzzConfig &Config) {
         continue;
       PeepholeRule Rule;
       Rule.Name = "FUZZ_SYN";
-      Rule.Group = "synth";
-      Rule.Strategy = RuleStrategy::Window;
       Rule.Pattern = PeepholeRule::renderTemplates(W.Insns);
       Rule.Guards = renderWindowGuards(DeadFlags);
       Rule.Replacement = PeepholeRule::renderTemplates(Candidate);

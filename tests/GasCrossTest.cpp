@@ -167,6 +167,22 @@ f:
   expectMatchesGas(S);
 }
 
+TEST(GasCross, ZeroMaxSkipPadsFully) {
+  // gas reads a max skip of 0 as no limit: 14 bytes of padding after the
+  // 2-byte jmp, and 15 after the ret at 0x11.
+  expectMatchesGas(R"(	.text
+f:
+	jmp .LX
+	.p2align 4,,0
+	nop
+.LX:
+	ret
+	.balign 16,,0
+.LY:
+	ret
+)");
+}
+
 TEST(GasCross, ColdPathWithBothBranchSizes) {
   // A function whose first branch needs rel32 and second stays rel8.
   std::string S = "\t.text\nf:\n\tcmpl $1, %edi\n\tje .LFAR\n";

@@ -15,7 +15,6 @@
 #include "ir/Verifier.h"
 #include "pass/FunctionAnalyses.h"
 #include "pass/MaoPass.h"
-#include "passes/PeepholeEngine.h"
 #include "sim/Emulator.h"
 #include "support/Diag.h"
 #include "support/Stats.h"
@@ -25,7 +24,6 @@
 #include <gtest/gtest.h>
 
 #include <string>
-#include <thread>
 #include <vector>
 
 using namespace mao;
@@ -132,37 +130,6 @@ TEST(ZEE, PreservesSemantics) {
 	ret
 )"),
                            "ZEE", {Reg::RAX}, Init);
-}
-
-TEST(ZEE, FireCounterExactUnderConcurrentFirstFires) {
-  // A freshly loaded rule table resolves each rule's fire counter on its
-  // first fire; shards of one pass fire concurrently, so several threads
-  // race to that first fire here. Every fire must still be counted once.
-  resetPeepholeRules();
-  std::string Body;
-  for (int I = 0; I < 8; ++I)
-    Body += "\tandl $255, %eax\n\tmovl %eax, %eax\n";
-  const std::string Asm = wrapFunction(Body + "\tret\n");
-  constexpr unsigned Threads = 4;
-  std::vector<MaoUnit> Units;
-  Units.reserve(Threads);
-  for (unsigned T = 0; T < Threads; ++T)
-    Units.push_back(parseOk(Asm));
-  StatCounter &Fires =
-      StatsRegistry::instance().counter("peep.fire.ZEE_SELFMOVE32");
-  const uint64_t Before = Fires.value();
-  std::vector<unsigned> Applied(Threads, 0);
-  std::vector<std::thread> Workers;
-  for (unsigned T = 0; T < Threads; ++T)
-    Workers.emplace_back([&, T] {
-      PeepholeContext Ctx{Units[T], Units[T].functions().front(), nullptr};
-      Applied[T] = runPeepholeGroup(Ctx, "zee");
-    });
-  for (std::thread &W : Workers)
-    W.join();
-  for (unsigned T = 0; T < Threads; ++T)
-    EXPECT_EQ(Applied[T], 8u);
-  EXPECT_EQ(Fires.value() - Before, 8u * Threads);
 }
 
 // --- REDTEST: redundant test removal ----------------------------------------

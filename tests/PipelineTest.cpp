@@ -550,10 +550,11 @@ TEST(Pipeline, FullVerifierAfterEveryPassFindsCurrentViews) {
   }
 }
 
-// The runner compares every kept CFG with a fresh build after each pass
-// when the verifier checks structure (--mao-verify), and once more at the
-// pipeline's end: over the corpus, at both worker counts, and under
-// rollback with injected pass failures whose restores replay passes.
+// The runner compares every kept CFG, and its liveness where that is
+// current, with a fresh build after each pass when the verifier checks
+// structure (--mao-verify), and once more at the pipeline's end: over the
+// corpus, at both worker counts, and under rollback with injected pass
+// failures whose restores replay passes.
 TEST(Pipeline, KeptCFGsMatchAFreshBuildAfterEveryPass) {
   linkAllPasses();
   const char *const Pipelines[] = {
@@ -622,6 +623,31 @@ TEST(Pipeline, VerifierReportsAStaleKeptCFG) {
   EXPECT_EQ(Report.Issues.front().Code, DiagCode::VerifyStaleCFG);
   EXPECT_STREQ(diagCodeName(DiagCode::VerifyStaleCFG), "verify-stale-cfg");
   EXPECT_NE(Report.firstMessage().find("function f"), std::string::npos)
+      << Report.firstMessage();
+}
+
+// A payload move is no edit, so one that changes what a block reads, but
+// not its control flow, leaves the kept liveness stale; verify-stale-cfg
+// reports it.
+TEST(Pipeline, VerifierReportsStaleKeptLiveness) {
+  MaoUnit Unit = parseOk("\t.text\n\t.type f, @function\nf:\n"
+                         "\tmovl $1, %eax\n\tret\n\t.size f, .-f\n");
+  MaoFunction &Fn = Unit.functions()[0];
+  MaoEntry *Mov = nullptr;
+  for (MaoEntry &E : Unit.entries())
+    if (E.isInstruction() && !Mov)
+      Mov = &E;
+  ASSERT_NE(Mov, nullptr);
+  MaoEntry ReadsEbx = MaoEntry::makeInstruction(
+      makeInstr(Mnemonic::MOV, Width::L, Operand::makeReg(Reg::EBX),
+                Operand::makeReg(Reg::EAX)));
+  keptLiveness(Fn);
+  EXPECT_TRUE(verifyKeptAnalyses(Unit, nullptr, "test").clean());
+  Mov->takeInstruction(ReadsEbx); // %ebx is now live-in.
+  VerifierReport Report = verifyKeptAnalyses(Unit, nullptr, "test");
+  ASSERT_FALSE(Report.clean());
+  EXPECT_EQ(Report.Issues.front().Code, DiagCode::VerifyStaleCFG);
+  EXPECT_NE(Report.firstMessage().find("register live-in"), std::string::npos)
       << Report.firstMessage();
 }
 

@@ -1006,9 +1006,10 @@ std::string randomGasUnit(RandomSource &Rng, const std::string &Section) {
       const unsigned Pow = 1 + static_cast<unsigned>(Rng.nextBelow(5));
       S += Rng.nextChance(1, 2) ? "\t.p2align " + std::to_string(Pow)
                                 : "\t.balign " + std::to_string(1u << Pow);
-      // A max skip from 1 up to past the boundary (where it never binds).
+      // A max skip from 0 (no limit, as in gas) up to past the boundary
+      // (where it never binds either).
       if (Rng.nextChance(1, 2))
-        S += ",," + std::to_string(1 + Rng.nextBelow((1u << Pow) + 2));
+        S += ",," + std::to_string(Rng.nextBelow((1u << Pow) + 3));
       S += "\n";
       break;
     }

@@ -634,16 +634,17 @@ TEST(CacheRun, JobsAndNameDoNotChangeTheKey) {
 
 TEST(CacheRun, KeysAndDigestsAreStable) {
   // Persisted caches are addressed by these values, so a refactor of the
-  // hashing must reproduce them exactly. The request key last changed with
-  // the "mao-artifact-v2" tag, when relaxation became gas's.
+  // hashing must reproduce them exactly. All three last changed when the
+  // rule table came to hold only window rules, whose rows the digest reads
+  // as name, pattern, guards and replacement.
   EXPECT_EQ(mao::api::Session::cacheKey(kernelRequest()),
-            0x552dd665c55f24e6ULL);
-  EXPECT_EQ(mao::peepholeRuleDigest(), 0x9557b51ec49a0d27ULL);
+            0x71108d7b3b564f46ULL);
+  EXPECT_EQ(mao::peepholeRuleDigest(), 0x3b68c1dc4fd02766ULL);
   mao::ScoreCache Scores("core2");
   mao::SectionBytes Bytes;
   Bytes[".text"] = {0x90, 0xc3};
   Bytes[".data"] = {1, 2, 3};
-  EXPECT_EQ(Scores.keyFor(Bytes), 0x2839aa2e38da8da2ULL);
+  EXPECT_EQ(Scores.keyFor(Bytes), 0x3df046bf44c2493bULL);
 }
 
 TEST(CacheRun, OutputAffectingInputsSeparateKeys) {
@@ -667,7 +668,7 @@ TEST(CacheRun, OutputAffectingInputsSeparateKeys) {
   Timeout.Options.PassTimeoutMs = 123;
   EXPECT_NE(mao::api::Session::cacheKey(Timeout), Base);
 
-  // A --synth-rules table with no synth rules drops the built-in ones.
+  // An empty --synth-rules table replaces the built-in one.
   ASSERT_TRUE(mao::loadSynthPeepholeRules("").ok());
   const uint64_t NoSynthRules = mao::api::Session::cacheKey(kernelRequest());
   mao::resetPeepholeRules();

@@ -5,13 +5,15 @@
 // 32-bit zero-extension case), every accepted rule must survive the
 // independent SemanticValidator recheck, the emitted .def must round-trip
 // through the engine's parser, the whole run must be byte-identical across
-// worker counts, and the committed PeepholeRules.def must re-prove — the
-// same gate CI runs via `mao --synth-verify`.
+// worker counts, and the committed PeepholeRules.def must round-trip and
+// re-prove — the same gate CI runs via `mao --synth-verify`.
 //
 //===----------------------------------------------------------------------===//
 
 #include "asm/Parser.h"
+#include "pass/MaoPass.h"
 #include "passes/PeepholeEngine.h"
+#include "support/FileIO.h"
 #include "support/Stats.h"
 #include "synth/Synth.h"
 #include "tune/ScoreCache.h"
@@ -34,8 +36,6 @@ PeepholeRule windowRule(const std::string &Pattern, const std::string &Guards,
                         const std::string &Replacement) {
   PeepholeRule R;
   R.Name = "TEST_RULE";
-  R.Group = "synth";
-  R.Strategy = RuleStrategy::Window;
   R.Pattern = Pattern;
   R.Guards = Guards;
   R.Replacement = Replacement;
@@ -57,6 +57,18 @@ const char *RedundantCorpus = "\t.text\n"
                               "\taddq %rsi, %rax\n"
                               "\tret\n"
                               "\t.size f, .-f\n";
+
+/// Runs the SYNTH pass over \p Unit; returns its rewrite count.
+unsigned runSynthPass(MaoUnit &Unit, unsigned Jobs = 1) {
+  linkAllPasses();
+  PassRequest Req;
+  Req.PassName = "SYNTH";
+  PipelineOptions Options;
+  Options.Jobs = Jobs;
+  PipelineResult R = runPasses(Unit, {Req}, Options);
+  EXPECT_TRUE(R.Ok) << R.Error;
+  return R.Counts.empty() ? 0 : R.Counts[0].second;
+}
 
 SynthOptions corpusOptions() {
   SynthOptions Options;
@@ -119,9 +131,11 @@ TEST(SynthValidator, AcceptsOracleProvenRule) {
 }
 
 TEST(SynthValidator, RejectsSeededUnsoundRule) {
-  // Bypass the oracle entirely: a rule claiming a copy equals clearing the
-  // destination. The validator's embedding stores %B, so it must diverge.
-  const PeepholeRule R = windowRule("movq %A, %B", "", "movq $0, %B");
+  // Bypass the oracle entirely: a rule claiming a copy-back equals
+  // clearing the destination. The validator's embedding stores %B, so it
+  // must diverge.
+  const PeepholeRule R =
+      windowRule("movq %A, %B ; movq %B, %A", "", "movq $0, %B");
   MaoStatus S = verifyRuleWithValidator(R);
   EXPECT_FALSE(S.ok());
 }
@@ -152,7 +166,6 @@ TEST(SynthPipeline, FindsRedundancyInCorpus) {
   // The copy-back elimination is the canonical discovery on this corpus.
   bool FoundCopyBack = false;
   for (const SynthRule &SR : R.Rules) {
-    EXPECT_EQ(SR.Rule.Group, "synth");
     EXPECT_LT(SR.CyclesAfter, SR.CyclesBefore); // Strict wins only.
     if (SR.Rule.Pattern == "movq %A, %B ; movq %B, %A" &&
         SR.Rule.Replacement == "movq %A, %B")
@@ -169,15 +182,23 @@ TEST(SynthPipeline, EmittedTableRoundTrips) {
   ASSERT_TRUE(S.ok()) << S.message();
   // Parse -> render reproduces the emitted text byte for byte.
   EXPECT_EQ(renderPeepholeRulesDef(Parsed), ResultOr->TableText);
-  // And the engine accepts it as the active synth group.
+  // And the engine accepts it as the whole active table.
   S = loadSynthPeepholeRules(ResultOr->TableText);
   EXPECT_TRUE(S.ok()) << S.message();
-  unsigned SynthRules = 0;
-  for (const PeepholeRule &R : activePeepholeRules())
-    if (R.Group == "synth")
-      ++SynthRules;
-  EXPECT_EQ(SynthRules, ResultOr->Rules.size());
+  EXPECT_EQ(activePeepholeRules().size(), ResultOr->Rules.size());
   resetPeepholeRules();
+}
+
+TEST(SynthPipeline, CommittedTableRoundTrips) {
+  // The committed file is the emitter's output: parsing and rendering it
+  // gives back the same bytes.
+  std::string Text;
+  ASSERT_TRUE(readWholeFile(MAO_RULES_DEF, Text)) << MAO_RULES_DEF;
+  std::vector<PeepholeRule> Parsed;
+  MaoStatus S = parsePeepholeRulesDef(Text, Parsed);
+  ASSERT_TRUE(S.ok()) << S.message();
+  EXPECT_FALSE(Parsed.empty());
+  EXPECT_EQ(renderPeepholeRulesDef(Parsed), Text);
 }
 
 TEST(SynthPipeline, DeterministicAcrossJobs) {
@@ -193,7 +214,7 @@ TEST(SynthPipeline, DeterministicAcrossJobs) {
 }
 
 TEST(SynthPipeline, CommittedRulesReProve) {
-  // The compiled-in PeepholeRules.def synth group must pass the same gate
+  // The compiled-in PeepholeRules.def must pass the same gate
   // CI runs (`mao --synth-verify`): oracle plus validator per rule.
   resetPeepholeRules();
   std::string Detail;
@@ -206,18 +227,54 @@ TEST(SynthPipeline, CommittedRulesReProve) {
 //===----------------------------------------------------------------------===//
 
 TEST(SynthEngine, AppliesRuleAndCountsFires) {
+  resetPeepholeRules();
   auto UnitOr = parseAssembly(RedundantCorpus);
   ASSERT_TRUE(UnitOr.ok());
   MaoUnit Unit = UnitOr.take();
   ASSERT_EQ(Unit.functions().size(), 1u);
   const uint64_t FiresBefore =
       StatsRegistry::instance().counter("peep.fire.SYN_MOVQ_MOVQ_2").value();
-  PeepholeContext Ctx{Unit, Unit.functions().front(), nullptr};
-  const unsigned Applied = runPeepholeGroup(Ctx, "synth");
+  const unsigned Applied = runSynthPass(Unit);
   EXPECT_GE(Applied, 2u); // Copy-back, duplicate move, add-zero.
   const uint64_t FiresAfter =
       StatsRegistry::instance().counter("peep.fire.SYN_MOVQ_MOVQ_2").value();
   EXPECT_GT(FiresAfter, FiresBefore); // Per-rule provenance counter.
+}
+
+TEST(SynthEngine, FireCountersExactUnderConcurrentRuns) {
+  // Shards of one SYNTH run count their fires concurrently, one add per
+  // rule and function; every fire must still be counted once.
+  resetPeepholeRules();
+  constexpr unsigned Functions = 16, CopyBacks = 8;
+  std::string Asm = "\t.text\n";
+  for (unsigned F = 0; F < Functions; ++F) {
+    const std::string Name = "f" + std::to_string(F);
+    Asm += "\t.type " + Name + ", @function\n" + Name + ":\n";
+    for (unsigned K = 0; K < CopyBacks; ++K)
+      Asm += "\tmovq %rax, %rcx\n\tmovq %rcx, %rax\n";
+    Asm += "\tret\n\t.size " + Name + ", .-" + Name + "\n";
+  }
+  auto UnitOr = parseAssembly(Asm);
+  ASSERT_TRUE(UnitOr.ok());
+  MaoUnit Unit = UnitOr.take();
+  StatCounter &Fires =
+      StatsRegistry::instance().counter("peep.fire.SYN_MOVQ_MOVQ_2");
+  const uint64_t Before = Fires.value();
+  // Each copy-back `movq %rcx, %rax` goes; the copies stay.
+  EXPECT_EQ(runSynthPass(Unit, /*Jobs=*/4), Functions * CopyBacks);
+  EXPECT_EQ(Fires.value() - Before, uint64_t{Functions} * CopyBacks);
+}
+
+TEST(SynthEngine, RefusesRulesThatDoNotShrinkTheirWindow) {
+  // SYNTH rescans a block after each fire; a replacement as long as its
+  // pattern (here the identity) could match its own output forever.
+  const std::string Identity = "MAO_PEEPHOLE_RULE(LOOP, \"testq %A, %A\", "
+                               "\"\", \"testq %A, %A\", \"x\")\n";
+  MaoStatus S = loadSynthPeepholeRules(Identity);
+  EXPECT_FALSE(S.ok());
+  EXPECT_NE(S.message().find("not shorter"), std::string::npos)
+      << S.message();
+  resetPeepholeRules();
 }
 
 TEST(SynthEngine, DeadFlagsGuardBlocksLiveFlags) {
@@ -235,8 +292,7 @@ TEST(SynthEngine, DeadFlagsGuardBlocksLiveFlags) {
   ASSERT_TRUE(UnitOr.ok());
   MaoUnit Unit = UnitOr.take();
   const size_t InsnsBefore = Unit.functions().front().countInstructions();
-  PeepholeContext Ctx{Unit, Unit.functions().front(), nullptr};
-  (void)runPeepholeGroup(Ctx, "synth");
+  EXPECT_EQ(runSynthPass(Unit), 0u);
   EXPECT_EQ(Unit.functions().front().countInstructions(), InsnsBefore);
 }
 
@@ -250,7 +306,7 @@ TEST(SynthScoreCache, RuleTableDigestChangesKey) {
   Bytes[".text"] = {0x90, 0xc3};
   ScoreCache Cache("core2");
   const uint64_t KeyBuiltin = Cache.keyFor(Bytes);
-  // Swap the synth group for a different table: same bytes, new key — a
+  // Swap in a different table: same bytes, new key — a
   // tuner run against the swapped table can never hit stale scores.
   const PeepholeRule R =
       windowRule("movq %A, %B ; movq %B, %A", "", "movq %A, %B");
