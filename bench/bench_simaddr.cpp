@@ -27,20 +27,20 @@ double factorForBenchmark(const std::string &Name, unsigned SamplePeriod) {
   std::string Asm = generateWorkloadAssembly(*Spec);
   MaoUnit Unit = parseOrDie(Asm);
 
-  // Build per-function CFGs and an entry-id -> (block, index) index.
+  // Build per-function CFGs and an entry -> (block, index) index.
   struct Site {
     const CFG *Graph;
     unsigned Block;
     size_t Index;
   };
   std::vector<std::unique_ptr<CFG>> Graphs;
-  std::unordered_map<uint32_t, Site> Sites;
+  std::unordered_map<const MaoEntry *, Site> Sites;
   for (MaoFunction &Fn : Unit.functions()) {
     Graphs.push_back(std::make_unique<CFG>(CFG::build(Fn)));
     const CFG &G = *Graphs.back();
     for (const BasicBlock &BB : G.blocks())
       for (size_t I = 0; I < BB.Insns.size(); ++I)
-        Sites[BB.Insns[I]->Id] = {&G, BB.Index, I};
+        Sites[&*BB.Insns[I]] = {&G, BB.Index, I};
   }
 
   // Emulate, sampling every Nth instruction that has a memory operand.
@@ -55,7 +55,7 @@ double factorForBenchmark(const std::string &Name, unsigned SamplePeriod) {
     if (--Countdown > 0)
       return true;
     Countdown = SamplePeriod;
-    auto SiteIt = Sites.find(Entry.Id);
+    auto SiteIt = Sites.find(&Entry);
     if (SiteIt == Sites.end())
       return true;
     RegSnapshot Snapshot;

@@ -54,7 +54,7 @@ int main() {
   } Rows[] = {
       {"addl %s, %d", InstructionTemplate::add()},
       {"movl %s, %d", InstructionTemplate::mov()},
-      {"xorl %s, %d", InstructionTemplate::xorTemplate()},
+      {"xorl %s, %d", {"xorl %s, %d"}},
       {"imull $3, %s, %d", InstructionTemplate::imul()},
   };
   std::printf("instruction latencies on the core2 model (Fig. 6 method):\n");

@@ -9,7 +9,9 @@
 #     for every --mao-jobs value (1, 2, 8 and 0 = hardware concurrency):
 #     jobs change wall-clock, nothing else,
 #   - the --mao-trace-out timeline is a valid Chrome trace-event document
-#     (a traceEvents list whose complete events carry ph/ts/dur/tid).
+#     (a traceEvents list whose complete events carry ph/ts/dur/tid),
+#   - stderr under --mao-trace-level=2 (pass trace lines and warnings) is
+#     byte-identical for every --mao-jobs value.
 #
 # Registered as the ctest entry `report_examples`; run standalone as
 #
@@ -28,6 +30,7 @@ NORMALIZED="$TMPDIR/mao_report_examples_norm.$$.json"
 TRACE="$TMPDIR/mao_report_examples_trace.$$.json"
 FAILED=0
 PIPELINE="zee,redtest,sched"
+TRACE_PIPELINE="zee,redtest,sched,lfind,simaddr"
 
 if ! command -v python3 >/dev/null 2>&1; then
   echo "report_examples: SKIP: python3 not available" >&2
@@ -126,6 +129,27 @@ for kernel in clean tune_fig1 tune_lsd tune_alias; do
   elif ! err=$(validate_trace "$TRACE" 2>&1); then
     fail "$kernel: invalid trace timeline: $err"
   fi
+done
+
+# Sharded passes trace from worker threads; their lines, like their
+# warnings, must come out in function order at every worker count.
+for kernel in clean abi_demo layout_hotcold; do
+  input="$EXAMPLES/$kernel.s"
+  [ -f "$input" ] || { fail "$kernel: missing input $input"; continue; }
+
+  rm -f "$BASELINE"
+  for jobs in 1 2 8 0; do
+    if ! "$MAO" "--mao-passes=$TRACE_PIPELINE" --mao-trace-level=2 \
+        "--mao-jobs=$jobs" "$input" >/dev/null 2>"$REPORT"; then
+      fail "$kernel: traced run failed with --mao-jobs=$jobs"
+      continue
+    fi
+    if [ ! -f "$BASELINE" ]; then
+      mv "$REPORT" "$BASELINE"
+    elif ! cmp -s "$REPORT" "$BASELINE"; then
+      fail "$kernel: stderr differs at --mao-jobs=$jobs"
+    fi
+  done
 done
 
 # --stats prints the human table without disturbing the run.

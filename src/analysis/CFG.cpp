@@ -14,7 +14,7 @@ using namespace mao;
 unsigned CFG::blockOfLabel(std::string_view Label) const {
   const auto &Map = Fn->unit().labelMap();
   if (auto It = Map.find(Label); It != Map.end()) {
-    const std::pair<uint32_t, unsigned> Key(It->second->Id, 0);
+    const std::pair<const MaoEntry *, unsigned> Key(&*It->second, 0);
     auto K = std::lower_bound(LabelBlocks.begin(), LabelBlocks.end(), Key);
     if (K != LabelBlocks.end() && K->first == Key.first)
       return K->second;
@@ -211,7 +211,7 @@ CFG CFG::build(MaoFunction &Fn) {
     G.Blocks[B].Labels =
         Labels.subspan(LabelStart[B], LabelStart[B + 1] - LabelStart[B]);
     for (EntryIter L : G.Blocks[B].Labels)
-      G.LabelBlocks.push_back({L->Id, B});
+      G.LabelBlocks.push_back({&*L, B});
   }
   std::sort(G.LabelBlocks.begin(), G.LabelBlocks.end());
   G.viewInstructions(InsnStart);

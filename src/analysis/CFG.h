@@ -75,8 +75,9 @@ public:
   const std::vector<BasicBlock> &blocks() const { return Blocks; }
   MaoFunction &function() const { return *Fn; }
 
-  /// Block starting with \p Label, or ~0u. Labels are held by entry id:
-  /// the unit's label map names the entry, a sorted id table the block.
+  /// Block starting with \p Label, or ~0u. Labels are held by entry:
+  /// the unit's label map names the entry, a table sorted by entry the
+  /// block.
   unsigned blockOfLabel(std::string_view Label) const;
 
   /// Adds edges (idempotent), after the ones already present.
@@ -142,8 +143,8 @@ private:
   std::vector<EntryIter> LabelList;
   std::vector<unsigned> SuccList;
   std::vector<unsigned> PredList;
-  /// (label entry id, block) of every label in LabelList, sorted.
-  std::vector<std::pair<uint32_t, unsigned>> LabelBlocks;
+  /// (label entry, block) of every label in LabelList, sorted.
+  std::vector<std::pair<const MaoEntry *, unsigned>> LabelBlocks;
   /// (block, table) of every `jmp *%r` tier 1 resolved.
   std::vector<std::pair<unsigned, std::string>> SameBlockTables;
   std::vector<UnresolvedJump> Unresolved;

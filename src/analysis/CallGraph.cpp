@@ -7,20 +7,6 @@
 
 using namespace mao;
 
-const char *mao::callEdgeKindName(CallEdgeKind Kind) {
-  switch (Kind) {
-  case CallEdgeKind::Direct:
-    return "direct";
-  case CallEdgeKind::Plt:
-    return "plt";
-  case CallEdgeKind::Indirect:
-    return "indirect";
-  case CallEdgeKind::TailCall:
-    return "tail-call";
-  }
-  return "unknown";
-}
-
 bool mao::stripPltSuffix(std::string &Sym) {
   if (Sym.size() < 4)
     return false;

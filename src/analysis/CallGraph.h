@@ -30,8 +30,6 @@ namespace mao {
 
 enum class CallEdgeKind : uint8_t { Direct, Plt, Indirect, TailCall };
 
-const char *callEdgeKindName(CallEdgeKind Kind);
-
 /// Strips a trailing "@PLT" (any case) from \p Sym in place. Returns true
 /// when the suffix was present.
 bool stripPltSuffix(std::string &Sym);

@@ -127,7 +127,6 @@ DetectBenchmark::execute(const DetectProcessor &Proc,
   std::string Body;
   for (size_t I = 0; I < Loops.size(); ++I)
     Body += loopBody(Loops[I], static_cast<unsigned>(I));
-  LastAsm = Body;
 
   auto PmuOr = runDetectAssembly(Proc, Body);
   if (!PmuOr.ok())

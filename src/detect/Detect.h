@@ -73,7 +73,6 @@ struct InstructionTemplate {
   static InstructionTemplate add() { return {"addl %s, %d"}; }
   static InstructionTemplate imul() { return {"imull $3, %s, %d"}; }
   static InstructionTemplate mov() { return {"movl %s, %d"}; }
-  static InstructionTemplate xorTemplate() { return {"xorl %s, %d"}; }
 };
 
 /// An acyclic sequence of instructions generated from a candidate template
@@ -104,13 +103,6 @@ private:
 struct LoopSpec {
   std::vector<InstructionSequence> Sequences;
   unsigned TripCount = 10000;
-
-  uint64_t dynamicInstructions() const {
-    size_t N = 0;
-    for (const InstructionSequence &S : Sequences)
-      N += S.instructions().size();
-    return static_cast<uint64_t>(N + 2) * TripCount; // + counter & branch
-  }
 };
 
 /// Constructs the assembly program, assembles it, "executes" it in
@@ -126,12 +118,8 @@ public:
   ErrorOr<std::map<std::string, uint64_t>>
   execute(const DetectProcessor &Proc, const std::vector<std::string> &Events);
 
-  /// The generated assembly of the last execute() call (diagnostics).
-  const std::string &lastAssembly() const { return LastAsm; }
-
 private:
   std::vector<LoopSpec> Loops;
-  std::string LastAsm;
 };
 
 // --- Case studies -----------------------------------------------------------

@@ -146,12 +146,12 @@ public:
   // A copy is a new entry: it carries the payload and its memos but
   // belongs to no function until the unit inserts it.
   MaoEntry(const MaoEntry &O)
-      : Address(O.Address), Size(O.Size), Id(O.Id), EntryKind(O.EntryKind) {
+      : Address(O.Address), Size(O.Size), EntryKind(O.EntryKind) {
     copyMemos(O);
     constructFrom(O);
   }
   MaoEntry(MaoEntry &&O) noexcept
-      : Address(O.Address), Size(O.Size), Id(O.Id), EntryKind(O.EntryKind) {
+      : Address(O.Address), Size(O.Size), EntryKind(O.EntryKind) {
     copyMemos(O);
     constructFrom(std::move(O));
   }
@@ -161,7 +161,6 @@ public:
     destroyPayload();
     Address = O.Address;
     Size = O.Size;
-    Id = O.Id;
     EntryKind = O.EntryKind;
     copyMemos(O);
     constructFrom(O);
@@ -173,7 +172,6 @@ public:
     destroyPayload();
     Address = O.Address;
     Size = O.Size;
-    Id = O.Id;
     EntryKind = O.EntryKind;
     copyMemos(O);
     constructFrom(std::move(O));
@@ -246,10 +244,6 @@ public:
   /// Address is the byte offset within the section; Size the encoded size.
   int64_t Address = -1;
   uint32_t Size = 0;
-
-  /// Dense id assigned at parse time; stable across layout changes, used
-  /// for deterministic ordering and profile annotation.
-  uint32_t Id = 0;
 
   /// The instruction's memoized encoded length in bytes, 0 when unknown.
   /// Lengths are position-independent, so once measured they stay valid
@@ -403,9 +397,9 @@ private:
   };
 };
 
-/// 40 bytes of header (layout, id, owner, memos) and a payload of at most
-/// 120 bytes (Instruction, asserted in x86/Instruction.h): a list node
-/// stays within 176 bytes.
+/// 40 bytes of header (layout, owner, memos, and 4 bytes of padding after
+/// Size) and a payload of at most 120 bytes (Instruction, asserted in
+/// x86/Instruction.h): a list node stays within 176 bytes.
 static_assert(sizeof(MaoEntry) <= 160, "MaoEntry grew past 160 bytes");
 
 } // namespace mao

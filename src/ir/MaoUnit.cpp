@@ -179,14 +179,6 @@ void MaoEntry::appendTo(std::string &Out) const {
   assert(false && "covered switch");
 }
 
-std::vector<MaoEntry *> MaoFunction::instructionEntries() const {
-  std::vector<MaoEntry *> Result;
-  for (auto It = begin(), E = end(); It != E; ++It)
-    if (It->isInstruction())
-      Result.push_back(&*It);
-  return Result;
-}
-
 size_t MaoFunction::countInstructions() const {
   size_t N = 0;
   for (auto It = begin(), E = end(); It != E; ++It)
@@ -214,7 +206,6 @@ MaoUnit &MaoUnit::operator=(MaoUnit &&Other) noexcept {
   Entries = std::move(Other.Entries);
   IrArena = std::move(Other.IrArena);
   Views = std::move(Other.Views);
-  NextEntryId = Other.NextEntryId;
   NextLabelId = Other.NextLabelId;
   forEachRange(Views, [&](MaoFunction::Range &R, MaoFunction *) {
     if (R.Begin == OtherEnd)
@@ -233,39 +224,10 @@ MaoUnit &MaoUnit::operator=(MaoUnit &&Other) noexcept {
 MaoUnit MaoUnit::clone() const {
   MaoUnit Copy;
   Copy.Entries = Entries;
-  Copy.NextEntryId = NextEntryId;
   Copy.NextLabelId = NextLabelId;
   // The views cannot be copied: they hold iterators into *our* list.
   Copy.rebuildStructure();
   return Copy;
-}
-
-thread_local ScopedShardIds::Alloc ScopedShardIds::Active{nullptr, 0, 0};
-
-ScopedShardIds::ScopedShardIds(MaoUnit &Unit, uint32_t Begin, uint32_t End)
-    : Saved(Active) {
-  Active = {&Unit, Begin, End};
-}
-
-ScopedShardIds::~ScopedShardIds() { Active = Saved; }
-
-uint32_t MaoUnit::nextId() {
-  ScopedShardIds::Alloc &A = ScopedShardIds::Active;
-  if (A.Unit == this && A.Next < A.End)
-    return A.Next++;
-  return NextEntryId++;
-}
-
-uint32_t MaoUnit::reserveIdBlocks(size_t Count, uint32_t BlockSize) {
-  uint32_t Base = NextEntryId;
-  NextEntryId += static_cast<uint32_t>(Count) * BlockSize;
-  return Base;
-}
-
-EntryIter MaoUnit::append(MaoEntry Entry) {
-  std::lock_guard<std::mutex> Lock(StructuralM);
-  Entry.Id = nextId();
-  return Entries.insert(Entries.end(), std::move(Entry));
 }
 
 bool MaoUnit::definesStructure(const MaoEntry &E) const {
@@ -298,7 +260,6 @@ void MaoUnit::moveBeginsBefore(EntryIter Pos, EntryIter New) {
 EntryIter MaoUnit::insertLocked(EntryIter Pos, MaoEntry Entry) {
   assert(!definesStructure(Entry) && "edit the views cannot follow");
   const bool AtRunStart = startsRun(Pos);
-  Entry.Id = nextId();
   EntryIter New = Entries.insert(Pos, std::move(Entry));
   // Inside a run the new entry lands in the range of its predecessor.
   if (AtRunStart)
@@ -315,12 +276,6 @@ EntryIter MaoUnit::insertLocked(EntryIter Pos, MaoEntry Entry) {
 EntryIter MaoUnit::insertBefore(EntryIter Pos, MaoEntry Entry) {
   std::lock_guard<std::mutex> Lock(StructuralM);
   return insertLocked(Pos, std::move(Entry));
-}
-
-EntryIter MaoUnit::insertAfter(EntryIter Pos, MaoEntry Entry) {
-  assert(Pos != Entries.end() && "cannot insert after end()");
-  std::lock_guard<std::mutex> Lock(StructuralM);
-  return insertLocked(std::next(Pos), std::move(Entry));
 }
 
 EntryIter MaoUnit::erase(EntryIter Pos) {

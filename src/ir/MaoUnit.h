@@ -112,10 +112,6 @@ public:
     return entry_iterator(this, Ranges.size(), EntryIter());
   }
 
-  /// Collects pointers to all instruction entries, in order. The common
-  /// access pattern for passes that index instructions.
-  std::vector<MaoEntry *> instructionEntries() const;
-
   /// Counts instruction entries.
   size_t countInstructions() const;
 
@@ -162,8 +158,8 @@ struct UnitViews {
 
 /// The IR for one assembly file. Its views (sections, functions,
 /// labelMap()) are current from birth: the parser derives them, clone()
-/// derives them on the copy, moves carry them, and insertBefore/
-/// insertAfter/erase keep them current (the edit contract is in
+/// derives them on the copy, moves carry them, and insertBefore/erase
+/// keep them current (the edit contract is in
 /// DESIGN.md, "Unit views"). Inserting or erasing section directives,
 /// function labels, `.type` or `.size`, inserting outside every section
 /// run and a moveRange() that moves a range endpoint are outside it; the
@@ -183,7 +179,7 @@ public:
   MaoUnit(MaoUnit &&Other) noexcept : MaoUnit() { *this = std::move(Other); }
   MaoUnit &operator=(MaoUnit &&Other) noexcept;
 
-  /// Deep-copies the unit (entry list and label counters) and derives the
+  /// Deep-copies the unit (entry list and label counter) and derives the
   /// copy's views. Used by the transactional pass runner to snapshot the
   /// IR before a pipeline so a failing pass can be rolled back.
   MaoUnit clone() const;
@@ -191,37 +187,28 @@ public:
   EntryList &entries() { return Entries; }
   const EntryList &entries() const { return Entries; }
 
-  /// Appends an entry (used by the parser and the workload generator) and
-  /// returns an iterator to it; the views are left alone.
+  /// Constructs an entry in place at the end of the list from a payload
+  /// (Instruction, Directive, or Kind::Label + name) — one payload move,
+  /// no intermediate MaoEntry — or from a bare Kind, whose default payload
+  /// the caller then fills in the node, and returns an iterator to it; the
+  /// views are left alone. This is the parser's hot path, where entries
+  /// arrive one per line, and the parser is its only caller: it fills a
+  /// unit no other thread can see yet, so it takes no lock. Never call it
+  /// on a unit that sharded passes may be editing.
+  template <class... ArgsT> EntryIter emplaceBack(ArgsT &&...Args) {
+    return Entries.emplace(Entries.end(), std::forward<ArgsT>(Args)...);
+  }
+
+  /// Inserts before \p Pos; returns an iterator to the inserted entry.
   ///
-  /// append/insertBefore/insertAfter/erase are safe to call concurrently
-  /// from sharded function passes: std::list nodes at disjoint positions
-  /// are independent, but the list's bookkeeping, boundary links and views
+  /// insertBefore/erase/moveRange are safe to call concurrently from
+  /// sharded function passes: std::list nodes at disjoint positions are
+  /// independent, but the list's bookkeeping, boundary links and views
   /// are shared, so all structural edits serialize on one internal mutex.
   /// Concurrent *readers* of a shard's own entries need no lock — a shard
   /// never touches another shard's nodes (see DESIGN.md, "Sharded pass
   /// pipeline" for the full contract).
-  EntryIter append(MaoEntry Entry);
-
-  /// Constructs an entry in place at the end of the list from a payload
-  /// (Instruction, Directive, or Kind::Label + name) — one payload move,
-  /// no intermediate MaoEntry — or from a bare Kind, whose default payload
-  /// the caller then fills in the node. Id assignment matches append().
-  /// This is the parser's hot path, where entries arrive one per line, and
-  /// the parser is its only caller: it fills a unit no other thread can see
-  /// yet, so unlike append() it takes no lock. Never call it on a unit that
-  /// sharded passes may be editing.
-  template <class... ArgsT> EntryIter emplaceBack(ArgsT &&...Args) {
-    EntryIter It = Entries.emplace(Entries.end(),
-                                   std::forward<ArgsT>(Args)...);
-    It->Id = nextId();
-    return It;
-  }
-
-  /// Inserts before \p Pos; returns an iterator to the inserted entry.
   EntryIter insertBefore(EntryIter Pos, MaoEntry Entry);
-  /// Inserts after \p Pos; returns an iterator to the inserted entry.
-  EntryIter insertAfter(EntryIter Pos, MaoEntry Entry);
   /// Removes \p Pos; returns the iterator following it.
   EntryIter erase(EntryIter Pos);
 
@@ -232,28 +219,14 @@ public:
   /// moved entries hold a range endpoint (see rebuildStructure()).
   void moveRange(EntryIter First, EntryIter Last, EntryIter Before);
 
-  /// Entry-ID block size handed to each shard of a sharded function pass.
-  /// Generous: a shard exhausting its block falls back to the shared
-  /// counter, which stays correct but is no longer independent of shard
-  /// scheduling.
-  static constexpr uint32_t ShardIdBlockSize = 4096;
-
-  /// Reserves \p Count consecutive ID blocks of \p BlockSize and returns
-  /// the first ID of block 0. The sharded pass runner grants block i to
-  /// function i so that entry IDs are a function of (pass, function),
-  /// never of worker scheduling — IDs feed analysis output (e.g. SIMADDR
-  /// records), so they must be identical across --mao-jobs values. Not
-  /// thread-safe; call before the parallel region.
-  uint32_t reserveIdBlocks(size_t Count, uint32_t BlockSize);
-
   /// Derives the views from the entry list, leaving the unit's own alone.
   /// Counted in the `ir.structure_builds` statistic.
   UnitViews deriveViews() { return derive(/*SetOwners=*/false); }
 
-  /// Replaces the views with a fresh derivation: after append(), and
-  /// after an edit outside the contract (HOTCOLD's function moves). Every
-  /// entry's Owner is pointed at its new function, and the functions'
-  /// kept analyses go with the old views.
+  /// Replaces the views with a fresh derivation: after the parser's
+  /// emplaceBack(), and after an edit outside the contract (HOTCOLD's
+  /// function moves). Every entry's Owner is pointed at its new function,
+  /// and the functions' kept analyses go with the old views.
   void rebuildStructure();
 
   std::vector<MaoFunction> &functions() { return Views.Functions; }
@@ -282,17 +255,9 @@ public:
   std::string toString() const;
 
 private:
-  friend class ScopedShardIds;
-
   /// deriveViews(); with \p SetOwners it also points every entry's Owner
   /// at the derived function it belongs to (or null), in the same walk.
   UnitViews derive(bool SetOwners);
-
-  /// Next entry ID: from the calling thread's armed shard block when one
-  /// is active for this unit, else from the shared counter. Only called
-  /// with StructuralM held (the structural editors) or on a unit no other
-  /// thread can see yet (emplaceBack).
-  uint32_t nextId();
 
   /// Inserts before \p Pos and brings the views up to date; StructuralM
   /// held.
@@ -312,36 +277,12 @@ private:
   std::shared_ptr<Arena> IrArena;
   EntryList Entries;
   UnitViews Views;
-  uint32_t NextEntryId = 1;
   uint32_t NextLabelId = 0;
-  /// Serializes structural edits (insert/erase/append) and the view
+  /// Serializes structural edits (insert/erase/move) and the view
   /// updates they make. Deliberately not moved by the move operations — a
   /// unit is never moved while shards are running (whole-unit passes are
   /// pipeline barriers).
   std::mutex StructuralM;
-};
-
-/// RAII guard arming a pre-reserved entry-ID range for the current thread:
-/// while alive, \p Unit's nextId() draws from [Begin, End) instead of the
-/// shared counter. The sharded pass runner wraps each shard in one of
-/// these so the IDs a shard assigns depend only on its function index.
-/// Nests (the previous allocator is restored on destruction).
-class ScopedShardIds {
-public:
-  ScopedShardIds(MaoUnit &Unit, uint32_t Begin, uint32_t End);
-  ~ScopedShardIds();
-  ScopedShardIds(const ScopedShardIds &) = delete;
-  ScopedShardIds &operator=(const ScopedShardIds &) = delete;
-
-private:
-  friend class MaoUnit;
-  struct Alloc {
-    MaoUnit *Unit;
-    uint32_t Next;
-    uint32_t End;
-  };
-  Alloc Saved;
-  static thread_local Alloc Active;
 };
 
 } // namespace mao

@@ -110,10 +110,6 @@ OptionRegistry buildDriverOptions(MaoCommandLine &Cmd) {
               "retry, then transparent local fallback)");
   R.addFlag("--cache-verify", &Cmd.CacheVerify,
             "on a cache hit, recompute anyway and fail on any divergence");
-  AddU64("--mao-score-cache-budget", &Cmd.Tune.ScoreCacheBudgetBytes,
-         "a byte count",
-         "cap the tuner's score cache at BYTES, evicting oldest-first "
-         "(0 = unlimited)");
   AddU64("--cache-budget", &Cmd.CacheBudget, "a byte count",
          "cap the on-disk artifact cache at BYTES of entries, evicting "
          "oldest-first (0 = unlimited)");

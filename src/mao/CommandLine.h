@@ -47,7 +47,7 @@ struct MaoCommandLine {
   api::OptimizeOptions Optimize;
   /// --lint-*; FileName is the driver's input.
   api::LintRequest Lint;
-  /// --tune-* and --mao-score-cache-budget.
+  /// --tune-*.
   api::TuneRequest Tune;
   /// --synth-*; CorpusPaths are the driver's inputs.
   api::SynthOptions Synth;

@@ -205,8 +205,6 @@ void Session::cacheAttach(const Session &Owner) {
   I->Cache = Owner.cacheIsOpen() ? Owner.I->Cache : nullptr;
 }
 
-void Session::cacheClose() { I->Cache.reset(); }
-
 bool Session::cacheIsOpen() const { return I->Cache && I->Cache->isOpen(); }
 
 ArtifactCounters Session::cacheStats() const {
@@ -623,7 +621,6 @@ Status Session::tune(Program &P, const TuneRequest &Request,
   Opts.SynthAxis = Request.SynthAxis;
   Opts.LayoutAxis = Request.LayoutAxis;
   Opts.Jobs = ThreadPool::resolveWorkers(Request.Jobs);
-  Opts.ScoreCacheBudgetBytes = Request.ScoreCacheBudgetBytes;
   const auto Start = std::chrono::steady_clock::now();
   ErrorOr<TuneResult> ResultOr = [&] {
     TimelineSpan Span("tune", "search:" + (Request.Entry.empty()

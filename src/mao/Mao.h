@@ -178,9 +178,6 @@ struct TuneRequest {
   /// splitting and I-cache basic-block reordering (--tune-layout-axis);
   /// off by default for the same trajectory-stability reason.
   bool LayoutAxis = false;
-  /// Score-cache byte budget, 0 = unlimited (--mao-score-cache-budget).
-  /// Eviction can only cost re-simulation, never change the result.
-  uint64_t ScoreCacheBudgetBytes = 0;
 };
 
 /// Summary of a tuning run.
@@ -433,7 +430,6 @@ public:
   /// cache once and attaches each connection's session. Leaves this
   /// session uncached when \p Owner has no open cache.
   void cacheAttach(const Session &Owner);
-  void cacheClose();
   bool cacheIsOpen() const;
   ArtifactCounters cacheStats() const;
   /// The content-addressed key cacheRun uses for \p Request: FNV-1a over

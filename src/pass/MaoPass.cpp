@@ -13,14 +13,12 @@
 #include "x86/Encoder.h"
 
 #include <algorithm>
-#include <cassert>
 #include <cctype>
 #include <chrono>
 #include <cstdarg>
 #include <cstdio>
 #include <exception>
 #include <memory>
-#include <mutex>
 #include <set>
 #include <stdexcept>
 
@@ -31,7 +29,7 @@ MaoPass::~MaoPass() = default;
 void MaoPass::trace(int Level, const char *Fmt, ...) const {
   va_list Args;
   va_start(Args, Fmt);
-  Tracer.vtrace(Level, Fmt, Args);
+  Tracer.vtrace(Level, Fmt, Args, TraceBuffer);
   va_end(Args);
 }
 
@@ -74,75 +72,32 @@ PassRegistry &PassRegistry::instance() {
   return Registry;
 }
 
-void PassRegistry::registerFunctionPass(const std::string &Name,
-                                        FunctionPassFactory Factory,
-                                        bool Shardable) {
-  FunctionPasses[Name] = {std::move(Factory), Shardable};
+void PassRegistry::registerPass(const std::string &Name, PassKind Kind,
+                                Factory Make) {
+  Passes[Name] = {Kind, std::move(Make)};
 }
 
-void PassRegistry::registerUnitPass(const std::string &Name,
-                                    UnitPassFactory Factory) {
-  UnitPasses[Name] = std::move(Factory);
-}
-
-bool PassRegistry::isFunctionPass(const std::string &Name) const {
-  return FunctionPasses.count(Name) != 0;
-}
-
-bool PassRegistry::isUnitPass(const std::string &Name) const {
-  return UnitPasses.count(Name) != 0;
-}
-
-bool PassRegistry::isShardable(const std::string &Name) const {
-  auto It = FunctionPasses.find(Name);
-  return It != FunctionPasses.end() && It->second.Shardable;
-}
-
-std::unique_ptr<MaoFunctionPass>
-PassRegistry::makeFunctionPass(const std::string &Name, MaoOptionMap *Options,
-                               MaoUnit *Unit, MaoFunction *Fn) const {
-  auto It = FunctionPasses.find(Name);
-  assert(It != FunctionPasses.end() && "unknown function pass");
-  return It->second.Factory(Options, Unit, Fn);
-}
-
-std::unique_ptr<MaoUnitPass>
-PassRegistry::makeUnitPass(const std::string &Name, MaoOptionMap *Options,
-                           MaoUnit *Unit) const {
-  auto It = UnitPasses.find(Name);
-  assert(It != UnitPasses.end() && "unknown unit pass");
-  return It->second(Options, Unit);
-}
-
-std::vector<std::string> PassRegistry::allPassNames() const {
-  std::vector<std::string> Names;
-  Names.reserve(FunctionPasses.size() + UnitPasses.size());
-  for (const auto &[Name, Factory] : FunctionPasses)
-    Names.push_back(Name);
-  for (const auto &[Name, Factory] : UnitPasses)
-    Names.push_back(Name);
-  std::sort(Names.begin(), Names.end());
-  return Names;
+const PassRegistry::Entry *PassRegistry::find(const std::string &Name) const {
+  auto It = Passes.find(Name);
+  return It == Passes.end() ? nullptr : &It->second;
 }
 
 std::vector<PassRegistry::PassInfo> PassRegistry::listPasses() const {
   std::vector<PassInfo> Out;
-  Out.reserve(FunctionPasses.size() + UnitPasses.size());
-  for (const auto &[Name, Entry] : FunctionPasses)
-    Out.push_back({Name, Entry.Shardable ? PassKind::ShardedFunction
-                                         : PassKind::Function});
-  for (const auto &[Name, Factory] : UnitPasses)
-    Out.push_back({Name, PassKind::Unit});
-  std::sort(Out.begin(), Out.end(),
-            [](const PassInfo &A, const PassInfo &B) { return A.Name < B.Name; });
+  Out.reserve(Passes.size());
+  for (const auto &[Name, E] : Passes)
+    Out.push_back({Name, E.Kind});
   return Out;
 }
 
 MaoStatus PassRegistry::validate(const std::string &Name) const {
-  if (knows(Name))
+  if (find(Name))
     return MaoStatus::success();
+  std::vector<std::string> Names;
+  for (const auto &[Known, E] : Passes)
+    Names.push_back(Known);
   std::string Message = "unknown pass '" + Name + "'";
-  std::string Suggestion = suggestNearest(Name, allPassNames());
+  std::string Suggestion = suggestNearest(Name, Names);
   if (!Suggestion.empty())
     Message += "; did you mean '" + Suggestion + "'?";
   return MaoStatus::error(Message);
@@ -276,12 +231,12 @@ struct FunctionFailure {
 /// pass runs once; it fails the request by returning false, and so does an
 /// unknown pass name.
 ///
-/// A function pass runs every function as its own shard: entry IDs come
-/// from the function's pre-reserved block, and transformation counts and
-/// failures are buffered per function and merged in function order. A
-/// failing function does not stop the request. Every function runs, and
-/// failures come back through \p Failures so the caller can apply its
-/// on-error policy per function. Functions whose index is in \p SkipFns
+/// A function pass runs every function as its own shard: transformation
+/// counts, failures, and a shardable pass's trace lines and warnings are
+/// buffered per function and merged in function order. A failing function
+/// does not stop the request. Every function runs, and failures come back
+/// through \p Failures so the caller can apply its on-error policy per
+/// function. Functions whose index is in \p SkipFns
 /// are not run at all (the partial-commit replay path).
 ///
 /// Registration decides the rest. A shardable pass runs on \p Pool when it
@@ -296,7 +251,6 @@ ErrorOr<unsigned> executePass(MaoUnit &Unit, const PassRequest &Req,
                               const PipelineOptions &Options, ThreadPool *Pool,
                               const std::set<size_t> &SkipFns,
                               std::vector<FunctionFailure> &Failures) {
-  PassRegistry &Registry = PassRegistry::instance();
   Clock::time_point Start = Clock::now();
 
   if (FaultInjector::instance().shouldFail(FaultSite::PassRunner))
@@ -312,9 +266,12 @@ ErrorOr<unsigned> executePass(MaoUnit &Unit, const PassRequest &Req,
                             std::to_string(Options.PassTimeoutMs) + " ms");
   };
 
-  if (Registry.isUnitPass(Req.PassName)) {
-    MaoOptionMap PassOptions = Req.Options;
-    auto Pass = Registry.makeUnitPass(Req.PassName, &PassOptions, &Unit);
+  const PassRegistry::Entry *Entry =
+      PassRegistry::instance().find(Req.PassName);
+  if (!Entry)
+    return MaoStatus::error("unknown pass: " + Req.PassName);
+  if (Entry->Kind == PassRegistry::PassKind::Unit) {
+    auto Pass = Entry->Make(&Req.Options, &Unit, nullptr);
     bool Ok = Pass->go();
     if (BudgetExceeded())
       throw Timeout();
@@ -322,13 +279,9 @@ ErrorOr<unsigned> executePass(MaoUnit &Unit, const PassRequest &Req,
       return MaoStatus::error("pass " + Req.PassName + " failed");
     return Pass->transformationCount();
   }
-  if (!Registry.isFunctionPass(Req.PassName))
-    return MaoStatus::error("unknown pass: " + Req.PassName);
-
-  const bool Shardable = Registry.isShardable(Req.PassName);
+  const bool Shardable = Entry->Kind == PassRegistry::PassKind::ShardedFunction;
   std::vector<MaoFunction> &Fns = Unit.functions();
   const size_t N = Fns.size();
-  const uint32_t IdBase = Unit.reserveIdBlocks(N, MaoUnit::ShardIdBlockSize);
   // A non-shardable pass's functions share one maintained layout, built by
   // the first function that asks for it and kept current by the edits of
   // every later one.
@@ -340,6 +293,7 @@ ErrorOr<unsigned> executePass(MaoUnit &Unit, const PassRequest &Req,
     bool TimedOut = false;
     std::string Detail;
     DiagCode Code = DiagCode::PassFailed;
+    std::string Trace;
     std::vector<Diagnostic> Warnings;
   };
   std::vector<Shard> Shards(N); // Disjoint per-index writes; no locking.
@@ -352,29 +306,29 @@ ErrorOr<unsigned> executePass(MaoUnit &Unit, const PassRequest &Req,
       S.TimedOut = true; // Don't start new work past the budget.
       return;
     }
-    // Per-shard option map: passes read (and may cache into) their map,
-    // so sharing one copy across threads would race.
     TimelineSpan Span("shard", Timeline::active()
                                    ? Req.PassName + ":" + Fns[I].name()
                                    : std::string());
-    MaoOptionMap ShardOptions = Req.Options;
-    ScopedShardIds Ids(Unit, IdBase + I * MaoUnit::ShardIdBlockSize,
-                       IdBase + (I + 1) * MaoUnit::ShardIdBlockSize);
     try {
-      auto Pass = Registry.makeFunctionPass(Req.PassName, &ShardOptions,
-                                            &Unit, &Fns[I]);
-      if (!Shardable)
-        Pass->shareRequestState(Layout, Options.Diags);
-      else if (Options.Diags)
-        Pass->deferDiagnostics(&S.Warnings);
-      bool Ok = Pass->go();
-      S.Count = Pass->transformationCount();
+      // Every shard reads the request's one option map; no pass writes it.
+      std::unique_ptr<MaoPass> Made =
+          Entry->Make(&Req.Options, &Unit, &Fns[I]);
+      auto &Pass = static_cast<MaoFunctionPass &>(*Made);
+      if (!Shardable) {
+        Pass.shareRequestState(Layout, Options.Diags);
+      } else {
+        Pass.bufferTrace(&S.Trace);
+        if (Options.Diags)
+          Pass.deferDiagnostics(&S.Warnings);
+      }
+      bool Ok = Pass.go();
+      S.Count = Pass.transformationCount();
       if (!Ok) {
         S.Failed = true;
         S.Detail =
             "pass " + Req.PassName + " failed on function " + Fns[I].name();
-        if (!Pass->failureReason().empty())
-          S.Detail += ": " + Pass->failureReason();
+        if (!Pass.failureReason().empty())
+          S.Detail += ": " + Pass.failureReason();
       }
     } catch (const std::exception &E) {
       S.Failed = true;
@@ -396,6 +350,11 @@ ErrorOr<unsigned> executePass(MaoUnit &Unit, const PassRequest &Req,
     for (size_t I = 0; I < N; ++I)
       RunShard(I);
 
+  // Trace lines first, as an inline run writes them during its shards,
+  // then the warnings it reports after them.
+  for (const Shard &S : Shards)
+    if (!S.Trace.empty())
+      lockedLogWrite(S.Trace);
   unsigned Count = 0;
   bool TimedOut = false;
   for (size_t I = 0; I < N; ++I) {
@@ -461,7 +420,6 @@ PipelineResult mao::runPasses(MaoUnit &Unit,
                               const std::vector<PassRequest> &Requests,
                               const PipelineOptions &Options) {
   PipelineResult Result;
-  PassRegistry &Registry = PassRegistry::instance();
 
   // Worker pool for shardable passes. Only built when more than one worker
   // is requested: with one worker the executor runs its (identical) inline
@@ -552,7 +510,7 @@ PipelineResult mao::runPasses(MaoUnit &Unit,
         if (!CountOr.ok()) {
           Failed = true;
           FailureDetail = CountOr.message();
-          if (!Registry.knows(Req.PassName))
+          if (!PassRegistry::instance().find(Req.PassName))
             FailureCode = DiagCode::PassUnknown;
         } else {
           Outcome.Transformations = *CountOr;
@@ -735,9 +693,4 @@ PipelineResult mao::runPasses(MaoUnit &Unit,
     }
   }
   return Result;
-}
-
-PipelineResult mao::runPasses(MaoUnit &Unit,
-                              const std::vector<PassRequest> &Requests) {
-  return runPasses(Unit, Requests, PipelineOptions());
 }

@@ -6,9 +6,10 @@
 /// in an assembly file, and passes which process the full IR". A pass is a
 /// class with a Go() entry point, registered under a name with
 /// REGISTER_FUNC_PASS / REGISTER_UNIT_PASS, invoked (and ordered) from the
-/// command line, and given a per-invocation option map. Every pass inherits
-/// a standard tracing facility and a transformation counter (the "number of
-/// optimizations performed" column of the paper's Fig. 7).
+/// command line, and given a per-invocation option map, which it reads in
+/// place. Every pass inherits a standard tracing facility and a
+/// transformation counter (the "number of optimizations performed" column
+/// of the paper's Fig. 7).
 ///
 //===----------------------------------------------------------------------===//
 
@@ -34,15 +35,14 @@ namespace mao {
 /// Base class of all passes.
 class MaoPass {
 public:
-  /// The pass copies \p Options: a constructed pass is self-contained and
-  /// outlives the map it was created from (sharded execution gets its
-  /// per-shard isolation for free).
-  /// A pass with no explicit trace[N] option inherits the global trace
-  /// level (--mao-trace-level), so infrastructure-wide tracing reaches
-  /// every pass without per-pass spellings.
+  /// The pass reads \p Options in place and never writes it, so the
+  /// shards of one request share the request's map; it must outlive the
+  /// pass. A pass with no explicit trace[N] option inherits the global
+  /// trace level (--mao-trace-level), so infrastructure-wide tracing
+  /// reaches every pass without per-pass spellings.
   MaoPass(const char *Name, const MaoOptionMap *Options, MaoUnit *Unit)
-      : Name(Name), Options(Options ? *Options : MaoOptionMap()), Unit(Unit),
-        Tracer(Name, Options && Options->has("trace")
+      : Name(Name), Options(Options), Unit(Unit),
+        Tracer(Name, Options->has("trace")
                          ? static_cast<int>(Options->getInt("trace", 0))
                          : TraceContext::global().level()) {}
   virtual ~MaoPass();
@@ -52,13 +52,18 @@ public:
 
   const std::string &name() const { return Name; }
   MaoUnit &unit() { return *Unit; }
-  MaoOptionMap &options() { return Options; }
+  const MaoOptionMap &options() const { return *Options; }
 
   /// Standard tracing facility (level filtered by the "trace" option).
   void trace(int Level, const char *Fmt, ...) const
       __attribute__((format(printf, 3, 4)));
   /// The level trace() filters against.
   int traceLevel() const { return Tracer.level(); }
+
+  /// Called by the pass runner before go() of a shardable pass: trace()
+  /// appends its lines to \p Out instead of writing them, and the runner
+  /// writes every shard's lines in function order once all are done.
+  void bufferTrace(std::string *Out) { TraceBuffer = Out; }
 
   /// Number of code transformations this pass performed (Fig. 7 columns).
   unsigned transformationCount() const { return Transformations; }
@@ -78,9 +83,10 @@ protected:
 
 private:
   std::string Name;
-  MaoOptionMap Options;
+  const MaoOptionMap *Options;
   MaoUnit *Unit;
   TraceContext Tracer;
+  std::string *TraceBuffer = nullptr;
   unsigned Transformations = 0;
   std::string FailureReason;
 };
@@ -156,47 +162,32 @@ public:
 /// Global registry mapping pass names to factories.
 class PassRegistry {
 public:
-  using FunctionPassFactory = std::function<std::unique_ptr<MaoFunctionPass>(
-      MaoOptionMap *, MaoUnit *, MaoFunction *)>;
-  using UnitPassFactory =
-      std::function<std::unique_ptr<MaoUnitPass>(MaoOptionMap *, MaoUnit *)>;
+  /// What a registered pass is. A sharded function pass honours the
+  /// sharding contract (DESIGN.md, "Sharded pass pipeline"): it only edits
+  /// entries strictly inside its own function's ranges, never inserts at
+  /// or before a range begin, inserts or erases no label (other shards
+  /// read labelMap()), never calls rebuildStructure()/makeUniqueLabel(),
+  /// and reads unit-level tables only. Sharded passes may run their
+  /// functions on the worker pool (--mao-jobs > 1); every other function
+  /// pass runs them inline, sharing one layout per request. Both get
+  /// per-function failure isolation.
+  enum class PassKind : uint8_t { Function, ShardedFunction, Unit };
+
+  /// Builds the pass for one invocation; \p Fn is null for a unit pass.
+  using Factory = std::function<std::unique_ptr<MaoPass>(
+      const MaoOptionMap *, MaoUnit *, MaoFunction *)>;
+
+  struct Entry {
+    PassKind Kind;
+    Factory Make;
+  };
 
   static PassRegistry &instance();
 
-  /// \p Shardable declares that the pass honours the sharding contract
-  /// (DESIGN.md, "Sharded pass pipeline"): it only edits entries strictly
-  /// inside its own function's ranges, never inserts at or before a range
-  /// begin, inserts or erases no label (other shards read labelMap()),
-  /// never calls rebuildStructure()/makeUniqueLabel(), and reads
-  /// unit-level tables only. Shardable passes may run their functions on
-  /// the worker pool (--mao-jobs > 1); every other function pass runs them
-  /// inline, sharing one layout per request. Both get per-function failure
-  /// isolation.
-  void registerFunctionPass(const std::string &Name,
-                            FunctionPassFactory Factory,
-                            bool Shardable = false);
-  void registerUnitPass(const std::string &Name, UnitPassFactory Factory);
+  void registerPass(const std::string &Name, PassKind Kind, Factory Make);
 
-  bool isFunctionPass(const std::string &Name) const;
-  bool isUnitPass(const std::string &Name) const;
-  bool isShardable(const std::string &Name) const;
-  bool knows(const std::string &Name) const {
-    return isFunctionPass(Name) || isUnitPass(Name);
-  }
-
-  std::unique_ptr<MaoFunctionPass> makeFunctionPass(const std::string &Name,
-                                                    MaoOptionMap *Options,
-                                                    MaoUnit *Unit,
-                                                    MaoFunction *Fn) const;
-  std::unique_ptr<MaoUnitPass> makeUnitPass(const std::string &Name,
-                                            MaoOptionMap *Options,
-                                            MaoUnit *Unit) const;
-
-  /// Names of all registered passes, sorted.
-  std::vector<std::string> allPassNames() const;
-
-  /// What a registered pass is, for listPasses() consumers.
-  enum class PassKind : uint8_t { Function, ShardedFunction, Unit };
+  /// The pass registered as \p Name, or null.
+  const Entry *find(const std::string &Name) const;
 
   /// One row of the public pass catalogue.
   struct PassInfo {
@@ -204,13 +195,13 @@ public:
     PassKind Kind = PassKind::Function;
   };
 
-  /// The full pass catalogue, sorted by name, with each pass's execution
-  /// kind.
+  /// The full pass catalogue, sorted by name, with each pass's kind.
   std::vector<PassInfo> listPasses() const;
 
   /// Validates a pass request against the registry: unknown names get a
-  /// did-you-mean error (computed over allPassNames()). This is the single
-  /// name-resolution point for --mao-passes, the tuner, and the facade.
+  /// did-you-mean error (computed over every registered name). This is the
+  /// single name-resolution point for --mao-passes, the tuner, and the
+  /// facade.
   MaoStatus validate(const std::string &Name) const;
 
   /// Parses the registry-validated pipeline spelling "a,b(c=1,d=2)" into
@@ -221,50 +212,38 @@ public:
                           std::vector<PassRequest> &Out) const;
 
 private:
-  struct FunctionPassEntry {
-    FunctionPassFactory Factory;
-    bool Shardable = false;
-  };
-  std::map<std::string, FunctionPassEntry> FunctionPasses;
-  std::map<std::string, UnitPassFactory> UnitPasses;
+  std::map<std::string, Entry> Passes;
 };
 
-template <typename PassT>
-bool registerFunctionPassImpl(const char *Name, bool Shardable = false) {
-  PassRegistry::instance().registerFunctionPass(
-      Name,
-      [](MaoOptionMap *Options, MaoUnit *Unit, MaoFunction *Fn) {
-        return std::make_unique<PassT>(Options, Unit, Fn);
-      },
-      Shardable);
-  return true;
-}
-
-template <typename PassT>
-bool registerUnitPassImpl(const char *Name) {
-  PassRegistry::instance().registerUnitPass(
-      Name, [](MaoOptionMap *Options, MaoUnit *Unit) {
-        return std::make_unique<PassT>(Options, Unit);
+template <typename PassT, PassRegistry::PassKind Kind>
+bool registerPassImpl(const char *Name) {
+  PassRegistry::instance().registerPass(
+      Name, Kind,
+      [](const MaoOptionMap *Options, MaoUnit *Unit,
+         [[maybe_unused]] MaoFunction *Fn) -> std::unique_ptr<MaoPass> {
+        if constexpr (Kind == PassRegistry::PassKind::Unit)
+          return std::make_unique<PassT>(Options, Unit);
+        else
+          return std::make_unique<PassT>(Options, Unit, Fn);
       });
   return true;
 }
 
+#define MAO_REGISTER_PASS(NAME, CLASS, KIND)                                  \
+  static const bool MaoRegistered_##CLASS [[maybe_unused]] =                  \
+      ::mao::registerPassImpl<CLASS, ::mao::PassRegistry::PassKind::KIND>(NAME);
+
 /// Registers a function pass under NAME (paper Sec. III-A).
-#define REGISTER_FUNC_PASS(NAME, CLASS)                                       \
-  static const bool MaoRegisteredFunc_##CLASS [[maybe_unused]] =              \
-      ::mao::registerFunctionPassImpl<CLASS>(NAME);
+#define REGISTER_FUNC_PASS(NAME, CLASS) MAO_REGISTER_PASS(NAME, CLASS, Function)
 
 /// Registers a function pass that honours the sharding contract and may
 /// run its per-function invocations concurrently (see
-/// PassRegistry::registerFunctionPass).
+/// PassRegistry::PassKind).
 #define REGISTER_SHARDED_FUNC_PASS(NAME, CLASS)                               \
-  static const bool MaoRegisteredFunc_##CLASS [[maybe_unused]] =              \
-      ::mao::registerFunctionPassImpl<CLASS>(NAME, /*Shardable=*/true);
+  MAO_REGISTER_PASS(NAME, CLASS, ShardedFunction)
 
 /// Registers a whole-IR pass under NAME.
-#define REGISTER_UNIT_PASS(NAME, CLASS)                                       \
-  static const bool MaoRegisteredUnit_##CLASS [[maybe_unused]] =              \
-      ::mao::registerUnitPassImpl<CLASS>(NAME);
+#define REGISTER_UNIT_PASS(NAME, CLASS) MAO_REGISTER_PASS(NAME, CLASS, Unit)
 
 /// What the pipeline does when a pass fails (throws, returns false,
 /// produces verifier-invalid IR, or exceeds its wall-clock budget).
@@ -384,13 +363,10 @@ struct PipelineOptions {
 /// injection is suspended and the wall-clock budget waived during replay:
 /// the replayed passes already succeeded once, and re-injecting into the
 /// recovery path would make rollback itself fallible.
+/// The default options are OnErrorPolicy::Abort with no verification.
 PipelineResult runPasses(MaoUnit &Unit,
                          const std::vector<PassRequest> &Requests,
-                         const PipelineOptions &Options);
-
-/// Legacy entry point: OnErrorPolicy::Abort, no verification.
-PipelineResult runPasses(MaoUnit &Unit,
-                         const std::vector<PassRequest> &Requests);
+                         const PipelineOptions &Options = {});
 
 /// Forces registration of all built-in passes (the static registrars live
 /// in the mao_passes library; call this from executables that link it).

@@ -158,7 +158,8 @@ protected:
 
 class ShortLoopAlignPass : public AlignFixpointPass {
 public:
-  ShortLoopAlignPass(MaoOptionMap *Options, MaoUnit *Unit, MaoFunction *Fn)
+  ShortLoopAlignPass(const MaoOptionMap *Options, MaoUnit *Unit,
+                     MaoFunction *Fn)
       : AlignFixpointPass("LOOP16", Options, Unit, Fn),
         MaxSize(options().getInt("maxsize", 16)) {}
 
@@ -199,7 +200,7 @@ REGISTER_FUNC_PASS("LOOP16", ShortLoopAlignPass)
 
 class LsdFitPass : public AlignFixpointPass {
 public:
-  LsdFitPass(MaoOptionMap *Options, MaoUnit *Unit, MaoFunction *Fn)
+  LsdFitPass(const MaoOptionMap *Options, MaoUnit *Unit, MaoFunction *Fn)
       : AlignFixpointPass("LSDOPT", Options, Unit, Fn),
         MaxLines(options().getInt("maxlines", 4)) {}
 
@@ -247,7 +248,7 @@ REGISTER_FUNC_PASS("LSDOPT", LsdFitPass)
 
 class BranchAlignPass : public AlignFixpointPass {
 public:
-  BranchAlignPass(MaoOptionMap *Options, MaoUnit *Unit, MaoFunction *Fn)
+  BranchAlignPass(const MaoOptionMap *Options, MaoUnit *Unit, MaoFunction *Fn)
       : AlignFixpointPass("BRALIGN", Options, Unit, Fn),
         BucketShift(options().getInt("shift", 5)) {} // PC >> 5
 
@@ -315,7 +316,7 @@ REGISTER_FUNC_PASS("BRALIGN", BranchAlignPass)
 /// depends on the loop body (paper Sec. III-C).
 class AlignSelectPass : public MaoFunctionPass {
 public:
-  AlignSelectPass(MaoOptionMap *Options, MaoUnit *Unit, MaoFunction *Fn)
+  AlignSelectPass(const MaoOptionMap *Options, MaoUnit *Unit, MaoFunction *Fn)
       : MaoFunctionPass("ALIGNSEL", Options, Unit, Fn) {}
 
   bool go() override {

@@ -21,7 +21,7 @@ namespace {
 
 class AsmOutputPass : public MaoUnitPass {
 public:
-  AsmOutputPass(MaoOptionMap *Options, MaoUnit *Unit)
+  AsmOutputPass(const MaoOptionMap *Options, MaoUnit *Unit)
       : MaoUnitPass("ASM", Options, Unit) {}
 
   bool go() override {
@@ -38,7 +38,7 @@ REGISTER_UNIT_PASS("ASM", AsmOutputPass)
 
 class LoopFinderPass : public MaoFunctionPass {
 public:
-  LoopFinderPass(MaoOptionMap *Options, MaoUnit *Unit, MaoFunction *Fn)
+  LoopFinderPass(const MaoOptionMap *Options, MaoUnit *Unit, MaoFunction *Fn)
       : MaoFunctionPass("LFIND", Options, Unit, Fn) {}
 
   bool go() override {
@@ -63,7 +63,7 @@ REGISTER_SHARDED_FUNC_PASS("LFIND", LoopFinderPass)
 /// name of every function via the standard tracing facility.
 class ExamplePass : public MaoFunctionPass {
 public:
-  ExamplePass(MaoOptionMap *Options, // specific options
+  ExamplePass(const MaoOptionMap *Options, // specific options
               MaoUnit *Unit,         // current asm file
               MaoFunction *Fn)       // current function
       : MaoFunctionPass("MAOPASS", Options, Unit, Fn) {}

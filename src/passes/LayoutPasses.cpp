@@ -46,7 +46,7 @@ bool endsStraightLine(EntryIter It) {
 
 class BlockReorderPass : public MaoFunctionPass {
 public:
-  BlockReorderPass(MaoOptionMap *Options, MaoUnit *Unit, MaoFunction *Fn)
+  BlockReorderPass(const MaoOptionMap *Options, MaoUnit *Unit, MaoFunction *Fn)
       : MaoFunctionPass("BBREORDER", Options, Unit, Fn) {}
 
   bool go() override {
@@ -200,7 +200,7 @@ struct FunctionSpan {
 
 class HotColdPass : public MaoUnitPass {
 public:
-  HotColdPass(MaoOptionMap *Options, MaoUnit *Unit)
+  HotColdPass(const MaoOptionMap *Options, MaoUnit *Unit)
       : MaoUnitPass("HOTCOLD", Options, Unit) {}
 
   bool go() override {

@@ -39,7 +39,7 @@ namespace {
 
 class NopinizerPass : public MaoFunctionPass {
 public:
-  NopinizerPass(MaoOptionMap *Options, MaoUnit *Unit, MaoFunction *Fn)
+  NopinizerPass(const MaoOptionMap *Options, MaoUnit *Unit, MaoFunction *Fn)
       : MaoFunctionPass("NOPIN", Options, Unit, Fn) {}
 
   bool go() override {
@@ -110,7 +110,7 @@ REGISTER_SHARDED_FUNC_PASS("NOPIN", NopinizerPass)
 
 class NopKillerPass : public MaoFunctionPass {
 public:
-  NopKillerPass(MaoOptionMap *Options, MaoUnit *Unit, MaoFunction *Fn)
+  NopKillerPass(const MaoOptionMap *Options, MaoUnit *Unit, MaoFunction *Fn)
       : MaoFunctionPass("NOPKILL", Options, Unit, Fn) {}
 
   bool go() override {
@@ -141,7 +141,7 @@ REGISTER_SHARDED_FUNC_PASS("NOPKILL", NopKillerPass)
 
 class InstrumentationNopPass : public MaoFunctionPass {
 public:
-  InstrumentationNopPass(MaoOptionMap *Options, MaoUnit *Unit,
+  InstrumentationNopPass(const MaoOptionMap *Options, MaoUnit *Unit,
                          MaoFunction *Fn)
       : MaoFunctionPass("INSTRUMENT", Options, Unit, Fn) {}
 

@@ -80,7 +80,8 @@ bool precedingDefZeroExtends(const BlockInsns &Insns, size_t MovIdx, Reg R) {
 /// preceding definition of %rX in the same block is a 32-bit operation.
 class ZeroExtentElimPass : public MaoFunctionPass {
 public:
-  ZeroExtentElimPass(MaoOptionMap *Options, MaoUnit *Unit, MaoFunction *Fn)
+  ZeroExtentElimPass(const MaoOptionMap *Options, MaoUnit *Unit,
+                     MaoFunction *Fn)
       : MaoFunctionPass("ZEE", Options, Unit, Fn) {}
 
   bool go() override {
@@ -142,7 +143,8 @@ bool precedingAluSetsSameFlags(const BlockInsns &Insns, size_t TestIdx,
 /// later reader needs a flag other than ZF, SF or PF.
 class RedundantTestElimPass : public MaoFunctionPass {
 public:
-  RedundantTestElimPass(MaoOptionMap *Options, MaoUnit *Unit, MaoFunction *Fn)
+  RedundantTestElimPass(const MaoOptionMap *Options, MaoUnit *Unit,
+                        MaoFunction *Fn)
       : MaoFunctionPass("REDTEST", Options, Unit, Fn) {}
 
   bool go() override {
@@ -192,7 +194,8 @@ bool isRegLoad(const Instruction &Insn) {
 /// REDMOV: rewrites the second of two identical loads to a register move.
 class RedundantMemMovePass : public MaoFunctionPass {
 public:
-  RedundantMemMovePass(MaoOptionMap *Options, MaoUnit *Unit, MaoFunction *Fn)
+  RedundantMemMovePass(const MaoOptionMap *Options, MaoUnit *Unit,
+                       MaoFunction *Fn)
       : MaoFunctionPass("REDMOV", Options, Unit, Fn) {}
 
   bool go() override {
@@ -306,7 +309,7 @@ size_t findFoldablePartner(const BlockInsns &Insns, size_t I,
 /// second instruction.
 class AddAddElimPass : public MaoFunctionPass {
 public:
-  AddAddElimPass(MaoOptionMap *Options, MaoUnit *Unit, MaoFunction *Fn)
+  AddAddElimPass(const MaoOptionMap *Options, MaoUnit *Unit, MaoFunction *Fn)
       : MaoFunctionPass("ADDADD", Options, Unit, Fn) {}
 
   bool go() override {
@@ -352,7 +355,7 @@ REGISTER_SHARDED_FUNC_PASS("ADDADD", AddAddElimPass)
 /// --tune-synth-axis), and swap the table with --synth-rules=FILE.
 class SynthRulesPass : public MaoFunctionPass {
 public:
-  SynthRulesPass(MaoOptionMap *Options, MaoUnit *Unit, MaoFunction *Fn)
+  SynthRulesPass(const MaoOptionMap *Options, MaoUnit *Unit, MaoFunction *Fn)
       : MaoFunctionPass("SYNTH", Options, Unit, Fn) {}
 
   bool go() override {

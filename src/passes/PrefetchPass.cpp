@@ -56,7 +56,8 @@ namespace {
 
 class InversePrefetchPass : public MaoFunctionPass {
 public:
-  InversePrefetchPass(MaoOptionMap *Options, MaoUnit *Unit, MaoFunction *Fn)
+  InversePrefetchPass(const MaoOptionMap *Options, MaoUnit *Unit,
+                      MaoFunction *Fn)
       : MaoFunctionPass("INVPREF", Options, Unit, Fn) {}
 
   bool go() override {

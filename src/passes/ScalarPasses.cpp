@@ -25,7 +25,7 @@ namespace {
 
 class UnreachableCodeElimPass : public MaoFunctionPass {
 public:
-  UnreachableCodeElimPass(MaoOptionMap *Options, MaoUnit *Unit,
+  UnreachableCodeElimPass(const MaoOptionMap *Options, MaoUnit *Unit,
                           MaoFunction *Fn)
       : MaoFunctionPass("DCE", Options, Unit, Fn) {}
 
@@ -73,7 +73,7 @@ REGISTER_SHARDED_FUNC_PASS("DCE", UnreachableCodeElimPass)
 
 class ConstantFoldPass : public MaoFunctionPass {
 public:
-  ConstantFoldPass(MaoOptionMap *Options, MaoUnit *Unit, MaoFunction *Fn)
+  ConstantFoldPass(const MaoOptionMap *Options, MaoUnit *Unit, MaoFunction *Fn)
       : MaoFunctionPass("CONSTFOLD", Options, Unit, Fn) {}
 
   bool go() override {

@@ -47,7 +47,7 @@ struct SchedCounters {
 
 class ListSchedulePass : public MaoFunctionPass {
 public:
-  ListSchedulePass(MaoOptionMap *Options, MaoUnit *Unit, MaoFunction *Fn)
+  ListSchedulePass(const MaoOptionMap *Options, MaoUnit *Unit, MaoFunction *Fn)
       : MaoFunctionPass("SCHED", Options, Unit, Fn) {}
 
   bool go() override {

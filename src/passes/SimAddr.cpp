@@ -148,7 +148,7 @@ mao::simulateAddresses(const BasicBlock &BB, size_t SampleIdx,
   {
     const Instruction &Insn = std::as_const(*BB.Insns[SampleIdx]).instruction();
     if (auto A = effectiveAddress(Insn, Snapshot))
-      Result.push_back({BB.Insns[SampleIdx]->Id, *A, true});
+      Result.push_back({&*BB.Insns[SampleIdx], *A, true});
   }
 
   // Forward simulation: apply the sampled instruction, then walk down.
@@ -160,7 +160,7 @@ mao::simulateAddresses(const BasicBlock &BB, size_t SampleIdx,
         if (BB.Insns[I]->effects().Barrier)
           break;
         if (auto A = effectiveAddress(Insn, Regs))
-          Result.push_back({BB.Insns[I]->Id, *A, false});
+          Result.push_back({&*BB.Insns[I], *A, false});
       }
       stepForward(Insn, Regs);
     }
@@ -177,7 +177,7 @@ mao::simulateAddresses(const BasicBlock &BB, size_t SampleIdx,
         break;
       stepBackward(Insn, Regs);
       if (auto A = effectiveAddress(Insn, Regs))
-        Result.push_back({BB.Insns[I]->Id, *A, false});
+        Result.push_back({&*BB.Insns[I], *A, false});
     }
   }
   return Result;
@@ -192,7 +192,7 @@ using namespace mao;
 /// multiplication factor the paper quotes as 4.1x-6.3x.
 class SimAddrPass : public MaoFunctionPass {
 public:
-  SimAddrPass(MaoOptionMap *Options, MaoUnit *Unit, MaoFunction *Fn)
+  SimAddrPass(const MaoOptionMap *Options, MaoUnit *Unit, MaoFunction *Fn)
       : MaoFunctionPass("SIMADDR", Options, Unit, Fn) {}
 
   bool go() override {

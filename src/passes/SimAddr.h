@@ -50,9 +50,9 @@ struct RegSnapshot {
 
 /// One recovered effective address.
 struct RecoveredAddress {
-  uint32_t EntryId;    ///< MaoEntry::Id of the memory instruction.
-  int64_t Address;     ///< Computed effective address.
-  bool FromSample;     ///< True for the sampled instruction itself.
+  const MaoEntry *Entry; ///< The memory instruction.
+  int64_t Address;       ///< Computed effective address.
+  bool FromSample;       ///< True for the sampled instruction itself.
 };
 
 /// Simulates forward and backward from the instruction at \p SampleIdx in

@@ -95,9 +95,6 @@ public:
   void store(uint64_t Address, uint64_t Value, unsigned Bytes);
   uint64_t load(uint64_t Address, unsigned Bytes) const;
 
-  /// Clears memory between independent runs.
-  void resetMemory() { Memory.clear(); }
-
 private:
   MaoUnit &Unit;
   std::unordered_map<std::string, EntryIter> Labels;

@@ -109,17 +109,9 @@ public:
     FreeBins.back().Head = Block;
   }
 
-  /// Typed convenience: uninitialized storage for \p N objects of T.
-  template <typename T> T *allocateArray(size_t N) {
-    return static_cast<T *>(allocate(N * sizeof(T), alignof(T)));
-  }
-
   /// Total bytes handed out (net of free-list recycling it is an upper
   /// bound on live bytes); for stats/bench reporting.
   size_t bytesAllocated() const { return BytesLive; }
-
-  /// Number of backing chunks — growth diagnostics.
-  size_t chunkCount() const { return Chunks.size(); }
 
 private:
   static constexpr size_t MinChunkBytes = 4 * 1024;

@@ -128,15 +128,5 @@ bool FaultInjector::draw(FaultSite Site) {
     return false;
   std::lock_guard<std::mutex> Lock(DrawM);
   ++S.Draws;
-  bool Fail = S.Rng.nextChance(S.Permille, 1000);
-  if (Fail)
-    ++S.Failures;
-  return Fail;
-}
-
-unsigned FaultInjector::totalInjected() const {
-  unsigned Total = 0;
-  for (const SiteState &S : Sites)
-    Total += S.Failures;
-  return Total;
+  return S.Rng.nextChance(S.Permille, 1000);
 }

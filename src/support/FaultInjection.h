@@ -109,10 +109,6 @@ public:
   unsigned drawCount(FaultSite Site) const {
     return Sites[static_cast<unsigned>(Site)].Draws;
   }
-  unsigned injectedCount(FaultSite Site) const {
-    return Sites[static_cast<unsigned>(Site)].Failures;
-  }
-  unsigned totalInjected() const;
 
 private:
   /// shouldFail() once some site is armed.
@@ -127,7 +123,6 @@ private:
     uint64_t Permille = 0;
     RandomSource Rng{0};
     unsigned Draws = 0;
-    unsigned Failures = 0;
   };
 
   bool Armed = false;

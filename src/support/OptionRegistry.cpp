@@ -210,13 +210,19 @@ MaoStatus OptionRegistry::parse(const std::vector<std::string> &Args) const {
                                 valueStub(Def));
       }
       // Unknown double-dash arguments are almost always typos of our own
-      // surface; suggest the nearest flag. Single-dash unknowns follow the
+      // surface; suggest the nearest flag. One whose first word is the
+      // first word of a registered flag (`--mao-…`, `--tune-…`) is ours
+      // even with no near name. Single-dash unknowns follow the
       // passthrough rule (they are assembler options in the mao driver).
       if (Arg.size() >= 2 && Arg[0] == '-' && Arg[1] == '-') {
         std::string Suggestion = suggestNearest(Stem, names());
         if (!Suggestion.empty())
           return MaoStatus::error("unknown option '" + Arg +
                                   "'; did you mean '" + Suggestion + "'?");
+        const std::string Word = Stem.substr(0, Stem.find('-', 2));
+        for (const Definition &Def : Definitions)
+          if (Def.Name.substr(0, Def.Name.find('-', 2)) == Word)
+            return MaoStatus::error("unknown option '" + Arg + "'");
       }
       if (PassthroughOut) {
         PassthroughOut->push_back(Arg);

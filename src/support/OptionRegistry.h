@@ -97,8 +97,9 @@ public:
 
   /// Parses \p Args against the table. Unknown `--`-prefixed arguments
   /// that look like typos of a registered flag (see suggestNearest) are
-  /// errors with a suggestion; other unknown dash arguments follow the
-  /// passthrough rule above.
+  /// errors with a suggestion, and so are those that share a registered
+  /// flag's first word (`--mao-…`); other unknown dash arguments follow
+  /// the passthrough rule above.
   MaoStatus parse(const std::vector<std::string> &Args) const;
 
   /// Renders the flag reference, one definition per line, sorted by name.

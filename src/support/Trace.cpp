@@ -43,8 +43,8 @@ void TraceContext::trace(int MsgLevel, const char *Fmt, ...) const {
   va_end(Args);
 }
 
-void TraceContext::vtrace(int MsgLevel, const char *Fmt,
-                          va_list Args) const {
+void TraceContext::vtrace(int MsgLevel, const char *Fmt, va_list Args,
+                          std::string *Buffer) const {
   if (MsgLevel > level())
     return;
   // Format "[name] body\n" into one buffer so the emission below is a
@@ -65,7 +65,10 @@ void TraceContext::vtrace(int MsgLevel, const char *Fmt,
   Line.resize(Prefix + BodyLen + 1);
   std::vsnprintf(&Line[Prefix], BodyLen + 1, Fmt, Args);
   Line[Prefix + BodyLen] = '\n';
-  lockedLogWrite(Line);
+  if (Buffer)
+    *Buffer += Line;
+  else
+    lockedLogWrite(Line);
 }
 
 TraceContext &TraceContext::global() {

@@ -54,7 +54,9 @@ public:
       __attribute__((format(printf, 3, 4)));
 
   /// va_list flavour of trace() for forwarding wrappers (MaoPass::trace).
-  void vtrace(int MsgLevel, const char *Fmt, va_list Args) const;
+  /// With \p Buffer the line is appended there instead of written.
+  void vtrace(int MsgLevel, const char *Fmt, va_list Args,
+              std::string *Buffer = nullptr) const;
 
   void setLevel(int NewLevel) {
     Level.store(NewLevel, std::memory_order_relaxed);

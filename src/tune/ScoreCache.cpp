@@ -48,25 +48,10 @@ std::optional<uint64_t> ScoreCache::lookup(uint64_t Key) const {
 
 void ScoreCache::insert(uint64_t Key, uint64_t Cycles) {
   std::lock_guard<std::mutex> Lock(M);
-  if (!Map.emplace(Key, Cycles).second)
-    return;
-  Order.push_back(Key);
-  if (ByteBudget == 0)
-    return;
-  const uint64_t MaxEntries = ByteBudget / BytesPerEntry;
-  while (Map.size() > MaxEntries && Order.size() > 1) {
-    Map.erase(Order.front());
-    Order.pop_front();
-    ++Evictions;
-  }
-}
-
-void ScoreCache::setByteBudget(uint64_t Bytes) {
-  std::lock_guard<std::mutex> Lock(M);
-  ByteBudget = Bytes;
+  Map.emplace(Key, Cycles);
 }
 
 ScoreCache::Stats ScoreCache::stats() const {
   std::lock_guard<std::mutex> Lock(M);
-  return {Hits, Misses, Evictions, Map.size()};
+  return {Hits, Misses, Map.size()};
 }

@@ -17,7 +17,6 @@
 #include "asm/Assembler.h"
 
 #include <cstdint>
-#include <deque>
 #include <mutex>
 #include <optional>
 #include <string>
@@ -40,18 +39,9 @@ public:
   std::optional<uint64_t> lookup(uint64_t Key) const;
 
   /// Memoizes \p Cycles for \p Key (first write wins; scores for one key
-  /// are value-identical by construction, so order cannot matter).
+  /// are value-identical by construction, so order cannot matter). The
+  /// cache never evicts: a tune run's evaluation budget bounds it.
   void insert(uint64_t Key, uint64_t Cycles);
-
-  /// Caps the cache at \p Bytes of entry storage (16 bytes per entry);
-  /// inserts over budget evict in FIFO order. 0 (the default) disables
-  /// eviction — long tuning searches in a resident maod opt in via
-  /// TuneOptions. Because scores for one key are value-identical, an
-  /// eviction can only cost a re-simulation, never change a result.
-  void setByteBudget(uint64_t Bytes);
-
-  /// Accounting unit for the byte budget: one key/value pair.
-  static constexpr uint64_t BytesPerEntry = 2 * sizeof(uint64_t);
 
   /// Exact hit/miss accounting: lookup(), insert() and stats() all run
   /// under the single cache mutex, and the tuner consults the cache from
@@ -60,7 +50,6 @@ public:
   struct Stats {
     uint64_t Hits = 0;
     uint64_t Misses = 0;
-    uint64_t Evictions = 0;
     size_t Entries = 0;
   };
   Stats stats() const;
@@ -69,11 +58,8 @@ private:
   std::string ConfigName;
   mutable std::mutex M; ///< Guards all mutable state below.
   std::unordered_map<uint64_t, uint64_t> Map;
-  std::deque<uint64_t> Order; ///< Insertion order for FIFO eviction.
-  uint64_t ByteBudget = 0;    ///< 0 = unlimited.
   mutable uint64_t Hits = 0;
   mutable uint64_t Misses = 0;
-  uint64_t Evictions = 0;
 };
 
 } // namespace mao

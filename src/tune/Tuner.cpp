@@ -208,7 +208,6 @@ ErrorOr<TuneResult> mao::tuneUnit(MaoUnit &Unit, const TuneOptions &Options) {
                     Options.SynthAxis, Options.LayoutAxis);
   RandomSource Rng(Options.Seed);
   ScoreCache Cache(Options.Config);
-  Cache.setByteBudget(Options.ScoreCacheBudgetBytes);
   BatchEvaluator Eval(Unit, Entry, MOpts, Cache, std::max(1u, Options.Jobs));
 
   std::set<std::string> Seen;

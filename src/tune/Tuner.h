@@ -57,8 +57,6 @@ struct TuneOptions {
   unsigned Jobs = 1;
   /// Emulation step limit per candidate.
   uint64_t MaxSteps = 50'000'000;
-  /// Score-cache byte budget (0 = unlimited; see ScoreCache::setByteBudget).
-  uint64_t ScoreCacheBudgetBytes = 0;
 };
 
 /// Budget presets for --tune-budget.

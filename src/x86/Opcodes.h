@@ -98,13 +98,6 @@ inline const OpcodeInfo &opcodeInfo(Mnemonic Mn) {
   return OpcodeTable[static_cast<unsigned>(Mn)];
 }
 
-/// True for instructions that end or redirect straight-line execution.
-inline bool isControlFlow(Mnemonic Mn) {
-  EncKind K = opcodeInfo(Mn).Kind;
-  return K == EncKind::Jmp || K == EncKind::Jcc || K == EncKind::Call ||
-         K == EncKind::Ret;
-}
-
 } // namespace mao
 
 #endif // MAO_X86_OPCODES_H

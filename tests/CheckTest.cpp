@@ -288,7 +288,8 @@ namespace {
 /// the problem; only the semantic validator can.
 class SemanticsBreakingPass : public MaoFunctionPass {
 public:
-  SemanticsBreakingPass(MaoOptionMap *Options, MaoUnit *Unit, MaoFunction *Fn)
+  SemanticsBreakingPass(const MaoOptionMap *Options, MaoUnit *Unit,
+                        MaoFunction *Fn)
       : MaoFunctionPass("TESTSEMBREAK", Options, Unit, Fn) {}
   bool go() override {
     for (auto It = function().begin(); It != function().end(); ++It)

@@ -185,10 +185,7 @@ TEST(MaoUnitViews, SeededEditsKeepViewsEqualToDerivation) {
         const bool After = Rng.nextChance(1, 2);
         What += std::string(After ? ": after " : ": before ") +
                 Pos->toString() + " insert " + New.toString();
-        if (After)
-          Unit.insertAfter(Pos, std::move(New));
-        else
-          Unit.insertBefore(Pos, std::move(New));
+        Unit.insertBefore(After ? std::next(Pos) : Pos, std::move(New));
       }
       ASSERT_EQ(maintained(Unit), derived(Unit)) << What;
     }
@@ -249,8 +246,8 @@ TEST(MaoUnitViews, SplitFunctionRunEdgesFollowEdits) {
 
   // The last run ends at end(): erase g's last entry and append after it.
   Unit.erase(findEntry(Unit, "\tmovl\t$2, %eax"));
-  Unit.insertAfter(std::prev(Unit.entries().end()),
-                   MaoEntry::makeInstruction(makeNop(1)));
+  Unit.insertBefore(Unit.entries().end(),
+                    MaoEntry::makeInstruction(makeNop(1)));
   Check("edit the run that ends at end()");
   EXPECT_EQ(G.countInstructions(), 2u);
 }
@@ -272,8 +269,8 @@ TEST(MaoUnitViews, MovesAndCloneCarryTheViews) {
   // Leave an emptied range behind and edit at the run's end.
   Unit.erase(findEntry(Unit, "\t.long\t5"));
   Unit.erase(findEntry(Unit, ".LC0:"));
-  Unit.insertAfter(std::prev(Unit.entries().end()),
-                   MaoEntry::makeInstruction(makeNop(2)));
+  Unit.insertBefore(Unit.entries().end(),
+                    MaoEntry::makeInstruction(makeNop(2)));
   const std::string Want = maintained(Unit);
   ASSERT_EQ(Want, derived(Unit));
 

@@ -13,13 +13,16 @@
 #include "pass/MaoPass.h"
 #include "support/Options.h"
 #include "support/ThreadPool.h"
+#include "support/Trace.h"
 #include "workload/Workload.h"
 
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <chrono>
 #include <stdexcept>
 #include <string>
+#include <thread>
 #include <vector>
 
 using namespace mao;
@@ -39,7 +42,7 @@ MaoUnit parseOk(const std::string &Text) {
 /// contain.
 class NopStripPass : public MaoFunctionPass {
 public:
-  NopStripPass(const char *Name, MaoOptionMap *Options, MaoUnit *Unit,
+  NopStripPass(const char *Name, const MaoOptionMap *Options, MaoUnit *Unit,
                MaoFunction *Fn)
       : MaoFunctionPass(Name, Options, Unit, Fn) {}
   bool go() override {
@@ -61,7 +64,7 @@ public:
 
 class ShardNopStripPass : public NopStripPass {
 public:
-  ShardNopStripPass(MaoOptionMap *Options, MaoUnit *Unit, MaoFunction *Fn)
+  ShardNopStripPass(const MaoOptionMap *Options, MaoUnit *Unit, MaoFunction *Fn)
       : NopStripPass("TESTSHARDNOP", Options, Unit, Fn) {}
 };
 REGISTER_SHARDED_FUNC_PASS("TESTSHARDNOP", ShardNopStripPass)
@@ -70,7 +73,8 @@ REGISTER_SHARDED_FUNC_PASS("TESTSHARDNOP", ShardNopStripPass)
 /// at every worker count, through the same executor.
 class InlineNopStripPass : public NopStripPass {
 public:
-  InlineNopStripPass(MaoOptionMap *Options, MaoUnit *Unit, MaoFunction *Fn)
+  InlineNopStripPass(const MaoOptionMap *Options, MaoUnit *Unit,
+                     MaoFunction *Fn)
       : NopStripPass("TESTINLINENOP", Options, Unit, Fn) {}
 };
 REGISTER_FUNC_PASS("TESTINLINENOP", InlineNopStripPass)
@@ -80,7 +84,8 @@ REGISTER_FUNC_PASS("TESTINLINENOP", InlineNopStripPass)
 /// non-shardable pass may read.
 class NeighbourReadingPass : public NopStripPass {
 public:
-  NeighbourReadingPass(MaoOptionMap *Options, MaoUnit *Unit, MaoFunction *Fn)
+  NeighbourReadingPass(const MaoOptionMap *Options, MaoUnit *Unit,
+                       MaoFunction *Fn)
       : NopStripPass("TESTNEIGHBOUR", Options, Unit, Fn) {}
   bool go() override {
     if (function().name() == "f3")
@@ -243,11 +248,13 @@ TEST(ParallelPipeline, OutputIdenticalAcrossWorkerCounts) {
 /// Churns the arena from every shard at once: for each instruction the
 /// pass inserts a scratch NOP and erases it again, cycling list nodes
 /// through the arena's free bins while other shards allocate, then lands
-/// one real NOP at the function head so the run has observable output. Under TSAN this is the allocation
-/// contract test for the arena-backed entry list.
+/// one real NOP at the function head so the run has observable output.
+/// Under TSAN this is the allocation contract test for the arena-backed
+/// entry list.
 class ShardArenaChurnPass : public MaoFunctionPass {
 public:
-  ShardArenaChurnPass(MaoOptionMap *Options, MaoUnit *Unit, MaoFunction *Fn)
+  ShardArenaChurnPass(const MaoOptionMap *Options, MaoUnit *Unit,
+                      MaoFunction *Fn)
       : MaoFunctionPass("TESTARENACHURN", Options, Unit, Fn) {}
   bool go() override {
     std::vector<EntryIter> Insns;
@@ -284,6 +291,45 @@ TEST(ParallelPipeline, ArenaChurnCleanAndIdenticalAcrossJobs) {
   for (unsigned C : Jobs1.Counts)
     Total += C;
   EXPECT_GT(Total, 0u);
+}
+
+/// Traces one line per function, the first one after a delay: on the
+/// pool its line comes last unless the runner buffers trace lines per
+/// shard and writes them in function order.
+class TraceOrderPass : public MaoFunctionPass {
+public:
+  TraceOrderPass(const MaoOptionMap *Options, MaoUnit *Unit, MaoFunction *Fn)
+      : MaoFunctionPass("TESTTRACEORDER", Options, Unit, Fn) {}
+  bool go() override {
+    if (&function() == &unit().functions().front())
+      std::this_thread::sleep_for(std::chrono::milliseconds(50));
+    trace(0, "%s", function().name().c_str());
+    return true;
+  }
+};
+REGISTER_SHARDED_FUNC_PASS("TESTTRACEORDER", TraceOrderPass)
+
+TEST(ParallelPipeline, TraceLinesInFunctionOrderAcrossJobs) {
+  std::string Source = "\t.text\n", Want;
+  for (unsigned I = 0; I < 8; ++I) {
+    const std::string F = "f" + std::to_string(I);
+    Source += "\t.type " + F + ", @function\n" + F + ":\n\tret\n";
+    Want += "[TESTTRACEORDER] " + F + "\n";
+  }
+  for (unsigned Jobs : {1u, 4u}) {
+    MaoUnit Unit = parseOk(Source);
+    std::vector<PassRequest> Requests;
+    ASSERT_TRUE(parseMaoOption("TESTTRACEORDER", Requests).ok());
+    PipelineOptions Options;
+    Options.Jobs = Jobs;
+    std::string Log;
+    LogWriter Prev =
+        setLogWriter([&](const std::string &Text) { Log += Text; });
+    PipelineResult Result = runPasses(Unit, Requests, Options);
+    setLogWriter(std::move(Prev));
+    ASSERT_TRUE(Result.Ok) << Result.Error;
+    EXPECT_EQ(Log, Want) << "jobs=" << Jobs;
+  }
 }
 
 TEST(ParallelPipeline, NopKillAtSplitRunStartIdenticalAcrossJobs) {

@@ -10,6 +10,7 @@
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <iterator>
 #include <optional>
 #include <random>
 #include <string>
@@ -424,8 +425,9 @@ TEST(Parser, LocalLabelsResolveBackwardAndForward) {
   const auto &Labels = UnitOr->labelMap();
   ASSERT_EQ(Labels.count(Targets[0]), 1u);
   ASSERT_EQ(Labels.count(Targets[1]), 1u);
-  EXPECT_LT(Labels.find(Targets[0])->second->Id,
-            Labels.find(Targets[1])->second->Id);
+  const auto Begin = UnitOr->entries().begin();
+  EXPECT_LT(std::distance(Begin, Labels.find(Targets[0])->second),
+            std::distance(Begin, Labels.find(Targets[1])->second));
 }
 
 TEST(Parser, LocalLabelBackwardWithoutDefinitionIsRejected) {
@@ -672,7 +674,6 @@ void expectSameEntries(const MaoUnit &Got, const MaoUnit &Want,
     const std::string Where = Name + ": entry " + std::to_string(Index++) +
                               " '" + W->toString() + "'";
     ASSERT_EQ(G.kind(), W->kind()) << Where;
-    ASSERT_EQ(G.Id, W->Id) << Where;
     switch (G.kind()) {
     case MaoEntry::Kind::Instruction:
       ASSERT_EQ(G.instruction(), W->instruction())

@@ -62,7 +62,7 @@ MaoUnit parseOk(const std::string &Text) {
 /// the edit must vanish under the rollback policy.
 class ThrowingPass : public MaoFunctionPass {
 public:
-  ThrowingPass(MaoOptionMap *Options, MaoUnit *Unit, MaoFunction *Fn)
+  ThrowingPass(const MaoOptionMap *Options, MaoUnit *Unit, MaoFunction *Fn)
       : MaoFunctionPass("TESTTHROW", Options, Unit, Fn) {}
   bool go() override {
     for (auto It = function().begin(); It != function().end(); ++It)
@@ -80,10 +80,10 @@ REGISTER_FUNC_PASS("TESTTHROW", ThrowingPass)
 /// definition of the function's entry label).
 class CorruptingPass : public MaoFunctionPass {
 public:
-  CorruptingPass(MaoOptionMap *Options, MaoUnit *Unit, MaoFunction *Fn)
+  CorruptingPass(const MaoOptionMap *Options, MaoUnit *Unit, MaoFunction *Fn)
       : MaoFunctionPass("TESTBADIR", Options, Unit, Fn) {}
   bool go() override {
-    unit().append(MaoEntry::makeLabel(function().name()));
+    unit().entries().push_back(MaoEntry::makeLabel(function().name()));
     countTransformation();
     return true;
   }
@@ -93,7 +93,7 @@ REGISTER_FUNC_PASS("TESTBADIR", CorruptingPass)
 /// Burns wall-clock time; used to trip the per-pass budget.
 class SleepingPass : public MaoFunctionPass {
 public:
-  SleepingPass(MaoOptionMap *Options, MaoUnit *Unit, MaoFunction *Fn)
+  SleepingPass(const MaoOptionMap *Options, MaoUnit *Unit, MaoFunction *Fn)
       : MaoFunctionPass("TESTSLEEP", Options, Unit, Fn) {}
   bool go() override {
     std::this_thread::sleep_for(std::chrono::milliseconds(30));
@@ -105,7 +105,7 @@ REGISTER_FUNC_PASS("TESTSLEEP", SleepingPass)
 /// Fails the classic way: go() returns false without mutating anything.
 class FailingPass : public MaoFunctionPass {
 public:
-  FailingPass(MaoOptionMap *Options, MaoUnit *Unit, MaoFunction *Fn)
+  FailingPass(const MaoOptionMap *Options, MaoUnit *Unit, MaoFunction *Fn)
       : MaoFunctionPass("TESTFALSE", Options, Unit, Fn) {}
   bool go() override { return false; }
 };

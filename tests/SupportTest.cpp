@@ -211,6 +211,20 @@ TEST(Options, RelaxModeFlagIsGone) {
       << CmdOr.message();
 }
 
+TEST(Options, UnknownFlagOfOurOwnFamilyIsAnError) {
+  // No registered name is near enough for a suggestion, but the first word
+  // is ours: a usage error, never a pass-through to the assembler.
+  auto CmdOr = parseCommandLine({"--mao-score-cache-budget=4096", "input.s"});
+  ASSERT_FALSE(CmdOr.ok());
+  EXPECT_EQ(CmdOr.message(),
+            "unknown option '--mao-score-cache-budget=4096'");
+  // An assembler option that shares no first word still passes through.
+  auto GasOr = parseCommandLine({"--gdwarf-5", "input.s"});
+  ASSERT_TRUE(GasOr.ok()) << GasOr.message();
+  ASSERT_EQ(GasOr->Passthrough.size(), 1u);
+  EXPECT_EQ(GasOr->Passthrough[0], "--gdwarf-5");
+}
+
 TEST(Options, DriverFlagsLandInFacadeFields) {
   // One row per settable driver flag: the argument, and a check that reads
   // the field it must land in. Every check fails on a default command line,
@@ -276,10 +290,6 @@ TEST(Options, DriverFlagsLandInFacadeFields) {
       {"--connect=sock",
        [](const MaoCommandLine &C) { return C.ConnectPath == "sock"; }},
       {"--cache-verify", [](const MaoCommandLine &C) { return C.CacheVerify; }},
-      {"--mao-score-cache-budget=4096",
-       [](const MaoCommandLine &C) {
-         return C.Tune.ScoreCacheBudgetBytes == 4096;
-       }},
       {"--cache-budget=8192",
        [](const MaoCommandLine &C) { return C.CacheBudget == 8192; }},
       {"--lint", [](const MaoCommandLine &C) { return C.RunLint; }},

@@ -92,32 +92,6 @@ TEST(ScoreCache, HitMissAccounting) {
   EXPECT_EQ(*Cache.lookup(Key), 1234u);
 }
 
-TEST(ScoreCache, ByteBudgetEvictsFifoAndNeverChangesScores) {
-  ScoreCache Cache("core2");
-  // Room for exactly 4 entries (16 bytes each).
-  Cache.setByteBudget(4 * ScoreCache::BytesPerEntry);
-  for (uint64_t Key = 1; Key <= 10; ++Key)
-    Cache.insert(Key, Key * 100);
-
-  ScoreCache::Stats S = Cache.stats();
-  EXPECT_EQ(S.Entries, 4u);
-  EXPECT_EQ(S.Evictions, 6u);
-  // FIFO: the oldest keys are gone, the newest survive — and a surviving
-  // score is exactly what was inserted (eviction can only cost a
-  // re-simulation, never change a result).
-  EXPECT_FALSE(Cache.lookup(1).has_value());
-  EXPECT_FALSE(Cache.lookup(6).has_value());
-  ASSERT_TRUE(Cache.lookup(7).has_value());
-  EXPECT_EQ(*Cache.lookup(10), 1000u);
-
-  // Duplicate inserts of a resident key do not grow or evict.
-  Cache.insert(10, 9999);
-  S = Cache.stats();
-  EXPECT_EQ(S.Entries, 4u);
-  EXPECT_EQ(S.Evictions, 6u);
-  EXPECT_EQ(*Cache.lookup(10), 1000u);
-}
-
 TEST(ScoreCache, KeyIsContentAndConfigSensitive) {
   linkAllPasses();
   MaoUnit A = parse(aliasKernel());
